@@ -1,10 +1,10 @@
 //! Transitive UDF body analysis.
 //!
-//! [`analyze_body`] generalizes `decorr_udf::analysis::table_reads` from a single
-//! body to the *transitive closure* over called UDFs: the facts of a function are
-//! the union of the facts of everything it can reach through [`UdfCall`]s, resolved
-//! against a [`FunctionRegistry`] with a visited set so mutually recursive
-//! definitions terminate. The engine consumes the result twice:
+//! [`analyze_body`] computes a body's facts over the *transitive closure* of the UDFs
+//! it calls: the facts of a function are the union of the facts of everything it can
+//! reach through [`UdfCall`]s, resolved against a [`FunctionRegistry`] with a visited
+//! set so mutually recursive definitions terminate. The engine consumes the result
+//! twice:
 //!
 //! * at **registration** — a function declared `DETERMINISTIC` whose body
 //!   (transitively) calls a `VOLATILE` function is rejected with a diagnostic, and a

@@ -1303,29 +1303,28 @@ impl Pinned {
             executor =
                 executor.with_udf_dedup(Arc::new(UdfMemo::with_capacity(UDF_DEDUP_CAPACITY)));
         }
-        if config.cost_ordered_predicates {
-            let mut hints: BTreeMap<String, UdfRuntimeHint> = BTreeMap::new();
-            for (name, mean_seconds) in self.feedback.udf_mean_seconds() {
-                hints.insert(
-                    name,
-                    UdfRuntimeHint {
-                        mean_seconds,
-                        selectivity: 0.5,
-                    },
-                );
-            }
-            for (name, selectivity) in self.feedback.udf_selectivities() {
-                hints
-                    .entry(name)
-                    .and_modify(|hint| hint.selectivity = selectivity)
-                    .or_insert(UdfRuntimeHint {
-                        mean_seconds: 1e-4,
-                        selectivity,
-                    });
-            }
-            if !hints.is_empty() {
-                executor = executor.with_udf_hints(Arc::new(hints));
-            }
+        // Learned per-UDF cost and pass-rate order the UDF conjuncts of filters.
+        let mut hints: BTreeMap<String, UdfRuntimeHint> = BTreeMap::new();
+        for (name, mean_seconds) in self.feedback.udf_mean_seconds() {
+            hints.insert(
+                name,
+                UdfRuntimeHint {
+                    mean_seconds,
+                    selectivity: 0.5,
+                },
+            );
+        }
+        for (name, selectivity) in self.feedback.udf_selectivities() {
+            hints
+                .entry(name)
+                .and_modify(|hint| hint.selectivity = selectivity)
+                .or_insert(UdfRuntimeHint {
+                    mean_seconds: 1e-4,
+                    selectivity,
+                });
+        }
+        if !hints.is_empty() {
+            executor = executor.with_udf_hints(Arc::new(hints));
         }
         let result_set = executor.execute(&outcome.plan)?;
         let (estimated_rows, cardinality_q_error, udf_timings) =
@@ -1743,7 +1742,7 @@ impl Session {
                 )),
                 None => out.push_str(&format!(
                     "{:<24} {:>12.0} {:>12} {:>8} {:>8}\n",
-                    estimate.operator, estimate.cardinality, "(fused)", "-", "-"
+                    estimate.operator, estimate.cardinality, "(not run)", "-", "-"
                 )),
             }
         }

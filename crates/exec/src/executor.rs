@@ -1,8 +1,10 @@
-//! Execution of logical plans: a row-at-a-time serial path, a morsel-driven parallel
-//! path dispatching to the persistent [`crate::parallel::WorkerPool`], and a pipelined
-//! (operator-fusing) path that streams each morsel through adjacent
-//! scan→filter→project chains in one task — all selected by [`ExecConfig`].
+//! Execution of logical plans. Every operator runs inline on the calling thread when
+//! its input fits in one morsel (always, at `parallelism == 1`) and fans morsels out to
+//! the persistent [`crate::parallel::WorkerPool`] otherwise. Filters and projections
+//! have a single implementation, the chain runner (`Executor::execute_chain`), which
+//! streams each base row through every adjacent filter/project layer in one pass.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -38,15 +40,12 @@ pub struct ExecConfig {
     pub hash_join_threshold: usize,
     /// Safety bound on `WHILE` loop iterations inside UDFs.
     pub max_loop_iterations: usize,
-    /// Whether the executor may use hash indexes for equality lookups (the paper's
-    /// "default indices on primary and foreign keys").
-    pub use_indexes: bool,
     /// Worker-pool size for morsel-driven parallel execution. `1` (the default) keeps
-    /// every operator on the original serial row-at-a-time path; `n > 1` lets scans,
-    /// filters, projections, hash joins, hash aggregation and the Apply family fan
-    /// morsels out to `n` persistent pool workers. Parallel runs produce byte-identical
-    /// results to serial runs (morsel outputs merge in morsel order and aggregation
-    /// partitions by group key, preserving per-group accumulation order).
+    /// every operator inline on the calling thread; `n > 1` lets scans, filter/project
+    /// chains, hash joins, hash aggregation and the Apply family fan morsels out to `n`
+    /// persistent pool workers. Parallel runs produce byte-identical results to serial
+    /// runs (morsel outputs merge in morsel order and aggregation partitions by group
+    /// key, preserving per-group accumulation order).
     ///
     /// Values are clamped to `≥ 1` by [`Executor::with_config`] /
     /// [`ExecConfig::normalized`].
@@ -55,19 +54,13 @@ pub struct ExecConfig {
     /// one morsel, so small inputs never pay the fan-out overhead. Clamped to `≥ 1`
     /// (a zero morsel size must not degenerate into per-row tasks).
     pub morsel_size: usize,
-    /// Whether adjacent scan→filter→project chains (including the chains feeding Apply
-    /// operators) are fused so each morsel flows through the whole chain in one task
-    /// instead of materializing between operators. Fusion only changes *how* rows move,
-    /// never the rows themselves; it is exposed as a knob so benches can compare the
-    /// pipelined and materialized execution styles. Ignored at `parallelism == 1`.
-    pub pipeline_fusion: bool,
     /// Record the actual output cardinality of every executed plan node (keyed by the
     /// node's structural fingerprint) into the executor's
-    /// [`CardinalityCollector`]. Off by default:
-    /// this is the estimate-vs-actual diagnostic used by `EXPLAIN ANALYZE`, the stats
-    /// bench and accuracy tests, and fingerprinting every node would tax the hot path.
+    /// [`CardinalityCollector`]. Off by default: this is the estimate-vs-actual
+    /// diagnostic used by `EXPLAIN ANALYZE` and the accuracy tests, and fingerprinting
+    /// every node would tax the hot path.
     pub collect_cardinalities: bool,
-    /// Batched + deduplicated UDF invocation: parallel filters/projections over
+    /// Batched + deduplicated UDF invocation: pooled filter/project chains over
     /// pure-UDF sites first collect the distinct argument tuples of a morsel batch,
     /// evaluate each distinct tuple once on the worker pool, and let per-row
     /// evaluation pick the results out of the per-query dedup cache. The engine also
@@ -77,12 +70,6 @@ pub struct ExecConfig {
     /// Cross-query memoization of pure-UDF results through the database-owned memo
     /// cache. The engine attaches the memo only when this is on.
     pub udf_memoization: bool,
-    /// Reorder the UDF-bearing conjuncts of a filter by measured cost / observed
-    /// selectivity (cheapest-most-selective first), short-circuiting the rest of the
-    /// conjunction. Applies only when every UDF in the conjunction is pure; kept rows
-    /// are identical under SQL three-valued logic, though *which* conjunct surfaces a
-    /// runtime error first can change.
-    pub cost_ordered_predicates: bool,
 }
 
 impl Default for ExecConfig {
@@ -90,14 +77,11 @@ impl Default for ExecConfig {
         ExecConfig {
             hash_join_threshold: 64,
             max_loop_iterations: 10_000_000,
-            use_indexes: true,
             parallelism: 1,
             morsel_size: 1024,
-            pipeline_fusion: true,
             collect_cardinalities: false,
             udf_batching: true,
             udf_memoization: true,
-            cost_ordered_predicates: true,
         }
     }
 }
@@ -385,8 +369,8 @@ impl Executor {
         }
         // Diagnostic mode: record every node's actual output cardinality, keyed by
         // the node's structural fingerprint. Children recurse through this same entry
-        // point, so one hook covers the whole tree (fused chains record at the chain
-        // root — the per-layer actuals are the fused output by construction).
+        // point, so one hook covers the whole tree (a filter/project chain records its
+        // root here and the layers beneath it from its per-stage row counts).
         let result = self.execute_dispatch(plan, outer)?;
         self.cardinalities.record(plan, result.rows.len() as u64);
         Ok(result)
@@ -394,15 +378,6 @@ impl Executor {
 
     /// Operator dispatch (the pre-instrumentation `execute_with_env` body).
     fn execute_dispatch(&self, plan: &RelExpr, outer: &Env) -> Result<ResultSet> {
-        // Pipelined execution: fuse adjacent filter/project layers (and the chains
-        // feeding Apply operators, which execute their left input through this same
-        // entry point) so each morsel flows through the whole chain in one task. The
-        // serial path (`parallelism == 1`) stays byte-for-byte the original executor.
-        if self.config.parallelism > 1 && self.config.pipeline_fusion {
-            if let Some((layers, base)) = fusible_chain(plan) {
-                return self.execute_pipelined(&layers, base, outer);
-            }
-        }
         match plan {
             RelExpr::Single => Ok(ResultSet {
                 schema: Schema::empty(),
@@ -413,12 +388,7 @@ impl Executor {
                 schema: schema.clone(),
                 rows: rows.iter().map(|r| Row::new(r.clone())).collect(),
             }),
-            RelExpr::Select { input, predicate } => self.execute_select(input, predicate, outer),
-            RelExpr::Project {
-                input,
-                items,
-                distinct,
-            } => self.execute_project(input, items, *distinct, outer),
+            RelExpr::Select { .. } | RelExpr::Project { .. } => self.execute_chain(plan, outer),
             RelExpr::Aggregate {
                 input,
                 group_by,
@@ -535,90 +505,6 @@ impl Executor {
         Ok(ResultSet { schema, rows })
     }
 
-    fn execute_select(
-        &self,
-        input: &RelExpr,
-        predicate: &ScalarExpr,
-        outer: &Env,
-    ) -> Result<ResultSet> {
-        // Index access path: σ over a base-table scan with an equality conjunct on an
-        // indexed column whose comparison value is computable from the outer scope alone
-        // (a constant, a parameter, or an outer correlation variable). This is how the
-        // iterative baseline avoids a full scan per UDF invocation, matching the paper's
-        // "default indices" setup.
-        if self.config.use_indexes {
-            if let RelExpr::Scan { table, alias } = input {
-                if let Some(result) =
-                    self.try_index_scan(table, alias.as_deref(), predicate, outer)?
-                {
-                    return Ok(result);
-                }
-            }
-        }
-        // σ over a base-table scan draws straight from the table's shard set instead
-        // of materializing the scan first, and drops shards whose cached min/max
-        // summary proves no row can pass the predicate's numeric bounds.
-        let (schema, source) = match input {
-            RelExpr::Scan { table, alias } => {
-                let t = self.catalog.table(table)?;
-                let schema = match alias {
-                    Some(a) => t.schema().with_qualifier(a),
-                    None => t.schema().clone(),
-                };
-                let (set, pruned) = self.pruned_scan_set(t, predicate, &schema);
-                if pruned > 0 {
-                    self.stats.add_shards_pruned(pruned);
-                }
-                self.stats.add_rows_scanned(set.len() as u64);
-                if self.config.collect_cardinalities {
-                    // The scan no longer runs as its own node; mirror the actual it
-                    // would have recorded (the kept shards' rows).
-                    self.cardinalities.record(input, set.len() as u64);
-                }
-                (schema, RowSource::Shards(set))
-            }
-            _ => {
-                let rs = self.execute_with_env(input, outer)?;
-                (rs.schema, RowSource::Rows(Arc::new(rs.rows)))
-            }
-        };
-        let filter = self.prepare_filter(predicate);
-        if self.should_parallelize(source.len()) {
-            self.batch_eval_udf_calls(&filter.strict_roots(), source.clone(), &schema, outer)?;
-            let chunks = {
-                let source = source.clone();
-                let schema = schema.clone();
-                let outer = outer.clone();
-                self.run_morsels("filter", 0, source.len(), move |view, range| {
-                    let mut kept = vec![];
-                    let mut outcomes = filter.counters();
-                    for row in source.iter_range(range) {
-                        let env = Env::with_row(schema.clone(), row.clone()).nested_in(&outer);
-                        if filter.eval(view, &env, &mut outcomes)? {
-                            kept.push(row.clone());
-                        }
-                    }
-                    filter.flush(view, &outcomes);
-                    Ok(kept)
-                })?
-            };
-            return Ok(ResultSet {
-                schema,
-                rows: concat_rows(chunks, 0),
-            });
-        }
-        let mut rows = vec![];
-        let mut outcomes = filter.counters();
-        for row in source.iter() {
-            let env = Env::with_row(schema.clone(), row.clone()).nested_in(outer);
-            if filter.eval(self, &env, &mut outcomes)? {
-                rows.push(row.clone());
-            }
-        }
-        filter.flush(self, &outcomes);
-        Ok(ResultSet { schema, rows })
-    }
-
     /// The shard set a predicate-topped scan draws from: shards whose cached summary
     /// proves no row can satisfy the predicate's numeric bounds are dropped, and the
     /// second return is how many were. Purely an access-path optimization — dirty
@@ -658,75 +544,59 @@ impl Executor {
         (ShardSet::new(kept), pruned)
     }
 
-    /// Attempts to answer `σ_predicate(scan)` with a hash-index lookup. Returns
-    /// `Ok(None)` when no usable index/conjunct exists.
+    /// Attempts to answer `σ_predicate(scan)` with a hash-index lookup: an equality
+    /// conjunct on an indexed column whose comparison value is computable from the
+    /// outer scope alone (a constant, a parameter, or an outer correlation variable).
+    /// This is how the iterative baseline avoids a full scan per UDF invocation,
+    /// matching the paper's "default indices on primary and foreign keys". Returns the
+    /// index hits and the conjunction of the remaining conjuncts, which the caller
+    /// still has to apply; `None` when no usable index/conjunct exists.
     fn try_index_scan(
         &self,
-        table: &str,
-        alias: Option<&str>,
+        t: &Table,
+        schema: &Schema,
         predicate: &ScalarExpr,
         outer: &Env,
-    ) -> Result<Option<ResultSet>> {
-        let t = self.catalog.table(table)?;
-        let schema = match alias {
-            Some(a) => t.schema().with_qualifier(a),
-            None => t.schema().clone(),
-        };
-        let conjuncts = predicate.split_conjuncts();
-        for (i, conjunct) in conjuncts.iter().enumerate() {
+    ) -> Option<(Vec<Row>, ScalarExpr)> {
+        let mut conjuncts = predicate.split_conjuncts();
+        let (answered, hits) = conjuncts.iter().enumerate().find_map(|(i, conjunct)| {
             let ScalarExpr::Binary {
                 op: BinaryOp::Eq,
                 left,
                 right,
             } = conjunct
             else {
-                continue;
+                return None;
             };
             // Identify (column-of-this-table, value-expression) in either order.
-            for (col_side, val_side) in [(left, right), (right, left)] {
-                let ScalarExpr::Column(c) = col_side.as_ref() else {
-                    continue;
-                };
-                if schema.find(c.qualifier.as_deref(), &c.name).is_none() {
-                    continue;
-                }
-                if t.index_on(&c.name).is_none() {
-                    continue;
-                }
-                // The probe value must be computable without this table's row.
-                let Ok(key) = self.eval_expr(val_side, outer) else {
-                    continue;
-                };
-                let hits = t
-                    .index_lookup(&c.name, &key)
-                    .unwrap_or_default()
-                    .into_iter()
-                    .cloned()
-                    .collect::<Vec<Row>>();
-                self.stats.add_index_lookups(1);
-                // Apply the remaining conjuncts.
-                let mut rows = vec![];
-                let residual: Vec<ScalarExpr> = conjuncts
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, c)| c.clone())
-                    .collect();
-                let residual_pred = ScalarExpr::conjunction(residual);
-                for row in hits {
-                    let env = Env::with_row(schema.clone(), row.clone()).nested_in(outer);
-                    if self.eval_predicate(&residual_pred, &env)? {
-                        rows.push(row);
+            [(left, right), (right, left)]
+                .into_iter()
+                .find_map(|(col_side, val_side)| {
+                    let ScalarExpr::Column(c) = col_side.as_ref() else {
+                        return None;
+                    };
+                    if schema.find(c.qualifier.as_deref(), &c.name).is_none()
+                        || t.index_on(&c.name).is_none()
+                    {
+                        return None;
                     }
-                }
-                return Ok(Some(ResultSet { schema, rows }));
-            }
-        }
-        Ok(None)
+                    // The probe value must be computable without this table's row.
+                    let key = self.eval_expr(val_side, outer).ok()?;
+                    let hits: Vec<Row> = t
+                        .index_lookup(&c.name, &key)
+                        .unwrap_or_default()
+                        .into_iter()
+                        .cloned()
+                        .collect();
+                    Some((i, hits))
+                })
+        })?;
+        self.stats.add_index_lookups(1);
+        conjuncts.remove(answered);
+        Some((hits, ScalarExpr::conjunction(conjuncts)))
     }
 
-    /// The output schema of a projection over `input_schema` (shared by the layered
-    /// and the fused execution paths so both produce identical schemas).
+    /// The output schema of a projection over `input_schema`.
     fn project_schema(&self, items: &[ProjectItem], input_schema: &Schema) -> Schema {
         let provider = self.provider();
         Schema::new(
@@ -755,78 +625,25 @@ impl Executor {
         )
     }
 
-    fn execute_project(
-        &self,
-        input: &RelExpr,
-        items: &[ProjectItem],
-        distinct: bool,
-        outer: &Env,
-    ) -> Result<ResultSet> {
-        let input_rs = self.execute_with_env(input, outer)?;
-        let schema = self.project_schema(items, &input_rs.schema);
-        let mut rows = if self.should_parallelize(input_rs.rows.len()) {
-            // The projection items are where per-row UDF invocations and scalar
-            // subqueries live, so this fan-out also parallelises the paper's
-            // *iterative* execution style.
-            let input_schema = input_rs.schema.clone();
-            let source = Arc::new(input_rs.rows);
-            let roots: Vec<&ScalarExpr> = items.iter().map(|item| &item.expr).collect();
-            self.batch_eval_udf_calls(
-                &roots,
-                RowSource::Rows(Arc::clone(&source)),
-                &input_schema,
-                outer,
-            )?;
-            let chunks = {
-                let source = Arc::clone(&source);
-                let items = items.to_vec();
-                let outer = outer.clone();
-                self.run_morsels("project", 0, source.len(), move |view, range| {
-                    let mut projected = Vec::with_capacity(range.len());
-                    for row in &source[range] {
-                        let env =
-                            Env::with_row(input_schema.clone(), row.clone()).nested_in(&outer);
-                        let values: Result<Vec<Value>> = items
-                            .iter()
-                            .map(|item| view.eval_expr(&item.expr, &env))
-                            .collect();
-                        projected.push(Row::new(values?));
-                    }
-                    Ok(projected)
-                })?
-            };
-            concat_rows(chunks, source.len())
-        } else {
-            let mut projected = vec![];
-            for row in input_rs.rows {
-                let env = Env::with_row(input_rs.schema.clone(), row).nested_in(outer);
-                let values: Result<Vec<Value>> = items
-                    .iter()
-                    .map(|item| self.eval_expr(&item.expr, &env))
-                    .collect();
-                projected.push(Row::new(values?));
-            }
-            projected
-        };
-        if distinct {
-            rows = dedupe_rows(rows);
-        }
-        Ok(ResultSet { schema, rows })
-    }
-
     // ------------------------------------------------------------ UDF invocation runtime
 
-    /// Decides whether a filter's conjunction should be evaluated in learned cost
-    /// order. Reordering kicks in when the knob is on, the predicate has at least two
-    /// conjuncts, at least one conjunct invokes a UDF, and every UDF mentioned in the
-    /// predicate is pure — a volatile UDF keeps the plain left-to-right evaluation.
-    fn prepare_filter(&self, predicate: &ScalarExpr) -> PreparedFilter {
-        if !self.config.cost_ordered_predicates {
-            return PreparedFilter::Simple(predicate.clone());
+    /// Prepares a filter predicate for per-row evaluation. A conjunction of at least
+    /// two conjuncts, at least one of which invokes a UDF and all of whose UDFs are
+    /// pure, is evaluated in learned cost order (cheapest-most-selective first,
+    /// short-circuiting the rest) and instrumented with selectivity counters; kept rows
+    /// are identical under SQL three-valued logic, though *which* conjunct surfaces a
+    /// runtime error first can change. Anything else — in particular a volatile UDF —
+    /// keeps the plain left-to-right evaluation of the predicate as written.
+    fn prepare_filter<'p>(&self, predicate: &'p ScalarExpr) -> PreparedFilter<'p> {
+        let simple = PreparedFilter::Simple(Cow::Borrowed(predicate));
+        // The common filter invokes no UDF: nothing to reorder and nothing to copy
+        // (an iterative plan prepares its inner filters once per UDF invocation).
+        if !predicate.contains_udf_call() {
+            return simple;
         }
         let conjuncts = predicate.split_conjuncts();
         if conjuncts.len() < 2 {
-            return PreparedFilter::Simple(predicate.clone());
+            return simple;
         }
         const DEFAULT_COST: f64 = 1e-4;
         const DEFAULT_SELECTIVITY: f64 = 0.5;
@@ -843,7 +660,7 @@ impl Executor {
                 .iter()
                 .all(|n| self.registry.udf(n).map(|u| u.pure).unwrap_or(false));
             if !all_pure {
-                return PreparedFilter::Simple(predicate.clone());
+                return simple;
             }
             let cost: f64 = names
                 .iter()
@@ -864,9 +681,6 @@ impl Executor {
                 .unwrap_or(DEFAULT_SELECTIVITY);
             let rank = cost / (1.0 - selectivity).max(0.05);
             ranked.push((rank, idx, conjunct, Some(names[0].clone())));
-        }
-        if ranked.is_empty() {
-            return PreparedFilter::Simple(predicate.clone());
         }
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut ordered = plain;
@@ -938,7 +752,7 @@ impl Executor {
         }
     }
 
-    /// The batch pre-pass of the parallel filter/project paths: collects the distinct
+    /// The batch pre-pass of a pooled filter/project chain: collects the distinct
     /// argument tuples of every strict pure-UDF site across the input, evaluates each
     /// distinct tuple exactly once fanned out over the worker pool, and leaves the
     /// results in the per-query dedup cache for the per-row pass to pick up. This is
@@ -1031,160 +845,160 @@ impl Executor {
         Ok(())
     }
 
-    // --------------------------------------------------------------- pipelined chains
+    // ---------------------------------------------------------- filter/project chains
 
-    /// Executes a fused chain of filter/project layers over `base` in a single pass
-    /// per morsel (no intermediate materialization between the fused operators). The
-    /// per-row evaluation order is exactly the layered order, and morsels merge in
-    /// morsel order, so the output is byte-identical to the layered execution.
-    fn execute_pipelined(
-        &self,
-        layers: &[FusedLayer<'_>],
-        base: &RelExpr,
-        outer: &Env,
-    ) -> Result<ResultSet> {
-        let mut layers = layers;
-        // Resolve the base input: either the base table itself (workers stream straight
-        // out of the catalog — the fused chain also skips the scan's copy-out), or a
-        // materialized result set for any other base operator.
-        let (base_label, base_schema, source) = match base {
+    /// Executes `plan` — a `Select` or a `Project` — together with every filter/project
+    /// layer beneath it in one pass over the chain's base: a row flows through all the
+    /// stages before the next one is read, so nothing materializes between the layers.
+    /// This is the only implementation of both operators. An input within one morsel
+    /// (always, at `parallelism == 1`) runs inline on the calling thread, borrowing its
+    /// predicates and items from the plan; a larger one fans morsels out to the pool,
+    /// which merges them in morsel order. Both routes evaluate rows through
+    /// [`run_chain`], so rows, selectivity feedback and per-node cardinalities do not
+    /// depend on the route.
+    fn execute_chain(&self, plan: &RelExpr, outer: &Env) -> Result<ResultSet> {
+        let mut index_residual = None;
+        let (mut layers, base) = fusible_chain(plan);
+        // Resolve the base. A table scan is streamed straight out of the catalog (no
+        // copy-out); under a filter it is first tried as a hash-index lookup and, failing
+        // that, drops the shards whose cached min/max proves the filter cannot match.
+        // Any other base executes and materializes.
+        let (base_schema, source) = match base {
             RelExpr::Scan { table, alias } => {
-                // Replicate the layered index access path: a σ directly over the scan
-                // may be answered by a hash index, with identical counters. The index
-                // result then becomes the materialized base of the remaining layers.
-                let mut indexed: Option<ResultSet> = None;
-                if self.config.use_indexes {
-                    if let FusedLayer::Filter(predicate) = layers[0] {
-                        indexed = self.try_index_scan(table, alias.as_deref(), predicate, outer)?;
-                    }
-                }
-                match indexed {
-                    Some(rs) => {
-                        layers = &layers[1..];
-                        if layers.is_empty() {
-                            return Ok(rs);
-                        }
-                        (
-                            format!("index({table})"),
-                            rs.schema,
-                            FusedSource::Rows(rs.rows),
-                        )
+                let t = self.catalog.table(table)?;
+                let schema = match alias {
+                    Some(a) => t.schema().with_qualifier(a),
+                    None => t.schema().clone(),
+                };
+                let scan_filter = match layers[0].1 {
+                    ChainLayer::Filter(predicate) => Some(predicate),
+                    ChainLayer::Project(_) => None,
+                };
+                let indexed = scan_filter.and_then(|p| self.try_index_scan(t, &schema, p, outer));
+                let source = match indexed {
+                    Some((hits, residual)) => {
+                        index_residual = Some(residual);
+                        RowSource::Rows(Arc::new(hits))
                     }
                     None => {
-                        let t = self.catalog.table(table)?;
-                        let schema = match alias {
-                            Some(a) => t.schema().with_qualifier(a),
-                            None => t.schema().clone(),
-                        };
-                        // A filter directly over the scan can skip shards whose
-                        // cached min/max proves the predicate cannot match.
-                        let (set, pruned) = match layers.first() {
-                            Some(FusedLayer::Filter(predicate)) => {
-                                self.pruned_scan_set(t, predicate, &schema)
-                            }
-                            _ => (t.shard_set(), 0),
+                        let (set, pruned) = match scan_filter {
+                            Some(predicate) => self.pruned_scan_set(t, predicate, &schema),
+                            None => (t.shard_set(), 0),
                         };
                         if pruned > 0 {
                             self.stats.add_shards_pruned(pruned);
                         }
                         self.stats.add_rows_scanned(set.len() as u64);
-                        (format!("scan({table})"), schema, FusedSource::Shards(set))
+                        if self.config.collect_cardinalities {
+                            // The scan does not run as a node of its own; its actual
+                            // is the rows of the shards it kept.
+                            self.cardinalities.record(base, set.len() as u64);
+                        }
+                        RowSource::Shards(set)
                     }
-                }
+                };
+                (schema, source)
             }
             _ => {
                 let rs = self.execute_with_env(base, outer)?;
-                ("input".to_string(), rs.schema, FusedSource::Rows(rs.rows))
+                (rs.schema, RowSource::Rows(Arc::new(rs.rows)))
             }
         };
-        // Precompute every stage's owned form and output schema (identical to the
-        // schemas the layered operators would derive).
-        let mut stages = Vec::with_capacity(layers.len());
-        let mut schema = base_schema.clone();
-        let mut names = vec![base_label];
-        for layer in layers {
-            match layer {
-                FusedLayer::Filter(predicate) => {
-                    names.push("filter".to_string());
-                    // Cost-ordered conjuncts carry over into the fused per-row pass
-                    // (same kept rows; cheapest-most-selective UDF predicate first).
-                    stages.push(FusedStage::Filter(
-                        self.prepare_filter(predicate).into_expr(),
-                    ));
+        if let Some(residual) = &index_residual {
+            // The lookup answered one conjunct of the bottom filter; the rest remains.
+            layers[0].1 = ChainLayer::Filter(residual);
+        }
+        // One stage per layer, bottom-up.
+        let mut stages: Vec<ChainStage<'_>> = Vec::with_capacity(layers.len());
+        for (_, layer) in &layers {
+            match *layer {
+                ChainLayer::Filter(predicate) => {
+                    stages.push(ChainStage::Filter(self.prepare_filter(predicate)));
                 }
-                FusedLayer::Project(items) => {
-                    names.push("project".to_string());
-                    let out = self.project_schema(items, &schema);
-                    stages.push(FusedStage::Project {
-                        items: items.to_vec(),
-                        schema: out.clone(),
+                ChainLayer::Project(items) => {
+                    let schema = self.project_schema(items, output_schema(&stages, &base_schema));
+                    stages.push(ChainStage::Project {
+                        items: Cow::Borrowed(items),
+                        schema,
                     });
-                    schema = out;
                 }
             }
         }
-        let out_schema = schema;
         let len = source.len();
-        if !self.should_parallelize(len) {
-            // Small input: one serial pass (same evaluations, same order, same rows as
-            // the layered serial execution).
-            let mut rows = vec![];
-            match &source {
-                FusedSource::Shards(set) => {
-                    for row in set.iter() {
-                        apply_fused_stages(self, row, &base_schema, &stages, outer, &mut rows)?;
-                    }
+        let (mut rows, stage_rows) = if !self.should_parallelize(len) {
+            let out = match source {
+                RowSource::Shards(set) => {
+                    run_chain(self, set.iter().cloned(), &base_schema, &stages, outer)?
                 }
-                FusedSource::Rows(source_rows) => {
-                    for row in source_rows {
-                        apply_fused_stages(self, row, &base_schema, &stages, outer, &mut rows)?;
-                    }
+                RowSource::Rows(rows) => {
+                    let rows = Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone());
+                    run_chain(self, rows.into_iter(), &base_schema, &stages, outer)?
+                }
+            };
+            (out.rows, out.stage_rows)
+        } else {
+            // Only this route pays for the trace label, the batch pre-pass and the
+            // owned `'static` stage forms the pool's jobs need.
+            let base_label = match base {
+                RelExpr::Scan { table, .. } if matches!(source, RowSource::Shards(_)) => {
+                    format!("scan({table})")
+                }
+                RelExpr::Scan { table, .. } => format!("index({table})"),
+                _ => "input".to_string(),
+            };
+            let stage_labels: String = stages.iter().map(ChainStage::label).collect();
+            // The first stage is the only one every base row is guaranteed to reach, so
+            // it alone feeds the batch pre-pass.
+            let roots: Vec<&ScalarExpr> = match &stages[0] {
+                ChainStage::Filter(filter) => filter.strict_roots(),
+                ChainStage::Project { items, .. } => items.iter().map(|i| &i.expr).collect(),
+            };
+            self.batch_eval_udf_calls(&roots, source.clone(), &base_schema, outer)?;
+            let chunks = {
+                let stages: Vec<ChainStage<'static>> =
+                    stages.iter().map(ChainStage::to_static).collect();
+                let base_schema = base_schema.clone();
+                let outer = outer.clone();
+                self.run_morsels(
+                    &format!("pipeline({base_label}{stage_labels})"),
+                    // Fused operators = every stage plus the base access it streams from.
+                    stages.len() + 1,
+                    len,
+                    move |view, range| {
+                        let rows = source.iter_range(range).cloned();
+                        run_chain(view, rows, &base_schema, &stages, &outer)
+                    },
+                )?
+            };
+            let mut rows = Vec::with_capacity(chunks.iter().map(|c| c.rows.len()).sum());
+            let mut stage_rows = vec![0u64; stages.len()];
+            for chunk in chunks {
+                rows.extend(chunk.rows);
+                for (total, rows_out) in stage_rows.iter_mut().zip(chunk.stage_rows) {
+                    *total += rows_out;
                 }
             }
-            return Ok(ResultSet {
-                schema: out_schema,
-                rows,
-            });
+            (rows, stage_rows)
+        };
+        if self.config.collect_cardinalities {
+            // `execute_with_env` records the chain's root; the layers beneath it did
+            // not run as nodes of their own, so their actuals are the stage counts.
+            for ((node, _), rows_out) in layers.iter().zip(&stage_rows).take(layers.len() - 1) {
+                self.cardinalities.record(node, *rows_out);
+            }
         }
-        let operator = format!("pipeline({})", names.join("→"));
-        // Fused operators = every stage plus the base access it streams out of.
-        let depth = stages.len() + 1;
-        // The first stage is the only one every base row is guaranteed to reach, so
-        // it alone feeds the batch pre-pass.
-        let first_stage_roots: Vec<ScalarExpr> = match stages.first() {
-            Some(FusedStage::Filter(predicate)) => vec![predicate.clone()],
-            Some(FusedStage::Project { items, .. }) => {
-                items.iter().map(|item| item.expr.clone()).collect()
+        if matches!(plan, RelExpr::Project { distinct: true, .. }) {
+            rows = dedupe_rows(rows);
+        }
+        // The result takes over the top projection's schema, or the base's under filters.
+        let schema = loop {
+            match stages.pop() {
+                Some(ChainStage::Project { schema, .. }) => break schema,
+                Some(ChainStage::Filter(_)) => {}
+                None => break base_schema,
             }
-            None => vec![],
         };
-        let stages = Arc::new(stages);
-        let source = match source {
-            FusedSource::Shards(set) => RowSource::Shards(set),
-            FusedSource::Rows(rows) => RowSource::Rows(Arc::new(rows)),
-        };
-        self.batch_eval_udf_calls(
-            &first_stage_roots.iter().collect::<Vec<_>>(),
-            source.clone(),
-            &base_schema,
-            outer,
-        )?;
-        let chunks = {
-            let stages = Arc::clone(&stages);
-            let base_schema = base_schema.clone();
-            let outer = outer.clone();
-            self.run_morsels(&operator, depth, len, move |view, range| {
-                let mut out = vec![];
-                for row in source.iter_range(range) {
-                    apply_fused_stages(view, row, &base_schema, &stages, &outer, &mut out)?;
-                }
-                Ok(out)
-            })?
-        };
-        Ok(ResultSet {
-            schema: out_schema,
-            rows: concat_rows(chunks, 0),
-        })
+        Ok(ResultSet { schema, rows })
     }
 
     // ------------------------------------------------------------------- aggregation
@@ -1899,40 +1713,124 @@ impl Executor {
     }
 }
 
-// ------------------------------------------------------------------ pipelined helpers
+// ---------------------------------------------------------------------- chain helpers
 
-/// A fusible layer borrowed from the plan during chain detection.
-enum FusedLayer<'p> {
+/// One filter/project layer of a chain, borrowed from the plan during chain detection.
+#[derive(Clone, Copy)]
+enum ChainLayer<'p> {
     Filter(&'p ScalarExpr),
     Project(&'p [ProjectItem]),
 }
 
-/// The owned per-row form of a fused stage (carried into the `'static` batch job).
-enum FusedStage {
-    Filter(ScalarExpr),
+/// The per-row form of a chain layer. The inline route borrows predicates and items
+/// from the plan; [`ChainStage::to_static`] makes the owned copy a pool job carries.
+enum ChainStage<'p> {
+    Filter(PreparedFilter<'p>),
     Project {
-        items: Vec<ProjectItem>,
-        /// The stage's output schema (equals the layered operator's output schema).
+        items: Cow<'p, [ProjectItem]>,
+        /// The projection's output schema.
         schema: Schema,
     },
 }
 
-/// The base input a fused chain streams out of.
-enum FusedSource {
-    /// A base-table scan: workers stream straight out of the table's (possibly
-    /// pruned) shard set — no copy-out materialization.
-    Shards(ShardSet),
-    /// Any other base: its materialized rows.
-    Rows(Vec<Row>),
-}
-
-impl FusedSource {
-    fn len(&self) -> usize {
+impl ChainStage<'_> {
+    fn to_static(&self) -> ChainStage<'static> {
         match self {
-            FusedSource::Shards(set) => set.len(),
-            FusedSource::Rows(rows) => rows.len(),
+            ChainStage::Filter(filter) => ChainStage::Filter(filter.to_static()),
+            ChainStage::Project { items, schema } => ChainStage::Project {
+                items: Cow::Owned(items.to_vec()),
+                schema: schema.clone(),
+            },
         }
     }
+
+    /// This stage's segment of the pooled chain's trace label.
+    fn label(&self) -> &'static str {
+        match self {
+            ChainStage::Filter(_) => "→filter",
+            ChainStage::Project { .. } => "→project",
+        }
+    }
+}
+
+/// The schema of the rows leaving the last of `stages` over a base of schema `base`.
+fn output_schema<'s>(stages: &'s [ChainStage<'_>], base: &'s Schema) -> &'s Schema {
+    stages
+        .iter()
+        .rev()
+        .find_map(|stage| match stage {
+            ChainStage::Project { schema, .. } => Some(schema),
+            ChainStage::Filter(_) => None,
+        })
+        .unwrap_or(base)
+}
+
+/// What one [`run_chain`] pass produced: the rows that survived every stage and, per
+/// stage, how many rows left it (the actual cardinality of that layer's plan node).
+struct ChainOutput {
+    rows: Vec<Row>,
+    stage_rows: Vec<u64>,
+}
+
+impl crate::parallel::OutputRows for ChainOutput {
+    fn output_rows(&self) -> u64 {
+        self.rows.len() as u64
+    }
+}
+
+/// Streams `rows` of schema `base_schema` through every stage, in row order: the one
+/// per-row filter and projection evaluation, shared by the inline route (all rows) and
+/// the pooled route (one call per morsel). Filters fold their selectivity counters
+/// into the executor once per call, not per row.
+fn run_chain(
+    view: &Executor,
+    rows: impl Iterator<Item = Row>,
+    base_schema: &Schema,
+    stages: &[ChainStage<'_>],
+    outer: &Env,
+) -> Result<ChainOutput> {
+    let mut out = ChainOutput {
+        rows: vec![],
+        stage_rows: vec![0; stages.len()],
+    };
+    let mut outcomes: Vec<Vec<(u64, u64)>> = stages
+        .iter()
+        .map(|stage| match stage {
+            ChainStage::Filter(filter) => filter.counters(),
+            ChainStage::Project { .. } => vec![],
+        })
+        .collect();
+    'rows: for row in rows {
+        let mut env = Env::with_row(base_schema.clone(), row).nested_in(outer);
+        for (i, stage) in stages.iter().enumerate() {
+            match stage {
+                ChainStage::Filter(filter) => {
+                    if !filter.eval(view, &env, &mut outcomes[i])? {
+                        continue 'rows;
+                    }
+                }
+                ChainStage::Project { items, schema } => {
+                    let values: Result<Vec<Value>> = items
+                        .iter()
+                        .map(|item| view.eval_expr(&item.expr, &env))
+                        .collect();
+                    env.row = Row::new(values?);
+                    // Only a later stage resolves columns against the new schema.
+                    if i + 1 < stages.len() {
+                        env.schema = schema.clone();
+                    }
+                }
+            }
+            out.stage_rows[i] += 1;
+        }
+        out.rows.push(env.row);
+    }
+    for (stage, outcomes) in stages.iter().zip(&outcomes) {
+        if let ChainStage::Filter(filter) = stage {
+            filter.flush(view, outcomes);
+        }
+    }
+    Ok(out)
 }
 
 /// A numeric bound on one column extracted from a scan predicate's conjuncts, in the
@@ -1983,12 +1881,12 @@ fn shard_prune_bounds(predicate: &ScalarExpr, schema: &Schema) -> Vec<PruneBound
     bounds
 }
 
-/// Peels a chain of fusible layers (non-distinct projections and filters) off the top
-/// of `plan`, returning them **bottom-up** together with the base they feed on. Fusion
-/// pays off when there is more than one layer (an intermediate materialization is
-/// skipped) or when the base is a table scan (the scan's copy-out is skipped too);
-/// anything else returns `None` and executes operator by operator.
-fn fusible_chain(plan: &RelExpr) -> Option<(Vec<FusedLayer<'_>>, &RelExpr)> {
+/// Peels the filter/project layers off the top of `plan` (a `Select` or a `Project`),
+/// returning them **bottom-up**, each with its plan node, together with the base they
+/// feed on. The chain always holds at least `plan` itself. A `distinct` projection
+/// deduplicates its whole output, so it can only be a chain's top layer: below the top
+/// it ends the chain and becomes the base.
+fn fusible_chain(plan: &RelExpr) -> (Vec<(&RelExpr, ChainLayer<'_>)>, &RelExpr) {
     let mut layers = vec![];
     let mut cur = plan;
     loop {
@@ -1996,64 +1894,20 @@ fn fusible_chain(plan: &RelExpr) -> Option<(Vec<FusedLayer<'_>>, &RelExpr)> {
             RelExpr::Project {
                 input,
                 items,
-                distinct: false,
-            } => {
-                layers.push(FusedLayer::Project(items));
+                distinct,
+            } if !*distinct || layers.is_empty() => {
+                layers.push((cur, ChainLayer::Project(items)));
                 cur = input;
             }
             RelExpr::Select { input, predicate } => {
-                layers.push(FusedLayer::Filter(predicate));
+                layers.push((cur, ChainLayer::Filter(predicate)));
                 cur = input;
             }
             _ => break,
         }
     }
-    if layers.is_empty() {
-        return None;
-    }
-    if layers.len() < 2 && !matches!(cur, RelExpr::Scan { .. }) {
-        return None;
-    }
     layers.reverse();
-    Some((layers, cur))
-}
-
-/// Streams one base row through every fused stage, appending the surviving (projected)
-/// row to `out`. The evaluation order per row is exactly the layered order.
-fn apply_fused_stages(
-    view: &Executor,
-    row: &Row,
-    base_schema: &Schema,
-    stages: &[FusedStage],
-    outer: &Env,
-    out: &mut Vec<Row>,
-) -> Result<()> {
-    let mut current = row.clone();
-    let mut schema = base_schema;
-    for stage in stages {
-        match stage {
-            FusedStage::Filter(predicate) => {
-                let env = Env::with_row(schema.clone(), current.clone()).nested_in(outer);
-                if !view.eval_predicate(predicate, &env)? {
-                    return Ok(());
-                }
-            }
-            FusedStage::Project {
-                items,
-                schema: out_schema,
-            } => {
-                let env = Env::with_row(schema.clone(), current).nested_in(outer);
-                let values: Result<Vec<Value>> = items
-                    .iter()
-                    .map(|item| view.eval_expr(&item.expr, &env))
-                    .collect();
-                current = Row::new(values?);
-                schema = out_schema;
-            }
-        }
-    }
-    out.push(current);
-    Ok(())
+    (layers, cur)
 }
 
 // ----------------------------------------------------------------------- join helpers
@@ -2396,14 +2250,23 @@ fn collect_udf_names(expr: &ScalarExpr, out: &mut Vec<String>) {
 /// A filter predicate prepared for evaluation: either the original expression, or a
 /// conjunction whose UDF-bearing conjuncts were reordered cheapest-most-selective
 /// first and instrumented with selectivity counters for the feedback loop.
-enum PreparedFilter {
-    Simple(ScalarExpr),
+enum PreparedFilter<'p> {
+    Simple(Cow<'p, ScalarExpr>),
     /// Conjuncts in evaluation order; `Some(name)` tags UDF-bearing conjuncts with
     /// the normalized name of their first UDF for selectivity attribution.
     Ordered(Vec<(ScalarExpr, Option<String>)>),
 }
 
-impl PreparedFilter {
+impl PreparedFilter<'_> {
+    fn to_static(&self) -> PreparedFilter<'static> {
+        match self {
+            PreparedFilter::Simple(expr) => {
+                PreparedFilter::Simple(Cow::Owned(expr.as_ref().clone()))
+            }
+            PreparedFilter::Ordered(conjuncts) => PreparedFilter::Ordered(conjuncts.clone()),
+        }
+    }
+
     /// The expressions the per-row pass is guaranteed to evaluate for every row —
     /// the batch pre-pass roots. For an ordered conjunction only the first conjunct
     /// is strict (later conjuncts are short-circuited).
@@ -2415,19 +2278,6 @@ impl PreparedFilter {
                 .map(|(expr, _)| expr)
                 .into_iter()
                 .collect(),
-        }
-    }
-
-    /// Collapses the prepared filter back into a single expression, preserving the
-    /// chosen conjunct order. Used by the fused pipeline path, which evaluates the
-    /// predicate per row without selectivity instrumentation: AND short-circuits
-    /// left-to-right, so the reordering's benefit carries over.
-    fn into_expr(self) -> ScalarExpr {
-        match self {
-            PreparedFilter::Simple(expr) => expr,
-            PreparedFilter::Ordered(conjuncts) => {
-                ScalarExpr::conjunction(conjuncts.into_iter().map(|(expr, _)| expr).collect())
-            }
         }
     }
 

@@ -20,8 +20,8 @@
 //!
 //! Determinism contract: workers may *process* morsels in any interleaving, but every
 //! driver returns its per-task outputs **sorted by task index** (the sort-stabilized
-//! merge), so a parallel run assembles byte-identical output to the serial row-at-a-time
-//! path. Operators whose result depends on accumulation order (hash aggregation)
+//! merge), so a parallel run assembles byte-identical output to an inline, row-at-a-time
+//! run. Operators whose result depends on accumulation order (hash aggregation)
 //! additionally partition by group-key hash so each group's accumulation chain stays in
 //! global row order — see `Executor::execute_aggregate`.
 //!
@@ -127,7 +127,7 @@ struct PoolShared {
     batch_done: Condvar,
 }
 
-/// Snapshot of a pool's lifecycle counters (for benches and EXPLAIN-style reporting).
+/// Snapshot of a pool's lifecycle counters (for diagnostics and EXPLAIN-style reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerPoolStats {
     /// Live worker threads.
@@ -350,9 +350,9 @@ fn run_tasks(shared: &PoolShared, batch: &Batch, slot: usize) {
 type WorkerOutput<T> = (Vec<(usize, Result<T>)>, u64);
 
 impl Executor {
-    /// True when an operator over `len` input rows should take the parallel path:
+    /// True when an operator over `len` input rows should fan out to the pool:
     /// parallelism is enabled and the input spans more than one morsel. With
-    /// `parallelism == 1` every operator stays on the serial path, byte for byte.
+    /// `parallelism == 1` every operator runs inline on the calling thread.
     pub(crate) fn should_parallelize(&self, len: usize) -> bool {
         self.config.parallelism > 1 && len > self.config.morsel_size.max(1)
     }

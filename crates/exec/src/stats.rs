@@ -34,8 +34,8 @@ pub struct ExecStats {
     /// Worker threads spawned while executing this query. With a warm persistent pool
     /// this stays 0: spawning is a pool-lifecycle event, not a per-operator cost.
     pub pool_spawns: u64,
-    /// Plan operators executed as part of a fused (pipelined) chain instead of
-    /// materializing their intermediate result.
+    /// Plan operators of the filter/project chains dispatched to the pool: each
+    /// chain's stages plus the base access it streams from (0 for chains run inline).
     pub pipelined_operators: u64,
     /// Pure-UDF calls answered by the database-owned memo cache (results reused
     /// across queries). `udf_invocations` counts only *evaluated* calls.
@@ -151,8 +151,8 @@ impl AtomicExecStats {
 }
 
 /// What one morsel-driven operator did: dispatched morsels, the per-worker row spread,
-/// and the operator's elapsed wall clock. The serial path records nothing — it is
-/// byte-for-byte the pre-parallel executor.
+/// and the operator's elapsed wall clock. Operators that run inline on the calling
+/// thread record nothing.
 #[derive(Debug, Clone)]
 pub struct OperatorTrace {
     /// Operator name plus the parallel stage ("scan(orders)", "hash-join probe", …).
@@ -266,7 +266,7 @@ impl TraceCollector {
 /// node ran (correlated nodes run once per outer row) and how many rows it produced
 /// in total. Keyed by the node's structural [`RelExpr::fingerprint`], which is also
 /// what the optimizer's per-node estimates key on — joining the two yields the
-/// per-operator q-errors shown by `EXPLAIN ANALYZE` and gated by the stats bench.
+/// per-operator q-errors shown by `EXPLAIN ANALYZE`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeCardinality {
     pub fingerprint: u64,
@@ -291,7 +291,7 @@ impl NodeCardinality {
 
 /// Shared collector of per-node actual cardinalities. Only populated when
 /// `ExecConfig::collect_cardinalities` is on (diagnostic paths: `EXPLAIN ANALYZE`,
-/// the stats bench, accuracy tests) — each `record` pays a `Debug` rendering of the
+/// accuracy tests) — each `record` pays a `Debug` rendering of the
 /// subtree (the fingerprint) plus a mutex round-trip per node *execution*, so the
 /// flag keeps that entirely off the hot path.
 #[derive(Debug, Default)]
@@ -424,9 +424,8 @@ pub struct UdfSelectivity {
     pub passed: u64,
 }
 
-/// Shared collector of per-UDF predicate outcomes, populated only by the
-/// cost-ordered-conjunction path in `execute_select` (one locked batch update per
-/// morsel, not per row).
+/// Shared collector of per-UDF predicate outcomes, populated by cost-ordered filter
+/// conjunctions (one locked batch update per morsel or inline pass, not per row).
 #[derive(Debug, Default)]
 pub struct UdfSelectivityCollector {
     outcomes: Mutex<BTreeMap<String, (u64, u64)>>,

@@ -176,7 +176,7 @@ pub struct NodeEstimate {
 /// Estimates every operator of `plan` (pre-order), for estimate-vs-actual accuracy
 /// reporting. Subtree estimates are recomputed per node, which is quadratic in plan
 /// depth — fine for the tree sizes this engine optimizes, and only diagnostic paths
-/// (EXPLAIN ANALYZE, the stats bench) call it.
+/// (EXPLAIN ANALYZE, the accuracy tests) call it.
 pub fn estimate_per_node(
     plan: &RelExpr,
     catalog: &Catalog,

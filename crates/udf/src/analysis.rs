@@ -1,116 +1,11 @@
-//! Read/write-set analysis and the data dependence graph (DDG) of Section VII-A,
-//! plus the table-read analysis the engine's UDF memo uses for per-table
-//! invalidation.
+//! Read/write-set analysis and the data dependence graph (DDG) of Section VII-A.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 use decorr_algebra::visit::free_params;
-use decorr_algebra::{RelExpr, ScalarExpr};
+use decorr_algebra::ScalarExpr;
 
 use crate::ast::Statement;
-
-/// Conservative analysis of which catalog tables a UDF body can read, through
-/// embedded queries anywhere in the body — including queries nested inside scalar
-/// subqueries of its expressions.
-///
-/// Returns `Some(tables)` (normalized names, possibly empty for a pure computation
-/// over its arguments) when the read set is provably exactly `tables`. Returns
-/// `None` when the body invokes another UDF: that callee may read tables this
-/// analysis cannot see, so callers must fall back to catalog-wide invalidation.
-pub fn table_reads(body: &[Statement]) -> Option<BTreeSet<String>> {
-    let mut tables = BTreeSet::new();
-    let mut opaque = false;
-    for stmt in body {
-        collect_stmt_tables(stmt, &mut tables, &mut opaque);
-    }
-    if opaque {
-        None
-    } else {
-        Some(tables)
-    }
-}
-
-fn collect_stmt_tables(stmt: &Statement, tables: &mut BTreeSet<String>, opaque: &mut bool) {
-    match stmt {
-        Statement::Declare { init, .. } => {
-            if let Some(e) = init {
-                collect_expr_tables(e, tables, opaque);
-            }
-        }
-        Statement::Assign { expr, .. } => collect_expr_tables(expr, tables, opaque),
-        Statement::SelectInto { query, .. } => collect_plan_tables(query, tables, opaque),
-        Statement::If {
-            condition,
-            then_branch,
-            else_branch,
-        } => {
-            collect_expr_tables(condition, tables, opaque);
-            for s in then_branch.iter().chain(else_branch) {
-                collect_stmt_tables(s, tables, opaque);
-            }
-        }
-        Statement::CursorLoop { query, body, .. } => {
-            collect_plan_tables(query, tables, opaque);
-            for s in body {
-                collect_stmt_tables(s, tables, opaque);
-            }
-        }
-        Statement::While { condition, body } => {
-            collect_expr_tables(condition, tables, opaque);
-            for s in body {
-                collect_stmt_tables(s, tables, opaque);
-            }
-        }
-        Statement::InsertIntoResult { values } => {
-            for v in values {
-                collect_expr_tables(v, tables, opaque);
-            }
-        }
-        Statement::Return { expr } => {
-            if let Some(e) = expr {
-                collect_expr_tables(e, tables, opaque);
-            }
-        }
-    }
-}
-
-fn collect_plan_tables(plan: &RelExpr, tables: &mut BTreeSet<String>, opaque: &mut bool) {
-    if let RelExpr::Scan { table, .. } = plan {
-        tables.insert(table.clone());
-    }
-    for expr in plan.expressions() {
-        collect_expr_tables(expr, tables, opaque);
-    }
-    for child in plan.children() {
-        collect_plan_tables(child, tables, opaque);
-    }
-}
-
-fn collect_expr_tables(expr: &ScalarExpr, tables: &mut BTreeSet<String>, opaque: &mut bool) {
-    match expr {
-        ScalarExpr::UdfCall { args, .. } => {
-            // A nested UDF call makes the read set opaque (the callee's reads are
-            // not visible here); its argument expressions are still walked so the
-            // collected set stays maximal for diagnostics.
-            *opaque = true;
-            for a in args {
-                collect_expr_tables(a, tables, opaque);
-            }
-        }
-        ScalarExpr::ScalarSubquery(q) | ScalarExpr::Exists(q) => {
-            collect_plan_tables(q, tables, opaque);
-        }
-        ScalarExpr::InSubquery { expr, subquery, .. } => {
-            collect_expr_tables(expr, tables, opaque);
-            collect_plan_tables(subquery, tables, opaque);
-        }
-        other => {
-            for c in other.children() {
-                collect_expr_tables(c, tables, opaque);
-            }
-        }
-    }
-}
 
 /// Collects the names of variables *read* by an expression, restricted to `known_vars`.
 ///
@@ -423,52 +318,6 @@ mod tests {
         let ddg = DataDependenceGraph::build(&body, &known);
         assert_eq!(ddg.first_cyclic_node(), Some(0));
         assert!(ddg.in_cycle(1));
-    }
-
-    #[test]
-    fn table_reads_collects_scans_including_subqueries() {
-        // total = (select sum(x) from orders where exists(select * from lineitem ...))
-        let inner = decorr_algebra::RelExpr::scan("lineitem");
-        let query = decorr_algebra::RelExpr::Select {
-            input: Box::new(decorr_algebra::RelExpr::scan("orders")),
-            predicate: E::Exists(Box::new(inner)),
-        };
-        let body = vec![
-            Statement::SelectInto {
-                query,
-                targets: vec!["total".into()],
-            },
-            Statement::Return {
-                expr: Some(E::param("total")),
-            },
-        ];
-        let reads = table_reads(&body).expect("no nested UDF calls");
-        let expected: std::collections::BTreeSet<String> =
-            ["orders".to_string(), "lineitem".to_string()].into();
-        assert_eq!(reads, expected);
-        // A body that never touches a table has a provably empty read set.
-        let pure_body = vec![Statement::Return {
-            expr: Some(E::binary(BinaryOp::Mul, E::param("@x"), E::literal(2))),
-        }];
-        assert_eq!(table_reads(&pure_body), Some(Default::default()));
-    }
-
-    #[test]
-    fn table_reads_is_opaque_when_body_calls_another_udf() {
-        let body = vec![Statement::Return {
-            expr: Some(E::udf("helper", vec![E::param("@x")])),
-        }];
-        assert_eq!(table_reads(&body), None);
-        // Even a nested call buried in a subquery predicate is detected.
-        let query = decorr_algebra::RelExpr::Select {
-            input: Box::new(decorr_algebra::RelExpr::scan("orders")),
-            predicate: E::eq(E::udf("helper", vec![E::column("custkey")]), E::literal(1)),
-        };
-        let body = vec![Statement::SelectInto {
-            query,
-            targets: vec!["t".into()],
-        }];
-        assert_eq!(table_reads(&body), None);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Queries"* (Simhadri et al., ICDE 2014) as a Rust workspace: an in-memory SQL engine
 //! with a procedural UDF interpreter, the paper's extended Apply operators and
 //! transformation rules (K1–K6, R1–R9), cursor-loop algebraization with auxiliary
-//! aggregates, a cost-based optimizer that chooses between iterative and decorrelated
-//! plans, and benchmarks reproducing the paper's experiments.
+//! aggregates, and a cost-based optimizer that chooses between iterative and
+//! decorrelated plans.
 //!
 //! This top-level crate simply re-exports the public API of the member crates.
 //! Embedded single-client use goes through [`engine::Database`]:

@@ -80,7 +80,7 @@ fn experiment3_cursor_loop_over_categories() {
 
 #[test]
 fn decorrelated_plan_scales_better_in_work_performed() {
-    // Not a timing test (timings belong to the bench harness): compare *work counters*.
+    // Not a timing test (timings belong to `benchmark/`): compare *work counters*.
     // The iterative plan's subquery executions grow linearly with the invocation count;
     // the decorrelated plan's stay constant.
     let workload = experiment2();

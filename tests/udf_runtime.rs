@@ -263,26 +263,39 @@ fn volatile_udfs_are_never_cached() {
 /// cost-ordered evaluation (and the strategy choice) can read them.
 #[test]
 fn filter_selectivity_feedback_is_recorded() {
-    let db = scored_db(200, 12, 31);
     let sql = "select id from probes where group_score(grp) > 200.0 and id >= 0";
-    db.query_with(sql, &QueryOptions::iterative()).unwrap();
-    let selectivities = db.feedback().udf_selectivities();
-    let observed = selectivities
-        .get("group_score")
-        .copied()
-        .expect("the UDF conjunct's pass-rate should be recorded");
-    assert!(
-        (0.0..=1.0).contains(&observed),
-        "pass-rate out of range: {observed}"
-    );
-    // Dedup feedback: repeated groups mean most calls were cache hits, so the
-    // learned effective-invocation fraction is well below 1.
-    let fractions = db.feedback().udf_dedup_fractions();
-    let fraction = fractions
-        .get("group_score")
-        .copied()
-        .expect("dedup fraction should be trusted after 200 calls");
-    assert!(fraction < 0.5, "12 groups over 200 rows: {fraction}");
+    // The inline route and — with morsels small enough that 4 workers really fan
+    // out — the pooled route record the pass-rate, and record the same one.
+    let mut pass_rates = vec![];
+    for parallelism in [1, 4] {
+        let db = scored_db(200, 12, 31);
+        let result = db
+            .query_with(
+                sql,
+                &iterative_with(runtime_config(parallelism, true, true)),
+            )
+            .unwrap();
+        assert_eq!(result.exec_stats.parallel_operators > 0, parallelism > 1);
+        let selectivities = db.feedback().udf_selectivities();
+        let observed = selectivities
+            .get("group_score")
+            .copied()
+            .expect("the UDF conjunct's pass-rate should be recorded");
+        assert!(
+            (0.0..=1.0).contains(&observed),
+            "pass-rate out of range: {observed}"
+        );
+        pass_rates.push(observed);
+        // Dedup feedback: repeated groups mean most calls were cache hits, so the
+        // learned effective-invocation fraction is well below 1.
+        let fractions = db.feedback().udf_dedup_fractions();
+        let fraction = fractions
+            .get("group_score")
+            .copied()
+            .expect("dedup fraction should be trusted after 200 calls");
+        assert!(fraction < 0.5, "12 groups over 200 rows: {fraction}");
+    }
+    assert_eq!(pass_rates[0], pass_rates[1]);
 }
 
 /// ROADMAP follow-up: the memo epoch covers a UDF's *full* read set, not just
