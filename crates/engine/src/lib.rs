@@ -453,7 +453,7 @@ impl Engine {
         record: Option<WalRecord>,
         f: impl FnOnce(&mut Catalog) -> Result<R>,
     ) -> Result<R> {
-        let _writer = lock(&self.inner.writer);
+        let writer = lock(&self.inner.writer);
         let current = read(&self.inner.state).clone();
         let mut catalog = (*current.catalog).clone();
         let out = f(&mut catalog)?;
@@ -464,6 +464,10 @@ impl Engine {
             catalog: Arc::new(catalog),
             registry: current.registry,
         };
+        // `current` may hold the last handle to the superseded epoch; whatever that
+        // epoch owned privately is freed here, after the next writer may start.
+        drop(writer);
+        drop(current.catalog);
         Ok(out)
     }
 
@@ -484,15 +488,8 @@ impl Engine {
 
     /// Like [`Engine::mutate_catalog`], for the function registry.
     pub fn mutate_registry<R>(&self, f: impl FnOnce(&mut FunctionRegistry) -> R) -> R {
-        let _writer = lock(&self.inner.writer);
-        let current = read(&self.inner.state).clone();
-        let mut registry = (*current.registry).clone();
-        let out = f(&mut registry);
-        *write(&self.inner.state) = SharedState {
-            catalog: current.catalog,
-            registry: Arc::new(registry),
-        };
-        out
+        self.mutate_registry_wal(None, f)
+            .expect("without a WAL record the registry write cycle has no step that fails")
     }
 
     /// Registers a UDF from its `CREATE FUNCTION` source. The queries inside the body
@@ -555,7 +552,7 @@ impl Engine {
         record: Option<WalRecord>,
         f: impl FnOnce(&mut FunctionRegistry) -> R,
     ) -> Result<R> {
-        let _writer = lock(&self.inner.writer);
+        let writer = lock(&self.inner.writer);
         let current = read(&self.inner.state).clone();
         let mut registry = (*current.registry).clone();
         let out = f(&mut registry);
@@ -566,6 +563,9 @@ impl Engine {
             catalog: current.catalog,
             registry: Arc::new(registry),
         };
+        // As in `mutate_catalog_wal`: free the superseded registry outside the lock.
+        drop(writer);
+        drop(current.registry);
         Ok(out)
     }
 
@@ -696,11 +696,7 @@ impl Engine {
                 columns: column_defs(table.schema()),
                 shard_target: table.shard_target(),
                 hash_policy: table.shard_policy() == ShardPolicy::Hash,
-                shards: table
-                    .shards()
-                    .iter()
-                    .map(|shard| shard.rows().to_vec())
-                    .collect(),
+                shards: table.shards().iter().map(|shard| shard.to_vec()).collect(),
                 indexes: table.indexed_columns(),
                 analyze_config: table.analyze_config().cloned(),
                 // Persisting the merged statistics makes the restored table's first

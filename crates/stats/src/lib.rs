@@ -197,7 +197,7 @@ impl TableStatistics {
     /// `config.sample_size` rows (algorithm R over the deterministic [`SmallRng`]).
     pub fn analyzed(schema: &Schema, rows: &[Row], config: &AnalyzeConfig) -> TableStatistics {
         let mut stats = TableStatistics::basic(schema, rows);
-        let sample = reservoir_sample(rows, config.sample_size.max(1), config.seed);
+        let sample = reservoir_sample(rows.iter(), config.sample_size.max(1), config.seed);
         stats.analyzed = true;
         stats.sampled_rows = sample.len();
         if sample.is_empty() {
@@ -308,8 +308,12 @@ pub struct ShardStatistics {
 
 impl ShardStatistics {
     /// Basic tier: distinct sets, null counts and full-pass min/max; no sample.
-    pub fn basic(schema: &Schema, rows: &[Row]) -> ShardStatistics {
-        ShardStatistics::compute(schema, rows, None, 0)
+    ///
+    /// `runs` are the shard's rows in scan order, as the storage layer holds them:
+    /// one slice per chunk. The statistics depend on the concatenation only, not on
+    /// where the run boundaries fall.
+    pub fn basic(schema: &Schema, runs: &[&[Row]]) -> ShardStatistics {
+        ShardStatistics::compute(schema, runs, None, 0)
     }
 
     /// ANALYZE tier: [`basic`](ShardStatistics::basic) plus a reservoir sample seeded
@@ -317,19 +321,20 @@ impl ShardStatistics {
     /// the sample the unsharded ANALYZE drew.
     pub fn analyzed(
         schema: &Schema,
-        rows: &[Row],
+        runs: &[&[Row]],
         config: &AnalyzeConfig,
         shard_index: u64,
     ) -> ShardStatistics {
-        ShardStatistics::compute(schema, rows, Some(config), shard_index)
+        ShardStatistics::compute(schema, runs, Some(config), shard_index)
     }
 
     fn compute(
         schema: &Schema,
-        rows: &[Row],
+        runs: &[&[Row]],
         config: Option<&AnalyzeConfig>,
         shard_index: u64,
     ) -> ShardStatistics {
+        let rows = || runs.iter().copied().flatten();
         let mut columns: Vec<ShardColumnSummary> = schema
             .columns
             .iter()
@@ -341,7 +346,7 @@ impl ShardStatistics {
                 max: None,
             })
             .collect();
-        for row in rows {
+        for row in rows() {
             for (i, v) in row.values.iter().enumerate() {
                 let col = &mut columns[i];
                 if v.is_null() {
@@ -356,13 +361,15 @@ impl ShardStatistics {
             }
         }
         let sample = match config {
-            Some(c) => {
-                reservoir_sample(rows, c.sample_size.max(1), c.seed.wrapping_add(shard_index))
-            }
+            Some(c) => reservoir_sample(
+                rows(),
+                c.sample_size.max(1),
+                c.seed.wrapping_add(shard_index),
+            ),
             None => Vec::new(),
         };
         ShardStatistics {
-            row_count: rows.len(),
+            row_count: runs.iter().map(|run| run.len()).sum(),
             columns,
             sample,
             analyzed: config.is_some(),
@@ -465,7 +472,7 @@ impl ShardStatistics {
         }
         let cap = config.sample_size.max(1);
         if sample.len() > cap {
-            sample = reservoir_sample(&sample, cap, config.seed);
+            sample = reservoir_sample(sample.iter(), cap, config.seed);
         }
         stats.analyzed = true;
         stats.sampled_rows = sample.len();
@@ -481,13 +488,14 @@ impl ShardStatistics {
 
 /// Reservoir sampling (algorithm R): a uniform sample of `k` rows in one pass,
 /// deterministic for a given seed. Returns clones of the sampled rows.
-fn reservoir_sample(rows: &[Row], k: usize, seed: u64) -> Vec<Row> {
-    if rows.len() <= k {
-        return rows.to_vec();
-    }
+fn reservoir_sample<'a>(rows: impl Iterator<Item = &'a Row>, k: usize, seed: u64) -> Vec<Row> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut reservoir: Vec<Row> = rows[..k].to_vec();
-    for (i, row) in rows.iter().enumerate().skip(k) {
+    let mut reservoir: Vec<Row> = Vec::new();
+    for (i, row) in rows.enumerate() {
+        if i < k {
+            reservoir.push(row.clone());
+            continue;
+        }
         let j = rng.gen_range_usize(0, i + 1);
         if j < k {
             reservoir[j] = row.clone();
@@ -603,8 +611,8 @@ mod tests {
     #[test]
     fn reservoir_sampling_is_deterministic_and_uniformish() {
         let rows: Vec<Row> = (0..10_000).map(|i| Row::new(vec![Value::Int(i)])).collect();
-        let a = reservoir_sample(&rows, 1000, 42);
-        let b = reservoir_sample(&rows, 1000, 42);
+        let a = reservoir_sample(rows.iter(), 1000, 42);
+        let b = reservoir_sample(rows.iter(), 1000, 42);
         assert_eq!(a, b, "same seed, same sample");
         assert_eq!(a.len(), 1000);
         // A uniform sample's mean index should be near the middle.
@@ -627,11 +635,11 @@ mod tests {
         let schema = schema();
         let config = AnalyzeConfig::default();
         // Basic tier.
-        let shard = ShardStatistics::basic(&schema, &rows);
+        let shard = ShardStatistics::basic(&schema, &[&rows]);
         let merged = ShardStatistics::merge(&schema, &[&shard], None);
         assert_eq!(merged, TableStatistics::basic(&schema, &rows));
         // ANALYZE tier (shard 0 draws with the unsharded seed).
-        let shard = ShardStatistics::analyzed(&schema, &rows, &config, 0);
+        let shard = ShardStatistics::analyzed(&schema, &[&rows], &config, 0);
         let merged = ShardStatistics::merge(&schema, &[&shard], Some(&config));
         assert_eq!(merged, TableStatistics::analyzed(&schema, &rows, &config));
     }
@@ -647,7 +655,7 @@ mod tests {
         let shards: Vec<ShardStatistics> = rows
             .chunks(250)
             .enumerate()
-            .map(|(i, chunk)| ShardStatistics::analyzed(&schema, chunk, &config, i as u64))
+            .map(|(i, chunk)| ShardStatistics::analyzed(&schema, &[chunk], &config, i as u64))
             .collect();
         let refs: Vec<&ShardStatistics> = shards.iter().collect();
         let merged = ShardStatistics::merge(&schema, &refs, Some(&config));
@@ -665,7 +673,7 @@ mod tests {
         let shards: Vec<ShardStatistics> = rows
             .chunks(250)
             .enumerate()
-            .map(|(i, chunk)| ShardStatistics::analyzed(&schema, chunk, &config, i as u64))
+            .map(|(i, chunk)| ShardStatistics::analyzed(&schema, &[chunk], &config, i as u64))
             .collect();
         let refs: Vec<&ShardStatistics> = shards.iter().collect();
         let merged = ShardStatistics::merge(&schema, &refs, Some(&config));
@@ -682,7 +690,7 @@ mod tests {
     fn shard_pruning_bounds_cover_the_boundary_cases() {
         let schema = Schema::new(vec![Column::new("v", DataType::Int)]);
         let rows: Vec<Row> = (10..=20).map(|i| Row::new(vec![Value::Int(i)])).collect();
-        let s = ShardStatistics::basic(&schema, &rows);
+        let s = ShardStatistics::basic(&schema, &[&rows]);
         // Overlapping and touching intervals keep the shard.
         assert!(s.may_contain_in_range("v", None, None));
         assert!(s.may_contain_in_range("v", Some((20.0, true)), None));
@@ -697,13 +705,13 @@ mod tests {
         assert!(s.may_contain_in_range("nosuch", Some((99.0, true)), None));
 
         // min == max (constant shard): equality prunes on either side, keeps on match.
-        let constant = ShardStatistics::basic(&schema, &vec![Row::new(vec![Value::Int(5)]); 3]);
+        let constant = ShardStatistics::basic(&schema, &[&vec![Row::new(vec![Value::Int(5)]); 3]]);
         assert!(constant.may_contain_in_range("v", Some((5.0, true)), Some((5.0, true))));
         assert!(!constant.may_contain_in_range("v", Some((6.0, true)), Some((6.0, true))));
         assert!(!constant.may_contain_in_range("v", Some((5.0, false)), None));
 
         // All-NULL shards prune every range/equality predicate.
-        let nulls = ShardStatistics::basic(&schema, &vec![Row::new(vec![Value::Null]); 4]);
+        let nulls = ShardStatistics::basic(&schema, &[&vec![Row::new(vec![Value::Null]); 4]]);
         assert!(!nulls.may_contain_in_range("v", None, Some((100.0, true))));
         assert!(!nulls.may_contain_in_range("v", None, None));
 
@@ -713,7 +721,7 @@ mod tests {
 
         // Non-numeric columns (no min/max) are kept.
         let sschema = Schema::new(vec![Column::new("s", DataType::Str)]);
-        let strs = ShardStatistics::basic(&sschema, &[Row::new(vec!["a".into()])]);
+        let strs = ShardStatistics::basic(&sschema, &[&[Row::new(vec!["a".into()])]]);
         assert!(strs.may_contain_in_range("s", Some((1.0, true)), None));
     }
 }

@@ -17,6 +17,6 @@ pub mod table;
 
 pub use catalog::Catalog;
 pub use index::{HashIndex, RowLocator};
-pub use shard::{RowsView, Shard, ShardPolicy, ShardSet, ShardSlices};
+pub use shard::{RowsView, Runs, Shard, ShardPolicy, ShardSet, ShardSlices};
 pub use stats::{AnalyzeConfig, ColumnStatistics, Histogram, ShardStatistics, TableStats};
 pub use table::Table;

@@ -18,9 +18,11 @@ const MIN_SHARD_FILL: usize = 256;
 /// An in-memory table: a schema, a fixed-fanout set of [`Shard`]s, and hash indexes
 /// keyed by column name.
 ///
-/// Rows live in `Arc<Shard>`s, so cloning a table (the engine's copy-on-write snapshot
-/// swap) shares every shard, and a subsequent insert deep-clones only the one shard it
-/// appends to. Each shard caches its own [`ShardStatistics`] summary; table-level
+/// Cloning a table (the engine's copy-on-write snapshot swap) shares every shard and
+/// every index base, and a subsequent insert copies only what it writes: the open tail
+/// chunk of the shard it appends to (see [`crate::shard`]) and each index's delta (see
+/// [`crate::index`]) — a cost set by the rows added, not by the rows the table holds,
+/// at any shard count. Each shard caches its own [`ShardStatistics`] summary; table-level
 /// statistics are the lazy merge of the per-shard summaries, so after an insert the
 /// next [`Table::stats`] re-samples only the dirty shard (incremental ANALYZE), and
 /// the cached full-pass min/max lets scans prune shards a range or equality predicate
@@ -67,6 +69,7 @@ impl Clone for Table {
             shard_target: self.shard_target,
             shard_policy: self.shard_policy,
             total_rows: self.total_rows,
+            // Shares each index's base; copies only its delta.
             indexes: self.indexes.clone(),
             cached_stats: RwLock::new(
                 self.cached_stats
@@ -373,7 +376,8 @@ impl Table {
         for index in self.indexes.values_mut() {
             index.insert(&row, shard_idx, offset);
         }
-        // Copy-on-write: only the shard receiving the row is deep-cloned when shared.
+        // Copy-on-write: a shard shared with a reader gets its own list of chunk handles
+        // (no row is copied), and `push` then copies at most the open tail chunk.
         Arc::make_mut(&mut self.shards[shard_idx]).push(row);
         self.total_rows += 1;
         self.data_version += 1;
@@ -392,7 +396,7 @@ impl Table {
         let col_idx = self.schema.index_of(None, &column)?;
         let mut index = HashIndex::new(&column, col_idx);
         for (shard_idx, shard) in self.shards.iter().enumerate() {
-            for (offset, row) in shard.rows().iter().enumerate() {
+            for (offset, row) in shard.runs().flatten().enumerate() {
                 index.insert(row, shard_idx, offset);
             }
         }
@@ -418,10 +422,15 @@ impl Table {
     /// a scan).
     pub fn index_lookup(&self, column: &str, value: &Value) -> Option<Vec<&Row>> {
         self.index_on(column).map(|idx| {
-            idx.lookup(value)
-                .iter()
-                .map(|&(shard, offset)| &self.shards[shard].rows()[offset])
-                .collect()
+            let [older, newer] = idx.lookup(value);
+            let mut rows = Vec::with_capacity(older.len() + newer.len());
+            rows.extend(
+                older
+                    .iter()
+                    .chain(newer)
+                    .map(|&(shard, offset)| self.shards[shard].row(offset)),
+            );
+            rows
         })
     }
 
@@ -492,7 +501,9 @@ impl Table {
     }
 
     /// Lifetime count of full index builds (one per `create_index` over existing
-    /// rows). Insert-path index maintenance is incremental and never bumps this.
+    /// rows). Insert-path index maintenance is incremental and never bumps this —
+    /// including when an index folds its delta into its base, which merges postings
+    /// and never re-reads a row.
     pub fn index_rebuilds(&self) -> u64 {
         self.index_rebuilds.load(Ordering::Relaxed)
     }
@@ -525,6 +536,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::CHUNK_ROWS;
     use decorr_common::{Column, DataType};
 
     fn orders_table() -> Table {
@@ -679,6 +691,208 @@ mod tests {
         assert_eq!(shared, vec![true, true, true, false]);
         assert_eq!(snapshot.row_count(), 1000);
         assert_eq!(t.row_count(), 1001);
+    }
+
+    /// Chunks of `live` that `snapshot` does not hold — what a write made after the
+    /// clone had to allocate: sealed chunks by handle, and the open tail of any shard
+    /// the two no longer share (a shard's clone always copies its tail).
+    fn unshared_chunks(live: &Table, snapshot: &Table) -> usize {
+        live.shards()
+            .iter()
+            .zip(snapshot.shards())
+            .filter(|(mine, theirs)| !Arc::ptr_eq(mine, theirs))
+            .map(|(mine, theirs)| {
+                let fresh = mine
+                    .sealed()
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, chunk)| {
+                        theirs
+                            .sealed()
+                            .get(*i)
+                            .is_none_or(|c| !Arc::ptr_eq(chunk, c))
+                    })
+                    .count();
+                fresh + usize::from(mine.len() % CHUNK_ROWS != 0)
+            })
+            .sum()
+    }
+
+    fn owned(hits: Option<Vec<&Row>>) -> Vec<Row> {
+        hits.expect("indexed column").into_iter().cloned().collect()
+    }
+
+    #[test]
+    fn clone_then_insert_copies_one_chunk_and_no_index_base() {
+        let cases = [
+            (1, ShardPolicy::AppendToLast, 50_000),
+            (1, ShardPolicy::AppendToLast, CHUNK_ROWS - 1),
+            (1, ShardPolicy::AppendToLast, CHUNK_ROWS),
+            (1, ShardPolicy::AppendToLast, CHUNK_ROWS + 1),
+            (4, ShardPolicy::Hash, 50_000),
+        ];
+        for (shard_count, policy, n) in cases {
+            let case = format!("{shard_count} shard(s), {policy:?}, {n} rows");
+            let mut t = Table::with_shards(
+                "orders",
+                orders_table().schema().clone(),
+                shard_count,
+                policy,
+            );
+            t.insert_all(order_rows(n as i64)).unwrap();
+            t.create_index("custkey").unwrap();
+            t.create_index("orderkey").unwrap();
+            let before = owned(t.index_lookup("custkey", &Value::Int(3)));
+
+            let snapshot = t.clone();
+            assert_eq!(unshared_chunks(&t, &snapshot), 0, "{case}");
+            let added = Row::new(vec![(n as i64).into(), 3.into(), 0.5.into()]);
+            t.insert(added.clone()).unwrap();
+
+            // The write allocated exactly one chunk: a copy of the open tail with the
+            // row behind it (sealed at once if that filled it). Every chunk sealed
+            // before is still the snapshot's, and so is every index base.
+            assert_eq!(unshared_chunks(&t, &snapshot), 1, "{case}");
+            for (mine, theirs) in t.shards().iter().zip(snapshot.shards()) {
+                for (i, sealed) in theirs.sealed().iter().enumerate() {
+                    assert!(Arc::ptr_eq(sealed, &mine.sealed()[i]), "{case}: chunk {i}");
+                }
+            }
+            for column in ["custkey", "orderkey"] {
+                let (mine, theirs) = (
+                    t.index_on(column).unwrap(),
+                    snapshot.index_on(column).unwrap(),
+                );
+                assert!(
+                    mine.shares_base_with(theirs),
+                    "{case}: {column} base copied"
+                );
+                assert_eq!(theirs.delta_postings(), 0, "{case}");
+                assert_eq!(mine.delta_postings(), 1, "{case}");
+            }
+
+            // The snapshot side is untouched; the live side sees the row, last.
+            assert_eq!(snapshot.row_count(), n, "{case}");
+            assert_eq!(snapshot.scan().iter().count(), n, "{case}");
+            assert_eq!(
+                owned(snapshot.index_lookup("custkey", &Value::Int(3))),
+                before,
+                "{case}"
+            );
+            assert!(owned(snapshot.index_lookup("orderkey", &Value::Int(n as i64))).is_empty());
+            let mut after = before.clone();
+            after.push(added.clone());
+            assert_eq!(t.row_count(), n + 1, "{case}");
+            assert_eq!(
+                owned(t.index_lookup("custkey", &Value::Int(3))),
+                after,
+                "{case}"
+            );
+            assert_eq!(
+                owned(t.index_lookup("orderkey", &Value::Int(n as i64))),
+                vec![added]
+            );
+        }
+    }
+
+    /// The two-tier index answers exactly as an index built in one pass over the
+    /// same rows would, in the same order, through any interleaving of inserts,
+    /// clones (dropped or kept pinned) and delta folds — and a pinned clone keeps
+    /// answering as it did when it was taken.
+    #[test]
+    fn two_tier_index_matches_a_rebuilt_index_and_pinned_clones_never_change() {
+        use decorr_common::SmallRng;
+        let schema = || {
+            Schema::new(vec![
+                Column::new("id", DataType::Int).not_null(),
+                Column::new("k", DataType::Float),
+            ])
+        };
+        // Keys from a small domain so duplicates are the rule; the same number comes
+        // as an Int or as a Float (they must land in one posting list); some are NULL.
+        let draw = |rng: &mut SmallRng, id: i64| {
+            let k = rng.gen_range_i64(0, 12);
+            let key = match rng.gen_range_i64(0, 8) {
+                0 => Value::Null,
+                1..=3 => Value::Float(k as f64),
+                _ => Value::Int(k),
+            };
+            Row::new(vec![Value::Int(id), key])
+        };
+        let probes: Vec<Value> = (0..12)
+            .map(Value::Int)
+            .chain([Value::Float(5.0), Value::Null, Value::Int(99)])
+            .collect();
+        let answers = |t: &Table| -> Vec<Vec<Row>> {
+            probes
+                .iter()
+                .map(|p| owned(t.index_lookup("k", p)))
+                .collect()
+        };
+
+        for (seed, shard_count) in [(11u64, 1usize), (12, 3)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rows: Vec<Row> = vec![];
+            let mut live =
+                Table::with_shards("t", schema(), shard_count, ShardPolicy::AppendToLast);
+            live.create_index("k").unwrap();
+            // A bulk load first, so that a delta has a base worth not copying.
+            let bulk: Vec<Row> = (0..2_000).map(|id| draw(&mut rng, id)).collect();
+            rows.extend(bulk.iter().cloned());
+            live.insert_all(bulk).unwrap();
+            assert_eq!(
+                live.index_on("k").unwrap().delta_postings(),
+                0,
+                "bulk loads build the base"
+            );
+
+            let mut pinned: Vec<(Table, Vec<Vec<Row>>)> = vec![];
+            let (mut folds, mut largest_delta) = (0, 0);
+            for step in 0..400 {
+                let row = draw(&mut rng, rows.len() as i64);
+                rows.push(row.clone());
+                let delta_before = live.index_on("k").unwrap().delta_postings();
+                match rng.gen_range_i64(0, 10) {
+                    // The engine's write cycle: clone, write the clone, publish it;
+                    // the superseded table is dropped, or stays pinned by a reader.
+                    roll @ 0..=7 => {
+                        let mut next = live.clone();
+                        next.insert(row).unwrap();
+                        let superseded = std::mem::replace(&mut live, next);
+                        if roll >= 6 {
+                            let expected = answers(&superseded);
+                            pinned.push((superseded, expected));
+                            // Oldest reader leaves: bounds the work of checking them.
+                            if pinned.len() > 4 {
+                                pinned.remove(0);
+                            }
+                        }
+                    }
+                    // A write in place, with or without readers still on the base.
+                    _ => live.insert(row).unwrap(),
+                }
+                let delta_after = live.index_on("k").unwrap().delta_postings();
+                largest_delta = largest_delta.max(delta_after);
+                if delta_before > 0 && delta_after == 0 {
+                    folds += 1;
+                }
+
+                let mut rebuilt = Table::new("t", schema());
+                rebuilt.insert_all(rows.clone()).unwrap();
+                rebuilt.create_index("k").unwrap();
+                assert_eq!(answers(&live), answers(&rebuilt), "seed {seed} step {step}");
+                for (i, (table, expected)) in pinned.iter().enumerate() {
+                    assert_eq!(&answers(table), expected, "seed {seed} step {step} pin {i}");
+                }
+            }
+            assert!(folds >= 3, "seed {seed}: only {folds} folds");
+            assert!(
+                largest_delta > 8,
+                "seed {seed}: deltas stayed at {largest_delta}"
+            );
+            assert_eq!(live.index_rebuilds(), 1, "a fold is not a rebuild");
+            assert_eq!(live.row_count(), rows.len());
+        }
     }
 
     #[test]
@@ -914,11 +1128,7 @@ mod tests {
         original.insert_all(order_rows(1000)).unwrap();
         original.create_index("custkey").unwrap();
         let analyzed = original.analyze(AnalyzeConfig::default());
-        let shard_rows: Vec<Vec<Row>> = original
-            .shards()
-            .iter()
-            .map(|s| s.rows().to_vec())
-            .collect();
+        let shard_rows: Vec<Vec<Row>> = original.shards().iter().map(|s| s.to_vec()).collect();
         let restored = Table::restore(
             "orders",
             Schema::new(vec![

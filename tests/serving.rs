@@ -15,6 +15,7 @@ use std::thread;
 
 use udf_decorrelation::common::{Row, SmallRng, Value};
 use udf_decorrelation::engine::{Engine, Session};
+use udf_decorrelation::storage::Catalog;
 
 const SESSIONS: usize = 4;
 const OPS_PER_SESSION: usize = 40;
@@ -182,19 +183,46 @@ fn plan_warmed_by_one_session_hits_in_another() {
 
 /// Writers never block readers: a long sequence of inserts/ANALYZE on one thread
 /// while another thread queries a pinned snapshot per statement — every read sees a
-/// consistent row count (never a torn intermediate state).
+/// consistent row count (never a torn intermediate state). And a reader that pinned
+/// an epoch before the writes keeps exactly what it pinned: the writer's single-row
+/// inserts into the indexed `orders` outnumber any storage chunk and any index delta,
+/// so they seal chunks and fold deltas underneath the pin, which must not notice.
 #[test]
 fn snapshot_reads_are_consistent_under_concurrent_writes() {
+    const ORDER_INSERTS: i64 = 1_100;
     let engine = build_engine(1);
+    let lookup = |catalog: &Catalog, custkey: i64| -> Vec<Row> {
+        let hits = catalog
+            .table("orders")
+            .unwrap()
+            .index_lookup("custkey", &Value::Int(custkey))
+            .expect("orders(custkey) is indexed");
+        hits.into_iter().cloned().collect()
+    };
+    let pinned = engine.catalog();
+    let orders_before = pinned.table("orders").unwrap().row_count();
+    let (seven_before, new_before) = (lookup(&pinned, 7), lookup(&pinned, 31));
+    assert_eq!((seven_before.len(), new_before.len()), (7, 0));
+
     let writer = engine.session();
     let reader = engine.session();
     let write_thread = thread::spawn(move || {
-        for i in 0..50 {
+        for i in 0..ORDER_INSERTS {
+            // Alternately a key the pinned reader has postings for, and one it has not.
+            let custkey = if i % 2 == 0 { 7 } else { 31 };
             writer
-                .execute(&format!("insert into events_0 values ({i}, 0, 1.0)"))
+                .execute(&format!(
+                    "insert into orders values ({}, {custkey}, 1.0)",
+                    10_000 + i
+                ))
                 .unwrap();
-            if i % 10 == 0 {
-                writer.execute("analyze events_0").unwrap();
+            if i < 50 {
+                writer
+                    .execute(&format!("insert into events_0 values ({i}, 0, 1.0)"))
+                    .unwrap();
+                if i % 10 == 0 {
+                    writer.execute("analyze events_0").unwrap();
+                }
             }
         }
     });
@@ -208,6 +236,37 @@ fn snapshot_reads_are_consistent_under_concurrent_writes() {
     }
     write_thread.join().unwrap();
     assert_eq!(reader.query("select id from events_0").unwrap().len(), 50);
+
+    // The pin still reads its own epoch, row for row and posting for posting.
+    assert_eq!(pinned.table("orders").unwrap().row_count(), orders_before);
+    assert_eq!(
+        pinned.table("orders").unwrap().scan().iter().count(),
+        orders_before
+    );
+    assert_eq!(lookup(&pinned, 7), seven_before);
+    assert_eq!(lookup(&pinned, 31), new_before);
+    // A session opened now sees every insert, old postings first.
+    let fresh = engine.session();
+    let all = fresh.query("select orderkey from orders").unwrap();
+    assert_eq!(all.len(), orders_before + ORDER_INSERTS as usize);
+    let seven = fresh
+        .query("select orderkey from orders where custkey = 7")
+        .unwrap();
+    let keys: Vec<i64> = seven
+        .rows
+        .iter()
+        .map(|r| r.get(0).as_int().unwrap())
+        .collect();
+    let expected: Vec<i64> = seven_before
+        .iter()
+        .map(|r| r.get(0).as_int().unwrap())
+        .chain((0..ORDER_INSERTS).step_by(2).map(|i| 10_000 + i))
+        .collect();
+    assert_eq!(keys, expected);
+    assert_eq!(
+        lookup(&engine.catalog(), 31).len(),
+        ORDER_INSERTS as usize / 2
+    );
 }
 
 /// The deprecated-path equivalence: the `Database` facade and a direct `Session` on
