@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use decorr_common::{normalize_ident, Column, DataType, Error, FnvBuildHasher, Result, Schema};
 
-use crate::expr::{AggFunc, BinaryOp, ScalarExpr, UnaryOp};
+use crate::expr::{AggCall, AggFunc, BinaryOp, ScalarExpr, UnaryOp};
 use crate::plan::{ApplyKind, JoinKind, ProjectItem, RelExpr};
 
 /// Source of base-table schemas (implemented by the storage catalog; a map-backed
@@ -85,17 +85,33 @@ impl SchemaProvider for MapProvider {
     }
 }
 
-/// Infers the type of a scalar expression against an input schema. Unresolvable
-/// references infer as [`DataType::Null`].
-pub fn expr_type(expr: &ScalarExpr, input: &Schema, provider: &dyn SchemaProvider) -> DataType {
-    SchemaMemo::new().expr_type(expr, input, provider)
-}
-
 fn group_by_name(expr: &ScalarExpr, position: usize) -> (Option<String>, String) {
     match expr {
         ScalarExpr::Column(c) => (c.qualifier.clone(), c.name.clone()),
         _ => (None, format!("group{position}")),
     }
+}
+
+/// The output schema of a projection of `items` over `input`. The executor builds its
+/// result schemas with this same function, so the schema a plan is validated against is
+/// the schema its execution produces.
+pub fn project_schema(
+    items: &[ProjectItem],
+    input: &Schema,
+    provider: &dyn SchemaProvider,
+) -> Schema {
+    SchemaMemo::new().project_schema(items, input, provider)
+}
+
+/// The output schema of an aggregation over `input`: the group-by columns, then one
+/// column per aggregate call (see [`project_schema`]).
+pub fn aggregate_schema(
+    group_by: &[ScalarExpr],
+    aggregates: &[AggCall],
+    input: &Schema,
+    provider: &dyn SchemaProvider,
+) -> Schema {
+    SchemaMemo::new().aggregate_schema(group_by, aggregates, input, provider)
 }
 
 /// Infers the output schema of a logical plan.
@@ -123,8 +139,10 @@ impl SchemaMemo {
         SchemaMemo::default()
     }
 
-    /// Memoized [`expr_type`]: subquery schemas resolve through the memo, so typing
-    /// many expressions over the same tree does not re-walk shared subqueries.
+    /// Infers the type of a scalar expression against an input schema. Unresolvable
+    /// references infer as [`DataType::Null`]. Subquery schemas resolve through the
+    /// memo, so typing many expressions over the same tree does not re-walk shared
+    /// subqueries.
     pub fn expr_type(
         &mut self,
         expr: &ScalarExpr,
@@ -206,7 +224,8 @@ impl SchemaMemo {
         }
     }
 
-    fn project_schema(
+    /// Memoized [`project_schema`].
+    pub fn project_schema(
         &mut self,
         items: &[ProjectItem],
         input: &Schema,
@@ -236,6 +255,35 @@ impl SchemaMemo {
                 }
             })
             .collect();
+        Schema::new(columns)
+    }
+
+    /// Memoized [`aggregate_schema`].
+    pub fn aggregate_schema(
+        &mut self,
+        group_by: &[ScalarExpr],
+        aggregates: &[AggCall],
+        input: &Schema,
+        provider: &dyn SchemaProvider,
+    ) -> Schema {
+        let mut columns = vec![];
+        for (i, g) in group_by.iter().enumerate() {
+            let (qualifier, name) = group_by_name(g, i);
+            columns.push(Column {
+                qualifier,
+                name,
+                data_type: self.expr_type(g, input, provider),
+                nullable: true,
+            });
+        }
+        for a in aggregates {
+            columns.push(Column {
+                qualifier: None,
+                name: a.alias.clone(),
+                data_type: self.agg_output_type(&a.func, &a.args, input, provider),
+                nullable: true,
+            });
+        }
         Schema::new(columns)
     }
 
@@ -272,25 +320,12 @@ impl SchemaMemo {
                 aggregates,
             } => {
                 let input_schema = self.infer(input, provider)?;
-                let mut columns = vec![];
-                for (i, g) in group_by.iter().enumerate() {
-                    let (qualifier, name) = group_by_name(g, i);
-                    columns.push(Column {
-                        qualifier,
-                        name,
-                        data_type: self.expr_type(g, &input_schema, provider),
-                        nullable: true,
-                    });
-                }
-                for a in aggregates {
-                    columns.push(Column {
-                        qualifier: None,
-                        name: a.alias.clone(),
-                        data_type: self.agg_output_type(&a.func, &a.args, &input_schema, provider),
-                        nullable: true,
-                    });
-                }
-                Ok(Rc::new(Schema::new(columns)))
+                Ok(Rc::new(self.aggregate_schema(
+                    group_by,
+                    aggregates,
+                    &input_schema,
+                    provider,
+                )))
             }
             RelExpr::Join {
                 left, right, kind, ..

@@ -9,13 +9,11 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
-use decorr_algebra::schema::{expr_type, infer_schema};
+use decorr_algebra::schema::{aggregate_schema, infer_schema, project_schema};
 use decorr_algebra::{
     AggCall, AggFunc, ApplyKind, BinaryOp, ColumnRef, JoinKind, ProjectItem, RelExpr, ScalarExpr,
 };
-use decorr_common::{
-    normalize_ident, value::GroupKey, Column, DataType, Error, Result, Row, Schema, Value,
-};
+use decorr_common::{normalize_ident, value::GroupKey, Error, Result, Row, Schema, Value};
 use decorr_storage::{Catalog, ShardSet, Table};
 use decorr_udf::FunctionRegistry;
 
@@ -194,7 +192,7 @@ pub struct Executor {
     /// Observed pass/fail outcomes of UDF-bearing conjuncts (populated by the
     /// cost-ordered filter path; the engine folds it into the feedback store).
     pub(crate) udf_selectivity: Arc<UdfSelectivityCollector>,
-    /// Database-owned cross-query memo for pure-UDF results (attached by the engine
+    /// Engine-owned cross-query memo for pure-UDF results (attached by the engine
     /// when `ExecConfig::udf_memoization` is on; checked first on every pure call).
     pub(crate) memo: Option<Arc<UdfMemo>>,
     /// Per-query dedup cache for pure-UDF results: repeated argument tuples within
@@ -596,35 +594,6 @@ impl Executor {
         Some((hits, ScalarExpr::conjunction(conjuncts)))
     }
 
-    /// The output schema of a projection over `input_schema`.
-    fn project_schema(&self, items: &[ProjectItem], input_schema: &Schema) -> Schema {
-        let provider = self.provider();
-        Schema::new(
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let name = item.output_name(i);
-                    let data_type = expr_type(&item.expr, input_schema, &provider);
-                    let qualifier = match (&item.alias, &item.expr) {
-                        (None, ScalarExpr::Column(c)) => c.qualifier.clone().or_else(|| {
-                            input_schema
-                                .find(None, &c.name)
-                                .and_then(|i| input_schema.column(i).qualifier.clone())
-                        }),
-                        _ => None,
-                    };
-                    Column {
-                        qualifier,
-                        name,
-                        data_type,
-                        nullable: true,
-                    }
-                })
-                .collect(),
-        )
-    }
-
     // ------------------------------------------------------------ UDF invocation runtime
 
     /// Prepares a filter predicate for per-row evaluation. A conjunction of at least
@@ -916,7 +885,11 @@ impl Executor {
                     stages.push(ChainStage::Filter(self.prepare_filter(predicate)));
                 }
                 ChainLayer::Project(items) => {
-                    let schema = self.project_schema(items, output_schema(&stages, &base_schema));
+                    let schema = project_schema(
+                        items,
+                        output_schema(&stages, &base_schema),
+                        &self.provider(),
+                    );
                     stages.push(ChainStage::Project {
                         items: Cow::Borrowed(items),
                         schema,
@@ -1003,49 +976,6 @@ impl Executor {
 
     // ------------------------------------------------------------------- aggregation
 
-    fn aggregate_output_schema(
-        &self,
-        group_by: &[ScalarExpr],
-        aggregates: &[AggCall],
-        input_schema: &Schema,
-    ) -> Schema {
-        let provider = self.provider();
-        let mut columns = vec![];
-        for (i, g) in group_by.iter().enumerate() {
-            let (qualifier, name) = match g {
-                ScalarExpr::Column(c) => (c.qualifier.clone(), c.name.clone()),
-                _ => (None, format!("group{i}")),
-            };
-            columns.push(Column {
-                qualifier,
-                name,
-                data_type: expr_type(g, input_schema, &provider),
-                nullable: true,
-            });
-        }
-        for a in aggregates {
-            let data_type = match &a.func {
-                AggFunc::Count | AggFunc::CountStar => DataType::Int,
-                AggFunc::Avg => DataType::Float,
-                AggFunc::Sum | AggFunc::Min | AggFunc::Max => a
-                    .args
-                    .first()
-                    .map(|e| expr_type(e, input_schema, &provider))
-                    .unwrap_or(DataType::Null),
-                AggFunc::UserDefined(name) => {
-                    self.registry.return_type(name).unwrap_or(DataType::Null)
-                }
-            };
-            columns.push(Column {
-                qualifier: None,
-                name: a.alias.clone(),
-                data_type,
-                nullable: true,
-            });
-        }
-        Schema::new(columns)
-    }
-
     /// Fresh accumulator states for one group, one per aggregate call.
     fn make_accumulators(&self, aggregates: &[AggCall]) -> Result<Vec<AccState>> {
         aggregates
@@ -1111,7 +1041,7 @@ impl Executor {
         outer: &Env,
     ) -> Result<ResultSet> {
         let input_rs = self.execute_with_env(input, outer)?;
-        let schema = self.aggregate_output_schema(group_by, aggregates, &input_rs.schema);
+        let schema = aggregate_schema(group_by, aggregates, &input_rs.schema, &self.provider());
         if self.should_parallelize(input_rs.rows.len()) {
             return self.execute_aggregate_parallel(input_rs, group_by, aggregates, outer, schema);
         }

@@ -265,7 +265,7 @@ impl UdfMemo {
         }
     }
 
-    /// The configured capacity (0 = disabled). `Database::clone` uses this to build a
+    /// The configured capacity (0 = disabled). `Engine::fork` uses this to build a
     /// fresh memo of the same size.
     pub fn capacity(&self) -> usize {
         self.capacity

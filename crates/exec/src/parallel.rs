@@ -7,11 +7,11 @@
 //!
 //! Unlike the first parallel engine (which re-spawned scoped threads for every
 //! operator), the [`WorkerPool`] here is *persistent*: its workers park on a condvar
-//! between batches and are reused across operators **and** across queries. The engine
-//! owns one pool per [`Database`](../../decorr_engine/struct.Database.html) and attaches
-//! it to every executor; a standalone executor lazily creates its own pool, so the pool
-//! is the only dispatch path. Thread spawns are therefore a pool-lifecycle event
-//! (`ExecStats::pool_spawns`), not a per-operator cost.
+//! between batches and are reused across operators **and** across queries. An
+//! `Engine` owns one pool and attaches it to every session's executors; a standalone
+//! executor lazily creates its own pool, so the pool is the only dispatch path. Thread
+//! spawns are therefore a pool-lifecycle event (`ExecStats::pool_spawns`), not a
+//! per-operator cost.
 //!
 //! Because the workers are long-lived, batch jobs must be `'static`: operators package
 //! an owned job context (`Arc`'d input rows, cloned expressions and environments, and a

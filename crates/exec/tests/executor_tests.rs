@@ -458,3 +458,152 @@ fn union_and_union_all() {
     assert_eq!(exec.execute(&union_all).unwrap().len(), 6);
     assert_eq!(exec.execute(&union_distinct).unwrap().len(), 3);
 }
+
+/// The executor's result schema is the schema inference the plan validator trusts: one
+/// rule (`decorr_algebra::schema`), asserted over the operators that used to compute
+/// their output schema with a private copy plus the Apply family around them.
+#[test]
+fn executed_schema_is_the_inferred_schema() {
+    use decorr_algebra::plan::{ApplyKind, JoinKind, MergeAssignment, ParamBinding};
+    use decorr_algebra::{infer_schema, AggCall, AggFunc, PlanBuilder, ScalarExpr as E};
+    use decorr_udf::{AggregateDefinition, Statement, UdfParameter};
+
+    let (catalog, mut registry) = setup();
+    // A user-defined aggregate: its output column takes the declared return type.
+    registry.register_aggregate(AggregateDefinition {
+        name: "total_agg".into(),
+        state: vec![("total".into(), DataType::Float, Value::Float(0.0))],
+        params: vec![UdfParameter::new("amount", DataType::Float)],
+        accumulate: vec![Statement::Assign {
+            name: "total".into(),
+            expr: E::binary(
+                decorr_algebra::BinaryOp::Add,
+                E::Param("total".into()),
+                E::Param("amount".into()),
+            ),
+        }],
+        terminate: E::Param("total".into()),
+        return_type: DataType::Float,
+    });
+    let registry = Arc::new(registry);
+
+    // Customers 6..=10 have orders above 500, so every Apply kind (anti included)
+    // returns rows.
+    let orders_of_customer = || {
+        PlanBuilder::scan_as("orders", "o")
+            .select(E::eq(
+                E::qualified_column("o", "custkey"),
+                E::qualified_column("c", "custkey"),
+            ))
+            .select(E::gt(E::column("totalprice"), E::literal(500.0)))
+    };
+    let mut plans = vec![
+        (
+            "project",
+            PlanBuilder::scan_as("customer", "c").project(vec![
+                (E::qualified_column("c", "custkey"), None),
+                (E::column("name"), Some("who")),
+                (
+                    E::binary(
+                        decorr_algebra::BinaryOp::Mul,
+                        E::column("nationkey"),
+                        E::literal(2),
+                    ),
+                    None,
+                ),
+            ]),
+        ),
+        (
+            "distinct",
+            PlanBuilder::scan("customer").project_distinct(vec![(E::column("nationkey"), None)]),
+        ),
+        (
+            "group-by with a user-defined aggregate",
+            PlanBuilder::scan("orders").aggregate(
+                vec![
+                    E::column("custkey"),
+                    E::binary(
+                        decorr_algebra::BinaryOp::Add,
+                        E::column("orderkey"),
+                        E::literal(0),
+                    ),
+                ],
+                vec![
+                    AggCall::new(
+                        AggFunc::UserDefined("total_agg".into()),
+                        vec![E::column("totalprice")],
+                        "spent",
+                    ),
+                    AggCall::new(AggFunc::Max, vec![E::column("totalprice")], "top"),
+                    AggCall::new(AggFunc::CountStar, vec![], "n"),
+                ],
+            ),
+        ),
+        (
+            "left-outer join",
+            PlanBuilder::scan_as("customer", "c").join(
+                PlanBuilder::scan_as("orders", "o"),
+                JoinKind::LeftOuter,
+                Some(E::eq(
+                    E::qualified_column("c", "custkey"),
+                    E::qualified_column("o", "custkey"),
+                )),
+            ),
+        ),
+        (
+            "apply-merge",
+            PlanBuilder::scan_as("customer", "c")
+                .project(vec![
+                    (E::qualified_column("c", "custkey"), None),
+                    (E::literal(0.0), Some("spent")),
+                ])
+                .apply_merge(
+                    PlanBuilder::single().project(vec![(E::literal(1.5), Some("spent"))]),
+                    vec![MergeAssignment::new("spent", "spent")],
+                ),
+        ),
+    ];
+    for kind in [
+        ApplyKind::Cross,
+        ApplyKind::LeftOuter,
+        ApplyKind::LeftSemi,
+        ApplyKind::LeftAnti,
+    ] {
+        plans.push((
+            "apply",
+            PlanBuilder::scan_as("customer", "c").apply(orders_of_customer(), kind, vec![]),
+        ));
+    }
+    // The bind extension: the right side reads the outer key through a parameter.
+    plans.push((
+        "apply with a binding",
+        PlanBuilder::scan_as("customer", "c").apply(
+            PlanBuilder::scan_as("orders", "o")
+                .select(E::eq(
+                    E::qualified_column("o", "custkey"),
+                    E::Param("k".into()),
+                ))
+                .aggregate(
+                    vec![],
+                    vec![AggCall::new(
+                        AggFunc::Sum,
+                        vec![E::column("totalprice")],
+                        "spent",
+                    )],
+                ),
+            ApplyKind::Cross,
+            vec![ParamBinding::new("k", E::qualified_column("c", "custkey"))],
+        ),
+    ));
+
+    for (label, builder) in plans {
+        let plan = builder.build();
+        let executor = Executor::new(Arc::clone(&catalog), Arc::clone(&registry));
+        let executed = executor
+            .execute(&plan)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let inferred = infer_schema(&plan, &executor.provider()).unwrap();
+        assert_eq!(executed.schema, inferred, "{label}: {plan:?}");
+        assert!(!executed.rows.is_empty(), "{label} returned no rows");
+    }
+}

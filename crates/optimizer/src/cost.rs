@@ -1,10 +1,10 @@
 //! Cardinality estimation and a cost model over logical plans.
 //!
-//! The estimator consumes the statistics subsystem (`decorr-stats` through
-//! `decorr-storage`'s cached [`TableStats`](decorr_storage::TableStats)): equality predicates use MCV lists and
-//! distinct counts, range predicates (`<`, `>`, `BETWEEN`) use equi-depth histograms
-//! when a sampled `ANALYZE` has run, and grouped aggregates use group-column distinct
-//! counts. Every constant the seed model hard-coded is a [`CostParams`] field now, so
+//! The estimator consumes the statistics subsystem (`decorr-stats`'s
+//! [`TableStatistics`](decorr_storage::TableStatistics), cached per table by
+//! `decorr-storage`): equality predicates use MCV lists and distinct counts, range
+//! predicates (`<`, `>`, `BETWEEN`) use equi-depth histograms when a sampled `ANALYZE`
+//! has run, and grouped aggregates use group-column distinct counts. Every constant the seed model hard-coded is a [`CostParams`] field now, so
 //! benches and tests can sweep them — and the runtime feedback loop
 //! (`crate::feedback`) can replace the static per-UDF body estimate with *measured*
 //! invocation costs via [`CostParams::udf_cost_overrides`].

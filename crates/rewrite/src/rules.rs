@@ -138,51 +138,6 @@ impl RuleSet {
             ],
         }
     }
-
-    /// Only the rules from Table I / Table II, without the cleanup and aggregate
-    /// decorrelation helpers — used by the rule-equivalence property tests.
-    pub fn paper_rules_only() -> RuleSet {
-        RuleSet {
-            rules: vec![
-                Rule {
-                    name: "R9-apply-bind-removal",
-                    apply: rule_r9_bind_removal,
-                },
-                Rule {
-                    name: "R1-apply-single",
-                    apply: rule_r1_apply_single,
-                },
-                Rule {
-                    name: "R2-merge-projection-on-single",
-                    apply: rule_r2_merge_projection,
-                },
-                Rule {
-                    name: "R8-conditional-merge-to-case",
-                    apply: rule_r8_conditional_to_case,
-                },
-                Rule {
-                    name: "R4-apply-merge-removal",
-                    apply: rule_r4_apply_merge_removal,
-                },
-                Rule {
-                    name: "K3-pull-select-above-apply",
-                    apply: rule_k3_pull_select,
-                },
-                Rule {
-                    name: "K4-pull-project-above-apply",
-                    apply: rule_k4_pull_project,
-                },
-                Rule {
-                    name: "K2-apply-select-to-join",
-                    apply: rule_k2_apply_select_to_join,
-                },
-                Rule {
-                    name: "K1-apply-to-join",
-                    apply: rule_k1_apply_to_join,
-                },
-            ],
-        }
-    }
 }
 
 /// The result of driving a [`RuleSet`] to fixpoint with a [`FixpointEngine`]: the

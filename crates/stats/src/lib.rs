@@ -10,7 +10,7 @@
 //!   built from a reservoir sample drawn with the workspace's deterministic
 //!   [`SmallRng`] (the build environment has no `rand` crate).
 //!
-//! The optimizer consumes these through `decorr-storage`'s `TableStats` wrapper: with
+//! The optimizer reads them off `decorr-storage`'s per-table cache (`Table::stats`): with
 //! histograms available, range predicates (`<`, `>`, `BETWEEN`) and skew-aware equality
 //! predicates get measured selectivities instead of the magic constants the seed cost
 //! model used. The [`q_error`] metric quantifies how much that helps: it is the factor
@@ -223,6 +223,33 @@ impl TableStatistics {
             .map(|c| c.distinct_count)
             .unwrap_or(self.row_count)
             .max(1)
+    }
+
+    /// Estimated selectivity of an equality predicate on `column` against an unknown
+    /// value (1 / distinct count — the seed model).
+    pub fn equality_selectivity(&self, column: &str) -> f64 {
+        1.0 / self.distinct_count(column) as f64
+    }
+
+    /// Estimated selectivity of `column = value` for a *known* comparison value:
+    /// MCV frequency or histogram-bucket estimate when analyzed, otherwise the
+    /// 1 / distinct-count fallback.
+    pub fn equality_selectivity_value(&self, column: &str, value: &Value) -> f64 {
+        self.column(column)
+            .and_then(|c| c.equality_selectivity(value))
+            .unwrap_or_else(|| self.equality_selectivity(column))
+    }
+
+    /// Estimated selectivity of a numeric interval on `column` from its equi-depth
+    /// histogram; `None` when the column has no histogram (not analyzed, or
+    /// non-numeric) so the caller can fall back to its default constants.
+    pub fn range_selectivity(
+        &self,
+        column: &str,
+        lo: Option<(f64, bool)>,
+        hi: Option<(f64, bool)>,
+    ) -> Option<f64> {
+        self.column(column)?.range_selectivity(lo, hi)
     }
 }
 
@@ -550,6 +577,11 @@ mod tests {
         assert_eq!(stats.distinct_count("grp"), 4);
         assert_eq!(stats.distinct_count("nosuch"), 100);
         assert!(stats.column("grp").unwrap().histogram.is_none());
+        assert!((stats.equality_selectivity("grp") - 0.25).abs() < 1e-9);
+        // Without ANALYZE there is no histogram to serve ranges from.
+        assert!(stats
+            .range_selectivity("k", None, Some((49.0, true)))
+            .is_none());
     }
 
     #[test]
@@ -570,6 +602,14 @@ mod tests {
         assert_eq!(grp.mcvs.len(), 4);
         let eq = grp.equality_selectivity(&Value::Int(1)).unwrap();
         assert!((eq - 0.25).abs() < 0.05, "eq {eq}");
+        // The table-level entry points the cost model calls resolve the column by name
+        // and fall back to 1 / distinct-count for unknown values/columns.
+        assert_eq!(stats.equality_selectivity_value("grp", &Value::Int(1)), eq);
+        assert_eq!(
+            stats.range_selectivity("k", None, Some((99.0, true))),
+            Some(sel)
+        );
+        assert!(stats.equality_selectivity_value("nosuch", &Value::Int(1)) > 0.0);
         // Strings get MCVs but no histogram.
         let name = stats.column("name").unwrap();
         assert!(name.histogram.is_none());
@@ -603,6 +643,11 @@ mod tests {
         let stats = TableStatistics::analyzed(&schema, &data, &AnalyzeConfig::default());
         let v = stats.column("v").unwrap();
         assert!((v.null_fraction - 0.5).abs() < 1e-9);
+        assert_eq!(
+            stats.distinct_count("v"),
+            500,
+            "NULLs are not a distinct value"
+        );
         // The whole non-null domain is half the rows.
         let all = v.range_selectivity(None, None).unwrap();
         assert!((all - 0.5).abs() < 0.01, "all {all}");

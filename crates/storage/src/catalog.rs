@@ -200,7 +200,7 @@ impl Catalog {
     pub fn analyze_table(
         &mut self,
         name: &str,
-        config: &crate::stats::AnalyzeConfig,
+        config: &decorr_stats::AnalyzeConfig,
     ) -> Result<()> {
         self.table_mut(name)?.analyze(config.clone());
         self.ddl_generation += 1;
@@ -208,7 +208,7 @@ impl Catalog {
     }
 
     /// Runs a sampled `ANALYZE` over every table; returns the analyzed table names.
-    pub fn analyze_all(&mut self, config: &crate::stats::AnalyzeConfig) -> Vec<String> {
+    pub fn analyze_all(&mut self, config: &decorr_stats::AnalyzeConfig) -> Vec<String> {
         let names = self.table_names();
         for name in &names {
             if let Some(table) = self.tables.get_mut(name) {

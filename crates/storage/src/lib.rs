@@ -12,11 +12,12 @@
 pub mod catalog;
 pub mod index;
 pub mod shard;
-pub mod stats;
 pub mod table;
 
 pub use catalog::Catalog;
+pub use decorr_stats::{
+    AnalyzeConfig, ColumnStatistics, Histogram, ShardStatistics, TableStatistics,
+};
 pub use index::{HashIndex, RowLocator};
 pub use shard::{RowsView, Runs, Shard, ShardPolicy, ShardSet, ShardSlices};
-pub use stats::{AnalyzeConfig, ColumnStatistics, Histogram, ShardStatistics, TableStats};
 pub use table::Table;

@@ -36,7 +36,7 @@ use std::sync::{Arc, RwLock};
 
 use decorr_common::{Row, Schema};
 
-use crate::stats::{AnalyzeConfig, ShardStatistics};
+use decorr_stats::{AnalyzeConfig, ShardStatistics};
 
 /// How a table routes inserted rows onto its shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

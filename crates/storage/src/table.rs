@@ -8,7 +8,7 @@ use decorr_common::{normalize_ident, Error, Result, Row, Schema, Value};
 
 use crate::index::HashIndex;
 use crate::shard::{RowsView, Shard, ShardPolicy, ShardSet};
-use crate::stats::{AnalyzeConfig, ShardStatistics, TableStats};
+use decorr_stats::{AnalyzeConfig, ShardStatistics, TableStatistics};
 
 /// Smallest shard a row-at-a-time insert stream fills before the table opens the next
 /// shard: prevents degenerate `1, 1, 1, N-3` splits when rows trickle in one by one.
@@ -40,7 +40,7 @@ pub struct Table {
     indexes: HashMap<String, HashIndex>,
     /// Cached merged statistics; `None` marks them dirty. Interior mutability so
     /// `stats()` works through the shared references the executor and optimizer hold.
-    cached_stats: RwLock<Option<Arc<TableStats>>>,
+    cached_stats: RwLock<Option<Arc<TableStatistics>>>,
     /// Remembered `ANALYZE` configuration; `None` until the first ANALYZE.
     analyze_config: Option<AnalyzeConfig>,
     /// How many times the table-level merge was (re)computed — the regression metric:
@@ -197,7 +197,7 @@ impl Table {
         shard_rows: Vec<Vec<Row>>,
         indexed_columns: &[String],
         analyze_config: Option<AnalyzeConfig>,
-        stats: Option<TableStats>,
+        stats: Option<TableStatistics>,
         data_version: u64,
     ) -> Result<Table> {
         let name = normalize_ident(&name.into());
@@ -441,7 +441,7 @@ impl Table {
     /// counts, null fractions); tables a sampled [`analyze`](Table::analyze) ran over
     /// additionally carry histograms and MCV lists, and *re-analyze themselves* with
     /// the remembered configuration when the cache is invalidated by new data.
-    pub fn stats(&self) -> Arc<TableStats> {
+    pub fn stats(&self) -> Arc<TableStatistics> {
         if let Some(cached) = self
             .cached_stats
             .read()
@@ -466,7 +466,8 @@ impl Table {
                 shard.ensure_summary(&self.schema, config, i as u64, &self.shard_stat_recomputes)
             })
             .collect();
-        let computed = Arc::new(TableStats::merged(&self.schema, &summaries, config));
+        let refs: Vec<&ShardStatistics> = summaries.iter().map(Arc::as_ref).collect();
+        let computed = Arc::new(ShardStatistics::merge(&self.schema, &refs, config));
         self.stats_recomputes.fetch_add(1, Ordering::Relaxed);
         *slot = Some(Arc::clone(&computed));
         computed
@@ -475,7 +476,7 @@ impl Table {
     /// Runs a sampled `ANALYZE` over the table: builds histogram/MCV statistics from
     /// per-shard reservoir samples and remembers `config` so later invalidations
     /// re-analyze automatically (and incrementally). Returns the fresh statistics.
-    pub fn analyze(&mut self, config: AnalyzeConfig) -> Arc<TableStats> {
+    pub fn analyze(&mut self, config: AnalyzeConfig) -> Arc<TableStatistics> {
         self.analyze_config = Some(config);
         self.mark_stats_dirty();
         self.stats()
@@ -974,7 +975,7 @@ mod tests {
         // Repeated reads serve the cached Arc without rescanning.
         for _ in 0..10 {
             let again = t.stats();
-            assert_eq!(again.row_count(), 50);
+            assert_eq!(again.row_count, 50);
         }
         assert_eq!(t.stats_recomputes(), 1, "unchanged table must not rescan");
         // An insert dirties the cache; the next read recomputes once.
@@ -992,8 +993,8 @@ mod tests {
                 .unwrap();
         }
         assert!(!t.is_analyzed());
-        let analyzed = t.analyze(crate::stats::AnalyzeConfig::default());
-        assert!(analyzed.is_analyzed());
+        let analyzed = t.analyze(AnalyzeConfig::default());
+        assert!(analyzed.analyzed);
         assert!(analyzed
             .range_selectivity("orderkey", None, Some((99.0, true)))
             .is_some());
@@ -1001,15 +1002,15 @@ mod tests {
         t.insert(Row::new(vec![200.into(), 3.into(), 1.0.into()]))
             .unwrap();
         let refreshed = t.stats();
-        assert!(refreshed.is_analyzed(), "re-analyze with remembered config");
-        assert_eq!(refreshed.row_count(), 201);
+        assert!(refreshed.analyzed, "re-analyze with remembered config");
+        assert_eq!(refreshed.row_count, 201);
     }
 
     #[test]
     fn incremental_analyze_resamples_only_dirty_shards() {
         let mut t = sharded_orders(4);
         t.insert_all(order_rows(1000)).unwrap();
-        t.analyze(crate::stats::AnalyzeConfig::default());
+        t.analyze(AnalyzeConfig::default());
         assert_eq!(t.stats_recomputes(), 1);
         assert_eq!(t.shard_stat_recomputes(), 4, "all four shards sample once");
         // Repeated reads touch nothing.
@@ -1020,8 +1021,8 @@ mod tests {
         t.insert(Row::new(vec![1000.into(), 0.into(), 0.0.into()]))
             .unwrap();
         let refreshed = t.stats();
-        assert!(refreshed.is_analyzed());
-        assert_eq!(refreshed.row_count(), 1001);
+        assert!(refreshed.analyzed);
+        assert_eq!(refreshed.row_count, 1001);
         assert_eq!(t.stats_recomputes(), 2);
         assert_eq!(
             t.shard_stat_recomputes(),
@@ -1041,7 +1042,7 @@ mod tests {
             t.unpruned_row_fraction("orderkey", Some((900.0, true)), None),
             1.0
         );
-        t.analyze(crate::stats::AnalyzeConfig::default());
+        t.analyze(AnalyzeConfig::default());
         // orderkey >= 900 lives entirely in the last shard (rows 750..999).
         let (set, pruned) = t.pruned_shard_set("orderkey", Some((900.0, true)), None);
         assert_eq!(pruned, 3);
@@ -1163,8 +1164,8 @@ mod tests {
         // The restored stats cache serves without a rescan.
         assert_eq!(restored.stats_recomputes(), 0);
         let stats = restored.stats();
-        assert!(stats.is_analyzed());
-        assert_eq!(stats.row_count(), 1000);
+        assert!(stats.analyzed);
+        assert_eq!(stats.row_count, 1000);
         assert_eq!(restored.stats_recomputes(), 0, "cache restored, no rescan");
         assert!(restored.is_analyzed());
         // Arity mismatches are rejected with a persist error, not a panic.

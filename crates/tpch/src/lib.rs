@@ -9,5 +9,5 @@
 pub mod gen;
 pub mod workloads;
 
-pub use gen::{generate, TpchConfig};
+pub use gen::{generate, load, TpchConfig};
 pub use workloads::{experiment1, experiment2, experiment3, Workload};

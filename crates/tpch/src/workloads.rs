@@ -1,7 +1,7 @@
 //! The three experiment workloads of Section X, packaged as (UDF, query template) pairs.
 
 use decorr_common::Result;
-use decorr_engine::Database;
+use decorr_engine::Engine;
 
 /// A benchmark workload: the UDF(s) to register and a query template parameterised by the
 /// number of UDF invocations.
@@ -17,10 +17,10 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Registers this workload's UDFs with the database.
-    pub fn install(&self, db: &mut Database) -> Result<()> {
+    /// Registers this workload's UDFs with the engine.
+    pub fn install(&self, engine: &Engine) -> Result<()> {
         for f in &self.functions {
-            db.register_function(f)?;
+            engine.register_function(f)?;
         }
         Ok(())
     }
@@ -110,16 +110,21 @@ pub fn experiment3() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{generate, TpchConfig};
+    use crate::gen::{load, TpchConfig};
     use decorr_engine::QueryOptions;
 
     fn check_workload(workload: Workload, invocations: usize, expect_decorrelated: bool) {
-        let mut db = generate(&TpchConfig::tiny()).unwrap();
-        workload.install(&mut db).unwrap();
+        let engine = load(&TpchConfig::tiny()).unwrap();
+        workload.install(&engine).unwrap();
+        let session = engine.session();
         let sql = (workload.query)(invocations);
-        let iterative = db.query_with(&sql, &QueryOptions::iterative()).unwrap();
+        let iterative = session
+            .query_with(&sql, &QueryOptions::iterative())
+            .unwrap();
         if expect_decorrelated {
-            let rewritten = db.query_with(&sql, &QueryOptions::decorrelated()).unwrap();
+            let rewritten = session
+                .query_with(&sql, &QueryOptions::decorrelated())
+                .unwrap();
             let columns: Vec<&str> = iterative
                 .schema
                 .columns

@@ -8,8 +8,6 @@
 //! * [`registry`] — the function registry holding scalar/table-valued UDF definitions and
 //!   user-defined aggregates (both user-written and the auxiliary aggregates synthesised
 //!   by the rewrite of Section VII).
-//! * [`cfg`](mod@cfg) — the control-flow graph of Section IV with *logical nodes* for (nested)
-//!   if-then-else blocks (the paper's Figure 4).
 //! * [`analysis`] — read/write sets of statements and the data-dependence graph (DDG) of
 //!   Section VII-A, with cycle detection to find loop-carried dependences.
 //! * [`aux_agg`] — synthesis of the auxiliary user-defined aggregate (the paper's
@@ -18,10 +16,8 @@
 pub mod analysis;
 pub mod ast;
 pub mod aux_agg;
-pub mod cfg;
 pub mod registry;
 
 pub use ast::{AggregateDefinition, Statement, UdfDefinition, UdfParameter};
 pub use aux_agg::{synthesize_aux_aggregate, AuxAggregateResult};
-pub use cfg::{CfgNode, ControlFlowGraph};
 pub use registry::FunctionRegistry;

@@ -8,13 +8,14 @@
 
 use udf_decorrelation::engine::QueryOptions;
 use udf_decorrelation::prelude::*;
-use udf_decorrelation::tpch::{generate, TpchConfig};
+use udf_decorrelation::tpch::{load, TpchConfig};
 
 fn main() -> Result<()> {
-    let mut db = generate(&TpchConfig::tiny())?;
+    let engine = load(&TpchConfig::tiny())?;
+    let session = engine.session();
 
     // Example 5 of the paper.
-    db.register_function(
+    engine.register_function(
         "create function totalloss(int pkey, float cost) returns float as \
          begin \
            float total_loss = 0; \
@@ -37,10 +38,10 @@ fn main() -> Result<()> {
     let sql = "select partkey, totalloss(partkey, 5.0) as loss \
                from partsupp where suppkey = 0";
 
-    println!("{}", db.explain(sql)?);
+    println!("{}", session.explain(sql)?);
 
-    let iterative = db.query_with(sql, &QueryOptions::iterative())?;
-    let decorrelated = db.query_with(sql, &QueryOptions::decorrelated())?;
+    let iterative = session.query_with(sql, &QueryOptions::iterative())?;
+    let decorrelated = session.query_with(sql, &QueryOptions::decorrelated())?;
     assert_eq!(
         iterative.canonical_projection(&["partkey", "loss"])?,
         decorrelated.canonical_projection(&["partkey", "loss"])?
@@ -54,7 +55,7 @@ fn main() -> Result<()> {
     );
 
     // The synthesised auxiliary aggregate (the paper's Example 6).
-    let report = db.rewrite_sql(sql)?;
+    let report = session.rewrite_sql(sql)?;
     for aux in &report.auxiliary_functions {
         println!("\nauxiliary aggregate:\n{aux}");
     }

@@ -8,15 +8,16 @@
 use udf_decorrelation::prelude::*;
 
 fn main() -> Result<()> {
-    let mut db = Database::new();
+    let engine = Engine::new();
+    let session = engine.session();
 
     // A tiny schema with the paper's flavour: customers and their orders.
-    db.execute(
+    session.execute(
         "create table customer(custkey int not null, name varchar(25)); \
          create table orders(orderkey int not null, custkey int, totalprice float); \
          create index on orders(custkey);",
     )?;
-    db.execute(
+    session.execute(
         "insert into customer values (1, 'Alice'), (2, 'Bob'), (3, 'Carol'); \
          insert into orders values \
             (101, 1, 1200000.0), (102, 1, 150000.0), \
@@ -25,7 +26,7 @@ fn main() -> Result<()> {
     )?;
 
     // Example 1 of the paper: a UDF with a scalar query, assignments and branching.
-    db.register_function(
+    engine.register_function(
         "create function service_level(int ckey) returns varchar(10) as \
          begin \
            float totalbusiness; string level; \
@@ -41,10 +42,10 @@ fn main() -> Result<()> {
 
     // EXPLAIN shows the original (iterative) plan, the decorrelated plan, the rules that
     // fired, and the cost-based decision.
-    println!("{}", db.explain(sql)?);
+    println!("{}", session.explain(sql)?);
 
     // Execute with the default (cost-based) strategy.
-    let result = db.query(sql)?;
+    let result = session.query(sql)?;
     println!("results ({} rows):", result.rows.len());
     for row in &result.rows {
         println!("  {}", row.display_with(&result.schema));

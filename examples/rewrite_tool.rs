@@ -7,20 +7,21 @@
 //! ```
 
 use udf_decorrelation::prelude::*;
-use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, generate, TpchConfig};
+use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, load, TpchConfig};
 
 fn main() -> Result<()> {
     // The schema comes from the generated catalog; the data itself is irrelevant for
     // rewriting, so the tiny configuration is enough.
-    let mut db = generate(&TpchConfig::tiny())?;
+    let engine = load(&TpchConfig::tiny())?;
+    let session = engine.session();
 
     for workload in [experiment1(), experiment2(), experiment3()] {
-        workload.install(&mut db)?;
+        workload.install(&engine)?;
         let sql = (workload.query)(1_000);
         println!("==================================================================");
         println!("-- {}", workload.name);
         println!("-- original query:\n--   {sql}\n");
-        let report = db.rewrite_sql(&sql)?;
+        let report = session.rewrite_sql(&sql)?;
         if report.decorrelated {
             println!(
                 "-- rewritten (decorrelated) query:\n{}\n",

@@ -9,25 +9,26 @@ use std::time::Instant;
 
 use udf_decorrelation::engine::QueryOptions;
 use udf_decorrelation::prelude::*;
-use udf_decorrelation::tpch::{experiment2, generate, TpchConfig};
+use udf_decorrelation::tpch::{experiment2, load, TpchConfig};
 
 fn main() -> Result<()> {
     // ~2000 customers / 20000 orders: a laptop-scale stand-in for the paper's TPC-H 10GB.
     let config = TpchConfig::default();
-    let mut db = generate(&config)?;
+    let engine = load(&config)?;
+    let session = engine.session();
     let workload = experiment2();
-    workload.install(&mut db)?;
+    workload.install(&engine)?;
 
     println!("{}\n", workload.name);
     for invocations in [100usize, 500, 1_000, 2_000] {
         let sql = (workload.query)(invocations);
 
         let start = Instant::now();
-        let iterative = db.query_with(&sql, &QueryOptions::iterative())?;
+        let iterative = session.query_with(&sql, &QueryOptions::iterative())?;
         let iterative_time = start.elapsed();
 
         let start = Instant::now();
-        let decorrelated = db.query_with(&sql, &QueryOptions::decorrelated())?;
+        let decorrelated = session.query_with(&sql, &QueryOptions::decorrelated())?;
         let decorrelated_time = start.elapsed();
 
         assert_eq!(
@@ -45,7 +46,7 @@ fn main() -> Result<()> {
     }
 
     // Show the rewritten SQL the standalone tool would hand to a commercial database.
-    let report = db.rewrite_sql(&(workload.query)(2_000))?;
+    let report = session.rewrite_sql(&(workload.query)(2_000))?;
     println!("\nrewritten SQL:\n{}", report.rewritten_sql);
     Ok(())
 }

@@ -7,26 +7,29 @@
 //! aggregates, and a cost-based optimizer that chooses between iterative and
 //! decorrelated plans.
 //!
-//! This top-level crate simply re-exports the public API of the member crates.
-//! Embedded single-client use goes through [`engine::Database`]:
+//! This top-level crate simply re-exports the public API of the member crates. The API
+//! is two handles: an [`engine::Engine`] owns the data, the functions and everything
+//! shared (plan cache, UDF memo, runtime feedback, worker pool) and is configured once
+//! through [`engine::Engine::builder`]; an [`engine::Session`] is a cheap per-client
+//! handle that runs statements and queries against it:
 //!
 //! ```
 //! use udf_decorrelation::prelude::*;
 //!
-//! let mut db = Database::new();
-//! db.execute("create table t(x int, y int)").unwrap();
-//! db.execute("insert into t values (1, 10), (2, 20)").unwrap();
-//! db.execute("create function double_y(int v) returns int as begin return v * 2; end")
+//! let engine = Engine::new();
+//! let session = engine.session();
+//! session.execute("create table t(x int, y int)").unwrap();
+//! session.execute("insert into t values (1, 10), (2, 20)").unwrap();
+//! session
+//!     .execute("create function double_y(int v) returns int as begin return v * 2; end")
 //!     .unwrap();
-//! let result = db.query("select x, double_y(y) as yy from t").unwrap();
+//! let result = session.query("select x, double_y(y) as yy from t").unwrap();
 //! assert_eq!(result.rows.len(), 2);
 //! ```
 //!
-//! Concurrent multi-client serving holds one shared [`engine::Engine`] and opens one
-//! cheap [`engine::Session`] per client. Sessions running on different threads share
-//! the plan cache, the UDF memo, the runtime-feedback store and the worker pool, while
-//! each query pins an immutable catalog snapshot (writers swap in new epochs, readers
-//! never block):
+//! Serving many clients is the same API with more sessions. Sessions running on
+//! different threads share the engine's caches and pool, while each query pins an
+//! immutable catalog snapshot (writers swap in new epochs, readers never block):
 //!
 //! ```
 //! use udf_decorrelation::prelude::*;
@@ -64,7 +67,7 @@ pub use decorr_udf as udf;
 pub mod prelude {
     pub use decorr_common::{DataType, Error, Result, Row, Schema, Value};
     pub use decorr_engine::{
-        Database, Engine, EngineBuilder, ExecutionStrategy, QueryOptions, QueryResult, Session,
+        Engine, EngineBuilder, ExecutionStrategy, QueryOptions, QueryResult, Session,
     };
     pub use decorr_persist::PersistStats;
     pub use decorr_storage::ShardPolicy;

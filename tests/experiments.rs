@@ -3,15 +3,20 @@
 //! execution characteristics the paper describes.
 
 use udf_decorrelation::engine::QueryOptions;
-use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, generate, TpchConfig};
+use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, load, TpchConfig};
 
 fn run_experiment(workload: udf_decorrelation::tpch::Workload, invocations: usize) {
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
-    workload.install(&mut db).unwrap();
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    let session = engine.session();
+    workload.install(&engine).unwrap();
     let sql = (workload.query)(invocations);
 
-    let iterative = db.query_with(&sql, &QueryOptions::iterative()).unwrap();
-    let decorrelated = db.query_with(&sql, &QueryOptions::decorrelated()).unwrap();
+    let iterative = session
+        .query_with(&sql, &QueryOptions::iterative())
+        .unwrap();
+    let decorrelated = session
+        .query_with(&sql, &QueryOptions::decorrelated())
+        .unwrap();
 
     // 1. Results agree (order-insensitive, compared by output column name).
     let columns: Vec<&str> = iterative
@@ -37,7 +42,7 @@ fn run_experiment(workload: udf_decorrelation::tpch::Workload, invocations: usiz
     assert_eq!(decorrelated.exec_stats.udf_invocations, 0);
 
     // 3. The explain output shows both alternatives.
-    let explain = db.explain(&sql).unwrap();
+    let explain = session.explain(&sql).unwrap();
     assert!(explain.contains("decorrelated plan"), "{explain}");
 
     // 4. Re-running both strategies is served from the plan cache and produces exactly
@@ -46,7 +51,7 @@ fn run_experiment(workload: udf_decorrelation::tpch::Workload, invocations: usiz
         (&iterative, QueryOptions::iterative()),
         (&decorrelated, QueryOptions::decorrelated()),
     ] {
-        let warm = db.query_with(&sql, &options).unwrap();
+        let warm = session.query_with(&sql, &options).unwrap();
         assert!(
             warm.rewrite_report.cache.expect("cache attached").hit,
             "repeated {:?} run must be served from the plan cache for {}",
@@ -84,22 +89,23 @@ fn decorrelated_plan_scales_better_in_work_performed() {
     // The iterative plan's subquery executions grow linearly with the invocation count;
     // the decorrelated plan's stay constant.
     let workload = experiment2();
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
-    workload.install(&mut db).unwrap();
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    let session = engine.session();
+    workload.install(&engine).unwrap();
 
-    let small = db
+    let small = session
         .query_with(&(workload.query)(10), &QueryOptions::iterative())
         .unwrap();
-    let large = db
+    let large = session
         .query_with(&(workload.query)(50), &QueryOptions::iterative())
         .unwrap();
     assert!(large.exec_stats.udf_invocations > small.exec_stats.udf_invocations);
     assert!(large.exec_stats.index_lookups > small.exec_stats.index_lookups);
 
-    let small_d = db
+    let small_d = session
         .query_with(&(workload.query)(10), &QueryOptions::decorrelated())
         .unwrap();
-    let large_d = db
+    let large_d = session
         .query_with(&(workload.query)(50), &QueryOptions::decorrelated())
         .unwrap();
     assert_eq!(small_d.exec_stats.udf_invocations, 0);
@@ -111,10 +117,11 @@ fn decorrelated_plan_scales_better_in_work_performed() {
 
 #[test]
 fn rewrite_tool_emits_sql_for_every_experiment() {
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    let session = engine.session();
     for workload in [experiment1(), experiment2(), experiment3()] {
-        workload.install(&mut db).unwrap();
-        let report = db.rewrite_sql(&(workload.query)(100)).unwrap();
+        workload.install(&engine).unwrap();
+        let report = session.rewrite_sql(&(workload.query)(100)).unwrap();
         assert!(report.decorrelated, "{}: {:?}", workload.name, report.notes);
         assert!(report.rewritten_sql.to_lowercase().contains("join"));
     }

@@ -11,10 +11,10 @@ use udf_decorrelation::algebra::{
     AggCall, AggFunc, ApplyKind, JoinKind, PlanBuilder, RelExpr, ScalarExpr as E,
 };
 use udf_decorrelation::common::{Column, DataType, Row, Schema, SmallRng, Value};
-use udf_decorrelation::engine::{Database, QueryOptions};
+use udf_decorrelation::engine::{Engine, QueryOptions};
 use udf_decorrelation::exec::{ExecConfig, Executor, ResultSet};
 use udf_decorrelation::storage::Catalog;
-use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, generate, TpchConfig};
+use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, load, TpchConfig};
 use udf_decorrelation::udf::FunctionRegistry;
 
 use std::sync::Arc;
@@ -280,12 +280,17 @@ fn single_worker_parallelism_is_the_serial_path() {
 /// the same query are byte-identical to each other and to the serial run.
 #[test]
 fn canonical_is_deterministic_across_worker_interleavings() {
-    let db = parallel_db(200);
+    let engine = parallel_db(200);
+    let session = engine.session();
     let sql = "select custkey, service_level(custkey) as level from customer";
-    let serial = db.query_with(sql, &options_with_parallelism(1)).unwrap();
+    let serial = session
+        .query_with(sql, &options_with_parallelism(1))
+        .unwrap();
     let mut canonicals = vec![];
     for _ in 0..5 {
-        let parallel = db.query_with(sql, &options_with_parallelism(4)).unwrap();
+        let parallel = session
+            .query_with(sql, &options_with_parallelism(4))
+            .unwrap();
         assert_eq!(serial.rows, parallel.rows, "row order diverged from serial");
         canonicals.push(
             ResultSet {
@@ -301,10 +306,20 @@ fn canonical_is_deterministic_across_worker_interleavings() {
     );
 }
 
-fn parallel_db(customers: usize) -> Database {
-    let mut db = generate(&TpchConfig::tiny().with_customers(customers)).unwrap();
-    experiment2().install(&mut db).unwrap();
-    db
+fn parallel_db(customers: usize) -> Engine {
+    let engine = load(&TpchConfig::tiny().with_customers(customers)).unwrap();
+    experiment2().install(&engine).unwrap();
+    engine
+}
+
+/// [`parallel_db`]'s data and UDF on an engine built with `parallelism` workers.
+fn parallel_db_with_pool(customers: usize, parallelism: usize) -> Engine {
+    let loaded = parallel_db(customers);
+    Engine::builder()
+        .catalog((*loaded.catalog()).clone())
+        .registry((*loaded.registry()).clone())
+        .parallelism(parallelism)
+        .build()
 }
 
 fn options_with_parallelism(parallelism: usize) -> QueryOptions {
@@ -326,19 +341,20 @@ fn options_with_parallelism(parallelism: usize) -> QueryOptions {
 #[test]
 fn experiment_workloads_are_parallelism_invariant_end_to_end() {
     for (workload, invocations) in [(experiment1(), 40), (experiment2(), 30), (experiment3(), 8)] {
-        let mut db = generate(&TpchConfig::tiny()).unwrap();
-        workload.install(&mut db).unwrap();
+        let engine = load(&TpchConfig::tiny()).unwrap();
+        let session = engine.session();
+        workload.install(&engine).unwrap();
         let sql = (workload.query)(invocations);
         for strategy in [
             QueryOptions::iterative,
             QueryOptions::decorrelated,
             QueryOptions::default,
         ] {
-            let serial = db
+            let serial = session
                 .query_with(&sql, &with_config(strategy(), 1))
                 .unwrap_or_else(|e| panic!("{}: serial: {e}", workload.name));
             for p in PARALLELISMS {
-                let parallel = db
+                let parallel = session
                     .query_with(&sql, &with_config(strategy(), p))
                     .unwrap_or_else(|e| panic!("{}: parallel {p}: {e}", workload.name));
                 assert_eq!(
@@ -374,20 +390,20 @@ fn with_config(mut options: QueryOptions, parallelism: usize) -> QueryOptions {
     options
 }
 
-/// The persistent pool: worker threads are spawned once (at `set_parallelism`) and
-/// reused across queries — per-query spawns drop to zero after warm-up.
+/// The persistent pool: worker threads are spawned once (when the engine is built
+/// with `parallelism(4)`) and reused across queries — per-query spawns stay at zero.
 #[test]
 fn worker_pool_persists_across_queries() {
-    let mut db = parallel_db(300);
+    let engine = parallel_db_with_pool(300, 4);
+    let session = engine.session();
     let sql = "select custkey, service_level(custkey) as level from customer";
-    db.set_parallelism(4);
-    let stats = db.worker_pool_stats();
-    assert_eq!(stats.workers, 4, "set_parallelism warms the pool eagerly");
+    let stats = engine.worker_pool_stats();
+    assert_eq!(stats.workers, 4, "the builder warms the pool eagerly");
     assert_eq!(stats.threads_spawned, 4);
     let mut batches_seen = 0;
     for round in 0..3 {
         // Small morsels so the operators actually fan out on this data size.
-        let result = db
+        let result = session
             .query_with(sql, &options_with_parallelism(4))
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
         assert!(result.exec_stats.parallel_operators > 0, "round {round}");
@@ -395,38 +411,39 @@ fn worker_pool_persists_across_queries() {
             result.exec_stats.pool_spawns, 0,
             "round {round}: a warm pool must not spawn per query"
         );
-        let stats = db.worker_pool_stats();
+        let stats = engine.worker_pool_stats();
         assert_eq!(stats.threads_spawned, 4, "round {round}: no respawn");
         assert!(stats.batches_run > batches_seen, "round {round}");
         batches_seen = stats.batches_run;
     }
-    // Shrinking back to serial retires the pool; growing again rebuilds it.
-    db.set_parallelism(1);
-    assert_eq!(db.worker_pool_stats().workers, 0);
-    db.set_parallelism(2);
-    assert_eq!(db.worker_pool_stats().workers, 2);
+    // A serial engine keeps no idle threads.
+    assert_eq!(parallel_db(10).worker_pool_stats().workers, 0);
 }
 
 /// Pool-panic safety: a batch whose task panics (a UDF exploding mid-morsel) fails
-/// that query with an `Error`, but the database's persistent pool stays usable — the
+/// that query with an `Error`, but the engine's persistent pool stays usable — the
 /// next query runs on the same worker threads.
 #[test]
 fn panicked_batch_leaves_the_engine_pool_usable() {
-    let mut db = parallel_db(300);
-    db.set_parallelism(4);
-    let pool = db.worker_pool();
+    let engine = parallel_db_with_pool(300, 4);
+    let session = engine.session();
+    let pool = engine.worker_pool();
     let err = pool
         .run_batch(4, 8, Box::new(|_, idx| assert!(idx != 5, "udf panic")))
         .unwrap_err();
     assert!(err.contains("udf panic"), "{err}");
-    let spawned = db.worker_pool_stats().threads_spawned;
+    let spawned = engine.worker_pool_stats().threads_spawned;
     let sql = "select custkey, service_level(custkey) as level from customer";
-    let serial = db.query_with(sql, &options_with_parallelism(1)).unwrap();
-    let parallel = db.query_with(sql, &options_with_parallelism(4)).unwrap();
+    let serial = session
+        .query_with(sql, &options_with_parallelism(1))
+        .unwrap();
+    let parallel = session
+        .query_with(sql, &options_with_parallelism(4))
+        .unwrap();
     assert_eq!(serial.rows, parallel.rows);
     assert!(parallel.exec_stats.parallel_operators > 0);
     assert_eq!(
-        db.worker_pool_stats().threads_spawned,
+        engine.worker_pool_stats().threads_spawned,
         spawned,
         "recovery must not respawn workers"
     );
@@ -441,11 +458,16 @@ fn panicked_batch_leaves_the_engine_pool_usable() {
 /// `parallelism == 1`, where the same chain runs on the calling thread.
 #[test]
 fn pipelined_chains_match_materialized_execution() {
-    let db = parallel_db(400);
+    let engine = parallel_db(400);
+    let session = engine.session();
     let sql = "select custkey, service_level(custkey) as level from customer \
                where custkey > 10";
-    let serial = db.query_with(sql, &options_with_parallelism(1)).unwrap();
-    let fused = db.query_with(sql, &options_with_parallelism(4)).unwrap();
+    let serial = session
+        .query_with(sql, &options_with_parallelism(1))
+        .unwrap();
+    let fused = session
+        .query_with(sql, &options_with_parallelism(4))
+        .unwrap();
     assert_eq!(serial.rows, fused.rows);
     assert!(
         fused.exec_stats.pipelined_operators > 0,
@@ -471,7 +493,10 @@ fn pipelined_chains_match_materialized_execution() {
         if let Some(config) = &mut options.exec_config {
             config.collect_cardinalities = true;
         }
-        db.query_with(sql, &options).unwrap().node_cardinalities
+        session
+            .query_with(sql, &options)
+            .unwrap()
+            .node_cardinalities
     };
     let inline = actuals(1);
     assert!(inline.len() >= 3, "{inline:?}");
@@ -480,7 +505,7 @@ fn pipelined_chains_match_materialized_execution() {
 
 /// Satellite regression: a degenerate `morsel_size: 0` (or `parallelism: 0`) literal
 /// is clamped at executor construction instead of degenerating into one-row morsels,
-/// and `Database::set_parallelism(0)` clamps to serial.
+/// and `Engine::builder().parallelism(0)` clamps to serial.
 #[test]
 fn degenerate_exec_config_is_clamped() {
     let mut rng = SmallRng::seed_from_u64(0xC1A);
@@ -526,19 +551,21 @@ fn degenerate_exec_config_is_clamped() {
         },
     );
     assert_eq!(tiny.config.parallelism, 1, "parallelism 0 clamps to serial");
-    // Database-level clamp.
-    let mut db = parallel_db(10);
-    db.set_parallelism(0);
-    assert_eq!(db.parallelism(), 1);
-    assert_eq!(db.worker_pool_stats().workers, 0);
+    // Engine-level clamp.
+    let engine = Engine::builder().parallelism(0).build();
+    assert_eq!(engine.parallelism(), 1);
+    assert_eq!(engine.worker_pool_stats().workers, 0);
 }
 
 /// A parallel run populates the per-operator execution trace and the morsel counters.
 #[test]
 fn parallel_runs_record_an_execution_trace() {
-    let db = parallel_db(300);
+    let engine = parallel_db(300);
+    let session = engine.session();
     let sql = "select custkey, service_level(custkey) as level from customer";
-    let result = db.query_with(sql, &options_with_parallelism(4)).unwrap();
+    let result = session
+        .query_with(sql, &options_with_parallelism(4))
+        .unwrap();
     assert!(result.exec_stats.morsels_dispatched > 0);
     assert!(result.exec_stats.parallel_operators > 0);
     assert!(!result.exec_trace.is_empty());

@@ -9,7 +9,7 @@ use udf_decorrelation::optimizer::{
     OptimizerPass, PassContext, PassEffect, PassManager, PassManagerOptions,
 };
 use udf_decorrelation::rewrite::rules::{Rule, RuleSet};
-use udf_decorrelation::tpch::{experiment2, experiment3, generate, TpchConfig};
+use udf_decorrelation::tpch::{experiment2, experiment3, load, TpchConfig};
 
 // ----------------------------------------------------------- instrumentation coverage
 
@@ -19,9 +19,10 @@ use udf_decorrelation::tpch::{experiment2, experiment3, generate, TpchConfig};
 #[test]
 fn rule_fire_counts_on_service_level_workload() {
     let workload = experiment2();
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
-    workload.install(&mut db).unwrap();
-    let result = db
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    let session = engine.session();
+    workload.install(&engine).unwrap();
+    let result = session
         .query_with(&(workload.query)(20), &QueryOptions::decorrelated())
         .unwrap();
     let report = &result.rewrite_report;
@@ -62,14 +63,15 @@ fn rule_fire_counts_on_service_level_workload() {
 #[test]
 fn cursor_loop_rewrite_terminates_with_instrumentation() {
     let workload = experiment3();
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
-    workload.install(&mut db).unwrap();
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    let session = engine.session();
+    workload.install(&engine).unwrap();
     let options = QueryOptions {
         // Snapshots are off on the hot path; opt in to inspect them.
         capture_snapshots: true,
         ..QueryOptions::decorrelated()
     };
-    let result = db.query_with(&(workload.query)(8), &options).unwrap();
+    let result = session.query_with(&(workload.query)(8), &options).unwrap();
     let report = &result.rewrite_report;
 
     let merge = report.pass("algebraize-merge").expect("merge pass traced");
@@ -103,11 +105,12 @@ fn cursor_loop_rewrite_terminates_with_instrumentation() {
 #[test]
 fn explain_shows_per_pass_timings_and_fire_counts() {
     let workload = experiment2();
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
-    workload.install(&mut db).unwrap();
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    let session = engine.session();
+    workload.install(&engine).unwrap();
     let sql = (workload.query)(20);
 
-    let explain = db.explain(&sql).unwrap();
+    let explain = session.explain(&sql).unwrap();
     assert!(explain.contains("== optimizer passes =="), "{explain}");
     for pass in [
         "normalize",
@@ -125,7 +128,7 @@ fn explain_shows_per_pass_timings_and_fire_counts() {
     );
 
     // The same trace rides on every query result.
-    let result = db.query(&sql).unwrap();
+    let result = session.query(&sql).unwrap();
     assert_eq!(result.rewrite_report.passes.len(), 5);
     assert!(result.rewrite_report.total_rule_fires() > 0);
 }
@@ -135,9 +138,10 @@ fn explain_shows_per_pass_timings_and_fire_counts() {
 #[test]
 fn iterative_strategy_traces_normalization_only() {
     let workload = experiment2();
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
-    workload.install(&mut db).unwrap();
-    let result = db
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    let session = engine.session();
+    workload.install(&engine).unwrap();
+    let result = session
         .query_with(&(workload.query)(10), &QueryOptions::iterative())
         .unwrap();
     let names: Vec<&str> = result
@@ -247,18 +251,21 @@ fn budget_guard_fires_on_cyclic_ruleset() {
 #[test]
 fn real_pipeline_respects_budget() {
     let workload = experiment2();
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
-    workload.install(&mut db).unwrap();
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    let session = engine.session();
+    workload.install(&engine).unwrap();
     let sql = (workload.query)(10);
 
     // Healthy: the full rewrite fits comfortably in the default budget.
-    let ok = db.query_with(&sql, &QueryOptions::decorrelated()).unwrap();
+    let ok = session
+        .query_with(&sql, &QueryOptions::decorrelated())
+        .unwrap();
     assert!(ok.rewrite_report.total_rule_fires() < 1_000);
 
     // Pathological budget: the pipeline errors out instead of silently degrading.
     let plan = udf_decorrelation::parser::parse_and_plan(&sql).unwrap();
-    let catalog = db.catalog();
-    let registry = db.registry();
+    let catalog = engine.catalog();
+    let registry = engine.registry();
     let provider = udf_decorrelation::exec::CatalogProvider::new(&catalog, &registry);
     let tiny = PassManager::rewrite_pipeline().with_options(PassManagerOptions {
         rule_fire_budget: 2,
@@ -281,11 +288,11 @@ fn attached_plan_cache_memoizes_the_pipeline() {
     use udf_decorrelation::optimizer::PlanCache;
 
     let workload = experiment2();
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
-    workload.install(&mut db).unwrap();
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    workload.install(&engine).unwrap();
     let plan = udf_decorrelation::parser::parse_and_plan(&(workload.query)(10)).unwrap();
-    let catalog = db.catalog();
-    let registry = db.registry();
+    let catalog = engine.catalog();
+    let registry = engine.registry();
     let provider = udf_decorrelation::exec::CatalogProvider::new(&catalog, &registry);
 
     let cache = Arc::new(PlanCache::with_capacity(8));

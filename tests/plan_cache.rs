@@ -1,33 +1,45 @@
-//! Integration tests of the optimizer's plan cache through the engine facade:
+//! Integration tests of the optimizer's plan cache through `Engine` + `Session`:
 //! hit/miss accounting, LRU eviction under capacity pressure, invalidation on UDF
 //! redefinition and DDL, EXPLAIN surfacing, and a seeded property test proving that
 //! random interleavings of `query` and `register_udf` never serve a stale plan.
 
 use udf_decorrelation::common::SmallRng;
-use udf_decorrelation::engine::{Database, QueryOptions};
+use udf_decorrelation::engine::{Engine, QueryOptions, QueryResult};
+use udf_decorrelation::exec::ExecConfig;
 use udf_decorrelation::prelude::Value;
 
-/// A database with `t(x int, grp int)` holding five rows and the scalar UDF
+/// An engine with `t(x int, grp int)` holding five rows and the scalar UDF
 /// `shift(x) = x * mult + add`.
-fn db_with_shift(mult: i64, add: i64) -> Database {
-    let mut db = Database::new();
-    db.execute("create table t(x int, grp int)").unwrap();
-    db.execute("insert into t values (1, 0), (2, 0), (3, 1), (4, 1), (5, 2)")
-        .unwrap();
-    register_shift(&mut db, mult, add);
-    db
+fn db_with_shift(mult: i64, add: i64) -> Engine {
+    with_shift(Engine::new(), mult, add)
 }
 
-fn register_shift(db: &mut Database, mult: i64, add: i64) {
-    db.register_function(&format!(
-        "create function shift(int v) returns int as begin return v * {mult} + {add}; end"
-    ))
-    .unwrap();
+fn with_shift(engine: Engine, mult: i64, add: i64) -> Engine {
+    let session = engine.session();
+    session.execute("create table t(x int, grp int)").unwrap();
+    session
+        .execute("insert into t values (1, 0), (2, 0), (3, 1), (4, 1), (5, 2)")
+        .unwrap();
+    register_shift(&engine, mult, add);
+    engine
+}
+
+/// An engine like [`db_with_shift`]'s whose plan cache holds two outcomes.
+fn tiny_cache_with_shift(mult: i64, add: i64) -> Engine {
+    with_shift(Engine::builder().plan_cache_capacity(2).build(), mult, add)
+}
+
+fn register_shift(engine: &Engine, mult: i64, add: i64) {
+    engine
+        .register_function(&format!(
+            "create function shift(int v) returns int as begin return v * {mult} + {add}; end"
+        ))
+        .unwrap();
 }
 
 const SHIFT_QUERY: &str = "select x, shift(x) as y from t";
 
-fn shifted(result: &udf_decorrelation::engine::QueryResult) -> Vec<(i64, i64)> {
+fn shifted(result: &QueryResult) -> Vec<(i64, i64)> {
     let xs = result.column("x").unwrap();
     let ys = result.column("y").unwrap();
     let mut out: Vec<(i64, i64)> = xs
@@ -44,12 +56,13 @@ fn shifted(result: &udf_decorrelation::engine::QueryResult) -> Vec<(i64, i64)> {
 
 #[test]
 fn repeated_queries_hit_the_cache_and_agree_with_fresh_runs() {
-    let db = db_with_shift(2, 1);
-    let cold = db.query(SHIFT_QUERY).unwrap();
+    let engine = db_with_shift(2, 1);
+    let session = engine.session();
+    let cold = session.query(SHIFT_QUERY).unwrap();
     let cold_activity = cold.rewrite_report.cache.expect("cache attached");
     assert!(!cold_activity.hit);
     for i in 0..3 {
-        let warm = db.query(SHIFT_QUERY).unwrap();
+        let warm = session.query(SHIFT_QUERY).unwrap();
         let activity = warm.rewrite_report.cache.expect("cache attached");
         assert!(activity.hit, "repeat {i} must hit");
         assert_eq!(shifted(&warm), shifted(&cold));
@@ -67,60 +80,66 @@ fn repeated_queries_hit_the_cache_and_agree_with_fresh_runs() {
             .iter()
             .any(|n| n.contains("served from plan cache")));
     }
-    let stats = db.plan_cache_stats();
+    let stats = engine.plan_cache_stats();
     assert_eq!(stats.hits, 3);
     assert!(stats.misses >= 1);
     assert_eq!(stats.entries, 1);
 }
 
-/// Satellite regression: changing the worker-pool size after warm cache entries must
-/// miss the cache — the pipeline fingerprint folds in the parallelism the strategy
-/// choice was costed for, so a plan optimized for one pool size is never served to
-/// another.
+/// Two sessions on one engine, one serial and one with a four-worker override, share
+/// the plan cache but never each other's cached decision: the pipeline fingerprint
+/// folds in the parallelism the strategy choice was costed for, so a plan optimized
+/// for one pool size is never served to another.
 #[test]
-fn set_parallelism_invalidates_warm_cache_entries() {
-    let mut db = db_with_shift(2, 1);
-    let cold = db.query(SHIFT_QUERY).unwrap();
-    assert!(!cold.rewrite_report.cache.expect("cache attached").hit);
-    let warm = db.query(SHIFT_QUERY).unwrap();
-    assert!(warm.rewrite_report.cache.expect("cache attached").hit);
-    let misses_before = db.plan_cache_stats().misses;
+fn sessions_with_different_parallelism_never_share_a_cached_decision() {
+    let engine = db_with_shift(2, 1);
+    assert_eq!(engine.parallelism(), 1);
+    let serial = engine.session();
+    let pooled = engine.session().with_exec_config(ExecConfig {
+        parallelism: 4,
+        ..ExecConfig::default()
+    });
+    let hit = |result: &QueryResult| result.rewrite_report.cache.expect("cache attached").hit;
 
-    // A new pool size must not be served the strategy costed for the old one.
-    db.set_parallelism(4);
-    let resized = db.query(SHIFT_QUERY).unwrap();
+    let cold = serial.query(SHIFT_QUERY).unwrap();
+    assert!(!hit(&cold));
+    assert!(hit(&serial.query(SHIFT_QUERY).unwrap()));
+    let misses_before = engine.plan_cache_stats().misses;
+
+    // The pooled session must not be served the strategy costed for one worker.
+    let first_pooled = pooled.query(SHIFT_QUERY).unwrap();
     assert!(
-        !resized.rewrite_report.cache.expect("cache attached").hit,
-        "a resized pool must miss the warm cache"
+        !hit(&first_pooled),
+        "a four-worker session must miss the serial session's warm entry"
     );
-    assert_eq!(db.plan_cache_stats().misses, misses_before + 1);
-    assert_eq!(shifted(&resized), shifted(&cold));
+    assert_eq!(engine.plan_cache_stats().misses, misses_before + 1);
+    assert_eq!(shifted(&first_pooled), shifted(&cold));
 
-    // The new pool size warms its own entry …
-    let rewarm = db.query(SHIFT_QUERY).unwrap();
-    assert!(rewarm.rewrite_report.cache.expect("cache attached").hit);
+    // It warms its own entry …
+    assert!(hit(&pooled.query(SHIFT_QUERY).unwrap()));
 
-    // … and switching back is again a distinct entry (cached from the first runs).
-    db.set_parallelism(1);
-    let back = db.query(SHIFT_QUERY).unwrap();
+    // … beside the serial one, which is still servable: two entries, one per size.
+    let back = serial.query(SHIFT_QUERY).unwrap();
     assert!(
-        back.rewrite_report.cache.expect("cache attached").hit,
+        hit(&back),
         "the serial entry cached earlier must still be servable"
     );
     assert_eq!(shifted(&back), shifted(&cold));
+    assert_eq!(engine.plan_cache_stats().entries, 2);
 }
 
 #[test]
 fn strategies_use_distinct_cache_entries() {
-    let db = db_with_shift(3, 0);
-    let auto = db.query(SHIFT_QUERY).unwrap();
+    let engine = db_with_shift(3, 0);
+    let session = engine.session();
+    let auto = session.query(SHIFT_QUERY).unwrap();
     // A different strategy is a different pipeline: it must not serve Auto's entry.
-    let iterative = db
+    let iterative = session
         .query_with(SHIFT_QUERY, &QueryOptions::iterative())
         .unwrap();
     assert!(!iterative.rewrite_report.cache.expect("cache attached").hit);
     assert_eq!(shifted(&auto), shifted(&iterative));
-    let warm_iterative = db
+    let warm_iterative = session
         .query_with(SHIFT_QUERY, &QueryOptions::iterative())
         .unwrap();
     assert!(
@@ -130,7 +149,7 @@ fn strategies_use_distinct_cache_entries() {
             .expect("cache attached")
             .hit
     );
-    assert_eq!(db.plan_cache_stats().entries, 2);
+    assert_eq!(engine.plan_cache_stats().entries, 2);
 }
 
 #[test]
@@ -138,23 +157,24 @@ fn redefined_udf_body_changes_the_cached_outcome() {
     // The satellite regression: after CREATE OR REPLACE, the registry generation moves
     // and a repeated query must re-optimize against the new body — never serve the plan
     // built from the old one.
-    let mut db = db_with_shift(1, 1);
-    let before = db.query(SHIFT_QUERY).unwrap();
+    let engine = db_with_shift(1, 1);
+    let session = engine.session();
+    let before = session.query(SHIFT_QUERY).unwrap();
     assert_eq!(
         shifted(&before),
         vec![(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
     );
-    let warm = db.query(SHIFT_QUERY).unwrap();
+    let warm = session.query(SHIFT_QUERY).unwrap();
     assert!(warm.rewrite_report.cache.expect("cache attached").hit);
 
-    let generation_before = db.registry().generation();
-    register_shift(&mut db, 1, 100);
+    let generation_before = engine.registry().generation();
+    register_shift(&engine, 1, 100);
     assert!(
-        db.registry().generation() > generation_before,
+        engine.registry().generation() > generation_before,
         "register_udf must bump the registry generation"
     );
 
-    let after = db.query(SHIFT_QUERY).unwrap();
+    let after = session.query(SHIFT_QUERY).unwrap();
     let activity = after.rewrite_report.cache.expect("cache attached");
     assert!(
         !activity.hit,
@@ -166,25 +186,27 @@ fn redefined_udf_body_changes_the_cached_outcome() {
         "the outcome must reflect the redefined body"
     );
     // And the new entry serves the new body from then on.
-    let warm_after = db.query(SHIFT_QUERY).unwrap();
+    let warm_after = session.query(SHIFT_QUERY).unwrap();
     assert!(warm_after.rewrite_report.cache.expect("cache attached").hit);
     assert_eq!(shifted(&warm_after), shifted(&after));
 }
 
 #[test]
 fn ddl_invalidates_cached_plans() {
-    let mut db = db_with_shift(2, 0);
-    db.query(SHIFT_QUERY).unwrap();
+    let engine = db_with_shift(2, 0);
+    let session = engine.session();
+    session.query(SHIFT_QUERY).unwrap();
     assert!(
-        db.query(SHIFT_QUERY)
+        session
+            .query(SHIFT_QUERY)
             .unwrap()
             .rewrite_report
             .cache
             .unwrap()
             .hit
     );
-    db.execute("create index on t(grp)").unwrap();
-    let after_ddl = db.query(SHIFT_QUERY).unwrap();
+    session.execute("create index on t(grp)").unwrap();
+    let after_ddl = session.query(SHIFT_QUERY).unwrap();
     assert!(
         !after_ddl.rewrite_report.cache.unwrap().hit,
         "DDL must move the catalog generation and miss"
@@ -193,22 +215,23 @@ fn ddl_invalidates_cached_plans() {
 
 #[test]
 fn lru_eviction_under_capacity_pressure() {
-    let mut db = db_with_shift(2, 0);
-    db.set_plan_cache_capacity(2);
+    let engine = tiny_cache_with_shift(2, 0);
+    let session = engine.session();
     let queries = [
         "select x from t where x <= 1",
         "select x from t where x <= 2",
         "select x from t where x <= 3",
     ];
     for sql in &queries {
-        db.query(sql).unwrap();
+        session.query(sql).unwrap();
     }
-    let stats = db.plan_cache_stats();
+    let stats = engine.plan_cache_stats();
     assert_eq!(stats.entries, 2, "{stats:?}");
     assert!(stats.evictions >= 1, "{stats:?}");
     // The oldest entry was evicted; the two youngest are resident.
     assert!(
-        !db.query(queries[0])
+        !session
+            .query(queries[0])
             .unwrap()
             .rewrite_report
             .cache
@@ -216,7 +239,8 @@ fn lru_eviction_under_capacity_pressure() {
             .hit
     );
     assert!(
-        db.query(queries[2])
+        session
+            .query(queries[2])
             .unwrap()
             .rewrite_report
             .cache
@@ -227,33 +251,36 @@ fn lru_eviction_under_capacity_pressure() {
 
 #[test]
 fn explain_surfaces_cache_statistics() {
-    let db = db_with_shift(2, 0);
-    let first = db.explain(SHIFT_QUERY).unwrap();
+    let engine = db_with_shift(2, 0);
+    let session = engine.session();
+    let first = session.explain(SHIFT_QUERY).unwrap();
     assert!(first.contains("plan cache: miss"), "{first}");
-    let second = db.explain(SHIFT_QUERY).unwrap();
+    let second = session.explain(SHIFT_QUERY).unwrap();
     assert!(second.contains("plan cache: hit"), "{second}");
     assert!(second.contains("plan-cache"), "{second}");
     assert!(second.contains("hits="), "{second}");
 }
 
 #[test]
-fn cloned_database_starts_with_a_cold_cache() {
-    let db = db_with_shift(2, 0);
-    db.query(SHIFT_QUERY).unwrap();
+fn forked_engine_starts_with_a_cold_cache() {
+    let engine = db_with_shift(2, 0);
+    let session = engine.session();
+    session.query(SHIFT_QUERY).unwrap();
     assert!(
-        db.query(SHIFT_QUERY)
+        session
+            .query(SHIFT_QUERY)
             .unwrap()
             .rewrite_report
             .cache
             .unwrap()
             .hit
     );
-    let clone = db.clone();
-    assert_eq!(clone.plan_cache_stats().entries, 0);
-    let fresh = clone.query(SHIFT_QUERY).unwrap();
+    let fork = engine.fork();
+    assert_eq!(fork.plan_cache_stats().entries, 0);
+    let fresh = fork.session().query(SHIFT_QUERY).unwrap();
     assert!(
         !fresh.rewrite_report.cache.unwrap().hit,
-        "a clone mutates independently and must not share cache entries"
+        "a fork mutates independently and must not share cache entries"
     );
 }
 
@@ -269,20 +296,20 @@ fn random_query_redefine_interleavings_never_serve_stale_plans() {
     for case in 0..CASES {
         let seed = 0xCAC4_E000 + case;
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut db = db_with_shift(1, 0);
-        db.set_plan_cache_capacity(2);
+        let engine = tiny_cache_with_shift(1, 0);
+        let session = engine.session();
         let (mut mult, mut add) = (1i64, 0i64);
         for step in 0..STEPS {
             if rng.gen_range_usize(0, 4) == 0 {
                 mult = rng.gen_range_i64(1, 5);
                 add = rng.gen_range_i64(-10, 10);
-                register_shift(&mut db, mult, add);
+                register_shift(&engine, mult, add);
                 continue;
             }
             // Three query shapes so the tiny cache keeps churning.
             let limit = rng.gen_range_i64(1, 4) + 2;
             let sql = format!("select x, shift(x) as y from t where x <= {limit}");
-            let result = db
+            let result = session
                 .query(&sql)
                 .unwrap_or_else(|e| panic!("seed {seed:#x} step {step}: query failed: {e}"));
             let expected: Vec<(i64, i64)> = (1..=5)
@@ -295,7 +322,7 @@ fn random_query_redefine_interleavings_never_serve_stale_plans() {
                 "seed {seed:#x} step {step}: stale plan served for mult={mult} add={add}"
             );
         }
-        let stats = db.plan_cache_stats();
+        let stats = engine.plan_cache_stats();
         assert!(
             stats.hits > 0,
             "seed {seed:#x}: the interleaving never exercised the cache: {stats:?}"

@@ -5,10 +5,10 @@
 
 use udf_decorrelation::algebra::{ProjectItem, RelExpr, ScalarExpr};
 use udf_decorrelation::common::{Result, SmallRng};
-use udf_decorrelation::engine::Database;
+use udf_decorrelation::engine::Engine;
 use udf_decorrelation::exec::CatalogProvider;
 use udf_decorrelation::optimizer::{OptimizerPass, PassContext, PassEffect, PassManager};
-use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, generate, TpchConfig};
+use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, load, TpchConfig};
 
 // ----------------------------------------------------------- broken-rule detection
 
@@ -39,11 +39,11 @@ impl OptimizerPass for DanglingProjectPass {
 #[test]
 fn broken_rewrite_pass_fails_with_named_violation() {
     let workload = experiment2();
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
-    workload.install(&mut db).unwrap();
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    workload.install(&engine).unwrap();
     let plan = udf_decorrelation::parser::parse_and_plan(&(workload.query)(10)).unwrap();
-    let catalog = db.catalog();
-    let registry = db.registry();
+    let catalog = engine.catalog();
+    let registry = engine.registry();
     let provider = CatalogProvider::new(&catalog, &registry);
 
     let manager = PassManager::rewrite_pipeline()
@@ -87,8 +87,9 @@ fn broken_rewrite_pass_fails_with_named_violation() {
 /// validation failure (the validator only arms itself on initially-clean plans).
 #[test]
 fn user_errors_keep_their_kind_with_validation_on() {
-    let db = Database::new();
-    let err = db.query("select * from missing").unwrap_err();
+    let engine = Engine::new();
+    let session = engine.session();
+    let err = session.query("select * from missing").unwrap_err();
     assert_eq!(err.kind(), "catalog", "{err}");
 }
 
@@ -99,13 +100,13 @@ fn user_errors_keep_their_kind_with_validation_on() {
 /// parallelism 1 and 4 alike.
 #[test]
 fn every_intermediate_plan_validates_clean_across_workloads() {
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
+    let engine = load(&TpchConfig::tiny()).unwrap();
     let workloads = [experiment1(), experiment2(), experiment3()];
     for w in &workloads {
-        w.install(&mut db).unwrap();
+        w.install(&engine).unwrap();
     }
-    let catalog = db.catalog();
-    let registry = db.registry();
+    let catalog = engine.catalog();
+    let registry = engine.registry();
     let provider = CatalogProvider::new(&catalog, &registry);
 
     let mut rng = SmallRng::seed_from_u64(0x9A11DA7E);
@@ -144,11 +145,13 @@ fn every_intermediate_plan_validates_clean_across_workloads() {
 /// UDF is rejected at registration with a diagnostic naming the volatile callee.
 #[test]
 fn deterministic_declaration_over_volatile_callee_is_rejected() {
-    let mut db = Database::new();
-    db.execute("create table t(x int)").unwrap();
-    db.register_function("create function vol(int x) returns int volatile as begin return x; end")
+    let engine = Engine::new();
+    let session = engine.session();
+    session.execute("create table t(x int)").unwrap();
+    engine
+        .register_function("create function vol(int x) returns int volatile as begin return x; end")
         .unwrap();
-    let err = db
+    let err = engine
         .register_function(
             "create function det(int x) returns int deterministic as \
              begin return vol(x) + 1; end",
@@ -163,7 +166,7 @@ fn deterministic_declaration_over_volatile_callee_is_rejected() {
 
     // The rejection also fires through the SQL surface (`execute`), not just the
     // registration API.
-    let err = db
+    let err = session
         .execute(
             "create function det2(int x) returns int deterministic as \
              begin return vol(x) * 2; end",
@@ -177,22 +180,26 @@ fn deterministic_declaration_over_volatile_callee_is_rejected() {
 /// not a promise.
 #[test]
 fn inherited_purity_is_downgraded_not_rejected() {
-    let mut db = Database::new();
-    db.execute("create table t(x int)").unwrap();
-    db.register_function("create function vol(int x) returns int volatile as begin return x; end")
+    let engine = Engine::new();
+    let session = engine.session();
+    session.execute("create table t(x int)").unwrap();
+    engine
+        .register_function("create function vol(int x) returns int volatile as begin return x; end")
         .unwrap();
-    db.register_function("create function lax(int x) returns int as begin return vol(x) + 1; end")
+    engine
+        .register_function("create function lax(int x) returns int as begin return vol(x) + 1; end")
         .expect("an undeclared default must downgrade silently");
-    let registry = db.registry();
+    let registry = engine.registry();
     let lax = registry.udf("lax").unwrap();
     assert!(
         !lax.pure,
         "transitively volatile body must clear the inferred pure flag"
     );
     // And the volatility is transitive: a third hop inherits it too.
-    db.register_function(
-        "create function laxer(int x) returns int as begin return lax(x) - 1; end",
-    )
-    .unwrap();
-    assert!(!db.registry().udf("laxer").unwrap().pure);
+    engine
+        .register_function(
+            "create function laxer(int x) returns int as begin return lax(x) - 1; end",
+        )
+        .unwrap();
+    assert!(!engine.registry().udf("laxer").unwrap().pure);
 }

@@ -15,6 +15,7 @@ use std::thread;
 
 use udf_decorrelation::common::{Row, SmallRng, Value};
 use udf_decorrelation::engine::{Engine, Session};
+use udf_decorrelation::exec::ExecConfig;
 use udf_decorrelation::storage::Catalog;
 
 const SESSIONS: usize = 4;
@@ -269,40 +270,53 @@ fn snapshot_reads_are_consistent_under_concurrent_writes() {
     );
 }
 
-/// The deprecated-path equivalence: the `Database` facade and a direct `Session` on
-/// the same engine return identical results for the full statement surface.
+/// `Engine` and `Session` are the handles client threads hold: both must be shareable
+/// and sendable. Checked at compile time.
 #[test]
-fn database_facade_and_session_agree() {
-    use udf_decorrelation::engine::Database;
+fn engine_and_session_are_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Engine>();
+    assert_send_sync::<Session>();
+}
+
+/// What replaced `set_parallelism`: an engine is built serial (no idle threads), and a
+/// session that overrides `parallelism` grows the *shared* pool on demand — once, not
+/// per query — and gets rows byte-identical to the serial session's.
+#[test]
+fn session_parallelism_override_grows_the_shared_pool_once() {
     let engine = build_engine(1);
-    let db = Database::from_engine(engine.clone());
-    let session = engine.session();
-    let sql = "select custkey, service_level(custkey) as level from customer";
+    assert_eq!(engine.worker_pool_stats().workers, 0);
+    let serial = engine.session();
+    let pooled = engine.session().with_exec_config(ExecConfig {
+        parallelism: 4,
+        morsel_size: 16,
+        ..engine.exec_config()
+    });
+    let sql = "select orderkey, custkey, totalprice * 2 as doubled from orders \
+               where totalprice > 3000";
+    let expected = serial.query(sql).unwrap();
+    assert_eq!(expected.exec_stats.pool_spawns, 0);
     assert_eq!(
-        db.query(sql)
-            .unwrap()
-            .canonical_projection(&["custkey", "level"])
-            .unwrap(),
-        session
-            .query(sql)
-            .unwrap()
-            .canonical_projection(&["custkey", "level"])
-            .unwrap()
+        engine.worker_pool_stats().workers,
+        0,
+        "serial queries spawn nothing"
     );
-    // EXPLAIN carries a per-call cache trace (miss on the first call, hit on the
-    // second), so compare the plan + decision sections only.
-    let plans = |text: String| {
-        text.split("== optimizer passes ==")
-            .next()
-            .unwrap()
-            .to_string()
-    };
+
+    let first = pooled.query(sql).unwrap();
+    assert_eq!(first.rows, expected.rows, "row order included");
+    assert!(first.exec_stats.parallel_operators > 0);
+    let grown = engine.worker_pool_stats();
+    assert_eq!(grown.workers, 4, "the override grew the engine's pool");
+    assert_eq!(grown.threads_spawned, 4);
+
+    let second = pooled.query(sql).unwrap();
+    assert_eq!(second.rows, expected.rows);
     assert_eq!(
-        plans(db.explain(sql).unwrap()),
-        plans(session.explain(sql).unwrap())
+        second.exec_stats.pool_spawns, 0,
+        "a warm pool must not spawn"
     );
-    assert_eq!(
-        db.rewrite_sql(sql).unwrap().rewritten_sql,
-        session.rewrite_sql(sql).unwrap().rewritten_sql
-    );
+    assert_eq!(engine.worker_pool_stats().threads_spawned, 4);
+    // The engine's own default is untouched: the serial session still runs inline.
+    assert_eq!(engine.parallelism(), 1);
+    assert_eq!(serial.query(sql).unwrap().exec_stats.parallel_operators, 0);
 }

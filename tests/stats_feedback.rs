@@ -1,5 +1,5 @@
-//! Integration tests of the statistics & feedback subsystem through the engine
-//! facade: cached table statistics (the no-rescan regression), sampled `ANALYZE`
+//! Integration tests of the statistics & feedback subsystem through `Engine` +
+//! `Session`: cached table statistics (the no-rescan regression), sampled `ANALYZE`
 //! through SQL, histogram-driven estimates on the experiment plans (a seeded
 //! bounded-q-error property test across scale factors), and the headline feedback
 //! regression — a workload where the static cost model picks the iterative plan
@@ -7,10 +7,10 @@
 
 use std::time::Duration;
 
-use udf_decorrelation::engine::{Database, ExecutionStrategy, QueryOptions};
+use udf_decorrelation::engine::{Engine, ExecutionStrategy, QueryOptions};
 use udf_decorrelation::optimizer::{estimate_per_node, CostParams};
 use udf_decorrelation::stats::q_error;
-use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, generate, TpchConfig};
+use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, load, TpchConfig};
 
 // ----------------------------------------------------------- statistics caching
 
@@ -20,76 +20,99 @@ use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, generate, T
 /// flag: repeated optimizes against unchanged data must not rescan.
 #[test]
 fn repeated_optimizes_do_not_rescan_table_statistics() {
-    let mut db = Database::new();
-    db.execute("create table t(x int, grp int)").unwrap();
-    db.execute("insert into t values (1, 0), (2, 0), (3, 1), (4, 1), (5, 2)")
+    let engine = Engine::new();
+    let session = engine.session();
+    session.execute("create table t(x int, grp int)").unwrap();
+    session
+        .execute("insert into t values (1, 0), (2, 0), (3, 1), (4, 1), (5, 2)")
         .unwrap();
     // Several *distinct* query shapes over the same table (distinct shapes so the
     // plan cache cannot absorb the stats lookups), each with multiple conjuncts.
     for limit in 1..=4 {
-        db.query(&format!(
-            "select x from t where grp = 1 and x <= {limit} and x >= 0"
-        ))
-        .unwrap();
-        db.explain(&format!("select x from t where x <= {limit}"))
+        session
+            .query(&format!(
+                "select x from t where grp = 1 and x <= {limit} and x >= 0"
+            ))
+            .unwrap();
+        session
+            .explain(&format!("select x from t where x <= {limit}"))
             .unwrap();
     }
-    let recomputes = db.catalog().table("t").unwrap().stats_recomputes();
+    let recomputes = engine.catalog().table("t").unwrap().stats_recomputes();
     assert_eq!(
         recomputes, 1,
         "eight optimizes over an unchanged table must compute statistics exactly once"
     );
     // New data dirties the cache: exactly one more recompute on next use.
-    db.execute("insert into t values (6, 2)").unwrap();
-    db.query("select x from t where grp = 2").unwrap();
-    assert_eq!(db.catalog().table("t").unwrap().stats_recomputes(), 2);
+    session.execute("insert into t values (6, 2)").unwrap();
+    session.query("select x from t where grp = 2").unwrap();
+    assert_eq!(engine.catalog().table("t").unwrap().stats_recomputes(), 2);
 }
 
 // ------------------------------------------------------------------ ANALYZE surface
 
 #[test]
 fn analyze_statement_builds_histogram_statistics() {
-    let mut db = Database::new();
-    db.execute("create table nums(v int)").unwrap();
+    let engine = Engine::new();
+    let session = engine.session();
+    session.execute("create table nums(v int)").unwrap();
     let values: Vec<String> = (0..500).map(|i| format!("({i})")).collect();
-    db.execute(&format!("insert into nums values {}", values.join(", ")))
+    session
+        .execute(&format!("insert into nums values {}", values.join(", ")))
         .unwrap();
-    assert!(!db.catalog().table("nums").unwrap().is_analyzed());
-    let summaries = db.execute("analyze nums").unwrap();
+    assert!(!engine.catalog().table("nums").unwrap().is_analyzed());
+    let summaries = session.execute("analyze nums").unwrap();
     assert_eq!(summaries.len(), 1);
-    let catalog = db.catalog();
+    let catalog = engine.catalog();
     let table = catalog.table("nums").unwrap();
     assert!(table.is_analyzed());
     let stats = table.stats();
-    assert!(stats.is_analyzed());
+    assert!(stats.analyzed);
     let sel = stats
         .range_selectivity("v", None, Some((49.0, true)))
         .expect("histogram after ANALYZE");
     assert!((sel - 0.1).abs() < 0.05, "selectivity {sel}");
     // Bare ANALYZE covers every table.
-    db.execute("create table other(w int); insert into other values (1)")
+    session
+        .execute("create table other(w int); insert into other values (1)")
         .unwrap();
-    db.execute("analyze").unwrap();
-    assert!(db.catalog().table("other").unwrap().is_analyzed());
+    session.execute("analyze").unwrap();
+    assert!(engine.catalog().table("other").unwrap().is_analyzed());
 }
 
 #[test]
 fn analyze_invalidates_cached_plans() {
-    let mut db = Database::new();
-    db.execute("create table t(x int)").unwrap();
+    let engine = Engine::new();
+    let session = engine.session();
+    session.execute("create table t(x int)").unwrap();
     let values: Vec<String> = (0..200).map(|i| format!("({i})")).collect();
-    db.execute(&format!("insert into t values {}", values.join(", ")))
+    session
+        .execute(&format!("insert into t values {}", values.join(", ")))
         .unwrap();
     // A predicate the default model estimates well (est 60 vs actual 101 rows stays
     // below the q-error threshold), so the feedback loop leaves the entry alone and
     // the invalidation below is attributable to ANALYZE.
     let sql = "select x from t where x <= 100";
-    db.query(sql).unwrap();
-    assert!(db.query(sql).unwrap().rewrite_report.cache.unwrap().hit);
-    // Fresh statistics change cost-based decisions: cached plans must re-optimize.
-    db.execute("analyze t").unwrap();
+    session.query(sql).unwrap();
     assert!(
-        !db.query(sql).unwrap().rewrite_report.cache.unwrap().hit,
+        session
+            .query(sql)
+            .unwrap()
+            .rewrite_report
+            .cache
+            .unwrap()
+            .hit
+    );
+    // Fresh statistics change cost-based decisions: cached plans must re-optimize.
+    session.execute("analyze t").unwrap();
+    assert!(
+        !session
+            .query(sql)
+            .unwrap()
+            .rewrite_report
+            .cache
+            .unwrap()
+            .hit,
         "ANALYZE must invalidate cached plans"
     );
 }
@@ -110,27 +133,28 @@ fn analyzed_estimates_stay_within_bounded_q_error_across_scales() {
         for (workload, invocations) in
             [(experiment1(), 30), (experiment2(), 20), (experiment3(), 4)]
         {
-            let mut db = generate(&TpchConfig::with_scale(scale)).unwrap();
-            db.analyze();
-            workload.install(&mut db).unwrap();
+            let engine = load(&TpchConfig::with_scale(scale)).unwrap();
+            let session = engine.session();
+            engine.analyze();
+            workload.install(&engine).unwrap();
             let sql = (workload.query)(invocations);
             // Execute iteratively with per-node cardinality collection: the
             // iterative plan's nodes (scan, filter, project) are exactly the shapes
             // the statistics must estimate well.
-            let mut config = db.exec_config().clone();
+            let mut config = engine.exec_config();
             config.collect_cardinalities = true;
             let options = QueryOptions {
                 exec_config: Some(config),
                 ..QueryOptions::iterative()
             };
-            let result = db.query_with(&sql, &options).unwrap();
+            let result = session.query_with(&sql, &options).unwrap();
             assert!(!result.node_cardinalities.is_empty());
             // Pair per-node estimates with the recorded actuals by fingerprint. The
             // executed plan is the *normalized* form, so run the same normalisation
             // pipeline the iterative strategy uses before estimating.
             let plan = udf_decorrelation::parser::parse_and_plan(&sql).unwrap();
-            let catalog = db.catalog();
-            let registry = db.registry();
+            let catalog = engine.catalog();
+            let registry = engine.registry();
             let provider = udf_decorrelation::exec::CatalogProvider::new(&catalog, &registry);
             let normalized = udf_decorrelation::optimizer::PassManager::cleanup_pipeline()
                 .optimize(&plan, &registry, &provider, Some(catalog.as_ref()))
@@ -179,12 +203,17 @@ fn analyzed_estimates_stay_within_bounded_q_error_across_scales() {
 #[test]
 fn analyze_improves_root_cardinality_q_error() {
     let workload = experiment1();
-    let mut db = generate(&TpchConfig::with_scale(0.05)).unwrap();
-    workload.install(&mut db).unwrap();
+    let engine = load(&TpchConfig::with_scale(0.05)).unwrap();
+    let session = engine.session();
+    workload.install(&engine).unwrap();
     let sql = (workload.query)(10);
-    let before = db.query_with(&sql, &QueryOptions::iterative()).unwrap();
-    db.analyze();
-    let after = db.query_with(&sql, &QueryOptions::iterative()).unwrap();
+    let before = session
+        .query_with(&sql, &QueryOptions::iterative())
+        .unwrap();
+    engine.analyze();
+    let after = session
+        .query_with(&sql, &QueryOptions::iterative())
+        .unwrap();
     assert_eq!(before.rows.len(), after.rows.len());
     assert!(
         after.cardinality_q_error < before.cardinality_q_error,
@@ -209,22 +238,25 @@ fn analyze_improves_root_cardinality_q_error() {
 /// optimize flips to the decorrelated plan.
 #[test]
 fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
-    let mut db = Database::new();
+    let engine = Engine::new();
+    let session = engine.session();
     // Wide rows (strings) make per-row interpretation measurably expensive, which
     // is exactly what the index-assuming static model misses on an unindexed scan.
-    db.execute(
-        "create table customer(custkey int not null); \
+    session
+        .execute(
+            "create table customer(custkey int not null); \
          create table orders(orderkey int not null, custkey int, totalprice float, \
                              comment varchar(40), clerk varchar(20))",
-    )
-    .unwrap();
+        )
+        .unwrap();
     // Deliberately NO index on orders.custkey.
     let customers: Vec<String> = (0..40).map(|i| format!("({i})")).collect();
-    db.execute(&format!(
-        "insert into customer values {}",
-        customers.join(", ")
-    ))
-    .unwrap();
+    session
+        .execute(&format!(
+            "insert into customer values {}",
+            customers.join(", ")
+        ))
+        .unwrap();
     let mut orders = vec![];
     for i in 0..8_000i64 {
         orders.push(udf_decorrelation::prelude::Row::new(vec![
@@ -235,17 +267,18 @@ fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
             format!("Clerk#{}", i % 100).into(),
         ]));
     }
-    db.load_rows("orders", orders).unwrap();
-    db.register_function(
-        "create function total_business(int ckey) returns float as \
+    engine.load_rows("orders", orders).unwrap();
+    engine
+        .register_function(
+            "create function total_business(int ckey) returns float as \
          begin return select sum(totalprice) from orders where custkey = :ckey; end",
-    )
-    .unwrap();
+        )
+        .unwrap();
     let sql = "select custkey, total_business(custkey) as total from customer";
 
     // 1. The static model picks the iterative plan (its correlated discount assumes
     //    an index that does not exist).
-    let first = db.query(sql).unwrap();
+    let first = session.query(sql).unwrap();
     assert_eq!(first.strategy, ExecutionStrategy::Auto);
     assert!(
         !first.used_decorrelated_plan,
@@ -257,7 +290,7 @@ fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
 
     // 2. The execution measured the true invocation cost; the feedback loop must
     //    have learned it and flagged the shape.
-    let overrides = db
+    let overrides = engine
         .feedback()
         .udf_cost_overrides(CostParams::default().row_op_seconds);
     let learned = overrides
@@ -270,12 +303,12 @@ fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
          learned {learned}"
     );
     assert!(
-        db.feedback_stats().generation > 1,
+        engine.feedback_stats().generation > 1,
         "a mispriced UDF must move the feedback generation"
     );
 
     // 3. The next optimize re-decides with the learned cost and flips.
-    let second = db.query(sql).unwrap();
+    let second = session.query(sql).unwrap();
     assert!(
         second.used_decorrelated_plan,
         "feedback must flip the miscosted strategy to the decorrelated plan \
@@ -301,29 +334,34 @@ fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
     );
 }
 
-/// Feedback state is engine-local: a cloned database starts with a fresh store.
+/// Feedback state is engine-local: a forked engine starts with a fresh store.
 #[test]
-fn cloned_databases_do_not_share_feedback() {
-    let mut db = Database::new();
-    db.execute("create table t(x int); insert into t values (1), (2), (3)")
+fn forked_engines_do_not_share_feedback() {
+    let engine = Engine::new();
+    let session = engine.session();
+    session
+        .execute("create table t(x int); insert into t values (1), (2), (3)")
         .unwrap();
-    db.query("select x from t where x <= 2").unwrap();
-    assert!(db.feedback_stats().queries_recorded >= 1);
-    let clone = db.clone();
-    assert_eq!(clone.feedback_stats().queries_recorded, 0);
-    assert_eq!(clone.feedback_stats().generation, 1);
+    session.query("select x from t where x <= 2").unwrap();
+    assert!(engine.feedback_stats().queries_recorded >= 1);
+    let fork = engine.fork();
+    assert_eq!(fork.feedback_stats().queries_recorded, 0);
+    assert_eq!(fork.feedback_stats().generation, 1);
 }
 
 /// The feedback trust floors keep one-off timings of nearly-free UDFs from
 /// polluting the learned costs (and from invalidating plans).
 #[test]
 fn cheap_udfs_below_the_trust_floor_learn_nothing() {
-    let mut db = Database::new();
-    db.execute("create table t(x int); insert into t values (1), (2), (3)")
+    let engine = Engine::new();
+    let session = engine.session();
+    session
+        .execute("create table t(x int); insert into t values (1), (2), (3)")
         .unwrap();
-    db.register_function("create function tiny(int v) returns int as begin return v + 1; end")
+    engine
+        .register_function("create function tiny(int v) returns int as begin return v + 1; end")
         .unwrap();
-    let result = db
+    let result = session
         .query_with(
             "select tiny(x) as y from t",
             &QueryOptions {
@@ -334,23 +372,25 @@ fn cheap_udfs_below_the_trust_floor_learn_nothing() {
         .unwrap();
     assert_eq!(result.exec_stats.udf_invocations, 3);
     assert!(
-        db.feedback()
+        engine
+            .feedback()
             .udf_cost_overrides(CostParams::default().row_op_seconds)
             .is_empty(),
         "3 sub-microsecond invocations are below both trust floors"
     );
-    assert_eq!(db.feedback_stats().generation, 1);
+    assert_eq!(engine.feedback_stats().generation, 1);
 }
 
 /// `explain_analyze` surfaces the new instrumentation: estimated vs actual rows
 /// per operator, the root q-error, and measured UDF costs.
 #[test]
 fn explain_analyze_reports_estimates_actuals_and_feedback() {
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
-    db.analyze();
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    let session = engine.session();
+    engine.analyze();
     let workload = experiment2();
-    workload.install(&mut db).unwrap();
-    let text = db
+    workload.install(&engine).unwrap();
+    let text = session
         .explain_analyze(&(workload.query)(20))
         .expect("explain analyze");
     assert!(
@@ -367,10 +407,11 @@ fn explain_analyze_reports_estimates_actuals_and_feedback() {
 /// wall clocks on the query result.
 #[test]
 fn query_results_carry_udf_timings() {
-    let mut db = generate(&TpchConfig::tiny()).unwrap();
+    let engine = load(&TpchConfig::tiny()).unwrap();
+    let session = engine.session();
     let workload = experiment2();
-    workload.install(&mut db).unwrap();
-    let result = db
+    workload.install(&engine).unwrap();
+    let result = session
         .query_with(&(workload.query)(20), &QueryOptions::iterative())
         .unwrap();
     let timing = result

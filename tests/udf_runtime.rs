@@ -10,24 +10,26 @@
 //!   stale entries before the next query runs.
 
 use udf_decorrelation::common::{Row, SmallRng, Value};
-use udf_decorrelation::engine::{Database, QueryOptions};
+use udf_decorrelation::engine::{Engine, QueryOptions};
 use udf_decorrelation::exec::ExecConfig;
 
 const PARALLELISMS: [usize; 4] = [1, 2, 4, 8];
 /// Small morsels so the property-sized tables span many of them.
 const TEST_MORSEL: usize = 16;
 
-/// A database with a `probes` table whose `grp` column repeats heavily (the
+/// An engine with a `probes` table whose `grp` column repeats heavily (the
 /// repeated-argument workload batching and memoization feed on) and a pure UDF whose
 /// result depends on the `items` table.
-fn scored_db(rows: usize, distinct_groups: i64, seed: u64) -> Database {
-    let mut db = Database::new();
-    db.execute(
-        "create table items(id int not null, grp int, val float); \
+fn scored_db(rows: usize, distinct_groups: i64, seed: u64) -> Engine {
+    let engine = Engine::new();
+    let session = engine.session();
+    session
+        .execute(
+            "create table items(id int not null, grp int, val float); \
          create index on items(grp); \
          create table probes(id int not null, grp int)",
-    )
-    .unwrap();
+        )
+        .unwrap();
     let mut rng = SmallRng::seed_from_u64(seed);
     let items: Vec<Row> = (0..rows)
         .map(|i| {
@@ -38,7 +40,7 @@ fn scored_db(rows: usize, distinct_groups: i64, seed: u64) -> Database {
             ])
         })
         .collect();
-    db.load_rows("items", items).unwrap();
+    engine.load_rows("items", items).unwrap();
     let probes: Vec<Row> = (0..rows)
         .map(|i| {
             Row::new(vec![
@@ -47,18 +49,19 @@ fn scored_db(rows: usize, distinct_groups: i64, seed: u64) -> Database {
             ])
         })
         .collect();
-    db.load_rows("probes", probes).unwrap();
-    db.register_function(
-        "create function group_score(int g) returns float as \
+    engine.load_rows("probes", probes).unwrap();
+    engine
+        .register_function(
+            "create function group_score(int g) returns float as \
          begin \
            float total; \
            select sum(val) into :total from items where grp = :g; \
            if (total > 0) return total; \
            return 0.0; \
          end",
-    )
-    .unwrap();
-    db
+        )
+        .unwrap();
+    engine
 }
 
 fn runtime_config(parallelism: usize, batching: bool, memoization: bool) -> ExecConfig {
@@ -84,20 +87,21 @@ fn iterative_with(config: ExecConfig) -> QueryOptions {
 #[test]
 fn batching_and_memoization_preserve_results_bytewise() {
     for seed in [7, 99, 2014] {
-        let db = scored_db(200, 12, seed);
+        let engine = scored_db(200, 12, seed);
+        let session = engine.session();
         for sql in [
             "select id, grp, group_score(grp) as score from probes",
             // Two conjuncts, one UDF-bearing: exercises the cost-ordered path too.
             "select id from probes where group_score(grp) > 200.0 and id >= 10",
         ] {
-            let baseline = db
+            let baseline = session
                 .query_with(sql, &iterative_with(runtime_config(1, false, false)))
                 .unwrap();
             for p in PARALLELISMS {
                 // Cold-ish and warm runs: the second run at each pool size is
                 // answered mostly from the memo and must not change a byte.
                 for run in 0..2 {
-                    let result = db
+                    let result = session
                         .query_with(sql, &iterative_with(runtime_config(p, true, true)))
                         .unwrap();
                     assert_eq!(
@@ -109,7 +113,7 @@ fn batching_and_memoization_preserve_results_bytewise() {
         }
         // 200 probes over 12 groups repeat heavily: the runtime must have answered
         // most calls from the caches instead of evaluating the body per row.
-        let warm = db
+        let warm = session
             .query_with(
                 "select id, grp, group_score(grp) as score from probes",
                 &iterative_with(runtime_config(4, true, true)),
@@ -131,23 +135,26 @@ fn batching_and_memoization_preserve_results_bytewise() {
 /// definition's results must be served immediately, never the old ones.
 #[test]
 fn redefining_a_udf_never_serves_stale_results() {
-    let mut db = Database::new();
-    db.execute("create table t(x int)").unwrap();
-    db.load_rows(
-        "t",
-        (1..=10i64).map(|i| Row::new(vec![Value::Int(i)])).collect(),
-    )
-    .unwrap();
-    db.register_function("create function f(int x) returns int as begin return x + 1; end")
+    let engine = Engine::new();
+    let session = engine.session();
+    session.execute("create table t(x int)").unwrap();
+    engine
+        .load_rows(
+            "t",
+            (1..=10i64).map(|i| Row::new(vec![Value::Int(i)])).collect(),
+        )
+        .unwrap();
+    engine
+        .register_function("create function f(int x) returns int as begin return x + 1; end")
         .unwrap();
     let sql = "select x, f(x) as y from t";
-    let first = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    let first = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     assert_eq!(
         first.column("y").unwrap(),
         (2..=11i64).map(Value::Int).collect::<Vec<_>>()
     );
     // Warm the memo: the second run is answered from it.
-    let warm = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    let warm = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     assert_eq!(first.rows, warm.rows);
     assert!(
         warm.exec_stats.udf_memo_hits > 0,
@@ -155,18 +162,19 @@ fn redefining_a_udf_never_serves_stale_results() {
         warm.exec_stats
     );
     // Redefine f. The memoized x+1 results are now stale.
-    db.register_function("create function f(int x) returns int as begin return x * 10; end")
+    engine
+        .register_function("create function f(int x) returns int as begin return x * 10; end")
         .unwrap();
-    let after = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    let after = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     assert_eq!(
         after.column("y").unwrap(),
         (1..=10i64).map(|i| Value::Int(i * 10)).collect::<Vec<_>>(),
         "redefined UDF must never serve the old definition's results"
     );
     assert!(
-        db.udf_memo_stats().invalidations >= 1,
+        engine.udf_memo_stats().invalidations >= 1,
         "the registry generation bump must flush the memo: {:?}",
-        db.udf_memo_stats()
+        engine.udf_memo_stats()
     );
 }
 
@@ -175,17 +183,19 @@ fn redefining_a_udf_never_serves_stale_results() {
 #[test]
 fn data_changes_invalidate_memoized_udf_results() {
     let db_seed = 4242;
-    let mut db = scored_db(60, 3, db_seed);
+    let engine = scored_db(60, 3, db_seed);
+    let session = engine.session();
     let sql = "select grp, group_score(grp) as score from probes where id < 5";
-    let before = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    let before = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     // Warm run served from the memo.
-    let warm = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    let warm = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     assert_eq!(before.rows, warm.rows);
     // A new item changes every group's sum candidate set; the memoized scores for
     // group 0 are stale now.
-    db.execute("insert into items values (10000, 0, 5000.0)")
+    session
+        .execute("insert into items values (10000, 0, 5000.0)")
         .unwrap();
-    let after = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    let after = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     for (row_before, row_after) in before.rows.iter().zip(&after.rows) {
         let grp = row_before.get(0);
         if *grp == Value::Int(0) {
@@ -205,13 +215,16 @@ fn data_changes_invalidate_memoized_udf_results() {
 /// `probes` table must keep its memoized results servable.
 #[test]
 fn unrelated_table_inserts_do_not_invalidate_memoized_results() {
-    let mut db = scored_db(60, 3, 77);
+    let engine = scored_db(60, 3, 77);
+    let session = engine.session();
     let sql = "select grp, group_score(grp) as score from probes where id < 5";
-    let cold = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    let cold = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     // Insert into a table group_score never reads (bumps the catalog-wide data
     // generation, but not items' data version).
-    db.execute("insert into probes values (10000, 1)").unwrap();
-    let warm = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    session
+        .execute("insert into probes values (10000, 1)")
+        .unwrap();
+    let warm = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     assert!(
         warm.exec_stats.udf_memo_hits > 0,
         "inserting into probes must not evict group_score(items) results: {:?}",
@@ -221,13 +234,14 @@ fn unrelated_table_inserts_do_not_invalidate_memoized_results() {
         assert_eq!(row_cold.get(1), row_warm.get(1));
     }
     // Inserting into items *does* invalidate, as the sibling test above drives.
-    db.execute("insert into items values (10001, 0, 5000.0)")
+    session
+        .execute("insert into items values (10001, 0, 5000.0)")
         .unwrap();
-    let refreshed = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    let refreshed = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     assert!(
-        db.udf_memo_stats().invalidations >= 1,
+        engine.udf_memo_stats().invalidations >= 1,
         "items' data-version bump must drop stale group_score entries: {:?}",
-        db.udf_memo_stats()
+        engine.udf_memo_stats()
     );
     let stale_score = cold
         .rows
@@ -245,13 +259,16 @@ fn unrelated_table_inserts_do_not_invalidate_memoized_results() {
 /// A `volatile` UDF opts out of both caches: every call evaluates the body.
 #[test]
 fn volatile_udfs_are_never_cached() {
-    let mut db = Database::new();
-    db.execute("create table t(x int)").unwrap();
-    db.load_rows("t", vec![Row::new(vec![Value::Int(1)]); 10])
+    let engine = Engine::new();
+    let session = engine.session();
+    session.execute("create table t(x int)").unwrap();
+    engine
+        .load_rows("t", vec![Row::new(vec![Value::Int(1)]); 10])
         .unwrap();
-    db.register_function("create function v(int x) returns int volatile as begin return x; end")
+    engine
+        .register_function("create function v(int x) returns int volatile as begin return x; end")
         .unwrap();
-    let result = db
+    let result = session
         .query_with("select v(x) as y from t", &QueryOptions::iterative())
         .unwrap();
     assert_eq!(result.exec_stats.udf_invocations, 10);
@@ -268,15 +285,16 @@ fn filter_selectivity_feedback_is_recorded() {
     // out — the pooled route record the pass-rate, and record the same one.
     let mut pass_rates = vec![];
     for parallelism in [1, 4] {
-        let db = scored_db(200, 12, 31);
-        let result = db
+        let engine = scored_db(200, 12, 31);
+        let session = engine.session();
+        let result = session
             .query_with(
                 sql,
                 &iterative_with(runtime_config(parallelism, true, true)),
             )
             .unwrap();
         assert_eq!(result.exec_stats.parallel_operators > 0, parallelism > 1);
-        let selectivities = db.feedback().udf_selectivities();
+        let selectivities = engine.feedback().udf_selectivities();
         let observed = selectivities
             .get("group_score")
             .copied()
@@ -288,7 +306,7 @@ fn filter_selectivity_feedback_is_recorded() {
         pass_rates.push(observed);
         // Dedup feedback: repeated groups mean most calls were cache hits, so the
         // learned effective-invocation fraction is well below 1.
-        let fractions = db.feedback().udf_dedup_fractions();
+        let fractions = engine.feedback().udf_dedup_fractions();
         let fraction = fractions
             .get("group_score")
             .copied()
@@ -304,50 +322,58 @@ fn filter_selectivity_feedback_is_recorded() {
 /// servable — while an insert into either read table still evicts them.
 #[test]
 fn two_table_udf_memo_survives_inserts_into_unrelated_table() {
-    let mut db = Database::new();
-    db.execute(
-        "create table items(grp int, val float); \
+    let engine = Engine::new();
+    let session = engine.session();
+    session
+        .execute(
+            "create table items(grp int, val float); \
          create table rates(grp int, rate float); \
          create table probes(id int not null, grp int)",
-    )
-    .unwrap();
-    db.load_rows(
-        "items",
-        (0..30)
-            .map(|i| Row::new(vec![Value::Int(i % 3), Value::Float(10.0 + i as f64)]))
-            .collect(),
-    )
-    .unwrap();
-    db.load_rows(
-        "rates",
-        (0..3)
-            .map(|g| Row::new(vec![Value::Int(g), Value::Float(1.0 + g as f64)]))
-            .collect(),
-    )
-    .unwrap();
-    db.load_rows(
-        "probes",
-        (0..20)
-            .map(|i| Row::new(vec![Value::Int(i), Value::Int(i % 3)]))
-            .collect(),
-    )
-    .unwrap();
-    db.register_function(
-        "create function scaled_score(int g) returns float as \
+        )
+        .unwrap();
+    engine
+        .load_rows(
+            "items",
+            (0..30)
+                .map(|i| Row::new(vec![Value::Int(i % 3), Value::Float(10.0 + i as f64)]))
+                .collect(),
+        )
+        .unwrap();
+    engine
+        .load_rows(
+            "rates",
+            (0..3)
+                .map(|g| Row::new(vec![Value::Int(g), Value::Float(1.0 + g as f64)]))
+                .collect(),
+        )
+        .unwrap();
+    engine
+        .load_rows(
+            "probes",
+            (0..20)
+                .map(|i| Row::new(vec![Value::Int(i), Value::Int(i % 3)]))
+                .collect(),
+        )
+        .unwrap();
+    engine
+        .register_function(
+            "create function scaled_score(int g) returns float as \
          begin \
            float total; float r; \
            select sum(val) into :total from items where grp = :g; \
            select max(rate) into :r from rates where grp = :g; \
            return total * r; \
          end",
-    )
-    .unwrap();
+        )
+        .unwrap();
     let sql = "select grp, scaled_score(grp) as score from probes where id < 6";
-    let cold = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    let cold = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     // Insert into the table scaled_score never reads: bumps the catalog-wide data
     // generation, but neither items' nor rates' data version.
-    db.execute("insert into probes values (1000, 1)").unwrap();
-    let warm = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    session
+        .execute("insert into probes values (1000, 1)")
+        .unwrap();
+    let warm = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     assert!(
         warm.exec_stats.udf_memo_hits > 0,
         "inserting into probes must not evict scaled_score(items, rates) results: {:?}",
@@ -358,12 +384,14 @@ fn two_table_udf_memo_survives_inserts_into_unrelated_table() {
     }
     // Inserting into *either* read table invalidates: rates is the second table of
     // the read set, exactly the case a single-table epoch key would miss.
-    db.execute("insert into rates values (0, 100.0)").unwrap();
-    let refreshed = db.query_with(sql, &QueryOptions::iterative()).unwrap();
+    session
+        .execute("insert into rates values (0, 100.0)")
+        .unwrap();
+    let refreshed = session.query_with(sql, &QueryOptions::iterative()).unwrap();
     assert!(
-        db.udf_memo_stats().invalidations >= 1,
+        engine.udf_memo_stats().invalidations >= 1,
         "rates' data-version bump must drop stale scaled_score entries: {:?}",
-        db.udf_memo_stats()
+        engine.udf_memo_stats()
     );
     let stale = cold
         .rows
@@ -388,28 +416,28 @@ fn two_table_udf_memo_survives_inserts_into_unrelated_table() {
 /// whole-table aggregate.
 #[test]
 fn self_table_udf_decorrelates_to_the_same_answer_as_iteration() {
-    let setup = |db: &mut Database| {
-        db.execute("create table t0(c0 int not null, c1 float)")
+    // A fresh engine per strategy, so neither run sees the other's caches.
+    let fresh_session = || {
+        let session = Engine::new().session();
+        session
+            .execute("create table t0(c0 int not null, c1 float)")
             .unwrap();
-        db.execute("insert into t0 values (1, 10.0), (1, 5.0), (2, 7.0), (3, 100.0)")
+        session
+            .execute("insert into t0 values (1, 10.0), (1, 5.0), (2, 7.0), (3, 100.0)")
             .unwrap();
-        db.register_function(
-            "create function f0(int k) returns float as \
+        session
+            .register_function(
+                "create function f0(int k) returns float as \
              begin return select sum(c1) from t0 where c0 = :k; end",
-        )
-        .unwrap();
+            )
+            .unwrap();
+        session
     };
     let query = "select c0, f0(c0) as v from t0";
-
-    let mut iterative = Database::new();
-    setup(&mut iterative);
-    let baseline = iterative
+    let baseline = fresh_session()
         .query_with(query, &QueryOptions::iterative())
         .unwrap();
-
-    let mut decorrelated = Database::new();
-    setup(&mut decorrelated);
-    let result = decorrelated
+    let result = fresh_session()
         .query_with(query, &QueryOptions::decorrelated())
         .unwrap();
     assert_eq!(
