@@ -318,6 +318,16 @@ pub enum ScalarExpr {
     },
 }
 
+/// One immediate child slot of a [`ScalarExpr`] node, as
+/// [`ScalarExpr::for_each_child_mut`] hands it out.
+#[derive(Debug)]
+pub enum ChildMut<'a> {
+    /// A sub-expression.
+    Expr(&'a mut ScalarExpr),
+    /// The plan of a scalar / `EXISTS` / `IN` subquery.
+    Subquery(&'a mut RelExpr),
+}
+
 impl ScalarExpr {
     /// An unqualified column reference.
     pub fn column(name: impl Into<String>) -> ScalarExpr {
@@ -431,33 +441,9 @@ impl ScalarExpr {
 
     /// Returns the children of this expression (not descending into subquery plans).
     pub fn children(&self) -> Vec<&ScalarExpr> {
-        match self {
-            ScalarExpr::Literal(_)
-            | ScalarExpr::Column(_)
-            | ScalarExpr::Param(_)
-            | ScalarExpr::ScalarSubquery(_)
-            | ScalarExpr::Exists(_) => vec![],
-            ScalarExpr::Binary { left, right, .. } => vec![left, right],
-            ScalarExpr::Unary { expr, .. } => vec![expr],
-            ScalarExpr::Cast { expr, .. } => vec![expr],
-            ScalarExpr::Coalesce(args) => args.iter().collect(),
-            ScalarExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                let mut v: Vec<&ScalarExpr> = vec![];
-                for (p, e) in branches {
-                    v.push(p);
-                    v.push(e);
-                }
-                if let Some(e) = else_expr {
-                    v.push(e);
-                }
-                v
-            }
-            ScalarExpr::InSubquery { expr, .. } => vec![expr],
-            ScalarExpr::UdfCall { args, .. } => args.iter().collect(),
-        }
+        let mut children = vec![];
+        self.for_each_child(&mut |c| children.push(c));
+        children
     }
 
     /// Calls `f` on each immediate child expression without allocating — the hot-path
@@ -490,6 +476,42 @@ impl ScalarExpr {
             }
             ScalarExpr::InSubquery { expr, .. } => f(expr),
             ScalarExpr::UdfCall { args, .. } => args.iter().for_each(f),
+        }
+    }
+
+    /// Calls `f` on each immediate child slot — sub-expressions *and* subquery plans —
+    /// mutably, in evaluation order. The one enumeration of the variants every
+    /// rewriting walker in [`crate::visit`] is built on.
+    pub fn for_each_child_mut(&mut self, f: &mut dyn FnMut(ChildMut<'_>)) {
+        match self {
+            ScalarExpr::Literal(_) | ScalarExpr::Column(_) | ScalarExpr::Param(_) => {}
+            ScalarExpr::ScalarSubquery(q) | ScalarExpr::Exists(q) => f(ChildMut::Subquery(q)),
+            ScalarExpr::Binary { left, right, .. } => {
+                f(ChildMut::Expr(left));
+                f(ChildMut::Expr(right));
+            }
+            ScalarExpr::Unary { expr, .. } | ScalarExpr::Cast { expr, .. } => {
+                f(ChildMut::Expr(expr))
+            }
+            ScalarExpr::Coalesce(args) | ScalarExpr::UdfCall { args, .. } => {
+                args.iter_mut().for_each(|a| f(ChildMut::Expr(a)))
+            }
+            ScalarExpr::Case {
+                branches,
+                else_expr,
+            } => {
+                for (p, e) in branches {
+                    f(ChildMut::Expr(p));
+                    f(ChildMut::Expr(e));
+                }
+                if let Some(e) = else_expr {
+                    f(ChildMut::Expr(e));
+                }
+            }
+            ScalarExpr::InSubquery { expr, subquery, .. } => {
+                f(ChildMut::Expr(expr));
+                f(ChildMut::Subquery(subquery));
+            }
         }
     }
 

@@ -13,9 +13,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use decorr_common::Schema;
+use decorr_common::{Schema, Value};
 
-use crate::expr::{ColumnRef, ScalarExpr};
+use crate::expr::{ChildMut, ColumnRef, ScalarExpr};
 use crate::plan::RelExpr;
 use crate::schema::{infer_schema, SchemaProvider};
 
@@ -56,218 +56,53 @@ pub fn transform_plan_deep(
         plan.with_new_children(new_children)
     };
     let node = map_own_exprs(&node, &mut |e| {
-        let with_subqueries = transform_expr_deep(e, plan_f, expr_f);
-        transform_expr_up(&with_subqueries, expr_f)
+        let mut e = e.clone();
+        rewrite_expr(
+            &mut e,
+            &mut |q, expr_f| *q = transform_plan_deep(q, plan_f, expr_f),
+            expr_f,
+        );
+        e
     });
     plan_f(node)
 }
 
-/// Rewrites subquery plans nested inside a scalar expression using
-/// [`transform_plan_deep`].
-fn transform_expr_deep(
-    expr: &ScalarExpr,
-    plan_f: &mut dyn FnMut(RelExpr) -> RelExpr,
-    expr_f: &mut dyn FnMut(ScalarExpr) -> ScalarExpr,
-) -> ScalarExpr {
-    match expr {
-        ScalarExpr::ScalarSubquery(q) => {
-            ScalarExpr::ScalarSubquery(Box::new(transform_plan_deep(q, plan_f, expr_f)))
-        }
-        ScalarExpr::Exists(q) => {
-            ScalarExpr::Exists(Box::new(transform_plan_deep(q, plan_f, expr_f)))
-        }
-        ScalarExpr::InSubquery {
-            expr,
-            subquery,
-            negated,
-        } => ScalarExpr::InSubquery {
-            expr: Box::new(transform_expr_deep(expr, plan_f, expr_f)),
-            subquery: Box::new(transform_plan_deep(subquery, plan_f, expr_f)),
-            negated: *negated,
-        },
-        ScalarExpr::Binary { op, left, right } => ScalarExpr::Binary {
-            op: *op,
-            left: Box::new(transform_expr_deep(left, plan_f, expr_f)),
-            right: Box::new(transform_expr_deep(right, plan_f, expr_f)),
-        },
-        ScalarExpr::Unary { op, expr } => ScalarExpr::Unary {
-            op: *op,
-            expr: Box::new(transform_expr_deep(expr, plan_f, expr_f)),
-        },
-        ScalarExpr::Case {
-            branches,
-            else_expr,
-        } => ScalarExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(p, e)| {
-                    (
-                        transform_expr_deep(p, plan_f, expr_f),
-                        transform_expr_deep(e, plan_f, expr_f),
-                    )
-                })
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|e| Box::new(transform_expr_deep(e, plan_f, expr_f))),
-        },
-        ScalarExpr::Coalesce(args) => ScalarExpr::Coalesce(
-            args.iter()
-                .map(|a| transform_expr_deep(a, plan_f, expr_f))
-                .collect(),
-        ),
-        ScalarExpr::Cast { expr, data_type } => ScalarExpr::Cast {
-            expr: Box::new(transform_expr_deep(expr, plan_f, expr_f)),
-            data_type: *data_type,
-        },
-        ScalarExpr::UdfCall { name, args } => ScalarExpr::UdfCall {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| transform_expr_deep(a, plan_f, expr_f))
-                .collect(),
-        },
-        leaf => leaf.clone(),
-    }
+/// What a walker does with a subquery plan it meets inside an expression; it is handed
+/// the walker's own expression function to carry into the plan.
+type SubqueryFn<'a> = dyn FnMut(&mut RelExpr, &mut dyn FnMut(ScalarExpr) -> ScalarExpr) + 'a;
+
+/// The one expression walker: applies `f` bottom-up, in place, to every node of `expr`
+/// (a node is handed to `f` with its children already rewritten), passing each nested
+/// subquery plan to `subquery` on the way.
+fn rewrite_expr(
+    expr: &mut ScalarExpr,
+    subquery: &mut SubqueryFn<'_>,
+    f: &mut dyn FnMut(ScalarExpr) -> ScalarExpr,
+) {
+    expr.for_each_child_mut(&mut |child| match child {
+        ChildMut::Expr(e) => rewrite_expr(e, subquery, f),
+        ChildMut::Subquery(q) => subquery(q, f),
+    });
+    let node = std::mem::replace(expr, ScalarExpr::Literal(Value::Null));
+    *expr = f(node);
 }
 
 /// Applies `f` bottom-up to every node of a scalar expression. Does not descend into
-/// subquery plans (use [`map_plan_exprs`] / `transform_expr_with_subqueries` for that).
+/// subquery plans (use [`map_plan_exprs`] for that).
 pub fn transform_expr_up(
     expr: &ScalarExpr,
     f: &mut dyn FnMut(ScalarExpr) -> ScalarExpr,
 ) -> ScalarExpr {
-    let rebuilt = match expr {
-        ScalarExpr::Binary { op, left, right } => ScalarExpr::Binary {
-            op: *op,
-            left: Box::new(transform_expr_up(left, f)),
-            right: Box::new(transform_expr_up(right, f)),
-        },
-        ScalarExpr::Unary { op, expr } => ScalarExpr::Unary {
-            op: *op,
-            expr: Box::new(transform_expr_up(expr, f)),
-        },
-        ScalarExpr::Case {
-            branches,
-            else_expr,
-        } => ScalarExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(p, e)| (transform_expr_up(p, f), transform_expr_up(e, f)))
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|e| Box::new(transform_expr_up(e, f))),
-        },
-        ScalarExpr::Cast { expr, data_type } => ScalarExpr::Cast {
-            expr: Box::new(transform_expr_up(expr, f)),
-            data_type: *data_type,
-        },
-        ScalarExpr::Coalesce(args) => {
-            ScalarExpr::Coalesce(args.iter().map(|a| transform_expr_up(a, f)).collect())
-        }
-        ScalarExpr::InSubquery {
-            expr,
-            subquery,
-            negated,
-        } => ScalarExpr::InSubquery {
-            expr: Box::new(transform_expr_up(expr, f)),
-            subquery: subquery.clone(),
-            negated: *negated,
-        },
-        ScalarExpr::UdfCall { name, args } => ScalarExpr::UdfCall {
-            name: name.clone(),
-            args: args.iter().map(|a| transform_expr_up(a, f)).collect(),
-        },
-        leaf => leaf.clone(),
-    };
-    f(rebuilt)
+    let mut expr = expr.clone();
+    rewrite_expr(&mut expr, &mut |_, _| {}, f);
+    expr
 }
 
 /// Rewrites every scalar expression owned by any operator in the plan (recursively
 /// through the whole tree, including the plans of scalar subqueries) by applying `f`
 /// bottom-up to the expression nodes.
 pub fn map_plan_exprs(plan: &RelExpr, f: &mut dyn FnMut(ScalarExpr) -> ScalarExpr) -> RelExpr {
-    // First rewrite the children.
-    let new_children: Vec<RelExpr> = plan
-        .children()
-        .into_iter()
-        .map(|c| map_plan_exprs(c, f))
-        .collect();
-    let node = if new_children.is_empty() {
-        plan.clone()
-    } else {
-        plan.with_new_children(new_children)
-    };
-    // Then rewrite this node's own expressions, descending into subquery plans.
-    let mut rewrite = |e: &ScalarExpr| -> ScalarExpr {
-        let with_subqueries = transform_expr_with_subqueries(e, f);
-        transform_expr_up(&with_subqueries, f)
-    };
-    map_own_exprs(&node, &mut rewrite)
-}
-
-/// Rewrites subquery plans nested inside a scalar expression using [`map_plan_exprs`].
-fn transform_expr_with_subqueries(
-    expr: &ScalarExpr,
-    f: &mut dyn FnMut(ScalarExpr) -> ScalarExpr,
-) -> ScalarExpr {
-    match expr {
-        ScalarExpr::ScalarSubquery(q) => ScalarExpr::ScalarSubquery(Box::new(map_plan_exprs(q, f))),
-        ScalarExpr::Exists(q) => ScalarExpr::Exists(Box::new(map_plan_exprs(q, f))),
-        ScalarExpr::InSubquery {
-            expr,
-            subquery,
-            negated,
-        } => ScalarExpr::InSubquery {
-            expr: Box::new(transform_expr_with_subqueries(expr, f)),
-            subquery: Box::new(map_plan_exprs(subquery, f)),
-            negated: *negated,
-        },
-        ScalarExpr::Binary { op, left, right } => ScalarExpr::Binary {
-            op: *op,
-            left: Box::new(transform_expr_with_subqueries(left, f)),
-            right: Box::new(transform_expr_with_subqueries(right, f)),
-        },
-        ScalarExpr::Unary { op, expr } => ScalarExpr::Unary {
-            op: *op,
-            expr: Box::new(transform_expr_with_subqueries(expr, f)),
-        },
-        ScalarExpr::Case {
-            branches,
-            else_expr,
-        } => ScalarExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(p, e)| {
-                    (
-                        transform_expr_with_subqueries(p, f),
-                        transform_expr_with_subqueries(e, f),
-                    )
-                })
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|e| Box::new(transform_expr_with_subqueries(e, f))),
-        },
-        ScalarExpr::Coalesce(args) => ScalarExpr::Coalesce(
-            args.iter()
-                .map(|a| transform_expr_with_subqueries(a, f))
-                .collect(),
-        ),
-        ScalarExpr::Cast { expr, data_type } => ScalarExpr::Cast {
-            expr: Box::new(transform_expr_with_subqueries(expr, f)),
-            data_type: *data_type,
-        },
-        ScalarExpr::UdfCall { name, args } => ScalarExpr::UdfCall {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| transform_expr_with_subqueries(a, f))
-                .collect(),
-        },
-        leaf => leaf.clone(),
-    }
+    transform_plan_deep(plan, &mut |node| node, f)
 }
 
 /// Rewrites the scalar expressions directly owned by one operator (not its children).
@@ -371,17 +206,16 @@ pub fn substitute_params_in_expr(
     expr: &ScalarExpr,
     bindings: &HashMap<String, ScalarExpr>,
 ) -> ScalarExpr {
-    let subst = |e: ScalarExpr| -> ScalarExpr {
-        if let ScalarExpr::Param(p) = &e {
-            if let Some(replacement) = bindings.get(p) {
-                return replacement.clone();
-            }
-        }
-        e
-    };
-    let mut subst_boxed: Box<dyn FnMut(ScalarExpr) -> ScalarExpr> = Box::new(subst);
-    let with_sub = transform_expr_with_subqueries(expr, &mut subst_boxed);
-    transform_expr_up(&with_sub, &mut subst_boxed)
+    let mut expr = expr.clone();
+    rewrite_expr(
+        &mut expr,
+        &mut |q, subst| *q = map_plan_exprs(q, subst),
+        &mut |e| match &e {
+            ScalarExpr::Param(p) => bindings.get(p).cloned().unwrap_or(e),
+            _ => e,
+        },
+    );
+    expr
 }
 
 /// Substitutes parameters throughout a plan. Parameters that are re-bound by a nested

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use decorr_common::{Column, Error, Result, Schema};
 use decorr_persist::{ColumnDef, PersistStats, Snapshot, TableSnapshot, WalRecord, WalWriter};
-use decorr_storage::{ShardPolicy, Table};
+use decorr_storage::Table;
 
 use crate::engine::{lock, read, Engine};
 
@@ -53,15 +53,6 @@ fn schema_of(columns: &[ColumnDef]) -> Schema {
     )
 }
 
-/// The persisted placement bit, decoded.
-fn policy_of(hash_policy: bool) -> ShardPolicy {
-    if hash_policy {
-        ShardPolicy::Hash
-    } else {
-        ShardPolicy::AppendToLast
-    }
-}
-
 /// Counter snapshot of a live durability handle.
 fn stats_of(handle: &PersistHandle) -> PersistStats {
     PersistStats {
@@ -87,8 +78,8 @@ impl Engine {
         lock(&self.inner.persist).is_some()
     }
 
-    /// Writes a checkpoint: the full engine state (catalog DDL, every table's
-    /// sharded rows and statistics, registered functions, learned feedback) as one
+    /// Writes a checkpoint: the full engine state (catalog DDL, every table's rows
+    /// and statistics, registered functions, learned feedback) as one
     /// atomic snapshot file, then truncates the WAL. Requires a durable engine
     /// (built with [`EngineBuilder::data_dir`](crate::EngineBuilder::data_dir)); returns the updated counters.
     ///
@@ -134,12 +125,10 @@ impl Engine {
             tables.push(TableSnapshot {
                 name: name.clone(),
                 columns: column_defs(table.schema()),
-                shard_target: table.shard_target(),
-                hash_policy: table.shard_policy() == ShardPolicy::Hash,
-                shards: table.shards().iter().map(|shard| shard.to_vec()).collect(),
+                rows: table.scan().collect_rows(),
                 indexes: table.indexed_columns(),
                 analyze_config: table.analyze_config().cloned(),
-                // Persisting the merged statistics makes the restored table's first
+                // Persisting the statistics makes the restored table's first
                 // optimize as informed as the live one's — no cold-open rescan.
                 stats: Some((*table.stats()).clone()),
                 data_version: table.data_version(),
@@ -160,8 +149,6 @@ impl Engine {
         Ok(Snapshot {
             ddl_generation: catalog.ddl_generation(),
             data_generation: catalog.data_generation(),
-            default_shard_count: catalog.default_shard_count(),
-            default_hash_placement: catalog.default_placement() == ShardPolicy::Hash,
             tables,
             functions,
             feedback: self.inner.feedback.export_state(),
@@ -194,7 +181,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Rebuilds live state from a decoded snapshot: tables (exact shard layout,
+    /// Rebuilds live state from a decoded snapshot: tables (rows in scan order,
     /// indexes, statistics, generations), then functions (re-parsed from source, so
     /// normalization is identical by construction), then the feedback store's
     /// learned state.
@@ -202,22 +189,16 @@ impl Engine {
         let Snapshot {
             ddl_generation,
             data_generation,
-            default_shard_count,
-            default_hash_placement,
             tables,
             functions,
             feedback,
         } = snapshot;
         self.mutate_catalog(|c| {
-            c.set_default_shard_count(default_shard_count);
-            c.set_default_placement(policy_of(default_hash_placement));
             for t in tables {
                 let table = Table::restore(
                     &t.name,
                     schema_of(&t.columns),
-                    t.shard_target,
-                    policy_of(t.hash_policy),
-                    t.shards,
+                    t.rows,
                     &t.indexes,
                     t.analyze_config,
                     t.stats,
@@ -248,9 +229,6 @@ impl Engine {
             WalRecord::CreateIndex { table, column } => self.create_index(&table, &column),
             WalRecord::Analyze { table, config } => self.analyze_with(table, config).map(|_| ()),
             WalRecord::CreateFunction { source } => self.register_function(&source),
-            WalRecord::SetPlacement { table, hash_policy } => {
-                self.set_table_placement(&table, policy_of(hash_policy))
-            }
         }
     }
 }

@@ -9,7 +9,7 @@ use decorr_common::{Error, Result, Row, Schema};
 use decorr_exec::{ExecConfig, UdfMemo, UdfMemoStats, WorkerPool, WorkerPoolStats};
 use decorr_optimizer::{FeedbackConfig, FeedbackStats, FeedbackStore, PlanCache, PlanCacheStats};
 use decorr_persist::WalRecord;
-use decorr_storage::{AnalyzeConfig, Catalog, ShardPolicy};
+use decorr_storage::{AnalyzeConfig, Catalog};
 use decorr_udf::FunctionRegistry;
 
 use crate::durability::{column_defs, PersistHandle};
@@ -108,8 +108,8 @@ impl Engine {
         Engine::builder().build()
     }
 
-    /// A builder for parallelism, cache capacities, the analyze/feedback configuration,
-    /// shard layout and the `data_dir` — the only place an engine is configured.
+    /// A builder for parallelism, cache capacities, the analyze/feedback configuration
+    /// and the `data_dir` — the only place an engine is configured.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -295,16 +295,6 @@ impl Engine {
         self.mutate_catalog_wal(record, |c| c.insert_rows(table, rows))
     }
 
-    /// Switches one table's shard-placement policy, rerouting its existing rows
-    /// (WAL-logged on durable engines). See `Catalog::set_table_placement`.
-    pub fn set_table_placement(&self, table: &str, policy: ShardPolicy) -> Result<()> {
-        let record = self.persist_active().then(|| WalRecord::SetPlacement {
-            table: table.to_string(),
-            hash_policy: policy == ShardPolicy::Hash,
-        });
-        self.mutate_catalog_wal(record, |c| c.set_table_placement(table, policy))
-    }
-
     /// Bulk-loads rows built programmatically (used by the TPC-H style generator).
     pub fn load_rows(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
         self.insert_rows(table, rows)
@@ -425,8 +415,6 @@ pub struct EngineBuilder {
     udf_memo_capacity: Option<usize>,
     analyze_config: AnalyzeConfig,
     feedback_config: FeedbackConfig,
-    shard_count: Option<usize>,
-    default_placement: Option<ShardPolicy>,
     data_dir: Option<PathBuf>,
 }
 
@@ -480,24 +468,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Target shard fanout for tables created *after* the engine is built (clamped to
-    /// ≥ 1; existing tables in a seeded catalog keep their layout). More shards mean
-    /// finer COW inserts, finer incremental `ANALYZE`, and more min/max pruning
-    /// opportunities; the scan itself parallelizes by morsel either way.
-    pub fn shard_count(mut self, shard_count: usize) -> EngineBuilder {
-        self.shard_count = Some(shard_count.max(1));
-        self
-    }
-
-    /// Default shard-placement policy for tables created after the engine is built
-    /// (`AppendToLast` when unset). `ShardPolicy::Hash` routes every row by the hash
-    /// of its values, spreading inserts across all shards up front — better pruning
-    /// and parallel balance, at the price of insertion-order scans.
-    pub fn default_placement(mut self, policy: ShardPolicy) -> EngineBuilder {
-        self.default_placement = Some(policy);
-        self
-    }
-
     /// Makes the engine durable: `dir` holds a checkpointed snapshot plus a
     /// write-ahead log. Building loads the snapshot (if any), replays the WAL's
     /// valid prefix, and logs every subsequent write; [`Engine::checkpoint`]
@@ -523,12 +493,6 @@ impl EngineBuilder {
     /// Builds the engine; a `data_dir` that cannot be read (I/O error, corrupt
     /// snapshot) is returned as an error. Without a `data_dir` this never fails.
     pub fn try_build(mut self) -> Result<Engine> {
-        if let Some(shard_count) = self.shard_count {
-            self.catalog.set_default_shard_count(shard_count);
-        }
-        if let Some(policy) = self.default_placement {
-            self.catalog.set_default_placement(policy);
-        }
         let data_dir = self.data_dir.take();
         let exec_config = self.exec_config.normalized();
         let pool_size = if exec_config.parallelism > 1 {

@@ -67,14 +67,12 @@ impl Session {
         let result = diagnostic.run_plan(&plan, &QueryOptions::default())?;
         out.push_str("\n== execution ==\n");
         out.push_str(&format!(
-            "rows={} parallelism={} · scanned={} shards-pruned={} index-lookups={} \
-             udf-invocations={} udf-memo-hits={} udf-dedup-hits={} udf-batched={} \
-             subqueries={} hash-joins={} nl-joins={} morsels={} pipelined-ops={} \
-             pool-spawns={}\n",
+            "rows={} parallelism={} · scanned={} index-lookups={} udf-invocations={} \
+             udf-memo-hits={} udf-dedup-hits={} udf-batched={} subqueries={} \
+             hash-joins={} nl-joins={} morsels={} pipelined-ops={} pool-spawns={}\n",
             result.rows.len(),
             pinned.exec_config.parallelism,
             result.exec_stats.rows_scanned,
-            result.exec_stats.shards_pruned,
             result.exec_stats.index_lookups,
             result.exec_stats.udf_invocations,
             result.exec_stats.udf_memo_hits,

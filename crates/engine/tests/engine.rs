@@ -5,7 +5,6 @@ use std::path::{Path, PathBuf};
 
 use decorr_common::{Row, Value};
 use decorr_engine::{Engine, ExecutionStrategy, ExecutionSummary, QueryOptions};
-use decorr_storage::ShardPolicy;
 
 fn sample_db() -> Engine {
     let engine = Engine::new();
@@ -410,31 +409,4 @@ fn checkpoint_without_data_dir_is_a_named_error() {
     let err = engine.checkpoint().unwrap_err();
     assert_eq!(err.kind(), "persist");
     assert!(!engine.persist_stats().active);
-}
-
-#[test]
-fn hash_placement_is_durable() {
-    let dir = TempDir::new("hash_placement");
-    {
-        let engine = Engine::builder()
-            .data_dir(dir.path())
-            .default_placement(ShardPolicy::Hash)
-            .shard_count(4)
-            .build();
-        let session = engine.session();
-        session.execute("create table t(x int)").unwrap();
-        let rows: Vec<Row> = (0..64).map(|i| Row::new(vec![Value::Int(i)])).collect();
-        engine.load_rows("t", rows).unwrap();
-        assert_eq!(
-            engine.catalog().table("t").unwrap().shard_policy(),
-            ShardPolicy::Hash
-        );
-        engine.checkpoint().unwrap();
-    }
-    let engine = Engine::builder().data_dir(dir.path()).build();
-    let table_arc = engine.catalog().table_arc("t").unwrap();
-    assert_eq!(table_arc.shard_policy(), ShardPolicy::Hash);
-    assert_eq!(table_arc.row_count(), 64);
-    // Hash routing spreads 64 rows across all four shards.
-    assert!(table_arc.shards().iter().all(|s| !s.is_empty()));
 }

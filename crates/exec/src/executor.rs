@@ -14,7 +14,7 @@ use decorr_algebra::{
     AggCall, AggFunc, ApplyKind, BinaryOp, ColumnRef, JoinKind, ProjectItem, RelExpr, ScalarExpr,
 };
 use decorr_common::{normalize_ident, value::GroupKey, Error, Result, Row, Schema, Value};
-use decorr_storage::{Catalog, ShardSet, Table};
+use decorr_storage::{Catalog, RowStore, Table};
 use decorr_udf::FunctionRegistry;
 
 use crate::aggregate::BuiltinAccumulator;
@@ -489,57 +489,18 @@ impl Executor {
         let len = t.row_count();
         let rows = if self.should_parallelize(len) {
             // Materialising a base table is a row-by-row deep copy (each Row owns its
-            // values); fan the copy out morsel-wise. The job captures the table's
-            // shard set — shared `Arc` handles, no intermediate copy-out.
-            let set = t.shard_set();
+            // values); fan the copy out morsel-wise. The job captures the table's row
+            // store — a shared `Arc` handle, no intermediate copy-out.
+            let rows = t.shared_rows();
             let chunks =
                 self.run_morsels(&format!("scan({table})"), 0, len, move |_view, range| {
-                    Ok(set.collect_range(range))
+                    Ok(rows.collect_range(range))
                 })?;
             concat_rows(chunks, len)
         } else {
             t.scan().collect_rows()
         };
         Ok(ResultSet { schema, rows })
-    }
-
-    /// The shard set a predicate-topped scan draws from: shards whose cached summary
-    /// proves no row can satisfy the predicate's numeric bounds are dropped, and the
-    /// second return is how many were. Purely an access-path optimization — dirty
-    /// shards (no cached summary) and non-prunable predicates keep every shard, so
-    /// the surviving rows are exactly the rows the full scan would have fed the
-    /// filter.
-    fn pruned_scan_set(
-        &self,
-        t: &Table,
-        predicate: &ScalarExpr,
-        schema: &Schema,
-    ) -> (ShardSet, u64) {
-        let bounds = shard_prune_bounds(predicate, schema);
-        if bounds.is_empty() {
-            return (t.shard_set(), 0);
-        }
-        let mut kept = Vec::with_capacity(t.shard_count());
-        let mut pruned = 0u64;
-        for shard in t.shards() {
-            if shard.is_empty() {
-                // Nothing to skip; keeping it costs nothing and keeps the counter
-                // meaningful (only shards with rows count as pruned).
-                kept.push(Arc::clone(shard));
-                continue;
-            }
-            let prunable = shard.cached_summary().is_some_and(|s| {
-                bounds
-                    .iter()
-                    .any(|(col, lo, hi)| !s.may_contain_in_range(col, *lo, *hi))
-            });
-            if prunable {
-                pruned += 1;
-            } else {
-                kept.push(Arc::clone(shard));
-            }
-        }
-        (ShardSet::new(kept), pruned)
     }
 
     /// Attempts to answer `σ_predicate(scan)` with a hash-index lookup: an equality
@@ -749,8 +710,8 @@ impl Executor {
         }
         // Pass 1: gather each morsel's distinct argument tuples per call site,
         // deduplicated within the morsel by invocation fingerprint. Both source
-        // variants stream rows in place (shard sets map morsel ranges onto per-shard
-        // slices — no copy-out just to collect argument tuples).
+        // variants stream rows in place (a table's store maps morsel ranges onto its
+        // row runs — no copy-out just to collect argument tuples).
         let sites = Arc::new(sites);
         let chunks = {
             let sites = Arc::clone(&sites);
@@ -829,9 +790,8 @@ impl Executor {
         let mut index_residual = None;
         let (mut layers, base) = fusible_chain(plan);
         // Resolve the base. A table scan is streamed straight out of the catalog (no
-        // copy-out); under a filter it is first tried as a hash-index lookup and, failing
-        // that, drops the shards whose cached min/max proves the filter cannot match.
-        // Any other base executes and materializes.
+        // copy-out); under a filter it is first tried as a hash-index lookup. Any other
+        // base executes and materializes.
         let (base_schema, source) = match base {
             RelExpr::Scan { table, alias } => {
                 let t = self.catalog.table(table)?;
@@ -850,20 +810,13 @@ impl Executor {
                         RowSource::Rows(Arc::new(hits))
                     }
                     None => {
-                        let (set, pruned) = match scan_filter {
-                            Some(predicate) => self.pruned_scan_set(t, predicate, &schema),
-                            None => (t.shard_set(), 0),
-                        };
-                        if pruned > 0 {
-                            self.stats.add_shards_pruned(pruned);
-                        }
-                        self.stats.add_rows_scanned(set.len() as u64);
+                        self.stats.add_rows_scanned(t.row_count() as u64);
                         if self.config.collect_cardinalities {
                             // The scan does not run as a node of its own; its actual
-                            // is the rows of the shards it kept.
-                            self.cardinalities.record(base, set.len() as u64);
+                            // is the rows of the table.
+                            self.cardinalities.record(base, t.row_count() as u64);
                         }
-                        RowSource::Shards(set)
+                        RowSource::Table(t.shared_rows())
                     }
                 };
                 (schema, source)
@@ -900,8 +853,8 @@ impl Executor {
         let len = source.len();
         let (mut rows, stage_rows) = if !self.should_parallelize(len) {
             let out = match source {
-                RowSource::Shards(set) => {
-                    run_chain(self, set.iter().cloned(), &base_schema, &stages, outer)?
+                RowSource::Table(store) => {
+                    run_chain(self, store.iter().cloned(), &base_schema, &stages, outer)?
                 }
                 RowSource::Rows(rows) => {
                     let rows = Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone());
@@ -913,7 +866,7 @@ impl Executor {
             // Only this route pays for the trace label, the batch pre-pass and the
             // owned `'static` stage forms the pool's jobs need.
             let base_label = match base {
-                RelExpr::Scan { table, .. } if matches!(source, RowSource::Shards(_)) => {
+                RelExpr::Scan { table, .. } if matches!(source, RowSource::Table(_)) => {
                     format!("scan({table})")
                 }
                 RelExpr::Scan { table, .. } => format!("index({table})"),
@@ -1179,7 +1132,7 @@ impl Executor {
 
     // -------------------------------------------------------------------------- joins
 
-    /// A join/Apply input: a bare base-table scan hands back its shard set directly
+    /// A join/Apply input: a bare base-table scan hands back its row store directly
     /// (the build/probe/apply morsels stream out of storage with no copy-out,
     /// mirroring the scan's counters); anything else executes and materializes.
     fn input_source(&self, plan: &RelExpr, outer: &Env) -> Result<(Schema, RowSource)> {
@@ -1189,12 +1142,11 @@ impl Executor {
                 Some(a) => t.schema().with_qualifier(a),
                 None => t.schema().clone(),
             };
-            let set = t.shard_set();
-            self.stats.add_rows_scanned(set.len() as u64);
+            self.stats.add_rows_scanned(t.row_count() as u64);
             if self.config.collect_cardinalities {
-                self.cardinalities.record(plan, set.len() as u64);
+                self.cardinalities.record(plan, t.row_count() as u64);
             }
-            return Ok((schema, RowSource::Shards(set)));
+            return Ok((schema, RowSource::Table(t.shared_rows())));
         }
         let rs = self.execute_with_env(plan, outer)?;
         Ok((rs.schema, RowSource::Rows(Arc::new(rs.rows))))
@@ -1763,54 +1715,6 @@ fn run_chain(
     Ok(out)
 }
 
-/// A numeric bound on one column extracted from a scan predicate's conjuncts, in the
-/// shape [`decorr_storage::ShardStatistics::may_contain_in_range`] consumes:
-/// `(column, lower, upper)` with each endpoint `(value, inclusive)`.
-type PruneBound = (String, Option<(f64, bool)>, Option<(f64, bool)>);
-
-/// Extracts shard-prunable bounds from `predicate`'s top-level conjuncts: every
-/// `column <op> literal` comparison (either operand order) over a column of `schema`
-/// whose literal is numeric contributes one bound. A shard must satisfy every
-/// conjunct, so each bound can prune independently; anything else (ORs, UDFs,
-/// non-numeric literals, column-to-column comparisons) simply contributes nothing.
-fn shard_prune_bounds(predicate: &ScalarExpr, schema: &Schema) -> Vec<PruneBound> {
-    let mut bounds = vec![];
-    for conjunct in predicate.split_conjuncts() {
-        let ScalarExpr::Binary { op, left, right } = &conjunct else {
-            continue;
-        };
-        for (col_side, lit_side, flipped) in [(left, right, false), (right, left, true)] {
-            let ScalarExpr::Column(c) = col_side.as_ref() else {
-                continue;
-            };
-            if schema.find(c.qualifier.as_deref(), &c.name).is_none() {
-                continue;
-            }
-            let ScalarExpr::Literal(v) = lit_side.as_ref() else {
-                continue;
-            };
-            let x = match v {
-                Value::Int(i) => *i as f64,
-                Value::Float(f) => *f,
-                _ => continue,
-            };
-            // Normalized to `column <op'> x` (a flipped `literal <op> column`
-            // mirrors the comparison).
-            let (lo, hi) = match (*op, flipped) {
-                (BinaryOp::Eq, _) => (Some((x, true)), Some((x, true))),
-                (BinaryOp::Lt, false) | (BinaryOp::Gt, true) => (None, Some((x, false))),
-                (BinaryOp::LtEq, false) | (BinaryOp::GtEq, true) => (None, Some((x, true))),
-                (BinaryOp::Gt, false) | (BinaryOp::Lt, true) => (Some((x, false)), None),
-                (BinaryOp::GtEq, false) | (BinaryOp::LtEq, true) => (Some((x, true)), None),
-                _ => continue,
-            };
-            bounds.push((c.name.clone(), lo, hi));
-            break;
-        }
-    }
-    bounds
-}
-
 /// Peels the filter/project layers off the top of `plan` (a `Select` or a `Project`),
 /// returning them **bottom-up**, each with its plan node, together with the base they
 /// feed on. The chain always holds at least `plan` itself. A `distinct` projection
@@ -2096,19 +2000,19 @@ impl crate::parallel::OutputRows for ArgTuples {
 }
 
 /// A morsel-parallel row source the executor's `'static` pool jobs capture: either an
-/// already-materialized input, or a set of table shards streamed straight out of
+/// already-materialized input, or a table's row store streamed straight out of
 /// storage (no copy-out). Cloning is cheap — both variants hand out shared handles.
 #[derive(Clone)]
 enum RowSource {
     Rows(Arc<Vec<Row>>),
-    Shards(ShardSet),
+    Table(Arc<RowStore>),
 }
 
 impl RowSource {
     fn len(&self) -> usize {
         match self {
             RowSource::Rows(rows) => rows.len(),
-            RowSource::Shards(set) => set.len(),
+            RowSource::Table(store) => store.len(),
         }
     }
 
@@ -2120,7 +2024,7 @@ impl RowSource {
     fn get(&self, i: usize) -> &Row {
         match self {
             RowSource::Rows(rows) => &rows[i],
-            RowSource::Shards(set) => set.get(i).expect("row index out of bounds"),
+            RowSource::Table(store) => store.get(i).expect("row index out of bounds"),
         }
     }
 
@@ -2128,7 +2032,7 @@ impl RowSource {
     fn iter(&self) -> Box<dyn Iterator<Item = &Row> + '_> {
         match self {
             RowSource::Rows(rows) => Box::new(rows.iter()),
-            RowSource::Shards(set) => Box::new(set.iter()),
+            RowSource::Table(store) => Box::new(store.iter()),
         }
     }
 
@@ -2136,7 +2040,7 @@ impl RowSource {
     fn iter_range(&self, range: std::ops::Range<usize>) -> Box<dyn Iterator<Item = &Row> + '_> {
         match self {
             RowSource::Rows(rows) => Box::new(rows[range].iter()),
-            RowSource::Shards(set) => Box::new(set.iter_range(range)),
+            RowSource::Table(store) => Box::new(store.iter_range(range)),
         }
     }
 }

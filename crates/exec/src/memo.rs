@@ -583,7 +583,7 @@ mod tests {
         for i in 0..1000 {
             let args = vec![Value::Int(i)];
             let fp = fingerprint_invocation("f", &args);
-            if (fp as usize) % SHARDS == 0 {
+            if (fp as usize).is_multiple_of(SHARDS) {
                 same_shard.push((args, fp));
                 if same_shard.len() == 3 {
                     break;

@@ -46,9 +46,6 @@ pub struct ExecStats {
     /// Distinct argument tuples evaluated by the batched invocation path (fanned out
     /// over the worker pool ahead of per-row evaluation).
     pub udf_batch_evals: u64,
-    /// Table shards skipped entirely because their cached min/max summary proved no
-    /// row could satisfy a scan predicate's numeric bounds.
-    pub shards_pruned: u64,
 }
 
 /// Lock-free live counters. Every counter is monotonically increasing and additions
@@ -69,7 +66,6 @@ pub struct AtomicExecStats {
     pub udf_memo_hits: AtomicU64,
     pub udf_dedup_hits: AtomicU64,
     pub udf_batch_evals: AtomicU64,
-    pub shards_pruned: AtomicU64,
 }
 
 impl AtomicExecStats {
@@ -125,10 +121,6 @@ impl AtomicExecStats {
         self.udf_batch_evals.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn add_shards_pruned(&self, n: u64) {
-        self.shards_pruned.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// A plain snapshot of the counters.
     pub fn snapshot(&self) -> ExecStats {
         ExecStats {
@@ -145,7 +137,6 @@ impl AtomicExecStats {
             udf_memo_hits: self.udf_memo_hits.load(Ordering::Relaxed),
             udf_dedup_hits: self.udf_dedup_hits.load(Ordering::Relaxed),
             udf_batch_evals: self.udf_batch_evals.load(Ordering::Relaxed),
-            shards_pruned: self.shards_pruned.load(Ordering::Relaxed),
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Durable engine state: snapshots + write-ahead log.
 //!
-//! Everything the engine learns — table data, per-shard layout, `ANALYZE` statistics
-//! and the feedback store's measured UDF costs — normally dies with the process. This
-//! crate is the durability layer under the whole stack, dependency-free like the rest
-//! of the workspace:
+//! Everything the engine learns — table data, `ANALYZE` statistics and the feedback
+//! store's measured UDF costs — normally dies with the process. This crate is the
+//! durability layer under the whole stack, dependency-free like the rest of the
+//! workspace:
 //!
 //! * [`snapshot`] — a versioned, checksummed binary image of the full engine state
 //!   ([`Snapshot`]), with atomic write-tmp-then-rename checkpointing ([`Snapshot::save`])

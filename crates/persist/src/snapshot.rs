@@ -1,8 +1,7 @@
 //! Versioned, checksummed binary snapshots of the full engine state.
 //!
-//! A snapshot is a plain-data image: catalog DDL (schemas, shard layout, indexed
-//! columns), per-shard row vectors in exact scan order, the merged
-//! [`TableStatistics`] documents (histograms/MCVs/NDVs re-seed the statistics cache
+//! A snapshot is a plain-data image: catalog DDL (schemas, indexed columns), each
+//! table's rows in exact scan order, the [`TableStatistics`] documents (histograms/MCVs/NDVs re-seed the statistics cache
 //! on open, so the first optimize after a cold start needs no rescan), registered
 //! UDF sources, and the feedback store's learned state. The engine maps its live
 //! structures into this model at checkpoint time and back at open.
@@ -29,8 +28,10 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.bin.tmp";
 /// Magic prefix identifying a snapshot file.
 const MAGIC: &[u8; 8] = b"DCRSNAP1";
-/// Current format version. Bump on any incompatible layout change.
-const VERSION: u32 = 1;
+/// Current format version. Bump on any incompatible layout change. Version 1 stored
+/// each table's rows as several partitions plus a fanout and a placement policy;
+/// there is no reader for it.
+pub const VERSION: u32 = 2;
 
 /// One column of a persisted table schema (unqualified — the restore path
 /// re-qualifies columns with the table name, exactly like `CREATE TABLE`).
@@ -51,18 +52,13 @@ pub struct TableSnapshot {
     pub name: String,
     /// Schema columns, unqualified.
     pub columns: Vec<ColumnDef>,
-    /// Configured shard fanout.
-    pub shard_target: usize,
-    /// True for `Hash` placement, false for `AppendToLast`.
-    pub hash_policy: bool,
-    /// Per-shard row vectors, in shard order — the exact layout, so a restored
-    /// table scans byte-identically.
-    pub shards: Vec<Vec<Row>>,
+    /// The table's rows in scan order, so a restored table scans byte-identically.
+    pub rows: Vec<Row>,
     /// Indexed column names (indexes rebuild from rows on restore).
     pub indexes: Vec<String>,
     /// Remembered `ANALYZE` configuration, when the table was analyzed.
     pub analyze_config: Option<AnalyzeConfig>,
-    /// Merged table statistics at checkpoint time, when warm — re-seeds the
+    /// Table statistics at checkpoint time, when warm — re-seeds the
     /// statistics cache so a cold open serves the first optimize without a rescan.
     pub stats: Option<TableStatistics>,
     /// The table's monotonic data version (result caches key on it).
@@ -76,10 +72,6 @@ pub struct Snapshot {
     pub ddl_generation: u64,
     /// Catalog data generation at checkpoint time.
     pub data_generation: u64,
-    /// Default shard fanout new tables get.
-    pub default_shard_count: usize,
-    /// True when new tables default to `Hash` placement.
-    pub default_hash_placement: bool,
     /// Every table, in catalog (name) order.
     pub tables: Vec<TableSnapshot>,
     /// `CREATE FUNCTION` sources of every registered UDF, in registry (name) order.
@@ -96,8 +88,6 @@ impl Snapshot {
         let mut w = ByteWriter::new();
         w.put_u64(self.ddl_generation);
         w.put_u64(self.data_generation);
-        w.put_usize(self.default_shard_count);
-        w.put_bool(self.default_hash_placement);
         w.put_u32(self.tables.len() as u32);
         for table in &self.tables {
             put_table(&mut w, table);
@@ -155,8 +145,6 @@ impl Snapshot {
         }
         let ddl_generation = r.get_u64()?;
         let data_generation = r.get_u64()?;
-        let default_shard_count = r.get_usize()?;
-        let default_hash_placement = r.get_bool()?;
         let table_count = r.get_u32()? as usize;
         let mut tables = Vec::with_capacity(table_count.min(r.remaining()));
         for _ in 0..table_count {
@@ -177,8 +165,6 @@ impl Snapshot {
         Ok(Snapshot {
             ddl_generation,
             data_generation,
-            default_shard_count,
-            default_hash_placement,
             tables,
             functions,
             feedback,
@@ -225,14 +211,9 @@ fn put_table(w: &mut ByteWriter, t: &TableSnapshot) {
         w.put_data_type(c.data_type);
         w.put_bool(c.nullable);
     }
-    w.put_usize(t.shard_target);
-    w.put_bool(t.hash_policy);
-    w.put_u32(t.shards.len() as u32);
-    for shard in &t.shards {
-        w.put_u64(shard.len() as u64);
-        for row in shard {
-            w.put_row(row);
-        }
+    w.put_u64(t.rows.len() as u64);
+    for row in &t.rows {
+        w.put_row(row);
     }
     w.put_u32(t.indexes.len() as u32);
     for col in &t.indexes {
@@ -254,17 +235,10 @@ fn get_table(r: &mut ByteReader<'_>) -> Result<TableSnapshot> {
             nullable: r.get_bool()?,
         });
     }
-    let shard_target = r.get_usize()?;
-    let hash_policy = r.get_bool()?;
-    let shard_count = r.get_u32()? as usize;
-    let mut shards = Vec::with_capacity(shard_count.min(r.remaining()));
-    for _ in 0..shard_count {
-        let rows_len = r.get_usize()?;
-        let mut rows = Vec::with_capacity(rows_len.min(r.remaining()));
-        for _ in 0..rows_len {
-            rows.push(r.get_row()?);
-        }
-        shards.push(rows);
+    let row_count = r.get_usize()?;
+    let mut rows = Vec::with_capacity(row_count.min(r.remaining()));
+    for _ in 0..row_count {
+        rows.push(r.get_row()?);
     }
     let index_count = r.get_u32()? as usize;
     let mut indexes = Vec::with_capacity(index_count.min(r.remaining()));
@@ -277,9 +251,7 @@ fn get_table(r: &mut ByteReader<'_>) -> Result<TableSnapshot> {
     Ok(TableSnapshot {
         name,
         columns,
-        shard_target,
-        hash_policy,
-        shards,
+        rows,
         indexes,
         analyze_config,
         stats,
@@ -485,8 +457,6 @@ mod tests {
         Snapshot {
             ddl_generation: 12,
             data_generation: 7,
-            default_shard_count: 4,
-            default_hash_placement: true,
             tables: vec![TableSnapshot {
                 name: "orders".into(),
                 columns: vec![
@@ -501,14 +471,10 @@ mod tests {
                         nullable: true,
                     },
                 ],
-                shard_target: 4,
-                hash_policy: false,
-                shards: vec![
-                    vec![
-                        Row::new(vec![Value::Int(1), Value::Float(10.5)]),
-                        Row::new(vec![Value::Int(2), Value::Null]),
-                    ],
-                    vec![Row::new(vec![Value::Int(3), Value::Float(-0.0)])],
+                rows: vec![
+                    Row::new(vec![Value::Int(1), Value::Float(10.5)]),
+                    Row::new(vec![Value::Int(2), Value::Null]),
+                    Row::new(vec![Value::Int(3), Value::Float(-0.0)]),
                 ],
                 indexes: vec!["orderkey".into()],
                 analyze_config: Some(AnalyzeConfig::default()),

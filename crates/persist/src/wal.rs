@@ -1,14 +1,16 @@
 //! Write-ahead log of logical write operations between checkpoints.
 //!
-//! Each record frames one engine write (INSERT / DDL / ANALYZE / `CREATE FUNCTION` /
-//! placement change) as: sequence number, payload length, an FNV-1a checksum over
-//! sequence + payload, then the payload bytes. The engine appends from inside its
+//! Each record frames one engine write (INSERT / DDL / ANALYZE / `CREATE FUNCTION`)
+//! as: sequence number, payload length, an FNV-1a checksum over sequence + payload,
+//! then the payload bytes. The engine appends from inside its
 //! writer critical section, so record order matches the epoch-swap order readers
 //! observe.
 //!
 //! Recovery tolerates a torn tail: [`WalWriter::open`] replays the longest prefix of
 //! records whose framing, checksum and sequence all verify, truncates the file back
-//! to that prefix, and reports whether anything was discarded. After a successful
+//! to that prefix, and reports whether anything was discarded. A frame that verifies
+//! but whose payload does not decode was fully written by something this build does
+//! not understand — that is an error, and nothing is truncated. After a successful
 //! checkpoint the engine calls [`WalWriter::reset`] — the snapshot now covers
 //! everything the log held.
 
@@ -29,8 +31,8 @@ pub const WAL_FILE: &str = "wal.log";
 const FRAME_BYTES: usize = 20;
 
 /// One logged engine write, in logical (replayable) form. Replay drives the same
-/// engine entry points the original statements did, so normalization, validation and
-/// shard routing are identical by construction.
+/// engine entry points the original statements did, so normalization and validation
+/// are identical by construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// `CREATE TABLE name (columns…)`.
@@ -70,13 +72,6 @@ pub enum WalRecord {
     CreateFunction {
         /// Original SQL source.
         source: String,
-    },
-    /// A per-table placement switch (`Catalog::set_table_placement`).
-    SetPlacement {
-        /// Target table.
-        table: String,
-        /// True for `Hash`, false for `AppendToLast`.
-        hash_policy: bool,
     },
 }
 
@@ -122,11 +117,6 @@ impl WalRecord {
             WalRecord::CreateFunction { source } => {
                 w.put_u8(5);
                 w.put_str(source);
-            }
-            WalRecord::SetPlacement { table, hash_policy } => {
-                w.put_u8(6);
-                w.put_str(table);
-                w.put_bool(*hash_policy);
             }
         }
         w.into_bytes()
@@ -175,10 +165,8 @@ impl WalRecord {
             5 => WalRecord::CreateFunction {
                 source: r.get_str()?,
             },
-            6 => WalRecord::SetPlacement {
-                table: r.get_str()?,
-                hash_policy: r.get_bool()?,
-            },
+            // Tag 6 was `SetPlacement` (retired with table placement policies); it
+            // stays reserved so an old log is refused by name, never misread.
             tag => return Err(Error::Persist(format!("invalid WAL record tag {tag}"))),
         };
         if !r.is_empty() {
@@ -215,7 +203,8 @@ impl WalWriter {
     /// Opens (creating if needed) the WAL in `dir`, recovering existing records
     /// first. The longest valid prefix is returned for replay; anything after it —
     /// a torn frame, a checksum mismatch, an out-of-order sequence number — is
-    /// truncated away so subsequent appends extend a clean log.
+    /// truncated away so subsequent appends extend a clean log. A frame that verifies
+    /// but does not decode is an error: the file is left as it is.
     pub fn open(dir: &Path) -> Result<(WalWriter, WalRecovery)> {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::Persist(format!("cannot create data dir {dir:?}: {e}")))?;
@@ -225,7 +214,7 @@ impl WalWriter {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(Error::Persist(format!("cannot read WAL {path:?}: {e}"))),
         };
-        let (records, valid_len) = scan_valid_prefix(&existing);
+        let (records, valid_len) = scan_valid_prefix(&existing)?;
         let truncated = valid_len < existing.len();
         let file = OpenOptions::new()
             .create(true)
@@ -289,8 +278,10 @@ impl WalWriter {
 
 /// Walks the raw log, returning the decoded records of the longest valid prefix and
 /// its byte length. Stops — without erroring — at the first torn frame, checksum
-/// mismatch, sequence gap or undecodable payload.
-fn scan_valid_prefix(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
+/// mismatch or sequence gap: a torn write fails one of those. A frame that passes
+/// them was fully written, so a payload that then does not decode is not a tail to
+/// drop (acknowledged records may follow it) but an error.
+fn scan_valid_prefix(bytes: &[u8]) -> Result<(Vec<WalRecord>, usize)> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     let mut expected_seq = 1u64;
@@ -309,14 +300,18 @@ fn scan_valid_prefix(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
         if hasher.finish() != stored {
             break;
         }
-        match WalRecord::decode(payload) {
-            Ok(record) => records.push(record),
-            Err(_) => break,
-        }
+        let record = WalRecord::decode(payload).map_err(|e| {
+            let tag = payload.first().map_or("none".to_string(), u8::to_string);
+            Error::Persist(format!(
+                "WAL record {seq} (tag {tag}) passes its checksum but does not decode \
+                 ({e}); the log is left as it is"
+            ))
+        })?;
+        records.push(record);
         pos += FRAME_BYTES + len;
         expected_seq += 1;
     }
-    (records, pos)
+    Ok((records, pos))
 }
 
 #[cfg(test)]
@@ -354,10 +349,6 @@ mod tests {
             },
             WalRecord::CreateFunction {
                 source: "create function f(x int) returns int as x".into(),
-            },
-            WalRecord::SetPlacement {
-                table: "t".into(),
-                hash_policy: true,
             },
             WalRecord::DropTable { name: "t".into() },
             WalRecord::Analyze {

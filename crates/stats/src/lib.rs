@@ -152,12 +152,16 @@ pub struct TableStatistics {
 impl TableStatistics {
     /// Basic statistics: one full pass for row count, exact distinct counts and null
     /// fractions. No histograms or MCVs.
-    pub fn basic(schema: &Schema, rows: &[Row]) -> TableStatistics {
+    ///
+    /// `runs` are the table's rows in scan order, as the storage layer holds them: one
+    /// slice per chunk. The statistics depend on the concatenation only, not on where
+    /// the run boundaries fall.
+    pub fn basic(schema: &Schema, runs: &[&[Row]]) -> TableStatistics {
         let ncols = schema.len();
-        let mut sets: Vec<std::collections::HashSet<GroupKey>> =
-            vec![std::collections::HashSet::new(); ncols];
+        let row_count: usize = runs.iter().map(|run| run.len()).sum();
+        let mut sets: Vec<HashSet<GroupKey>> = vec![HashSet::new(); ncols];
         let mut nulls = vec![0usize; ncols];
-        for row in rows {
+        for row in runs.iter().copied().flatten() {
             for (i, v) in row.values.iter().enumerate() {
                 if v.is_null() {
                     nulls[i] += 1;
@@ -173,10 +177,10 @@ impl TableStatistics {
             .map(|(i, c)| ColumnStatistics {
                 name: c.name.clone(),
                 distinct_count: sets[i].len(),
-                null_fraction: if rows.is_empty() {
+                null_fraction: if row_count == 0 {
                     0.0
                 } else {
-                    nulls[i] as f64 / rows.len() as f64
+                    nulls[i] as f64 / row_count as f64
                 },
                 min: None,
                 max: None,
@@ -185,7 +189,7 @@ impl TableStatistics {
             })
             .collect();
         TableStatistics {
-            row_count: rows.len(),
+            row_count,
             columns,
             analyzed: false,
             sampled_rows: 0,
@@ -195,9 +199,10 @@ impl TableStatistics {
     /// Analyzed statistics: [`basic`](TableStatistics::basic) plus per-column
     /// histograms, MCV lists and min/max built from a reservoir sample of
     /// `config.sample_size` rows (algorithm R over the deterministic [`SmallRng`]).
-    pub fn analyzed(schema: &Schema, rows: &[Row], config: &AnalyzeConfig) -> TableStatistics {
-        let mut stats = TableStatistics::basic(schema, rows);
-        let sample = reservoir_sample(rows.iter(), config.sample_size.max(1), config.seed);
+    pub fn analyzed(schema: &Schema, runs: &[&[Row]], config: &AnalyzeConfig) -> TableStatistics {
+        let mut stats = TableStatistics::basic(schema, runs);
+        let rows = runs.iter().copied().flatten();
+        let sample = reservoir_sample(rows, config.sample_size.max(1), config.seed);
         stats.analyzed = true;
         stats.sampled_rows = sample.len();
         if sample.is_empty() {
@@ -254,9 +259,7 @@ impl TableStatistics {
 }
 
 /// Builds the sampled portion of one [`ColumnStatistics`] (MCVs, min/max, histogram)
-/// from `sample` — shared by the direct [`TableStatistics::analyzed`] pass and the
-/// per-shard [`ShardStatistics::merge`], so both produce identical statistics for
-/// identical samples.
+/// from `sample`.
 fn fill_sampled_column(
     col: &mut ColumnStatistics,
     sample: &[Row],
@@ -292,224 +295,6 @@ fn fill_sampled_column(
         col.min = numeric.iter().copied().reduce(f64::min);
         col.max = numeric.iter().copied().reduce(f64::max);
         col.histogram = Histogram::equi_depth(numeric, config.histogram_buckets);
-    }
-}
-
-/// Per-column summary of one table shard.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardColumnSummary {
-    /// Column name (unqualified).
-    pub name: String,
-    /// Exact distinct (non-NULL) group keys in this shard — kept as the set (not a
-    /// count) so table-level merges stay exact under arbitrary value overlap.
-    pub distinct: HashSet<GroupKey>,
-    /// Exact number of NULL values in this shard's column.
-    pub null_count: usize,
-    /// Full-pass numeric min/max (`None` for non-numeric columns or no numeric
-    /// values). Unlike the sampled min/max in [`ColumnStatistics`], these bound
-    /// *every* row of the shard, so they are safe to prune scans with.
-    pub min: Option<f64>,
-    /// Full-pass numeric maximum; see [`min`](ShardColumnSummary::min).
-    pub max: Option<f64>,
-}
-
-/// Statistics of one table shard: the mergeable building block behind sharded tables.
-///
-/// Each shard carries exact distinct sets and null counts, full-pass numeric min/max
-/// (safe for shard pruning), and — when the table was ANALYZEd — its own reservoir
-/// sample drawn with a per-shard seed. Per-shard samples compose into a stratified
-/// sample of the whole table (per Kamat & Nandi), which
-/// [`merge`](ShardStatistics::merge) downsamples to the configured reservoir size
-/// before building table-level MCVs and histograms.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardStatistics {
-    /// Exact number of rows in the shard when the summary was computed.
-    pub row_count: usize,
-    /// Per-column summaries, in schema order.
-    pub columns: Vec<ShardColumnSummary>,
-    /// Reservoir sample of this shard's rows (empty without ANALYZE).
-    pub sample: Vec<Row>,
-    /// True when `sample` was drawn (the ANALYZE tier).
-    pub analyzed: bool,
-}
-
-impl ShardStatistics {
-    /// Basic tier: distinct sets, null counts and full-pass min/max; no sample.
-    ///
-    /// `runs` are the shard's rows in scan order, as the storage layer holds them:
-    /// one slice per chunk. The statistics depend on the concatenation only, not on
-    /// where the run boundaries fall.
-    pub fn basic(schema: &Schema, runs: &[&[Row]]) -> ShardStatistics {
-        ShardStatistics::compute(schema, runs, None, 0)
-    }
-
-    /// ANALYZE tier: [`basic`](ShardStatistics::basic) plus a reservoir sample seeded
-    /// `config.seed + shard_index`, so shard 0 of a single-shard table draws exactly
-    /// the sample the unsharded ANALYZE drew.
-    pub fn analyzed(
-        schema: &Schema,
-        runs: &[&[Row]],
-        config: &AnalyzeConfig,
-        shard_index: u64,
-    ) -> ShardStatistics {
-        ShardStatistics::compute(schema, runs, Some(config), shard_index)
-    }
-
-    fn compute(
-        schema: &Schema,
-        runs: &[&[Row]],
-        config: Option<&AnalyzeConfig>,
-        shard_index: u64,
-    ) -> ShardStatistics {
-        let rows = || runs.iter().copied().flatten();
-        let mut columns: Vec<ShardColumnSummary> = schema
-            .columns
-            .iter()
-            .map(|c| ShardColumnSummary {
-                name: c.name.clone(),
-                distinct: HashSet::new(),
-                null_count: 0,
-                min: None,
-                max: None,
-            })
-            .collect();
-        for row in rows() {
-            for (i, v) in row.values.iter().enumerate() {
-                let col = &mut columns[i];
-                if v.is_null() {
-                    col.null_count += 1;
-                    continue;
-                }
-                col.distinct.insert(v.group_key());
-                if let Ok(f) = v.as_float() {
-                    col.min = Some(col.min.map_or(f, |m| m.min(f)));
-                    col.max = Some(col.max.map_or(f, |m| m.max(f)));
-                }
-            }
-        }
-        let sample = match config {
-            Some(c) => reservoir_sample(
-                rows(),
-                c.sample_size.max(1),
-                c.seed.wrapping_add(shard_index),
-            ),
-            None => Vec::new(),
-        };
-        ShardStatistics {
-            row_count: runs.iter().map(|run| run.len()).sum(),
-            columns,
-            sample,
-            analyzed: config.is_some(),
-        }
-    }
-
-    /// Whether any row of this shard can satisfy `lo <= column <= hi` (bounds are
-    /// `(value, inclusive)`, `None` = unbounded; equality is `lo == hi`, both
-    /// inclusive). `false` means the shard is provably prunable: the interval misses
-    /// the shard's full-pass `[min, max]`, or every value is NULL (a range/equality
-    /// predicate never matches NULL). Unknown and non-numeric columns conservatively
-    /// return `true`, as does an empty shard (nothing to prune).
-    pub fn may_contain_in_range(
-        &self,
-        column: &str,
-        lo: Option<(f64, bool)>,
-        hi: Option<(f64, bool)>,
-    ) -> bool {
-        let Some(col) = self
-            .columns
-            .iter()
-            .find(|c| c.name.eq_ignore_ascii_case(column))
-        else {
-            return true;
-        };
-        if self.row_count > 0 && col.null_count == self.row_count {
-            return false;
-        }
-        let (Some(min), Some(max)) = (col.min, col.max) else {
-            return true;
-        };
-        if let Some((lo, inclusive)) = lo {
-            if lo > max || (!inclusive && lo >= max) {
-                return false;
-            }
-        }
-        if let Some((hi, inclusive)) = hi {
-            if hi < min || (!inclusive && hi <= min) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Merges per-shard summaries into table-level [`TableStatistics`]. Distinct
-    /// counts are exact (set union); null fractions are exact sums; the ANALYZE tier
-    /// concatenates the per-shard stratified samples in shard order and downsamples
-    /// to `config.sample_size` only when they overflow it.
-    ///
-    /// For a single shard this is byte-identical to computing
-    /// [`TableStatistics::basic`] / [`TableStatistics::analyzed`] directly over the
-    /// table's rows, which keeps single-shard tables — the default layout —
-    /// indistinguishable from the pre-shard storage.
-    pub fn merge(
-        schema: &Schema,
-        shards: &[&ShardStatistics],
-        config: Option<&AnalyzeConfig>,
-    ) -> TableStatistics {
-        let row_count: usize = shards.iter().map(|s| s.row_count).sum();
-        let columns: Vec<ColumnStatistics> = schema
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut union: HashSet<&GroupKey> = HashSet::new();
-                let mut nulls = 0usize;
-                for s in shards {
-                    if let Some(sc) = s.columns.get(i) {
-                        union.extend(sc.distinct.iter());
-                        nulls += sc.null_count;
-                    }
-                }
-                ColumnStatistics {
-                    name: c.name.clone(),
-                    distinct_count: union.len(),
-                    null_fraction: if row_count == 0 {
-                        0.0
-                    } else {
-                        nulls as f64 / row_count as f64
-                    },
-                    min: None,
-                    max: None,
-                    mcvs: vec![],
-                    histogram: None,
-                }
-            })
-            .collect();
-        let mut stats = TableStatistics {
-            row_count,
-            columns,
-            analyzed: false,
-            sampled_rows: 0,
-        };
-        let Some(config) = config else {
-            return stats;
-        };
-        let mut sample: Vec<Row> = Vec::new();
-        for s in shards {
-            sample.extend_from_slice(&s.sample);
-        }
-        let cap = config.sample_size.max(1);
-        if sample.len() > cap {
-            sample = reservoir_sample(sample.iter(), cap, config.seed);
-        }
-        stats.analyzed = true;
-        stats.sampled_rows = sample.len();
-        if sample.is_empty() {
-            return stats;
-        }
-        for (i, col) in stats.columns.iter_mut().enumerate() {
-            fill_sampled_column(col, &sample, i, config);
-        }
-        stats
     }
 }
 
@@ -570,7 +355,7 @@ mod tests {
     #[test]
     fn basic_statistics_match_seed_behaviour() {
         let rows = rows(100);
-        let stats = TableStatistics::basic(&schema(), &rows);
+        let stats = TableStatistics::basic(&schema(), &[&rows]);
         assert_eq!(stats.row_count, 100);
         assert!(!stats.analyzed);
         assert_eq!(stats.distinct_count("k"), 100);
@@ -587,7 +372,7 @@ mod tests {
     #[test]
     fn analyzed_statistics_add_histograms_and_mcvs() {
         let rows = rows(1000);
-        let stats = TableStatistics::analyzed(&schema(), &rows, &AnalyzeConfig::default());
+        let stats = TableStatistics::analyzed(&schema(), &[&rows], &AnalyzeConfig::default());
         assert!(stats.analyzed);
         assert_eq!(stats.sampled_rows, 1000, "small tables sample everything");
         let k = stats.column("k").unwrap();
@@ -623,7 +408,7 @@ mod tests {
         let schema = Schema::new(vec![Column::new("v", DataType::Int)]);
         let mut data: Vec<Row> = vec![Row::new(vec![Value::Int(7)]); 500];
         data.extend((0..500).map(|i| Row::new(vec![Value::Int(1000 + i)])));
-        let stats = TableStatistics::analyzed(&schema, &data, &AnalyzeConfig::default());
+        let stats = TableStatistics::analyzed(&schema, &[&data], &AnalyzeConfig::default());
         let v = stats.column("v").unwrap();
         let heavy = v.equality_selectivity(&Value::Int(7)).unwrap();
         assert!((heavy - 0.5).abs() < 0.05, "heavy {heavy}");
@@ -640,7 +425,7 @@ mod tests {
         let schema = Schema::new(vec![Column::new("v", DataType::Int)]);
         let mut data: Vec<Row> = (0..500).map(|i| Row::new(vec![Value::Int(i)])).collect();
         data.extend((0..500).map(|_| Row::new(vec![Value::Null])));
-        let stats = TableStatistics::analyzed(&schema, &data, &AnalyzeConfig::default());
+        let stats = TableStatistics::analyzed(&schema, &[&data], &AnalyzeConfig::default());
         let v = stats.column("v").unwrap();
         assert!((v.null_fraction - 0.5).abs() < 1e-9);
         assert_eq!(
@@ -675,98 +460,31 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_merge_is_byte_identical_to_direct_stats() {
+    fn statistics_depend_on_the_rows_not_on_where_the_runs_split() {
         let rows = rows(1000);
         let schema = schema();
-        let config = AnalyzeConfig::default();
-        // Basic tier.
-        let shard = ShardStatistics::basic(&schema, &[&rows]);
-        let merged = ShardStatistics::merge(&schema, &[&shard], None);
-        assert_eq!(merged, TableStatistics::basic(&schema, &rows));
-        // ANALYZE tier (shard 0 draws with the unsharded seed).
-        let shard = ShardStatistics::analyzed(&schema, &[&rows], &config, 0);
-        let merged = ShardStatistics::merge(&schema, &[&shard], Some(&config));
-        assert_eq!(merged, TableStatistics::analyzed(&schema, &rows, &config));
-    }
-
-    #[test]
-    fn multi_shard_merge_matches_direct_stats_under_the_sample_cap() {
-        // Each shard samples itself whole when under the reservoir cap, and the
-        // concatenation preserves insertion order — so the merged statistics are
-        // byte-identical to the unsharded ANALYZE, exact distinct counts included.
-        let rows = rows(1000);
-        let schema = schema();
-        let config = AnalyzeConfig::default();
-        let shards: Vec<ShardStatistics> = rows
-            .chunks(250)
-            .enumerate()
-            .map(|(i, chunk)| ShardStatistics::analyzed(&schema, &[chunk], &config, i as u64))
-            .collect();
-        let refs: Vec<&ShardStatistics> = shards.iter().collect();
-        let merged = ShardStatistics::merge(&schema, &refs, Some(&config));
-        assert_eq!(merged, TableStatistics::analyzed(&schema, &rows, &config));
-    }
-
-    #[test]
-    fn oversized_merged_samples_are_downsampled_to_the_cap() {
-        let rows = rows(1000);
-        let schema = schema();
-        let config = AnalyzeConfig {
-            sample_size: 100,
-            ..AnalyzeConfig::default()
-        };
-        let shards: Vec<ShardStatistics> = rows
-            .chunks(250)
-            .enumerate()
-            .map(|(i, chunk)| ShardStatistics::analyzed(&schema, &[chunk], &config, i as u64))
-            .collect();
-        let refs: Vec<&ShardStatistics> = shards.iter().collect();
-        let merged = ShardStatistics::merge(&schema, &refs, Some(&config));
-        assert_eq!(merged.sampled_rows, 100);
-        assert_eq!(merged.row_count, 1000);
+        let whole: Vec<&[Row]> = vec![&rows];
+        let mut split: Vec<&[Row]> = rows.chunks(250).collect();
+        split.insert(2, &[]);
         assert_eq!(
-            merged.distinct_count("k"),
-            1000,
-            "distinct counts stay exact"
+            TableStatistics::basic(&schema, &split),
+            TableStatistics::basic(&schema, &whole)
         );
-    }
-
-    #[test]
-    fn shard_pruning_bounds_cover_the_boundary_cases() {
-        let schema = Schema::new(vec![Column::new("v", DataType::Int)]);
-        let rows: Vec<Row> = (10..=20).map(|i| Row::new(vec![Value::Int(i)])).collect();
-        let s = ShardStatistics::basic(&schema, &[&rows]);
-        // Overlapping and touching intervals keep the shard.
-        assert!(s.may_contain_in_range("v", None, None));
-        assert!(s.may_contain_in_range("v", Some((20.0, true)), None));
-        assert!(s.may_contain_in_range("v", None, Some((10.0, true))));
-        assert!(s.may_contain_in_range("v", Some((15.0, true)), Some((15.0, true))));
-        // Disjoint intervals prune; exclusive bounds prune at the exact boundary.
-        assert!(!s.may_contain_in_range("v", Some((21.0, true)), None));
-        assert!(!s.may_contain_in_range("v", Some((20.0, false)), None));
-        assert!(!s.may_contain_in_range("v", None, Some((9.0, true))));
-        assert!(!s.may_contain_in_range("v", None, Some((10.0, false))));
-        // Unknown columns never prune.
-        assert!(s.may_contain_in_range("nosuch", Some((99.0, true)), None));
-
-        // min == max (constant shard): equality prunes on either side, keeps on match.
-        let constant = ShardStatistics::basic(&schema, &[&vec![Row::new(vec![Value::Int(5)]); 3]]);
-        assert!(constant.may_contain_in_range("v", Some((5.0, true)), Some((5.0, true))));
-        assert!(!constant.may_contain_in_range("v", Some((6.0, true)), Some((6.0, true))));
-        assert!(!constant.may_contain_in_range("v", Some((5.0, false)), None));
-
-        // All-NULL shards prune every range/equality predicate.
-        let nulls = ShardStatistics::basic(&schema, &[&vec![Row::new(vec![Value::Null]); 4]]);
-        assert!(!nulls.may_contain_in_range("v", None, Some((100.0, true))));
-        assert!(!nulls.may_contain_in_range("v", None, None));
-
-        // Empty shards are conservatively kept (nothing to win by pruning them).
-        let empty = ShardStatistics::basic(&schema, &[]);
-        assert!(empty.may_contain_in_range("v", Some((1.0, true)), None));
-
-        // Non-numeric columns (no min/max) are kept.
-        let sschema = Schema::new(vec![Column::new("s", DataType::Str)]);
-        let strs = ShardStatistics::basic(&sschema, &[&[Row::new(vec!["a".into()])]]);
-        assert!(strs.may_contain_in_range("s", Some((1.0, true)), None));
+        // Under the reservoir cap (every row sampled) and over it (the sampler's draws
+        // follow the row sequence, not the runs).
+        for sample_size in [8_192, 100] {
+            let config = AnalyzeConfig {
+                sample_size,
+                ..AnalyzeConfig::default()
+            };
+            let direct = TableStatistics::analyzed(&schema, &whole, &config);
+            assert_eq!(direct.sampled_rows, sample_size.min(1000));
+            assert_eq!(
+                direct.distinct_count("k"),
+                1000,
+                "distinct counts are exact"
+            );
+            assert_eq!(TableStatistics::analyzed(&schema, &split, &config), direct);
+        }
     }
 }

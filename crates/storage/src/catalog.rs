@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use decorr_common::{normalize_ident, Error, Result, Row, Schema};
 
-use crate::shard::ShardPolicy;
 use crate::table::Table;
 
 /// The database catalog. Owns every table; the executor reads through shared references
@@ -26,50 +25,12 @@ pub struct Catalog {
     tables: BTreeMap<String, Arc<Table>>,
     ddl_generation: u64,
     data_generation: u64,
-    /// Shard fanout newly created tables get (0/1 = single-shard, the pre-shard
-    /// layout). Configured through `Engine::builder().shard_count(..)`.
-    default_shard_count: usize,
-    /// Row-routing policy newly created tables get. Configured through
-    /// `Engine::builder().default_placement(..)`; defaults to `AppendToLast`.
-    default_placement: ShardPolicy,
 }
 
 impl Catalog {
-    /// An empty catalog with single-shard `AppendToLast` defaults.
+    /// An empty catalog.
     pub fn new() -> Catalog {
         Catalog::default()
-    }
-
-    /// Sets the shard fanout future [`create_table`](Catalog::create_table) calls use
-    /// (existing tables keep their layout). Values ≤ 1 mean single-shard.
-    pub fn set_default_shard_count(&mut self, shard_count: usize) {
-        self.default_shard_count = shard_count;
-    }
-
-    /// The shard fanout newly created tables get.
-    pub fn default_shard_count(&self) -> usize {
-        self.default_shard_count.max(1)
-    }
-
-    /// Sets the row-routing policy future [`create_table`](Catalog::create_table)
-    /// calls use (existing tables keep theirs).
-    pub fn set_default_placement(&mut self, policy: ShardPolicy) {
-        self.default_placement = policy;
-    }
-
-    /// The row-routing policy newly created tables get.
-    pub fn default_placement(&self) -> ShardPolicy {
-        self.default_placement
-    }
-
-    /// Switches one table's row-routing policy, re-routing its existing rows (see
-    /// [`Table::set_placement`]). Bumps the DDL generation: `Hash` scan order differs
-    /// from insertion order, so cached plans and their cost-based shard-pruning
-    /// choices must re-optimize against the new layout.
-    pub fn set_table_placement(&mut self, name: &str, policy: ShardPolicy) -> Result<()> {
-        self.table_mut(name)?.set_placement(policy)?;
-        self.ddl_generation += 1;
-        Ok(())
     }
 
     /// Installs a fully-built table (the snapshot-restore path). Fails if a table
@@ -101,12 +62,7 @@ impl Catalog {
             return Err(Error::Catalog(format!("table '{name}' already exists")));
         }
         self.ddl_generation += 1;
-        let table = Table::with_shards(
-            key.clone(),
-            schema,
-            self.default_shard_count(),
-            self.default_placement,
-        );
+        let table = Table::new(key.clone(), schema);
         self.tables.insert(key, Arc::new(table));
         Ok(())
     }
@@ -295,56 +251,6 @@ mod tests {
             &c.table_arc("a").unwrap(),
             &snapshot.table_arc("a").unwrap()
         ));
-    }
-
-    #[test]
-    fn default_shard_count_applies_to_new_tables_only() {
-        let mut c = Catalog::new();
-        c.create_table("single", schema()).unwrap();
-        c.set_default_shard_count(4);
-        assert_eq!(c.default_shard_count(), 4);
-        c.create_table("sharded", schema()).unwrap();
-        let rows: Vec<Row> = (0..1000)
-            .map(|i| Row::new(vec![i.into(), "x".into()]))
-            .collect();
-        c.insert_rows("single", rows.clone()).unwrap();
-        c.insert_rows("sharded", rows).unwrap();
-        assert_eq!(c.table("single").unwrap().shard_count(), 1);
-        assert_eq!(c.table("sharded").unwrap().shard_count(), 4);
-    }
-
-    #[test]
-    fn placement_defaults_and_per_table_switch() {
-        use crate::shard::ShardPolicy;
-        let mut c = Catalog::new();
-        assert_eq!(c.default_placement(), ShardPolicy::AppendToLast);
-        c.set_default_shard_count(4);
-        c.set_default_placement(ShardPolicy::Hash);
-        c.create_table("hashed", schema()).unwrap();
-        assert_eq!(c.table("hashed").unwrap().shard_policy(), ShardPolicy::Hash);
-        assert_eq!(
-            c.table("hashed").unwrap().shard_count(),
-            4,
-            "hash placement opens all shards up front"
-        );
-        // Per-table switch bumps the DDL generation (plans must re-optimize).
-        c.set_default_placement(ShardPolicy::AppendToLast);
-        c.create_table("t", schema()).unwrap();
-        let rows: Vec<Row> = (0..100)
-            .map(|i| Row::new(vec![i.into(), "x".into()]))
-            .collect();
-        c.insert_rows("t", rows).unwrap();
-        let ddl = c.ddl_generation();
-        c.set_table_placement("t", ShardPolicy::Hash).unwrap();
-        assert_eq!(c.ddl_generation(), ddl + 1);
-        assert_eq!(c.table("t").unwrap().shard_policy(), ShardPolicy::Hash);
-        assert_eq!(c.table("t").unwrap().row_count(), 100);
-        assert_eq!(
-            c.set_table_placement("nosuch", ShardPolicy::Hash)
-                .unwrap_err()
-                .kind(),
-            "catalog"
-        );
     }
 
     #[test]

@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 use decorr_common::{value::GroupKey, Row, Value};
 
-/// Position of an indexed row inside a sharded table: `(shard index, offset within
-/// that shard)`. Rows never move between shards, so postings stay valid across
-/// inserts — index maintenance is strictly incremental, never a rebuild.
-pub type RowLocator = (usize, usize);
+/// Position of an indexed row in its table's [`RowStore`](crate::rows::RowStore). Rows
+/// never move, so postings stay valid across inserts — index maintenance is strictly
+/// incremental, never a rebuild.
+pub type RowLocator = usize;
 
 type Postings = HashMap<GroupKey, Vec<RowLocator>>;
 
@@ -77,12 +77,12 @@ impl HashIndex {
         self.base.len() + only_in_delta
     }
 
-    /// Adds a row (by shard/offset locator) to the index.
+    /// Adds a row (by its position in the table) to the index.
     ///
     /// While no clone shares the base — a bulk load, an index build, a restore — the
     /// posting goes straight into it and the delta stays empty. Once a clone does, the
     /// posting goes to the delta, which is folded when it outgrows its share.
-    pub fn insert(&mut self, row: &Row, shard: usize, offset: usize) {
+    pub fn insert(&mut self, row: &Row, position: RowLocator) {
         let key = &row.values[self.column_idx];
         if key.is_null() {
             return;
@@ -100,9 +100,7 @@ impl HashIndex {
                 &mut self.delta
             }
         };
-        tier.entry(key.group_key())
-            .or_default()
-            .push((shard, offset));
+        tier.entry(key.group_key()).or_default().push(position);
         if self.delta_postings * FOLD_RATIO > self.base_postings {
             merge(
                 Arc::make_mut(&mut self.base),
@@ -120,7 +118,7 @@ impl HashIndex {
         [&self.base, &self.delta].map(|tier| tier.get(&key).map_or(&[][..], Vec::as_slice))
     }
 
-    /// Removes every posting (used by `truncate` and placement changes).
+    /// Removes every posting (used by `truncate`).
     pub fn clear(&mut self) {
         *self = HashIndex::new(&self.column_name, self.column_idx);
     }
@@ -158,10 +156,10 @@ mod tests {
     #[test]
     fn lookup_by_key() {
         let mut idx = HashIndex::new("k", 0);
-        idx.insert(&Row::new(vec![Value::Int(1), "a".into()]), 0, 0);
-        idx.insert(&Row::new(vec![Value::Int(2), "b".into()]), 0, 1);
-        idx.insert(&Row::new(vec![Value::Int(1), "c".into()]), 1, 0);
-        assert_eq!(hits(&idx, Value::Int(1)), vec![(0, 0), (1, 0)]);
+        idx.insert(&Row::new(vec![Value::Int(1), "a".into()]), 0);
+        idx.insert(&Row::new(vec![Value::Int(2), "b".into()]), 1);
+        idx.insert(&Row::new(vec![Value::Int(1), "c".into()]), 2);
+        assert_eq!(hits(&idx, Value::Int(1)), vec![0, 2]);
         assert_eq!(hits(&idx, Value::Int(3)), vec![]);
         assert_eq!(idx.distinct_keys(), 2);
     }
@@ -170,47 +168,47 @@ mod tests {
     fn a_shared_base_is_never_written_and_order_survives_the_tiers() {
         let row = |k: i64| Row::new(vec![Value::Int(k)]);
         let mut idx = HashIndex::new("k", 0);
-        for offset in 0..FOLD_RATIO {
-            idx.insert(&row(offset as i64 % 2), 0, offset);
+        for position in 0..FOLD_RATIO {
+            idx.insert(&row(position as i64 % 2), position);
         }
         assert_eq!(idx.delta_postings(), 0, "nobody shares the base yet");
 
         // A reader clones; the writer's postings go to its private delta.
         let reader = idx.clone();
-        idx.insert(&row(1), 0, FOLD_RATIO);
+        idx.insert(&row(1), FOLD_RATIO);
         assert!(idx.shares_base_with(&reader));
         assert_eq!((idx.delta_postings(), reader.delta_postings()), (1, 0));
         assert_eq!(hits(&idx, Value::Int(1)).len(), FOLD_RATIO / 2 + 1);
-        assert_eq!(hits(&idx, Value::Int(1)).last(), Some(&(0, FOLD_RATIO)));
+        assert_eq!(hits(&idx, Value::Int(1)).last(), Some(&FOLD_RATIO));
         assert_eq!(hits(&reader, Value::Int(1)).len(), FOLD_RATIO / 2);
 
         // One more outgrows 1/FOLD_RATIO of the base: the writer folds into a base
         // of its own, and the reader's is left as it was.
-        idx.insert(&row(7), 0, FOLD_RATIO + 1);
+        idx.insert(&row(7), FOLD_RATIO + 1);
         assert!(!idx.shares_base_with(&reader));
         assert_eq!(idx.delta_postings(), 0);
-        assert_eq!(hits(&idx, Value::Int(1)).last(), Some(&(0, FOLD_RATIO)));
-        assert_eq!(hits(&idx, Value::Int(7)), vec![(0, FOLD_RATIO + 1)]);
+        assert_eq!(hits(&idx, Value::Int(1)).last(), Some(&FOLD_RATIO));
+        assert_eq!(hits(&idx, Value::Int(7)), vec![FOLD_RATIO + 1]);
         assert_eq!(hits(&reader, Value::Int(7)), vec![]);
         assert_eq!((idx.distinct_keys(), reader.distinct_keys()), (3, 2));
 
         // A delta whose readers have gone is merged ahead of the next posting.
         let mut writer = idx.clone();
-        writer.insert(&row(7), 1, 0);
+        writer.insert(&row(7), FOLD_RATIO + 2);
         assert_eq!(writer.delta_postings(), 1);
         drop(idx);
-        writer.insert(&row(7), 1, 1);
+        writer.insert(&row(7), FOLD_RATIO + 3);
         assert_eq!(writer.delta_postings(), 0);
         assert_eq!(
             hits(&writer, Value::Int(7)),
-            vec![(0, FOLD_RATIO + 1), (1, 0), (1, 1)]
+            vec![FOLD_RATIO + 1, FOLD_RATIO + 2, FOLD_RATIO + 3]
         );
     }
 
     #[test]
     fn null_keys_are_not_indexed() {
         let mut idx = HashIndex::new("k", 0);
-        idx.insert(&Row::new(vec![Value::Null]), 0, 0);
+        idx.insert(&Row::new(vec![Value::Null]), 0);
         assert_eq!(hits(&idx, Value::Null), vec![]);
         assert_eq!(idx.distinct_keys(), 0);
     }
@@ -218,7 +216,7 @@ mod tests {
     #[test]
     fn int_and_float_keys_unify() {
         let mut idx = HashIndex::new("k", 0);
-        idx.insert(&Row::new(vec![Value::Int(2)]), 0, 0);
-        assert_eq!(hits(&idx, Value::Float(2.0)), vec![(0, 0)]);
+        idx.insert(&Row::new(vec![Value::Int(2)]), 0);
+        assert_eq!(hits(&idx, Value::Float(2.0)), vec![0]);
     }
 }

@@ -2,22 +2,21 @@
 //!
 //! The paper runs its experiments on commercial systems over TPC-H with "default indices
 //! on primary and foreign keys". This crate provides the equivalent substrate: an
-//! in-memory row store with hash indexes that the executor uses both for the iterative
-//! baseline (the per-invocation lookups inside UDF bodies) and for index-nested-loop
-//! joins, plus simple per-table statistics for the cost model.
+//! in-memory row store (one chunked, copy-on-write [`RowStore`] per table) with hash
+//! indexes that the executor uses both for the iterative baseline (the per-invocation
+//! lookups inside UDF bodies) and for index-nested-loop joins, plus lazily computed,
+//! cached per-table statistics for the cost model.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod catalog;
 pub mod index;
-pub mod shard;
+pub mod rows;
 pub mod table;
 
 pub use catalog::Catalog;
-pub use decorr_stats::{
-    AnalyzeConfig, ColumnStatistics, Histogram, ShardStatistics, TableStatistics,
-};
+pub use decorr_stats::{AnalyzeConfig, ColumnStatistics, Histogram, TableStatistics};
 pub use index::{HashIndex, RowLocator};
-pub use shard::{RowsView, Runs, Shard, ShardPolicy, ShardSet, ShardSlices};
+pub use rows::RowStore;
 pub use table::Table;

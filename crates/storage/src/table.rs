@@ -1,4 +1,4 @@
-//! In-memory sharded row-store table with hash indexes and cached statistics.
+//! In-memory row-store table with hash indexes and cached statistics.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,48 +7,31 @@ use std::sync::{Arc, RwLock};
 use decorr_common::{normalize_ident, Error, Result, Row, Schema, Value};
 
 use crate::index::HashIndex;
-use crate::shard::{RowsView, Shard, ShardPolicy, ShardSet};
-use decorr_stats::{AnalyzeConfig, ShardStatistics, TableStatistics};
+use crate::rows::RowStore;
+use decorr_stats::{AnalyzeConfig, TableStatistics};
 
-/// Smallest shard a row-at-a-time insert stream fills before the table opens the next
-/// shard: prevents degenerate `1, 1, 1, N-3` splits when rows trickle in one by one.
-/// Bulk inserts ([`Table::insert_all`]) know their final size and balance exactly.
-const MIN_SHARD_FILL: usize = 256;
-
-/// An in-memory table: a schema, a fixed-fanout set of [`Shard`]s, and hash indexes
-/// keyed by column name.
+/// An in-memory table: a schema, one chunked [`RowStore`], and hash indexes keyed by
+/// column name.
 ///
-/// Cloning a table (the engine's copy-on-write snapshot swap) shares every shard and
-/// every index base, and a subsequent insert copies only what it writes: the open tail
-/// chunk of the shard it appends to (see [`crate::shard`]) and each index's delta (see
-/// [`crate::index`]) — a cost set by the rows added, not by the rows the table holds,
-/// at any shard count. Each shard caches its own [`ShardStatistics`] summary; table-level
-/// statistics are the lazy merge of the per-shard summaries, so after an insert the
-/// next [`Table::stats`] re-samples only the dirty shard (incremental ANALYZE), and
-/// the cached full-pass min/max lets scans prune shards a range or equality predicate
-/// provably misses.
+/// Cloning a table (the engine's copy-on-write snapshot swap) shares the row store and
+/// every index base, and a subsequent insert copies only what it writes: the store's
+/// open tail chunk (see [`crate::rows`]) and each index's delta (see [`crate::index`])
+/// — a cost set by the rows added, not by the rows the table holds. Statistics are
+/// computed lazily from the store and cached until the next data change.
 #[derive(Debug)]
 pub struct Table {
     name: String,
     schema: Schema,
-    shards: Vec<Arc<Shard>>,
-    /// Configured fanout (≥ 1). `AppendToLast` opens shards lazily up to this count;
-    /// `Hash` creates them all up front.
-    shard_target: usize,
-    shard_policy: ShardPolicy,
-    total_rows: usize,
+    rows: Arc<RowStore>,
     indexes: HashMap<String, HashIndex>,
-    /// Cached merged statistics; `None` marks them dirty. Interior mutability so
-    /// `stats()` works through the shared references the executor and optimizer hold.
+    /// Cached statistics; `None` marks them dirty. Interior mutability so `stats()`
+    /// works through the shared references the executor and optimizer hold.
     cached_stats: RwLock<Option<Arc<TableStatistics>>>,
     /// Remembered `ANALYZE` configuration; `None` until the first ANALYZE.
     analyze_config: Option<AnalyzeConfig>,
-    /// How many times the table-level merge was (re)computed — the regression metric:
-    /// repeated optimizes against an unchanged table must not rescan it.
+    /// How many times statistics were (re)computed — the regression metric: repeated
+    /// optimizes against an unchanged table must not rescan it.
     stats_recomputes: AtomicU64,
-    /// How many *per-shard* statistics passes ran — the incremental-ANALYZE metric:
-    /// after one insert, exactly one shard re-samples, not all of them.
-    shard_stat_recomputes: AtomicU64,
     /// How many full index builds ran (one per `create_index` over existing rows).
     /// Insert-path index maintenance is incremental and must never bump this.
     index_rebuilds: AtomicU64,
@@ -64,11 +47,8 @@ impl Clone for Table {
         Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
-            // Arc clones: shards are shared with the original until one is written.
-            shards: self.shards.clone(),
-            shard_target: self.shard_target,
-            shard_policy: self.shard_policy,
-            total_rows: self.total_rows,
+            // An Arc clone: the store is shared with the original until one is written.
+            rows: Arc::clone(&self.rows),
             // Shares each index's base; copies only its delta.
             indexes: self.indexes.clone(),
             cached_stats: RwLock::new(
@@ -79,9 +59,6 @@ impl Clone for Table {
             ),
             analyze_config: self.analyze_config.clone(),
             stats_recomputes: AtomicU64::new(self.stats_recomputes.load(Ordering::Relaxed)),
-            shard_stat_recomputes: AtomicU64::new(
-                self.shard_stat_recomputes.load(Ordering::Relaxed),
-            ),
             index_rebuilds: AtomicU64::new(self.index_rebuilds.load(Ordering::Relaxed)),
             data_version: self.data_version,
         }
@@ -89,46 +66,21 @@ impl Clone for Table {
 }
 
 impl Table {
-    /// Creates an empty single-shard table — the default layout, indistinguishable
-    /// from the pre-shard storage. Column qualifiers in the supplied schema are
-    /// replaced by the table name so that scans produce properly qualified columns.
+    /// Creates an empty table. Column qualifiers in the supplied schema are replaced by
+    /// the table name so that scans produce properly qualified columns.
     pub fn new(name: impl Into<String>, schema: Schema) -> Table {
-        Table::with_shards(name, schema, 1, ShardPolicy::AppendToLast)
-    }
-
-    /// Creates an empty table with a fixed shard fanout and routing policy.
-    pub fn with_shards(
-        name: impl Into<String>,
-        schema: Schema,
-        shard_count: usize,
-        policy: ShardPolicy,
-    ) -> Table {
         let name = normalize_ident(&name.into());
         let schema = schema.with_qualifier(&name);
-        let shard_target = shard_count.max(1);
         Table {
             name,
             schema,
-            shards: Table::initial_shards(shard_target, policy),
-            shard_target,
-            shard_policy: policy,
-            total_rows: 0,
+            rows: Arc::default(),
             indexes: HashMap::new(),
             cached_stats: RwLock::new(None),
             analyze_config: None,
             stats_recomputes: AtomicU64::new(0),
-            shard_stat_recomputes: AtomicU64::new(0),
             index_rebuilds: AtomicU64::new(0),
             data_version: 0,
-        }
-    }
-
-    fn initial_shards(shard_target: usize, policy: ShardPolicy) -> Vec<Arc<Shard>> {
-        match policy {
-            // Lazy growth: open shards as the table fills.
-            ShardPolicy::AppendToLast => vec![Arc::new(Shard::new())],
-            // Hash routing needs every shard to exist up front.
-            ShardPolicy::Hash => (0..shard_target).map(|_| Arc::new(Shard::new())).collect(),
         }
     }
 
@@ -142,200 +94,63 @@ impl Table {
         &self.schema
     }
 
-    /// The configured shard fanout (≥ 1), whether or not every shard is open yet.
-    pub fn shard_target(&self) -> usize {
-        self.shard_target
-    }
-
-    /// The row-routing policy in effect.
-    pub fn shard_policy(&self) -> ShardPolicy {
-        self.shard_policy
-    }
-
     /// The remembered `ANALYZE` configuration (`None` until the first ANALYZE).
     pub fn analyze_config(&self) -> Option<&AnalyzeConfig> {
         self.analyze_config.as_ref()
     }
 
-    /// Switches the row-routing policy, re-routing every existing row into fresh
-    /// shards under the new policy and rebuilding indexes incrementally. A no-op when
-    /// the policy is unchanged. Bumps [`data_version`](Table::data_version) (scan
-    /// order changes under `Hash`, so result caches keyed on the old layout must not
-    /// serve) and dirties cached statistics.
-    pub fn set_placement(&mut self, policy: ShardPolicy) -> Result<()> {
-        if policy == self.shard_policy {
-            return Ok(());
-        }
-        let rows = self.scan().collect_rows();
-        self.shard_policy = policy;
-        self.shards = Table::initial_shards(self.shard_target, policy);
-        for index in self.indexes.values_mut() {
-            index.clear();
-        }
-        self.total_rows = 0;
-        let target = rows.len().div_ceil(self.shard_target).max(1);
-        for row in rows {
-            self.insert_with_fill_target(row, target)?;
-        }
-        self.data_version += 1;
-        self.mark_stats_dirty();
-        Ok(())
-    }
-
     /// Rebuilds a table from its persisted parts — the snapshot-restore constructor.
-    /// `shard_rows` must match the persisted shard layout exactly (scan order is the
-    /// concatenation), `indexed_columns` are rebuilt from the restored rows, and
-    /// `stats`, when present, re-seeds the merged statistics cache so the first
+    /// `rows` are the table's rows in scan order, `indexed_columns` are rebuilt from
+    /// them, and `stats`, when present, re-seeds the statistics cache so the first
     /// optimize after a cold open needs no rescan. Rows are arity-checked against the
     /// schema; deeper corruption is the snapshot checksum's job.
-    #[allow(clippy::too_many_arguments)]
     pub fn restore(
         name: impl Into<String>,
         schema: Schema,
-        shard_target: usize,
-        policy: ShardPolicy,
-        shard_rows: Vec<Vec<Row>>,
+        rows: Vec<Row>,
         indexed_columns: &[String],
         analyze_config: Option<AnalyzeConfig>,
         stats: Option<TableStatistics>,
         data_version: u64,
     ) -> Result<Table> {
-        let name = normalize_ident(&name.into());
-        let schema = schema.with_qualifier(&name);
-        let width = schema.len();
-        for rows in &shard_rows {
-            if let Some(bad) = rows.iter().find(|r| r.len() != width) {
-                return Err(Error::Persist(format!(
-                    "table '{}': restored row has {} values, schema has {}",
-                    name,
-                    bad.len(),
-                    width
-                )));
-            }
+        let mut table = Table::new(name, schema);
+        let width = table.schema.len();
+        if let Some(bad) = rows.iter().find(|r| r.len() != width) {
+            return Err(Error::Persist(format!(
+                "table '{}': restored row has {} values, schema has {}",
+                table.name,
+                bad.len(),
+                width
+            )));
         }
-        let total_rows = shard_rows.iter().map(Vec::len).sum();
-        let shards: Vec<Arc<Shard>> = shard_rows
-            .into_iter()
-            .map(|rows| Arc::new(Shard::from_rows(rows)))
-            .collect();
-        let mut table = Table {
-            name,
-            schema,
-            shards,
-            shard_target: shard_target.max(1),
-            shard_policy: policy,
-            total_rows,
-            indexes: HashMap::new(),
-            cached_stats: RwLock::new(stats.map(Arc::new)),
-            analyze_config,
-            stats_recomputes: AtomicU64::new(0),
-            shard_stat_recomputes: AtomicU64::new(0),
-            index_rebuilds: AtomicU64::new(0),
-            data_version,
-        };
+        table.rows = Arc::new(RowStore::from_rows(rows));
+        table.cached_stats = RwLock::new(stats.map(Arc::new));
+        table.analyze_config = analyze_config;
+        table.data_version = data_version;
         for column in indexed_columns {
             table.create_index(column)?;
         }
         Ok(table)
     }
 
-    /// A borrowed, shard-iterating view over the table's rows — the scan API.
-    pub fn scan(&self) -> RowsView<'_> {
-        RowsView::new(&self.shards, self.total_rows)
+    /// A borrowed view of the table's rows — the scan API.
+    pub fn scan(&self) -> &RowStore {
+        &self.rows
     }
 
-    /// The table's shards (shared handles).
-    pub fn shards(&self) -> &[Arc<Shard>] {
-        &self.shards
+    /// An owned, `'static` handle on the table's rows — what the executor's worker-pool
+    /// jobs capture to map morsel ranges onto row runs without copying rows out.
+    pub fn shared_rows(&self) -> Arc<RowStore> {
+        Arc::clone(&self.rows)
     }
 
-    /// Current number of shards (≤ the configured fanout for `AppendToLast`).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// An owned, `'static` handle over every shard — what the executor's worker-pool
-    /// jobs capture to map morsel ranges onto shard slices without copying rows out.
-    pub fn shard_set(&self) -> ShardSet {
-        ShardSet::new(self.shards.clone())
-    }
-
-    /// An owned shard handle excluding shards whose *cached* summary proves no row
-    /// can satisfy `lo <= column <= hi` (see [`ShardStatistics::may_contain_in_range`]).
-    /// Returns the kept set and the number of shards pruned. Never computes
-    /// statistics: dirty shards are conservatively kept, and empty shards are kept
-    /// without counting as pruned.
-    pub fn pruned_shard_set(
-        &self,
-        column: &str,
-        lo: Option<(f64, bool)>,
-        hi: Option<(f64, bool)>,
-    ) -> (ShardSet, usize) {
-        let mut kept = Vec::with_capacity(self.shards.len());
-        let mut pruned = 0usize;
-        for shard in &self.shards {
-            if shard.is_empty() {
-                kept.push(Arc::clone(shard));
-                continue;
-            }
-            match shard.cached_summary() {
-                Some(s) if !s.may_contain_in_range(column, lo, hi) => pruned += 1,
-                _ => kept.push(Arc::clone(shard)),
-            }
-        }
-        (ShardSet::new(kept), pruned)
-    }
-
-    /// Fraction of the table's rows in shards a scan with the given bound would keep
-    /// (1.0 when nothing can be pruned — unknown column, dirty summaries, …). The
-    /// cost model scales scan costs by this, pricing shard pruning.
-    pub fn unpruned_row_fraction(
-        &self,
-        column: &str,
-        lo: Option<(f64, bool)>,
-        hi: Option<(f64, bool)>,
-    ) -> f64 {
-        if self.total_rows == 0 {
-            return 1.0;
-        }
-        let mut kept = 0usize;
-        for shard in &self.shards {
-            match shard.cached_summary() {
-                Some(s) if !s.may_contain_in_range(column, lo, hi) => {}
-                _ => kept += shard.len(),
-            }
-        }
-        kept as f64 / self.total_rows as f64
-    }
-
-    /// Total number of rows across all shards.
+    /// Number of rows in the table.
     pub fn row_count(&self) -> usize {
-        self.total_rows
+        self.rows.len()
     }
 
-    /// Validates and appends a row, maintaining all indexes. Row-at-a-time streams
-    /// fill each shard to a minimum fill (256 rows) before opening the next.
+    /// Validates and appends a row, maintaining all indexes.
     pub fn insert(&mut self, row: Row) -> Result<()> {
-        let target = (self.total_rows + 1)
-            .div_ceil(self.shard_target)
-            .max(MIN_SHARD_FILL);
-        self.insert_with_fill_target(row, target)
-    }
-
-    /// Bulk insert (used by the data generator). Rows are validated like
-    /// [`Table::insert`]; the batch's known final size balances rows evenly across
-    /// the configured fanout.
-    pub fn insert_all(&mut self, rows: Vec<Row>) -> Result<()> {
-        let target = (self.total_rows + rows.len())
-            .div_ceil(self.shard_target)
-            .max(1);
-        for row in rows {
-            self.insert_with_fill_target(row, target)?;
-        }
-        Ok(())
-    }
-
-    fn insert_with_fill_target(&mut self, row: Row, fill_target: usize) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(Error::Execution(format!(
                 "insert into '{}': expected {} values, got {}",
@@ -362,27 +177,22 @@ impl Table {
                 )));
             }
         }
-        let shard_idx = match self.shard_policy {
-            ShardPolicy::Hash => (Shard::route_hash(&row) % self.shard_target as u64) as usize,
-            ShardPolicy::AppendToLast => {
-                let last = self.shards.len() - 1;
-                if self.shards.len() < self.shard_target && self.shards[last].len() >= fill_target {
-                    self.shards.push(Arc::new(Shard::new()));
-                }
-                self.shards.len() - 1
-            }
-        };
-        let offset = self.shards[shard_idx].len();
+        let position = self.rows.len();
         for index in self.indexes.values_mut() {
-            index.insert(&row, shard_idx, offset);
+            index.insert(&row, position);
         }
-        // Copy-on-write: a shard shared with a reader gets its own list of chunk handles
-        // (no row is copied), and `push` then copies at most the open tail chunk.
-        Arc::make_mut(&mut self.shards[shard_idx]).push(row);
-        self.total_rows += 1;
+        // Copy-on-write: a store shared with a reader gets its own list of chunk handles
+        // (no sealed row is copied) and its own copy of the open tail chunk.
+        Arc::make_mut(&mut self.rows).push(row);
         self.data_version += 1;
         self.mark_stats_dirty();
         Ok(())
+    }
+
+    /// Bulk insert (used by the data generator). Rows are validated like
+    /// [`Table::insert`].
+    pub fn insert_all(&mut self, rows: Vec<Row>) -> Result<()> {
+        rows.into_iter().try_for_each(|row| self.insert(row))
     }
 
     /// Creates a hash index on `column` (no-op if one already exists). Existing rows
@@ -395,10 +205,8 @@ impl Table {
         }
         let col_idx = self.schema.index_of(None, &column)?;
         let mut index = HashIndex::new(&column, col_idx);
-        for (shard_idx, shard) in self.shards.iter().enumerate() {
-            for (offset, row) in shard.runs().flatten().enumerate() {
-                index.insert(row, shard_idx, offset);
-            }
+        for (position, row) in self.rows.iter().enumerate() {
+            index.insert(row, position);
         }
         self.index_rebuilds.fetch_add(1, Ordering::Relaxed);
         self.indexes.insert(column, index);
@@ -424,23 +232,21 @@ impl Table {
         self.index_on(column).map(|idx| {
             let [older, newer] = idx.lookup(value);
             let mut rows = Vec::with_capacity(older.len() + newer.len());
-            rows.extend(
-                older
-                    .iter()
-                    .chain(newer)
-                    .map(|&(shard, offset)| self.shards[shard].row(offset)),
-            );
+            rows.extend(older.iter().chain(newer).map(|&position| {
+                self.rows
+                    .get(position)
+                    .expect("index postings point at stored rows")
+            }));
             rows
         })
     }
 
-    /// Statistics for the cost model, computed lazily and cached until the next data
-    /// change. The table-level document is the merge of per-shard summaries, and only
-    /// *dirty* shards recompute theirs — an insert re-samples one shard, not the
-    /// table. Unanalyzed tables get basic statistics (row count, exact distinct
-    /// counts, null fractions); tables a sampled [`analyze`](Table::analyze) ran over
-    /// additionally carry histograms and MCV lists, and *re-analyze themselves* with
-    /// the remembered configuration when the cache is invalidated by new data.
+    /// Statistics for the cost model, computed lazily from the row store and cached
+    /// until the next data change. Unanalyzed tables get basic statistics (row count,
+    /// exact distinct counts, null fractions); tables a sampled
+    /// [`analyze`](Table::analyze) ran over additionally carry histograms and MCV
+    /// lists, and *re-analyze themselves* with the remembered configuration when the
+    /// cache is invalidated by new data.
     pub fn stats(&self) -> Arc<TableStatistics> {
         if let Some(cached) = self
             .cached_stats
@@ -451,31 +257,25 @@ impl Table {
             return cached;
         }
         // Double-checked under the write lock: concurrent readers that missed above
-        // must not each run the merge (and each bump the recompute counter) — one
+        // must not each run the pass (and each bump the recompute counter) — one
         // computes, the rest wait and reuse it.
         let mut slot = self.cached_stats.write().expect("stats cache poisoned");
         if let Some(cached) = slot.as_ref() {
             return Arc::clone(cached);
         }
-        let config = self.analyze_config.as_ref();
-        let summaries: Vec<Arc<ShardStatistics>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                shard.ensure_summary(&self.schema, config, i as u64, &self.shard_stat_recomputes)
-            })
-            .collect();
-        let refs: Vec<&ShardStatistics> = summaries.iter().map(Arc::as_ref).collect();
-        let computed = Arc::new(ShardStatistics::merge(&self.schema, &refs, config));
+        let runs: Vec<&[Row]> = self.rows.runs(0..self.rows.len()).collect();
+        let computed = Arc::new(match &self.analyze_config {
+            Some(config) => TableStatistics::analyzed(&self.schema, &runs, config),
+            None => TableStatistics::basic(&self.schema, &runs),
+        });
         self.stats_recomputes.fetch_add(1, Ordering::Relaxed);
         *slot = Some(Arc::clone(&computed));
         computed
     }
 
-    /// Runs a sampled `ANALYZE` over the table: builds histogram/MCV statistics from
-    /// per-shard reservoir samples and remembers `config` so later invalidations
-    /// re-analyze automatically (and incrementally). Returns the fresh statistics.
+    /// Runs a sampled `ANALYZE` over the table: builds histogram/MCV statistics from a
+    /// reservoir sample and remembers `config` so later invalidations re-analyze
+    /// automatically. Returns the fresh statistics.
     pub fn analyze(&mut self, config: AnalyzeConfig) -> Arc<TableStatistics> {
         self.analyze_config = Some(config);
         self.mark_stats_dirty();
@@ -487,18 +287,10 @@ impl Table {
         self.analyze_config.is_some()
     }
 
-    /// Lifetime count of table-level statistics merges — the regression metric
-    /// proving that repeated `stats()` calls against unchanged data never rescan the
-    /// table.
+    /// Lifetime count of statistics passes — the regression metric proving that
+    /// repeated `stats()` calls against unchanged data never rescan the table.
     pub fn stats_recomputes(&self) -> u64 {
         self.stats_recomputes.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of per-shard statistics passes — the incremental-ANALYZE
-    /// metric: after an insert, the next `stats()` bumps this by the number of
-    /// *dirty* shards (usually 1), not the shard count.
-    pub fn shard_stat_recomputes(&self) -> u64 {
-        self.shard_stat_recomputes.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of full index builds (one per `create_index` over existing
@@ -521,11 +313,9 @@ impl Table {
         *cached = None;
     }
 
-    /// Removes all rows (keeps schema, index definitions, the shard layout and the
-    /// ANALYZE config).
+    /// Removes all rows (keeps schema, index definitions and the ANALYZE config).
     pub fn truncate(&mut self) {
-        self.shards = Table::initial_shards(self.shard_target, self.shard_policy);
-        self.total_rows = 0;
+        self.rows = Arc::default();
         for index in self.indexes.values_mut() {
             index.clear();
         }
@@ -537,7 +327,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::CHUNK_ROWS;
+    use crate::rows::CHUNK_ROWS;
     use decorr_common::{Column, DataType};
 
     fn orders_table() -> Table {
@@ -548,19 +338,6 @@ mod tests {
                 Column::new("custkey", DataType::Int),
                 Column::new("totalprice", DataType::Float),
             ]),
-        )
-    }
-
-    fn sharded_orders(shard_count: usize) -> Table {
-        Table::with_shards(
-            "orders",
-            Schema::new(vec![
-                Column::new("orderkey", DataType::Int).not_null(),
-                Column::new("custkey", DataType::Int),
-                Column::new("totalprice", DataType::Float),
-            ]),
-            shard_count,
-            ShardPolicy::AppendToLast,
         )
     }
 
@@ -584,7 +361,7 @@ mod tests {
 
     #[test]
     fn scan_materializes_rows_in_global_order() {
-        let mut t = sharded_orders(4);
+        let mut t = orders_table();
         t.insert_all(order_rows(1000)).unwrap();
         let materialized = t.scan().collect_rows();
         assert_eq!(materialized.len(), 1000);
@@ -610,113 +387,38 @@ mod tests {
     }
 
     #[test]
-    fn bulk_loads_balance_across_shards_and_keep_scan_order() {
-        let mut t = sharded_orders(4);
-        t.insert_all(order_rows(1000)).unwrap();
-        assert_eq!(t.shard_count(), 4);
-        let sizes: Vec<usize> = t.shards().iter().map(|s| s.len()).collect();
-        assert_eq!(sizes, vec![250, 250, 250, 250]);
-        // Global scan order is insertion order regardless of fanout.
-        let keys: Vec<i64> = t
-            .scan()
-            .iter()
-            .map(|r| match r.get(0) {
-                Value::Int(i) => *i,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(keys, (0..1000).collect::<Vec<_>>());
-        // Appends after the fanout is reached go to the last shard.
-        t.insert(Row::new(vec![1000.into(), 0.into(), 0.0.into()]))
-            .unwrap();
-        assert_eq!(t.shard_count(), 4);
-        assert_eq!(t.shards()[3].len(), 251);
-    }
-
-    #[test]
-    fn row_at_a_time_streams_fill_shards_to_the_minimum_first() {
-        let mut t = sharded_orders(4);
-        for row in order_rows(600) {
-            t.insert(row).unwrap();
-        }
-        // 600 singleton inserts: each shard fills to MIN_SHARD_FILL before the next
-        // opens — no degenerate 1-row shards.
-        let sizes: Vec<usize> = t.shards().iter().map(|s| s.len()).collect();
-        assert_eq!(sizes, vec![256, 256, 88]);
-    }
-
-    #[test]
-    fn hash_policy_routes_rows_deterministically() {
-        let make = || {
-            let mut t = Table::with_shards(
-                "orders",
-                Schema::new(vec![
-                    Column::new("orderkey", DataType::Int).not_null(),
-                    Column::new("custkey", DataType::Int),
-                    Column::new("totalprice", DataType::Float),
-                ]),
-                4,
-                ShardPolicy::Hash,
-            );
-            t.insert_all(order_rows(400)).unwrap();
-            t
-        };
-        let (a, b) = (make(), make());
-        assert_eq!(a.shard_count(), 4);
-        assert_eq!(a.row_count(), 400);
-        // Same rows, same routing.
-        let sizes = |t: &Table| t.shards().iter().map(|s| s.len()).collect::<Vec<_>>();
-        assert_eq!(sizes(&a), sizes(&b));
-        // Every shard's rows are found through the index after routing.
-        assert!(sizes(&a).iter().sum::<usize>() == 400);
-    }
-
-    #[test]
-    fn clone_shares_shards_until_written() {
-        let mut t = sharded_orders(4);
+    fn clone_shares_the_store_until_written() {
+        let mut t = orders_table();
         t.insert_all(order_rows(1000)).unwrap();
         let snapshot = t.clone();
-        // All four shards are physically shared right after the clone.
-        for (a, b) in t.shards().iter().zip(snapshot.shards()) {
-            assert!(Arc::ptr_eq(a, b));
-        }
+        assert!(Arc::ptr_eq(&t.shared_rows(), &snapshot.shared_rows()));
         t.insert(Row::new(vec![1000.into(), 0.into(), 0.0.into()]))
             .unwrap();
-        // The write deep-cloned only the shard it appended to.
-        let shared: Vec<bool> = t
-            .shards()
-            .iter()
-            .zip(snapshot.shards())
-            .map(|(a, b)| Arc::ptr_eq(a, b))
-            .collect();
-        assert_eq!(shared, vec![true, true, true, false]);
+        assert!(!Arc::ptr_eq(&t.shared_rows(), &snapshot.shared_rows()));
         assert_eq!(snapshot.row_count(), 1000);
         assert_eq!(t.row_count(), 1001);
     }
 
     /// Chunks of `live` that `snapshot` does not hold — what a write made after the
-    /// clone had to allocate: sealed chunks by handle, and the open tail of any shard
-    /// the two no longer share (a shard's clone always copies its tail).
+    /// clone had to allocate: sealed chunks by handle, and the open tail once the two
+    /// no longer share a store (a store's clone always copies its tail).
     fn unshared_chunks(live: &Table, snapshot: &Table) -> usize {
-        live.shards()
+        let (mine, theirs) = (live.scan(), snapshot.scan());
+        if std::ptr::eq(mine, theirs) {
+            return 0;
+        }
+        let fresh = mine
+            .sealed()
             .iter()
-            .zip(snapshot.shards())
-            .filter(|(mine, theirs)| !Arc::ptr_eq(mine, theirs))
-            .map(|(mine, theirs)| {
-                let fresh = mine
+            .enumerate()
+            .filter(|(i, chunk)| {
+                theirs
                     .sealed()
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, chunk)| {
-                        theirs
-                            .sealed()
-                            .get(*i)
-                            .is_none_or(|c| !Arc::ptr_eq(chunk, c))
-                    })
-                    .count();
-                fresh + usize::from(mine.len() % CHUNK_ROWS != 0)
+                    .get(*i)
+                    .is_none_or(|c| !Arc::ptr_eq(chunk, c))
             })
-            .sum()
+            .count();
+        fresh + usize::from(mine.len() % CHUNK_ROWS != 0)
     }
 
     fn owned(hits: Option<Vec<&Row>>) -> Vec<Row> {
@@ -725,21 +427,9 @@ mod tests {
 
     #[test]
     fn clone_then_insert_copies_one_chunk_and_no_index_base() {
-        let cases = [
-            (1, ShardPolicy::AppendToLast, 50_000),
-            (1, ShardPolicy::AppendToLast, CHUNK_ROWS - 1),
-            (1, ShardPolicy::AppendToLast, CHUNK_ROWS),
-            (1, ShardPolicy::AppendToLast, CHUNK_ROWS + 1),
-            (4, ShardPolicy::Hash, 50_000),
-        ];
-        for (shard_count, policy, n) in cases {
-            let case = format!("{shard_count} shard(s), {policy:?}, {n} rows");
-            let mut t = Table::with_shards(
-                "orders",
-                orders_table().schema().clone(),
-                shard_count,
-                policy,
-            );
+        for n in [50_000, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1] {
+            let case = format!("{n} rows");
+            let mut t = orders_table();
             t.insert_all(order_rows(n as i64)).unwrap();
             t.create_index("custkey").unwrap();
             t.create_index("orderkey").unwrap();
@@ -754,10 +444,11 @@ mod tests {
             // row behind it (sealed at once if that filled it). Every chunk sealed
             // before is still the snapshot's, and so is every index base.
             assert_eq!(unshared_chunks(&t, &snapshot), 1, "{case}");
-            for (mine, theirs) in t.shards().iter().zip(snapshot.shards()) {
-                for (i, sealed) in theirs.sealed().iter().enumerate() {
-                    assert!(Arc::ptr_eq(sealed, &mine.sealed()[i]), "{case}: chunk {i}");
-                }
+            for (i, sealed) in snapshot.scan().sealed().iter().enumerate() {
+                assert!(
+                    Arc::ptr_eq(sealed, &t.scan().sealed()[i]),
+                    "{case}: chunk {i}"
+                );
             }
             for column in ["custkey", "orderkey"] {
                 let (mine, theirs) = (
@@ -831,11 +522,10 @@ mod tests {
                 .collect()
         };
 
-        for (seed, shard_count) in [(11u64, 1usize), (12, 3)] {
+        for seed in [11u64, 12] {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut rows: Vec<Row> = vec![];
-            let mut live =
-                Table::with_shards("t", schema(), shard_count, ShardPolicy::AppendToLast);
+            let mut live = Table::new("t", schema());
             live.create_index("k").unwrap();
             // A bulk load first, so that a delta has a base worth not copying.
             let bulk: Vec<Row> = (0..2_000).map(|id| draw(&mut rng, id)).collect();
@@ -896,6 +586,71 @@ mod tests {
         }
     }
 
+    /// Morsel ranges and index lookups agree with a plain `Vec<Row>` at every chunk
+    /// seam, on the live table and on a clone pinned before the last insert.
+    #[test]
+    fn ranges_and_lookups_across_chunk_seams_match_a_plain_vector() {
+        let check = |t: &Table, model: &[Row], case: &str| {
+            let n = model.len();
+            assert_eq!(t.row_count(), n, "{case}");
+            assert_eq!(t.scan().collect_rows(), model, "{case}");
+            let seams = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1];
+            let bounds: Vec<usize> = (0..=n / CHUNK_ROWS)
+                .flat_map(|chunk| seams.map(|s| (chunk * CHUNK_ROWS + s).min(n)))
+                .collect();
+            for &lo in &bounds {
+                for &hi in bounds.iter().filter(|&&hi| hi >= lo) {
+                    assert_eq!(
+                        t.scan().collect_range(lo..hi),
+                        model[lo..hi],
+                        "{case}: {lo}..{hi}"
+                    );
+                    assert!(t.scan().iter_range(lo..hi).eq(&model[lo..hi]), "{case}");
+                    assert!(t.scan().runs(lo..hi).all(|run| !run.is_empty()), "{case}");
+                }
+                assert_eq!(t.scan().get(lo), model.get(lo), "{case}: row {lo}");
+            }
+            // Unique key: the row at each seam. Shared key: every tenth row, in order.
+            for &i in bounds.iter().filter(|&&i| i < n) {
+                assert_eq!(
+                    owned(t.index_lookup("orderkey", &Value::Int(i as i64))),
+                    vec![model[i].clone()],
+                    "{case}: orderkey {i}"
+                );
+            }
+            let shared: Vec<Row> = model.iter().skip(3).step_by(10).cloned().collect();
+            assert_eq!(
+                owned(t.index_lookup("custkey", &Value::Int(3))),
+                shared,
+                "{case}"
+            );
+        };
+        for n in [
+            CHUNK_ROWS - 1,
+            CHUNK_ROWS,
+            CHUNK_ROWS + 1,
+            3 * CHUNK_ROWS + 1,
+        ] {
+            let mut model = order_rows(n as i64);
+            let mut t = orders_table();
+            t.create_index("orderkey").unwrap();
+            t.insert_all(model.clone()).unwrap();
+            t.create_index("custkey").unwrap();
+            check(&t, &model, &format!("{n} rows"));
+
+            let pinned = t.clone();
+            let added = Row::new(vec![
+                (n as i64).into(),
+                ((n % 10) as i64).into(),
+                0.5.into(),
+            ]);
+            t.insert(added.clone()).unwrap();
+            check(&pinned, &model, &format!("{n} rows, pinned clone"));
+            model.push(added);
+            check(&t, &model, &format!("{n} rows + 1"));
+        }
+    }
+
     #[test]
     fn index_lookup_finds_matching_rows() {
         let mut t = orders_table();
@@ -914,8 +669,8 @@ mod tests {
     }
 
     #[test]
-    fn index_lookup_spans_shards() {
-        let mut t = sharded_orders(4);
+    fn index_lookup_spans_chunks() {
+        let mut t = orders_table();
         t.insert_all(order_rows(1000)).unwrap();
         t.create_index("custkey").unwrap();
         let hits = t.index_lookup("custkey", &Value::Int(3)).unwrap();
@@ -937,7 +692,7 @@ mod tests {
 
     #[test]
     fn index_maintenance_is_incremental_not_a_rebuild() {
-        let mut t = sharded_orders(4);
+        let mut t = orders_table();
         t.insert_all(order_rows(1000)).unwrap();
         assert_eq!(t.index_rebuilds(), 0, "no index yet, no build");
         t.create_index("custkey").unwrap();
@@ -1007,61 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_analyze_resamples_only_dirty_shards() {
-        let mut t = sharded_orders(4);
-        t.insert_all(order_rows(1000)).unwrap();
-        t.analyze(AnalyzeConfig::default());
-        assert_eq!(t.stats_recomputes(), 1);
-        assert_eq!(t.shard_stat_recomputes(), 4, "all four shards sample once");
-        // Repeated reads touch nothing.
-        let _ = t.stats();
-        assert_eq!(t.shard_stat_recomputes(), 4);
-        // One insert dirties exactly one shard; the merge re-runs but only that
-        // shard re-samples.
-        t.insert(Row::new(vec![1000.into(), 0.into(), 0.0.into()]))
-            .unwrap();
-        let refreshed = t.stats();
-        assert!(refreshed.analyzed);
-        assert_eq!(refreshed.row_count, 1001);
-        assert_eq!(t.stats_recomputes(), 2);
-        assert_eq!(
-            t.shard_stat_recomputes(),
-            5,
-            "only the dirty shard re-sampled"
-        );
-    }
-
-    #[test]
-    fn pruned_shard_sets_respect_cached_summaries() {
-        let mut t = sharded_orders(4);
-        t.insert_all(order_rows(1000)).unwrap();
-        // Before any statistics pass nothing can be pruned.
-        let (set, pruned) = t.pruned_shard_set("orderkey", Some((900.0, true)), None);
-        assert_eq!((set.len(), pruned), (1000, 0), "dirty shards never prune");
-        assert_eq!(
-            t.unpruned_row_fraction("orderkey", Some((900.0, true)), None),
-            1.0
-        );
-        t.analyze(AnalyzeConfig::default());
-        // orderkey >= 900 lives entirely in the last shard (rows 750..999).
-        let (set, pruned) = t.pruned_shard_set("orderkey", Some((900.0, true)), None);
-        assert_eq!(pruned, 3);
-        assert_eq!(set.len(), 250);
-        let frac = t.unpruned_row_fraction("orderkey", Some((900.0, true)), None);
-        assert!((frac - 0.25).abs() < 1e-9, "frac {frac}");
-        // Equality inside one shard's range keeps just that shard.
-        let (set, pruned) = t.pruned_shard_set("orderkey", Some((10.0, true)), Some((10.0, true)));
-        assert_eq!(pruned, 3);
-        assert_eq!(set.len(), 250);
-        // An unknown column prunes nothing.
-        let (_, pruned) = t.pruned_shard_set("nosuch", Some((900.0, true)), None);
-        assert_eq!(pruned, 0);
-        // custkey spans 0..9 in every shard: no pruning for custkey = 3.
-        let (set, pruned) = t.pruned_shard_set("custkey", Some((3.0, true)), Some((3.0, true)));
-        assert_eq!((set.len(), pruned), (1000, 0));
-    }
-
-    #[test]
     fn data_version_tracks_inserts_and_truncate() {
         let mut t = orders_table();
         assert_eq!(t.data_version(), 0);
@@ -1081,55 +781,11 @@ mod tests {
     }
 
     #[test]
-    fn set_placement_reroutes_rows_and_maintains_indexes() {
-        let mut t = sharded_orders(4);
-        t.insert_all(order_rows(400)).unwrap();
-        t.create_index("custkey").unwrap();
-        let version_before = t.data_version();
-        t.set_placement(ShardPolicy::Hash).unwrap();
-        assert_eq!(t.shard_policy(), ShardPolicy::Hash);
-        assert_eq!(t.shard_count(), 4, "hash placement opens every shard");
-        assert_eq!(t.row_count(), 400);
-        assert!(t.data_version() > version_before);
-        // Same rows, different order: compare as sorted multisets.
-        let mut keys: Vec<i64> = t
-            .scan()
-            .iter()
-            .map(|r| r.get(0).as_int().unwrap())
-            .collect();
-        keys.sort_unstable();
-        assert_eq!(keys, (0..400).collect::<Vec<_>>());
-        // Indexes were rebuilt against the new locators.
-        let hits = t.index_lookup("custkey", &Value::Int(3)).unwrap();
-        assert_eq!(hits.len(), 40);
-        assert!(hits.iter().all(|r| r.get(1) == &Value::Int(3)));
-        // Routing matches a table built under Hash from scratch.
-        let mut fresh = Table::with_shards(
-            "orders",
-            Schema::new(vec![
-                Column::new("orderkey", DataType::Int).not_null(),
-                Column::new("custkey", DataType::Int),
-                Column::new("totalprice", DataType::Float),
-            ]),
-            4,
-            ShardPolicy::Hash,
-        );
-        fresh.insert_all(order_rows(400)).unwrap();
-        let sizes = |t: &Table| t.shards().iter().map(|s| s.len()).collect::<Vec<_>>();
-        assert_eq!(sizes(&t), sizes(&fresh));
-        // Switching to the same policy is a no-op.
-        let v = t.data_version();
-        t.set_placement(ShardPolicy::Hash).unwrap();
-        assert_eq!(t.data_version(), v);
-    }
-
-    #[test]
-    fn restore_rebuilds_exact_layout_and_indexes() {
-        let mut original = sharded_orders(4);
+    fn restore_rebuilds_rows_and_indexes() {
+        let mut original = orders_table();
         original.insert_all(order_rows(1000)).unwrap();
         original.create_index("custkey").unwrap();
         let analyzed = original.analyze(AnalyzeConfig::default());
-        let shard_rows: Vec<Vec<Row>> = original.shards().iter().map(|s| s.to_vec()).collect();
         let restored = Table::restore(
             "orders",
             Schema::new(vec![
@@ -1137,9 +793,7 @@ mod tests {
                 Column::new("custkey", DataType::Int),
                 Column::new("totalprice", DataType::Float),
             ]),
-            original.shard_target(),
-            original.shard_policy(),
-            shard_rows,
+            original.scan().collect_rows(),
             &original.indexed_columns(),
             original.analyze_config().cloned(),
             Some(analyzed.as_ref().clone()),
@@ -1147,7 +801,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(restored.row_count(), 1000);
-        assert_eq!(restored.shard_count(), original.shard_count());
         assert_eq!(restored.data_version(), original.data_version());
         assert_eq!(
             restored.scan().collect_rows(),
@@ -1172,9 +825,7 @@ mod tests {
         let err = Table::restore(
             "bad",
             Schema::new(vec![Column::new("k", DataType::Int)]),
-            1,
-            ShardPolicy::AppendToLast,
-            vec![vec![Row::new(vec![1.into(), 2.into()])]],
+            vec![Row::new(vec![1.into(), 2.into()])],
             &[],
             None,
             None,

@@ -70,5 +70,4 @@ pub mod prelude {
         Engine, EngineBuilder, ExecutionStrategy, QueryOptions, QueryResult, Session,
     };
     pub use decorr_persist::PersistStats;
-    pub use decorr_storage::ShardPolicy;
 }

@@ -232,15 +232,13 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
         let mut rng = SmallRng::seed_from_u64(0xF0CC_5EED ^ (i.wrapping_mul(0x9E37_79B9)));
         let (tables, statements) = gen_statements(&mut rng);
         let queries = gen_queries(&mut rng, &tables);
-        let shards = rng.gen_range_usize(1, 9);
         let dir = TempDir::new(&format!("iter{i}"));
 
         let serial = Engine::builder()
-            .shard_count(shards)
             .parallelism(1)
             .data_dir(dir.path())
             .build();
-        let parallel = Engine::builder().shard_count(shards).parallelism(4).build();
+        let parallel = Engine::builder().parallelism(4).build();
         let serial_session = serial.session();
         let parallel_session = parallel.session();
         for sql in &statements {

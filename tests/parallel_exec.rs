@@ -5,7 +5,9 @@
 //! (inline) execution — same rows, same row order, same float rounding (aggregation
 //! partitions by group key, so each group's accumulation chain stays in global row
 //! order). These tests drive that contract with the deterministic property harness
-//! used by `tests/rule_properties.rs`, across `parallelism ∈ {1, 2, 4, 8}`.
+//! used by `tests/rule_properties.rs`, across `parallelism ∈ {1, 2, 4, 8}`, and end to
+//! end with a seeded SQL battery (cold and warm, analyzed or not, beside a racing
+//! writer).
 
 use udf_decorrelation::algebra::{
     AggCall, AggFunc, ApplyKind, JoinKind, PlanBuilder, RelExpr, ScalarExpr as E,
@@ -575,5 +577,130 @@ fn parallel_runs_record_an_execution_trace() {
         assert!(op.workers >= 1 && op.workers <= 4);
         assert!(op.morsels > 0);
         assert_eq!(op.rows_per_worker.len(), op.workers);
+    }
+}
+
+// ------------------------------------------- byte-identity battery, end to end
+
+const BATTERY_CUSTOMERS: i64 = 50;
+const BATTERY_ORDERS_PER_CUSTOMER: i64 = 40;
+
+/// Seeded customer/orders data (orders span several storage chunks and many morsels),
+/// the paper's `service_level` UDF, and an `events` table only the racing writer
+/// touches. Identical at every pool size.
+fn battery_engine(parallelism: usize) -> Engine {
+    let engine = Engine::builder()
+        .exec_config(config_with(parallelism))
+        .build();
+    let admin = engine.session();
+    admin
+        .execute(
+            "create table customer(custkey int not null, name varchar(25)); \
+             create table orders(orderkey int not null, custkey int, totalprice float); \
+             create table events(id int not null, amount float)",
+        )
+        .unwrap();
+    let customers: Vec<Row> = (1..=BATTERY_CUSTOMERS)
+        .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("Customer#{i}"))]))
+        .collect();
+    engine.load_rows("customer", customers).unwrap();
+    let orders: Vec<Row> = (0..BATTERY_CUSTOMERS * BATTERY_ORDERS_PER_CUSTOMER)
+        .map(|n| {
+            let (i, j) = (
+                n / BATTERY_ORDERS_PER_CUSTOMER + 1,
+                n % BATTERY_ORDERS_PER_CUSTOMER,
+            );
+            Row::new(vec![
+                Value::Int(n + 1),
+                Value::Int(i),
+                Value::Float(500.0 * i as f64 + 13.0 * j as f64),
+            ])
+        })
+        .collect();
+    engine.load_rows("orders", orders).unwrap();
+    admin
+        .register_function(
+            "create function service_level(int ckey) returns varchar(10) as \
+             begin \
+               float totalbusiness; string level; \
+               select sum(totalprice) into :totalbusiness from orders where custkey = :ckey; \
+               if (totalbusiness > 200000) level = 'Platinum'; \
+               else if (totalbusiness > 50000) level = 'Gold'; \
+               else level = 'Regular'; \
+               return level; \
+             end",
+        )
+        .unwrap();
+    engine
+}
+
+/// One pass of the seeded query battery; returns every result verbatim (no sorting —
+/// row *order* is part of the byte-identity contract).
+fn run_battery(engine: &Engine, seed: u64) -> Vec<String> {
+    let session = engine.session();
+    let mut log = vec![];
+    let mut push = |sql: &str| {
+        let result = session.query(sql).unwrap();
+        let rows: Vec<String> = result.rows.iter().map(|r| format!("{r:?}")).collect();
+        log.push(format!("{sql} => {}", rows.join("|")));
+    };
+    push("select custkey, name from customer");
+    push("select orderkey, totalprice from orders where custkey = 7");
+    push("select orderkey from orders where totalprice >= 5000 and totalprice <= 9000");
+    push("select custkey, sum(totalprice) as total from orders group by custkey");
+    push("select o.orderkey from customer c join orders o on c.custkey = o.custkey where o.totalprice > 20000");
+    push("select custkey, service_level(custkey) as level from customer");
+    // Seeded random range scans, some reaching past the last order.
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for _ in 0..8 {
+        let lo = rng.gen_range_i64(1, 2200);
+        let hi = lo + rng.gen_range_i64(1, 500);
+        push(&format!(
+            "select orderkey, custkey from orders where orderkey >= {lo} and orderkey <= {hi}"
+        ));
+    }
+    log
+}
+
+/// Results are byte-identical at parallelism 1 and 4, cold and warm, analyzed or not —
+/// including while another session races inserts into an unrelated table.
+#[test]
+fn results_are_byte_identical_across_parallelism_cold_warm_and_analyzed() {
+    let reference_engine = battery_engine(1);
+    let reference = run_battery(&reference_engine, 42);
+    assert_eq!(
+        reference,
+        run_battery(&reference_engine, 42),
+        "warm caches changed a result on the reference configuration"
+    );
+    for parallelism in [1usize, 4] {
+        let engine = battery_engine(parallelism);
+        // Racing inserter: concurrent copy-on-write appends to `events` publish new
+        // catalog epochs while the battery scans customer/orders snapshots.
+        let writer = engine.session();
+        let inserter = std::thread::spawn(move || {
+            for i in 0..200 {
+                writer
+                    .execute(&format!("insert into events values ({i}, {i}.5)"))
+                    .unwrap();
+                if i == 100 {
+                    writer.execute("analyze events").unwrap();
+                }
+            }
+        });
+        let cold = run_battery(&engine, 42);
+        inserter.join().unwrap();
+        assert_eq!(
+            reference, cold,
+            "cold run diverged at parallelism={parallelism}"
+        );
+        // ANALYZE changes estimates and so possibly plans; the rows a query returns
+        // must not move by a byte.
+        engine.session().execute("analyze orders").unwrap();
+        let warm = run_battery(&engine, 42);
+        assert_eq!(
+            reference, warm,
+            "analyzed warm run diverged at parallelism={parallelism}"
+        );
     }
 }

@@ -1,17 +1,18 @@
 //! Durability, end to end: an engine checkpointed to a `data_dir`, dropped, and
-//! reopened must answer the query battery **byte-identically** across shard counts
-//! and parallelism, keep the feedback store's learned strategy flips without
-//! re-executing the learning workload, replay the longest valid WAL prefix past a
-//! torn tail, and reject corrupted snapshots with named errors — never panics.
+//! reopened must answer the query battery **byte-identically** at every parallelism,
+//! keep the feedback store's learned strategy flips without re-executing the learning
+//! workload, replay the longest valid WAL prefix past a torn tail, refuse a log frame
+//! that verifies but does not decode without truncating it, and reject corrupted or
+//! old-format snapshots with named errors — never panics.
 
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 
-use udf_decorrelation::common::{Row, Value};
+use udf_decorrelation::common::{FnvHasher, Row, Value};
 use udf_decorrelation::engine::{Engine, Session};
 use udf_decorrelation::optimizer::CostParams;
+use udf_decorrelation::persist::encode::ByteWriter;
 use udf_decorrelation::persist::{SNAPSHOT_FILE, WAL_FILE};
-use udf_decorrelation::prelude::ShardPolicy;
 
 const SERVICE_LEVEL_SQL: &str = "create function service_level(int ckey) returns varchar(10) as \
      begin \
@@ -113,64 +114,78 @@ fn run_battery(session: &Session) -> Vec<String> {
     log
 }
 
+/// Everything a restore must bring back exactly, per table: rows in scan order, index
+/// definitions, statistics, `data_version`; and the catalog's two generations.
+fn stored_state(engine: &Engine) -> Vec<String> {
+    let catalog = engine.catalog();
+    let mut state = vec![format!(
+        "generations ddl={} data={}",
+        catalog.ddl_generation(),
+        catalog.data_generation()
+    )];
+    for name in catalog.table_names() {
+        let table = catalog.table(&name).unwrap();
+        state.push(format!(
+            "{name} v{} indexes={:?} stats={:?} rows={:?}",
+            table.data_version(),
+            table.indexed_columns(),
+            table.stats(),
+            table.scan().collect_rows()
+        ));
+    }
+    state
+}
+
 /// The tentpole property: checkpoint, kill, reopen from `data_dir` — the restored
-/// engine answers the battery byte-identically to the live one, across shard
-/// counts 1/4/8 and parallelism 1/4, and restoring recomputes no statistics. The
-/// same holds with no checkpoint at all, when reopening replays the WAL.
+/// engine holds the same stored state and answers the battery byte-identically to the
+/// live one, at parallelism 1 and 4, and restoring recomputes no statistics. The same
+/// holds with no checkpoint at all, when reopening replays the WAL.
 #[test]
 fn results_are_byte_identical_after_checkpoint_and_reopen() {
-    for shards in [1usize, 4, 8] {
-        for parallelism in [1usize, 4] {
-            for checkpoint in [true, false] {
-                let case =
-                    format!("shards={shards} parallelism={parallelism} checkpoint={checkpoint}");
-                let dir = TempDir::new(&format!("roundtrip_{shards}_{parallelism}_{checkpoint}"));
-                let before = {
-                    let engine = Engine::builder()
-                        .data_dir(dir.path())
-                        .shard_count(shards)
-                        .parallelism(parallelism)
-                        .build();
-                    populate(&engine);
-                    let before = run_battery(&engine.session());
-                    if checkpoint {
-                        engine.checkpoint().unwrap();
-                    }
-                    before
-                    // Dropped without any shutdown protocol: reopen is the recovery.
-                };
-                let mut builder = Engine::builder()
+    for parallelism in [1usize, 4] {
+        for checkpoint in [true, false] {
+            let case = format!("parallelism={parallelism} checkpoint={checkpoint}");
+            let dir = TempDir::new(&format!("roundtrip_{parallelism}_{checkpoint}"));
+            let open = || {
+                Engine::builder()
                     .data_dir(dir.path())
-                    .parallelism(parallelism);
-                if !checkpoint {
-                    // Only a snapshot records the fanout; a replayed CREATE TABLE
-                    // takes the builder's.
-                    builder = builder.shard_count(shards);
-                }
-                let engine = builder.build();
-                let stats = engine.persist_stats();
-                assert!(stats.active, "{case}");
-                assert_eq!(stats.snapshot_loaded, checkpoint, "{case}");
-                assert_eq!(
-                    stats.wal_records_replayed == 0,
-                    checkpoint,
-                    "{case}: a checkpoint truncates the WAL, and only a checkpoint"
-                );
-                let after = run_battery(&engine.session());
-                assert_eq!(before, after, "restored results diverged at {case}");
+                    .parallelism(parallelism)
+                    .build()
+            };
+            let (before, state_before) = {
+                let engine = open();
+                populate(&engine);
+                let before = run_battery(&engine.session());
                 if checkpoint {
-                    // The snapshot carried the merged statistics: answering the
-                    // battery needed no table-statistics rescan on either table.
-                    let catalog = engine.catalog();
-                    for table in ["customer", "orders"] {
-                        assert_eq!(
-                            catalog.table(table).unwrap().stats_recomputes(),
-                            0,
-                            "cold open of {table} must reuse persisted statistics"
-                        );
-                    }
+                    engine.checkpoint().unwrap();
+                }
+                (before, stored_state(&engine))
+                // Dropped without any shutdown protocol: reopen is the recovery.
+            };
+            let engine = open();
+            let stats = engine.persist_stats();
+            assert!(stats.active, "{case}");
+            assert_eq!(stats.snapshot_loaded, checkpoint, "{case}");
+            assert_eq!(
+                stats.wal_records_replayed == 0,
+                checkpoint,
+                "{case}: a checkpoint truncates the WAL, and only a checkpoint"
+            );
+            let after = run_battery(&engine.session());
+            assert_eq!(before, after, "restored results diverged at {case}");
+            if checkpoint {
+                // The snapshot carried the statistics: answering the battery needed
+                // no table-statistics rescan on either table.
+                let catalog = engine.catalog();
+                for table in ["customer", "orders"] {
+                    assert_eq!(
+                        catalog.table(table).unwrap().stats_recomputes(),
+                        0,
+                        "cold open of {table} must reuse persisted statistics"
+                    );
                 }
             }
+            assert_eq!(state_before, stored_state(&engine), "{case}");
         }
     }
 }
@@ -345,48 +360,95 @@ fn corrupt_snapshots_are_rejected_with_named_errors() {
     assert_eq!(result.rows.len(), 3);
 }
 
-/// The `Hash` placement policy is reachable through the public API, reroutes
-/// existing rows without changing results, and both the per-table switch and the
-/// builder default survive a restart.
+/// A snapshot written in format version 1 (partitioned rows, placement policies) is
+/// refused by name: no reader exists for it, and nothing of it is loaded.
 #[test]
-fn hash_placement_is_reachable_and_durable() {
-    let dir = TempDir::new("hash_placement");
+fn a_version_1_snapshot_is_refused_by_name() {
+    let dir = TempDir::new("snapshot_v1");
+    std::fs::create_dir_all(dir.path()).unwrap();
+    // Magic, version 1, an empty payload, and the checksum that makes it verify.
+    let mut image = b"DCRSNAP1".to_vec();
+    image.extend_from_slice(&1u32.to_le_bytes());
+    image.extend_from_slice(&0u64.to_le_bytes());
+    let mut hasher = FnvHasher::new();
+    hasher.write_bytes(&image);
+    image.extend_from_slice(&hasher.finish().to_le_bytes());
+    std::fs::write(dir.path().join(SNAPSHOT_FILE), &image).unwrap();
+    let err = Engine::builder()
+        .data_dir(dir.path())
+        .try_build()
+        .unwrap_err();
+    assert_eq!(err.kind(), "persist");
+    assert!(
+        err.to_string()
+            .contains("snapshot format version 1 is not supported (expected 2)"),
+        "{err}"
+    );
+    assert_eq!(
+        std::fs::read(dir.path().join(SNAPSHOT_FILE)).unwrap(),
+        image,
+        "the refused image is left in place"
+    );
+}
+
+/// A WAL frame whose sequence number and checksum verify was fully written. If its
+/// payload does not decode (here: tag 6, the retired placement record, as an old log
+/// would hold) the engine refuses to open and truncates nothing — the acknowledged
+/// insert behind it must not be dropped as if it were a torn tail.
+#[test]
+fn an_undecodable_but_verified_wal_frame_fails_the_open_and_truncates_nothing() {
+    let dir = TempDir::new("wal_unknown_tag");
     {
-        let engine = Engine::builder()
-            .data_dir(dir.path())
-            .shard_count(4)
-            .build();
-        let session = engine.session();
-        session.execute("create table t(x int, y int)").unwrap();
-        let rows: Vec<Row> = (0..200i64)
-            .map(|i| Row::new(vec![Value::Int(i), Value::Int(i * 3)]))
-            .collect();
-        engine.load_rows("t", rows).unwrap();
-        let before = engine
-            .session()
-            .query("select x, y from t")
-            .unwrap()
-            .canonical_projection(&["x", "y"])
-            .unwrap();
-        engine.set_table_placement("t", ShardPolicy::Hash).unwrap();
-        let table = engine.catalog().table_arc("t").unwrap();
-        assert_eq!(table.shard_policy(), ShardPolicy::Hash);
-        assert!(
-            table.shards().iter().all(|s| !s.is_empty()),
-            "hash routing must spread 200 rows over all 4 shards"
-        );
-        let after = engine
-            .session()
-            .query("select x, y from t")
-            .unwrap()
-            .canonical_projection(&["x", "y"])
-            .unwrap();
-        assert_eq!(before, after, "rerouting must not change the row multiset");
-        // Durable via the WAL alone (no checkpoint).
+        let engine = Engine::builder().data_dir(dir.path()).build();
+        engine.session().execute("create table t(x int)").unwrap();
     }
-    let engine = Engine::builder().data_dir(dir.path()).build();
-    let table = engine.catalog().table_arc("t").unwrap();
-    assert_eq!(table.shard_policy(), ShardPolicy::Hash);
-    assert_eq!(table.row_count(), 200);
-    assert!(table.shards().iter().all(|s| !s.is_empty()));
+    let wal_path = dir.path().join(WAL_FILE);
+    let frame = |seq: u64, payload: &[u8]| {
+        let mut hasher = FnvHasher::new();
+        hasher.write_u64(seq);
+        hasher.write_bytes(payload);
+        let mut frame = seq.to_le_bytes().to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&hasher.finish().to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    };
+    // Tag 6 with the old record's fields (table name, placement bit); behind it a valid
+    // insert (tag 2: table name, row count, rows).
+    let mut retired = ByteWriter::new();
+    retired.put_u8(6);
+    retired.put_str("t");
+    retired.put_bool(true);
+    let retired = retired.into_bytes();
+    let mut insert = ByteWriter::new();
+    insert.put_u8(2);
+    insert.put_str("t");
+    insert.put_u64(1);
+    insert.put_row(&Row::new(vec![Value::Int(7)]));
+    let insert = insert.into_bytes();
+    let mut log = std::fs::read(&wal_path).unwrap();
+    let intact = log.len();
+    log.extend(frame(2, &retired));
+    log.extend(frame(3, &insert));
+    std::fs::write(&wal_path, &log).unwrap();
+
+    let err = Engine::builder()
+        .data_dir(dir.path())
+        .try_build()
+        .unwrap_err();
+    assert_eq!(err.kind(), "persist");
+    let message = err.to_string();
+    assert!(
+        message.contains("record 2") && message.contains("tag 6"),
+        "{message}"
+    );
+    assert_eq!(std::fs::read(&wal_path).unwrap(), log, "nothing truncated");
+
+    // Without the retired frame the same insert replays: the re-framing was sound.
+    log.truncate(intact);
+    log.extend(frame(2, &insert));
+    std::fs::write(&wal_path, &log).unwrap();
+    let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
+    let result = engine.session().query("select x from t").unwrap();
+    assert_eq!(result.rows, vec![Row::new(vec![Value::Int(7)])]);
 }

@@ -5,8 +5,10 @@
 //! regression — a workload where the static cost model picks the iterative plan
 //! wrongly and runtime feedback flips the decision to the decorrelated plan.
 
+use std::fmt::Write as _;
 use std::time::Duration;
 
+use udf_decorrelation::common::FnvHasher;
 use udf_decorrelation::engine::{Engine, ExecutionStrategy, QueryOptions};
 use udf_decorrelation::optimizer::{estimate_per_node, CostParams};
 use udf_decorrelation::stats::q_error;
@@ -47,6 +49,84 @@ fn repeated_optimizes_do_not_rescan_table_statistics() {
     session.execute("insert into t values (6, 2)").unwrap();
     session.query("select x from t where grp = 2").unwrap();
     assert_eq!(engine.catalog().table("t").unwrap().stats_recomputes(), 2);
+}
+
+/// Statistics — and so every cost decision — did not move when the storage layer
+/// under them did: an FNV-1a fingerprint of each TPC-H table's `TableStatistics`
+/// (`Debug` rendering; the type holds only `Vec`s and scalars), basic and after
+/// `ANALYZE`, equals the constant recorded at commit cd3ceeb, where a table's
+/// statistics were still merged from per-partition summaries. The second configuration
+/// has tables spanning several storage chunks and one (`orders`, 12 000 rows) past the
+/// 8 192-row reservoir, so the sampler's draws are pinned too.
+#[test]
+fn table_statistics_fingerprints_match_the_recorded_constants() {
+    type Fingerprints = [(&'static str, u64); 8];
+    const TINY_BASIC: Fingerprints = [
+        ("categories", 0xafa9768196001a09),
+        ("category_ancestors", 0x40575605e2ecbf41),
+        ("categorydiscount", 0x3c411cb3c3d520ff),
+        ("customer", 0x1c3698b3462bfe64),
+        ("lineitem", 0xc1d4105241b9f0bd),
+        ("orders", 0x2b97c3b2d9c25b73),
+        ("parts", 0x2d8cc8131c9f4705),
+        ("partsupp", 0xf5a646bea92c0fe7),
+    ];
+    const TINY_ANALYZED: Fingerprints = [
+        ("categories", 0x234ba28eda884ff7),
+        ("category_ancestors", 0xc4a340c8b05936c0),
+        ("categorydiscount", 0x79f5343e0bcf1d67),
+        ("customer", 0xac531eeafa4ee7a4),
+        ("lineitem", 0x98ccfc3d2349b40b),
+        ("orders", 0xfb9df3be6c513b7e),
+        ("parts", 0x2d79fbdb769ac0f5),
+        ("partsupp", 0xfdd57e40df32f61e),
+    ];
+    const LARGER_BASIC: Fingerprints = [
+        ("categories", 0xafa9768196001a09),
+        ("category_ancestors", 0x40575605e2ecbf41),
+        ("categorydiscount", 0x3c411cb3c3d520ff),
+        ("customer", 0x5fff5a1f4979261a),
+        ("lineitem", 0xb34c3416be063b24),
+        ("orders", 0x4802b5423aae8582),
+        ("parts", 0x2d8cc8131c9f4705),
+        ("partsupp", 0xf5a646bea92c0fe7),
+    ];
+    const LARGER_ANALYZED: Fingerprints = [
+        ("categories", 0x234ba28eda884ff7),
+        ("category_ancestors", 0xc4a340c8b05936c0),
+        ("categorydiscount", 0x79f5343e0bcf1d67),
+        ("customer", 0xcb35960d5d37d8d7),
+        ("lineitem", 0x1f045f5e2b35744d),
+        ("orders", 0x1d1854e2fbff06a3),
+        ("parts", 0x40b062d714fad73e),
+        ("partsupp", 0xfdd57e40df32f61e),
+    ];
+    let fingerprints = |engine: &Engine| -> Vec<(String, u64)> {
+        let catalog = engine.catalog();
+        catalog
+            .table_names()
+            .into_iter()
+            .map(|name| {
+                let mut hasher = FnvHasher::new();
+                write!(hasher, "{:?}", catalog.table(&name).unwrap().stats()).unwrap();
+                (name, hasher.finish())
+            })
+            .collect()
+    };
+    let owned = |expected: Fingerprints| expected.map(|(name, print)| (name.to_string(), print));
+    for (config, basic, analyzed) in [
+        (TpchConfig::tiny(), TINY_BASIC, TINY_ANALYZED),
+        (
+            TpchConfig::tiny().with_customers(3_000),
+            LARGER_BASIC,
+            LARGER_ANALYZED,
+        ),
+    ] {
+        let engine = load(&config).unwrap();
+        assert_eq!(fingerprints(&engine), owned(basic), "{config:?}");
+        engine.analyze();
+        assert_eq!(fingerprints(&engine), owned(analyzed), "{config:?}");
+    }
 }
 
 // ------------------------------------------------------------------ ANALYZE surface

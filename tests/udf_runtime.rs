@@ -457,3 +457,36 @@ fn self_table_udf_decorrelates_to_the_same_answer_as_iteration() {
         "every row got the same (whole-table) sum"
     );
 }
+
+/// The regression for Apply-path counter inflation: at parallelism 8 racing workers
+/// may re-evaluate a tuple whose dedup reservation they lost, but the duplicate must
+/// book as a hit — `udf_invocations` equals the number of distinct argument tuples,
+/// every run.
+#[test]
+fn udf_invocation_counters_are_stable_under_racing_workers() {
+    const ROWS: usize = 2_000;
+    const GROUPS: i64 = 50;
+    let sql = "select id, group_score(grp) as score from probes";
+    let run = |parallelism: usize| {
+        scored_db(ROWS, GROUPS, 0xC0DE)
+            .session()
+            .query_with(
+                sql,
+                &iterative_with(runtime_config(parallelism, true, true)),
+            )
+            .unwrap()
+    };
+    let serial = run(1);
+    assert_eq!(
+        serial.exec_stats.udf_invocations, GROUPS as u64,
+        "serial baseline: one evaluation per distinct group"
+    );
+    for round in 0..3 {
+        let result = run(8);
+        assert_eq!(result.rows.len(), ROWS);
+        assert_eq!(
+            result.exec_stats.udf_invocations, serial.exec_stats.udf_invocations,
+            "round {round}: parallel invocation count drifted from the serial baseline"
+        );
+    }
+}
