@@ -180,16 +180,6 @@ impl AggFunc {
             AggFunc::UserDefined(n) => n.clone(),
         }
     }
-
-    /// The value the aggregate produces over an empty input. `COUNT` yields 0; all other
-    /// built-ins yield NULL. User-defined aggregates yield their initialised state, which
-    /// the executor resolves from the registry (NULL here as a placeholder).
-    pub fn empty_value(&self) -> Value {
-        match self {
-            AggFunc::Count | AggFunc::CountStar => Value::Int(0),
-            _ => Value::Null,
-        }
-    }
 }
 
 impl fmt::Display for AggFunc {

@@ -4,7 +4,7 @@ use std::fmt;
 
 use decorr_common::{normalize_ident, Schema, Value};
 
-use crate::expr::{AggCall, ColumnRef, ScalarExpr};
+use crate::expr::{AggCall, ScalarExpr};
 
 /// Join types. `LeftSemi` / `LeftAnti` correspond to the paper's semijoin (⋉) and
 /// antijoin annotations of the Apply operator.
@@ -619,15 +619,6 @@ impl RelExpr {
             .iter()
             .map(|c| c.node_count())
             .sum::<usize>()
-    }
-
-    /// Collects the column references appearing in this operator's own expressions.
-    pub fn own_column_refs(&self) -> Vec<ColumnRef> {
-        let mut cols = vec![];
-        for e in self.expressions() {
-            e.collect_columns(&mut cols);
-        }
-        cols
     }
 }
 

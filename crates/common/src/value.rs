@@ -291,14 +291,6 @@ impl Value {
         }
     }
 
-    /// Renders the value as a SQL literal (strings quoted, suitable for generated SQL).
-    pub fn to_sql_literal(&self) -> String {
-        match self {
-            Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
-            other => other.display_raw(),
-        }
-    }
-
     /// Casts the value to the requested type, following permissive SQL casting rules.
     pub fn cast(&self, ty: DataType) -> Result<Value> {
         match (self, ty) {
@@ -479,12 +471,5 @@ mod tests {
         assert_eq!(Value::Int(2).group_key(), Value::Float(2.0).group_key());
         assert_ne!(Value::Int(2).group_key(), Value::Int(3).group_key());
         assert_eq!(Value::Null.group_key(), Value::Null.group_key());
-    }
-
-    #[test]
-    fn sql_literal_rendering() {
-        assert_eq!(Value::str("O'Brien").to_sql_literal(), "'O''Brien'");
-        assert_eq!(Value::Int(5).to_sql_literal(), "5");
-        assert_eq!(Value::Null.to_sql_literal(), "NULL");
     }
 }

@@ -135,13 +135,13 @@ impl Engine {
             });
         }
         let mut functions = vec![];
-        for name in registry.udf_names() {
-            let udf = registry.udf(&name)?;
+        for udf in registry.udfs() {
             match &udf.source {
                 Some(source) => functions.push(source.clone()),
                 None => {
                     return Err(Error::Persist(format!(
-                        "function '{name}' has no source text and cannot be checkpointed",
+                        "function '{}' has no source text and cannot be checkpointed",
+                        udf.name,
                     )))
                 }
             }

@@ -2,6 +2,7 @@
 //! builder that configures an engine once, and the clone-mutate-swap write cycle every
 //! DDL/DML/`ANALYZE`/`CREATE FUNCTION` goes through.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -40,14 +41,34 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub(crate) struct SharedState {
     pub(crate) catalog: Arc<Catalog>,
     pub(crate) registry: Arc<FunctionRegistry>,
+    /// Read sets of `registry`'s UDFs, replaced whenever `registry` is.
+    pub(crate) udf_reads: Arc<UdfReadSets>,
+}
+
+/// The tables each registered UDF's body can read, transitively through its callees,
+/// by normalized UDF name. `None` is an open set: some reachable callee is not
+/// registered, so its reads are unknown. A query derives its memo epochs from this
+/// without looking at a body.
+pub(crate) type UdfReadSets = BTreeMap<String, Option<Vec<String>>>;
+
+/// Analyses every body of `registry`. Read sets are transitive, so registering one
+/// function can change its callers' sets too; the whole map is rebuilt with the
+/// registry rather than patched.
+fn udf_read_sets(registry: &FunctionRegistry) -> UdfReadSets {
+    let read_set = |udf: &decorr_udf::UdfDefinition| {
+        let facts = decorr_analysis::analyze_body(udf, registry);
+        let tables = facts.table_reads.into_iter().collect();
+        (udf.name.clone(), facts.reads_exact.then_some(tables))
+    };
+    registry.udfs().map(read_set).collect()
 }
 
 #[derive(Debug)]
 pub(crate) struct EngineInner {
     /// Current catalog + registry epoch. Readers clone the two `Arc`s under the read
     /// lock and run against that immutable snapshot. Writer: the clone-mutate-swap
-    /// cycle ([`Engine::mutate_catalog`] and the registry twin), which builds the next
-    /// epoch outside the lock and swaps it in.
+    /// cycle ([`Engine::mutate_catalog`] and [`Engine::register_udf_definition`]),
+    /// which builds the next epoch outside the lock and swaps it in.
     pub(crate) state: RwLock<SharedState>,
     /// Serializes writers (DDL/DML/ANALYZE/CREATE FUNCTION) so concurrent mutations
     /// can't lose updates in the clone-mutate-swap cycle. Readers never touch it.
@@ -205,12 +226,6 @@ impl Engine {
         self.write_cycle(record, |next| f(Arc::make_mut(&mut next.catalog)))
     }
 
-    /// Like [`Engine::mutate_catalog`], for the function registry.
-    pub fn mutate_registry<R>(&self, f: impl FnOnce(&mut FunctionRegistry) -> R) -> R {
-        self.write_cycle(None, |next| Ok(f(Arc::make_mut(&mut next.registry))))
-            .expect("without a WAL record the registry write cycle has no step that fails")
-    }
-
     /// Registers a UDF from its `CREATE FUNCTION` source. The queries inside the body
     /// are normalised (predicate pushdown etc.) so that iterative invocation executes
     /// them with reasonable plans, just like a commercial system would.
@@ -263,6 +278,7 @@ impl Engine {
         };
         self.write_cycle(record, |next| {
             Arc::make_mut(&mut next.registry).register_udf(normalized);
+            next.udf_reads = Arc::new(udf_read_sets(&next.registry));
             Ok(())
         })
     }
@@ -508,6 +524,7 @@ impl EngineBuilder {
             inner: Arc::new(EngineInner {
                 state: RwLock::new(SharedState {
                     catalog: Arc::new(self.catalog),
+                    udf_reads: Arc::new(udf_read_sets(&self.registry)),
                     registry: Arc::new(self.registry),
                 }),
                 writer: Mutex::new(()),

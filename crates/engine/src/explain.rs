@@ -68,7 +68,7 @@ impl Session {
         out.push_str("\n== execution ==\n");
         out.push_str(&format!(
             "rows={} parallelism={} · scanned={} index-lookups={} udf-invocations={} \
-             udf-memo-hits={} udf-dedup-hits={} udf-batched={} subqueries={} \
+             udf-memo-hits={} udf-dedup-hits={} subqueries={} \
              hash-joins={} nl-joins={} morsels={} pipelined-ops={} pool-spawns={}\n",
             result.rows.len(),
             pinned.exec_config.parallelism,
@@ -77,7 +77,6 @@ impl Session {
             result.exec_stats.udf_invocations,
             result.exec_stats.udf_memo_hits,
             result.exec_stats.udf_dedup_hits,
-            result.exec_stats.udf_batch_evals,
             result.exec_stats.subqueries_executed,
             result.exec_stats.hash_joins,
             result.exec_stats.nested_loop_joins,

@@ -14,12 +14,12 @@ use decorr_optimizer::{
 use decorr_storage::Catalog;
 use decorr_udf::FunctionRegistry;
 
-use crate::engine::{read, Engine, EngineInner};
+use crate::engine::{read, Engine, EngineInner, UdfReadSets};
 use crate::{ExecutionStrategy, QueryOptions, QueryResult};
 
 /// Capacity of the per-query dedup cache attached when `ExecConfig::udf_batching` is
-/// on. Generous: it only lives for one query, and batched Apply loops can touch many
-/// distinct argument tuples.
+/// on. Generous: it only lives for one query, and an iterative plan over a large
+/// outer relation can touch many distinct argument tuples.
 const UDF_DEDUP_CAPACITY: usize = 65536;
 
 /// One consistent snapshot of everything a single query needs. Pinning is a handful
@@ -29,6 +29,7 @@ const UDF_DEDUP_CAPACITY: usize = 65536;
 pub(crate) struct Pinned {
     pub(crate) catalog: Arc<Catalog>,
     pub(crate) registry: Arc<FunctionRegistry>,
+    udf_reads: Arc<UdfReadSets>,
     /// Resolved (per-query override → session override → engine default) and
     /// normalized executor configuration.
     pub(crate) exec_config: ExecConfig,
@@ -50,6 +51,7 @@ impl Engine {
         Pinned {
             catalog: state.catalog,
             registry: state.registry,
+            udf_reads: state.udf_reads,
             exec_config,
             udf_memo: Arc::clone(&read(&self.inner.udf_memo)),
             shared: Arc::clone(&self.inner),
@@ -150,49 +152,36 @@ impl Pinned {
     /// Builds the per-UDF memo-epoch map for this snapshot. A memoized result is
     /// served only while its epoch matches, i.e. while the registry generation, the
     /// DDL generation and the relevant *data* version are unchanged. The data
-    /// component covers the UDF's full (transitive) read set as inferred by
-    /// [`decorr_analysis::analyze_body`]: a body that reads no table gets a constant,
-    /// a body with an exact read set gets a fingerprint of the sorted
-    /// `(table, data_version)` pairs — so inserts into tables *outside* that set
-    /// don't evict its results — and an opaque read set (the body calls an
-    /// unregistered function) falls back to the catalog-wide data generation.
+    /// component covers the UDF's full (transitive) read set, computed when the
+    /// function was registered: a body that reads no table gets a constant, a body
+    /// with an exact read set gets a fingerprint of the sorted `(table, data_version)`
+    /// pairs — so inserts into tables *outside* that set don't evict its results — and
+    /// an open read set (the body calls an unregistered function) falls back to the
+    /// catalog-wide data generation.
     fn memo_epochs(&self) -> Arc<BTreeMap<String, MemoEpoch>> {
         let registry_gen = self.registry.generation();
         let ddl_gen = self.catalog.ddl_generation();
         let catalog_wide = self.catalog.data_generation();
-        let mut map = BTreeMap::new();
-        for name in self.registry.udf_names() {
-            let Ok(udf) = self.registry.udf(&name) else {
-                continue;
+        let data_version = |tables: &[String]| {
+            let mut hasher = decorr_common::FnvHasher::default();
+            for table in tables {
+                // A read of a table the catalog no longer (or doesn't yet) know: be
+                // conservative and key catalog-wide.
+                let version = self.catalog.table(table).ok()?.data_version();
+                hasher.write_bytes(table.as_bytes());
+                hasher.write_u64(version);
+            }
+            Some(hasher.finish())
+        };
+        let epochs = self.udf_reads.iter().map(|(name, reads)| {
+            let data = match reads.as_deref() {
+                None => catalog_wide,
+                Some([]) => 0,
+                Some(tables) => data_version(tables).unwrap_or(catalog_wide),
             };
-            let facts = decorr_analysis::analyze_body(udf, &self.registry);
-            let data = if !facts.reads_exact {
-                catalog_wide
-            } else if facts.table_reads.is_empty() {
-                0
-            } else {
-                let mut hasher = decorr_common::FnvHasher::default();
-                let mut opaque = false;
-                for table in &facts.table_reads {
-                    match self.catalog.table(table) {
-                        Ok(t) => {
-                            hasher.write_bytes(table.as_bytes());
-                            hasher.write_u64(t.data_version());
-                        }
-                        // A read of a table the catalog no longer (or doesn't yet)
-                        // know: be conservative and key catalog-wide.
-                        Err(_) => opaque = true,
-                    }
-                }
-                if opaque {
-                    catalog_wide
-                } else {
-                    hasher.finish()
-                }
-            };
-            map.insert(name, (registry_gen, ddl_gen, data));
-        }
-        Arc::new(map)
+            (name.clone(), (registry_gen, ddl_gen, data))
+        });
+        Arc::new(epochs.collect())
     }
 
     /// Runs an already-planned query against this snapshot. Every strategy routes
@@ -245,25 +234,19 @@ impl Pinned {
                 executor.with_udf_dedup(Arc::new(UdfMemo::with_capacity(UDF_DEDUP_CAPACITY)));
         }
         // Learned per-UDF cost and pass-rate order the UDF conjuncts of filters.
-        let mut hints: BTreeMap<String, UdfRuntimeHint> = BTreeMap::new();
-        for (name, mean_seconds) in self.shared.feedback.udf_mean_seconds() {
-            hints.insert(
-                name,
-                UdfRuntimeHint {
+        let hints: BTreeMap<String, UdfRuntimeHint> = self
+            .shared
+            .feedback
+            .udf_runtime_profiles()
+            .into_iter()
+            .map(|(name, (mean_seconds, selectivity))| {
+                let hint = UdfRuntimeHint {
                     mean_seconds,
-                    selectivity: 0.5,
-                },
-            );
-        }
-        for (name, selectivity) in self.shared.feedback.udf_selectivities() {
-            hints
-                .entry(name)
-                .and_modify(|hint| hint.selectivity = selectivity)
-                .or_insert(UdfRuntimeHint {
-                    mean_seconds: 1e-4,
                     selectivity,
-                });
-        }
+                };
+                (name, hint)
+            })
+            .collect();
         if !hints.is_empty() {
             executor = executor.with_udf_hints(Arc::new(hints));
         }

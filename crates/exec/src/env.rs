@@ -78,11 +78,6 @@ impl Env {
         }
         self.outer.as_ref().and_then(|o| o.column(qualifier, name))
     }
-
-    /// True if any scope in the chain can resolve this column.
-    pub fn resolves_column(&self, qualifier: Option<&str>, name: &str) -> bool {
-        self.column(qualifier, name).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -115,6 +110,6 @@ mod tests {
         assert_eq!(inner.column(None, "orderkey"), Some(Value::Int(1)));
         assert_eq!(inner.column(Some("c"), "custkey"), Some(Value::Int(42)));
         assert_eq!(inner.column(None, "custkey"), Some(Value::Int(42)));
-        assert!(!inner.resolves_column(None, "nosuch"));
+        assert_eq!(inner.column(None, "nosuch"), None);
     }
 }

@@ -19,7 +19,7 @@ use decorr_udf::FunctionRegistry;
 
 use crate::aggregate::BuiltinAccumulator;
 use crate::env::Env;
-use crate::memo::{fingerprint_invocation, MemoEpoch, UdfMemo, NO_EPOCH};
+use crate::memo::{MemoEpoch, UdfCaches, UdfMemo};
 use crate::parallel::WorkerPool;
 use crate::stats::{
     AtomicExecStats, CardinalityCollector, ExecTrace, NodeCardinality, TraceCollector,
@@ -58,12 +58,11 @@ pub struct ExecConfig {
     /// diagnostic used by `EXPLAIN ANALYZE` and the accuracy tests, and fingerprinting
     /// every node would tax the hot path.
     pub collect_cardinalities: bool,
-    /// Batched + deduplicated UDF invocation: pooled filter/project chains over
-    /// pure-UDF sites first collect the distinct argument tuples of a morsel batch,
-    /// evaluate each distinct tuple once on the worker pool, and let per-row
-    /// evaluation pick the results out of the per-query dedup cache. The engine also
-    /// keys the per-query dedup cache on this flag. Results are byte-identical either
-    /// way; this only changes how many times a pure UDF body runs.
+    /// Attach the per-query dedup tier: a pure UDF evaluates each distinct argument
+    /// tuple once per query, and workers racing on one tuple coalesce onto a single
+    /// evaluation through the tier's reservation protocol. The engine builds the tier
+    /// only when this is on. Results are byte-identical either way; this only changes
+    /// how many times a pure UDF body runs.
     pub udf_batching: bool,
     /// Cross-query memoization of pure-UDF results through the database-owned memo
     /// cache. The engine attaches the memo only when this is on.
@@ -192,20 +191,12 @@ pub struct Executor {
     /// Observed pass/fail outcomes of UDF-bearing conjuncts (populated by the
     /// cost-ordered filter path; the engine folds it into the feedback store).
     pub(crate) udf_selectivity: Arc<UdfSelectivityCollector>,
-    /// Engine-owned cross-query memo for pure-UDF results (attached by the engine
-    /// when `ExecConfig::udf_memoization` is on; checked first on every pure call).
-    pub(crate) memo: Option<Arc<UdfMemo>>,
-    /// Per-query dedup cache for pure-UDF results: repeated argument tuples within
-    /// one execution evaluate once. Also the hand-off buffer of the batched
-    /// invocation path (batch evaluation fills it, per-row evaluation drains it).
-    pub(crate) dedup: Option<Arc<UdfMemo>>,
+    /// The result caches a pure-UDF call consults: the engine-owned cross-query memo
+    /// with this query's per-UDF epochs, and the per-query dedup tier.
+    pub(crate) udf_caches: UdfCaches,
     /// Learned per-UDF runtime profile (mean evaluation cost, observed predicate
     /// selectivity) used to order UDF conjuncts; from the engine's feedback store.
     pub(crate) udf_hints: Arc<BTreeMap<String, UdfRuntimeHint>>,
-    /// Per-UDF memo epochs for this query's pinned catalog/registry snapshot
-    /// (attached by the engine alongside the shared memo). A UDF absent from the map
-    /// uses [`NO_EPOCH`] — the standalone-executor case where nothing mutates.
-    pub(crate) memo_epochs: Arc<BTreeMap<String, MemoEpoch>>,
     /// The worker pool parallel operators dispatch to: the engine-attached shared pool
     /// (persistent across queries) when present, otherwise a pool created lazily for
     /// this executor and dropped with it.
@@ -213,13 +204,14 @@ pub struct Executor {
 }
 
 /// Learned runtime profile of one UDF, fed from the engine's feedback store into the
-/// executor's cost-ordered predicate evaluation.
+/// executor's cost-ordered predicate evaluation. A number not learned yet is `None`
+/// and ranks with the filter's default.
 #[derive(Debug, Clone, Copy)]
 pub struct UdfRuntimeHint {
     /// Mean measured wall-clock of one *evaluated* invocation, in seconds.
-    pub mean_seconds: f64,
+    pub mean_seconds: Option<f64>,
     /// Observed fraction of rows passing the UDF-bearing conjunct (0.0–1.0).
-    pub selectivity: f64,
+    pub selectivity: Option<f64>,
 }
 
 impl Executor {
@@ -241,10 +233,8 @@ impl Executor {
             cardinalities: Arc::new(CardinalityCollector::default()),
             udf_timings: Arc::new(UdfTimingCollector::default()),
             udf_selectivity: Arc::new(UdfSelectivityCollector::default()),
-            memo: None,
-            dedup: None,
+            udf_caches: UdfCaches::default(),
             udf_hints: Arc::new(BTreeMap::new()),
-            memo_epochs: Arc::new(BTreeMap::new()),
             pool: OnceLock::new(),
         }
     }
@@ -261,26 +251,23 @@ impl Executor {
     /// epoch-stamped, so pair this with [`with_memo_epochs`](Executor::with_memo_epochs)
     /// when registry/catalog state can change between queries.
     pub fn with_udf_memo(mut self, memo: Arc<UdfMemo>) -> Executor {
-        self.memo = Some(memo);
+        self.udf_caches.memo = Some(memo);
         self
     }
 
     /// Attaches the per-UDF memo epochs computed from this query's pinned
-    /// catalog/registry snapshot (builder style).
+    /// catalog/registry snapshot (builder style). A UDF absent from the map uses
+    /// [`NO_EPOCH`](crate::memo::NO_EPOCH) — the standalone-executor case where
+    /// nothing mutates.
     pub fn with_memo_epochs(mut self, epochs: Arc<BTreeMap<String, MemoEpoch>>) -> Executor {
-        self.memo_epochs = epochs;
+        self.udf_caches.memo_epochs = epochs;
         self
-    }
-
-    /// The memo epoch to stamp/expect for one (normalized) UDF name.
-    pub(crate) fn memo_epoch(&self, key: &str) -> MemoEpoch {
-        self.memo_epochs.get(key).copied().unwrap_or(NO_EPOCH)
     }
 
     /// Attaches a per-query dedup cache (builder style): repeated pure-UDF argument
     /// tuples within this execution evaluate once.
     pub fn with_udf_dedup(mut self, dedup: Arc<UdfMemo>) -> Executor {
-        self.dedup = Some(dedup);
+        self.udf_caches.dedup = Some(dedup);
         self
     }
 
@@ -313,10 +300,8 @@ impl Executor {
             cardinalities: Arc::clone(&self.cardinalities),
             udf_timings: Arc::clone(&self.udf_timings),
             udf_selectivity: Arc::clone(&self.udf_selectivity),
-            memo: self.memo.clone(),
-            dedup: self.dedup.clone(),
+            udf_caches: self.udf_caches.clone(),
             udf_hints: Arc::clone(&self.udf_hints),
-            memo_epochs: Arc::clone(&self.memo_epochs),
             pool: OnceLock::new(),
         }
     }
@@ -597,8 +582,8 @@ impl Executor {
                 .map(|n| {
                     self.udf_hints
                         .get(n)
-                        .map(|h| h.mean_seconds.max(1e-9))
-                        .unwrap_or(DEFAULT_COST)
+                        .and_then(|h| h.mean_seconds)
+                        .map_or(DEFAULT_COST, |seconds| seconds.max(1e-9))
                 })
                 .sum();
             // Selectivity is attributed to the conjunct's first UDF; rank =
@@ -607,8 +592,8 @@ impl Executor {
             let selectivity = self
                 .udf_hints
                 .get(&names[0])
-                .map(|h| h.selectivity.clamp(0.0, 1.0))
-                .unwrap_or(DEFAULT_SELECTIVITY);
+                .and_then(|h| h.selectivity)
+                .map_or(DEFAULT_SELECTIVITY, |s| s.clamp(0.0, 1.0));
             let rank = cost / (1.0 - selectivity).max(0.05);
             ranked.push((rank, idx, conjunct, Some(names[0].clone())));
         }
@@ -620,159 +605,6 @@ impl Executor {
                 .map(|(_, _, conjunct, name)| (conjunct, name)),
         );
         PreparedFilter::Ordered(ordered)
-    }
-
-    /// True when a call to `name` with these argument expressions may be pre-evaluated
-    /// by the batch pass: the UDF must be a registered pure scalar function and the
-    /// arguments must not themselves invoke UDFs or subqueries (pre-evaluating those
-    /// would duplicate real work the per-row pass repeats).
-    fn is_batchable_udf(&self, name: &str, args: &[ScalarExpr]) -> bool {
-        let Ok(udf) = self.registry.udf(name) else {
-            return false;
-        };
-        udf.pure
-            && !udf.is_table_valued()
-            && args
-                .iter()
-                .all(|a| !a.contains_udf_call() && !a.contains_subquery())
-    }
-
-    /// Collects pure-UDF call sites in *strict* position — positions the per-row
-    /// evaluation is guaranteed to reach for every row. Conditional positions (the
-    /// right operand of AND/OR, CASE branches past the first condition, COALESCE past
-    /// the first argument, subquery bodies) are skipped: eagerly pre-evaluating those
-    /// could run a UDF the plain evaluation never would.
-    fn collect_batch_sites(&self, expr: &ScalarExpr, out: &mut Vec<BatchSite>) {
-        match expr {
-            ScalarExpr::UdfCall { name, args } => {
-                if self.is_batchable_udf(name, args) {
-                    out.push(BatchSite {
-                        name: normalize_ident(name),
-                        args: args.clone(),
-                    });
-                } else {
-                    for arg in args {
-                        self.collect_batch_sites(arg, out);
-                    }
-                }
-            }
-            ScalarExpr::Binary {
-                op: BinaryOp::And | BinaryOp::Or,
-                left,
-                ..
-            } => self.collect_batch_sites(left, out),
-            ScalarExpr::Binary { left, right, .. } => {
-                self.collect_batch_sites(left, out);
-                self.collect_batch_sites(right, out);
-            }
-            ScalarExpr::Unary { expr, .. } | ScalarExpr::Cast { expr, .. } => {
-                self.collect_batch_sites(expr, out)
-            }
-            ScalarExpr::Case { branches, .. } => {
-                if let Some((condition, _)) = branches.first() {
-                    self.collect_batch_sites(condition, out);
-                }
-            }
-            ScalarExpr::Coalesce(args) => {
-                if let Some(first) = args.first() {
-                    self.collect_batch_sites(first, out);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// The batch pre-pass of a pooled filter/project chain: collects the distinct
-    /// argument tuples of every strict pure-UDF site across the input, evaluates each
-    /// distinct tuple exactly once fanned out over the worker pool, and leaves the
-    /// results in the per-query dedup cache for the per-row pass to pick up. This is
-    /// purely an optimization: evaluation errors here are swallowed (the per-row pass
-    /// re-evaluates and surfaces them in row order) and no rows are touched.
-    fn batch_eval_udf_calls(
-        &self,
-        roots: &[&ScalarExpr],
-        source: RowSource,
-        schema: &Schema,
-        outer: &Env,
-    ) -> Result<()> {
-        if !self.config.udf_batching
-            || !self.dedup.as_ref().is_some_and(|d| d.is_enabled())
-            || source.is_empty()
-        {
-            return Ok(());
-        }
-        let mut sites = vec![];
-        for root in roots {
-            self.collect_batch_sites(root, &mut sites);
-        }
-        if sites.is_empty() {
-            return Ok(());
-        }
-        // Pass 1: gather each morsel's distinct argument tuples per call site,
-        // deduplicated within the morsel by invocation fingerprint. Both source
-        // variants stream rows in place (a table's store maps morsel ranges onto its
-        // row runs — no copy-out just to collect argument tuples).
-        let sites = Arc::new(sites);
-        let chunks = {
-            let sites = Arc::clone(&sites);
-            let schema = schema.clone();
-            let outer = outer.clone();
-            let source = source.clone();
-            self.run_morsels("udf-batch", 0, source.len(), move |view, range| {
-                Ok(collect_arg_tuples(
-                    view,
-                    source.iter_range(range),
-                    &sites,
-                    &schema,
-                    &outer,
-                ))
-            })?
-        };
-        // Global dedup across morsels, skipping tuples a cache can already answer.
-        let mut pending: Vec<(u64, String, Vec<Value>)> = vec![];
-        let mut merged: HashSet<u64> = HashSet::new();
-        for chunk in chunks {
-            for (fp, name, args) in chunk.0 {
-                if !merged.insert(fp) {
-                    continue;
-                }
-                let cached = self
-                    .memo
-                    .as_ref()
-                    .is_some_and(|m| m.peek_contains(&name, fp, &args, self.memo_epoch(&name)))
-                    || self
-                        .dedup
-                        .as_ref()
-                        .is_some_and(|d| d.peek_contains(&name, fp, &args, NO_EPOCH));
-                if !cached {
-                    pending.push((fp, name, args));
-                }
-            }
-        }
-        if pending.len() < 2 {
-            return Ok(());
-        }
-        // Deterministic evaluation order keeps the memo's LRU state reproducible.
-        pending.sort_by_key(|(fp, _, _)| *fp);
-        self.stats.add_udf_batch_evals(pending.len() as u64);
-        // Pass 2: one pool task per distinct tuple — UDF bodies are heavyweight, so
-        // per-tuple claiming load-balances far better than row-count morsels would.
-        // `call_udf` stores each result into the dedup cache (and memo) itself.
-        let pending = Arc::new(pending);
-        let tasks = pending.len();
-        let worker = Arc::clone(&pending);
-        self.run_pool(
-            "udf-batch",
-            0,
-            tasks,
-            |_| 1,
-            move |view, idx| {
-                let (_, name, args) = &worker[idx];
-                let _ = view.call_udf(name, args.clone());
-                Ok(Vec::<Row>::new())
-            },
-        )?;
-        Ok(())
     }
 
     // ---------------------------------------------------------- filter/project chains
@@ -863,8 +695,8 @@ impl Executor {
             };
             (out.rows, out.stage_rows)
         } else {
-            // Only this route pays for the trace label, the batch pre-pass and the
-            // owned `'static` stage forms the pool's jobs need.
+            // Only this route pays for the trace label and the owned `'static` stage
+            // forms the pool's jobs need.
             let base_label = match base {
                 RelExpr::Scan { table, .. } if matches!(source, RowSource::Table(_)) => {
                     format!("scan({table})")
@@ -873,13 +705,6 @@ impl Executor {
                 _ => "input".to_string(),
             };
             let stage_labels: String = stages.iter().map(ChainStage::label).collect();
-            // The first stage is the only one every base row is guaranteed to reach, so
-            // it alone feeds the batch pre-pass.
-            let roots: Vec<&ScalarExpr> = match &stages[0] {
-                ChainStage::Filter(filter) => filter.strict_roots(),
-                ChainStage::Project { items, .. } => items.iter().map(|i| &i.expr).collect(),
-            };
-            self.batch_eval_udf_calls(&roots, source.clone(), &base_schema, outer)?;
             let chunks = {
                 let stages: Vec<ChainStage<'static>> =
                     stages.iter().map(ChainStage::to_static).collect();
@@ -1981,24 +1806,6 @@ impl crate::parallel::OutputRows for PartialGroups {
     }
 }
 
-/// One batchable pure-UDF call site found in strict position: the normalized function
-/// name plus its argument expressions (the call's correlation signature — which outer
-/// columns feed it).
-struct BatchSite {
-    name: String,
-    args: Vec<ScalarExpr>,
-}
-
-/// The distinct `(fingerprint, name, argument tuple)` triples one morsel contributed
-/// to the batch pre-pass.
-struct ArgTuples(Vec<(u64, String, Vec<Value>)>);
-
-impl crate::parallel::OutputRows for ArgTuples {
-    fn output_rows(&self) -> u64 {
-        self.0.len() as u64
-    }
-}
-
 /// A morsel-parallel row source the executor's `'static` pool jobs capture: either an
 /// already-materialized input, or a table's row store streamed straight out of
 /// storage (no copy-out). Cloning is cheap — both variants hand out shared handles.
@@ -2014,10 +1821,6 @@ impl RowSource {
             RowSource::Rows(rows) => rows.len(),
             RowSource::Table(store) => store.len(),
         }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The row at global position `i` (must be in bounds).
@@ -2043,31 +1846,6 @@ impl RowSource {
             RowSource::Table(store) => Box::new(store.iter_range(range)),
         }
     }
-}
-
-/// One morsel of the batch pre-pass's collection stage: evaluates every site's
-/// argument tuple per row, deduplicating within the morsel by fingerprint.
-/// Argument-evaluation errors are skipped — the per-row pass re-evaluates and
-/// surfaces them in deterministic row order.
-fn collect_arg_tuples<'a>(
-    view: &Executor,
-    rows: impl Iterator<Item = &'a Row>,
-    sites: &[BatchSite],
-    schema: &Schema,
-    outer: &Env,
-) -> ArgTuples {
-    let mut seen: HashMap<u64, (String, Vec<Value>)> = HashMap::new();
-    for row in rows {
-        let env = Env::with_row(schema.clone(), row.clone()).nested_in(outer);
-        for site in sites {
-            let args: Result<Vec<Value>> =
-                site.args.iter().map(|a| view.eval_expr(a, &env)).collect();
-            let Ok(args) = args else { continue };
-            let fp = fingerprint_invocation(&site.name, &args);
-            seen.entry(fp).or_insert_with(|| (site.name.clone(), args));
-        }
-    }
-    ArgTuples(seen.into_iter().map(|(fp, (n, a))| (fp, n, a)).collect())
 }
 
 /// Appends the normalized names of every UDF invoked anywhere in `expr` (not
@@ -2098,20 +1876,6 @@ impl PreparedFilter<'_> {
                 PreparedFilter::Simple(Cow::Owned(expr.as_ref().clone()))
             }
             PreparedFilter::Ordered(conjuncts) => PreparedFilter::Ordered(conjuncts.clone()),
-        }
-    }
-
-    /// The expressions the per-row pass is guaranteed to evaluate for every row —
-    /// the batch pre-pass roots. For an ordered conjunction only the first conjunct
-    /// is strict (later conjuncts are short-circuited).
-    fn strict_roots(&self) -> Vec<&ScalarExpr> {
-        match self {
-            PreparedFilter::Simple(expr) => vec![expr],
-            PreparedFilter::Ordered(conjuncts) => conjuncts
-                .first()
-                .map(|(expr, _)| expr)
-                .into_iter()
-                .collect(),
         }
     }
 

@@ -17,7 +17,15 @@ use decorr_udf::{Statement, UdfDefinition};
 
 use crate::env::Env;
 use crate::executor::{Executor, ResultSet};
-use crate::memo::{fingerprint_invocation, MemoValue, Reservation, NO_EPOCH};
+use crate::memo::{fingerprint_invocation, MemoValue, Reservation};
+
+/// A cache answered a scalar call with rows or a table call with a value: two
+/// executors with different registries share one memo without epochs.
+fn cached_kind_mismatch(name: &str) -> Error {
+    Error::Execution(format!(
+        "cached result of function '{name}' does not match its declared kind"
+    ))
+}
 
 /// Result of executing a list of statements: either control flow ran off the end, or a
 /// `RETURN` was executed with the given value.
@@ -27,52 +35,54 @@ enum Flow {
 }
 
 impl Executor {
-    /// Checks the engine-owned cross-query memo for a pure-UDF result, using the
-    /// per-UDF epoch of this query's pinned snapshot. A hit is counted in `ExecStats`
-    /// and the timing collector's *hit* column — never as an invocation, so learned
-    /// per-UDF costs stay per-evaluation.
-    fn memo_udf_result(&self, name: &str, fingerprint: u64, args: &[Value]) -> Option<MemoValue> {
-        let memo = self.memo.as_ref()?;
-        let value = memo.get(name, fingerprint, args, self.memo_epoch(name))?;
-        self.stats.add_udf_memo_hits(1);
-        self.udf_timings.record_hit(name);
-        Some(value)
-    }
-
-    /// Stores an evaluated pure-UDF result into both caches (whichever are attached).
-    fn store_udf_result(&self, name: &str, fingerprint: u64, args: &[Value], value: MemoValue) {
-        if let Some(dedup) = &self.dedup {
-            dedup.insert(name, fingerprint, args, value.clone(), NO_EPOCH);
+    /// Runs one UDF body. A `counted` run books an invocation and its wall clock, which
+    /// the engine's feedback loop turns into learned invocation costs. An uncounted run
+    /// is a worker that took over a dedup reservation (see
+    /// [`ReservationGuard::took_over`](crate::memo::ReservationGuard::took_over)) and
+    /// re-evaluates a tuple another worker already evaluated: counting it would make
+    /// `udf_invocations` and the learned costs depend on scheduling, so it books as a
+    /// hit instead.
+    fn run_body<T>(&self, key: &str, counted: bool, body: impl FnOnce() -> Result<T>) -> Result<T> {
+        if !counted {
+            self.stats.add_udf_dedup_hits(1);
+            self.udf_timings.record_hit(key);
+            return body();
         }
-        if let Some(memo) = &self.memo {
-            memo.insert(name, fingerprint, args, value, self.memo_epoch(name));
-        }
-    }
-
-    /// Runs a scalar UDF body, counting the invocation and recording its wall clock.
-    fn eval_scalar_udf(&self, udf: &UdfDefinition, key: &str, args: &[Value]) -> Result<Value> {
         self.stats.add_udf_invocations(1);
         let started = std::time::Instant::now();
-        let result = self.run_scalar_body(udf, args);
+        let result = body();
         self.udf_timings.record(key, started.elapsed());
         result
     }
 
-    /// Runs a scalar UDF body *without* counting an invocation: the accounting for a
-    /// worker that lost a dedup reservation race (see
-    /// [`ReservationGuard::took_over`](crate::memo::ReservationGuard::took_over)) and
-    /// re-evaluates a tuple another worker already evaluated. The duplicate work is
-    /// correct, but counting it would make `udf_invocations` and the learned per-UDF
-    /// costs depend on scheduling — so it books as a hit instead.
-    fn eval_scalar_udf_as_hit(
+    /// The invocation path of a pure UDF with a cache attached: look the argument tuple
+    /// up (racing workers coalesce onto one evaluation there — one runs the body, the
+    /// rest wait for its result) and on a miss run `body` and publish what it returned.
+    /// A hit is never counted as an invocation, in `ExecStats` or in the timing
+    /// collector, so the invocation counter equals the number of distinct evaluations
+    /// even under races, and learned costs stay per-evaluation.
+    fn call_cached(
         &self,
-        udf: &UdfDefinition,
         key: &str,
         args: &[Value],
-    ) -> Result<Value> {
-        self.stats.add_udf_dedup_hits(1);
-        self.udf_timings.record_hit(key);
-        self.run_scalar_body(udf, args)
+        body: impl FnOnce() -> Result<MemoValue>,
+    ) -> Result<MemoValue> {
+        let caches = &self.udf_caches;
+        let fingerprint = fingerprint_invocation(key, args);
+        let reservation = match caches.lookup(key, fingerprint, args, &self.stats) {
+            Reservation::Hit(value) => {
+                self.udf_timings.record_hit(key);
+                return Ok(value);
+            }
+            Reservation::Reserved(guard) => Some(guard),
+            Reservation::Bypass => None,
+        };
+        // An evaluation error drops the reservation, which abandons it and wakes any
+        // waiters to take over.
+        let counted = !reservation.as_ref().is_some_and(|r| r.took_over());
+        let value = self.run_body(key, counted, body)?;
+        caches.publish(key, fingerprint, args, &value, reservation);
+        Ok(value)
     }
 
     fn run_scalar_body(&self, udf: &UdfDefinition, args: &[Value]) -> Result<Value> {
@@ -83,28 +93,7 @@ impl Executor {
         }
     }
 
-    /// Runs a table-valued UDF body, counting the invocation and recording its wall
-    /// clock. Returns the rows inserted into its result table.
-    fn eval_table_udf(&self, udf: &UdfDefinition, key: &str, args: &[Value]) -> Result<Vec<Row>> {
-        self.stats.add_udf_invocations(1);
-        let started = std::time::Instant::now();
-        let result = self.run_table_body(udf, args);
-        self.udf_timings.record(key, started.elapsed());
-        result
-    }
-
-    /// Table-valued twin of [`eval_scalar_udf_as_hit`](Executor::eval_scalar_udf_as_hit).
-    fn eval_table_udf_as_hit(
-        &self,
-        udf: &UdfDefinition,
-        key: &str,
-        args: &[Value],
-    ) -> Result<Vec<Row>> {
-        self.stats.add_udf_dedup_hits(1);
-        self.udf_timings.record_hit(key);
-        self.run_table_body(udf, args)
-    }
-
+    /// Returns the rows the body inserted into its result table.
     fn run_table_body(&self, udf: &UdfDefinition, args: &[Value]) -> Result<Vec<Row>> {
         let mut env = self.udf_env(udf, args)?;
         let mut buffer = Some(vec![]);
@@ -112,18 +101,10 @@ impl Executor {
         Ok(buffer.unwrap_or_default())
     }
 
-    /// Invokes a scalar UDF with already-evaluated argument values. Every evaluated
-    /// invocation's wall clock is recorded into the executor's UDF timing collector —
-    /// the engine's feedback loop turns these measurements into learned invocation
-    /// costs for the strategy choice.
-    ///
-    /// Pure UDFs first consult the cross-query memo, then *reserve* the argument
-    /// tuple in the per-query dedup cache: racing workers evaluating the same tuple
-    /// (the Apply path dispatches correlated calls row-at-a-time across the pool)
-    /// coalesce onto a single evaluation — one worker runs the body and publishes,
-    /// the rest wait for the published result. Cache hits are never counted as
-    /// invocations, so the invocation counter equals the number of distinct
-    /// evaluations even under races.
+    /// Invokes a scalar UDF with already-evaluated argument values. A volatile
+    /// function, or any function on an executor with no cache attached, goes straight
+    /// to its body: that is the path the paper's iterative baseline times, so it pays
+    /// for no fingerprint and no [`MemoValue`] round trip.
     pub fn call_udf(&self, name: &str, args: Vec<Value>) -> Result<Value> {
         let udf = self.registry.udf(name)?;
         if udf.is_table_valued() {
@@ -132,57 +113,20 @@ impl Executor {
             )));
         }
         let key = decorr_common::normalize_ident(name);
-        if !udf.pure || (self.memo.is_none() && self.dedup.is_none()) {
-            return self.eval_scalar_udf(udf, &key, &args);
+        if !udf.pure || self.udf_caches.is_empty() {
+            return self.run_body(&key, true, || self.run_scalar_body(udf, &args));
         }
-        let fp = fingerprint_invocation(&key, &args);
-        if let Some(MemoValue::Scalar(v)) = self.memo_udf_result(&key, fp, &args) {
-            return Ok(v);
+        let body = || self.run_scalar_body(udf, &args).map(MemoValue::Scalar);
+        match self.call_cached(&key, &args, body)? {
+            MemoValue::Scalar(value) => Ok(value),
+            MemoValue::Table(_) => Err(cached_kind_mismatch(name)),
         }
-        if let Some(dedup) = &self.dedup {
-            match dedup.reserve(&key, fp, &args, NO_EPOCH) {
-                Reservation::Hit(MemoValue::Scalar(v)) => {
-                    self.stats.add_udf_dedup_hits(1);
-                    self.udf_timings.record_hit(&key);
-                    return Ok(v);
-                }
-                Reservation::Hit(_) => {}
-                Reservation::Reserved(guard) => {
-                    // An evaluation error drops the guard, which abandons the
-                    // reservation and wakes any waiters to take over. A taken-over
-                    // reservation means another worker already evaluated this tuple
-                    // (and its entry was evicted before we woke) — re-evaluating is
-                    // correct but must not inflate the invocation counters.
-                    let value = if guard.took_over() {
-                        self.eval_scalar_udf_as_hit(udf, &key, &args)?
-                    } else {
-                        self.eval_scalar_udf(udf, &key, &args)?
-                    };
-                    guard.publish(&key, &args, MemoValue::Scalar(value.clone()), NO_EPOCH);
-                    if let Some(memo) = &self.memo {
-                        memo.insert(
-                            &key,
-                            fp,
-                            &args,
-                            MemoValue::Scalar(value.clone()),
-                            self.memo_epoch(&key),
-                        );
-                    }
-                    return Ok(value);
-                }
-                Reservation::Bypass => {}
-            }
-        }
-        let value = self.eval_scalar_udf(udf, &key, &args)?;
-        self.store_udf_result(&key, fp, &args, MemoValue::Scalar(value.clone()));
-        Ok(value)
     }
 
     /// Invokes a table-valued UDF, returning the rows inserted into its result table.
     /// Pure table-valued UDFs memoize their emitted rows the same way scalar UDFs
     /// memoize their return value (this is what deduplicates repeated correlated
-    /// `Apply` iterations over the same outer bindings), including the dedup cache's
-    /// reservation protocol under racing workers.
+    /// `Apply` iterations over the same outer bindings).
     pub fn call_table_udf(&self, name: &str, args: Vec<Value>) -> Result<ResultSet> {
         let udf = self.registry.udf(name)?;
         let schema = udf
@@ -190,45 +134,15 @@ impl Executor {
             .clone()
             .ok_or_else(|| Error::TypeError(format!("function '{name}' is not table-valued")))?;
         let key = decorr_common::normalize_ident(name);
-        if !udf.pure || (self.memo.is_none() && self.dedup.is_none()) {
-            let rows = self.eval_table_udf(udf, &key, &args)?;
-            return Ok(ResultSet { schema, rows });
-        }
-        let fp = fingerprint_invocation(&key, &args);
-        if let Some(MemoValue::Table(rows)) = self.memo_udf_result(&key, fp, &args) {
-            return Ok(ResultSet { schema, rows });
-        }
-        if let Some(dedup) = &self.dedup {
-            match dedup.reserve(&key, fp, &args, NO_EPOCH) {
-                Reservation::Hit(MemoValue::Table(rows)) => {
-                    self.stats.add_udf_dedup_hits(1);
-                    self.udf_timings.record_hit(&key);
-                    return Ok(ResultSet { schema, rows });
-                }
-                Reservation::Hit(_) => {}
-                Reservation::Reserved(guard) => {
-                    let rows = if guard.took_over() {
-                        self.eval_table_udf_as_hit(udf, &key, &args)?
-                    } else {
-                        self.eval_table_udf(udf, &key, &args)?
-                    };
-                    guard.publish(&key, &args, MemoValue::Table(rows.clone()), NO_EPOCH);
-                    if let Some(memo) = &self.memo {
-                        memo.insert(
-                            &key,
-                            fp,
-                            &args,
-                            MemoValue::Table(rows.clone()),
-                            self.memo_epoch(&key),
-                        );
-                    }
-                    return Ok(ResultSet { schema, rows });
-                }
-                Reservation::Bypass => {}
+        let rows = if !udf.pure || self.udf_caches.is_empty() {
+            self.run_body(&key, true, || self.run_table_body(udf, &args))?
+        } else {
+            let body = || self.run_table_body(udf, &args).map(MemoValue::Table);
+            match self.call_cached(&key, &args, body)? {
+                MemoValue::Table(rows) => rows,
+                MemoValue::Scalar(_) => return Err(cached_kind_mismatch(name)),
             }
-        }
-        let rows = self.eval_table_udf(udf, &key, &args)?;
-        self.store_udf_result(&key, fp, &args, MemoValue::Table(rows.clone()));
+        };
         Ok(ResultSet { schema, rows })
     }
 

@@ -1,6 +1,7 @@
 //! Bounded, sharded LRU memo cache for pure-UDF results.
 //!
-//! Two instances of [`UdfMemo`] participate in the UDF invocation runtime:
+//! Two instances of [`UdfMemo`] participate in the UDF invocation runtime, read and
+//! written together through one front, `UdfCaches`:
 //!
 //! * the **engine memo** — owned by the shared `Engine`, shared across sessions and
 //!   queries; every entry is stamped with the [`MemoEpoch`] it was computed under
@@ -9,11 +10,11 @@
 //!   stale results, while concurrent queries pinned to *different* catalog snapshots
 //!   each read only entries matching their own epoch;
 //! * the **per-query dedup cache** — a fresh instance attached to each query's
-//!   executor, which deduplicates repeated argument tuples *within* one execution
-//!   (the argument-fingerprint dedup of the batched invocation path). It also carries
-//!   the [`reservation`](UdfMemo::reserve) protocol: a racing worker that finds
-//!   another worker already evaluating the same argument tuple *waits* for the
-//!   published result instead of evaluating the UDF a second time.
+//!   executor, which deduplicates repeated argument tuples *within* one execution.
+//!   It also carries the [`reservation`](UdfMemo::reserve) protocol: a racing worker
+//!   that finds another worker already evaluating the same argument tuple *waits* for
+//!   the published result instead of evaluating the UDF a second time — the one
+//!   mechanism that keeps invocation counts independent of scheduling.
 //!
 //! Keys are `(normalized name, argument tuple)`; the 64-bit FNV-1a fingerprint over
 //! both is the shard/slot index, and the full argument tuple is kept alongside the
@@ -28,10 +29,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::ThreadId;
 
 use decorr_common::{FnvHasher, Row, Value};
+
+use crate::stats::AtomicExecStats;
 
 /// Number of independently locked shards. Power of two; small enough that an empty
 /// memo is cheap, large enough that a worker pool rarely contends on one lock.
@@ -58,8 +61,7 @@ pub enum MemoValue {
 }
 
 /// Fingerprints a UDF invocation: FNV-1a over the normalized name and each argument's
-/// type tag + exact payload. Used as the memo slot index and as the dedup identity in
-/// the batched invocation path.
+/// type tag + exact payload. Used as the slot index of both cache tiers.
 pub fn fingerprint_invocation(name: &str, args: &[Value]) -> u64 {
     let mut h = FnvHasher::new();
     h.write_bytes(name.as_bytes());
@@ -275,34 +277,14 @@ impl UdfMemo {
         self.capacity > 0
     }
 
-    /// Entries currently resident across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().expect("memo shard poisoned").entries.len())
-            .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn shard(&self, fingerprint: u64) -> &ShardSlot {
         &self.shards[(fingerprint as usize) % SHARDS]
     }
 
-    /// Drops every entry.
-    pub fn clear(&self) {
-        for slot in &self.shards {
-            let mut shard = slot.state.lock().expect("memo shard poisoned");
-            shard.entries.clear();
-            shard.lru.clear();
-        }
-    }
-
-    /// If the slot holds a matching entry stamped with a *different* epoch, drops it
-    /// and counts an invalidation. Returns the entry's value when it matches exactly.
-    fn lookup_locked(
+    /// Returns the slot's value when its entry matches exactly, counting a hit and
+    /// refreshing its LRU position. A matching entry stamped with a *different* epoch
+    /// is dropped and counted as an invalidation.
+    fn hit_locked(
         &self,
         shard: &mut Shard,
         name: &str,
@@ -313,7 +295,10 @@ impl UdfMemo {
         match shard.entries.get(&fingerprint) {
             Some(entry) if entry.name == name && args_identical(&entry.args, args) => {
                 if entry.epoch == epoch {
-                    Some(entry.value.clone())
+                    let value = entry.value.clone();
+                    shard.touch(fingerprint);
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    Some(value)
                 } else {
                     shard.remove(fingerprint);
                     self.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -326,7 +311,7 @@ impl UdfMemo {
 
     /// Looks up a cached result stamped with exactly `epoch`. `fingerprint` must be
     /// [`fingerprint_invocation`]`(name, args)`; the caller computes it once and
-    /// reuses it across `get`/`insert` and the dedup grouping. A matching entry with
+    /// reuses it across both tiers' lookups and inserts. A matching entry with
     /// a *different* epoch is stale: it is dropped (counted as an invalidation) and
     /// the lookup misses.
     pub fn get(
@@ -344,44 +329,11 @@ impl UdfMemo {
             .state
             .lock()
             .expect("memo shard poisoned");
-        match self.lookup_locked(&mut shard, name, fingerprint, args, epoch) {
-            Some(value) => {
-                shard.touch(fingerprint);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let value = self.hit_locked(&mut shard, name, fingerprint, args, epoch);
+        if value.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Like [`get`](UdfMemo::get), but without touching the hit/miss counters, the
-    /// LRU order, or stale entries — used by the batch pre-pass to decide which
-    /// distinct argument tuples still need evaluation without skewing the cache
-    /// diagnostics.
-    pub fn peek_contains(
-        &self,
-        name: &str,
-        fingerprint: u64,
-        args: &[Value],
-        epoch: MemoEpoch,
-    ) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let shard = self
-            .shard(fingerprint)
-            .state
-            .lock()
-            .expect("memo shard poisoned");
-        matches!(
-            shard.entries.get(&fingerprint),
-            Some(entry) if entry.name == name
-                && args_identical(&entry.args, args)
-                && entry.epoch == epoch
-        )
+        value
     }
 
     fn insert_locked(
@@ -470,9 +422,7 @@ impl UdfMemo {
         let mut shard: MutexGuard<'_, Shard> = slot.state.lock().expect("memo shard poisoned");
         let mut waited = false;
         loop {
-            if let Some(value) = self.lookup_locked(&mut shard, name, fingerprint, args, epoch) {
-                shard.touch(fingerprint);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(value) = self.hit_locked(&mut shard, name, fingerprint, args, epoch) {
                 return Reservation::Hit(value);
             }
             match shard.pending.get(&fingerprint) {
@@ -509,8 +459,80 @@ impl UdfMemo {
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             reservation_waits: self.reservation_waits.load(Ordering::Relaxed),
-            entries: self.len() as u64,
+            entries: self
+                .shards
+                .iter()
+                .map(|s| s.state.lock().expect("memo shard poisoned").entries.len() as u64)
+                .sum(),
             capacity: self.capacity as u64,
+        }
+    }
+}
+
+/// The two result caches of a pure-UDF call behind one lookup and one publish: the
+/// engine-owned cross-query memo (with the per-UDF epochs of the query's pinned
+/// snapshot) and the per-query dedup tier. Either may be absent.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UdfCaches {
+    pub(crate) memo: Option<Arc<UdfMemo>>,
+    pub(crate) memo_epochs: Arc<BTreeMap<String, MemoEpoch>>,
+    pub(crate) dedup: Option<Arc<UdfMemo>>,
+}
+
+impl UdfCaches {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.memo.is_none() && self.dedup.is_none()
+    }
+
+    fn memo_epoch(&self, name: &str) -> MemoEpoch {
+        self.memo_epochs.get(name).copied().unwrap_or(NO_EPOCH)
+    }
+
+    /// Looks one invocation up: the shared memo first, then a reservation in the
+    /// per-query tier, which blocks while another thread evaluates the same tuple
+    /// (`Bypass` without such a tier). A hit is booked in `stats` under its tier.
+    pub(crate) fn lookup(
+        &self,
+        name: &str,
+        fingerprint: u64,
+        args: &[Value],
+        stats: &AtomicExecStats,
+    ) -> Reservation<'_> {
+        if let Some(memo) = &self.memo {
+            if let Some(value) = memo.get(name, fingerprint, args, self.memo_epoch(name)) {
+                stats.add_udf_memo_hits(1);
+                return Reservation::Hit(value);
+            }
+        }
+        let Some(dedup) = &self.dedup else {
+            return Reservation::Bypass;
+        };
+        let outcome = dedup.reserve(name, fingerprint, args, NO_EPOCH);
+        if matches!(outcome, Reservation::Hit(_)) {
+            stats.add_udf_dedup_hits(1);
+        }
+        outcome
+    }
+
+    /// Writes an evaluated result into every attached tier; through `reservation`,
+    /// when [`lookup`](UdfCaches::lookup) granted one, which wakes the workers waiting
+    /// on this tuple.
+    pub(crate) fn publish(
+        &self,
+        name: &str,
+        fingerprint: u64,
+        args: &[Value],
+        value: &MemoValue,
+        reservation: Option<ReservationGuard<'_>>,
+    ) {
+        match (reservation, &self.dedup) {
+            (Some(guard), _) => guard.publish(name, args, value.clone(), NO_EPOCH),
+            (None, Some(dedup)) => dedup.insert(name, fingerprint, args, value.clone(), NO_EPOCH),
+            (None, None) => {}
+        }
+        if let Some(memo) = &self.memo {
+            let epoch = self.memo_epoch(name);
+            memo.insert(name, fingerprint, args, value.clone(), epoch);
         }
     }
 }
@@ -564,7 +586,7 @@ mod tests {
         let fp = fingerprint_invocation("f", &args);
         memo.insert("f", fp, &args, scalar(1), NO_EPOCH);
         assert_eq!(memo.get("f", fp, &args, NO_EPOCH), None);
-        assert!(memo.is_empty());
+        assert_eq!(memo.stats().entries, 0);
         assert!(matches!(
             memo.reserve("f", fp, &args, NO_EPOCH),
             Reservation::Bypass
@@ -615,7 +637,11 @@ mod tests {
         // Registry generation bumped (UDF redefined): stale entry dropped.
         assert_eq!(memo.get("f", fp, &args, (2, 0, 0)), None);
         assert_eq!(memo.stats().invalidations, 1);
-        assert!(memo.is_empty(), "stale entry must be evicted, not retained");
+        assert_eq!(
+            memo.stats().entries,
+            0,
+            "stale entry must be evicted, not retained"
+        );
         // Data version bumped: same.
         memo.insert("f", fp, &args, scalar(20), (2, 0, 0));
         assert_eq!(memo.get("f", fp, &args, (2, 0, 1)), None);

@@ -43,9 +43,6 @@ pub struct ExecStats {
     /// Pure-UDF calls answered by the per-query dedup cache (repeated argument
     /// tuples within one execution).
     pub udf_dedup_hits: u64,
-    /// Distinct argument tuples evaluated by the batched invocation path (fanned out
-    /// over the worker pool ahead of per-row evaluation).
-    pub udf_batch_evals: u64,
 }
 
 /// Lock-free live counters. Every counter is monotonically increasing and additions
@@ -65,7 +62,6 @@ pub struct AtomicExecStats {
     pub pipelined_operators: AtomicU64,
     pub udf_memo_hits: AtomicU64,
     pub udf_dedup_hits: AtomicU64,
-    pub udf_batch_evals: AtomicU64,
 }
 
 impl AtomicExecStats {
@@ -117,10 +113,6 @@ impl AtomicExecStats {
         self.udf_dedup_hits.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn add_udf_batch_evals(&self, n: u64) {
-        self.udf_batch_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// A plain snapshot of the counters.
     pub fn snapshot(&self) -> ExecStats {
         ExecStats {
@@ -136,7 +128,6 @@ impl AtomicExecStats {
             pipelined_operators: self.pipelined_operators.load(Ordering::Relaxed),
             udf_memo_hits: self.udf_memo_hits.load(Ordering::Relaxed),
             udf_dedup_hits: self.udf_dedup_hits.load(Ordering::Relaxed),
-            udf_batch_evals: self.udf_batch_evals.load(Ordering::Relaxed),
         }
     }
 }
@@ -171,12 +162,6 @@ pub struct OperatorTrace {
     pub rows_out: u64,
 }
 
-impl OperatorTrace {
-    pub fn total_rows(&self) -> u64 {
-        self.rows_per_worker.iter().sum()
-    }
-}
-
 /// The executor-side counterpart of the optimizer's `PipelineReport`: one entry per
 /// morsel-driven operator, in completion order.
 #[derive(Debug, Clone, Default)]
@@ -187,11 +172,6 @@ pub struct ExecTrace {
 impl ExecTrace {
     pub fn is_empty(&self) -> bool {
         self.operators.is_empty()
-    }
-
-    /// Total morsels dispatched across all operators.
-    pub fn total_morsels(&self) -> usize {
-        self.operators.iter().map(|o| o.morsels).sum()
     }
 
     /// Renders the per-operator table (the execution analogue of
@@ -344,17 +324,16 @@ impl UdfTiming {
             self.total / self.invocations as u32
         }
     }
+}
 
-    /// Fraction of all calls that had to be evaluated (1.0 = no cache help). This is
-    /// the "effective invocation count" signal the cost model learns.
-    pub fn evaluated_fraction(&self) -> f64 {
-        let calls = self.invocations + self.hits;
-        if calls == 0 {
-            1.0
-        } else {
-            self.invocations as f64 / calls as f64
-        }
+/// The collectors' per-UDF slot. They are hit once per UDF call under their lock, so
+/// the key is allocated only the first time a name is seen.
+fn entry_for<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
     }
+    map.get_mut(name)
+        .expect("present: inserted above if absent")
 }
 
 /// Shared collector of per-UDF invocation wall-clocks. Always on: the lock is taken
@@ -371,9 +350,7 @@ impl UdfTimingCollector {
     /// Records one *evaluated* invocation and its wall clock.
     pub fn record(&self, name: &str, elapsed: Duration) {
         let mut timings = self.timings.lock().expect("udf timing collector poisoned");
-        let entry = timings
-            .entry(name.to_string())
-            .or_insert((0, Duration::ZERO, 0));
+        let entry = entry_for(&mut timings, name);
         entry.0 += 1;
         entry.1 += elapsed;
     }
@@ -382,10 +359,7 @@ impl UdfTimingCollector {
     /// stay per-evaluation (see [`UdfTiming`]).
     pub fn record_hit(&self, name: &str) {
         let mut timings = self.timings.lock().expect("udf timing collector poisoned");
-        let entry = timings
-            .entry(name.to_string())
-            .or_insert((0, Duration::ZERO, 0));
-        entry.2 += 1;
+        entry_for(&mut timings, name).2 += 1;
     }
 
     pub fn snapshot(&self) -> Vec<UdfTiming> {
@@ -431,7 +405,7 @@ impl UdfSelectivityCollector {
             .outcomes
             .lock()
             .expect("selectivity collector poisoned");
-        let entry = outcomes.entry(name.to_string()).or_insert((0, 0));
+        let entry = entry_for(&mut outcomes, name);
         entry.0 += evaluated;
         entry.1 += passed;
     }
@@ -490,8 +464,6 @@ mod tests {
             rows_out: 4000,
         });
         let trace = collector.snapshot();
-        assert_eq!(trace.total_morsels(), 4);
-        assert_eq!(trace.operators[0].total_rows(), 4096);
         let rendered = trace.render();
         assert!(rendered.contains("scan(orders)"));
         assert!(rendered.contains("[3000, 1096]"));
@@ -533,7 +505,6 @@ mod tests {
         assert_eq!(f.total, Duration::from_micros(400));
         assert_eq!(f.mean(), Duration::from_micros(200));
         assert_eq!(f.hits, 0);
-        assert_eq!(f.evaluated_fraction(), 1.0);
     }
 
     #[test]
@@ -551,7 +522,6 @@ mod tests {
         assert_eq!(f.hits, 3);
         // The mean stays the per-evaluation cost; 400/4 would be the drift bug.
         assert_eq!(f.mean(), Duration::from_micros(400));
-        assert_eq!(f.evaluated_fraction(), 0.25);
         let warm = snapshot.iter().find(|t| t.name == "warm_only").unwrap();
         assert_eq!((warm.invocations, warm.hits), (0, 1));
         assert_eq!(warm.mean(), Duration::ZERO);

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use decorr_common::{Column, DataType, Row, Schema, Value};
-use decorr_exec::{ExecConfig, Executor};
+use decorr_exec::{ExecConfig, Executor, UdfMemo};
 use decorr_parser::{parse_and_plan, parse_function};
 use decorr_storage::Catalog;
 use decorr_udf::FunctionRegistry;
@@ -399,6 +399,87 @@ fn table_valued_udf_execution() {
         .unwrap();
     assert_eq!(rs.len(), 10);
     assert_eq!(rs.schema.names(), vec!["orderkey", "price"]);
+}
+
+/// The table-valued twin of the racing-workers guarantee, driven straight through
+/// `Executor::call_table_udf`: 8 threads released together call a pure table-valued UDF
+/// over the same few argument tuples through one shared dedup tier. Each distinct tuple
+/// is evaluated once, every other call is a hit, and every thread sees the rows the
+/// single-threaded run sees.
+#[test]
+fn racing_table_udf_calls_evaluate_each_tuple_once() {
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 10;
+    let (catalog, mut registry) = setup();
+    registry.register_udf(
+        parse_function(
+            "create function orders_above(float threshold) returns tt table(orderkey int, price float) as \
+             begin \
+               declare c cursor for select orderkey, totalprice from orders; \
+               open c; \
+               fetch next from c into @ok, @tp; \
+               while @@fetch_status = 0 \
+               begin \
+                 if (@tp > threshold) insert into tt values (@ok, @tp); \
+                 fetch next from c into @ok, @tp; \
+               end \
+               close c; deallocate c; \
+               return tt; \
+             end",
+        )
+        .unwrap(),
+    );
+    let registry = Arc::new(registry);
+    let thresholds = [150.0, 450.0, 650.0, 900.0, 2000.0];
+    let executor = || {
+        Executor::new(Arc::clone(&catalog), Arc::clone(&registry))
+            .with_udf_dedup(Arc::new(UdfMemo::with_capacity(64)))
+    };
+    // One thread's work: every tuple once, starting at a thread-specific offset so the
+    // threads collide on different tuples at different times.
+    let call_all = |exec: &Executor, offset: usize| -> Vec<(usize, Vec<Row>)> {
+        (0..thresholds.len())
+            .map(|i| (i + offset) % thresholds.len())
+            .map(|i| {
+                let args = vec![Value::Float(thresholds[i])];
+                (i, exec.call_table_udf("orders_above", args).unwrap().rows)
+            })
+            .collect()
+    };
+    let serial_exec = executor();
+    let mut serial = call_all(&serial_exec, 0);
+    serial.sort_by_key(|(i, _)| *i);
+    assert_eq!(serial[3].1.len(), 10, "the ten orders of customer 10");
+    assert_eq!(
+        serial_exec.stats_snapshot().udf_invocations,
+        thresholds.len() as u64
+    );
+    for round in 0..ROUNDS {
+        let exec = executor();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let (exec, start, serial, call_all) = (&exec, &start, &serial, &call_all);
+                scope.spawn(move || {
+                    start.wait();
+                    for (i, rows) in call_all(exec, thread) {
+                        assert_eq!(rows, serial[i].1, "round {round} thread {thread} tuple {i}");
+                    }
+                });
+            }
+        });
+        let stats = exec.stats_snapshot();
+        assert_eq!(
+            stats.udf_invocations,
+            thresholds.len() as u64,
+            "round {round}: one evaluation per distinct tuple"
+        );
+        assert_eq!(
+            stats.udf_dedup_hits,
+            ((THREADS - 1) * thresholds.len()) as u64,
+            "round {round}: every other call is answered by the dedup tier"
+        );
+    }
 }
 
 #[test]

@@ -554,7 +554,7 @@ fn udf_cost_of_expr(
     let mut total = 0.0;
     if let ScalarExpr::UdfCall { name, .. } = expr {
         // Per-call cost (learned when available) scaled by the effective fraction of
-        // calls the batching/memo runtime actually evaluates.
+        // calls the dedup/memo runtime actually evaluates.
         let fraction = params.udf_dedup_fraction(name);
         if let Some(learned) = params.udf_cost_override(name) {
             total += learned * fraction;

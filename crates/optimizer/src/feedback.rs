@@ -71,20 +71,6 @@ pub struct QueryFeedback {
     pub invalidated: bool,
 }
 
-/// Learned cost state of one UDF.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UdfCostFeedback {
-    pub name: String,
-    pub invocations: u64,
-    pub total: Duration,
-    /// Static per-invocation estimate (row-op units) the model would use.
-    pub static_units: f64,
-    /// Measured mean wall-clock per invocation.
-    pub mean: Duration,
-    /// q-error between the static estimate and the measured cost (in units).
-    pub cost_q_error: f64,
-}
-
 /// Counters for reporting (EXPLAIN ANALYZE, benches, tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeedbackStats {
@@ -229,7 +215,7 @@ impl FeedbackStore {
     /// Records one query's dedup outcome for a UDF: `evaluated` calls actually ran
     /// the body (already counted by [`record_udf_timing`](Self::record_udf_timing))
     /// while `hits` were answered from the memo/dedup caches. When the learned dedup
-    /// fraction first becomes trusted *and* meaningful (< 0.5 — batching answers at
+    /// fraction first becomes trusted *and* meaningful (< 0.5 — the caches answer at
     /// least half the calls), the store generation is bumped once so cost-based
     /// plan-cache entries re-decide with effective invocation counts.
     pub fn record_udf_dedup(&self, name: &str, evaluated: u64, hits: u64) {
@@ -280,29 +266,22 @@ impl FeedbackStore {
         entry.predicate_passed += passed.min(evaluated);
     }
 
-    /// The observed pass-rate of every UDF-bearing predicate with a trusted number of
-    /// evaluations.
-    pub fn udf_selectivities(&self) -> BTreeMap<String, f64> {
+    /// What the executor's cost-ordered filter evaluation learns per UDF, as
+    /// `(mean seconds, pass-rate)`: the measured mean wall-clock per *evaluated*
+    /// invocation (no trust floor — a rough early number already orders predicates
+    /// better than no number) and the observed pass-rate of its predicate (only with a
+    /// trusted number of evaluations). UDFs with neither are left out.
+    pub fn udf_runtime_profiles(&self) -> BTreeMap<String, (Option<f64>, Option<f64>)> {
         let udfs = self.udfs.read().expect("feedback store poisoned");
         udfs.iter()
-            .filter(|(_, e)| e.predicate_evaluated >= self.config.min_udf_invocations)
             .map(|(name, e)| {
-                (
-                    name.clone(),
-                    e.predicate_passed as f64 / e.predicate_evaluated as f64,
-                )
+                let mean_seconds =
+                    (e.invocations > 0).then(|| e.total.as_secs_f64() / e.invocations as f64);
+                let selectivity = (e.predicate_evaluated >= self.config.min_udf_invocations)
+                    .then(|| e.predicate_passed as f64 / e.predicate_evaluated as f64);
+                (name.clone(), (mean_seconds, selectivity))
             })
-            .collect()
-    }
-
-    /// Measured mean wall-clock per *evaluated* invocation of every UDF with any
-    /// measurement at all (no trust floor — a rough early number already orders
-    /// predicates better than no number).
-    pub fn udf_mean_seconds(&self) -> BTreeMap<String, f64> {
-        let udfs = self.udfs.read().expect("feedback store poisoned");
-        udfs.iter()
-            .filter(|(_, e)| e.invocations > 0)
-            .map(|(name, e)| (name.clone(), e.total.as_secs_f64() / e.invocations as f64))
+            .filter(|(_, profile)| *profile != (None, None))
             .collect()
     }
 
@@ -358,29 +337,6 @@ impl FeedbackStore {
             .expect("feedback store poisoned")
             .get(&fingerprint)
             .cloned()
-    }
-
-    /// Learned state of every tracked UDF, by name.
-    pub fn udf_feedback(&self, row_op_seconds: f64) -> Vec<UdfCostFeedback> {
-        let udfs = self.udfs.read().expect("feedback store poisoned");
-        udfs.iter()
-            .map(|(name, e)| UdfCostFeedback {
-                name: name.clone(),
-                invocations: e.invocations,
-                total: e.total,
-                static_units: e.static_units,
-                mean: if e.invocations > 0 {
-                    e.total / e.invocations as u32
-                } else {
-                    Duration::ZERO
-                },
-                cost_q_error: if e.static_units > 0.0 && e.invocations > 0 {
-                    q_error(e.static_units, learned_units(e, row_op_seconds))
-                } else {
-                    1.0
-                },
-            })
-            .collect()
     }
 
     /// Counter snapshot.
@@ -586,10 +542,6 @@ mod tests {
             row_op,
         );
         assert_eq!(store.generation(), generation);
-        let feedback = store.udf_feedback(row_op);
-        let expensive = feedback.iter().find(|f| f.name == "expensive").unwrap();
-        assert_eq!(expensive.invocations, 20);
-        assert!(expensive.cost_q_error > 100.0);
     }
 
     #[test]
@@ -618,26 +570,24 @@ mod tests {
         let store = FeedbackStore::new();
         store.record_udf_predicate("p", 4, 1);
         assert!(
-            store.udf_selectivities().is_empty(),
+            store.udf_runtime_profiles().is_empty(),
             "below the trust floor"
         );
         store.record_udf_predicate("P", 12, 3);
-        let selectivities = store.udf_selectivities();
-        assert!(
-            (selectivities["p"] - 0.25).abs() < 1e-9,
-            "{selectivities:?}"
-        );
+        let pass_rate = |store: &FeedbackStore| store.udf_runtime_profiles()["p"].1.unwrap();
+        assert!((pass_rate(&store) - 0.25).abs() < 1e-9);
         // Zero evaluations are a no-op; passed is clamped to evaluated.
         store.record_udf_predicate("p", 0, 99);
-        assert!((store.udf_selectivities()["p"] - 0.25).abs() < 1e-9);
+        assert!((pass_rate(&store) - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn mean_seconds_require_no_trust_floor() {
         let store = FeedbackStore::new();
         store.record_udf_timing("g", 2, Duration::from_millis(8), None, 1e-6);
-        let means = store.udf_mean_seconds();
-        assert!((means["g"] - 4e-3).abs() < 1e-9, "{means:?}");
+        let (mean_seconds, selectivity) = store.udf_runtime_profiles()["g"];
+        assert!((mean_seconds.unwrap() - 4e-3).abs() < 1e-9);
+        assert_eq!(selectivity, None, "no predicate outcome was recorded");
     }
 
     #[test]
@@ -674,7 +624,10 @@ mod tests {
             "learned costs survive without re-execution"
         );
         assert_eq!(restored.udf_dedup_fractions(), store.udf_dedup_fractions());
-        assert_eq!(restored.udf_selectivities(), store.udf_selectivities());
+        assert_eq!(
+            restored.udf_runtime_profiles(),
+            store.udf_runtime_profiles()
+        );
         assert_eq!(restored.query_feedback(42), store.query_feedback(42));
         // Export is deterministic: re-exporting unchanged state is identical.
         assert_eq!(restored.export_state(), state);

@@ -43,8 +43,7 @@ pub use cost::{
     estimated_udf_invocation_cost, CostEstimate, CostParams, NodeEstimate,
 };
 pub use feedback::{
-    FeedbackConfig, FeedbackState, FeedbackStats, FeedbackStore, QueryFeedback, UdfCostFeedback,
-    UdfFeedbackState,
+    FeedbackConfig, FeedbackState, FeedbackStats, FeedbackStore, QueryFeedback, UdfFeedbackState,
 };
 pub use pass::{
     OptimizeMode, OptimizeOutcome, OptimizerPass, PassContext, PassEffect, PassManager,

@@ -264,11 +264,6 @@ impl PipelineReport {
         self.passes.iter().find(|p| p.name == name)
     }
 
-    /// Total wall-clock time spent inside passes.
-    pub fn total_duration(&self) -> Duration {
-        self.passes.iter().map(|p| p.duration).sum()
-    }
-
     /// Aggregated rule fire counts across all passes.
     pub fn rule_fire_counts(&self) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
@@ -574,7 +569,7 @@ impl OptimizerPass for StrategyChoicePass {
                         ));
                         params = params.with_udf_cost_overrides(overrides);
                     }
-                    // Effective invocation counts: calls the batching/memo runtime
+                    // Effective invocation counts: calls the dedup/memo runtime
                     // answers from cache cost nothing, so an iterative plan over
                     // repetitive arguments is cheaper than its raw call count says.
                     let fractions = feedback.udf_dedup_fractions();
@@ -733,11 +728,6 @@ impl PassManager {
     /// Appends a pass.
     pub fn push(&mut self, pass: impl OptimizerPass + 'static) {
         self.passes.push(Box::new(pass));
-    }
-
-    /// The ordered pass names.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
     }
 
     pub fn options(&self) -> &PassManagerOptions {
@@ -1183,18 +1173,7 @@ mod tests {
     fn every_pass_is_traced_in_order() {
         let registry = FunctionRegistry::new();
         let plan = parse_and_plan("select custkey from customer").unwrap();
-        let manager = PassManager::decorrelation_pipeline();
-        assert_eq!(
-            manager.pass_names(),
-            vec![
-                "normalize",
-                "algebraize-merge",
-                "apply-removal",
-                "cleanup",
-                "strategy-choice"
-            ]
-        );
-        let outcome = manager
+        let outcome = PassManager::decorrelation_pipeline()
             .optimize(&plan, &registry, &provider(), None)
             .unwrap();
         let traced: Vec<&str> = outcome

@@ -371,8 +371,8 @@ mod tests {
         assert_eq!(udf.name, "discount");
         assert_eq!(udf.params.len(), 2);
         assert_eq!(udf.return_type, DataType::Float);
-        assert!(udf.has_queries());
-        assert!(!udf.has_loops());
+        assert!(udf.body.iter().any(Statement::contains_query));
+        assert!(!udf.body.iter().any(Statement::contains_loop));
         // declarations + 2 select-into + assignment + return
         assert!(udf.body.len() >= 5);
         assert!(matches!(
@@ -452,7 +452,7 @@ mod tests {
              end",
         )
         .unwrap();
-        assert!(udf.has_loops());
+        assert!(udf.body.iter().any(Statement::contains_loop));
         let cursor = udf
             .body
             .iter()

@@ -655,8 +655,8 @@ pub fn rule_r4_apply_merge_removal(
     })
 }
 
-/// R6: `r AMC(p, et, ef) = r AM (σ_p(et) ∪ σ_¬p(ef))` — provided both branches are
-/// single-tuple expressions (always true by construction of the algebraizer).
+/// R6: `r AMC(p, et, ef) = r AM (σ_p(et) ∪ σ_¬p(ef))` — for a two-valued `p` and
+/// single-tuple branches (the latter always true by construction of the algebraizer).
 pub fn rule_r6_conditional_to_union(
     plan: &RelExpr,
     _provider: &dyn SchemaProvider,

@@ -218,16 +218,6 @@ impl UdfDefinition {
         self.returns_table.is_some()
     }
 
-    /// True if the body contains any loop.
-    pub fn has_loops(&self) -> bool {
-        self.body.iter().any(|s| s.contains_loop())
-    }
-
-    /// True if the body executes any SQL query.
-    pub fn has_queries(&self) -> bool {
-        self.body.iter().any(|s| s.contains_query())
-    }
-
     /// Names of the formal parameters, in order.
     pub fn param_names(&self) -> Vec<String> {
         self.params.iter().map(|p| p.name.clone()).collect()
@@ -376,8 +366,6 @@ mod tests {
             DataType::Str,
             service_level_body(),
         );
-        assert!(!udf.has_loops());
-        assert!(udf.has_queries());
         assert!(!udf.is_table_valued());
         assert_eq!(udf.param_names(), vec!["ckey".to_string()]);
         assert_eq!(

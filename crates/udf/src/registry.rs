@@ -81,12 +81,9 @@ impl FunctionRegistry {
             .or_else(|| self.aggregates.get(&key).map(|a| a.return_type))
     }
 
-    pub fn udf_names(&self) -> Vec<String> {
-        self.udfs.keys().cloned().collect()
-    }
-
-    pub fn aggregate_names(&self) -> Vec<String> {
-        self.aggregates.keys().cloned().collect()
+    /// Every registered UDF, in name order.
+    pub fn udfs(&self) -> impl Iterator<Item = &UdfDefinition> {
+        self.udfs.values()
     }
 
     /// Generates a name for an auxiliary aggregate derived from `udf_name` that does not
@@ -147,8 +144,10 @@ mod tests {
         assert_eq!(reg.return_type("myagg"), Some(DataType::Int));
         assert_eq!(reg.return_type("nosuch"), None);
         assert_eq!(reg.udf("nosuch").unwrap_err().kind(), "catalog");
-        assert_eq!(reg.udf_names(), vec!["identity".to_string()]);
-        assert_eq!(reg.aggregate_names(), vec!["myagg".to_string()]);
+        assert_eq!(
+            reg.udfs().map(|u| u.name.as_str()).collect::<Vec<_>>(),
+            ["identity"]
+        );
     }
 
     #[test]

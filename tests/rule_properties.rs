@@ -13,7 +13,9 @@ use udf_decorrelation::algebra::{
 };
 use udf_decorrelation::common::{Column, DataType, Row, Schema, SmallRng, Value};
 use udf_decorrelation::exec::{CatalogProvider, Executor};
-use udf_decorrelation::rewrite::rules::RuleSet;
+use udf_decorrelation::rewrite::rules::{
+    rule_k5_pull_groupby, rule_r6_conditional_to_union, rule_r7_union_to_case, Rule, RuleSet,
+};
 use udf_decorrelation::rewrite::FixpointEngine;
 use udf_decorrelation::storage::Catalog;
 use udf_decorrelation::udf::FunctionRegistry;
@@ -149,6 +151,26 @@ fn declaration_and_assignment_chain_is_preserved() {
     });
 }
 
+/// An if-then-else assignment over `accounts`: `label` starts as 'unset' and becomes
+/// 'high' or 'low' by comparing `amount` (never NULL in this harness) to `threshold`.
+fn conditional_label_plan(threshold: f64) -> RelExpr {
+    let ctx = PlanBuilder::scan("accounts")
+        .apply(
+            PlanBuilder::single().project(vec![(E::literal("unset"), Some("label"))]),
+            ApplyKind::Cross,
+            vec![],
+        )
+        .conditional_apply_merge(
+            E::gt(E::column("amount"), E::literal(threshold)),
+            PlanBuilder::single().project(vec![(E::literal("high"), Some("label"))]),
+            PlanBuilder::single().project(vec![(E::literal("low"), Some("label"))]),
+            vec![],
+        );
+    PlanBuilder::from_plan(ctx.build())
+        .project(vec![(E::column("id"), None), (E::column("label"), None)])
+        .build()
+}
+
 /// R8: conditional Apply-Merge (if-then-else assignment) equals its CASE rewriting for
 /// every predicate threshold and dataset.
 #[test]
@@ -157,23 +179,126 @@ fn conditional_apply_merge_matches_case() {
         let threshold = rng.gen_range_f64(-100.0, 100.0);
         let rows = arb_rows(rng, 1, 25);
         let catalog = catalog_with_accounts(&rows);
-        let ctx = PlanBuilder::scan("accounts")
-            .apply(
-                PlanBuilder::single().project(vec![(E::literal("unset"), Some("label"))]),
-                ApplyKind::Cross,
-                vec![],
-            )
-            .conditional_apply_merge(
-                E::gt(E::column("amount"), E::literal(threshold)),
-                PlanBuilder::single().project(vec![(E::literal("high"), Some("label"))]),
-                PlanBuilder::single().project(vec![(E::literal("low"), Some("label"))]),
-                vec![],
-            );
-        let plan = PlanBuilder::from_plan(ctx.build())
-            .project(vec![(E::column("id"), None), (E::column("label"), None)])
-            .build();
-        assert_rules_preserve_results(&catalog, &plan);
+        assert_rules_preserve_results(&catalog, &conditional_label_plan(threshold));
     });
+}
+
+/// R6 then R7: the paper's other route from a conditional Apply-Merge to a CASE
+/// projection — a union of the two guarded branches, folded into one CASE, which the
+/// Apply-Merge removal rules (R2 here: both branches project over `Single`) then merge
+/// into the outer projection. The default pipeline takes R8's one-step route; with R8
+/// swapped out for R6 + R7 the fixpoint must return the rows R8's route returns and the
+/// rows the un-rewritten plan returns. Both rules are stated for a two-valued predicate, which holds here: `amount`
+/// is never NULL.
+#[test]
+fn conditional_apply_merge_via_union_matches_case() {
+    let mut via_union = RuleSet::default_pipeline();
+    let r8 = via_union
+        .rules
+        .iter()
+        .position(|r| r.name == "R8-conditional-merge-to-case")
+        .expect("R8 is in the default pipeline");
+    via_union.rules.splice(
+        r8..=r8,
+        [
+            Rule {
+                name: "R6-conditional-merge-to-union",
+                apply: rule_r6_conditional_to_union,
+            },
+            Rule {
+                name: "R7-union-to-case",
+                apply: rule_r7_union_to_case,
+            },
+        ],
+    );
+    check_property("conditional_apply_merge_via_union_matches_case", |rng| {
+        let threshold = rng.gen_range_f64(-100.0, 100.0);
+        let rows = arb_rows(rng, 1, 25);
+        let catalog = catalog_with_accounts(&rows);
+        let plan = conditional_label_plan(threshold);
+        let registry = FunctionRegistry::new();
+        let provider = CatalogProvider::new(&catalog, &registry);
+        let engine = FixpointEngine::with_max_iterations(50);
+        let outcome = engine
+            .run(&plan, &via_union, &provider)
+            .expect("fixpoint within budget");
+        assert!(outcome.fire_count("R6-conditional-merge-to-union") >= 1);
+        assert!(outcome.fire_count("R7-union-to-case") >= 1);
+        assert!(
+            !outcome.plan.contains_apply(),
+            "the union route must leave no Apply behind:\n{}",
+            explain(&outcome.plan)
+        );
+        let via_case = engine
+            .run(&plan, &RuleSet::default_pipeline(), &provider)
+            .expect("fixpoint within budget")
+            .plan;
+        let expected = run(&catalog, &plan);
+        assert_eq!(
+            run(&catalog, &outcome.plan),
+            expected,
+            "{}",
+            explain(&outcome.plan)
+        );
+        assert_eq!(run(&catalog, &via_case), expected);
+    });
+}
+
+/// K5: a *grouped* aggregate under a cross Apply is pulled above it by adding the outer
+/// attributes to the grouping columns. Sound only when the outer relation is
+/// duplicate-free (the precondition the rule's doc comment gives, and the reason it is
+/// in no default rule set): here `groups.g` is a key. With a duplicated outer row the
+/// rewritten plan folds the two copies into one group, which the last assertion pins.
+#[test]
+fn grouped_aggregate_pulls_above_apply_over_a_keyed_outer() {
+    check_property(
+        "grouped_aggregate_pulls_above_apply_over_a_keyed_outer",
+        |rng| {
+            let rows = arb_rows(rng, 0, 30);
+            let keys: Vec<i64> = (0..6).filter(|_| rng.gen_range_i64(0, 3) > 0).collect();
+            let with_groups = |values: &[i64]| {
+                let mut catalog = catalog_with_accounts(&rows);
+                catalog
+                    .create_table("groups", Schema::new(vec![Column::new("g", DataType::Int)]))
+                    .unwrap();
+                let values = values.iter().map(|g| Row::new(vec![Value::Int(*g)]));
+                catalog.insert_rows("groups", values.collect()).unwrap();
+                catalog
+            };
+            // groups A× (grp G_sum(amount)(σ_{grp <= g}(accounts)))
+            let inner = PlanBuilder::scan("accounts")
+                .select(E::binary(
+                    udf_decorrelation::algebra::BinaryOp::LtEq,
+                    E::column("grp"),
+                    E::qualified_column("groups", "g"),
+                ))
+                .aggregate(
+                    vec![E::column("grp")],
+                    vec![AggCall::new(
+                        AggFunc::Sum,
+                        vec![E::column("amount")],
+                        "total",
+                    )],
+                );
+            let plan = PlanBuilder::scan("groups")
+                .apply(inner, ApplyKind::Cross, vec![])
+                .build();
+            let catalog = with_groups(&keys);
+            let registry = FunctionRegistry::new();
+            let provider = CatalogProvider::new(&catalog, &registry);
+            let pulled = rule_k5_pull_groupby(&plan, &provider).expect("K5 matches the plan");
+            assert!(matches!(pulled, RelExpr::Aggregate { .. }));
+            assert_eq!(run(&catalog, &pulled), run(&catalog, &plan));
+            // What is left under the aggregate is an ordinary correlated selection.
+            assert_rules_preserve_results(&catalog, &pulled);
+            if let (Some(first), false) = (keys.first(), rows.iter().all(|r| r.1 > keys[0])) {
+                let mut duplicated = keys.clone();
+                duplicated.push(*first);
+                let catalog = with_groups(&duplicated);
+                assert_ne!(run(&catalog, &pulled), run(&catalog, &plan));
+            }
+        },
+    );
 }
 
 /// The correlated-scalar-aggregate decorrelation (Apply over SUM with an equality

@@ -1,9 +1,9 @@
-//! The UDF invocation runtime: batching/dedup, cross-query memoization of pure UDF
+//! The UDF invocation runtime: per-query dedup, cross-query memoization of pure UDF
 //! results, and their invalidation rules.
 //!
 //! Two contracts are driven here end to end:
 //!
-//! * **transparency** — with batching and memoization on, every query returns rows
+//! * **transparency** — with the dedup tier and the memo on, every query returns rows
 //!   byte-identical to the plain evaluation, at every tested pool size, warm or cold;
 //! * **freshness** — a memoized result never outlives the registry or catalog state
 //!   it was computed against: redefining a UDF or changing table data empties the
@@ -294,10 +294,10 @@ fn filter_selectivity_feedback_is_recorded() {
             )
             .unwrap();
         assert_eq!(result.exec_stats.parallel_operators > 0, parallelism > 1);
-        let selectivities = engine.feedback().udf_selectivities();
-        let observed = selectivities
+        let profiles = engine.feedback().udf_runtime_profiles();
+        let observed = profiles
             .get("group_score")
-            .copied()
+            .and_then(|(_mean_seconds, pass_rate)| *pass_rate)
             .expect("the UDF conjunct's pass-rate should be recorded");
         assert!(
             (0.0..=1.0).contains(&observed),
@@ -458,17 +458,34 @@ fn self_table_udf_decorrelates_to_the_same_answer_as_iteration() {
     );
 }
 
-/// The regression for Apply-path counter inflation: at parallelism 8 racing workers
-/// may re-evaluate a tuple whose dedup reservation they lost, but the duplicate must
-/// book as a hit — `udf_invocations` equals the number of distinct argument tuples,
-/// every run.
+/// The dedup tier's reservation is the one mechanism that keeps counters independent of
+/// scheduling: at parallelism 8 racing workers coalesce onto one evaluation per
+/// distinct argument tuple, and a worker that re-evaluates a tuple whose reservation it
+/// lost books a hit. For every position a UDF call can take in a filter/project chain,
+/// rows are byte-identical to the serial run and `udf_invocations` equals the serial
+/// count, every round.
 #[test]
 fn udf_invocation_counters_are_stable_under_racing_workers() {
     const ROWS: usize = 2_000;
     const GROUPS: i64 = 50;
-    let sql = "select id, group_score(grp) as score from probes";
-    let run = |parallelism: usize| {
-        scored_db(ROWS, GROUPS, 0xC0DE)
+    const ROUNDS: usize = 10;
+    let base = scored_db(ROWS, GROUPS, 0xC0DE);
+    for function in [
+        "create function group_count(int g) returns int as \
+         begin int n; select count(*) into :n from items where grp = :g; return n; end",
+        // Errors for exactly one argument value: division by zero at g = 7.
+        "create function fragile(int g) returns float as \
+         begin \
+           float total; \
+           select sum(val) into :total from items where grp = :g; \
+           return total / (g - 7); \
+         end",
+    ] {
+        base.register_function(function).unwrap();
+    }
+    // Every run starts from a fork: same data and functions, empty caches.
+    let run = |sql: &str, parallelism: usize| {
+        base.fork()
             .session()
             .query_with(
                 sql,
@@ -476,17 +493,160 @@ fn udf_invocation_counters_are_stable_under_racing_workers() {
             )
             .unwrap()
     };
-    let serial = run(1);
-    assert_eq!(
-        serial.exec_stats.udf_invocations, GROUPS as u64,
-        "serial baseline: one evaluation per distinct group"
-    );
-    for round in 0..3 {
-        let result = run(8);
-        assert_eq!(result.rows.len(), ROWS);
+    let shapes = [
+        (
+            "select id, group_score(grp) as score from probes",
+            GROUPS as u64,
+        ),
+        (
+            "select id from probes where group_score(grp) > 200.0 and id >= 10",
+            GROUPS as u64,
+        ),
+        (
+            "select id, group_score(grp) as score, group_count(grp) as n from probes",
+            2 * GROUPS as u64,
+        ),
+    ];
+    for (sql, distinct_calls) in shapes {
+        let serial = run(sql, 1);
         assert_eq!(
-            result.exec_stats.udf_invocations, serial.exec_stats.udf_invocations,
-            "round {round}: parallel invocation count drifted from the serial baseline"
+            serial.exec_stats.udf_invocations, distinct_calls,
+            "serial baseline: one evaluation per distinct (function, group): {sql}"
+        );
+        for round in 0..ROUNDS {
+            let result = run(sql, 8);
+            assert!(result.exec_stats.parallel_operators > 0, "{sql}");
+            assert_eq!(result.rows, serial.rows, "round {round}: {sql}");
+            assert_eq!(
+                result.exec_stats.udf_invocations, serial.exec_stats.udf_invocations,
+                "round {round}: parallel invocation count drifted from the serial baseline: {sql}"
+            );
+        }
+    }
+    // An evaluation that fails abandons its reservation, which must wake the workers
+    // waiting on that tuple (a lost wake-up would hang this test): the query fails with
+    // the error the serial run reports, and the next query on the same engine is
+    // unaffected. The memo stays detached here — which tuples a failing parallel query
+    // got to memoize before it failed is the one thing that does depend on scheduling.
+    let failing_then_next = |parallelism: usize| {
+        let session = base.fork().session();
+        let options = iterative_with(runtime_config(parallelism, true, false));
+        let error = session
+            .query_with("select id, fragile(grp) as v from probes", &options)
+            .unwrap_err()
+            .to_string();
+        let next = session
+            .query_with(
+                "select id, fragile(grp) as v from probes where grp <> 7",
+                &options,
+            )
+            .unwrap();
+        (error, next)
+    };
+    let (serial_error, serial_next) = failing_then_next(1);
+    assert!(serial_error.contains("division by zero"), "{serial_error}");
+    assert_eq!(serial_next.exec_stats.udf_invocations, GROUPS as u64 - 1);
+    for round in 0..ROUNDS {
+        let (error, next) = failing_then_next(8);
+        assert_eq!(error, serial_error, "round {round}");
+        assert_eq!(next.rows, serial_next.rows, "round {round}");
+        assert_eq!(
+            next.exec_stats.udf_invocations, serial_next.exec_stats.udf_invocations,
+            "round {round}: the query after a failed one must count as its serial run does"
         );
     }
+}
+
+/// The serial, seeded script that pins what the invocation path counts: a projection
+/// and a two-conjunct filter over the same pure UDF through both cache tiers, and the
+/// projection again with the engine memo detached (so the per-query tier answers), run
+/// cold, warm, after an insert into a table the UDF never reads and after an insert
+/// into the one it does. The constants were recorded at the commit before the
+/// invocation path was unified (two dedup mechanisms, `call_udf`/`call_table_udf` as
+/// twins, the caches filled at five sites), so any change to lookup order, publish
+/// sites or epoch derivation shows here as a moved number rather than as a subtly
+/// different hit rate.
+///
+/// A row is `(step, shape, [udf_invocations, udf_memo_hits, udf_dedup_hits] of the
+/// query, [hits, misses, insertions, invalidations] of the engine memo so far)`.
+#[test]
+fn serial_counters_match_the_recorded_constants() {
+    const MEMO_OFF: &str = "projection, memo off";
+    let engine = scored_db(300, 20, 0x5EED);
+    let session = engine.session();
+    let shapes = [
+        (
+            "projection",
+            "select id, group_score(grp) as score from probes",
+            true,
+        ),
+        (
+            "filter",
+            "select id from probes where group_score(grp + 1) > 200.0 and id >= 10",
+            true,
+        ),
+        (
+            MEMO_OFF,
+            "select id, group_score(grp) as score from probes",
+            false,
+        ),
+    ];
+    let mut observed = vec![];
+    let mut step = |step: &'static str| {
+        for (shape, sql, memoization) in shapes {
+            let options = iterative_with(runtime_config(1, true, memoization));
+            let stats = session.query_with(sql, &options).unwrap().exec_stats;
+            let memo = engine.udf_memo_stats();
+            observed.push((
+                step,
+                shape,
+                [
+                    stats.udf_invocations,
+                    stats.udf_memo_hits,
+                    stats.udf_dedup_hits,
+                ],
+                [memo.hits, memo.misses, memo.insertions, memo.invalidations],
+            ));
+        }
+    };
+    step("cold");
+    step("warm");
+    session
+        .execute("insert into probes values (100000, 3)")
+        .unwrap();
+    step("unrelated insert");
+    session
+        .execute("insert into items values (100000, 0, 5000.0)")
+        .unwrap();
+    step("related insert");
+    let expected = vec![
+        ("cold", "projection", [20, 280, 0], [280, 20, 20, 0]),
+        ("cold", "filter", [1, 289, 0], [569, 21, 21, 0]),
+        ("cold", MEMO_OFF, [20, 0, 280], [569, 21, 21, 0]),
+        ("warm", "projection", [0, 300, 0], [869, 21, 21, 0]),
+        ("warm", "filter", [0, 290, 0], [1159, 21, 21, 0]),
+        ("warm", MEMO_OFF, [20, 0, 280], [1159, 21, 21, 0]),
+        (
+            "unrelated insert",
+            "projection",
+            [0, 301, 0],
+            [1460, 21, 21, 0],
+        ),
+        ("unrelated insert", "filter", [0, 291, 0], [1751, 21, 21, 0]),
+        (
+            "unrelated insert",
+            MEMO_OFF,
+            [20, 0, 281],
+            [1751, 21, 21, 0],
+        ),
+        (
+            "related insert",
+            "projection",
+            [20, 281, 0],
+            [2032, 41, 41, 20],
+        ),
+        ("related insert", "filter", [1, 290, 0], [2322, 42, 42, 21]),
+        ("related insert", MEMO_OFF, [20, 0, 281], [2322, 42, 42, 21]),
+    ];
+    assert_eq!(observed, expected);
 }
