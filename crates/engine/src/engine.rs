@@ -106,8 +106,8 @@ pub(crate) struct EngineInner {
 /// * the **cross-query UDF memo** — entries are stamped with a per-UDF epoch (see
 ///   [`Engine::analyze`] docs on invalidation), so sessions on different snapshots
 ///   coexist in one cache;
-/// * the persistent **worker pool** — morsel workers are reused across operators,
-///   queries *and* sessions.
+/// * the **worker pool** — one budget of helper threads bounds what the fanned-out
+///   operators of every session's queries run at once.
 ///
 /// `Engine` is a cheap handle (`Arc` inside): clone it to share, use
 /// [`Engine::fork`] to create an independent engine with the same data but fresh
@@ -364,19 +364,19 @@ impl Engine {
         self.inner.exec_config.clone()
     }
 
-    /// The configured executor worker-pool size.
+    /// The configured threads per fanned-out operator.
     pub fn parallelism(&self) -> usize {
         self.inner.exec_config.parallelism
     }
 
-    /// The persistent worker pool shared by every session's queries. Exposed for
-    /// benches and diagnostics (spawn counters prove pool reuse across queries).
+    /// The helper-thread budget shared by every session's queries. Exposed so a
+    /// standalone executor (a bench, a diagnostic) can draw on the same budget.
     pub fn worker_pool(&self) -> Arc<WorkerPool> {
         Arc::clone(&self.inner.worker_pool)
     }
 
-    /// Lifecycle counters of the persistent worker pool (live workers, lifetime
-    /// thread spawns, batches executed).
+    /// The shared helper budget's counters: the budget, helpers leased right now,
+    /// dispatches that fanned out.
     pub fn worker_pool_stats(&self) -> WorkerPoolStats {
         self.inner.worker_pool.stats()
     }
@@ -453,8 +453,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Worker-pool size (clamped to ≥ 1; shorthand for setting it on the exec
-    /// config).
+    /// Threads per fanned-out operator, and the engine's helper budget (clamped to
+    /// ≥ 1; shorthand for setting it on the exec config).
     pub fn parallelism(mut self, parallelism: usize) -> EngineBuilder {
         self.exec_config.parallelism = parallelism.max(1);
         self

@@ -69,7 +69,7 @@ impl Session {
         out.push_str(&format!(
             "rows={} parallelism={} · scanned={} index-lookups={} udf-invocations={} \
              udf-memo-hits={} udf-dedup-hits={} subqueries={} \
-             hash-joins={} nl-joins={} morsels={} pipelined-ops={} pool-spawns={}\n",
+             hash-joins={} nl-joins={} morsels={} pipelined-ops={}\n",
             result.rows.len(),
             pinned.exec_config.parallelism,
             result.exec_stats.rows_scanned,
@@ -82,7 +82,6 @@ impl Session {
             result.exec_stats.nested_loop_joins,
             result.exec_stats.morsels_dispatched,
             result.exec_stats.pipelined_operators,
-            result.exec_stats.pool_spawns,
         ));
         // Estimated vs actual rows per operator of the executed plan.
         let params = CostParams::new(pinned.exec_config.parallelism);

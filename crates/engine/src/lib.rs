@@ -4,7 +4,7 @@
 //!
 //! * [`Engine`] — the shared, thread-safe process-wide state: the catalog and function
 //!   registry behind an epoch/snapshot swap, plus the plan cache, runtime feedback
-//!   store, cross-query UDF memo and persistent worker pool, all shared by every
+//!   store, cross-query UDF memo and helper-thread budget, all shared by every
 //!   client. An `Engine` is a cheap clonable handle (`Arc` inside). It is configured
 //!   once, through [`Engine::builder`], and takes the writes that are not SQL text
 //!   (bulk loads, index creation, `ANALYZE`, checkpoints).

@@ -217,7 +217,7 @@ impl Pinned {
             }
             Arc::new(registry)
         };
-        // Attach the engine's persistent pool: worker threads outlive this query.
+        // Attach the engine's helper budget: concurrent queries share one bound.
         let mut executor = Executor::with_config(
             Arc::clone(&self.catalog),
             effective_registry,

@@ -1,13 +1,14 @@
-//! Execution of logical plans. Every operator runs inline on the calling thread when
-//! its input fits in one morsel (always, at `parallelism == 1`) and fans morsels out to
-//! the persistent [`crate::parallel::WorkerPool`] otherwise. Filters and projections
-//! have a single implementation, the chain runner (`Executor::execute_chain`), which
-//! streams each base row through every adjacent filter/project layer in one pass.
+//! Execution of logical plans. Every operator hands its row loop to the morsel driver
+//! ([`Executor::run_morsels`]) as one job that borrows the plan, the schemas and the
+//! outer environment from the calling frame: an input within one morsel (always, at
+//! `parallelism == 1`) runs that job inline as the single morsel `0..len`, a larger one
+//! fans it out over scoped helper threads. Filters and projections have a single
+//! implementation, the chain runner (`Executor::execute_chain`), which streams each
+//! base row through every adjacent filter/project layer in one pass.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, RwLock};
 
 use decorr_algebra::schema::{aggregate_schema, infer_schema, project_schema};
 use decorr_algebra::{
@@ -20,7 +21,7 @@ use decorr_udf::FunctionRegistry;
 use crate::aggregate::BuiltinAccumulator;
 use crate::env::Env;
 use crate::memo::{MemoEpoch, UdfCaches, UdfMemo};
-use crate::parallel::WorkerPool;
+use crate::parallel::{label, MorselOutput, WorkerPool};
 use crate::stats::{
     AtomicExecStats, CardinalityCollector, ExecTrace, NodeCardinality, TraceCollector,
     UdfSelectivity, UdfSelectivityCollector, UdfTiming, UdfTimingCollector,
@@ -38,10 +39,11 @@ pub struct ExecConfig {
     pub hash_join_threshold: usize,
     /// Safety bound on `WHILE` loop iterations inside UDFs.
     pub max_loop_iterations: usize,
-    /// Worker-pool size for morsel-driven parallel execution. `1` (the default) keeps
-    /// every operator inline on the calling thread; `n > 1` lets scans, filter/project
-    /// chains, hash joins, hash aggregation and the Apply family fan morsels out to `n`
-    /// persistent pool workers. Parallel runs produce byte-identical results to serial
+    /// Threads per operator for morsel-driven parallel execution. `1` (the default)
+    /// keeps every operator inline on the calling thread; `n > 1` lets scans,
+    /// filter/project chains, hash joins, hash aggregation and the Apply family fan
+    /// morsels out to up to `n` scoped helper threads, as far as the engine's helper
+    /// budget allows. Parallel runs produce byte-identical results to serial
     /// runs (morsel outputs merge in morsel order and aggregation partitions by group
     /// key, preserving per-group accumulation order).
     ///
@@ -84,7 +86,7 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// Returns this configuration with the worker-pool size set (builder style).
+    /// Returns this configuration with the threads per operator set (builder style).
     pub fn with_parallelism(mut self, parallelism: usize) -> ExecConfig {
         self.parallelism = parallelism.max(1);
         self
@@ -170,12 +172,12 @@ impl ResultSet {
 
 /// The executor: evaluates logical plans against a catalog and function registry.
 ///
-/// The executor owns `Arc` handles to its catalog and registry (rather than borrowing
-/// them), so the `'static` batch jobs it hands to the persistent [`WorkerPool`] can
-/// carry a serial executor view across thread lifetimes without `unsafe`. It is `Sync`:
-/// its only shared mutable state is the lock-free [`AtomicExecStats`] and the
-/// per-operator [`TraceCollector`], so morsel workers evaluate through `&Executor`
-/// concurrently.
+/// The executor holds `Arc` handles to its catalog and registry because the engine
+/// hands it a pinned snapshot of both that must outlive concurrent writers, and to its
+/// collectors because a fanned-out dispatch evaluates through a serial *view* of the
+/// executor that shares them. It is `Sync`: its only shared mutable state is the
+/// lock-free [`AtomicExecStats`] and the locked collectors, so the threads of a
+/// dispatch evaluate through `&Executor` concurrently and borrow everything else.
 pub struct Executor {
     pub catalog: Arc<Catalog>,
     pub registry: Arc<FunctionRegistry>,
@@ -197,10 +199,9 @@ pub struct Executor {
     /// Learned per-UDF runtime profile (mean evaluation cost, observed predicate
     /// selectivity) used to order UDF conjuncts; from the engine's feedback store.
     pub(crate) udf_hints: Arc<BTreeMap<String, UdfRuntimeHint>>,
-    /// The worker pool parallel operators dispatch to: the engine-attached shared pool
-    /// (persistent across queries) when present, otherwise a pool created lazily for
-    /// this executor and dropped with it.
-    pool: OnceLock<Arc<WorkerPool>>,
+    /// The helper-thread budget fanned-out operators lease from: the engine's, shared
+    /// by every session's queries, when attached; otherwise this executor's own.
+    pub(crate) pool: Arc<WorkerPool>,
 }
 
 /// Learned runtime profile of one UDF, fed from the engine's feedback store into the
@@ -235,15 +236,15 @@ impl Executor {
             udf_selectivity: Arc::new(UdfSelectivityCollector::default()),
             udf_caches: UdfCaches::default(),
             udf_hints: Arc::new(BTreeMap::new()),
-            pool: OnceLock::new(),
+            pool: Arc::default(),
         }
     }
 
-    /// Attaches a shared worker pool (builder style). The engine calls this with its
-    /// per-database pool so worker threads persist across queries; executors without an
-    /// attached pool lazily create their own on first parallel dispatch.
-    pub fn with_worker_pool(self, pool: Arc<WorkerPool>) -> Executor {
-        let _ = self.pool.set(pool);
+    /// Attaches a shared helper budget (builder style). The engine calls this with its
+    /// own pool so concurrent queries together stay within one budget; an executor
+    /// without one is bounded only by its own `parallelism`.
+    pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Executor {
+        self.pool = pool;
         self
     }
 
@@ -278,15 +279,9 @@ impl Executor {
         self
     }
 
-    /// The pool this executor dispatches batches to (lazily created when none was
-    /// attached).
-    pub(crate) fn worker_pool(&self) -> &Arc<WorkerPool> {
-        self.pool.get_or_init(|| Arc::new(WorkerPool::new(0)))
-    }
-
-    /// A serial view of this executor for one morsel worker: same catalog, registry,
-    /// counters and trace, but `parallelism = 1` so plan execution *inside* a morsel
-    /// (Apply inner plans, subqueries, UDF bodies) never re-enters the worker pool.
+    /// A serial view of this executor for the threads of one dispatch: same catalog,
+    /// registry, counters and trace, but `parallelism = 1` so plan execution *inside* a
+    /// morsel (Apply inner plans, subqueries, UDF bodies) never fans out again.
     pub(crate) fn worker_view(&self) -> Executor {
         Executor {
             catalog: Arc::clone(&self.catalog),
@@ -302,7 +297,7 @@ impl Executor {
             udf_selectivity: Arc::clone(&self.udf_selectivity),
             udf_caches: self.udf_caches.clone(),
             udf_hints: Arc::clone(&self.udf_hints),
-            pool: OnceLock::new(),
+            pool: Arc::clone(&self.pool),
         }
     }
 
@@ -355,7 +350,11 @@ impl Executor {
         // point, so one hook covers the whole tree (a filter/project chain records its
         // root here and the layers beneath it from its per-stage row counts).
         let result = self.execute_dispatch(plan, outer)?;
-        self.cardinalities.record(plan, result.rows.len() as u64);
+        // A scan's actual is booked where its table is resolved (`resolve_input`), the
+        // same on every route that reads one.
+        if !matches!(plan, RelExpr::Scan { .. }) {
+            self.cardinalities.record(plan, result.rows.len() as u64);
+        }
         Ok(result)
     }
 
@@ -366,7 +365,18 @@ impl Executor {
                 schema: Schema::empty(),
                 rows: vec![Row::empty()],
             }),
-            RelExpr::Scan { table, alias } => self.execute_scan(table, alias.as_deref()),
+            RelExpr::Scan { table, .. } => {
+                // The scan as a node of its own: resolve, then copy the rows out (each
+                // `Row` owns its values, so this is a deep copy, morsel by morsel).
+                let (schema, source) = self.input_source(plan, outer)?;
+                let rows = self.run_morsels(
+                    || format!("scan({table})"),
+                    0,
+                    source.len(),
+                    |_, range| Ok(source.collect_range(range)),
+                )?;
+                Ok(ResultSet { schema, rows })
+            }
             RelExpr::Values { schema, rows } => Ok(ResultSet {
                 schema: schema.clone(),
                 rows: rows.iter().map(|r| Row::new(r.clone())).collect(),
@@ -464,28 +474,41 @@ impl Executor {
         }
     }
 
-    fn execute_scan(&self, table: &str, alias: Option<&str>) -> Result<ResultSet> {
+    /// Resolves an operator's input. A base-table scan is the one place a table is looked
+    /// up: alias-qualify its schema, then either take `indexed`'s rows (the chain's
+    /// index lookup under a filter) or book a full scan — `rows_scanned` and the scan
+    /// node's actual — and hand back the table's row store, which the operator's
+    /// morsels stream out of storage with no copy-out. Anything else executes and
+    /// materializes.
+    fn resolve_input<'a>(
+        &'a self,
+        plan: &RelExpr,
+        outer: &Env,
+        indexed: impl FnOnce(&Table, &Schema) -> Option<Vec<Row>>,
+    ) -> Result<(Schema, RowSource<'a>)> {
+        let RelExpr::Scan { table, alias } = plan else {
+            let rs = self.execute_with_env(plan, outer)?;
+            return Ok((rs.schema, RowSource::Rows(rs.rows)));
+        };
         let t = self.catalog.table(table)?;
-        self.stats.add_rows_scanned(t.row_count() as u64);
         let schema = match alias {
             Some(a) => t.schema().with_qualifier(a),
             None => t.schema().clone(),
         };
-        let len = t.row_count();
-        let rows = if self.should_parallelize(len) {
-            // Materialising a base table is a row-by-row deep copy (each Row owns its
-            // values); fan the copy out morsel-wise. The job captures the table's row
-            // store — a shared `Arc` handle, no intermediate copy-out.
-            let rows = t.shared_rows();
-            let chunks =
-                self.run_morsels(&format!("scan({table})"), 0, len, move |_view, range| {
-                    Ok(rows.collect_range(range))
-                })?;
-            concat_rows(chunks, len)
-        } else {
-            t.scan().collect_rows()
-        };
-        Ok(ResultSet { schema, rows })
+        if let Some(hits) = indexed(t, &schema) {
+            return Ok((schema, RowSource::Rows(hits)));
+        }
+        self.stats.add_rows_scanned(t.row_count() as u64);
+        if self.config.collect_cardinalities {
+            self.cardinalities.record(plan, t.row_count() as u64);
+        }
+        Ok((schema, RowSource::Table(t.scan())))
+    }
+
+    /// [`Executor::resolve_input`] for an operator that has no use for an index: a scan
+    /// node itself, a join or Apply input.
+    fn input_source<'a>(&'a self, plan: &RelExpr, outer: &Env) -> Result<(Schema, RowSource<'a>)> {
+        self.resolve_input(plan, outer, |_, _| None)
     }
 
     /// Attempts to answer `σ_predicate(scan)` with a hash-index lookup: an equality
@@ -550,7 +573,7 @@ impl Executor {
     /// runtime error first can change. Anything else — in particular a volatile UDF —
     /// keeps the plain left-to-right evaluation of the predicate as written.
     fn prepare_filter<'p>(&self, predicate: &'p ScalarExpr) -> PreparedFilter<'p> {
-        let simple = PreparedFilter::Simple(Cow::Borrowed(predicate));
+        let simple = PreparedFilter::Simple(predicate);
         // The common filter invokes no UDF: nothing to reorder and nothing to copy
         // (an iterative plan prepares its inner filters once per UDF invocation).
         if !predicate.contains_udf_call() {
@@ -612,52 +635,23 @@ impl Executor {
     /// Executes `plan` — a `Select` or a `Project` — together with every filter/project
     /// layer beneath it in one pass over the chain's base: a row flows through all the
     /// stages before the next one is read, so nothing materializes between the layers.
-    /// This is the only implementation of both operators. An input within one morsel
-    /// (always, at `parallelism == 1`) runs inline on the calling thread, borrowing its
-    /// predicates and items from the plan; a larger one fans morsels out to the pool,
-    /// which merges them in morsel order. Both routes evaluate rows through
-    /// [`run_chain`], so rows, selectivity feedback and per-node cardinalities do not
-    /// depend on the route.
+    /// This is the only implementation of both operators, and [`run_chain`] its only row
+    /// loop: the morsel driver calls it once over the whole base when that is within one
+    /// morsel (always, at `parallelism == 1`) and once per morsel otherwise, so rows,
+    /// selectivity feedback and per-node cardinalities do not depend on the route.
     fn execute_chain(&self, plan: &RelExpr, outer: &Env) -> Result<ResultSet> {
         let mut index_residual = None;
         let (mut layers, base) = fusible_chain(plan);
         // Resolve the base. A table scan is streamed straight out of the catalog (no
-        // copy-out); under a filter it is first tried as a hash-index lookup. Any other
-        // base executes and materializes.
-        let (base_schema, source) = match base {
-            RelExpr::Scan { table, alias } => {
-                let t = self.catalog.table(table)?;
-                let schema = match alias {
-                    Some(a) => t.schema().with_qualifier(a),
-                    None => t.schema().clone(),
-                };
-                let scan_filter = match layers[0].1 {
-                    ChainLayer::Filter(predicate) => Some(predicate),
-                    ChainLayer::Project(_) => None,
-                };
-                let indexed = scan_filter.and_then(|p| self.try_index_scan(t, &schema, p, outer));
-                let source = match indexed {
-                    Some((hits, residual)) => {
-                        index_residual = Some(residual);
-                        RowSource::Rows(Arc::new(hits))
-                    }
-                    None => {
-                        self.stats.add_rows_scanned(t.row_count() as u64);
-                        if self.config.collect_cardinalities {
-                            // The scan does not run as a node of its own; its actual
-                            // is the rows of the table.
-                            self.cardinalities.record(base, t.row_count() as u64);
-                        }
-                        RowSource::Table(t.shared_rows())
-                    }
-                };
-                (schema, source)
-            }
-            _ => {
-                let rs = self.execute_with_env(base, outer)?;
-                (rs.schema, RowSource::Rows(Arc::new(rs.rows)))
-            }
-        };
+        // copy-out); under a filter it is first tried as a hash-index lookup.
+        let (base_schema, source) = self.resolve_input(base, outer, |t, schema| {
+            let ChainLayer::Filter(predicate) = layers[0].1 else {
+                return None;
+            };
+            let (hits, residual) = self.try_index_scan(t, schema, predicate, outer)?;
+            index_residual = Some(residual);
+            Some(hits)
+        })?;
         if let Some(residual) = &index_residual {
             // The lookup answered one conjunct of the bottom filter; the rest remains.
             layers[0].1 = ChainLayer::Filter(residual);
@@ -675,71 +669,47 @@ impl Executor {
                         output_schema(&stages, &base_schema),
                         &self.provider(),
                     );
-                    stages.push(ChainStage::Project {
-                        items: Cow::Borrowed(items),
-                        schema,
-                    });
+                    stages.push(ChainStage::Project { items, schema });
                 }
             }
         }
-        let len = source.len();
-        let (mut rows, stage_rows) = if !self.should_parallelize(len) {
-            let out = match source {
-                RowSource::Table(store) => {
-                    run_chain(self, store.iter().cloned(), &base_schema, &stages, outer)?
-                }
-                RowSource::Rows(rows) => {
-                    let rows = Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone());
-                    run_chain(self, rows.into_iter(), &base_schema, &stages, outer)?
-                }
-            };
-            (out.rows, out.stage_rows)
-        } else {
-            // Only this route pays for the trace label and the owned `'static` stage
-            // forms the pool's jobs need.
+        // Only a fanned-out chain pays for its trace label.
+        let label = || {
             let base_label = match base {
-                RelExpr::Scan { table, .. } if matches!(source, RowSource::Table(_)) => {
-                    format!("scan({table})")
+                RelExpr::Scan { table, .. } if index_residual.is_some() => {
+                    format!("index({table})")
                 }
-                RelExpr::Scan { table, .. } => format!("index({table})"),
+                RelExpr::Scan { table, .. } => format!("scan({table})"),
                 _ => "input".to_string(),
             };
             let stage_labels: String = stages.iter().map(ChainStage::label).collect();
-            let chunks = {
-                let stages: Vec<ChainStage<'static>> =
-                    stages.iter().map(ChainStage::to_static).collect();
-                let base_schema = base_schema.clone();
-                let outer = outer.clone();
-                self.run_morsels(
-                    &format!("pipeline({base_label}{stage_labels})"),
-                    // Fused operators = every stage plus the base access it streams from.
-                    stages.len() + 1,
-                    len,
-                    move |view, range| {
-                        let rows = source.iter_range(range).cloned();
-                        run_chain(view, rows, &base_schema, &stages, &outer)
-                    },
-                )?
-            };
-            let mut rows = Vec::with_capacity(chunks.iter().map(|c| c.rows.len()).sum());
-            let mut stage_rows = vec![0u64; stages.len()];
-            for chunk in chunks {
-                rows.extend(chunk.rows);
-                for (total, rows_out) in stage_rows.iter_mut().zip(chunk.stage_rows) {
-                    *total += rows_out;
-                }
+            format!("pipeline({base_label}{stage_labels})")
+        };
+        // Fused operators = every stage plus the base access it streams from.
+        let (fused, len) = (stages.len() + 1, source.len());
+        let mut out = match source {
+            RowSource::Table(store) => self.run_morsels(label, fused, len, |view, range| {
+                let rows = store.iter_range(range).cloned();
+                run_chain(view, rows, &base_schema, &stages, outer)
+            })?,
+            RowSource::Rows(rows) => {
+                let rows = RwLock::new(rows);
+                self.run_morsels(label, fused, len, |view, range| {
+                    let rows = take_rows(&rows, range).into_iter();
+                    run_chain(view, rows, &base_schema, &stages, outer)
+                })?
             }
-            (rows, stage_rows)
         };
         if self.config.collect_cardinalities {
             // `execute_with_env` records the chain's root; the layers beneath it did
             // not run as nodes of their own, so their actuals are the stage counts.
-            for ((node, _), rows_out) in layers.iter().zip(&stage_rows).take(layers.len() - 1) {
+            let below_root = layers.len() - 1;
+            for ((node, _), rows_out) in layers.iter().zip(&out.stage_rows).take(below_root) {
                 self.cardinalities.record(node, *rows_out);
             }
         }
         if matches!(plan, RelExpr::Project { distinct: true, .. }) {
-            rows = dedupe_rows(rows);
+            out.rows = dedupe_rows(out.rows);
         }
         // The result takes over the top projection's schema, or the base's under filters.
         let schema = loop {
@@ -749,7 +719,10 @@ impl Executor {
                 None => break base_schema,
             }
         };
-        Ok(ResultSet { schema, rows })
+        Ok(ResultSet {
+            schema,
+            rows: out.rows,
+        })
     }
 
     // ------------------------------------------------------------------- aggregation
@@ -870,19 +843,16 @@ impl Executor {
         outer: &Env,
         schema: Schema,
     ) -> Result<ResultSet> {
-        let nparts = self.config.parallelism.max(1);
-        let input_schema = input_rs.schema;
-        let source = Arc::new(input_rs.rows);
-        let evaluated: Vec<Vec<EvaluatedRow>> = {
-            let source = Arc::clone(&source);
-            let input_schema = input_schema.clone();
-            let group_by = group_by.to_vec();
-            let aggregates = aggregates.to_vec();
-            let outer = outer.clone();
-            self.run_morsels("aggregate eval", 0, source.len(), move |view, range| {
+        let nparts = self.config.parallelism;
+        let ResultSet {
+            schema: input_schema,
+            rows: source,
+        } = input_rs;
+        let evaluated: Vec<EvaluatedRow> =
+            self.run_morsels(label("aggregate eval"), 0, source.len(), |view, range| {
                 let mut out = Vec::with_capacity(range.len());
                 for row in &source[range] {
-                    let env = Env::with_row(input_schema.clone(), row.clone()).nested_in(&outer);
+                    let env = Env::with_row(input_schema.clone(), row.clone()).nested_in(outer);
                     let group_values: Result<Vec<Value>> =
                         group_by.iter().map(|g| view.eval_expr(g, &env)).collect();
                     let group_values = group_values?;
@@ -899,54 +869,42 @@ impl Executor {
                     });
                 }
                 Ok(out)
-            })?
-        };
+            })?;
 
         let weight = (source.len() / nparts) as u64;
-        let evaluated = Arc::new(evaluated);
-        let partials: Vec<PartialGroups> = {
-            let evaluated = Arc::clone(&evaluated);
-            let aggregates = aggregates.to_vec();
-            self.run_pool(
-                "aggregate accumulate",
-                0,
-                nparts,
-                move |_| weight,
-                move |view, part| {
-                    let mut groups: PartialGroups = vec![];
-                    let mut index: HashMap<&[GroupKey], usize> = HashMap::new();
-                    let mut row_idx = 0usize;
-                    for morsel in evaluated.iter() {
-                        for row in morsel {
-                            let first_seen = row_idx;
-                            row_idx += 1;
-                            if row.partition != part {
-                                continue;
-                            }
-                            let idx = match index.get(row.key.as_slice()) {
-                                Some(&i) => i,
-                                None => {
-                                    groups.push((
-                                        first_seen,
-                                        row.group_values.clone(),
-                                        view.make_accumulators(&aggregates)?,
-                                    ));
-                                    index.insert(&row.key, groups.len() - 1);
-                                    groups.len() - 1
-                                }
-                            };
-                            view.accumulate_into(&mut groups[idx].2, &row.args_per_agg)?;
-                        }
+        let mut groups: PartialGroups = self.run_pool(
+            label("aggregate accumulate"),
+            0,
+            source.len(),
+            nparts,
+            |_| weight,
+            |view, part| {
+                let mut groups: PartialGroups = vec![];
+                let mut index: HashMap<&[GroupKey], usize> = HashMap::new();
+                for (first_seen, row) in evaluated.iter().enumerate() {
+                    if row.partition != part {
+                        continue;
                     }
-                    Ok(groups)
-                },
-            )?
-        };
-        // Merge the partial partitions, restoring the serial first-seen group order.
-        let mut merged: Vec<(usize, Vec<Value>, Vec<AccState>)> =
-            partials.into_iter().flatten().collect();
-        merged.sort_by_key(|(first_seen, _, _)| *first_seen);
-        let groups: Vec<(Vec<Value>, Vec<AccState>)> = merged
+                    let idx = match index.get(row.key.as_slice()) {
+                        Some(&i) => i,
+                        None => {
+                            groups.push((
+                                first_seen,
+                                row.group_values.clone(),
+                                view.make_accumulators(aggregates)?,
+                            ));
+                            index.insert(&row.key, groups.len() - 1);
+                            groups.len() - 1
+                        }
+                    };
+                    view.accumulate_into(&mut groups[idx].2, &row.args_per_agg)?;
+                }
+                Ok(groups)
+            },
+        )?;
+        // The partitions come back joined; restore the serial first-seen group order.
+        groups.sort_by_key(|(first_seen, _, _)| *first_seen);
+        let groups: Vec<(Vec<Value>, Vec<AccState>)> = groups
             .into_iter()
             .map(|(_, values, accs)| (values, accs))
             .collect();
@@ -956,26 +914,6 @@ impl Executor {
     }
 
     // -------------------------------------------------------------------------- joins
-
-    /// A join/Apply input: a bare base-table scan hands back its row store directly
-    /// (the build/probe/apply morsels stream out of storage with no copy-out,
-    /// mirroring the scan's counters); anything else executes and materializes.
-    fn input_source(&self, plan: &RelExpr, outer: &Env) -> Result<(Schema, RowSource)> {
-        if let RelExpr::Scan { table, alias } = plan {
-            let t = self.catalog.table(table)?;
-            let schema = match alias {
-                Some(a) => t.schema().with_qualifier(a),
-                None => t.schema().clone(),
-            };
-            self.stats.add_rows_scanned(t.row_count() as u64);
-            if self.config.collect_cardinalities {
-                self.cardinalities.record(plan, t.row_count() as u64);
-            }
-            return Ok((schema, RowSource::Table(t.shared_rows())));
-        }
-        let rs = self.execute_with_env(plan, outer)?;
-        Ok((rs.schema, RowSource::Rows(Arc::new(rs.rows))))
-    }
 
     fn execute_join(
         &self,
@@ -993,85 +931,107 @@ impl Executor {
             _ => left_schema.join(&right_schema),
         };
         let combined_schema = left_schema.join(&right_schema);
+        let right_width = right_schema.len();
+        // Emits one left row's matches among `candidates` — the body both join
+        // algorithms share — then its left-only / null-extended row for outer, semi and
+        // anti joins.
+        let probe = |view: &Executor,
+                     lrow: &Row,
+                     candidates: &mut dyn Iterator<Item = &Row>,
+                     predicate: Option<&ScalarExpr>,
+                     rows: &mut Vec<Row>|
+         -> Result<()> {
+            let mut matched = false;
+            for rrow in candidates {
+                let combined = lrow.concat(rrow);
+                let env = Env::with_row(combined_schema.clone(), combined.clone()).nested_in(outer);
+                let pass = match predicate {
+                    Some(p) => view.eval_predicate(p, &env)?,
+                    None => true,
+                };
+                if pass {
+                    matched = true;
+                    match kind {
+                        JoinKind::LeftSemi | JoinKind::LeftAnti => break,
+                        _ => rows.push(combined),
+                    }
+                }
+            }
+            match kind {
+                JoinKind::LeftOuter if !matched => rows.push(lrow.concat(&Row::nulls(right_width))),
+                JoinKind::LeftSemi if matched => rows.push(lrow.clone()),
+                JoinKind::LeftAnti if !matched => rows.push(lrow.clone()),
+                _ => {}
+            }
+            Ok(())
+        };
 
         // Try to extract hash-join keys from the condition.
         let (equi_keys, residual) = condition
             .map(|c| split_equi_conjuncts(c, &left_schema, &right_schema))
             .unwrap_or((vec![], vec![]));
-        let residual_pred = ScalarExpr::conjunction(residual);
         let big_enough = left_src.len() + right_src.len() >= self.config.hash_join_threshold;
-
-        let use_hash = !equi_keys.is_empty() && big_enough;
-        if use_hash {
-            self.stats.add_hash_joins(1);
-        } else {
+        let rows = if equi_keys.is_empty() || !big_enough {
             self.stats.add_nested_loop_joins(1);
-        }
-
-        if use_hash {
-            let rows = self.hash_join_rows(
-                kind,
-                &left_schema,
-                left_src,
-                &right_schema,
-                right_src,
-                combined_schema,
-                equi_keys,
-                residual_pred,
-                outer,
-            )?;
-            return Ok(ResultSet {
-                schema: out_schema,
-                rows,
-            });
-        }
-
-        let right_width = right_schema.len();
-        let rows = if self.should_parallelize(left_src.len()) {
-            let src = left_src.clone();
-            let right_src = right_src.clone();
-            let combined_schema = combined_schema.clone();
-            let condition = condition.cloned();
-            let outer = outer.clone();
-            let chunks = self.run_morsels(
-                "nested-loop-join probe",
+            self.for_each_left_row(&left_src, "nested-loop-join probe", |view, lrow, rows| {
+                probe(view, lrow, &mut right_src.iter(), condition, rows)
+            })?
+        } else {
+            // A partitioned build over the right input, then a probe over the left.
+            // Bucket entries hold ascending right row indexes — the serial build order —
+            // and probe morsels reassemble in morsel order, so the output row order
+            // does not depend on the partition count or the route.
+            self.stats.add_hash_joins(1);
+            let residual = ScalarExpr::conjunction(residual);
+            let fan_out =
+                self.should_parallelize(right_src.len()) || self.should_parallelize(left_src.len());
+            let nparts = if fan_out { self.config.parallelism } else { 1 };
+            // Per-morsel key computation: `(partition, key, right row index)` entries
+            // in right-row order.
+            let entries: Vec<BuildEntry> = self.run_morsels(
+                label("hash-join build keys"),
                 0,
-                left_src.len(),
-                move |view, range| {
-                    let mut out = vec![];
-                    for lrow in src.iter_range(range) {
-                        nl_probe_row(
-                            view,
-                            lrow,
-                            &right_src,
-                            right_width,
-                            &combined_schema,
-                            kind,
-                            condition.as_ref(),
-                            &outer,
-                            &mut out,
-                        )?;
+                right_src.len(),
+                |view, range| {
+                    let mut entries = vec![];
+                    for (offset, rrow) in right_src.iter_range(range.clone()).enumerate() {
+                        let keys = equi_keys.iter().map(|(_, rk)| rk);
+                        if let Some(key) = view.join_key(rrow, &right_schema, keys, outer)? {
+                            entries.push((partition_of(&key, nparts), key, range.start + offset));
+                        }
                     }
-                    Ok(out)
+                    Ok(entries)
                 },
             )?;
-            concat_rows(chunks, 0)
-        } else {
-            let mut out = vec![];
-            for lrow in left_src.iter() {
-                nl_probe_row(
-                    self,
-                    lrow,
-                    &right_src,
-                    right_width,
-                    &combined_schema,
-                    kind,
-                    condition,
-                    outer,
-                    &mut out,
-                )?;
-            }
-            out
+            // One hash table per partition, each task walking the entries in order, so
+            // every bucket's row indexes ascend. Weighted by the build side: a big
+            // probe side over a tiny build table assembles inline.
+            let weight = (right_src.len() / nparts) as u64;
+            let tables: Vec<HashMap<&[GroupKey], Vec<usize>>> = self.run_pool(
+                label("hash-join build"),
+                0,
+                right_src.len(),
+                nparts,
+                |_| weight,
+                |_, part| {
+                    let mut table: HashMap<&[GroupKey], Vec<usize>> = HashMap::new();
+                    for (_, key, idx) in entries.iter().filter(|entry| entry.0 == part) {
+                        table.entry(key).or_default().push(*idx);
+                    }
+                    Ok(vec![table])
+                },
+            )?;
+            self.for_each_left_row(&left_src, "hash-join probe", |view, lrow, rows| {
+                let keys = equi_keys.iter().map(|(lk, _)| lk);
+                let matches: &[usize] = match &view.join_key(lrow, &left_schema, keys, outer)? {
+                    None => &[],
+                    Some(key) => tables[partition_of(key, nparts)]
+                        .get(key.as_slice())
+                        .map_or(&[], Vec::as_slice),
+                };
+                let mut candidates = matches.iter().map(|&ri| right_src.get(ri));
+                probe(view, lrow, &mut candidates, Some(&residual), rows)
+            })?
         };
         Ok(ResultSet {
             schema: out_schema,
@@ -1100,143 +1060,27 @@ impl Executor {
         Ok(Some(key))
     }
 
-    /// Hash-join rows: a partitioned build over the right input and a (possibly
-    /// morsel-parallel) probe over the left input. Bucket entries hold ascending right
-    /// row indexes — the serial build order — and probe morsels reassemble in morsel
-    /// order, so the output row order is byte-identical to the serial join.
-    #[allow(clippy::too_many_arguments)]
-    fn hash_join_rows(
+    // -------------------------------------------------------------------- Apply family
+
+    /// Runs `f` for every left row — the row loop of the join probes and of the Apply
+    /// family — and returns the per-row outputs concatenated in left-row order.
+    fn for_each_left_row<F>(
         &self,
-        kind: JoinKind,
-        left_schema: &Schema,
-        left_src: RowSource,
-        right_schema: &Schema,
-        right_src: RowSource,
-        combined_schema: Schema,
-        equi_keys: Vec<(ScalarExpr, ScalarExpr)>,
-        residual_pred: ScalarExpr,
-        outer: &Env,
-    ) -> Result<Vec<Row>> {
-        let parallel_build = self.should_parallelize(right_src.len());
-        let parallel_probe = self.should_parallelize(left_src.len());
-        let nparts = if parallel_build || parallel_probe {
-            self.config.parallelism.max(1)
-        } else {
-            1
-        };
-        let right_width = right_schema.len();
-        let equi_keys = Arc::new(equi_keys);
-
-        // Build phase: per-morsel key computation, pre-bucketed by partition.
-        let build_chunks: Vec<BuildBuckets> = if parallel_build {
-            let right = right_src.clone();
-            let right_schema = right_schema.clone();
-            let equi_keys = Arc::clone(&equi_keys);
-            let outer_env = outer.clone();
-            self.run_morsels(
-                "hash-join build keys",
-                0,
-                right_src.len(),
-                move |view, range| {
-                    build_buckets(
-                        view,
-                        &right,
-                        &right_schema,
-                        &equi_keys,
-                        &outer_env,
-                        nparts,
-                        range,
-                    )
-                },
-            )?
-        } else {
-            vec![build_buckets(
-                self,
-                &right_src,
-                right_schema,
-                &equi_keys,
-                outer,
-                nparts,
-                0..right_src.len(),
-            )?]
-        };
-        // Assemble one hash table per partition. Concatenating each partition's buckets
-        // across morsels in morsel order keeps every bucket's indexes ascending. Pool
-        // the per-partition assembly only when the build side itself is large; a big
-        // probe side over a tiny build table keeps the cheap serial assemble.
-        let build_chunks = Arc::new(build_chunks);
-        let tables: Vec<HashMap<Vec<GroupKey>, Vec<usize>>> = if parallel_build && nparts > 1 {
-            let chunks = Arc::clone(&build_chunks);
-            let weight = (right_src.len() / nparts) as u64;
-            self.run_pool(
-                "hash-join build",
-                0,
-                nparts,
-                move |_| weight,
-                move |_, part| Ok(assemble_partition(&chunks, part)),
-            )?
-        } else {
-            (0..nparts)
-                .map(|part| assemble_partition(&build_chunks, part))
-                .collect()
-        };
-        let tables = Arc::new(tables);
-
-        // Probe phase.
-        if parallel_probe {
-            let left_schema = left_schema.clone();
-            let src = left_src.clone();
-            let right = right_src.clone();
-            let outer = outer.clone();
-            let residual_pred = residual_pred.clone();
-            let combined_schema = combined_schema.clone();
-            let chunks =
-                self.run_morsels("hash-join probe", 0, left_src.len(), move |view, range| {
-                    let mut out = vec![];
-                    for lrow in src.iter_range(range) {
-                        hash_probe_row(
-                            view,
-                            lrow,
-                            &left_schema,
-                            &right,
-                            right_width,
-                            &combined_schema,
-                            &equi_keys,
-                            &residual_pred,
-                            &tables,
-                            nparts,
-                            kind,
-                            &outer,
-                            &mut out,
-                        )?;
-                    }
-                    Ok(out)
-                })?;
-            Ok(concat_rows(chunks, 0))
-        } else {
+        left: &RowSource<'_>,
+        operator: &'static str,
+        f: F,
+    ) -> Result<Vec<Row>>
+    where
+        F: Fn(&Executor, &Row, &mut Vec<Row>) -> Result<()> + Sync,
+    {
+        self.run_morsels(label(operator), 0, left.len(), |view, range| {
             let mut out = vec![];
-            for lrow in left_src.iter() {
-                hash_probe_row(
-                    self,
-                    lrow,
-                    left_schema,
-                    &right_src,
-                    right_width,
-                    &combined_schema,
-                    &equi_keys,
-                    &residual_pred,
-                    &tables,
-                    nparts,
-                    kind,
-                    outer,
-                    &mut out,
-                )?;
+            for lrow in left.iter_range(range) {
+                f(view, lrow, &mut out)?;
             }
             Ok(out)
-        }
+        })
     }
-
-    // -------------------------------------------------------------------- Apply family
 
     fn execute_apply(
         &self,
@@ -1256,18 +1100,14 @@ impl Executor {
         };
         // Correlated evaluation of the inner plan, once per outer row. Each outer row
         // is independent, so the Apply family is morsel-parallel over its left input —
-        // this is what parallelises iterative (non-decorrelated) execution. The job
-        // context owns a clone of the inner plan: the pool workers outlive this frame.
-        let right_plan = right.clone();
-        let bindings = bindings.to_vec();
-        let outer_env = outer.clone();
-        let apply_one = move |view: &Executor, lrow: &Row, rows: &mut Vec<Row>| -> Result<()> {
-            let mut env = Env::with_row(left_schema.clone(), lrow.clone()).nested_in(&outer_env);
-            for b in &bindings {
+        // this is what parallelises iterative (non-decorrelated) execution.
+        let rows = self.for_each_left_row(&left_src, "apply", |view, lrow, rows| {
+            let mut env = Env::with_row(left_schema.clone(), lrow.clone()).nested_in(outer);
+            for b in bindings {
                 let v = view.eval_expr(&b.value, &env)?;
                 env.set_param(&b.param, v);
             }
-            let inner = view.execute_with_env(&right_plan, &env)?;
+            let inner = view.execute_with_env(right, &env)?;
             match kind {
                 ApplyKind::Cross => {
                     for rrow in inner.rows {
@@ -1295,38 +1135,11 @@ impl Executor {
                 }
             }
             Ok(())
-        };
-        let rows = self.for_each_left_row(left_src, "apply", apply_one)?;
+        })?;
         Ok(ResultSet {
             schema: out_schema,
             rows,
         })
-    }
-
-    /// Runs `f` for every left row, morsel-parallel when the left input is large
-    /// enough, and returns the per-row outputs concatenated in left-row order. `f` must
-    /// own its captured context (`'static`): it may run on persistent pool workers.
-    fn for_each_left_row<F>(&self, left: RowSource, operator: &str, f: F) -> Result<Vec<Row>>
-    where
-        F: Fn(&Executor, &Row, &mut Vec<Row>) -> Result<()> + Send + Sync + 'static,
-    {
-        if self.should_parallelize(left.len()) {
-            let src = left.clone();
-            let chunks = self.run_morsels(operator, 0, left.len(), move |view, range| {
-                let mut out = vec![];
-                for lrow in src.iter_range(range) {
-                    f(view, lrow, &mut out)?;
-                }
-                Ok(out)
-            })?;
-            Ok(concat_rows(chunks, 0))
-        } else {
-            let mut out = vec![];
-            for lrow in left.iter() {
-                f(self, lrow, &mut out)?;
-            }
-            Ok(out)
-        }
     }
 
     fn execute_apply_merge(
@@ -1336,18 +1149,13 @@ impl Executor {
         assignments: &[decorr_algebra::plan::MergeAssignment],
         outer: &Env,
     ) -> Result<ResultSet> {
-        let (left_schema, left_src) = self.input_source(left, outer)?;
-        let schema = left_schema.clone();
-        let right_plan = right.clone();
-        let assignments = assignments.to_vec();
-        let outer_env = outer.clone();
-        let merge_one = move |view: &Executor, lrow: &Row, rows: &mut Vec<Row>| -> Result<()> {
-            let env = Env::with_row(left_schema.clone(), lrow.clone()).nested_in(&outer_env);
-            let inner = view.execute_with_env(&right_plan, &env)?;
-            rows.push(view.merge_row(lrow, &left_schema, &inner, &assignments)?);
+        let (schema, left_src) = self.input_source(left, outer)?;
+        let rows = self.for_each_left_row(&left_src, "apply-merge", |view, lrow, rows| {
+            let env = Env::with_row(schema.clone(), lrow.clone()).nested_in(outer);
+            let inner = view.execute_with_env(right, &env)?;
+            rows.push(view.merge_row(lrow, &schema, &inner, assignments)?);
             Ok(())
-        };
-        let rows = self.for_each_left_row(left_src, "apply-merge", merge_one)?;
+        })?;
         Ok(ResultSet { schema, rows })
     }
 
@@ -1360,25 +1168,19 @@ impl Executor {
         assignments: &[decorr_algebra::plan::MergeAssignment],
         outer: &Env,
     ) -> Result<ResultSet> {
-        let (left_schema, left_src) = self.input_source(left, outer)?;
-        let schema = left_schema.clone();
-        let predicate = predicate.clone();
-        let then_plan = then_branch.clone();
-        let else_plan = else_branch.clone();
-        let assignments = assignments.to_vec();
-        let outer_env = outer.clone();
-        let merge_one = move |view: &Executor, lrow: &Row, rows: &mut Vec<Row>| -> Result<()> {
-            let env = Env::with_row(left_schema.clone(), lrow.clone()).nested_in(&outer_env);
-            let branch = if view.eval_predicate(&predicate, &env)? {
-                &then_plan
-            } else {
-                &else_plan
-            };
-            let inner = view.execute_with_env(branch, &env)?;
-            rows.push(view.merge_row(lrow, &left_schema, &inner, &assignments)?);
-            Ok(())
-        };
-        let rows = self.for_each_left_row(left_src, "conditional-apply-merge", merge_one)?;
+        let (schema, left_src) = self.input_source(left, outer)?;
+        let rows =
+            self.for_each_left_row(&left_src, "conditional-apply-merge", |view, lrow, rows| {
+                let env = Env::with_row(schema.clone(), lrow.clone()).nested_in(outer);
+                let branch = if view.eval_predicate(predicate, &env)? {
+                    then_branch
+                } else {
+                    else_branch
+                };
+                let inner = view.execute_with_env(branch, &env)?;
+                rows.push(view.merge_row(lrow, &schema, &inner, assignments)?);
+                Ok(())
+            })?;
         Ok(ResultSet { schema, rows })
     }
 
@@ -1429,29 +1231,18 @@ enum ChainLayer<'p> {
     Project(&'p [ProjectItem]),
 }
 
-/// The per-row form of a chain layer. The inline route borrows predicates and items
-/// from the plan; [`ChainStage::to_static`] makes the owned copy a pool job carries.
+/// The per-row form of a chain layer, borrowing its predicate or items from the plan.
 enum ChainStage<'p> {
     Filter(PreparedFilter<'p>),
     Project {
-        items: Cow<'p, [ProjectItem]>,
+        items: &'p [ProjectItem],
         /// The projection's output schema.
         schema: Schema,
     },
 }
 
 impl ChainStage<'_> {
-    fn to_static(&self) -> ChainStage<'static> {
-        match self {
-            ChainStage::Filter(filter) => ChainStage::Filter(filter.to_static()),
-            ChainStage::Project { items, schema } => ChainStage::Project {
-                items: Cow::Owned(items.to_vec()),
-                schema: schema.clone(),
-            },
-        }
-    }
-
-    /// This stage's segment of the pooled chain's trace label.
+    /// This stage's segment of a fanned-out chain's trace label.
     fn label(&self) -> &'static str {
         match self {
             ChainStage::Filter(_) => "→filter",
@@ -1474,21 +1265,29 @@ fn output_schema<'s>(stages: &'s [ChainStage<'_>], base: &'s Schema) -> &'s Sche
 
 /// What one [`run_chain`] pass produced: the rows that survived every stage and, per
 /// stage, how many rows left it (the actual cardinality of that layer's plan node).
+#[derive(Default)]
 struct ChainOutput {
     rows: Vec<Row>,
     stage_rows: Vec<u64>,
 }
 
-impl crate::parallel::OutputRows for ChainOutput {
+impl MorselOutput for ChainOutput {
     fn output_rows(&self) -> u64 {
         self.rows.len() as u64
+    }
+
+    fn append(&mut self, next: ChainOutput) {
+        self.rows.extend(next.rows);
+        for (total, rows_out) in self.stage_rows.iter_mut().zip(next.stage_rows) {
+            *total += rows_out;
+        }
     }
 }
 
 /// Streams `rows` of schema `base_schema` through every stage, in row order: the one
-/// per-row filter and projection evaluation, shared by the inline route (all rows) and
-/// the pooled route (one call per morsel). Filters fold their selectivity counters
-/// into the executor once per call, not per row.
+/// per-row filter and projection evaluation, called by the morsel driver once per
+/// morsel. Filters fold their selectivity counters into the executor once per call,
+/// not per row.
 fn run_chain(
     view: &Executor,
     rows: impl Iterator<Item = Row>,
@@ -1571,138 +1370,6 @@ fn fusible_chain(plan: &RelExpr) -> (Vec<(&RelExpr, ChainLayer<'_>)>, &RelExpr) 
 
 // ----------------------------------------------------------------------- join helpers
 
-/// Emits the left-only / null-extended outputs for outer, semi and anti joins.
-fn finish_left_row(
-    kind: JoinKind,
-    matched: bool,
-    lrow: &Row,
-    right_width: usize,
-    rows: &mut Vec<Row>,
-) {
-    match kind {
-        JoinKind::LeftOuter if !matched => rows.push(lrow.concat(&Row::nulls(right_width))),
-        JoinKind::LeftSemi if matched => rows.push(lrow.clone()),
-        JoinKind::LeftAnti if !matched => rows.push(lrow.clone()),
-        _ => {}
-    }
-}
-
-/// Probes one left row against the whole right side (nested-loop join body).
-#[allow(clippy::too_many_arguments)]
-fn nl_probe_row(
-    view: &Executor,
-    lrow: &Row,
-    right: &RowSource,
-    right_width: usize,
-    combined_schema: &Schema,
-    kind: JoinKind,
-    condition: Option<&ScalarExpr>,
-    outer: &Env,
-    rows: &mut Vec<Row>,
-) -> Result<()> {
-    let mut matched = false;
-    for rrow in right.iter() {
-        let combined = lrow.concat(rrow);
-        let env = Env::with_row(combined_schema.clone(), combined.clone()).nested_in(outer);
-        let pass = match condition {
-            Some(c) => view.eval_predicate(c, &env)?,
-            None => true,
-        };
-        if pass {
-            matched = true;
-            match kind {
-                JoinKind::LeftSemi | JoinKind::LeftAnti => break,
-                _ => rows.push(combined),
-            }
-        }
-    }
-    finish_left_row(kind, matched, lrow, right_width, rows);
-    Ok(())
-}
-
-/// Computes one build morsel's `(key, right row index)` entries, bucketed by partition.
-#[allow(clippy::too_many_arguments)]
-fn build_buckets(
-    view: &Executor,
-    right: &RowSource,
-    right_schema: &Schema,
-    equi_keys: &[(ScalarExpr, ScalarExpr)],
-    outer: &Env,
-    nparts: usize,
-    range: std::ops::Range<usize>,
-) -> Result<BuildBuckets> {
-    let mut buckets: BuildBuckets = vec![vec![]; nparts];
-    for (offset, rrow) in right.iter_range(range.clone()).enumerate() {
-        let key = view.join_key(
-            rrow,
-            right_schema,
-            equi_keys.iter().map(|(_, rk)| rk),
-            outer,
-        )?;
-        if let Some(key) = key {
-            let part = partition_of(&key, nparts);
-            buckets[part].push((key, range.start + offset));
-        }
-    }
-    Ok(buckets)
-}
-
-/// Assembles one partition's hash table from the per-morsel buckets (morsel order keeps
-/// every bucket's row indexes ascending — the serial build order).
-fn assemble_partition(
-    build_chunks: &[BuildBuckets],
-    part: usize,
-) -> HashMap<Vec<GroupKey>, Vec<usize>> {
-    let mut table: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-    for chunk in build_chunks {
-        for (key, idx) in &chunk[part] {
-            table.entry(key.clone()).or_default().push(*idx);
-        }
-    }
-    table
-}
-
-/// Probes one left row against the partitioned hash tables (hash-join probe body).
-#[allow(clippy::too_many_arguments)]
-fn hash_probe_row(
-    view: &Executor,
-    lrow: &Row,
-    left_schema: &Schema,
-    right: &RowSource,
-    right_width: usize,
-    combined_schema: &Schema,
-    equi_keys: &[(ScalarExpr, ScalarExpr)],
-    residual_pred: &ScalarExpr,
-    tables: &[HashMap<Vec<GroupKey>, Vec<usize>>],
-    nparts: usize,
-    kind: JoinKind,
-    outer: &Env,
-    rows: &mut Vec<Row>,
-) -> Result<()> {
-    let key = view.join_key(lrow, left_schema, equi_keys.iter().map(|(lk, _)| lk), outer)?;
-    let matches: &[usize] = match &key {
-        None => &[],
-        Some(key) => tables[partition_of(key, nparts)]
-            .get(key)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[]),
-    };
-    let mut matched = false;
-    for &ri in matches {
-        let combined = lrow.concat(right.get(ri));
-        let env = Env::with_row(combined_schema.clone(), combined.clone()).nested_in(outer);
-        if view.eval_predicate(residual_pred, &env)? {
-            matched = true;
-            match kind {
-                JoinKind::LeftSemi | JoinKind::LeftAnti => break,
-                _ => rows.push(combined),
-            }
-        }
-    }
-    finish_left_row(kind, matched, lrow, right_width, rows);
-    Ok(())
-}
-
 /// Splits a join condition into hash-join key pairs `(left_key, right_key)` and residual
 /// conjuncts. A conjunct qualifies as a key pair when it is an equality whose two sides
 /// reference columns of exactly one (different) input each.
@@ -1771,11 +1438,10 @@ fn side_of(expr: &ScalarExpr, left: &Schema, right: &Schema) -> Side {
     }
 }
 
-/// One build-side entry: the evaluated join key and the global right-row index.
-type BuildEntry = (Vec<GroupKey>, usize);
-/// One build morsel's output: entries bucketed by partition.
-type BuildBuckets = Vec<Vec<BuildEntry>>;
-/// `(first input row, group values, accumulators)` per group, per partition.
+/// One build-side entry: its hash partition, the evaluated join key and the global
+/// right-row index.
+type BuildEntry = (usize, Vec<GroupKey>, usize);
+/// `(first input row, group values, accumulators)` per group.
 type PartialGroups = Vec<(usize, Vec<Value>, Vec<AccState>)>;
 
 /// One input row of a parallel aggregation after the morsel-parallel evaluation stage.
@@ -1788,34 +1454,15 @@ struct EvaluatedRow {
     args_per_agg: Vec<Vec<Value>>,
 }
 
-impl crate::parallel::OutputRows for Vec<EvaluatedRow> {
-    fn output_rows(&self) -> u64 {
-        self.len() as u64
-    }
+/// An operator's input, addressed by row position so morsels map onto it: either a
+/// materialized intermediate result, or a table's row store borrowed from the catalog
+/// and streamed straight out of storage (no copy-out).
+enum RowSource<'a> {
+    Rows(Vec<Row>),
+    Table(&'a RowStore),
 }
 
-impl crate::parallel::OutputRows for BuildBuckets {
-    fn output_rows(&self) -> u64 {
-        self.iter().map(|b| b.len() as u64).sum()
-    }
-}
-
-impl crate::parallel::OutputRows for PartialGroups {
-    fn output_rows(&self) -> u64 {
-        self.len() as u64
-    }
-}
-
-/// A morsel-parallel row source the executor's `'static` pool jobs capture: either an
-/// already-materialized input, or a table's row store streamed straight out of
-/// storage (no copy-out). Cloning is cheap — both variants hand out shared handles.
-#[derive(Clone)]
-enum RowSource {
-    Rows(Arc<Vec<Row>>),
-    Table(Arc<RowStore>),
-}
-
-impl RowSource {
+impl RowSource<'_> {
     fn len(&self) -> usize {
         match self {
             RowSource::Rows(rows) => rows.len(),
@@ -1833,10 +1480,7 @@ impl RowSource {
 
     /// All rows, in source order.
     fn iter(&self) -> Box<dyn Iterator<Item = &Row> + '_> {
-        match self {
-            RowSource::Rows(rows) => Box::new(rows.iter()),
-            RowSource::Table(store) => Box::new(store.iter()),
-        }
+        self.iter_range(0..self.len())
     }
 
     /// The rows of one global range (a morsel), in source order.
@@ -1846,6 +1490,28 @@ impl RowSource {
             RowSource::Table(store) => Box::new(store.iter_range(range)),
         }
     }
+
+    /// A copy of the rows of one global range, in source order.
+    fn collect_range(&self, range: std::ops::Range<usize>) -> Vec<Row> {
+        match self {
+            RowSource::Rows(rows) => rows[range].to_vec(),
+            RowSource::Table(store) => store.collect_range(range),
+        }
+    }
+}
+
+/// The rows of one morsel of a materialized input its operator consumes. The single
+/// morsel of the inline route takes the vector whole, so its rows are moved through
+/// the operator; the morsels of a fanned-out run copy theirs — a row freed on another
+/// thread than the one that allocated it costs the allocator more than the copy does
+/// (measured: PR 22 in CHANGES.md).
+fn take_rows(rows: &RwLock<Vec<Row>>, range: std::ops::Range<usize>) -> Vec<Row> {
+    let shared = rows.read().expect("row readers cannot panic");
+    if range.len() < shared.len() {
+        return shared[range].to_vec();
+    }
+    drop(shared);
+    std::mem::take(&mut *rows.write().expect("row readers cannot panic"))
 }
 
 /// Appends the normalized names of every UDF invoked anywhere in `expr` (not
@@ -1863,22 +1529,13 @@ fn collect_udf_names(expr: &ScalarExpr, out: &mut Vec<String>) {
 /// conjunction whose UDF-bearing conjuncts were reordered cheapest-most-selective
 /// first and instrumented with selectivity counters for the feedback loop.
 enum PreparedFilter<'p> {
-    Simple(Cow<'p, ScalarExpr>),
+    Simple(&'p ScalarExpr),
     /// Conjuncts in evaluation order; `Some(name)` tags UDF-bearing conjuncts with
     /// the normalized name of their first UDF for selectivity attribution.
     Ordered(Vec<(ScalarExpr, Option<String>)>),
 }
 
 impl PreparedFilter<'_> {
-    fn to_static(&self) -> PreparedFilter<'static> {
-        match self {
-            PreparedFilter::Simple(expr) => {
-                PreparedFilter::Simple(Cow::Owned(expr.as_ref().clone()))
-            }
-            PreparedFilter::Ordered(conjuncts) => PreparedFilter::Ordered(conjuncts.clone()),
-        }
-    }
-
     /// Fresh outcome counters, one `(evaluated, passed)` slot per ordered conjunct.
     fn counters(&self) -> Vec<(u64, u64)> {
         match self {
@@ -1943,16 +1600,6 @@ fn partition_of(key: &[GroupKey], nparts: usize) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut hasher);
     (hasher.finish() % nparts as u64) as usize
-}
-
-/// Concatenates per-morsel row chunks (already in morsel order) into one vector.
-fn concat_rows(chunks: Vec<Vec<Row>>, capacity_hint: usize) -> Vec<Row> {
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total.max(capacity_hint));
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
 }
 
 /// Removes duplicate rows (used by UNION and DISTINCT) preserving first-seen order.

@@ -31,7 +31,7 @@ pub mod stats;
 pub use env::Env;
 pub use executor::{ExecConfig, Executor, ResultSet, UdfRuntimeHint};
 pub use memo::{fingerprint_invocation, MemoEpoch, MemoValue, UdfMemo, UdfMemoStats};
-pub use parallel::{morsel_ranges, WorkerPool, WorkerPoolStats};
+pub use parallel::{morsel_ranges, MorselOutput, WorkerPool, WorkerPoolStats};
 pub use stats::{ExecStats, ExecTrace, NodeCardinality, OperatorTrace, UdfSelectivity, UdfTiming};
 
 use decorr_algebra::{ScalarExpr, SchemaProvider};

@@ -37,7 +37,7 @@ use decorr_common::{FnvHasher, Row, Value};
 use crate::stats::AtomicExecStats;
 
 /// Number of independently locked shards. Power of two; small enough that an empty
-/// memo is cheap, large enough that a worker pool rarely contends on one lock.
+/// memo is cheap, large enough that a dispatch's threads rarely contend on one lock.
 const SHARDS: usize = 8;
 
 /// Cache-coherence epoch: `(function-registry generation, DDL generation, data

@@ -1,65 +1,65 @@
-//! The persistent morsel-driven worker pool.
+//! The morsel driver: scoped fan-out of one operator's row ranges.
 //!
-//! Parallel operators split their input into fixed-size *morsels* (row ranges) that a
-//! pool of long-lived `std::thread` workers pulls from a shared atomic queue — the
-//! classic morsel-driven scheduling of Leis et al., built on nothing but `std::sync`
-//! primitives (the workspace is dependency-free and forbids `unsafe`).
+//! An operator splits its input into fixed-size *morsels* (row ranges) and hands the
+//! driver one job that maps a morsel to its output — the morsel-driven scheduling of
+//! Leis et al., built on nothing but `std` (the workspace is dependency-free and
+//! forbids `unsafe`). The driver has two routes, and the job is the operator's only
+//! row loop on both:
 //!
-//! Unlike the first parallel engine (which re-spawned scoped threads for every
-//! operator), the [`WorkerPool`] here is *persistent*: its workers park on a condvar
-//! between batches and are reused across operators **and** across queries. An
-//! `Engine` owns one pool and attaches it to every session's executors; a standalone
-//! executor lazily creates its own pool, so the pool is the only dispatch path. Thread
-//! spawns are therefore a pool-lifecycle event (`ExecStats::pool_spawns`), not a
-//! per-operator cost.
+//! * **inline** — an input within one morsel (always, at `parallelism == 1`) runs as
+//!   the single morsel `0..len` on the calling thread: no thread, no trace entry, no
+//!   morsel counter;
+//! * **fanned out** — up to `parallelism` helper threads spawned in a
+//!   [`std::thread::scope`] pull task indexes from one atomic counter until it runs dry,
+//!   while the calling thread waits in the scope. The scope joins before the driver
+//!   returns, so a job *borrows* what the inline loop borrows — plan, schemas,
+//!   expressions, the outer [`crate::Env`], the table's rows — and nothing is cloned or
+//!   wrapped in an `Arc` to cross a thread.
 //!
-//! Because the workers are long-lived, batch jobs must be `'static`: operators package
-//! an owned job context (`Arc`'d input rows, cloned expressions and environments, and a
-//! serial [`Executor`] view that shares the catalog/registry `Arc`s) instead of
-//! borrowing from the submitting stack frame.
+//! What outlives a dispatch is only the [`WorkerPool`]: the engine-wide budget of
+//! helper threads that may be running at once, shared by every session's queries. A
+//! dispatch leases what is free and never waits; with fewer than two free it runs inline.
 //!
-//! Determinism contract: workers may *process* morsels in any interleaving, but every
-//! driver returns its per-task outputs **sorted by task index** (the sort-stabilized
-//! merge), so a parallel run assembles byte-identical output to an inline, row-at-a-time
-//! run. Operators whose result depends on accumulation order (hash aggregation)
+//! Determinism contract: threads may *process* morsels in any interleaving, but the
+//! driver returns the per-task outputs **in task order**, so a fanned-out run
+//! assembles byte-identical output to the inline run, and of several failing tasks the
+//! one with the lowest index — the first failing row in input order — is reported.
+//! Operators whose result depends on accumulation order (hash aggregation)
 //! additionally partition by group-key hash so each group's accumulation chain stays in
-//! global row order — see `Executor::execute_aggregate`.
+//! global row order — see `Executor::execute_aggregate_parallel`.
 //!
-//! Panic safety: a task that panics (e.g. a UDF hitting a library panic mid-morsel) is
-//! caught *per task* inside the worker loop. The batch reports the first panic message
-//! to its submitter — which surfaces it as an [`Error::Execution`] on that query — and
-//! the worker thread survives, so the pool stays usable for the next batch.
+//! Panic safety: a task that panics is caught *per task* and becomes that task's
+//! [`Error::Execution`], so the dispatch fails like any other erroring query, the
+//! scope still joins, and the lease goes back to the pool.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-use decorr_common::{Error, Result, Row};
+use decorr_common::{Error, Result};
 
 use crate::executor::Executor;
 use crate::stats::OperatorTrace;
 
-/// Output-row accounting for batch task results: every type a parallel operator
-/// returns per task reports how many rows (or build entries / groups, for
-/// non-row-producing stages) it carries, so the per-operator trace can expose actual
-/// output cardinalities next to the input spread.
-pub(crate) trait OutputRows {
+/// What a morsel job returns: a piece of the operator's output that the driver counts
+/// (for the trace's actual output cardinality) and joins to its neighbours.
+pub trait MorselOutput: Send + Default {
+    /// Rows — or build entries / groups / hash tables, for a stage that produces no
+    /// rows — in this piece.
     fn output_rows(&self) -> u64;
+
+    /// Appends the output of the next morsel in input order.
+    fn append(&mut self, next: Self);
 }
 
-impl OutputRows for Vec<Row> {
+impl<X: Send> MorselOutput for Vec<X> {
     fn output_rows(&self) -> u64 {
         self.len() as u64
     }
-}
 
-impl OutputRows for std::collections::HashMap<Vec<decorr_common::value::GroupKey>, Vec<usize>> {
-    fn output_rows(&self) -> u64 {
-        self.values().map(|v| v.len() as u64).sum()
+    fn append(&mut self, mut next: Self) {
+        Vec::append(self, &mut next);
     }
 }
 
@@ -80,426 +80,270 @@ pub fn morsel_ranges(len: usize, morsel_size: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// A batch job: invoked as `job(participant_slot, task_index)` once per task.
-type BatchJob = Box<dyn Fn(usize, usize) + Send + Sync>;
-
-/// One submitted batch of independent tasks. Workers claim task indexes from the
-/// shared `next` counter (morsel scheduling); the submitter blocks until `finished`
-/// reaches `tasks`.
-struct Batch {
-    job: BatchJob,
-    tasks: usize,
-    /// Participant slots this batch may hand out (bounds the workers it occupies).
-    max_workers: usize,
-    /// Next unclaimed task index.
-    next: AtomicUsize,
-    /// Participant slots handed out so far (may overshoot `max_workers`; the overshoot
-    /// is never used).
-    joined: AtomicUsize,
-    /// Completed tasks. A panicked task still counts — completion must never hang.
-    finished: AtomicUsize,
-    /// First panic message observed while running a task of this batch.
-    panic: Mutex<Option<String>>,
-}
-
-impl Batch {
-    fn fully_claimed(&self) -> bool {
-        self.next.load(Ordering::Relaxed) >= self.tasks
-    }
-
-    fn done(&self) -> bool {
-        self.finished.load(Ordering::Relaxed) >= self.tasks
-    }
-}
-
-/// Queue state shared between submitters and workers, guarded by one mutex.
-#[derive(Default)]
-struct PoolQueue {
-    batches: VecDeque<Arc<Batch>>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    queue: Mutex<PoolQueue>,
-    /// Wakes parked workers when a batch arrives or the pool shuts down.
-    work_ready: Condvar,
-    /// Wakes batch submitters when a batch's last task finishes.
-    batch_done: Condvar,
-}
-
-/// Snapshot of a pool's lifecycle counters (for diagnostics and EXPLAIN-style reporting).
+/// Snapshot of a pool's counters (for diagnostics and EXPLAIN-style reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerPoolStats {
-    /// Live worker threads.
+    /// The budget: helper threads all dispatches together may have running.
     pub workers: usize,
-    /// Threads spawned over the pool's lifetime (grows only when the pool grows).
-    pub threads_spawned: u64,
-    /// Batches executed over the pool's lifetime.
-    pub batches_run: u64,
+    /// Helper threads leased to dispatches right now (0 on an idle engine).
+    pub in_flight: usize,
+    /// Dispatches that fanned out over the pool's lifetime.
+    pub dispatches: u64,
 }
 
-/// A persistent, condvar-backed worker pool.
+/// The helper-thread budget every executor of one engine draws on.
 ///
-/// Workers are spawned eagerly by [`WorkerPool::new`] and on demand by
-/// [`WorkerPool::ensure_workers`]; they park between batches and are joined when the
-/// pool is dropped. Multiple submitters may run batches concurrently — batches queue
-/// FIFO and each is bounded to its own `max_workers` participant slots.
+/// There are no threads in here: a dispatch spawns its helpers in a scope of its own
+/// and joins them before it returns. The pool only bounds how many such helpers run at
+/// once across concurrent queries, so four sessions at `parallelism = 4` do not put
+/// twelve extra threads on a two-core host.
+///
+/// The counters guard no data (results cross threads through the scope's join), so
+/// `Relaxed` is enough for all of them.
+#[derive(Debug, Default)]
 pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    /// Live worker handles, joined on drop.
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    threads_spawned: AtomicU64,
-    batches_run: AtomicU64,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.worker_count())
-            .field("threads_spawned", &self.threads_spawned())
-            .field("batches_run", &self.batches_run.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl Default for WorkerPool {
-    /// An empty pool; workers are spawned on first use by [`WorkerPool::ensure_workers`].
-    fn default() -> Self {
-        WorkerPool::new(0)
-    }
+    budget: AtomicUsize,
+    in_flight: AtomicUsize,
+    dispatches: AtomicU64,
 }
 
 impl WorkerPool {
-    /// A pool with `workers` threads spawned eagerly (warm-up happens here, not on the
-    /// query path). `0` defers every spawn to [`WorkerPool::ensure_workers`].
+    /// A pool with a budget of `workers` helper threads. `0` leaves the budget to the
+    /// first dispatch that asks for more.
     pub fn new(workers: usize) -> WorkerPool {
-        let pool = WorkerPool {
-            shared: Arc::new(PoolShared {
-                queue: Mutex::new(PoolQueue::default()),
-                work_ready: Condvar::new(),
-                batch_done: Condvar::new(),
-            }),
-            workers: Mutex::new(vec![]),
-            threads_spawned: AtomicU64::new(0),
-            batches_run: AtomicU64::new(0),
-        };
-        pool.ensure_workers(workers);
-        pool
+        WorkerPool {
+            budget: AtomicUsize::new(workers),
+            ..WorkerPool::default()
+        }
     }
 
-    /// Live worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.lock().expect("worker list poisoned").len()
-    }
-
-    /// Threads spawned over the pool's lifetime.
-    pub fn threads_spawned(&self) -> u64 {
-        self.threads_spawned.load(Ordering::Relaxed)
-    }
-
-    /// Lifecycle counter snapshot.
+    /// Counter snapshot.
     pub fn stats(&self) -> WorkerPoolStats {
         WorkerPoolStats {
-            workers: self.worker_count(),
-            threads_spawned: self.threads_spawned(),
-            batches_run: self.batches_run.load(Ordering::Relaxed),
+            workers: self.budget.load(Ordering::Relaxed),
+            in_flight: self.in_flight.load(Ordering::Relaxed),
+            dispatches: self.dispatches.load(Ordering::Relaxed),
         }
     }
 
-    /// Grows the pool to at least `target` workers and returns how many threads were
-    /// spawned (0 once the pool is warm — the per-query steady state).
-    pub fn ensure_workers(&self, target: usize) -> usize {
-        let mut workers = self.workers.lock().expect("worker list poisoned");
-        let missing = target.saturating_sub(workers.len());
-        for _ in 0..missing {
-            let shared = Arc::clone(&self.shared);
-            self.threads_spawned.fetch_add(1, Ordering::Relaxed);
-            workers.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-        missing
-    }
-
-    /// Runs `tasks` independent tasks on at most `max_workers` pool workers, blocking
-    /// until every task has finished. Task indexes are claimed from a shared counter,
-    /// so workers self-balance across uneven tasks. Returns the first panic message if
-    /// any task panicked; the pool itself stays healthy either way.
-    pub fn run_batch(
-        &self,
-        max_workers: usize,
-        tasks: usize,
-        job: BatchJob,
-    ) -> std::result::Result<(), String> {
-        if tasks == 0 {
-            return Ok(());
-        }
-        self.ensure_workers(max_workers.max(1).min(tasks));
-        self.batches_run.fetch_add(1, Ordering::Relaxed);
-        let batch = Arc::new(Batch {
-            job,
-            tasks,
-            max_workers: max_workers.max(1),
-            next: AtomicUsize::new(0),
-            joined: AtomicUsize::new(0),
-            finished: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-        });
-        {
-            let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-            queue.batches.push_back(Arc::clone(&batch));
-            self.shared.work_ready.notify_all();
-        }
-        let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-        while !batch.done() {
-            queue = self
-                .shared
-                .batch_done
-                .wait(queue)
-                .expect("pool queue poisoned");
-        }
-        // Fully-claimed batches are usually pruned by the workers; make sure ours is
-        // gone before returning (it holds the job closure and its captured context).
-        queue.batches.retain(|b| !Arc::ptr_eq(b, &batch));
-        drop(queue);
-        let panic = batch.panic.lock().expect("panic slot poisoned").take();
-        match panic {
-            Some(message) => Err(message),
-            None => Ok(()),
+    /// Leases up to `want` helpers: whatever the budget has free, possibly none — a
+    /// dispatch never waits for another's helpers. A request larger than the budget
+    /// raises it (a session may override `parallelism` above the engine's).
+    pub(crate) fn lease(&self, want: usize) -> HelperLease<'_> {
+        let budget = self.budget.fetch_max(want, Ordering::Relaxed).max(want);
+        let mut helpers = 0;
+        let _ = self
+            .in_flight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
+                helpers = want.min(budget.saturating_sub(held));
+                Some(held + helpers)
+            });
+        HelperLease {
+            pool: self,
+            helpers,
         }
     }
 }
 
-impl Drop for WorkerPool {
+/// Helpers leased from a [`WorkerPool`]; dropping the lease returns them.
+pub(crate) struct HelperLease<'p> {
+    pool: &'p WorkerPool,
+    pub(crate) helpers: usize,
+}
+
+impl Drop for HelperLease<'_> {
     fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-            queue.shutdown = true;
-            self.shared.work_ready.notify_all();
-        }
-        let handles = std::mem::take(&mut *self.workers.lock().expect("worker list poisoned"));
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.pool
+            .in_flight
+            .fetch_sub(self.helpers, Ordering::Relaxed);
     }
 }
 
-/// A parked worker's life: claim a participant slot in a pending batch, drain tasks
-/// from it, repeat; park when no batch needs hands; exit on shutdown.
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let (batch, slot) = {
-            let mut queue = shared.queue.lock().expect("pool queue poisoned");
-            loop {
-                if queue.shutdown {
-                    return;
-                }
-                if let Some(claim) = claim_slot(&mut queue) {
-                    break claim;
-                }
-                queue = shared.work_ready.wait(queue).expect("pool queue poisoned");
-            }
-        };
-        run_tasks(shared, &batch, slot);
-    }
-}
-
-/// Finds the first batch with unclaimed tasks and a free participant slot. Batches
-/// whose tasks are all claimed are pruned so the queue never grows unboundedly.
-fn claim_slot(queue: &mut PoolQueue) -> Option<(Arc<Batch>, usize)> {
-    queue.batches.retain(|batch| !batch.fully_claimed());
-    for batch in &queue.batches {
-        let slot = batch.joined.fetch_add(1, Ordering::Relaxed);
-        if slot < batch.max_workers {
-            return Some((Arc::clone(batch), slot));
-        }
-    }
-    None
-}
-
-/// Drains tasks from a batch, catching panics per task so a poisoned UDF cannot kill
-/// the worker thread or wedge the batch.
-fn run_tasks(shared: &PoolShared, batch: &Batch, slot: usize) {
-    loop {
-        let idx = batch.next.fetch_add(1, Ordering::Relaxed);
-        if idx >= batch.tasks {
-            return;
-        }
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (batch.job)(slot, idx))) {
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "worker panicked".to_string());
-            batch
-                .panic
-                .lock()
-                .expect("panic slot poisoned")
-                .get_or_insert(message);
-        }
-        let done = batch.finished.fetch_add(1, Ordering::Relaxed) + 1;
-        if done >= batch.tasks {
-            // Take the queue lock before notifying so the wake-up cannot slip between
-            // a submitter's `done()` check and its wait.
-            let _guard = shared.queue.lock().expect("pool queue poisoned");
-            shared.batch_done.notify_all();
-        }
-    }
-}
-
-/// One participant's contribution: its `(task index, task output)` pairs plus the
-/// number of input rows it processed (for the trace's per-worker spread).
+/// One thread's contribution to a dispatch: its `(task index, task output)` pairs plus
+/// the number of input rows it processed (for the trace's per-worker spread).
 type WorkerOutput<T> = (Vec<(usize, Result<T>)>, u64);
 
 impl Executor {
-    /// True when an operator over `len` input rows should fan out to the pool:
-    /// parallelism is enabled and the input spans more than one morsel. With
-    /// `parallelism == 1` every operator runs inline on the calling thread.
+    /// True when an operator over `len` input rows may fan out: parallelism is enabled
+    /// and the input spans more than one morsel. With `parallelism == 1` every operator
+    /// runs inline on the calling thread.
     pub(crate) fn should_parallelize(&self, len: usize) -> bool {
         self.config.parallelism > 1 && len > self.config.morsel_size.max(1)
     }
 
-    /// Runs `tasks` independent work items on the worker pool and returns their outputs
-    /// **in task order**. Workers evaluate through a shared serial view of this
-    /// executor (same catalog/registry/stats `Arc`s, `parallelism = 1`), so nested plan
-    /// execution inside a task never re-enters the pool. Records an [`OperatorTrace`]
-    /// entry; `pipelined` is the number of plan operators fused into this dispatch (0
-    /// for a single-operator dispatch).
+    /// [`Executor::run_morsels`] over explicit task indexes instead of row ranges: runs
+    /// `tasks` independent work items of an operator over `len` input rows and returns
+    /// their outputs joined **in task order**. `task_rows` is a task's input-row weight
+    /// for the trace's per-worker spread.
     ///
-    /// `task_rows` reports the input-row weight of a task for the trace's per-worker
-    /// spread; `f` receives the shared serial executor view and the task index. Both
-    /// must be `'static`: the pool workers outlive this call's stack frame, so the job
-    /// context is owned, not borrowed.
+    /// Inline — `len` within one morsel, or fewer than two helpers free in the pool —
+    /// every task runs on the calling thread through `self` and nothing is recorded.
     pub(crate) fn run_pool<T, F>(
         &self,
-        operator: &str,
+        operator: impl FnOnce() -> String,
         pipelined: usize,
+        len: usize,
         tasks: usize,
-        task_rows: impl Fn(usize) -> u64 + Send + Sync + 'static,
+        task_rows: impl Fn(usize) -> u64 + Sync,
         f: F,
-    ) -> Result<Vec<T>>
+    ) -> Result<T>
     where
-        T: Send + OutputRows + 'static,
-        F: Fn(&Executor, usize) -> Result<T> + Send + Sync + 'static,
+        T: MorselOutput,
+        F: Fn(&Executor, usize) -> Result<T> + Sync,
     {
-        if tasks == 0 {
-            return Ok(vec![]);
-        }
-        let workers = self.config.parallelism.max(1).min(tasks);
-        let pool = self.worker_pool();
-        let spawned = pool.ensure_workers(workers);
-        self.stats.add_pool_spawns(spawned as u64);
-        let start = Instant::now();
-        // Per-participant output slots. Each participant locks only its own slot, so
-        // the mutexes are uncontended; the submitter drains them after the batch
-        // completes (slot-mutex release/acquire publishes the workers' writes).
-        let slots: Arc<Vec<Mutex<WorkerOutput<T>>>> =
-            Arc::new((0..workers).map(|_| Mutex::new((vec![], 0))).collect());
-        let view = Arc::new(self.worker_view());
-        let job: BatchJob = {
-            let slots = Arc::clone(&slots);
-            Box::new(move |slot, idx| {
-                let rows = task_rows(idx);
-                let result = f(&view, idx);
-                let mut out = slots[slot].lock().expect("worker output slot poisoned");
-                out.0.push((idx, result));
-                out.1 += rows;
-            })
+        // The pool is consulted only by an operator big enough to fan out: an inline
+        // operator (one runs per UDF invocation) must not touch an engine-wide counter.
+        // A single helper would be the inline loop on a thread it first has to spawn.
+        let lease = self
+            .should_parallelize(len)
+            .then(|| self.pool.lease(self.config.parallelism.min(tasks)))
+            .filter(|lease| lease.helpers > 1);
+        let Some(lease) = lease else {
+            return join_in_order((0..tasks).map(|idx| f(self, idx)));
         };
-        let outcome = pool.run_batch(workers, tasks, job);
-        let duration = start.elapsed();
-        // A panicked task produced no output, so the slot merge below cannot run —
-        // fail the whole operator instead. The pool itself stays usable.
-        if let Err(message) = outcome {
-            return Err(Error::Execution(format!(
-                "morsel worker panicked: {message}"
-            )));
-        }
-        let per_worker: Vec<WorkerOutput<T>> = slots
-            .iter()
-            .map(|slot| std::mem::take(&mut *slot.lock().expect("worker output slot poisoned")))
-            .collect();
-        let rows_per_worker: Vec<u64> = per_worker.iter().map(|(_, rows)| *rows).collect();
-        // Sort-stabilized merge: outputs reassemble in task order regardless of which
-        // worker ran which task, and errors surface deterministically (lowest task
-        // index wins).
-        let mut merged: Vec<Option<Result<T>>> = (0..tasks).map(|_| None).collect();
-        for (results, _) in per_worker {
-            for (idx, result) in results {
-                merged[idx] = Some(result);
+        self.pool.dispatches.fetch_add(1, Ordering::Relaxed);
+        let start = Instant::now();
+        let view = self.worker_view();
+        let next = AtomicUsize::new(0);
+        let drain = || -> WorkerOutput<T> {
+            let (mut outputs, mut rows) = (vec![], 0);
+            loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if idx >= tasks {
+                    return (outputs, rows);
+                }
+                let result = catch_unwind(AssertUnwindSafe(|| f(&view, idx)))
+                    .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())));
+                outputs.push((idx, result));
+                rows += task_rows(idx);
             }
+        };
+        // The calling thread waits in the scope rather than draining too: a caller that
+        // allocates beside its helpers measured 1.3–1.5x slower on allocation-heavy
+        // operators than two helpers beside an idle caller (CHANGES.md, PR 22).
+        let mut per_worker: Vec<WorkerOutput<T>> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (0..lease.helpers)
+                .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, drain).ok())
+                .collect();
+            helpers
+                .into_iter()
+                .map(|helper| helper.join().expect("tasks catch their own panics"))
+                .collect()
+        });
+        // A helper the host refuses to spawn is a helper less, not a failed query; with
+        // none at all the tasks are still there for the calling thread.
+        if per_worker.is_empty() {
+            per_worker.push(drain());
         }
+        drop(lease);
+        let duration = start.elapsed();
+        let rows_per_worker: Vec<u64> = per_worker.iter().map(|(_, rows)| *rows).collect();
+        // Task-order merge: outputs reassemble by task index whichever thread ran the
+        // task, and errors surface deterministically (lowest task index wins).
+        let mut by_task: Vec<Option<Result<T>>> = (0..tasks).map(|_| None).collect();
+        for (idx, result) in per_worker.into_iter().flat_map(|(outputs, _)| outputs) {
+            by_task[idx] = Some(result);
+        }
+        let by_task = by_task
+            .into_iter()
+            .map(|slot| slot.expect("every task index is produced exactly once"));
         self.stats.add_morsels_dispatched(tasks as u64);
         self.stats.add_parallel_operators(1);
-        if pipelined > 0 {
-            self.stats.add_pipelined_operators(pipelined as u64);
-        }
-        let rows_in: u64 = rows_per_worker.iter().sum();
-        let rows_out: u64 = merged
-            .iter()
-            .filter_map(|slot| match slot {
-                Some(Ok(output)) => Some(output.output_rows()),
-                _ => None,
-            })
-            .sum();
+        self.stats.add_pipelined_operators(pipelined as u64);
+        let mut rows_out = 0;
+        let joined = join_in_order(by_task.inspect(|result| {
+            rows_out += result.as_ref().map_or(0, MorselOutput::output_rows);
+        }));
         self.trace.record(OperatorTrace {
-            operator: operator.to_string(),
+            operator: operator(),
             morsels: tasks,
-            workers,
+            workers: rows_per_worker.len(),
+            rows_in: rows_per_worker.iter().sum(),
             rows_per_worker,
             duration,
             pipelined_stages: pipelined,
-            pool_spawns: spawned,
-            rows_in,
             rows_out,
         });
-        merged
-            .into_iter()
-            .map(|slot| slot.expect("every task index is produced exactly once"))
-            .collect()
+        joined
     }
 
-    /// Morsel-driven map: splits `len` rows into morsels and runs `f` per morsel range,
-    /// returning the per-morsel outputs in morsel order. `pipelined` is forwarded to
-    /// the trace (see [`Executor::run_pool`]).
+    /// Morsel-driven map: runs `f` once per morsel of `len` rows and returns the
+    /// per-morsel outputs joined in morsel order. `f` receives the executor to evaluate
+    /// through and the morsel's row range.
+    ///
+    /// An input within one morsel (always, at `parallelism == 1`) is the single morsel
+    /// `0..len`: `f(self, 0..len)` on the calling thread, nothing recorded. A larger
+    /// one is drained by the helpers the executor can lease from its pool, all
+    /// evaluating through a serial view of this executor (same catalog, registry and
+    /// counters, `parallelism = 1`) so plan execution nested inside a morsel never fans
+    /// out again, and records an [`OperatorTrace`] under `operator`'s label; `pipelined`
+    /// is the number of plan operators fused into the dispatch (0 for a single one).
     ///
     /// `ExecConfig::morsel_size` is the *floor*: large inputs use proportionally larger
-    /// morsels so the queue never holds more than a few tasks per worker (per-morsel
-    /// dispatch overhead stays bounded), while still leaving enough tasks for the pool
-    /// to balance skew. The split depends only on `len` and the configuration — never
-    /// on scheduling — so the morsel-order merge stays deterministic.
-    pub(crate) fn run_morsels<T, F>(
+    /// morsels so the counter never holds more than a few tasks per thread (per-morsel
+    /// dispatch overhead stays bounded), while still leaving enough tasks to balance
+    /// skew. The split depends only on `len` and the configuration — never on
+    /// scheduling — so the morsel-order merge stays deterministic.
+    pub fn run_morsels<T, F>(
         &self,
-        operator: &str,
+        operator: impl FnOnce() -> String,
         pipelined: usize,
         len: usize,
         f: F,
-    ) -> Result<Vec<T>>
+    ) -> Result<T>
     where
-        T: Send + OutputRows + 'static,
-        F: Fn(&Executor, Range<usize>) -> Result<T> + Send + Sync + 'static,
+        T: MorselOutput,
+        F: Fn(&Executor, Range<usize>) -> Result<T> + Sync,
     {
+        if !self.should_parallelize(len) {
+            return f(self, 0..len);
+        }
         let tasks_per_worker = 4;
         let effective = self
             .config
             .morsel_size
-            .max(1)
-            .max(len.div_ceil(self.config.parallelism.max(1) * tasks_per_worker));
+            .max(len.div_ceil(self.config.parallelism * tasks_per_worker));
         let ranges = morsel_ranges(len, effective);
-        let weights = ranges.clone();
-        let task_rows = move |idx: usize| weights[idx].len() as u64;
         self.run_pool(
             operator,
             pipelined,
+            len,
             ranges.len(),
-            task_rows,
-            move |view, idx| f(view, ranges[idx].clone()),
+            |idx| ranges[idx].len() as u64,
+            |view, idx| f(view, ranges[idx].clone()),
         )
     }
+}
+
+/// Joins task outputs, given in task order, into one; the first error ends it.
+fn join_in_order<T: MorselOutput>(mut outputs: impl Iterator<Item = Result<T>>) -> Result<T> {
+    let mut joined = outputs.next().transpose()?.unwrap_or_default();
+    for output in outputs {
+        joined.append(output?);
+    }
+    Ok(joined)
+}
+
+/// A fixed trace label, in the lazy form the driver takes: only a dispatch that fans
+/// out builds its label.
+pub(crate) fn label(operator: &'static str) -> impl FnOnce() -> String {
+    move || operator.to_string()
+}
+
+/// The error a panicking task is reported as.
+fn panic_error(payload: &(dyn std::any::Any + Send)) -> Error {
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("worker panicked");
+    Error::Execution(format!("morsel worker panicked: {message}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as TestCounter;
+    use std::sync::Arc;
 
     #[test]
     fn empty_input_produces_no_morsels() {
@@ -542,142 +386,157 @@ mod tests {
     }
 
     #[test]
-    fn pool_reuses_threads_across_batches() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.worker_count(), 3);
-        assert_eq!(pool.threads_spawned(), 3);
-        for round in 0..5u64 {
-            let counter = Arc::new(TestCounter::new(0));
-            let job = {
-                let counter = Arc::clone(&counter);
-                Box::new(move |_slot: usize, idx: usize| {
-                    counter.fetch_add(idx as u64 + 1, Ordering::Relaxed);
-                })
-            };
-            pool.run_batch(3, 8, job).unwrap();
-            assert_eq!(counter.load(Ordering::Relaxed), 36, "round {round}");
-        }
-        // The whole point: repeated batches spawn no new threads.
-        assert_eq!(pool.threads_spawned(), 3);
-        assert_eq!(pool.stats().batches_run, 5);
-    }
-
-    #[test]
-    fn pool_grows_on_demand_and_only_once() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.worker_count(), 0);
-        assert_eq!(pool.ensure_workers(2), 2);
-        assert_eq!(pool.ensure_workers(2), 0);
-        assert_eq!(pool.ensure_workers(4), 2);
-        assert_eq!(pool.worker_count(), 4);
-        assert_eq!(pool.threads_spawned(), 4);
-    }
-
-    #[test]
-    fn empty_batch_completes_immediately() {
-        let pool = WorkerPool::new(1);
-        pool.run_batch(4, 0, Box::new(|_, _| panic!("never called")))
-            .unwrap();
-    }
-
-    #[test]
-    fn panicking_task_fails_the_batch_but_not_the_pool() {
-        let pool = WorkerPool::new(2);
-        let ran = Arc::new(TestCounter::new(0));
-        let job = {
-            let ran = Arc::clone(&ran);
-            Box::new(move |_slot: usize, idx: usize| {
-                if idx == 3 {
-                    panic!("udf exploded mid-morsel");
-                }
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        let err = pool.run_batch(2, 6, job).unwrap_err();
-        assert!(err.contains("udf exploded"), "{err}");
-        // Every non-panicking task still completed (completion never hangs) …
-        assert_eq!(ran.load(Ordering::Relaxed), 5);
-        // … the workers survived, and the next batch runs normally.
-        assert_eq!(pool.worker_count(), 2);
-        let ok = Arc::new(TestCounter::new(0));
-        let job = {
-            let ok = Arc::clone(&ok);
-            Box::new(move |_slot: usize, _idx: usize| {
-                ok.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        pool.run_batch(2, 4, job).unwrap();
-        assert_eq!(ok.load(Ordering::Relaxed), 4);
-        assert_eq!(pool.threads_spawned(), 2, "recovery must not respawn");
-    }
-
-    // Unit tests drive `run_pool` with bare indexes as task outputs.
-    impl OutputRows for usize {
-        fn output_rows(&self) -> u64 {
-            1
-        }
-    }
-
-    #[test]
-    fn run_pool_surfaces_panics_and_stays_usable() {
-        use decorr_storage::Catalog;
-        use decorr_udf::FunctionRegistry;
-
-        let executor = Executor::with_config(
-            Arc::new(Catalog::new()),
-            Arc::new(FunctionRegistry::new()),
-            crate::ExecConfig::default().with_parallelism(2),
+    fn leases_take_what_is_free_and_return_it() {
+        let pool = WorkerPool::new(4);
+        let first = pool.lease(3);
+        let second = pool.lease(3);
+        let third = pool.lease(3);
+        assert_eq!((first.helpers, second.helpers, third.helpers), (3, 1, 0));
+        assert_eq!(pool.stats().in_flight, 4);
+        drop(first);
+        assert_eq!(pool.stats().in_flight, 1);
+        assert_eq!(
+            pool.lease(5).helpers,
+            4,
+            "a larger request raises the budget"
         );
+        assert_eq!(pool.stats().workers, 5);
+        drop((second, third));
+        assert_eq!(pool.stats().in_flight, 0);
+        // An empty pool takes its budget from the first request.
+        let lazy = WorkerPool::default();
+        assert_eq!(lazy.lease(2).helpers, 2);
+        assert_eq!(lazy.stats().workers, 2);
+    }
+
+    fn executor(parallelism: usize, pool: &Arc<WorkerPool>) -> Executor {
+        Executor::with_config(
+            Arc::new(decorr_storage::Catalog::new()),
+            Arc::new(decorr_udf::FunctionRegistry::new()),
+            crate::ExecConfig {
+                parallelism,
+                morsel_size: 1,
+                ..crate::ExecConfig::default()
+            },
+        )
+        .with_worker_pool(Arc::clone(pool))
+    }
+
+    #[test]
+    fn a_panicking_task_fails_its_dispatch_and_nothing_else() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let executor = executor(2, &pool);
         let err = executor
             .run_pool(
-                "panicky",
+                label("panicky"),
                 0,
+                6,
                 6,
                 |_| 1,
                 |_, idx| {
                     if idx == 2 {
                         panic!("boom at {idx}");
                     }
-                    Ok(idx)
+                    Ok(vec![idx])
                 },
             )
             .unwrap_err();
-        assert!(err.to_string().contains("morsel worker panicked"), "{err}");
-        assert!(err.to_string().contains("boom at 2"), "{err}");
-        // The same executor (same lazily-created pool) runs the next batch fine, on
-        // the same threads.
-        let spawned_before = executor.worker_pool().threads_spawned();
+        assert_eq!(
+            err.to_string(),
+            Error::Execution("morsel worker panicked: boom at 2".into()).to_string()
+        );
+        assert_eq!(pool.stats().in_flight, 0, "the lease came back");
+        // The next dispatch on the same executor runs normally.
         let out = executor
-            .run_pool("ok", 0, 6, |_| 1, |_, idx| Ok(idx * 10))
+            .run_pool(label("ok"), 0, 6, 6, |_| 1, |_, idx| Ok(vec![idx * 10]))
             .unwrap();
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
-        assert_eq!(executor.worker_pool().threads_spawned(), spawned_before);
+        assert_eq!(pool.stats().dispatches, 2);
+        assert_eq!(executor.stats_snapshot().parallel_operators, 2);
     }
 
     #[test]
-    fn concurrent_submitters_share_one_pool() {
-        let pool = Arc::new(WorkerPool::new(4));
-        let total = Arc::new(TestCounter::new(0));
+    fn the_lowest_failing_task_is_the_one_reported() {
+        let pool = Arc::new(WorkerPool::new(3));
+        let fail = |idx: usize| -> Result<Vec<usize>> {
+            Err(Error::Execution(format!("task {idx} failed")))
+        };
+        for parallelism in [1, 2, 4] {
+            let err = executor(parallelism, &pool)
+                .run_pool(
+                    label("failing"),
+                    0,
+                    8,
+                    8,
+                    |_| 1,
+                    |_, idx| match idx {
+                        3 => fail(idx),
+                        5 => panic!("task 5 panicked"),
+                        _ => Ok(vec![idx]),
+                    },
+                )
+                .unwrap_err();
+            assert!(err.to_string().contains("task 3 failed"), "{err}");
+        }
+    }
+
+    fn rows(range: Range<usize>) -> Vec<usize> {
+        range.collect()
+    }
+
+    #[test]
+    fn a_dispatch_that_finds_the_budget_held_runs_inline() {
+        let pool = Arc::new(WorkerPool::new(3));
+        let held = pool.lease(2);
+        let executor = executor(3, &pool);
+        let out = executor
+            .run_morsels(label("squeezed"), 0, 10, |_, range| Ok(rows(range)))
+            .unwrap();
+        assert_eq!(out, rows(0..10));
+        let stats = executor.stats_snapshot();
+        assert_eq!((stats.parallel_operators, stats.morsels_dispatched), (0, 0));
+        assert!(executor.trace_snapshot().is_empty());
+        drop(held);
+        assert_eq!(pool.stats().in_flight, 0);
+        // With the budget free the same call fans out, to the same output.
+        let fanned = executor
+            .run_morsels(label("free"), 0, 10, |_, range| Ok(rows(range)))
+            .unwrap();
+        assert_eq!(fanned, rows(0..10));
+        assert_eq!(executor.stats_snapshot().parallel_operators, 1);
+        assert_eq!(executor.trace_snapshot().operators[0].workers, 3);
+    }
+
+    #[test]
+    fn concurrent_dispatches_share_one_budget() {
+        let pool = Arc::new(WorkerPool::new(3));
+        let total = AtomicU64::new(0);
+        let peak = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..3 {
-                let pool = Arc::clone(&pool);
-                let total = Arc::clone(&total);
-                scope.spawn(move || {
+                scope.spawn(|| {
+                    let executor = executor(3, &pool);
                     for _ in 0..10 {
-                        let total = Arc::clone(&total);
-                        pool.run_batch(
-                            2,
-                            16,
-                            Box::new(move |_, _| {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            }),
-                        )
-                        .unwrap();
+                        executor
+                            .run_pool(
+                                label("shared"),
+                                0,
+                                16,
+                                16,
+                                |_| 1,
+                                |_, idx| {
+                                    peak.fetch_max(pool.stats().in_flight, Ordering::Relaxed);
+                                    total.fetch_add(1, Ordering::Relaxed);
+                                    Ok(vec![idx])
+                                },
+                            )
+                            .unwrap();
                     }
                 });
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 3 * 10 * 16);
-        assert_eq!(pool.threads_spawned(), 4);
+        assert!(peak.load(Ordering::Relaxed) <= 3, "never over the budget");
+        assert_eq!(pool.stats().in_flight, 0);
     }
 }

@@ -27,14 +27,11 @@ pub struct ExecStats {
     pub subqueries_executed: u64,
     pub hash_joins: u64,
     pub nested_loop_joins: u64,
-    /// Morsels dispatched to the worker pool (0 for a fully serial execution).
+    /// Morsels of fanned-out operators (0 for a fully serial execution).
     pub morsels_dispatched: u64,
     /// Operators that took the parallel path.
     pub parallel_operators: u64,
-    /// Worker threads spawned while executing this query. With a warm persistent pool
-    /// this stays 0: spawning is a pool-lifecycle event, not a per-operator cost.
-    pub pool_spawns: u64,
-    /// Plan operators of the filter/project chains dispatched to the pool: each
+    /// Plan operators of the filter/project chains that fanned out: each
     /// chain's stages plus the base access it streams from (0 for chains run inline).
     pub pipelined_operators: u64,
     /// Pure-UDF calls answered by the database-owned memo cache (results reused
@@ -58,7 +55,6 @@ pub struct AtomicExecStats {
     pub nested_loop_joins: AtomicU64,
     pub morsels_dispatched: AtomicU64,
     pub parallel_operators: AtomicU64,
-    pub pool_spawns: AtomicU64,
     pub pipelined_operators: AtomicU64,
     pub udf_memo_hits: AtomicU64,
     pub udf_dedup_hits: AtomicU64,
@@ -97,10 +93,6 @@ impl AtomicExecStats {
         self.parallel_operators.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn add_pool_spawns(&self, n: u64) {
-        self.pool_spawns.fetch_add(n, Ordering::Relaxed);
-    }
-
     pub fn add_pipelined_operators(&self, n: u64) {
         self.pipelined_operators.fetch_add(n, Ordering::Relaxed);
     }
@@ -124,7 +116,6 @@ impl AtomicExecStats {
             nested_loop_joins: self.nested_loop_joins.load(Ordering::Relaxed),
             morsels_dispatched: self.morsels_dispatched.load(Ordering::Relaxed),
             parallel_operators: self.parallel_operators.load(Ordering::Relaxed),
-            pool_spawns: self.pool_spawns.load(Ordering::Relaxed),
             pipelined_operators: self.pipelined_operators.load(Ordering::Relaxed),
             udf_memo_hits: self.udf_memo_hits.load(Ordering::Relaxed),
             udf_dedup_hits: self.udf_dedup_hits.load(Ordering::Relaxed),
@@ -139,9 +130,9 @@ impl AtomicExecStats {
 pub struct OperatorTrace {
     /// Operator name plus the parallel stage ("scan(orders)", "hash-join probe", …).
     pub operator: String,
-    /// Morsels dispatched to the worker pool.
+    /// Morsels the operator was split into.
     pub morsels: usize,
-    /// Worker-pool size for this operator.
+    /// Scoped helper threads that ran the operator.
     pub workers: usize,
     /// Input rows each worker processed (index = worker id). The spread shows how well
     /// the morsel queue balanced the operator.
@@ -151,9 +142,6 @@ pub struct OperatorTrace {
     /// Plan operators fused into this dispatch (0 = a single-operator dispatch; n ≥ 2
     /// = a pipelined chain, e.g. scan→filter→project, executed in one pass per morsel).
     pub pipelined_stages: usize,
-    /// Worker threads the pool had to spawn for this operator (0 once the pool is
-    /// warm — the persistent-pool steady state).
-    pub pool_spawns: usize,
     /// Input rows this dispatch consumed (the sum of `rows_per_worker`).
     pub rows_in: u64,
     /// Output rows (or build entries / groups, for non-row-producing stages) this
@@ -182,18 +170,17 @@ impl ExecTrace {
         }
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<36} {:>8} {:>8} {:>6} {:>7} {:>9} {:>9} {:>12}  rows/worker\n",
-            "operator", "morsels", "workers", "fused", "spawns", "rows-in", "rows-out", "time"
+            "{:<36} {:>8} {:>8} {:>6} {:>9} {:>9} {:>12}  rows/worker\n",
+            "operator", "morsels", "workers", "fused", "rows-in", "rows-out", "time"
         ));
         for op in &self.operators {
             let spread: Vec<String> = op.rows_per_worker.iter().map(u64::to_string).collect();
             out.push_str(&format!(
-                "{:<36} {:>8} {:>8} {:>6} {:>7} {:>9} {:>9} {:>9.3} ms  [{}]\n",
+                "{:<36} {:>8} {:>8} {:>6} {:>9} {:>9} {:>9.3} ms  [{}]\n",
                 op.operator,
                 op.morsels,
                 op.workers,
                 op.pipelined_stages,
-                op.pool_spawns,
                 op.rows_in,
                 op.rows_out,
                 op.duration.as_secs_f64() * 1e3,
@@ -436,14 +423,12 @@ mod tests {
         stats.add_udf_invocations(3);
         stats.add_morsels_dispatched(7);
         stats.add_parallel_operators(2);
-        stats.add_pool_spawns(4);
         stats.add_pipelined_operators(3);
         let snap = stats.snapshot();
         assert_eq!(snap.rows_scanned, 15);
         assert_eq!(snap.udf_invocations, 3);
         assert_eq!(snap.morsels_dispatched, 7);
         assert_eq!(snap.parallel_operators, 2);
-        assert_eq!(snap.pool_spawns, 4);
         assert_eq!(snap.pipelined_operators, 3);
         assert_eq!(snap.hash_joins, 0);
     }
@@ -459,7 +444,6 @@ mod tests {
             rows_per_worker: vec![3000, 1096],
             duration: Duration::from_micros(1500),
             pipelined_stages: 2,
-            pool_spawns: 0,
             rows_in: 4096,
             rows_out: 4000,
         });

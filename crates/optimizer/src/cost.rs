@@ -101,10 +101,11 @@ impl Default for CostParams {
 /// Measured morsel-pool scaling is sub-linear (merge overheads and skew), so each
 /// extra worker contributes this fraction of a perfectly parallel worker.
 ///
-/// Recalibrated for the persistent worker pool: the original 0.7 was dominated by the
-/// per-operator scoped-thread spawn cost, which the pool amortizes away (workers park
-/// on a condvar between batches and per-query spawns are zero once warm). What remains
-/// is the morsel-merge and skew overhead, so each extra worker is worth more.
+/// 0.85 was set when a persistent pool replaced an earlier scoped fan-out (0.7 then).
+/// Dispatch is scoped again and the value is deliberately not retuned: a helper spawn
+/// measures 16–36 µs against a smallest fanned-out operator of over a thousand rows, so
+/// what the constant prices is still the morsel-merge and skew overhead. ROADMAP item 3
+/// re-measures it together with the verdict on parallel execution as a whole.
 const PARALLEL_EFFICIENCY: f64 = 0.85;
 
 impl CostParams {

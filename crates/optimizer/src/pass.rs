@@ -49,11 +49,6 @@ pub struct PassManagerOptions {
     /// Total rule-firing budget shared by all passes of one `optimize` call. Exhausting
     /// it aborts optimization with an error — the guard against cyclic rule sets.
     pub rule_fire_budget: u64,
-    /// If true (the default, matching the paper's tool), the query is reverted to its
-    /// normalized original form when some Apply operator cannot be removed; if false,
-    /// the partially rewritten plan is kept and remaining Apply operators are executed
-    /// as correlated evaluation.
-    pub require_full_decorrelation: bool,
     /// Strategy resolution mode.
     pub mode: OptimizeMode,
     /// Capture EXPLAIN-style before/after snapshots per pass. Off by default: snapshot
@@ -91,7 +86,6 @@ impl Default for PassManagerOptions {
         PassManagerOptions {
             max_fixpoint_iterations: 50,
             rule_fire_budget: 100_000,
-            require_full_decorrelation: true,
             mode: OptimizeMode::CostBased,
             capture_snapshots: false,
             parallelism: 1,
@@ -474,7 +468,9 @@ impl OptimizerPass for ApplyRemovalPass {
             notes: vec![],
         };
         ctx.decorrelated = !effect.plan.contains_apply();
-        if !ctx.decorrelated && ctx.options.require_full_decorrelation {
+        // Matching the paper's tool: a query some Apply operator cannot be removed from
+        // reverts to its normalized original form.
+        if !ctx.decorrelated {
             effect.plan = ctx
                 .baseline_plan
                 .clone()
@@ -745,7 +741,6 @@ impl PassManager {
         }
         hasher.write_u64(self.options.max_fixpoint_iterations as u64);
         hasher.write_u64(self.options.rule_fire_budget);
-        hasher.write_u64(u64::from(self.options.require_full_decorrelation));
         hasher.write_u64(match self.options.mode {
             OptimizeMode::CostBased => 0,
             OptimizeMode::ForceDecorrelated => 1,

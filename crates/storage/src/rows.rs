@@ -12,11 +12,9 @@
 //! its chunk by division, because every chunk but the last holds exactly `CHUNK_ROWS`
 //! rows.
 //!
-//! Readers hold the store one of two ways: borrowed from the table
-//! ([`Table::scan`](crate::table::Table::scan)), or as an `Arc` clone
-//! ([`Table::shared_rows`](crate::table::Table::shared_rows)) — the `'static` form the
-//! executor's worker-pool jobs capture, mapping morsel ranges onto row runs with no
-//! intermediate copy-out.
+//! Readers borrow the store from the table ([`Table::scan`](crate::table::Table::scan)):
+//! the executor's morsel jobs run in a thread scope that ends before the borrow does,
+//! and map morsel ranges onto row runs with no intermediate copy-out.
 
 use std::ops::Range;
 use std::sync::Arc;

@@ -138,12 +138,6 @@ impl Table {
         &self.rows
     }
 
-    /// An owned, `'static` handle on the table's rows — what the executor's worker-pool
-    /// jobs capture to map morsel ranges onto row runs without copying rows out.
-    pub fn shared_rows(&self) -> Arc<RowStore> {
-        Arc::clone(&self.rows)
-    }
-
     /// Number of rows in the table.
     pub fn row_count(&self) -> usize {
         self.rows.len()
@@ -391,10 +385,10 @@ mod tests {
         let mut t = orders_table();
         t.insert_all(order_rows(1000)).unwrap();
         let snapshot = t.clone();
-        assert!(Arc::ptr_eq(&t.shared_rows(), &snapshot.shared_rows()));
+        assert!(Arc::ptr_eq(&t.rows, &snapshot.rows));
         t.insert(Row::new(vec![1000.into(), 0.into(), 0.0.into()]))
             .unwrap();
-        assert!(!Arc::ptr_eq(&t.shared_rows(), &snapshot.shared_rows()));
+        assert!(!Arc::ptr_eq(&t.rows, &snapshot.rows));
         assert_eq!(snapshot.row_count(), 1000);
         assert_eq!(t.row_count(), 1001);
     }

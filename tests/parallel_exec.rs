@@ -392,49 +392,74 @@ fn with_config(mut options: QueryOptions, parallelism: usize) -> QueryOptions {
     options
 }
 
-/// The persistent pool: worker threads are spawned once (when the engine is built
-/// with `parallelism(4)`) and reused across queries — per-query spawns stay at zero.
+/// The helper budget: set once when the engine is built with `parallelism(4)`, drawn on
+/// by every query that fans out, and whole again as soon as a query returns — a
+/// dispatch joins its helpers before it returns, so nothing is left running.
 #[test]
-fn worker_pool_persists_across_queries() {
+fn helper_budget_is_shared_across_queries() {
     let engine = parallel_db_with_pool(300, 4);
     let session = engine.session();
     let sql = "select custkey, service_level(custkey) as level from customer";
-    let stats = engine.worker_pool_stats();
-    assert_eq!(stats.workers, 4, "the builder warms the pool eagerly");
-    assert_eq!(stats.threads_spawned, 4);
-    let mut batches_seen = 0;
+    assert_eq!(engine.worker_pool_stats().workers, 4);
+    let mut dispatches_seen = 0;
     for round in 0..3 {
         // Small morsels so the operators actually fan out on this data size.
         let result = session
             .query_with(sql, &options_with_parallelism(4))
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
         assert!(result.exec_stats.parallel_operators > 0, "round {round}");
-        assert_eq!(
-            result.exec_stats.pool_spawns, 0,
-            "round {round}: a warm pool must not spawn per query"
-        );
         let stats = engine.worker_pool_stats();
-        assert_eq!(stats.threads_spawned, 4, "round {round}: no respawn");
-        assert!(stats.batches_run > batches_seen, "round {round}");
-        batches_seen = stats.batches_run;
+        assert_eq!((stats.workers, stats.in_flight), (4, 0), "round {round}");
+        assert!(stats.dispatches > dispatches_seen, "round {round}");
+        dispatches_seen = stats.dispatches;
     }
-    // A serial engine keeps no idle threads.
+    // A serial engine has no budget until a session asks for one.
     assert_eq!(parallel_db(10).worker_pool_stats().workers, 0);
 }
 
-/// Pool-panic safety: a batch whose task panics (a UDF exploding mid-morsel) fails
-/// that query with an `Error`, but the engine's persistent pool stays usable — the
-/// next query runs on the same worker threads.
+/// A standalone executor drawing on `engine`'s helper budget, as the engine's own do.
+fn executor_on(engine: &Engine, parallelism: usize) -> Executor {
+    Executor::with_config(
+        engine.catalog(),
+        engine.registry(),
+        config_with(parallelism),
+    )
+    .with_worker_pool(engine.worker_pool())
+}
+
+/// Panic safety: a dispatch whose task panics (a UDF exploding mid-morsel) fails with
+/// an `Error`, its helpers are joined and returned to the budget, and the next dispatch
+/// on the same executor and the next query on the same engine run normally.
 #[test]
 fn panicked_batch_leaves_the_engine_pool_usable() {
     let engine = parallel_db_with_pool(300, 4);
     let session = engine.session();
-    let pool = engine.worker_pool();
-    let err = pool
-        .run_batch(4, 8, Box::new(|_, idx| assert!(idx != 5, "udf panic")))
+    let executor = executor_on(&engine, 4);
+    let err = executor
+        .run_morsels(
+            || "panicky".to_string(),
+            0,
+            8 * TEST_MORSEL,
+            |_, range| -> udf_decorrelation::common::Result<Vec<Row>> {
+                assert!(!range.contains(&(5 * TEST_MORSEL)), "udf panic");
+                Ok(vec![])
+            },
+        )
         .unwrap_err();
-    assert!(err.contains("udf panic"), "{err}");
-    let spawned = engine.worker_pool_stats().threads_spawned;
+    assert_eq!(
+        err.to_string(),
+        "execution error: morsel worker panicked: udf panic"
+    );
+    assert_eq!(engine.worker_pool_stats().in_flight, 0);
+    let starts = executor
+        .run_morsels(
+            || "fine".to_string(),
+            0,
+            8 * TEST_MORSEL,
+            |_, range| Ok(vec![range.start]),
+        )
+        .unwrap();
+    assert_eq!(starts, (0..8).map(|m| m * TEST_MORSEL).collect::<Vec<_>>());
     let sql = "select custkey, service_level(custkey) as level from customer";
     let serial = session
         .query_with(sql, &options_with_parallelism(1))
@@ -444,19 +469,181 @@ fn panicked_batch_leaves_the_engine_pool_usable() {
         .unwrap();
     assert_eq!(serial.rows, parallel.rows);
     assert!(parallel.exec_stats.parallel_operators > 0);
-    assert_eq!(
-        engine.worker_pool_stats().threads_spawned,
-        spawned,
-        "recovery must not respawn workers"
-    );
+    assert_eq!(engine.worker_pool_stats().in_flight, 0);
+}
+
+/// A dispatch never waits for another's helpers: while one dispatch holds the whole
+/// budget, a query big enough to fan out runs inline instead — same rows, no parallel
+/// operator — and fans out again once the budget is free.
+#[test]
+fn a_query_that_finds_the_budget_held_runs_inline() {
+    use std::sync::Barrier;
+    let engine = parallel_db_with_pool(300, 2);
+    let session = engine.session();
+    let sql = "select custkey, service_level(custkey) as level from customer \
+               where custkey > 10";
+    let expected = session
+        .query_with(sql, &options_with_parallelism(1))
+        .unwrap();
+    // The holder leases 2 helpers — the whole budget — and parks both in their first
+    // task until the query below has run.
+    let holder = executor_on(&engine, 2);
+    let (holding, release) = (Barrier::new(3), Barrier::new(3));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            holder
+                .run_morsels(
+                    || "holder".to_string(),
+                    0,
+                    2 * TEST_MORSEL,
+                    |_, _| -> udf_decorrelation::common::Result<Vec<Row>> {
+                        holding.wait();
+                        release.wait();
+                        Ok(vec![])
+                    },
+                )
+                .unwrap();
+        });
+        holding.wait();
+        let stats = engine.worker_pool_stats();
+        assert_eq!((stats.workers, stats.in_flight), (2, 2));
+        let squeezed = session
+            .query_with(sql, &options_with_parallelism(2))
+            .unwrap();
+        assert_eq!(squeezed.rows, expected.rows);
+        assert_eq!(squeezed.exec_stats.parallel_operators, 0);
+        assert_eq!(squeezed.exec_stats.morsels_dispatched, 0);
+        assert!(squeezed.exec_trace.is_empty());
+        release.wait();
+    });
+    assert_eq!(engine.worker_pool_stats().in_flight, 0);
+    let free = session
+        .query_with(sql, &options_with_parallelism(2))
+        .unwrap();
+    assert_eq!(free.rows, expected.rows);
+    assert!(free.exec_stats.parallel_operators > 0);
+}
+
+/// Four sessions at `parallelism = 4` run the figure queries at once on one engine:
+/// every result matches the serial rows, and the helpers in flight — sampled while
+/// they run — never exceed the engine's budget.
+#[test]
+fn concurrent_sessions_stay_within_the_helper_budget() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let loaded = load(&TpchConfig::tiny().with_customers(120)).unwrap();
+    let workloads = [
+        (experiment1(), 400),
+        (experiment2(), 100),
+        (experiment3(), 8),
+    ];
+    for (workload, _) in &workloads {
+        workload.install(&loaded).unwrap();
+    }
+    let engine = Engine::builder()
+        .catalog((*loaded.catalog()).clone())
+        .registry((*loaded.registry()).clone())
+        .parallelism(4)
+        .build();
+    let queries: Vec<(String, QueryOptions)> = workloads
+        .iter()
+        .flat_map(|(workload, invocations)| {
+            let sql = (workload.query)(*invocations);
+            [QueryOptions::iterative(), QueryOptions::decorrelated()].map(|o| (sql.clone(), o))
+        })
+        .collect();
+    let serial: Vec<Vec<Row>> = queries
+        .iter()
+        .map(|(sql, options)| {
+            let options = with_config(options.clone(), 1);
+            engine.session().query_with(sql, &options).unwrap().rows
+        })
+        .collect();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4)
+            .map(|client| {
+                let (engine, queries, serial) = (&engine, &queries, &serial);
+                scope.spawn(move || {
+                    let session = engine.session();
+                    let mut fanned_out = 0;
+                    for round in 0..3 {
+                        for (i, (sql, options)) in queries.iter().enumerate() {
+                            let options = with_config(options.clone(), 4);
+                            let result = session.query_with(sql, &options).unwrap();
+                            assert_eq!(result.rows, serial[i], "client {client} round {round}");
+                            fanned_out += result.exec_stats.parallel_operators;
+                        }
+                    }
+                    fanned_out
+                })
+            })
+            .collect();
+        scope.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                let stats = engine.worker_pool_stats();
+                assert!(stats.in_flight <= stats.workers, "{stats:?}");
+                std::thread::yield_now();
+            }
+        });
+        let fanned_out: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
+        done.store(true, Ordering::Relaxed);
+        assert!(fanned_out > 0, "no client ever got a helper");
+    });
+    let stats = engine.worker_pool_stats();
+    assert_eq!((stats.workers, stats.in_flight), (4, 0));
+}
+
+/// Rows in two different morsels raise two different runtime errors: the query reports
+/// the one a serial run meets first, whatever the thread count (of the failing tasks,
+/// the lowest index wins).
+#[test]
+fn the_first_failing_row_decides_the_error_at_any_parallelism() {
+    let mut catalog = Catalog::new();
+    let int = |name| Column::new(name, DataType::Int);
+    catalog
+        .create_table("t", Schema::new(vec![int("id"), int("v"), int("d")]))
+        .unwrap();
+    let rows = (0..200i64).map(|id| {
+        let (v, d) = match id {
+            150 => (1, 0),
+            70 => (i64::MAX, 1),
+            _ => (1, 1),
+        };
+        Row::new(vec![Value::Int(id), Value::Int(v), Value::Int(d)])
+    });
+    catalog.insert_rows("t", rows.collect()).unwrap();
+    let engine = Engine::builder().catalog(catalog).build();
+    let session = engine.session();
+    for sql in [
+        "select id, (v + 1000) / d as w from t",
+        "select id from t where (v + 1000) / d > 0",
+    ] {
+        let errors: Vec<String> = [1, 2, 4]
+            .into_iter()
+            .map(|p| {
+                let err = session.query_with(sql, &options_with_parallelism(p));
+                err.unwrap_err().to_string()
+            })
+            .collect();
+        assert!(errors[0].contains("integer overflow"), "{}", errors[0]);
+        assert_eq!(errors[1], errors[0], "{sql} at parallelism 2");
+        assert_eq!(errors[2], errors[0], "{sql} at parallelism 4");
+    }
+    // The other order: the division by zero comes first.
+    let sql = "select id, (v + 1000) / d as w from t where id > 100 or id < 60";
+    for p in [1, 2, 4] {
+        let err = session.query_with(sql, &options_with_parallelism(p));
+        let err = err.unwrap_err().to_string();
+        assert!(err.contains("division by zero"), "parallelism {p}: {err}");
+    }
 }
 
 /// Filter/project chains: a scan→filter→project query run inline (`parallelism == 1`)
 /// and fanned out to the pool produces byte-identical rows and identical per-node
 /// actual cardinalities, and the pooled run reports the chain as one fused operator.
 ///
-/// Counter semantics: `pipelined_operators`, `parallel_operators`, `morsels_dispatched`
-/// and `pool_spawns` count work dispatched to the pool, so they stay 0 at
+/// Counter semantics: `pipelined_operators`, `parallel_operators` and
+/// `morsels_dispatched` count operators that fanned out, so they stay 0 at
 /// `parallelism == 1`, where the same chain runs on the calling thread.
 #[test]
 fn pipelined_chains_match_materialized_execution() {
