@@ -49,9 +49,8 @@ pub enum Violation {
         /// The unresolvable function name.
         name: String,
     },
-    /// A user-defined aggregate names a function that is neither registered nor known
-    /// to the schema provider (auxiliary aggregates are resolved through the
-    /// provider).
+    /// A user-defined aggregate names no registered aggregate (auxiliary aggregates are
+    /// registered with the UDF they were synthesised from).
     UnknownAggregate {
         /// The unresolvable aggregate name.
         name: String,
@@ -178,8 +177,7 @@ impl ValidationReport {
 /// Validates a plan against a schema provider and function registry, counting checks.
 ///
 /// This is the entry point the optimizer's per-pass validation uses: the provider is
-/// whatever view of the catalog the pipeline optimizes against (including the layered
-/// auxiliary-aggregate provider of the rewrite passes).
+/// whatever view of the catalog the pipeline optimizes against.
 pub fn validate_plan(
     plan: &RelExpr,
     provider: &dyn SchemaProvider,
@@ -339,9 +337,7 @@ impl Validator<'_> {
                 for a in aggregates {
                     if let AggFunc::UserDefined(name) = &a.func {
                         self.report.checks += 1;
-                        if !self.registry.has_aggregate(name)
-                            && self.provider.udf_return_type(name).is_none()
-                        {
+                        if !self.registry.has_aggregate(name) {
                             self.report
                                 .violations
                                 .push(Violation::UnknownAggregate { name: name.clone() });
@@ -669,8 +665,8 @@ mod tests {
         };
         let report = run(&call);
         assert_eq!(report.violations[0].name(), "unknown-function");
-        // A provider that knows the return type (e.g. the optimizer's layered
-        // aux-aggregate provider) resolves the name without a registry entry.
+        // A provider that knows the return type resolves the name without a registry
+        // entry.
         let knows = provider().with_udf("no_such_fn", DataType::Int);
         assert!(validate_plan(&call, &knows, &FunctionRegistry::new()).is_clean());
 

@@ -2,16 +2,17 @@
 //! builder that configures an engine once, and the clone-mutate-swap write cycle every
 //! DDL/DML/`ANALYZE`/`CREATE FUNCTION` goes through.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use decorr_common::{Error, Result, Row, Schema};
-use decorr_exec::{ExecConfig, UdfMemo, UdfMemoStats, WorkerPool, WorkerPoolStats};
+use decorr_exec::{
+    CatalogProvider, ExecConfig, UdfMemo, UdfMemoStats, WorkerPool, WorkerPoolStats,
+};
 use decorr_optimizer::{FeedbackConfig, FeedbackStats, FeedbackStore, PlanCache, PlanCacheStats};
 use decorr_persist::WalRecord;
 use decorr_storage::{AnalyzeConfig, Catalog};
-use decorr_udf::FunctionRegistry;
+use decorr_udf::{FunctionRegistry, UdfDefinition};
 
 use crate::durability::{column_defs, PersistHandle};
 use crate::Session;
@@ -36,31 +37,28 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The snapshot readers pin: catalog and registry swapped together so a query never
-/// observes a catalog from one epoch with a registry from another.
+/// observes a catalog from one epoch with a registry (and UDF records) from another.
 #[derive(Debug, Clone)]
 pub(crate) struct SharedState {
     pub(crate) catalog: Arc<Catalog>,
     pub(crate) registry: Arc<FunctionRegistry>,
-    /// Read sets of `registry`'s UDFs, replaced whenever `registry` is.
-    pub(crate) udf_reads: Arc<UdfReadSets>,
 }
 
-/// The tables each registered UDF's body can read, transitively through its callees,
-/// by normalized UDF name. `None` is an open set: some reachable callee is not
-/// registered, so its reads are unknown. A query derives its memo epochs from this
-/// without looking at a body.
-pub(crate) type UdfReadSets = BTreeMap<String, Option<Vec<String>>>;
-
-/// Analyses every body of `registry`. Read sets are transitive, so registering one
-/// function can change its callers' sets too; the whole map is rebuilt with the
-/// registry rather than patched.
-fn udf_read_sets(registry: &FunctionRegistry) -> UdfReadSets {
-    let read_set = |udf: &decorr_udf::UdfDefinition| {
-        let facts = decorr_analysis::analyze_body(udf, registry);
-        let tables = facts.table_reads.into_iter().collect();
-        (udf.name.clone(), facts.reads_exact.then_some(tables))
-    };
-    registry.udfs().map(read_set).collect()
+impl SharedState {
+    /// Derives against this epoch's catalog the form of the UDF `only` names (of every
+    /// UDF when `None`: table DDL moved the schemas forms are bound to) and every read
+    /// set, since a callee's reads are its callers' too.
+    fn derive_records(&mut self, only: Option<&str>) {
+        let view = Arc::clone(&self.registry);
+        let registry = Arc::make_mut(&mut self.registry);
+        let provider = CatalogProvider::new(&self.catalog, &view);
+        decorr_rewrite::algebraize_registry(registry, only, &provider);
+        for udf in view.udfs() {
+            let facts = decorr_analysis::analyze_body(udf, &view);
+            let tables = facts.table_reads.into_iter().collect();
+            registry.set_reads(&udf.name, facts.reads_exact.then_some(tables));
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -142,20 +140,19 @@ impl Engine {
     }
 
     /// An independent engine with the same data and functions but **fresh, empty**
-    /// caches (same capacities), its own worker pool and a fresh feedback store. The
-    /// fork's catalog shares table storage copy-on-write with the original: only
-    /// tables either side subsequently writes are deep-cloned.
+    /// caches (same capacities), its own worker pool and a fresh feedback store. It
+    /// starts on this engine's epoch, UDF records included, sharing table storage
+    /// copy-on-write: only tables either side subsequently writes are deep-cloned.
     pub fn fork(&self) -> Engine {
-        let state = read(&self.inner.state).clone();
-        Engine::builder()
-            .catalog((*state.catalog).clone())
-            .registry((*state.registry).clone())
+        let fork = Engine::builder()
             .exec_config(self.exec_config())
             .plan_cache_capacity(self.inner.plan_cache.capacity())
             .udf_memo_capacity(read(&self.inner.udf_memo).capacity())
             .analyze_config(self.analyze_config())
             .feedback_config(self.inner.feedback.config().clone())
-            .build()
+            .build();
+        *write(&fork.inner.state) = read(&self.inner.state).clone();
+        fork
     }
 
     // ---- snapshot reads -------------------------------------------------------
@@ -196,7 +193,8 @@ impl Engine {
     /// abandons the swap: the write is neither visible nor durable.
     ///
     /// `f` gets the next epoch, still sharing both halves with the current one, and
-    /// unshares the half it writes with `Arc::make_mut`.
+    /// unshares the half it writes with `Arc::make_mut`. A write that changes the table
+    /// schemas re-derives every UDF record; any other leaves the registry alone.
     fn write_cycle<R>(
         &self,
         record: Option<WalRecord>,
@@ -206,6 +204,9 @@ impl Engine {
         let current = read(&self.inner.state).clone();
         let mut next = current.clone();
         let out = f(&mut next)?;
+        if !next.catalog.same_schemas(&current.catalog) {
+            next.derive_records(None);
+        }
         if let Some(record) = record {
             self.wal_append(&record)?;
         }
@@ -239,8 +240,19 @@ impl Engine {
     /// The body is statically analysed first: a UDF *explicitly declared*
     /// `DETERMINISTIC` whose body (transitively) calls a volatile UDF is rejected,
     /// since memoizing it would serve stale results. A UDF that merely inherited the
-    /// pure-by-default contract is silently downgraded to volatile instead.
-    pub fn register_udf_definition(&self, udf: decorr_udf::UdfDefinition) -> Result<()> {
+    /// pure-by-default contract is silently downgraded to volatile instead. Names of
+    /// the shape auxiliary aggregates take (`aux_agg_…`) are refused, so no UDF shares
+    /// a name with an aggregate another UDF's form calls.
+    ///
+    /// The write that swaps the definition in derives its record against the next
+    /// epoch's catalog (see [`FunctionRegistry`](decorr_udf::FunctionRegistry)).
+    pub fn register_udf_definition(&self, udf: UdfDefinition) -> Result<()> {
+        if decorr_udf::is_aux_aggregate_name(&udf.name) {
+            return Err(Error::Catalog(format!(
+                "function name '{}' is reserved for auxiliary aggregates",
+                udf.name
+            )));
+        }
         // Normalize against the current snapshot before taking the writer lock:
         // normalization is a best-effort plan cleanup, so racing with a concurrent
         // DDL at worst misses an optimization opportunity, never correctness.
@@ -277,8 +289,9 @@ impl Engine {
             None
         };
         self.write_cycle(record, |next| {
+            let name = normalized.name.clone();
             Arc::make_mut(&mut next.registry).register_udf(normalized);
-            next.udf_reads = Arc::new(udf_read_sets(&next.registry));
+            next.derive_records(Some(&name));
             Ok(())
         })
     }
@@ -435,7 +448,7 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Seeds the engine with an existing catalog (used by [`Engine::fork`]).
+    /// Seeds the engine with an existing catalog.
     pub fn catalog(mut self, catalog: Catalog) -> EngineBuilder {
         self.catalog = catalog;
         self
@@ -520,13 +533,14 @@ impl EngineBuilder {
             .plan_cache_capacity
             .map_or_else(PlanCache::new, PlanCache::with_capacity);
         let memo_capacity = self.udf_memo_capacity.unwrap_or(DEFAULT_UDF_MEMO_CAPACITY);
+        let mut state = SharedState {
+            catalog: Arc::new(self.catalog),
+            registry: Arc::new(self.registry),
+        };
+        state.derive_records(None);
         let engine = Engine {
             inner: Arc::new(EngineInner {
-                state: RwLock::new(SharedState {
-                    catalog: Arc::new(self.catalog),
-                    udf_reads: Arc::new(udf_read_sets(&self.registry)),
-                    registry: Arc::new(self.registry),
-                }),
+                state: RwLock::new(state),
                 writer: Mutex::new(()),
                 udf_memo: RwLock::new(Arc::new(UdfMemo::with_capacity(memo_capacity))),
                 exec_config,

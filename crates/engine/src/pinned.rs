@@ -14,7 +14,7 @@ use decorr_optimizer::{
 use decorr_storage::Catalog;
 use decorr_udf::FunctionRegistry;
 
-use crate::engine::{read, Engine, EngineInner, UdfReadSets};
+use crate::engine::{read, Engine, EngineInner};
 use crate::{ExecutionStrategy, QueryOptions, QueryResult};
 
 /// Capacity of the per-query dedup cache attached when `ExecConfig::udf_batching` is
@@ -29,7 +29,6 @@ const UDF_DEDUP_CAPACITY: usize = 65536;
 pub(crate) struct Pinned {
     pub(crate) catalog: Arc<Catalog>,
     pub(crate) registry: Arc<FunctionRegistry>,
-    udf_reads: Arc<UdfReadSets>,
     /// Resolved (per-query override → session override → engine default) and
     /// normalized executor configuration.
     pub(crate) exec_config: ExecConfig,
@@ -51,7 +50,6 @@ impl Engine {
         Pinned {
             catalog: state.catalog,
             registry: state.registry,
-            udf_reads: state.udf_reads,
             exec_config,
             udf_memo: Arc::clone(&read(&self.inner.udf_memo)),
             shared: Arc::clone(&self.inner),
@@ -152,8 +150,8 @@ impl Pinned {
     /// Builds the per-UDF memo-epoch map for this snapshot. A memoized result is
     /// served only while its epoch matches, i.e. while the registry generation, the
     /// DDL generation and the relevant *data* version are unchanged. The data
-    /// component covers the UDF's full (transitive) read set, computed when the
-    /// function was registered: a body that reads no table gets a constant, a body
+    /// component covers the UDF's full (transitive) read set, held by its registry
+    /// record: a body that reads no table gets a constant, a body
     /// with an exact read set gets a fingerprint of the sorted `(table, data_version)`
     /// pairs — so inserts into tables *outside* that set don't evict its results — and
     /// an open read set (the body calls an unregistered function) falls back to the
@@ -173,8 +171,8 @@ impl Pinned {
             }
             Some(hasher.finish())
         };
-        let epochs = self.udf_reads.iter().map(|(name, reads)| {
-            let data = match reads.as_deref() {
+        let epochs = self.registry.records().map(|(name, record)| {
+            let data = match record.reads.as_deref() {
                 None => catalog_wide,
                 Some([]) => 0,
                 Some(tables) => data_version(tables).unwrap_or(catalog_wide),
@@ -203,24 +201,11 @@ impl Pinned {
                 outcome.notes.join("; ")
             )));
         }
-        // Register auxiliary aggregates in a per-query copy of the registry; plans
-        // without auxiliary aggregates (the common case) share the engine's registry
-        // snapshot without copying it. The memo epochs below use the *base* registry
-        // generation: the clone registers aggregates without changing any scalar UDF
-        // a memoized result could depend on.
-        let effective_registry = if outcome.aux_aggregates.is_empty() {
-            Arc::clone(&self.registry)
-        } else {
-            let mut registry = (*self.registry).clone();
-            for agg in &outcome.aux_aggregates {
-                registry.register_aggregate(agg.clone());
-            }
-            Arc::new(registry)
-        };
-        // Attach the engine's helper budget: concurrent queries share one bound.
+        // Attach the engine's helper budget: concurrent queries share one bound. The
+        // auxiliary aggregates a decorrelated plan calls are registered with their UDFs.
         let mut executor = Executor::with_config(
             Arc::clone(&self.catalog),
-            effective_registry,
+            Arc::clone(&self.registry),
             config.clone(),
         )
         .with_worker_pool(Arc::clone(&self.shared.worker_pool));

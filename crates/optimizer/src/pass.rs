@@ -113,11 +113,8 @@ pub struct PassContext<'a> {
     /// The fully decorrelated plan, when the rewrite succeeded (kept even when the
     /// cost-based choice later reverts to the iterative plan).
     pub rewritten_plan: Option<RelExpr>,
-    /// Number of UDF invocations replaced by algebraic forms.
-    pub merged_calls: usize,
-    /// Auxiliary aggregates synthesised while algebraizing cursor loops; they must be
-    /// registered before executing the rewritten plan.
-    pub aux_aggregates: Vec<AggregateDefinition>,
+    /// The UDF of each invocation replaced by its algebraic form, in merge order.
+    pub merged: Vec<String>,
     /// True if every merged UDF invocation was decorrelated (no Apply remains).
     pub decorrelated: bool,
     /// True if the plan the pipeline returns is the decorrelated one.
@@ -145,13 +142,22 @@ impl<'a> PassContext<'a> {
             options,
             baseline_plan: None,
             rewritten_plan: None,
-            merged_calls: 0,
-            aux_aggregates: vec![],
+            merged: vec![],
             decorrelated: false,
             used_decorrelated_plan: false,
             decision: None,
             rule_budget_left: budget,
         }
+    }
+
+    /// The auxiliary aggregates the merged forms call, one per call, as their UDFs'
+    /// registry records list them.
+    fn merged_aux_aggregates(&self) -> impl Iterator<Item = &AggregateDefinition> {
+        self.merged
+            .iter()
+            .filter_map(|udf| self.registry.record(udf))
+            .flat_map(|record| &record.aux_aggregates)
+            .filter_map(|name| self.registry.aggregate(name).ok())
     }
 
     /// A [`FixpointEngine`] configured with this pipeline's iteration limit and the
@@ -357,7 +363,10 @@ pub struct OptimizeOutcome {
     pub used_decorrelated_plan: bool,
     /// Number of UDF invocations replaced by algebraic forms.
     pub merged_calls: usize,
-    /// Auxiliary aggregates to register before executing `plan`.
+    /// The auxiliary aggregates `rewritten_plan` calls, one per merged call, derived from
+    /// the merged UDFs' registry records. Executing needs nothing from here (they are
+    /// registered with their UDFs): it is kept for `Session::rewrite_sql` and the
+    /// `benchmark/` package, and ROADMAP item 10 (`[benchmark]` housekeeping) may drop it.
     pub aux_aggregates: Vec<AggregateDefinition>,
     /// Names of the transformation rules that fired, in order, across all passes.
     pub applied_rules: Vec<String>,
@@ -397,10 +406,10 @@ impl OptimizerPass for NormalizePass {
     }
 }
 
-/// Algebraization and merging (Sections IV, V, VII): builds the parameterized algebraic
-/// expression of every UDF invoked by the query and merges it into the calling block
-/// with the Apply (bind) operator. Also snapshots the incoming plan as the iterative
-/// baseline the later passes can revert to.
+/// Algebraization and merging (Sections IV, V, VII): merges the parameterized algebraic
+/// expression of every UDF invoked by the query — derived when the UDF was registered —
+/// into the calling block with the Apply (bind) operator. Also snapshots the incoming
+/// plan as the iterative baseline the later passes can revert to.
 pub struct AlgebraizeMergePass;
 
 impl OptimizerPass for AlgebraizeMergePass {
@@ -414,22 +423,21 @@ impl OptimizerPass for AlgebraizeMergePass {
             return Ok(PassEffect::unchanged(plan.clone())
                 .with_note("query invokes no user-defined functions"));
         }
-        let merged = merge_udf_calls(plan, ctx.registry, ctx.provider)?;
+        let merged = merge_udf_calls(plan, ctx.registry)?;
         let mut effect = PassEffect::unchanged(merged.plan);
         for (name, reason) in &merged.skipped {
             effect.notes.push(format!(
                 "UDF '{name}' kept as an iterative invocation: {reason}"
             ));
         }
-        if merged.merged_calls > 0 {
+        ctx.merged = merged.merged;
+        if !ctx.merged.is_empty() {
             effect.notes.push(format!(
                 "merged {} UDF invocation(s), {} auxiliary aggregate(s)",
-                merged.merged_calls,
-                merged.aux_aggregates.len()
+                ctx.merged.len(),
+                ctx.merged_aux_aggregates().count()
             ));
         }
-        ctx.merged_calls = merged.merged_calls;
-        ctx.aux_aggregates = merged.aux_aggregates;
         Ok(effect)
     }
 }
@@ -445,19 +453,12 @@ impl OptimizerPass for ApplyRemovalPass {
     }
 
     fn run(&self, plan: &RelExpr, ctx: &mut PassContext) -> Result<PassEffect> {
-        if ctx.merged_calls == 0 {
+        if ctx.merged.is_empty() {
             return Ok(PassEffect::unchanged(plan.clone()).with_note("no merged UDF invocations"));
         }
-        // The rules must also see the auxiliary aggregates synthesised during merging
-        // (their return types and empty-input values), even though they are only
-        // registered with the engine when the rewritten plan is executed.
-        let provider = AuxAggregateProvider {
-            inner: ctx.provider,
-            aggregates: &ctx.aux_aggregates,
-        };
-        let outcome = ctx
-            .fixpoint_engine()
-            .run(plan, &RuleSet::default_pipeline(), &provider)?;
+        let outcome =
+            ctx.fixpoint_engine()
+                .run(plan, &RuleSet::default_pipeline(), ctx.provider)?;
         ctx.charge_rule_firings(outcome.total_fires());
         let mut effect = PassEffect {
             plan: outcome.plan,
@@ -475,7 +476,6 @@ impl OptimizerPass for ApplyRemovalPass {
                 .baseline_plan
                 .clone()
                 .expect("algebraize-merge runs before apply-removal");
-            ctx.aux_aggregates.clear();
             effect.notes.push(
                 "some Apply operators could not be removed; the query was left untransformed \
                  (iterative invocation remains the execution strategy)"
@@ -496,13 +496,9 @@ impl OptimizerPass for CleanupPass {
     }
 
     fn run(&self, plan: &RelExpr, ctx: &mut PassContext) -> Result<PassEffect> {
-        let provider = AuxAggregateProvider {
-            inner: ctx.provider,
-            aggregates: &ctx.aux_aggregates,
-        };
         let outcome = ctx
             .fixpoint_engine()
-            .run(plan, &RuleSet::cleanup_only(), &provider)?;
+            .run(plan, &RuleSet::cleanup_only(), ctx.provider)?;
         ctx.charge_rule_firings(outcome.total_fires());
         if ctx.decorrelated {
             ctx.rewritten_plan = Some(outcome.plan.clone());
@@ -868,15 +864,8 @@ impl PassManager {
             let validation_checks = match (validate_plans, last_checks) {
                 (true, Some(checks)) if !changed => Some(checks),
                 (true, _) => {
-                    // Validate against the same layered view the rewrite passes infer
-                    // schemas with, so auxiliary aggregates synthesised mid-pipeline
-                    // resolve like any registered function.
-                    let layered = AuxAggregateProvider {
-                        inner: provider,
-                        aggregates: &ctx.aux_aggregates,
-                    };
                     let validation =
-                        decorr_analysis::validate_plan(&effect.plan, &layered, registry);
+                        decorr_analysis::validate_plan(&effect.plan, provider, registry);
                     match validation.violations.first() {
                         Some(violation)
                             if decorr_analysis::validate_plan(plan, provider, registry)
@@ -952,14 +941,19 @@ impl PassManager {
                     .as_ref()
                     .map(|r| r == &current)
                     .unwrap_or(false));
+        let aux_aggregates = if ctx.decorrelated {
+            ctx.merged_aux_aggregates().cloned().collect()
+        } else {
+            vec![]
+        };
         Ok(OptimizeOutcome {
             plan: current,
             iterative_plan,
             rewritten_plan,
             decorrelated: ctx.decorrelated,
             used_decorrelated_plan,
-            merged_calls: ctx.merged_calls,
-            aux_aggregates: ctx.aux_aggregates,
+            merged_calls: ctx.merged.len(),
+            aux_aggregates,
             applied_rules,
             notes,
             decision: ctx.decision,
@@ -971,48 +965,6 @@ impl PassManager {
 impl Default for PassManager {
     fn default() -> Self {
         PassManager::decorrelation_pipeline()
-    }
-}
-
-// --------------------------------------------------------------------------- provider
-
-/// A [`SchemaProvider`] that layers the auxiliary aggregates synthesised by the current
-/// rewrite on top of the engine-provided catalog view.
-struct AuxAggregateProvider<'a> {
-    inner: &'a dyn SchemaProvider,
-    aggregates: &'a [AggregateDefinition],
-}
-
-impl SchemaProvider for AuxAggregateProvider<'_> {
-    fn table_schema(&self, table: &str) -> Result<decorr_common::Schema> {
-        self.inner.table_schema(table)
-    }
-
-    fn udf_return_type(&self, name: &str) -> Option<decorr_common::DataType> {
-        self.aggregates
-            .iter()
-            .find(|a| a.name.eq_ignore_ascii_case(name))
-            .map(|a| a.return_type)
-            .or_else(|| self.inner.udf_return_type(name))
-    }
-
-    fn aggregate_empty_value(&self, name: &str) -> Option<decorr_common::Value> {
-        if let Some(agg) = self
-            .aggregates
-            .iter()
-            .find(|a| a.name.eq_ignore_ascii_case(name))
-        {
-            return match &agg.terminate {
-                decorr_algebra::ScalarExpr::Param(p) => agg
-                    .state
-                    .iter()
-                    .find(|(var, _, _)| var == p)
-                    .map(|(_, _, init)| init.clone()),
-                decorr_algebra::ScalarExpr::Literal(v) => Some(v.clone()),
-                _ => None,
-            };
-        }
-        self.inner.aggregate_empty_value(name)
     }
 }
 
@@ -1043,6 +995,17 @@ mod tests {
             )
     }
 
+    /// A registry of `sources`, algebraized against `provider()` the way registration
+    /// does it.
+    fn registry_of(sources: &[&str]) -> FunctionRegistry {
+        let mut registry = FunctionRegistry::new();
+        for source in sources {
+            registry.register_udf(parse_function(source).unwrap());
+        }
+        decorr_rewrite::algebraize_registry(&mut registry, None, &provider());
+        registry
+    }
+
     fn rewrite(plan: &decorr_algebra::RelExpr, registry: &FunctionRegistry) -> OptimizeOutcome {
         PassManager::rewrite_pipeline()
             .optimize(plan, registry, &provider(), None)
@@ -1053,14 +1016,8 @@ mod tests {
     fn decorrelates_example3_discount() {
         // Example 3: after rewriting, no Apply and no UDF call remain and the arithmetic
         // is inlined into the projection (Π_{orderkey, totalprice*0.15}(orders)).
-        let mut registry = FunctionRegistry::new();
-        registry.register_udf(
-            parse_function(
-                "create function discount(float amount) returns float as \
-                 begin return amount * 0.15; end",
-            )
-            .unwrap(),
-        );
+        let registry = registry_of(&["create function discount(float amount) returns float as \
+             begin return amount * 0.15; end"]);
         let plan =
             parse_and_plan("select orderkey, discount(totalprice) as d from orders").unwrap();
         let outcome = rewrite(&plan, &registry);
@@ -1079,21 +1036,17 @@ mod tests {
     fn decorrelates_example1_service_level_into_outer_join() {
         // Example 1 → Example 2: the rewritten form is a left outer join between
         // customer and a grouped aggregation over orders, with a CASE projection.
-        let mut registry = FunctionRegistry::new();
-        registry.register_udf(
-            parse_function(
-                "create function service_level(int ckey) returns char(10) as \
-                 begin \
-                   float totalbusiness; string level; \
-                   select sum(totalprice) into :totalbusiness from orders where custkey = :ckey; \
-                   if (totalbusiness > 1000000) level = 'Platinum'; \
-                   else if (totalbusiness > 500000) level = 'Gold'; \
-                   else level = 'Regular'; \
-                   return level; \
-                 end",
-            )
-            .unwrap(),
-        );
+        let registry = registry_of(&[
+            "create function service_level(int ckey) returns char(10) as \
+             begin \
+               float totalbusiness; string level; \
+               select sum(totalprice) into :totalbusiness from orders where custkey = :ckey; \
+               if (totalbusiness > 1000000) level = 'Platinum'; \
+               else if (totalbusiness > 500000) level = 'Gold'; \
+               else level = 'Regular'; \
+               return level; \
+             end",
+        ]);
         let plan = parse_and_plan("select custkey, service_level(custkey) as level from customer")
             .unwrap();
         let outcome = rewrite(&plan, &registry);
@@ -1149,14 +1102,8 @@ mod tests {
 
     #[test]
     fn non_decorrelatable_udf_keeps_original_plan() {
-        let mut registry = FunctionRegistry::new();
-        registry.register_udf(
-            parse_function(
-                "create function spin(int n) returns int as \
-                 begin int i = 0; while (i < n) begin i = i + 1; end return i; end",
-            )
-            .unwrap(),
-        );
+        let registry = registry_of(&["create function spin(int n) returns int as \
+             begin int i = 0; while (i < n) begin i = i + 1; end return i; end"]);
         let plan = parse_and_plan("select spin(custkey) from customer").unwrap();
         let outcome = rewrite(&plan, &registry);
         assert!(!outcome.decorrelated);

@@ -120,6 +120,9 @@ mod tests {
             )
             .unwrap(),
         );
+        let view = registry.clone();
+        let provider = decorr_exec::CatalogProvider::new(&c, &view);
+        decorr_rewrite::algebraize_registry(&mut registry, None, &provider);
         (c, registry)
     }
 

@@ -16,30 +16,20 @@
 
 use std::collections::{HashMap, HashSet};
 
+use decorr_algebra::schema::infer_schema;
 use decorr_algebra::visit::{map_own_exprs, map_plan_exprs};
 use decorr_algebra::{
-    AggCall, AggFunc, ApplyKind, ProjectItem, RelExpr, ScalarExpr, SchemaProvider,
+    AggCall, AggFunc, ApplyKind, ColumnRef, ProjectItem, RelExpr, ScalarExpr, SchemaProvider,
 };
-use decorr_common::{DataType, Error, Result, Value};
+use decorr_common::{Column, DataType, Error, Result, Value};
 use decorr_udf::analysis::DataDependenceGraph;
 use decorr_udf::{
-    synthesize_aux_aggregate, AggregateDefinition, FunctionRegistry, Statement, UdfDefinition,
+    aux_aggregate_name, synthesize_aux_aggregate, AggregateDefinition, FunctionRegistry, Statement,
+    UdfDefinition,
 };
-
-/// The result of algebraizing a UDF.
-#[derive(Debug, Clone)]
-pub struct AlgebraizedUdf {
-    /// The parameterized expression tree. Its free parameters are exactly the UDF's
-    /// formal parameter names; its output schema is a single column named `retval`.
-    pub plan: RelExpr,
-    /// Auxiliary aggregates synthesised from cursor loops; the caller must register them
-    /// before executing the rewritten plan.
-    pub aux_aggregates: Vec<AggregateDefinition>,
-}
 
 struct Algebraizer<'a> {
     udf: &'a UdfDefinition,
-    registry: &'a FunctionRegistry,
     provider: &'a dyn SchemaProvider,
     /// Formal parameter names.
     params: HashSet<String>,
@@ -50,24 +40,44 @@ struct Algebraizer<'a> {
     /// VII's "initial values statically determinable" condition.
     literal_values: HashMap<String, Value>,
     aux_aggregates: Vec<AggregateDefinition>,
-    aux_counter: usize,
 }
 
-/// Algebraizes a scalar UDF (Section IV; loops per Section VII-A).
+/// Algebraizes the registered UDF `only` names (every one when `None`) against the table
+/// schemas of `provider` and stores each form, or the reason the body declines, in the
+/// UDF's registry record. A form depends on the body and the schemas it reads, never on a
+/// calling query (Froid binds a function once the same way), so merging only looks it up.
+pub fn algebraize_registry(
+    registry: &mut FunctionRegistry,
+    only: Option<&str>,
+    provider: &dyn SchemaProvider,
+) {
+    let forms: Vec<_> = registry
+        .udfs()
+        .filter(|udf| only.is_none_or(|name| udf.name == decorr_common::normalize_ident(name)))
+        .map(|udf| (udf.name.clone(), algebraize_udf(udf, provider)))
+        .collect();
+    for (name, form) in forms {
+        registry.set_form(&name, form);
+    }
+}
+
+/// Algebraizes a scalar UDF (Section IV; loops per Section VII-A) into its form — a plan
+/// whose free parameters are exactly the UDF's formal parameter names and whose output is
+/// one column named `retval` — and the auxiliary aggregates the form calls.
 ///
 /// Fails with [`Error::Unsupported`] / [`Error::Rewrite`] when the UDF falls outside the
 /// decorrelatable class (arbitrary `WHILE` loops, loops whose cyclic part still executes
-/// queries, multiple live-out loop variables, table-valued results in a scalar context).
-/// Callers treat such failures as "keep the iterative plan".
+/// queries, multiple live-out loop variables, conditional inserts into a table-valued
+/// result). [`algebraize_registry`] records such a failure as the UDF's decline reason,
+/// and every call of the UDF keeps the iterative plan.
 pub fn algebraize_udf(
     udf: &UdfDefinition,
-    registry: &FunctionRegistry,
     provider: &dyn SchemaProvider,
-) -> Result<AlgebraizedUdf> {
+) -> Result<(RelExpr, Vec<AggregateDefinition>)> {
     if udf.is_table_valued() {
-        return algebraize_table_udf(udf, registry, provider);
+        return algebraize_table_udf(udf, provider);
     }
-    let mut alg = Algebraizer::new(udf, registry, provider);
+    let mut alg = Algebraizer::new(udf, provider);
     let mut ctx = RelExpr::Single;
     let mut return_plan: Option<RelExpr> = None;
     for stmt in &udf.body {
@@ -93,25 +103,21 @@ pub fn algebraize_udf(
             udf.name
         ))
     })?;
-    Ok(AlgebraizedUdf {
-        plan,
-        aux_aggregates: alg.aux_aggregates,
-    })
+    Ok((plan, alg.aux_aggregates))
 }
 
 /// Algebraizes a table-valued UDF per Section VII-B:
 /// `((S A× Ec) AM Eb) A× Π_{v1 as a1, …}(S)`, restricted to insert-only cursor loops
 /// without cyclic data dependences.
-pub fn algebraize_table_udf(
+fn algebraize_table_udf(
     udf: &UdfDefinition,
-    registry: &FunctionRegistry,
     provider: &dyn SchemaProvider,
-) -> Result<AlgebraizedUdf> {
+) -> Result<(RelExpr, Vec<AggregateDefinition>)> {
     let schema = udf
         .returns_table
         .clone()
         .ok_or_else(|| Error::Internal("algebraize_table_udf on a scalar UDF".into()))?;
-    let mut alg = Algebraizer::new(udf, registry, provider);
+    let mut alg = Algebraizer::new(udf, provider);
     // Find the single cursor loop; everything before it must be simple declarations.
     let mut ctx = RelExpr::Single;
     let mut result: Option<RelExpr> = None;
@@ -198,18 +204,11 @@ pub fn algebraize_table_udf(
     }
     let plan = result
         .ok_or_else(|| Error::Unsupported("table-valued UDF without a cursor loop".to_string()))?;
-    Ok(AlgebraizedUdf {
-        plan,
-        aux_aggregates: alg.aux_aggregates,
-    })
+    Ok((plan, alg.aux_aggregates))
 }
 
 impl<'a> Algebraizer<'a> {
-    fn new(
-        udf: &'a UdfDefinition,
-        registry: &'a FunctionRegistry,
-        provider: &'a dyn SchemaProvider,
-    ) -> Algebraizer<'a> {
+    fn new(udf: &'a UdfDefinition, provider: &'a dyn SchemaProvider) -> Algebraizer<'a> {
         let params: HashSet<String> = udf.param_names().into_iter().collect();
         let mut var_types: Vec<(String, DataType)> = udf
             .params
@@ -219,14 +218,12 @@ impl<'a> Algebraizer<'a> {
         var_types.extend(udf.declared_variables());
         Algebraizer {
             udf,
-            registry,
             provider,
             params,
             locals: HashSet::new(),
             var_types,
             literal_values: HashMap::new(),
             aux_aggregates: vec![],
-            aux_counter: 0,
         }
     }
 
@@ -255,6 +252,55 @@ impl<'a> Algebraizer<'a> {
         let params = self.params.clone();
         let normalized = map_plan_exprs(plan, &mut |e| normalize_ref(e, &locals, &params));
         qualify_plan(&normalized, self.provider)
+    }
+
+    /// Normalizes `query` and projects its first `targets.len()` output columns, renamed
+    /// to `targets`. A query without a projection on top (`select *`) is projected onto
+    /// its output columns as the provider types them; one whose columns cannot be
+    /// inferred (its table does not exist yet) declines.
+    fn columns_as(&self, query: &RelExpr, targets: &[String]) -> Result<RelExpr> {
+        let (input, items, distinct) = match self.normalize_plan(query) {
+            RelExpr::Project {
+                input,
+                items,
+                distinct,
+            } => (input, items, distinct),
+            other => {
+                let schema = infer_schema(&other, self.provider).unwrap_or_default();
+                if schema.len() < targets.len().max(1) {
+                    return Err(Error::Rewrite(
+                        "cannot determine the output columns of an assignment query".into(),
+                    ));
+                }
+                let column = |c: &Column| ColumnRef {
+                    qualifier: c.qualifier.clone(),
+                    name: c.name.clone(),
+                };
+                let items = schema
+                    .columns
+                    .iter()
+                    .map(|c| ProjectItem::new(ScalarExpr::Column(column(c))))
+                    .collect();
+                (Box::new(other), items, false)
+            }
+        };
+        if items.len() < targets.len() {
+            return Err(Error::Rewrite(format!(
+                "query provides {} columns for {} assignment targets",
+                items.len(),
+                targets.len()
+            )));
+        }
+        let items = items
+            .into_iter()
+            .zip(targets)
+            .map(|(item, t)| ProjectItem::aliased(item.expr, t.clone()))
+            .collect();
+        Ok(RelExpr::Project {
+            input,
+            items,
+            distinct,
+        })
     }
 
     /// Algebraizes one non-return statement, extending the running context.
@@ -325,7 +371,9 @@ impl<'a> Algebraizer<'a> {
                 // Assignment from a scalar query uses the query plan directly as the
                 // inner expression; any other expression is a projection on Single.
                 let right = match expr {
-                    ScalarExpr::ScalarSubquery(q) => single_column_as(self.normalize_plan(q), name),
+                    ScalarExpr::ScalarSubquery(q) => {
+                        self.columns_as(q, std::slice::from_ref(name))?
+                    }
                     other => project_on_single(vec![(self.normalize_expr(other), name.clone())]),
                 };
                 Ok(RelExpr::ApplyMerge {
@@ -344,8 +392,7 @@ impl<'a> Algebraizer<'a> {
                     }
                     self.literal_values.remove(t);
                 }
-                let normalized = self.normalize_plan(query);
-                let right = columns_as(normalized, targets)?;
+                let right = self.columns_as(query, targets)?;
                 Ok(RelExpr::ApplyMerge {
                     left: Box::new(ctx),
                     right: Box::new(right),
@@ -415,11 +462,11 @@ impl<'a> Algebraizer<'a> {
     /// output columns renamed to the fetch variables (the `fetch next … into` is modelled
     /// as an assignment, Section VII-A).
     fn cursor_context(&mut self, query: &RelExpr, fetch_vars: &[String]) -> Result<RelExpr> {
-        let normalized = self.normalize_plan(query);
+        let context = self.columns_as(query, fetch_vars)?;
         for v in fetch_vars {
             self.locals.insert(v.clone());
         }
-        columns_as(normalized, fetch_vars)
+        Ok(context)
     }
 
     fn algebraize_cursor_loop(
@@ -466,15 +513,8 @@ impl<'a> Algebraizer<'a> {
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        self.aux_counter += 1;
-        let base_name = self.registry.fresh_aggregate_name(&self.udf.name);
-        let name = if self.aux_counter == 1 {
-            base_name
-        } else {
-            format!("{base_name}_{}", self.aux_counter)
-        };
-        let synthesized = synthesize_aux_aggregate(
-            &name,
+        let definition = synthesize_aux_aggregate(
+            &aux_aggregate_name(&self.udf.name, self.aux_aggregates.len() + 1),
             cyclic,
             &known,
             &initial_values,
@@ -482,10 +522,10 @@ impl<'a> Algebraizer<'a> {
             &live_out,
         )?;
         // E_b = G_{aux(args) as live_out}(E_in)
-        let agg_args: Vec<ScalarExpr> = synthesized
-            .arg_names
+        let agg_args: Vec<ScalarExpr> = definition
+            .params
             .iter()
-            .map(|a| ScalarExpr::column(a.clone()))
+            .map(|p| ScalarExpr::column(p.name.clone()))
             .collect();
         // The aggregate's output gets a fresh name so it never collides with the context
         // variable it is assigned to.
@@ -494,12 +534,12 @@ impl<'a> Algebraizer<'a> {
             input: Box::new(loop_ctx),
             group_by: vec![],
             aggregates: vec![AggCall::new(
-                AggFunc::UserDefined(synthesized.definition.name.clone()),
+                AggFunc::UserDefined(definition.name.clone()),
                 agg_args,
                 agg_alias.clone(),
             )],
         };
-        self.aux_aggregates.push(synthesized.definition);
+        self.aux_aggregates.push(definition);
         // The loop's contribution merges the aggregate result into the context variable.
         if !self.locals.contains(&live_out) {
             return Err(Error::Rewrite(format!(
@@ -559,7 +599,7 @@ impl<'a> Algebraizer<'a> {
     /// Attaches the RETURN expression: `Π_retval(ctx A× right)` (Section IV).
     fn attach_return(&mut self, ctx: RelExpr, expr: &ScalarExpr) -> Result<RelExpr> {
         let right = match expr {
-            ScalarExpr::ScalarSubquery(q) => single_column_as(self.normalize_plan(q), "retval"),
+            ScalarExpr::ScalarSubquery(q) => self.columns_as(q, &["retval".into()])?,
             other => project_on_single(vec![(self.normalize_expr(other), "retval".into())]),
         };
         let applied = RelExpr::Apply {
@@ -585,70 +625,6 @@ fn project_on_single(items: Vec<(ScalarExpr, String)>) -> RelExpr {
             .map(|(e, n)| ProjectItem::aliased(e, n))
             .collect(),
         distinct: false,
-    }
-}
-
-/// Renames the first output column of `plan` to `name` (keeping only that column).
-fn single_column_as(plan: RelExpr, name: &str) -> RelExpr {
-    columns_as(plan, std::slice::from_ref(&name.to_string())).expect("one target")
-}
-
-/// Projects the first `targets.len()` output columns of `plan`, renamed to `targets`.
-/// The projection references columns positionally through whatever projection `plan`
-/// already has on top (queries produced by the planner always end in a projection).
-fn columns_as(plan: RelExpr, targets: &[String]) -> Result<RelExpr> {
-    match plan {
-        RelExpr::Project {
-            input,
-            items,
-            distinct,
-        } => {
-            if items.len() < targets.len() {
-                return Err(Error::Rewrite(format!(
-                    "query provides {} columns for {} assignment targets",
-                    items.len(),
-                    targets.len()
-                )));
-            }
-            let renamed = items
-                .into_iter()
-                .take(targets.len())
-                .zip(targets.iter())
-                .map(|(item, t)| ProjectItem::aliased(item.expr, t.clone()))
-                .collect();
-            Ok(RelExpr::Project {
-                input,
-                items: renamed,
-                distinct,
-            })
-        }
-        // Aggregates and other shapes: wrap in a positional projection by output name.
-        other => {
-            let provider = decorr_algebra::EmptyProvider;
-            let schema = decorr_algebra::schema::infer_schema(&other, &provider)
-                .unwrap_or_else(|_| decorr_common::Schema::empty());
-            if !schema.is_empty() && schema.len() >= targets.len() {
-                let items = targets
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        ProjectItem::aliased(
-                            ScalarExpr::column(schema.column(i).name.clone()),
-                            t.clone(),
-                        )
-                    })
-                    .collect();
-                Ok(RelExpr::Project {
-                    input: Box::new(other),
-                    items,
-                    distinct: false,
-                })
-            } else {
-                Err(Error::Rewrite(
-                    "cannot determine the output columns of an assignment query".into(),
-                ))
-            }
-        }
     }
 }
 
@@ -719,12 +695,23 @@ mod tests {
     use decorr_algebra::display::explain;
     use decorr_parser::parse_function;
 
-    fn registry() -> FunctionRegistry {
-        FunctionRegistry::new()
+    /// A UDF's form and the auxiliary aggregates it calls.
+    #[derive(Debug)]
+    struct Algebraized {
+        plan: RelExpr,
+        aux_aggregates: Vec<AggregateDefinition>,
     }
 
-    fn algebraize(udf: &UdfDefinition) -> Result<AlgebraizedUdf> {
-        algebraize_udf(udf, &registry(), &decorr_algebra::EmptyProvider)
+    fn algebraize_with(udf: &UdfDefinition, provider: &dyn SchemaProvider) -> Result<Algebraized> {
+        let (plan, aux_aggregates) = algebraize_udf(udf, provider)?;
+        Ok(Algebraized {
+            plan,
+            aux_aggregates,
+        })
+    }
+
+    fn algebraize(udf: &UdfDefinition) -> Result<Algebraized> {
+        algebraize_with(udf, &decorr_algebra::EmptyProvider)
     }
 
     #[test]
@@ -881,5 +868,80 @@ mod tests {
         )
         .unwrap();
         assert_eq!(algebraize(&udf).unwrap_err().kind(), "unsupported");
+    }
+
+    #[test]
+    fn each_loop_gets_its_ordinal_aggregate_name() {
+        let udf = parse_function(
+            "create function f(int k) returns int as \
+             begin \
+               int a = 0; int b = 0; \
+               declare c cursor for select x from t where k = :k; \
+               open c; fetch next from c into @v; \
+               while @@fetch_status = 0 a = a + @v; fetch next from c into @v; \
+               close c; deallocate c; \
+               declare d cursor for select x from t; \
+               open d; fetch next from d into @w; \
+               while @@fetch_status = 0 b = b + @w; fetch next from d into @w; \
+               close d; deallocate d; \
+               return a + b; \
+             end",
+        )
+        .unwrap();
+        let names: Vec<String> = algebraize(&udf)
+            .unwrap()
+            .aux_aggregates
+            .into_iter()
+            .map(|a| a.name)
+            .collect();
+        assert_eq!(names, ["aux_agg_f", "aux2_agg_f"]);
+    }
+
+    #[test]
+    fn a_projection_less_query_is_typed_by_the_provider_or_declines() {
+        // `select *` plans without a projection: its output columns come from the
+        // table schema, and without one the body declines instead of panicking.
+        let udf = parse_function(
+            "create function s(int k) returns int as \
+             begin return select * from one where c = :k; end",
+        )
+        .unwrap();
+        let err = algebraize(&udf).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("cannot determine the output columns"));
+        let one = decorr_algebra::MapProvider::new().with_table(
+            "one",
+            decorr_common::Schema::new(vec![decorr_common::Column::new("c", DataType::Int)]),
+        );
+        let out = algebraize_with(&udf, &one).unwrap();
+        assert!(explain(&out.plan).contains("one.c as retval"));
+        assert_eq!(
+            decorr_algebra::visit::free_params(&out.plan),
+            vec!["k".to_string()]
+        );
+    }
+
+    #[test]
+    fn the_registry_records_forms_and_declines() {
+        let mut registry = FunctionRegistry::new();
+        for source in [
+            "create function ok(int x) returns int as begin return x + 1; end",
+            "create function no(int x) returns int as \
+             begin if (x > 0) return 1; else return 0; end",
+        ] {
+            registry.register_udf(parse_function(source).unwrap());
+        }
+        algebraize_registry(&mut registry, Some("OK"), &decorr_algebra::EmptyProvider);
+        assert!(registry.record("ok").unwrap().form.is_ok());
+        let pending = registry.record("no").unwrap().form.clone().unwrap_err();
+        assert!(pending
+            .to_string()
+            .contains("no algebraic form derived yet"));
+        algebraize_registry(&mut registry, None, &decorr_algebra::EmptyProvider);
+        let reason = registry.record("no").unwrap().form.clone().unwrap_err();
+        assert!(reason
+            .to_string()
+            .contains("RETURN inside a conditional branch"));
     }
 }

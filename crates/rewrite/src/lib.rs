@@ -2,11 +2,13 @@
 //!
 //! The pipeline mirrors Figure 9 of the paper:
 //!
-//! 1. [`algebraize`] — build a *parameterized algebraic expression* for each UDF used by
-//!    the query (Section IV), handling assignments, scalar queries, conditional
-//!    branching, and cursor loops via auxiliary aggregates (Section VII).
-//! 2. [`merge`] — merge the UDF expression with the calling query block using the Apply
-//!    operator with the *bind* extension (Section V, rule K6).
+//! 1. [`algebraize`] — build a *parameterized algebraic expression* for each registered
+//!    UDF (Section IV), handling assignments, scalar queries, conditional branching, and
+//!    cursor loops via auxiliary aggregates (Section VII). This runs once, when a function
+//!    is registered ([`algebraize_registry`]), and the form lives in the UDF's registry
+//!    record.
+//! 2. [`merge`] — merge each invoked UDF's recorded form with the calling query block
+//!    using the Apply operator with the *bind* extension (Section V, rule K6).
 //! 3. [`rules`] — remove the Apply operators using the known rules K1–K6 of
 //!    Galindo-Legaria & Joshi and the paper's new rules R1–R9, plus the standard
 //!    correlated-scalar-aggregate decorrelation and cleanup rules
@@ -26,7 +28,7 @@ pub mod merge;
 pub mod rules;
 pub mod sql_gen;
 
-pub use algebraize::{algebraize_udf, AlgebraizedUdf};
+pub use algebraize::{algebraize_registry, algebraize_udf};
 pub use merge::{merge_udf_calls, MergeOutcome};
 pub use rules::{FixpointEngine, FixpointOutcome, RuleSet};
 pub use sql_gen::plan_to_sql;

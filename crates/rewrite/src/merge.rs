@@ -1,65 +1,51 @@
 //! Expression tree merging (Section V).
 //!
 //! For every UDF invocation in a SELECT list or WHERE clause, the invocation is replaced
-//! by a reference to the `retval` column of the UDF's algebraic form, and the calling
-//! block's input is wrapped in an Apply operator with the *bind* extension that maps the
-//! formal parameters to the actual-argument expressions (rule K6 + the bind extension of
+//! by a reference to the `retval` column of the UDF's algebraic form — derived once, at
+//! registration, and read from the UDF's registry record — and the calling block's input
+//! is wrapped in an Apply operator with the *bind* extension that maps the formal
+//! parameters to the actual-argument expressions (rule K6 + the bind extension of
 //! Section III).
 
 use std::collections::HashMap;
 
 use decorr_algebra::plan::ParamBinding;
 use decorr_algebra::visit::transform_plan_deep;
-use decorr_algebra::{ApplyKind, ProjectItem, RelExpr, ScalarExpr, SchemaProvider};
+use decorr_algebra::{ApplyKind, ProjectItem, RelExpr, ScalarExpr};
 use decorr_common::{Error, Result};
-use decorr_udf::{AggregateDefinition, FunctionRegistry};
-
-use crate::algebraize::algebraize_udf;
+use decorr_udf::FunctionRegistry;
 
 /// The result of merging UDF invocations into a query plan.
 #[derive(Debug, Clone)]
 pub struct MergeOutcome {
     pub plan: RelExpr,
-    /// Number of UDF invocations that were replaced by algebraic forms.
-    pub merged_calls: usize,
-    /// UDF invocations that could not be algebraized (name and reason); they remain as
+    /// The UDF of each invocation replaced by its algebraic form, in merge order.
+    pub merged: Vec<String>,
+    /// UDF invocations that could not be merged (name and reason); they remain as
     /// iterative calls in the plan.
     pub skipped: Vec<(String, String)>,
-    /// Auxiliary aggregates synthesised while algebraizing cursor loops.
-    pub aux_aggregates: Vec<AggregateDefinition>,
 }
 
 /// Merges every algebraizable UDF invocation found in SELECT lists (projections) and
 /// WHERE clauses (selections) of the plan.
-pub fn merge_udf_calls(
-    plan: &RelExpr,
-    registry: &FunctionRegistry,
-    provider: &dyn SchemaProvider,
-) -> Result<MergeOutcome> {
+pub fn merge_udf_calls(plan: &RelExpr, registry: &FunctionRegistry) -> Result<MergeOutcome> {
     let mut state = MergeState {
         registry,
-        provider,
-        counter: 0,
-        merged_calls: 0,
+        merged: vec![],
         skipped: vec![],
-        aux_aggregates: vec![],
     };
     let plan = merge_in_plan(plan, &mut state)?;
     Ok(MergeOutcome {
         plan,
-        merged_calls: state.merged_calls,
+        merged: state.merged,
         skipped: state.skipped,
-        aux_aggregates: state.aux_aggregates,
     })
 }
 
 struct MergeState<'a> {
     registry: &'a FunctionRegistry,
-    provider: &'a dyn SchemaProvider,
-    counter: usize,
-    merged_calls: usize,
+    merged: Vec<String>,
     skipped: Vec<(String, String)>,
-    aux_aggregates: Vec<AggregateDefinition>,
 }
 
 fn merge_in_plan(plan: &RelExpr, state: &mut MergeState) -> Result<RelExpr> {
@@ -124,13 +110,13 @@ fn replace_udf_calls(
                 .iter()
                 .map(|a| replace_udf_calls(a, input, state))
                 .collect::<Result<Vec<_>>>()?;
-            if !state.registry.has_udf(name) {
+            let (Ok(udf), Some(record)) = (state.registry.udf(name), state.registry.record(name))
+            else {
                 return Ok(ScalarExpr::UdfCall {
                     name: name.clone(),
                     args: new_args,
                 });
-            }
-            let udf = state.registry.udf(name)?;
+            };
             if udf.is_table_valued() {
                 state.skipped.push((
                     name.clone(),
@@ -148,13 +134,12 @@ fn replace_udf_calls(
                     new_args.len()
                 )));
             }
-            match algebraize_udf(udf, state.registry, state.provider) {
-                Ok(algebraized) => {
-                    state.merged_calls += 1;
-                    state.aux_aggregates.extend(algebraized.aux_aggregates);
-                    let alias = format!("__udf{}", state.counter);
-                    let body = uniquify_body_qualifiers(&algebraized.plan, state.counter);
-                    state.counter += 1;
+            match &record.form {
+                Ok(form) => {
+                    let ordinal = state.merged.len();
+                    state.merged.push(udf.name.clone());
+                    let alias = format!("__udf{ordinal}");
+                    let body = uniquify_body_qualifiers(form, ordinal);
                     // Π_{retval as __udfN}(E_udf): keeps each invocation's output name
                     // unique when a query invokes several UDFs.
                     let right = RelExpr::Project {
@@ -180,8 +165,8 @@ fn replace_udf_calls(
                     };
                     ScalarExpr::column(alias)
                 }
-                Err(e) => {
-                    state.skipped.push((name.clone(), e.to_string()));
+                Err(reason) => {
+                    state.skipped.push((name.clone(), reason.to_string()));
                     ScalarExpr::UdfCall {
                         name: name.clone(),
                         args: new_args,
@@ -296,16 +281,19 @@ mod tests {
     use decorr_algebra::display::explain;
     use decorr_parser::{parse_and_plan, parse_function};
 
-    fn registry_with_discount() -> FunctionRegistry {
+    /// A registry of `sources`, algebraized the way registration does it.
+    fn registry_of(sources: &[&str]) -> FunctionRegistry {
         let mut registry = FunctionRegistry::new();
-        registry.register_udf(
-            parse_function(
-                "create function discount(float amount) returns float as \
-                 begin return amount * 0.15; end",
-            )
-            .unwrap(),
-        );
+        for source in sources {
+            registry.register_udf(parse_function(source).unwrap());
+        }
+        crate::algebraize_registry(&mut registry, None, &decorr_algebra::EmptyProvider);
         registry
+    }
+
+    fn registry_with_discount() -> FunctionRegistry {
+        registry_of(&["create function discount(float amount) returns float as \
+                       begin return amount * 0.15; end"])
     }
 
     #[test]
@@ -313,8 +301,8 @@ mod tests {
         let registry = registry_with_discount();
         let plan =
             parse_and_plan("select orderkey, discount(totalprice) as d from orders").unwrap();
-        let outcome = merge_udf_calls(&plan, &registry, &decorr_algebra::EmptyProvider).unwrap();
-        assert_eq!(outcome.merged_calls, 1);
+        let outcome = merge_udf_calls(&plan, &registry).unwrap();
+        assert_eq!(outcome.merged.len(), 1);
         assert!(outcome.skipped.is_empty());
         let text = explain(&outcome.plan);
         assert!(text.contains("Apply(cross) bind:amount=totalprice"));
@@ -327,8 +315,8 @@ mod tests {
         let registry = registry_with_discount();
         let plan =
             parse_and_plan("select orderkey from orders where discount(totalprice) > 100").unwrap();
-        let outcome = merge_udf_calls(&plan, &registry, &decorr_algebra::EmptyProvider).unwrap();
-        assert_eq!(outcome.merged_calls, 1);
+        let outcome = merge_udf_calls(&plan, &registry).unwrap();
+        assert_eq!(outcome.merged.len(), 1);
         let text = explain(&outcome.plan);
         assert!(text.contains("Select [(__udf0 > 100)]"));
         assert!(text.contains("Apply(cross) bind:amount=totalprice"));
@@ -338,24 +326,18 @@ mod tests {
     fn unknown_functions_are_left_alone() {
         let registry = FunctionRegistry::new();
         let plan = parse_and_plan("select mystery(totalprice) from orders").unwrap();
-        let outcome = merge_udf_calls(&plan, &registry, &decorr_algebra::EmptyProvider).unwrap();
-        assert_eq!(outcome.merged_calls, 0);
+        let outcome = merge_udf_calls(&plan, &registry).unwrap();
+        assert_eq!(outcome.merged.len(), 0);
         assert!(outcome.plan.contains_udf_call());
     }
 
     #[test]
     fn non_algebraizable_udf_is_skipped_with_reason() {
-        let mut registry = FunctionRegistry::new();
-        registry.register_udf(
-            parse_function(
-                "create function spin(int n) returns int as \
-                 begin int i = 0; while (i < n) begin i = i + 1; end return i; end",
-            )
-            .unwrap(),
-        );
+        let registry = registry_of(&["create function spin(int n) returns int as \
+             begin int i = 0; while (i < n) begin i = i + 1; end return i; end"]);
         let plan = parse_and_plan("select spin(custkey) from customer").unwrap();
-        let outcome = merge_udf_calls(&plan, &registry, &decorr_algebra::EmptyProvider).unwrap();
-        assert_eq!(outcome.merged_calls, 0);
+        let outcome = merge_udf_calls(&plan, &registry).unwrap();
+        assert_eq!(outcome.merged.len(), 0);
         assert_eq!(outcome.skipped.len(), 1);
         assert!(outcome.skipped[0].1.contains("WHILE"));
         assert!(outcome.plan.contains_udf_call());
@@ -368,8 +350,8 @@ mod tests {
             "select discount(totalprice) as d1, discount(totalprice * 2) as d2 from orders",
         )
         .unwrap();
-        let outcome = merge_udf_calls(&plan, &registry, &decorr_algebra::EmptyProvider).unwrap();
-        assert_eq!(outcome.merged_calls, 2);
+        let outcome = merge_udf_calls(&plan, &registry).unwrap();
+        assert_eq!(outcome.merged.len(), 2);
         let text = explain(&outcome.plan);
         assert!(text.contains("retval as __udf0"));
         assert!(text.contains("retval as __udf1"));
@@ -377,17 +359,11 @@ mod tests {
 
     #[test]
     fn body_scans_of_the_calling_table_get_fresh_aliases() {
-        let mut registry = FunctionRegistry::new();
-        registry.register_udf(
-            parse_function(
-                "create function grp_total(int k) returns float as \
-                 begin return select sum(totalprice) from orders where custkey = :k; end",
-            )
-            .unwrap(),
-        );
+        let registry = registry_of(&["create function grp_total(int k) returns float as \
+             begin return select sum(totalprice) from orders where custkey = :k; end"]);
         let plan = parse_and_plan("select custkey, grp_total(custkey) from orders").unwrap();
-        let outcome = merge_udf_calls(&plan, &registry, &decorr_algebra::EmptyProvider).unwrap();
-        assert_eq!(outcome.merged_calls, 1);
+        let outcome = merge_udf_calls(&plan, &registry).unwrap();
+        assert_eq!(outcome.merged.len(), 1);
         let text = explain(&outcome.plan);
         // The inlined body must scan `orders` under a fresh alias so its columns cannot
         // collide with the outer query's `orders` columns once :k is substituted.

@@ -133,6 +133,17 @@ impl Catalog {
         Ok(self.table(name)?.schema().clone())
     }
 
+    /// True when `other` holds the same table names with the same schemas: whatever
+    /// was bound against one catalog's schemas is bound right against the other's.
+    pub fn same_schemas(&self, other: &Catalog) -> bool {
+        self.tables.len() == other.tables.len()
+            && self
+                .tables
+                .iter()
+                .zip(&other.tables)
+                .all(|((a, t), (b, u))| a == b && (Arc::ptr_eq(t, u) || t.schema() == u.schema()))
+    }
+
     /// Convenience: inserts rows into a table. Bumps the data generation (but not the
     /// DDL generation — plans stay valid, memoized UDF results do not).
     pub fn insert_rows(&mut self, name: &str, rows: Vec<Row>) -> Result<usize> {
@@ -251,6 +262,28 @@ mod tests {
             &c.table_arc("a").unwrap(),
             &snapshot.table_arc("a").unwrap()
         ));
+    }
+
+    #[test]
+    fn only_table_ddl_changes_the_schemas() {
+        let mut c = Catalog::new();
+        c.create_table("t", schema()).unwrap();
+        let before = c.clone();
+        c.insert_rows("t", vec![Row::new(vec![1.into(), "a".into()])])
+            .unwrap();
+        c.create_index("t", "k").unwrap();
+        c.analyze_all(&decorr_stats::AnalyzeConfig::default());
+        assert!(c.same_schemas(&before));
+        c.drop_table("t").unwrap();
+        assert!(!c.same_schemas(&before));
+        c.create_table("t", Schema::new(vec![Column::new("k", DataType::Int)]))
+            .unwrap();
+        assert!(!c.same_schemas(&before));
+        c.drop_table("t").unwrap();
+        c.create_table("t", schema()).unwrap();
+        assert!(c.same_schemas(&before));
+        c.create_table("u", schema()).unwrap();
+        assert!(!c.same_schemas(&before) && !before.same_schemas(&c));
     }
 
     #[test]

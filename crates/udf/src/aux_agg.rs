@@ -20,23 +20,34 @@ use decorr_common::{DataType, Error, Result, Value};
 use crate::analysis::{statement_reads, statement_writes};
 use crate::ast::{AggregateDefinition, Statement, UdfParameter};
 
-/// The result of aggregate synthesis: the aggregate definition plus bookkeeping the
-/// rewrite needs to wire it into the plan.
-#[derive(Debug, Clone)]
-pub struct AuxAggregateResult {
-    pub definition: AggregateDefinition,
-    /// The loop variable whose final value the aggregate returns (the variable that is
-    /// live after the loop).
-    pub live_out: String,
-    /// The variables the accumulate step reads but does not modify — these become the
-    /// aggregate's arguments, in this order.
-    pub arg_names: Vec<String>,
+/// The name of the auxiliary aggregate synthesised for the `ordinal`-th (from 1) cursor
+/// loop of UDF `udf`: `aux_agg_<udf>` for the first loop, `aux<k>_agg_<udf>` for the
+/// k-th. Distinct (UDF, ordinal) pairs get distinct names: only a first loop's name
+/// starts with `aux_`, and the digits before `_agg_` fix the ordinal of any other.
+pub fn aux_aggregate_name(udf: &str, ordinal: usize) -> String {
+    let udf = decorr_common::normalize_ident(udf);
+    match ordinal {
+        1 => format!("aux_agg_{udf}"),
+        k => format!("aux{k}_agg_{udf}"),
+    }
+}
+
+/// True for a name of the shape [`aux_aggregate_name`] mints (`aux_agg_…`,
+/// `aux<digits>_agg_…`). `CREATE FUNCTION` refuses such names whatever is registered,
+/// so the rule does not depend on the order functions are registered or restored in.
+pub fn is_aux_aggregate_name(name: &str) -> bool {
+    let name = decorr_common::normalize_ident(name);
+    name.strip_prefix("aux").is_some_and(|rest| {
+        rest.trim_start_matches(|c: char| c.is_ascii_digit())
+            .starts_with("_agg_")
+    })
 }
 
 /// Synthesises an auxiliary aggregate for the cyclic suffix `cyclic_stmts` of a cursor
-/// loop body.
+/// loop body. Its parameters are the variables the accumulate step reads but does not
+/// modify, in name order: the call's arguments.
 ///
-/// * `name` — name to give the aggregate (`aux_agg_<udf>` by convention).
+/// * `name` — name to give the aggregate (see [`aux_aggregate_name`]).
 /// * `cyclic_stmts` — the statements `Li … Lk` of the loop body.
 /// * `known_vars` — every variable in scope inside the loop (locals, parameters, fetch
 ///   variables).
@@ -52,7 +63,7 @@ pub fn synthesize_aux_aggregate(
     initial_values: &[(String, Value)],
     var_types: &[(String, DataType)],
     live_out: &str,
-) -> Result<AuxAggregateResult> {
+) -> Result<AggregateDefinition> {
     if cyclic_stmts.is_empty() {
         return Err(Error::Rewrite(
             "cannot synthesise an aggregate from an empty statement list".into(),
@@ -123,19 +134,13 @@ pub fn synthesize_aux_aggregate(
              is not written inside the loop"
         )));
     }
-    let return_type = lookup_type(var_types, live_out).unwrap_or(DataType::Float);
-    let definition = AggregateDefinition {
+    Ok(AggregateDefinition {
         name: decorr_common::normalize_ident(name),
         state,
         params,
         accumulate: cyclic_stmts.to_vec(),
         terminate: ScalarExpr::param(live_out),
-        return_type,
-    };
-    Ok(AuxAggregateResult {
-        definition,
-        live_out: live_out.to_string(),
-        arg_names,
+        return_type: lookup_type(var_types, live_out).unwrap_or(DataType::Float),
     })
 }
 
@@ -170,7 +175,7 @@ mod tests {
 
     #[test]
     fn synthesises_example6_aggregate() {
-        let result = synthesize_aux_aggregate(
+        let agg = synthesize_aux_aggregate(
             "aux_agg",
             &cyclic_node(),
             &vars(&["profit", "total_loss"]),
@@ -182,14 +187,12 @@ mod tests {
             "total_loss",
         )
         .unwrap();
-        let agg = &result.definition;
         assert_eq!(agg.name, "aux_agg");
         assert_eq!(
             agg.state,
             vec![("total_loss".into(), DataType::Int, Value::Int(0))]
         );
-        assert_eq!(result.arg_names, vec!["profit".to_string()]);
-        assert_eq!(agg.params.len(), 1);
+        assert_eq!(agg.params, [UdfParameter::new("profit", DataType::Float)]);
         assert_eq!(agg.return_type, DataType::Int);
         assert_eq!(agg.terminate, E::param("total_loss"));
         // The accumulate body is exactly the cyclic statements (Example 6).
@@ -197,6 +200,35 @@ mod tests {
         let rendered = agg.to_string();
         assert!(rendered.contains("state:"));
         assert!(rendered.contains("accumulate:"));
+    }
+
+    #[test]
+    fn aggregate_names_are_injective_stable_identifiers() {
+        assert_eq!(aux_aggregate_name("TotalLoss", 1), "aux_agg_totalloss");
+        assert_eq!(aux_aggregate_name("f", 2), "aux2_agg_f");
+        // `f`'s second loop and `f_2`'s first loop no longer collide.
+        assert_ne!(aux_aggregate_name("f", 2), aux_aggregate_name("f_2", 1));
+        let mut seen = HashSet::new();
+        for udf in ["f", "f_2", "agg_f", "2_agg_f", "aux_agg_f", "aux2_agg_f"] {
+            for ordinal in 1..=12 {
+                let name = aux_aggregate_name(udf, ordinal);
+                assert!(seen.insert(name.clone()), "{name} minted twice");
+                assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
+                assert!(name.starts_with(|c: char| c.is_ascii_alphabetic()));
+                assert!(is_aux_aggregate_name(&name), "{name}");
+            }
+        }
+        for plain in [
+            "aux",
+            "auxiliary",
+            "aux_total",
+            "aux2agg_f",
+            "agg_aux_f",
+            "xaux_agg_f",
+        ] {
+            assert!(!is_aux_aggregate_name(plain), "{plain}");
+        }
+        assert!(is_aux_aggregate_name("AUX_AGG_F"));
     }
 
     #[test]

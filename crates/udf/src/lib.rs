@@ -5,9 +5,10 @@
 //! * [`ast`] — the procedural AST (`CREATE FUNCTION` bodies): declarations, assignments,
 //!   `SELECT … INTO`, if-then-else, cursor loops, `WHILE` loops, `RETURN`, and inserts
 //!   into a table-valued result.
-//! * [`registry`] — the function registry holding scalar/table-valued UDF definitions and
-//!   user-defined aggregates (both user-written and the auxiliary aggregates synthesised
-//!   by the rewrite of Section VII).
+//! * [`registry`] — the function registry holding scalar/table-valued UDF definitions,
+//!   each with the record registration derives from its body (algebraic form or decline
+//!   reason, auxiliary aggregates, read set), and user-defined aggregates (both
+//!   user-written and the auxiliary aggregates synthesised by the rewrite of Section VII).
 //! * [`analysis`] — read/write sets of statements and the data-dependence graph (DDG) of
 //!   Section VII-A, with cycle detection to find loop-carried dependences.
 //! * [`aux_agg`] — synthesis of the auxiliary user-defined aggregate (the paper's
@@ -19,5 +20,5 @@ pub mod aux_agg;
 pub mod registry;
 
 pub use ast::{AggregateDefinition, Statement, UdfDefinition, UdfParameter};
-pub use aux_agg::{synthesize_aux_aggregate, AuxAggregateResult};
-pub use registry::FunctionRegistry;
+pub use aux_agg::{aux_aggregate_name, is_aux_aggregate_name, synthesize_aux_aggregate};
+pub use registry::{FunctionRegistry, UdfRecord};

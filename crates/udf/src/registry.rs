@@ -1,7 +1,9 @@
 //! The function registry: scalar/table-valued UDFs and user-defined aggregates.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use decorr_algebra::RelExpr;
 use decorr_common::{normalize_ident, DataType, Error, Result};
 
 use crate::ast::{AggregateDefinition, UdfDefinition};
@@ -9,18 +11,36 @@ use crate::ast::{AggregateDefinition, UdfDefinition};
 /// Holds every registered user-defined function and aggregate.
 ///
 /// The registry is shared by the interpreter (which executes UDF bodies iteratively),
-/// the rewriter (which algebraizes them and registers synthesised auxiliary aggregates),
-/// and schema inference (which needs return types).
+/// the rewriter (which merges each UDF's algebraic form into calling queries), and
+/// schema inference (which needs return types). A UDF's entry holds its definition and
+/// the [`UdfRecord`] registration derives from the body, so no query re-derives it.
 ///
-/// Every mutation bumps a monotonic [`generation`](FunctionRegistry::generation)
+/// Every registration bumps a monotonic [`generation`](FunctionRegistry::generation)
 /// counter. The optimizer's plan cache folds the generation into its cache key, so a
 /// `CREATE OR REPLACE` of a UDF makes every plan optimized against the old definition
-/// unreachable — the cache can never serve a plan built from a stale UDF body.
+/// unreachable — the cache can never serve a plan built from a stale UDF body. Storing
+/// a record does not bump it: a record changes with its definition, or with table DDL,
+/// which moves the catalog's DDL generation every cache also keys on.
 #[derive(Debug, Default, Clone)]
 pub struct FunctionRegistry {
-    udfs: BTreeMap<String, UdfDefinition>,
+    /// Shared, so copying the registry copies a pointer per UDF, not bodies and forms.
+    udfs: BTreeMap<String, (Arc<UdfDefinition>, Arc<UdfRecord>)>,
     aggregates: BTreeMap<String, AggregateDefinition>,
     generation: u64,
+}
+
+/// What registration derives from one UDF body.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UdfRecord {
+    /// The algebraic form (Sections IV and VII): a plan whose free parameters are the
+    /// UDF's formals and whose output is `retval` (or the result table's columns); or
+    /// why the body falls outside the decorrelatable class.
+    pub form: Result<RelExpr>,
+    /// The auxiliary aggregates `form` calls, registered in this registry, in loop order.
+    pub aux_aggregates: Vec<String>,
+    /// Every table the body can read, transitively through its callees. `None` is an
+    /// open set: some reachable callee is not registered, so its reads are unknown.
+    pub reads: Option<Vec<String>>,
 }
 
 impl FunctionRegistry {
@@ -29,17 +49,70 @@ impl FunctionRegistry {
     }
 
     /// Registers a UDF, replacing any previous definition with the same name
-    /// (`CREATE OR REPLACE` semantics). Bumps the registry generation so cached plans
-    /// derived from a previous definition become unreachable.
+    /// (`CREATE OR REPLACE` semantics) together with its record and auxiliary
+    /// aggregates. Bumps the registry generation so cached plans derived from a previous
+    /// definition become unreachable. The new record declines, with an open read set,
+    /// until [`set_form`](FunctionRegistry::set_form) stores a form.
     pub fn register_udf(&mut self, udf: UdfDefinition) {
         self.generation += 1;
-        self.udfs.insert(udf.name.clone(), udf);
+        let record = UdfRecord {
+            form: Err(Error::Rewrite("no algebraic form derived yet".into())),
+            aux_aggregates: vec![],
+            reads: None,
+        };
+        let name = udf.name.clone();
+        if let Some((_, replaced)) = self.udfs.insert(name, (Arc::new(udf), Arc::new(record))) {
+            for aux in &replaced.aux_aggregates {
+                self.aggregates.remove(aux);
+            }
+        }
     }
 
-    /// Registers a user-defined aggregate (including synthesised auxiliary aggregates).
+    /// Registers a user-defined aggregate.
     pub fn register_aggregate(&mut self, agg: AggregateDefinition) {
         self.generation += 1;
         self.aggregates.insert(agg.name.clone(), agg);
+    }
+
+    /// Stores a registered UDF's algebraic form and registers the auxiliary aggregates it
+    /// calls in place of the previous form's — or stores the reason it has none. A form
+    /// whose aggregate name another function holds is stored as a decline instead.
+    pub fn set_form(&mut self, name: &str, form: Result<(RelExpr, Vec<AggregateDefinition>)>) {
+        let key = normalize_ident(name);
+        let Some((udf, old)) = self.udfs.get(&key).cloned() else {
+            return;
+        };
+        for aux in &old.aux_aggregates {
+            self.aggregates.remove(aux);
+        }
+        let taken = |a: &&AggregateDefinition| self.has_udf(&a.name) || self.has_aggregate(&a.name);
+        let form = form.and_then(|(plan, aux)| match aux.iter().find(taken) {
+            Some(a) => Err(Error::Rewrite(format!(
+                "the auxiliary aggregate name '{}' is taken by another function",
+                a.name
+            ))),
+            None => Ok((plan, aux)),
+        });
+        let (form, aux_aggregates) = match form {
+            Ok((plan, aux)) => (Ok(plan), aux),
+            Err(reason) => (Err(reason), vec![]),
+        };
+        let record = UdfRecord {
+            form,
+            aux_aggregates: aux_aggregates.iter().map(|a| a.name.clone()).collect(),
+            reads: old.reads.clone(),
+        };
+        self.aggregates
+            .extend(aux_aggregates.into_iter().map(|a| (a.name.clone(), a)));
+        self.udfs.insert(key, (udf, Arc::new(record)));
+    }
+
+    /// Stores a registered UDF's transitive read set (see [`UdfRecord::reads`]).
+    pub fn set_reads(&mut self, name: &str, reads: Option<Vec<String>>) {
+        match self.udfs.get_mut(&normalize_ident(name)) {
+            Some((_, record)) if record.reads != reads => Arc::make_mut(record).reads = reads,
+            _ => {}
+        }
     }
 
     /// Monotonic mutation counter: incremented by every [`register_udf`] and
@@ -55,7 +128,15 @@ impl FunctionRegistry {
     pub fn udf(&self, name: &str) -> Result<&UdfDefinition> {
         self.udfs
             .get(&normalize_ident(name))
+            .map(|(udf, _)| udf.as_ref())
             .ok_or_else(|| Error::Catalog(format!("unknown function '{name}'")))
+    }
+
+    /// What registration derived from a registered UDF's body.
+    pub fn record(&self, name: &str) -> Option<&UdfRecord> {
+        self.udfs
+            .get(&normalize_ident(name))
+            .map(|(_, record)| record.as_ref())
     }
 
     pub fn aggregate(&self, name: &str) -> Result<&AggregateDefinition> {
@@ -77,30 +158,20 @@ impl FunctionRegistry {
         let key = normalize_ident(name);
         self.udfs
             .get(&key)
-            .map(|u| u.return_type)
+            .map(|(udf, _)| udf.return_type)
             .or_else(|| self.aggregates.get(&key).map(|a| a.return_type))
     }
 
     /// Every registered UDF, in name order.
     pub fn udfs(&self) -> impl Iterator<Item = &UdfDefinition> {
-        self.udfs.values()
+        self.udfs.values().map(|(udf, _)| udf.as_ref())
     }
 
-    /// Generates a name for an auxiliary aggregate derived from `udf_name` that does not
-    /// collide with anything already registered.
-    pub fn fresh_aggregate_name(&self, udf_name: &str) -> String {
-        let base = format!("aux_agg_{}", normalize_ident(udf_name));
-        if !self.has_aggregate(&base) && !self.has_udf(&base) {
-            return base;
-        }
-        let mut i = 2;
-        loop {
-            let candidate = format!("{base}_{i}");
-            if !self.has_aggregate(&candidate) && !self.has_udf(&candidate) {
-                return candidate;
-            }
-            i += 1;
-        }
+    /// Every registered UDF's record, by name, in name order.
+    pub fn records(&self) -> impl Iterator<Item = (&String, &UdfRecord)> {
+        self.udfs
+            .iter()
+            .map(|(name, (_, record))| (name, record.as_ref()))
     }
 }
 
@@ -148,14 +219,55 @@ mod tests {
             reg.udfs().map(|u| u.name.as_str()).collect::<Vec<_>>(),
             ["identity"]
         );
+        // A UDF has a record from registration on: a decline with an open read set
+        // until a form is stored.
+        let pending = reg.record("identity").unwrap();
+        assert!(pending.form.is_err() && pending.reads.is_none());
+        reg.set_form("Identity", Ok((RelExpr::Single, vec![])));
+        reg.set_reads("identity", Some(vec![]));
+        let record = reg.record("IDENTITY").unwrap();
+        assert_eq!(record.form, Ok(RelExpr::Single));
+        assert_eq!(record.reads, Some(vec![]));
+        assert_eq!(reg.records().count(), 1);
+        assert_eq!(reg.record("nosuch"), None);
     }
 
     #[test]
-    fn fresh_aggregate_names_avoid_collisions() {
+    fn a_replaced_body_takes_its_aggregates_with_it() {
         let mut reg = FunctionRegistry::new();
-        assert_eq!(reg.fresh_aggregate_name("totalloss"), "aux_agg_totalloss");
-        reg.register_aggregate(sample_agg("aux_agg_totalloss"));
-        assert_eq!(reg.fresh_aggregate_name("totalloss"), "aux_agg_totalloss_2");
+        reg.register_udf(sample_udf("f"));
+        reg.set_form("f", Ok((RelExpr::Single, vec![sample_agg("aux_agg_f")])));
+        assert_eq!(reg.record("f").unwrap().aux_aggregates, ["aux_agg_f"]);
+        assert!(reg.has_aggregate("aux_agg_f"));
+        let generation = reg.generation();
+        reg.register_udf(sample_udf("f"));
+        assert!(!reg.has_aggregate("aux_agg_f"));
+        assert!(reg.record("f").unwrap().aux_aggregates.is_empty());
+        assert_eq!(reg.generation(), generation + 1);
+    }
+
+    #[test]
+    fn a_form_whose_aggregate_name_is_taken_declines() {
+        let mut reg = FunctionRegistry::new();
+        reg.register_udf(sample_udf("aux_agg_g"));
+        reg.register_udf(sample_udf("g"));
+        reg.set_form("g", Ok((RelExpr::Single, vec![sample_agg("aux_agg_g")])));
+        let reason = reg.record("g").unwrap().form.clone().unwrap_err();
+        assert_eq!(
+            reason.to_string(),
+            "rewrite error: the auxiliary aggregate name 'aux_agg_g' is taken by another function"
+        );
+        assert!(!reg.has_aggregate("aux_agg_g"));
+        // A user aggregate holds a name just the same; re-deriving a form keeps its own.
+        reg.register_aggregate(sample_agg("aux_agg_h"));
+        reg.register_udf(sample_udf("h"));
+        reg.set_form("h", Ok((RelExpr::Single, vec![sample_agg("aux_agg_h")])));
+        assert!(reg.record("h").unwrap().form.is_err());
+        reg.register_udf(sample_udf("k"));
+        for _ in 0..2 {
+            reg.set_form("k", Ok((RelExpr::Single, vec![sample_agg("aux_agg_k")])));
+            assert!(reg.record("k").unwrap().form.is_ok());
+        }
     }
 
     #[test]
@@ -178,6 +290,10 @@ mod tests {
         reg.register_udf(sample_udf("f"));
         assert_eq!(reg.generation(), 2);
         reg.register_aggregate(sample_agg("a"));
+        assert_eq!(reg.generation(), 3);
+        // Derived records are not definitions.
+        reg.set_form("f", Ok((RelExpr::Single, vec![])));
+        reg.set_reads("f", Some(vec![]));
         assert_eq!(reg.generation(), 3);
         // Clones carry the generation so cached plans stay valid across clones.
         assert_eq!(reg.clone().generation(), 3);

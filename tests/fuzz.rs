@@ -4,17 +4,20 @@
 //! replayable regression, not a flake. `DECORR_FUZZ_ITERS` scales the iteration
 //! count (default 60; CI's fuzz-smoke step runs 500).
 //!
-//! Three properties, asserted every iteration:
+//! Four properties, asserted every iteration:
 //!  1. nothing panics — generated statements may fail, but as `Err`, and serial
 //!     and parallel engines must fail identically;
 //!  2. serial and parallel executions agree byte-for-byte on every query;
 //!  3. an engine checkpointed (or WAL-recovered), dropped and reopened answers
-//!     the same queries byte-identically.
+//!     the same queries byte-identically;
+//!  4. every UDF query returns the same rows, sorted, iteratively and decorrelated, on
+//!     the live and on the restored engine — in half the iterations each
+//!     `create function` runs before the `create table` its body reads.
 
 use std::path::{Path, PathBuf};
 
 use udf_decorrelation::common::{DataType, SmallRng};
-use udf_decorrelation::engine::{Engine, Session};
+use udf_decorrelation::engine::{Engine, QueryOptions, Session};
 use udf_decorrelation::persist::Snapshot;
 
 fn fuzz_iters() -> u64 {
@@ -87,8 +90,9 @@ fn gen_literal(rng: &mut SmallRng, ty: DataType) -> String {
 }
 
 /// Generates the DDL/DML statement stream for one iteration. Every statement is a
-/// plain SQL string so the identical stream drives every engine under test.
-fn gen_statements(rng: &mut SmallRng) -> (Vec<FuzzTable>, Vec<String>) {
+/// plain SQL string so the identical stream drives every engine under test. With
+/// `udf_first`, a UDF is created before the table its body reads.
+fn gen_statements(rng: &mut SmallRng, udf_first: bool) -> (Vec<FuzzTable>, Vec<String>) {
     let mut tables = vec![];
     let mut statements = vec![];
     let n_tables = rng.gen_range_usize(1, 3);
@@ -105,6 +109,7 @@ fn gen_statements(rng: &mut SmallRng) -> (Vec<FuzzTable>, Vec<String>) {
             decls.push(format!("c{c} {decl}"));
         }
         let name = format!("t{t}");
+        let create_at = statements.len();
         statements.push(format!("create table {name}({})", decls.join(", ")));
         // Insert batches; c0 values overlap across tables so joins hit.
         for _ in 0..rng.gen_range_usize(1, 4) {
@@ -131,11 +136,17 @@ fn gen_statements(rng: &mut SmallRng) -> (Vec<FuzzTable>, Vec<String>) {
         if let Some(fcol) = table.columns_of(DataType::Float).first() {
             if rng.gen_bool() {
                 let fname = format!("f{t}");
-                statements.push(format!(
+                let create = format!(
                     "create function {fname}(int k) returns float as \
                      begin return select sum({fcol}) from {} where c0 = :k; end",
                     table.name,
-                ));
+                );
+                let at = if udf_first {
+                    create_at
+                } else {
+                    statements.len()
+                };
+                statements.insert(at, create);
                 table.udf = Some(fname);
             }
         }
@@ -147,11 +158,13 @@ fn gen_statements(rng: &mut SmallRng) -> (Vec<FuzzTable>, Vec<String>) {
     (tables, statements)
 }
 
-/// Generates the query battery for one iteration.
-fn gen_queries(rng: &mut SmallRng, tables: &[FuzzTable]) -> Vec<String> {
+/// Generates the query battery for one iteration: each query, and whether it invokes a
+/// UDF.
+fn gen_queries(rng: &mut SmallRng, tables: &[FuzzTable]) -> Vec<(String, bool)> {
     let mut queries = vec![];
     for _ in 0..rng.gen_range_usize(4, 9) {
         let table = &tables[rng.gen_range_usize(0, tables.len())];
+        let mut invokes_udf = false;
         let sql = match rng.gen_range_usize(0, 5) {
             // Projection, optionally filtered.
             0 => {
@@ -195,11 +208,14 @@ fn gen_queries(rng: &mut SmallRng, tables: &[FuzzTable]) -> Vec<String> {
             }
             // UDF invocation when one exists — the decorrelation front door.
             _ => match &table.udf {
-                Some(f) => format!("select c0, {f}(c0) as v from {}", table.name),
+                Some(f) => {
+                    invokes_udf = true;
+                    format!("select c0, {f}(c0) as v from {}", table.name)
+                }
                 None => format!("select c0 from {}", table.name),
             },
         };
-        queries.push(sql);
+        queries.push((sql, invokes_udf));
     }
     queries
 }
@@ -223,14 +239,32 @@ fn run(session: &Session, sql: &str) -> String {
     }
 }
 
+/// Asserts that a UDF query returns the same rows, sorted, iteratively and decorrelated.
+fn assert_decorrelation_agrees(session: &Session, sql: &str, context: &str) {
+    let sorted = |options: &QueryOptions| match session.query_with(sql, options) {
+        Ok(r) => {
+            let mut rows: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
+            rows.sort();
+            rows.join("|")
+        }
+        Err(e) => format!("error: {e}"),
+    };
+    assert_eq!(
+        sorted(&QueryOptions::iterative()),
+        sorted(&QueryOptions::decorrelated()),
+        "{context}: iterative and decorrelated diverged for `{sql}`"
+    );
+}
+
 /// The pipeline property: for every seed, serial, parallel and restored engines
 /// agree byte-for-byte on every generated statement and query outcome.
 #[test]
 fn generated_workloads_agree_serial_parallel_and_restored() {
     let iters = fuzz_iters();
+    let mut udf_queries_checked = 0;
     for i in 0..iters {
         let mut rng = SmallRng::seed_from_u64(0xF0CC_5EED ^ (i.wrapping_mul(0x9E37_79B9)));
-        let (tables, statements) = gen_statements(&mut rng);
+        let (tables, statements) = gen_statements(&mut rng, i % 2 == 1);
         let queries = gen_queries(&mut rng, &tables);
         let dir = TempDir::new(&format!("iter{i}"));
 
@@ -247,7 +281,7 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
             assert_eq!(a, b, "iter {i}: statement outcome diverged for `{sql}`");
         }
         let mut expected = vec![];
-        for sql in &queries {
+        for (sql, _) in &queries {
             let a = run(&serial_session, sql);
             let b = run(&parallel_session, sql);
             assert_eq!(
@@ -263,6 +297,13 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
         if rng.gen_bool() {
             serial.checkpoint().unwrap();
         }
+        // After the battery and the checkpoint, so the extra runs' feedback cannot move
+        // a cost-based choice the byte-identity checks compare.
+        let udf_queries = queries.iter().filter(|(_, invokes_udf)| *invokes_udf);
+        for (sql, _) in udf_queries.clone() {
+            assert_decorrelation_agrees(&serial_session, sql, &format!("iter {i}"));
+            udf_queries_checked += 1;
+        }
         drop(serial);
 
         let restored = Engine::builder()
@@ -270,11 +311,18 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
             .data_dir(dir.path())
             .build();
         let restored_session = restored.session();
-        for (sql, want) in queries.iter().zip(&expected) {
+        for ((sql, _), want) in queries.iter().zip(&expected) {
             let got = run(&restored_session, sql);
             assert_eq!(&got, want, "iter {i}: restored engine diverged for `{sql}`");
         }
+        for (sql, _) in udf_queries {
+            assert_decorrelation_agrees(&restored_session, sql, &format!("iter {i} restored"));
+        }
     }
+    assert!(
+        udf_queries_checked > 0,
+        "no iteration generated a UDF query"
+    );
 }
 
 /// The front-door property: hostile bytes — random mutations and truncations of a

@@ -9,10 +9,12 @@ use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 
 use udf_decorrelation::common::{FnvHasher, Row, Value};
-use udf_decorrelation::engine::{Engine, Session};
+use udf_decorrelation::engine::{Engine, QueryOptions, Session};
 use udf_decorrelation::optimizer::CostParams;
+use udf_decorrelation::parser::parse_function;
 use udf_decorrelation::persist::encode::ByteWriter;
 use udf_decorrelation::persist::{SNAPSHOT_FILE, WAL_FILE};
+use udf_decorrelation::udf::FunctionRegistry;
 
 const SERVICE_LEVEL_SQL: &str = "create function service_level(int ckey) returns varchar(10) as \
      begin \
@@ -22,6 +24,18 @@ const SERVICE_LEVEL_SQL: &str = "create function service_level(int ckey) returns
        else if (totalbusiness > 50000) level = 'Gold'; \
        else level = 'Regular'; \
        return level; \
+     end";
+
+/// A cursor-loop UDF (it owns an auxiliary aggregate), registered before the table it
+/// reads exists.
+const ORDER_COUNT_SQL: &str = "create function order_count(int ckey) returns int as \
+     begin \
+       int n = 0; \
+       declare c cursor for select orderkey from orders where custkey = :ckey; \
+       open c; fetch next from c into @ok; \
+       while @@fetch_status = 0 n = n + 1; fetch next from c into @ok; \
+       close c; deallocate c; \
+       return n; \
      end";
 
 /// A unique throwaway data directory, removed when dropped.
@@ -53,6 +67,7 @@ impl Drop for TempDir {
 /// the WAL-logged write path.
 fn populate(engine: &Engine) {
     let admin = engine.session();
+    admin.register_function(ORDER_COUNT_SQL).unwrap();
     admin
         .execute(
             "create table customer(custkey int not null, name varchar(25)); \
@@ -111,7 +126,28 @@ fn run_battery(session: &Session) -> Vec<String> {
          where o.totalprice > 12000",
     );
     push("select custkey, service_level(custkey) as level from customer");
+    push("select custkey, order_count(custkey) as n from customer");
     log
+}
+
+/// What registration derived for every UDF: the algebraic form or decline reason, the
+/// read set and the auxiliary aggregates' definitions.
+fn udf_records(engine: &Engine) -> Vec<String> {
+    let registry = engine.registry();
+    registry
+        .records()
+        .map(|(name, record)| {
+            let aggregates: Vec<String> = record
+                .aux_aggregates
+                .iter()
+                .map(|a| registry.aggregate(a).unwrap().to_string())
+                .collect();
+            format!(
+                "{name} form={:?} reads={:?} aggregates={aggregates:?}",
+                record.form, record.reads
+            )
+        })
+        .collect()
 }
 
 /// Everything a restore must bring back exactly, per table: rows in scan order, index
@@ -137,9 +173,9 @@ fn stored_state(engine: &Engine) -> Vec<String> {
 }
 
 /// The tentpole property: checkpoint, kill, reopen from `data_dir` — the restored
-/// engine holds the same stored state and answers the battery byte-identically to the
-/// live one, at parallelism 1 and 4, and restoring recomputes no statistics. The same
-/// holds with no checkpoint at all, when reopening replays the WAL.
+/// engine holds the same stored state and UDF records and answers the battery
+/// byte-identically to the live one, at parallelism 1 and 4, and restoring recomputes no
+/// statistics. The same holds with no checkpoint at all, when reopening replays the WAL.
 #[test]
 fn results_are_byte_identical_after_checkpoint_and_reopen() {
     for parallelism in [1usize, 4] {
@@ -152,14 +188,14 @@ fn results_are_byte_identical_after_checkpoint_and_reopen() {
                     .parallelism(parallelism)
                     .build()
             };
-            let (before, state_before) = {
+            let (before, state_before, records_before) = {
                 let engine = open();
                 populate(&engine);
                 let before = run_battery(&engine.session());
                 if checkpoint {
                     engine.checkpoint().unwrap();
                 }
-                (before, stored_state(&engine))
+                (before, stored_state(&engine), udf_records(&engine))
                 // Dropped without any shutdown protocol: reopen is the recovery.
             };
             let engine = open();
@@ -186,8 +222,57 @@ fn results_are_byte_identical_after_checkpoint_and_reopen() {
                 }
             }
             assert_eq!(state_before, stored_state(&engine), "{case}");
+            assert_eq!(records_before, udf_records(&engine), "{case}");
+            assert!(records_before[0].contains("aux_agg_order_count"), "{case}");
         }
     }
+}
+
+/// A registry handed to the builder is derived before the data directory is opened, so
+/// against no tables; the tables the snapshot brings back re-derive its forms the way
+/// table DDL does, and the restored engine decorrelates to the iterative answer.
+#[test]
+fn a_builder_registry_is_rebound_to_the_restored_tables() {
+    let dir = TempDir::new("builder_registry");
+    let create_m = "create table m(k int not null, x float)";
+    {
+        let engine = Engine::builder().data_dir(dir.path()).build();
+        let session = engine.session();
+        session.execute(create_m).unwrap();
+        session
+            .execute("insert into m values (1, 1.0), (2, 2.0), (1, 4.0)")
+            .unwrap();
+        engine.checkpoint().unwrap();
+    }
+    let mut registry = FunctionRegistry::new();
+    registry.register_udf(
+        parse_function(
+            "create function tot(int key) returns float as \
+             begin return select sum(x) from m where k = :key; end",
+        )
+        .unwrap(),
+    );
+    let restored = Engine::builder()
+        .registry(registry.clone())
+        .data_dir(dir.path())
+        .build();
+    let unbound = Engine::builder().registry(registry).build();
+    let record = |engine: &Engine| engine.registry().record("tot").cloned().unwrap();
+    let before_ddl = record(&unbound);
+    unbound.session().execute(create_m).unwrap();
+    assert_ne!(record(&unbound), before_ddl);
+    assert_eq!(record(&restored), record(&unbound));
+
+    let sql = "select k, tot(k) as v from m";
+    let session = restored.session();
+    let sorted = |options: &QueryOptions| {
+        let result = session.query_with(sql, options).unwrap();
+        let mut rows: Vec<String> = result.rows.iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        (rows, result.exec_stats.udf_invocations)
+    };
+    let (iterative, _) = sorted(&QueryOptions::iterative());
+    assert_eq!(sorted(&QueryOptions::decorrelated()), (iterative, 0));
 }
 
 /// The feedback store's learned state is part of the snapshot: a strategy flip
