@@ -339,114 +339,18 @@ impl RelExpr {
         }
     }
 
-    /// The operator's immediate relational children (subqueries inside scalar
-    /// expressions are *not* included; see [`crate::visit`]).
+    /// The operator's immediate relational children, in [`RelExpr::for_each_child`]
+    /// order (subqueries inside scalar expressions are *not* included; see
+    /// [`crate::visit`]).
     pub fn children(&self) -> Vec<&RelExpr> {
-        match self {
-            RelExpr::Single | RelExpr::Scan { .. } | RelExpr::Values { .. } => vec![],
-            RelExpr::Select { input, .. }
-            | RelExpr::Project { input, .. }
-            | RelExpr::Aggregate { input, .. }
-            | RelExpr::Sort { input, .. }
-            | RelExpr::Limit { input, .. }
-            | RelExpr::Rename { input, .. } => vec![input],
-            RelExpr::Join { left, right, .. }
-            | RelExpr::Union { left, right, .. }
-            | RelExpr::Apply { left, right, .. }
-            | RelExpr::ApplyMerge { left, right, .. } => vec![left, right],
-            RelExpr::ConditionalApplyMerge {
-                left,
-                then_branch,
-                else_branch,
-                ..
-            } => vec![left, then_branch, else_branch],
-        }
+        let mut children = vec![];
+        self.for_each_child(&mut |c| children.push(c));
+        children
     }
 
-    /// Rebuilds the operator with new children (in the same order as
-    /// [`RelExpr::children`]). Panics if the number of children does not match.
-    pub fn with_new_children(&self, mut children: Vec<RelExpr>) -> RelExpr {
-        let expected = self.children().len();
-        assert_eq!(
-            children.len(),
-            expected,
-            "with_new_children: expected {expected} children"
-        );
-        let mut next = || Box::new(children.remove(0));
-        match self {
-            RelExpr::Single | RelExpr::Scan { .. } | RelExpr::Values { .. } => self.clone(),
-            RelExpr::Select { predicate, .. } => RelExpr::Select {
-                input: next(),
-                predicate: predicate.clone(),
-            },
-            RelExpr::Project {
-                items, distinct, ..
-            } => RelExpr::Project {
-                input: next(),
-                items: items.clone(),
-                distinct: *distinct,
-            },
-            RelExpr::Aggregate {
-                group_by,
-                aggregates,
-                ..
-            } => RelExpr::Aggregate {
-                input: next(),
-                group_by: group_by.clone(),
-                aggregates: aggregates.clone(),
-            },
-            RelExpr::Sort { keys, .. } => RelExpr::Sort {
-                input: next(),
-                keys: keys.clone(),
-            },
-            RelExpr::Limit { limit, .. } => RelExpr::Limit {
-                input: next(),
-                limit: *limit,
-            },
-            RelExpr::Rename { alias, .. } => RelExpr::Rename {
-                input: next(),
-                alias: alias.clone(),
-            },
-            RelExpr::Join {
-                kind, condition, ..
-            } => RelExpr::Join {
-                left: next(),
-                right: next(),
-                kind: *kind,
-                condition: condition.clone(),
-            },
-            RelExpr::Union { all, .. } => RelExpr::Union {
-                left: next(),
-                right: next(),
-                all: *all,
-            },
-            RelExpr::Apply { kind, bindings, .. } => RelExpr::Apply {
-                left: next(),
-                right: next(),
-                kind: *kind,
-                bindings: bindings.clone(),
-            },
-            RelExpr::ApplyMerge { assignments, .. } => RelExpr::ApplyMerge {
-                left: next(),
-                right: next(),
-                assignments: assignments.clone(),
-            },
-            RelExpr::ConditionalApplyMerge {
-                predicate,
-                assignments,
-                ..
-            } => RelExpr::ConditionalApplyMerge {
-                left: next(),
-                predicate: predicate.clone(),
-                then_branch: next(),
-                else_branch: next(),
-                assignments: assignments.clone(),
-            },
-        }
-    }
-
-    /// Calls `f` on each immediate relational child without allocating — the hot-path
-    /// form of [`RelExpr::children`] for traversals that run per node per validation.
+    /// Calls `f` on each immediate relational child, in order: `input`; `left` then
+    /// `right`; or `left`, `then_branch`, `else_branch`. With
+    /// [`RelExpr::for_each_child_mut`], the only enumeration of a plan's children.
     pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a RelExpr)) {
         match self {
             RelExpr::Single | RelExpr::Scan { .. } | RelExpr::Values { .. } => {}
@@ -476,51 +380,59 @@ impl RelExpr {
         }
     }
 
-    /// The operator's first relational child, without allocating a children vector.
-    pub fn first_child(&self) -> Option<&RelExpr> {
+    /// [`RelExpr::for_each_child`], handing each child out mutably so a walker can
+    /// rewrite the tree in place.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut RelExpr)) {
         match self {
-            RelExpr::Single | RelExpr::Scan { .. } | RelExpr::Values { .. } => None,
+            RelExpr::Single | RelExpr::Scan { .. } | RelExpr::Values { .. } => {}
             RelExpr::Select { input, .. }
             | RelExpr::Project { input, .. }
             | RelExpr::Aggregate { input, .. }
             | RelExpr::Sort { input, .. }
             | RelExpr::Limit { input, .. }
-            | RelExpr::Rename { input, .. } => Some(input),
-            RelExpr::Join { left, .. }
-            | RelExpr::Union { left, .. }
-            | RelExpr::Apply { left, .. }
-            | RelExpr::ApplyMerge { left, .. }
-            | RelExpr::ConditionalApplyMerge { left, .. } => Some(left),
+            | RelExpr::Rename { input, .. } => f(input),
+            RelExpr::Join { left, right, .. }
+            | RelExpr::Union { left, right, .. }
+            | RelExpr::Apply { left, right, .. }
+            | RelExpr::ApplyMerge { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            RelExpr::ConditionalApplyMerge {
+                left,
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                f(left);
+                f(then_branch);
+                f(else_branch);
+            }
         }
+    }
+
+    /// The operator's first relational child.
+    pub fn first_child(&self) -> Option<&RelExpr> {
+        let mut first = None;
+        self.for_each_child(&mut |c| {
+            first.get_or_insert(c);
+        });
+        first
     }
 
     /// Scalar expressions owned directly by this operator (predicates, projection items,
-    /// bindings, …).
+    /// bindings, …), in [`RelExpr::for_each_expr`] order.
     pub fn expressions(&self) -> Vec<&ScalarExpr> {
-        match self {
-            RelExpr::Select { predicate, .. } => vec![predicate],
-            RelExpr::Project { items, .. } => items.iter().map(|i| &i.expr).collect(),
-            RelExpr::Aggregate {
-                group_by,
-                aggregates,
-                ..
-            } => {
-                let mut v: Vec<&ScalarExpr> = group_by.iter().collect();
-                for a in aggregates {
-                    v.extend(a.args.iter());
-                }
-                v
-            }
-            RelExpr::Join { condition, .. } => condition.iter().collect(),
-            RelExpr::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
-            RelExpr::Apply { bindings, .. } => bindings.iter().map(|b| &b.value).collect(),
-            RelExpr::ConditionalApplyMerge { predicate, .. } => vec![predicate],
-            _ => vec![],
-        }
+        let mut exprs = vec![];
+        self.for_each_expr(&mut |e| exprs.push(e));
+        exprs
     }
 
-    /// Calls `f` on each directly-owned scalar expression without allocating — the
-    /// hot-path form of [`RelExpr::expressions`].
+    /// Calls `f` on each directly-owned scalar expression, in order: a selection's or
+    /// conditional merge's predicate, the projection items, the grouping expressions
+    /// then every aggregate's arguments, the join condition, the sort keys, the Apply
+    /// binding values. With [`RelExpr::for_each_expr_mut`], the only enumeration of a
+    /// plan's own expressions.
     pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a ScalarExpr)) {
         match self {
             RelExpr::Select { predicate, .. }
@@ -539,6 +451,29 @@ impl RelExpr {
             RelExpr::Join { condition, .. } => condition.iter().for_each(f),
             RelExpr::Sort { keys, .. } => keys.iter().for_each(|k| f(&k.expr)),
             RelExpr::Apply { bindings, .. } => bindings.iter().for_each(|b| f(&b.value)),
+            _ => {}
+        }
+    }
+
+    /// [`RelExpr::for_each_expr`], handing each expression out mutably.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut ScalarExpr)) {
+        match self {
+            RelExpr::Select { predicate, .. }
+            | RelExpr::ConditionalApplyMerge { predicate, .. } => f(predicate),
+            RelExpr::Project { items, .. } => items.iter_mut().for_each(|i| f(&mut i.expr)),
+            RelExpr::Aggregate {
+                group_by,
+                aggregates,
+                ..
+            } => {
+                group_by.iter_mut().for_each(&mut *f);
+                for a in aggregates {
+                    a.args.iter_mut().for_each(&mut *f);
+                }
+            }
+            RelExpr::Join { condition, .. } => condition.iter_mut().for_each(f),
+            RelExpr::Sort { keys, .. } => keys.iter_mut().for_each(|k| f(&mut k.expr)),
+            RelExpr::Apply { bindings, .. } => bindings.iter_mut().for_each(|b| f(&mut b.value)),
             _ => {}
         }
     }
@@ -627,25 +562,30 @@ mod tests {
     use super::*;
     use crate::expr::ScalarExpr as E;
 
+    fn correlated_select() -> RelExpr {
+        RelExpr::Select {
+            input: Box::new(RelExpr::scan("orders")),
+            predicate: E::eq(E::column("custkey"), E::param("ckey")),
+        }
+    }
+
     fn sample_apply() -> RelExpr {
         RelExpr::Apply {
             left: Box::new(RelExpr::scan("customer")),
-            right: Box::new(RelExpr::Select {
-                input: Box::new(RelExpr::scan("orders")),
-                predicate: E::eq(E::column("custkey"), E::param("ckey")),
-            }),
+            right: Box::new(correlated_select()),
             kind: ApplyKind::Cross,
             bindings: vec![ParamBinding::new("ckey", E::column("custkey"))],
         }
     }
 
     #[test]
-    fn children_and_rebuild() {
-        let plan = sample_apply();
-        let children = plan.children();
-        assert_eq!(children.len(), 2);
-        let rebuilt = plan.with_new_children(vec![children[0].clone(), children[1].clone()]);
-        assert_eq!(rebuilt, plan);
+    fn children_in_order() {
+        let mut plan = sample_apply();
+        let children: Vec<RelExpr> = plan.children().into_iter().cloned().collect();
+        assert_eq!(children, [RelExpr::scan("customer"), correlated_select()]);
+        assert_eq!(plan.first_child(), Some(&children[0]));
+        plan.for_each_child_mut(&mut |c| *c = RelExpr::Single);
+        assert_eq!(plan.children(), [&RelExpr::Single, &RelExpr::Single]);
     }
 
     #[test]

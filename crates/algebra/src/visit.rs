@@ -20,19 +20,15 @@ use crate::plan::RelExpr;
 use crate::schema::{infer_schema, SchemaProvider};
 
 /// Applies `f` bottom-up to every operator in the plan (children first, then the parent
-/// built from the rewritten children).
+/// holding the rewritten children).
 pub fn transform_plan_up(plan: &RelExpr, f: &mut dyn FnMut(RelExpr) -> RelExpr) -> RelExpr {
-    let new_children: Vec<RelExpr> = plan
-        .children()
-        .into_iter()
-        .map(|c| transform_plan_up(c, f))
-        .collect();
-    let rebuilt = if new_children.is_empty() {
-        plan.clone()
-    } else {
-        plan.with_new_children(new_children)
-    };
-    f(rebuilt)
+    fn rewrite(plan: &mut RelExpr, f: &mut dyn FnMut(RelExpr) -> RelExpr) {
+        plan.for_each_child_mut(&mut |c| rewrite(c, f));
+        *plan = f(std::mem::replace(plan, RelExpr::Single));
+    }
+    let mut plan = plan.clone();
+    rewrite(&mut plan, f);
+    plan
 }
 
 /// Applies `plan_f` bottom-up to every operator in the plan — including the plans of
@@ -45,26 +41,27 @@ pub fn transform_plan_deep(
     plan_f: &mut dyn FnMut(RelExpr) -> RelExpr,
     expr_f: &mut dyn FnMut(ScalarExpr) -> ScalarExpr,
 ) -> RelExpr {
-    let new_children: Vec<RelExpr> = plan
-        .children()
-        .into_iter()
-        .map(|c| transform_plan_deep(c, plan_f, expr_f))
-        .collect();
-    let node = if new_children.is_empty() {
-        plan.clone()
-    } else {
-        plan.with_new_children(new_children)
-    };
-    let node = map_own_exprs(&node, &mut |e| {
-        let mut e = e.clone();
+    let mut plan = plan.clone();
+    rewrite_plan_deep(&mut plan, plan_f, expr_f);
+    plan
+}
+
+/// [`transform_plan_deep`] in place: children, then the node's own expressions (and
+/// the subquery plans inside them), then the node.
+fn rewrite_plan_deep(
+    plan: &mut RelExpr,
+    plan_f: &mut dyn FnMut(RelExpr) -> RelExpr,
+    expr_f: &mut dyn FnMut(ScalarExpr) -> ScalarExpr,
+) {
+    plan.for_each_child_mut(&mut |c| rewrite_plan_deep(c, plan_f, expr_f));
+    plan.for_each_expr_mut(&mut |e| {
         rewrite_expr(
-            &mut e,
-            &mut |q, expr_f| *q = transform_plan_deep(q, plan_f, expr_f),
+            e,
+            &mut |q, expr_f| rewrite_plan_deep(q, plan_f, expr_f),
             expr_f,
-        );
-        e
+        )
     });
-    plan_f(node)
+    *plan = plan_f(std::mem::replace(plan, RelExpr::Single));
 }
 
 /// What a walker does with a subquery plan it meets inside an expression; it is handed
@@ -105,117 +102,17 @@ pub fn map_plan_exprs(plan: &RelExpr, f: &mut dyn FnMut(ScalarExpr) -> ScalarExp
     transform_plan_deep(plan, &mut |node| node, f)
 }
 
-/// Rewrites the scalar expressions directly owned by one operator (not its children).
-pub fn map_own_exprs(plan: &RelExpr, f: &mut dyn FnMut(&ScalarExpr) -> ScalarExpr) -> RelExpr {
-    use crate::plan::RelExpr as P;
-    match plan {
-        P::Select { input, predicate } => P::Select {
-            input: input.clone(),
-            predicate: f(predicate),
-        },
-        P::Project {
-            input,
-            items,
-            distinct,
-        } => P::Project {
-            input: input.clone(),
-            items: items
-                .iter()
-                .map(|i| crate::plan::ProjectItem {
-                    expr: f(&i.expr),
-                    alias: i.alias.clone(),
-                })
-                .collect(),
-            distinct: *distinct,
-        },
-        P::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => P::Aggregate {
-            input: input.clone(),
-            group_by: group_by.iter().map(&mut *f).collect(),
-            aggregates: aggregates
-                .iter()
-                .map(|a| crate::expr::AggCall {
-                    func: a.func.clone(),
-                    args: a.args.iter().map(&mut *f).collect(),
-                    distinct: a.distinct,
-                    alias: a.alias.clone(),
-                })
-                .collect(),
-        },
-        P::Join {
-            left,
-            right,
-            kind,
-            condition,
-        } => P::Join {
-            left: left.clone(),
-            right: right.clone(),
-            kind: *kind,
-            condition: condition.as_ref().map(&mut *f),
-        },
-        P::Sort { input, keys } => P::Sort {
-            input: input.clone(),
-            keys: keys
-                .iter()
-                .map(|k| crate::plan::SortKey {
-                    expr: f(&k.expr),
-                    ascending: k.ascending,
-                })
-                .collect(),
-        },
-        P::Apply {
-            left,
-            right,
-            kind,
-            bindings,
-        } => P::Apply {
-            left: left.clone(),
-            right: right.clone(),
-            kind: *kind,
-            bindings: bindings
-                .iter()
-                .map(|b| crate::plan::ParamBinding {
-                    param: b.param.clone(),
-                    value: f(&b.value),
-                })
-                .collect(),
-        },
-        P::ConditionalApplyMerge {
-            left,
-            predicate,
-            then_branch,
-            else_branch,
-            assignments,
-        } => P::ConditionalApplyMerge {
-            left: left.clone(),
-            predicate: f(predicate),
-            then_branch: then_branch.clone(),
-            else_branch: else_branch.clone(),
-            assignments: assignments.clone(),
-        },
-        other => other.clone(),
-    }
-}
-
-/// Substitutes parameters in a scalar expression using `bindings` (descending into
-/// subquery plans).
-pub fn substitute_params_in_expr(
-    expr: &ScalarExpr,
-    bindings: &HashMap<String, ScalarExpr>,
-) -> ScalarExpr {
-    let mut expr = expr.clone();
+/// Substitutes parameters in a scalar expression using `bindings`, descending into
+/// subquery plans.
+fn substitute_params_in_expr(expr: &mut ScalarExpr, bindings: &HashMap<String, ScalarExpr>) {
     rewrite_expr(
-        &mut expr,
-        &mut |q, subst| *q = map_plan_exprs(q, subst),
+        expr,
+        &mut |q, subst| rewrite_plan_deep(q, &mut |node| node, subst),
         &mut |e| match &e {
             ScalarExpr::Param(p) => bindings.get(p).cloned().unwrap_or(e),
             _ => e,
         },
     );
-    expr
 }
 
 /// Substitutes parameters throughout a plan. Parameters that are re-bound by a nested
@@ -224,50 +121,34 @@ pub fn substitute_params_in_plan(
     plan: &RelExpr,
     bindings: &HashMap<String, ScalarExpr>,
 ) -> RelExpr {
-    if bindings.is_empty() {
-        return plan.clone();
-    }
-    match plan {
-        RelExpr::Apply {
-            left,
-            right,
-            kind,
-            bindings: apply_bindings,
-        } => {
-            // Binding values are evaluated against the outer scope: substitute in them.
-            let new_bindings: Vec<crate::plan::ParamBinding> = apply_bindings
-                .iter()
-                .map(|b| crate::plan::ParamBinding {
-                    param: b.param.clone(),
-                    value: substitute_params_in_expr(&b.value, bindings),
-                })
-                .collect();
-            // Parameters re-bound here are shadowed in the right child.
-            let mut inner_bindings = bindings.clone();
-            for b in apply_bindings {
-                inner_bindings.remove(&b.param);
-            }
+    fn substitute(plan: &mut RelExpr, bindings: &HashMap<String, ScalarExpr>) {
+        if bindings.is_empty() {
+            return;
+        }
+        // An Apply's binding values are evaluated against the outer scope, like every
+        // other expression an operator owns.
+        plan.for_each_expr_mut(&mut |e| substitute_params_in_expr(e, bindings));
+        match plan {
             RelExpr::Apply {
-                left: Box::new(substitute_params_in_plan(left, bindings)),
-                right: Box::new(substitute_params_in_plan(right, &inner_bindings)),
-                kind: *kind,
-                bindings: new_bindings,
+                left,
+                right,
+                bindings: rebound,
+                ..
+            } => {
+                // Parameters re-bound here are shadowed in the right child.
+                let mut inner = bindings.clone();
+                for b in rebound.iter() {
+                    inner.remove(&b.param);
+                }
+                substitute(left, bindings);
+                substitute(right, &inner);
             }
-        }
-        other => {
-            let new_children: Vec<RelExpr> = other
-                .children()
-                .into_iter()
-                .map(|c| substitute_params_in_plan(c, bindings))
-                .collect();
-            let node = if new_children.is_empty() {
-                other.clone()
-            } else {
-                other.with_new_children(new_children)
-            };
-            map_own_exprs(&node, &mut |e| substitute_params_in_expr(e, bindings))
+            other => other.for_each_child_mut(&mut |c| substitute(c, bindings)),
         }
     }
+    let mut plan = plan.clone();
+    substitute(&mut plan, bindings);
+    plan
 }
 
 /// Collects the free parameters of a plan: parameters referenced anywhere in the tree
@@ -343,8 +224,7 @@ fn collect_free_columns(plan: &RelExpr, provider: &dyn SchemaProvider, out: &mut
         }
         RelExpr::ConditionalApplyMerge { left, .. } => schema_or_empty(left, provider),
         other => other
-            .children()
-            .first()
+            .first_child()
             .map(|c| schema_or_empty(c, provider))
             .unwrap_or_else(Schema::empty),
     };

@@ -1,29 +1,26 @@
-//! Static analysis for the decorrelation engine: plan validation and UDF body facts.
+//! Static plan validation for the decorrelation engine.
 //!
-//! The decorrelation rewrites of the paper are only sound while two things remain
-//! true: the plans they emit stay *well-formed* (every column reference resolves,
-//! operator schemas are consistent bottom-up, Apply bindings are actually consumed),
-//! and the UDFs they hoist are *actually* pure — not just declared so at
-//! `CREATE FUNCTION` time. Neither property is guaranteed by construction, so this
-//! crate checks both statically:
+//! The decorrelation rewrites of the paper are only sound while the plans they emit
+//! stay *well-formed*: every column reference resolves, operator schemas are consistent
+//! bottom-up, Apply bindings are actually consumed. Nothing guarantees that by
+//! construction, so this crate checks it statically:
 //!
-//! * [`validate()`] / [`validate_plan`] — a structural [plan validator](mod@validate) run by
+//! * [`validate_plan`] — a structural [plan validator](mod@validate) run by
 //!   `optimizer::PassManager` after every pass (behind
 //!   `PassManagerOptions::validate_plans`), turning a buggy rewrite rule into a
 //!   named-violation pipeline error instead of a silent wrong answer;
-//! * [`analyze_body`] — a [UDF body analyzer](body) that infers [`BodyFacts`]
-//!   (purity, transitive table read set, callee list, subquery use) cycle-safely
-//!   through called UDFs, backing both registration-time purity diagnostics and
-//!   per-table-set memo invalidation in the engine.
+//! * [`check_decorrelated`] — the check that a plan claimed fully decorrelated holds no
+//!   Apply-family operator.
+//!
+//! UDF bodies are analysed in `decorr_udf::analysis`, where registration derives their
+//! read sets and volatility.
 //!
 //! The crate is dependency-free (only workspace crates below the optimizer) so every
-//! layer — rewrite rules, optimizer, engine, tests — can call it without cycles.
+//! layer — rewrite rules, optimizer, tests — can call it without cycles.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod body;
 pub mod validate;
 
-pub use body::{analyze_body, analyze_statements, BodyFacts, Purity};
-pub use validate::{check_decorrelated, validate, validate_plan, ValidationReport, Violation};
+pub use validate::{check_decorrelated, validate_plan, ValidationReport, Violation};

@@ -23,8 +23,7 @@ use std::rc::Rc;
 
 use decorr_algebra::visit::free_params;
 use decorr_algebra::{AggFunc, ColumnRef, RelExpr, ScalarExpr, SchemaMemo, SchemaProvider};
-use decorr_common::{DataType, Result, Schema};
-use decorr_storage::Catalog;
+use decorr_common::{DataType, Schema};
 use decorr_udf::FunctionRegistry;
 
 /// One violated structural invariant, located by operator name.
@@ -193,13 +192,6 @@ pub fn validate_plan(
     v.report
 }
 
-/// Validates a plan directly against a storage [`Catalog`] — the convenience form for
-/// engine-level and test callers. Returns the violations only.
-pub fn validate(plan: &RelExpr, catalog: &Catalog, registry: &FunctionRegistry) -> Vec<Violation> {
-    let provider = CatalogView { catalog, registry };
-    validate_plan(plan, &provider, registry).violations
-}
-
 /// Checks that a plan the pipeline claims fully decorrelated really contains no
 /// Apply-family operator (including inside scalar subqueries). Returns one
 /// [`Violation::ResidualApply`] per residual operator.
@@ -232,23 +224,6 @@ fn collect_expr_residual_applies(expr: &ScalarExpr, out: &mut Vec<Violation>) {
         other => {
             other.for_each_child(&mut |c| collect_expr_residual_applies(c, out));
         }
-    }
-}
-
-/// Adapter presenting a storage [`Catalog`] + [`FunctionRegistry`] as a
-/// [`SchemaProvider`] without pulling in the executor crate.
-struct CatalogView<'a> {
-    catalog: &'a Catalog,
-    registry: &'a FunctionRegistry,
-}
-
-impl SchemaProvider for CatalogView<'_> {
-    fn table_schema(&self, table: &str) -> Result<Schema> {
-        self.catalog.table_schema(table)
-    }
-
-    fn udf_return_type(&self, name: &str) -> Option<DataType> {
-        self.registry.return_type(name)
     }
 }
 
@@ -740,22 +715,6 @@ mod tests {
             predicate: E::Exists(Box::new(apply)),
         };
         assert_eq!(check_decorrelated(&buried).len(), 1);
-    }
-
-    #[test]
-    fn catalog_convenience_signature() {
-        let mut catalog = Catalog::new();
-        catalog
-            .create_table("t", Schema::new(vec![Column::new("x", DataType::Int)]))
-            .unwrap();
-        let registry = FunctionRegistry::new();
-        let ok = RelExpr::Select {
-            input: Box::new(RelExpr::scan("t")),
-            predicate: E::gt(E::column("x"), E::literal(0)),
-        };
-        assert!(validate(&ok, &catalog, &registry).is_empty());
-        let bad = RelExpr::scan("missing");
-        assert_eq!(validate(&bad, &catalog, &registry).len(), 1);
     }
 
     #[test]

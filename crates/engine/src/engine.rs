@@ -46,18 +46,13 @@ pub(crate) struct SharedState {
 
 impl SharedState {
     /// Derives against this epoch's catalog the form of the UDF `only` names (of every
-    /// UDF when `None`: table DDL moved the schemas forms are bound to) and every read
-    /// set, since a callee's reads are its callers' too.
+    /// UDF when `None`: table DDL moved the schemas forms are bound to). Read sets need
+    /// no catalog: registering a UDF keeps every one current.
     fn derive_records(&mut self, only: Option<&str>) {
         let view = Arc::clone(&self.registry);
         let registry = Arc::make_mut(&mut self.registry);
         let provider = CatalogProvider::new(&self.catalog, &view);
         decorr_rewrite::algebraize_registry(registry, only, &provider);
-        for udf in view.udfs() {
-            let facts = decorr_analysis::analyze_body(udf, &view);
-            let tables = facts.table_reads.into_iter().collect();
-            registry.set_reads(&udf.name, facts.reads_exact.then_some(tables));
-        }
     }
 }
 
@@ -258,14 +253,9 @@ impl Engine {
         // DDL at worst misses an optimization opportunity, never correctness.
         let pinned = self.pin(None);
         let mut normalized = pinned.normalize_udf(udf);
-        let facts = decorr_analysis::analyze_body(&normalized, &pinned.registry);
-        if facts.purity == decorr_analysis::Purity::Volatile && normalized.pure {
+        let facts = decorr_udf::analysis::analyze_body(&normalized, &pinned.registry);
+        if let (Some(witness), true) = (facts.volatile_calls.first(), normalized.pure) {
             if normalized.purity_declared {
-                let witness = facts
-                    .volatile_calls
-                    .first()
-                    .map(String::as_str)
-                    .unwrap_or("<unknown>");
                 return Err(Error::Binding(format!(
                     "function '{}' is declared DETERMINISTIC but its body calls the \
                      volatile function '{witness}'; drop the DETERMINISTIC clause or \

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use decorr_algebra::RelExpr;
+use decorr_algebra::{RelExpr, ScalarExpr};
 use decorr_common::{Error, Result, Row, Value};
 use decorr_exec::{CatalogProvider, Env, ExecConfig, Executor, MemoEpoch, UdfMemo, UdfRuntimeHint};
 use decorr_optimizer::{
@@ -12,7 +12,7 @@ use decorr_optimizer::{
     OptimizeOutcome, PassManager,
 };
 use decorr_storage::Catalog;
-use decorr_udf::FunctionRegistry;
+use decorr_udf::{FunctionRegistry, Statement, UdfDefinition};
 
 use crate::engine::{read, Engine, EngineInner};
 use crate::{ExecutionStrategy, QueryOptions, QueryResult};
@@ -66,7 +66,7 @@ impl Pinned {
         // Validation is off here by design: these are UDF *body* fragments whose
         // local variables and formal parameters appear as free columns/params until
         // the interpreter (or the algebraizer) binds them, so the plan validator
-        // would flag them. Body soundness is covered by `decorr_analysis::analyze_body`
+        // would flag them. Body soundness is covered by `decorr_udf::analysis::analyze_body`
         // at registration instead.
         PassManager::cleanup_pipeline()
             .with_validation(false)
@@ -110,36 +110,24 @@ impl Pinned {
     }
 
     /// Normalises every query embedded in a UDF body.
-    pub(crate) fn normalize_udf(
-        &self,
-        mut udf: decorr_udf::UdfDefinition,
-    ) -> decorr_udf::UdfDefinition {
-        fn walk(stmts: &mut [decorr_udf::Statement], normalize: &dyn Fn(&RelExpr) -> RelExpr) {
+    pub(crate) fn normalize_udf(&self, mut udf: UdfDefinition) -> UdfDefinition {
+        fn walk(stmts: &mut [Statement], normalize: &dyn Fn(&RelExpr) -> RelExpr) {
             for stmt in stmts {
                 match stmt {
-                    decorr_udf::Statement::SelectInto { query, .. } => *query = normalize(query),
-                    decorr_udf::Statement::CursorLoop { query, body, .. } => {
-                        *query = normalize(query);
-                        walk(body, normalize);
+                    Statement::SelectInto { query, .. } | Statement::CursorLoop { query, .. } => {
+                        *query = normalize(query)
                     }
-                    decorr_udf::Statement::While { body, .. } => walk(body, normalize),
-                    decorr_udf::Statement::If {
-                        then_branch,
-                        else_branch,
-                        ..
-                    } => {
-                        walk(then_branch, normalize);
-                        walk(else_branch, normalize);
+                    // A query that is the whole returned or assigned value.
+                    Statement::Return {
+                        expr: Some(ScalarExpr::ScalarSubquery(q)),
                     }
-                    decorr_udf::Statement::Return {
-                        expr: Some(decorr_algebra::ScalarExpr::ScalarSubquery(q)),
-                    } => **q = normalize(q),
-                    decorr_udf::Statement::Assign {
-                        expr: decorr_algebra::ScalarExpr::ScalarSubquery(q),
+                    | Statement::Assign {
+                        expr: ScalarExpr::ScalarSubquery(q),
                         ..
                     } => **q = normalize(q),
                     _ => {}
                 }
+                stmt.for_each_block_mut(&mut |block| walk(block, normalize));
             }
         }
         let normalize = |plan: &RelExpr| self.normalize_plan(plan);

@@ -1035,17 +1035,16 @@ impl Parser {
             if self.at_eof() {
                 return Err(Error::Parse("unterminated BEGIN block".into()));
             }
-            if let Some(stmt) = self.parse_proc_statement(ctx)? {
-                out.push(stmt);
-            }
+            out.extend(self.parse_proc_statement(ctx)?);
         }
         Ok(out)
     }
 
-    /// Parses a single procedural statement. Returns `None` for statements that are
-    /// consumed but produce no AST node (cursor open/close/deallocate, the initial
-    /// fetch).
-    fn parse_proc_statement(&mut self, ctx: &mut BodyContext) -> Result<Option<Statement>> {
+    /// Parses a single procedural statement into the AST nodes it stands for: none for
+    /// statements that are consumed but produce no node (cursor open/close/deallocate,
+    /// the initial fetch), one `Declare` per variable of `int a = 1, b = 2`, and one
+    /// node otherwise.
+    fn parse_proc_statement(&mut self, ctx: &mut BodyContext) -> Result<Vec<Statement>> {
         // declare c cursor for <select>  |  declare x int [= expr]
         if self.at_keyword("declare") {
             if self.peek_at(2).is_keyword("cursor") {
@@ -1059,7 +1058,7 @@ impl Parser {
                     query,
                     fetch_vars: vec![],
                 });
-                return Ok(None);
+                return Ok(vec![]);
             }
             self.advance(); // declare
             let name = self.parse_variable_name()?;
@@ -1069,17 +1068,17 @@ impl Parser {
             } else {
                 None
             };
-            return Ok(Some(Statement::Declare {
+            return Ok(vec![Statement::Declare {
                 name,
                 data_type,
                 init,
-            }));
+            }]);
         }
         // open / close / deallocate <cursor>
         if self.at_keyword("open") || self.at_keyword("close") || self.at_keyword("deallocate") {
             self.advance();
             self.expect_ident()?;
-            return Ok(None);
+            return Ok(vec![]);
         }
         // fetch next from c into @a, @b
         if self.at_keyword("fetch") {
@@ -1093,20 +1092,20 @@ impl Parser {
                     "fetch from undeclared cursor '{cursor}'"
                 )));
             }
-            return Ok(None);
+            return Ok(vec![]);
         }
         // while <cond> …
         if self.at_keyword("while") {
-            return self.parse_while(ctx).map(Some);
+            return Ok(vec![self.parse_while(ctx)?]);
         }
         // if (<cond>) …
         if self.at_keyword("if") {
-            return self.parse_if(ctx).map(Some);
+            return Ok(vec![self.parse_if(ctx)?]);
         }
         // return [expr]
         if self.eat_keyword("return") {
             if matches!(self.peek(), Token::Semicolon) || self.peek().is_keyword("end") {
-                return Ok(Some(Statement::Return { expr: None }));
+                return Ok(vec![Statement::Return { expr: None }]);
             }
             // `return tt;` for a table-valued UDF returns no scalar expression.
             if let Token::Ident(id) = self.peek() {
@@ -1117,19 +1116,19 @@ impl Parser {
                     .unwrap_or(false)
                 {
                     self.advance();
-                    return Ok(Some(Statement::Return { expr: None }));
+                    return Ok(vec![Statement::Return { expr: None }]);
                 }
             }
             // `return select …` — a scalar query as return value (Example 4).
             if self.at_keyword("select") {
                 let select = self.parse_select()?;
                 let plan = plan_select(&select)?;
-                return Ok(Some(Statement::Return {
+                return Ok(vec![Statement::Return {
                     expr: Some(ScalarExpr::ScalarSubquery(Box::new(plan))),
-                }));
+                }]);
             }
             let expr = self.parse_expr()?;
-            return Ok(Some(Statement::Return { expr: Some(expr) }));
+            return Ok(vec![Statement::Return { expr: Some(expr) }]);
         }
         // select … into …
         if self.at_keyword("select") {
@@ -1141,10 +1140,10 @@ impl Parser {
             }
             let targets = select.into_targets.clone();
             let plan = plan_select(&select)?;
-            return Ok(Some(Statement::SelectInto {
+            return Ok(vec![Statement::SelectInto {
                 query: plan,
                 targets,
-            }));
+            }]);
         }
         // insert into <result table> values (…)
         if self.at_keyword("insert") {
@@ -1172,16 +1171,17 @@ impl Parser {
                 }
             }
             self.expect_token(&Token::RParen)?;
-            return Ok(Some(Statement::InsertIntoResult { values }));
+            return Ok(vec![Statement::InsertIntoResult { values }]);
         }
         // set x = expr
         if self.eat_keyword("set") {
             let name = self.parse_variable_name()?;
             self.expect_token(&Token::Eq)?;
             let expr = self.parse_expr()?;
-            return Ok(Some(Statement::Assign { name, expr }));
+            return Ok(vec![Statement::Assign { name, expr }]);
         }
-        // <type> x [= expr][, y [= expr]]…   (C-style declarations used by the paper)
+        // <type> x [= expr][, y [= expr]]…   (C-style declarations used by the paper),
+        // one `Declare` per variable in the enclosing block
         if Self::is_type_keyword(self.peek()) && !matches!(self.peek_at(1), Token::LParen) {
             let data_type = self.parse_data_type()?;
             let mut decls = vec![];
@@ -1201,17 +1201,7 @@ impl Parser {
                     break;
                 }
             }
-            // Multiple same-type declarations become multiple statements; return the
-            // first and push the rest through a small buffer trick: since the caller
-            // expects one statement we wrap them in a no-op If(true) block when needed.
-            if decls.len() == 1 {
-                return Ok(Some(decls.into_iter().next().unwrap()));
-            }
-            return Ok(Some(Statement::If {
-                condition: ScalarExpr::Literal(Value::Bool(true)),
-                then_branch: decls,
-                else_branch: vec![],
-            }));
+            return Ok(decls);
         }
         // assignment: x = expr   or   @x = expr
         if matches!(self.peek(), Token::Ident(_) | Token::AtVariable(_))
@@ -1220,7 +1210,7 @@ impl Parser {
             let name = self.parse_variable_name()?;
             self.expect_token(&Token::Eq)?;
             let expr = self.parse_expr()?;
-            return Ok(Some(Statement::Assign { name, expr }));
+            return Ok(vec![Statement::Assign { name, expr }]);
         }
         Err(Error::Parse(format!(
             "unsupported statement in function body near '{}'",
@@ -1287,9 +1277,9 @@ impl Parser {
         if self.eat_keyword("begin") {
             return self.parse_block(ctx);
         }
-        let stmt = self.parse_proc_statement(ctx)?;
+        let stmts = self.parse_proc_statement(ctx)?;
         self.skip_semicolons();
-        Ok(stmt.into_iter().collect())
+        Ok(stmts)
     }
 
     fn parse_while(&mut self, ctx: &mut BodyContext) -> Result<Statement> {
@@ -1347,9 +1337,7 @@ impl Parser {
                     self.parse_fetch()?;
                     continue;
                 }
-                if let Some(stmt) = self.parse_proc_statement(ctx)? {
-                    out.push(stmt);
-                }
+                out.extend(self.parse_proc_statement(ctx)?);
             }
             return Ok(out);
         }
@@ -1370,9 +1358,7 @@ impl Parser {
             if self.at_keyword("return") {
                 break;
             }
-            if let Some(stmt) = self.parse_proc_statement(ctx)? {
-                out.push(stmt);
-            }
+            out.extend(self.parse_proc_statement(ctx)?);
         }
         Ok(out)
     }

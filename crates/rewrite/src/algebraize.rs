@@ -17,7 +17,7 @@
 use std::collections::{HashMap, HashSet};
 
 use decorr_algebra::schema::infer_schema;
-use decorr_algebra::visit::{map_own_exprs, map_plan_exprs};
+use decorr_algebra::visit::map_plan_exprs;
 use decorr_algebra::{
     AggCall, AggFunc, ApplyKind, ColumnRef, ProjectItem, RelExpr, ScalarExpr, SchemaProvider,
 };
@@ -250,8 +250,9 @@ impl<'a> Algebraizer<'a> {
     fn normalize_plan(&self, plan: &RelExpr) -> RelExpr {
         let locals = self.locals.clone();
         let params = self.params.clone();
-        let normalized = map_plan_exprs(plan, &mut |e| normalize_ref(e, &locals, &params));
-        qualify_plan(&normalized, self.provider)
+        let mut normalized = map_plan_exprs(plan, &mut |e| normalize_ref(e, &locals, &params));
+        qualify_plan(&mut normalized, self.provider);
+        normalized
     }
 
     /// Normalizes `query` and projects its first `targets.len()` output columns, renamed
@@ -630,18 +631,9 @@ fn project_on_single(items: Vec<(ScalarExpr, String)>) -> RelExpr {
 
 /// Qualifies unqualified column references in every operator of `plan` against the
 /// schemas of that operator's own inputs.
-fn qualify_plan(plan: &RelExpr, provider: &dyn SchemaProvider) -> RelExpr {
-    let children: Vec<RelExpr> = plan
-        .children()
-        .into_iter()
-        .map(|c| qualify_plan(c, provider))
-        .collect();
-    let node = if children.is_empty() {
-        plan.clone()
-    } else {
-        plan.with_new_children(children)
-    };
-    let visible = node
+fn qualify_plan(plan: &mut RelExpr, provider: &dyn SchemaProvider) {
+    plan.for_each_child_mut(&mut |c| qualify_plan(c, provider));
+    let visible = plan
         .children()
         .iter()
         .map(|c| {
@@ -649,8 +641,8 @@ fn qualify_plan(plan: &RelExpr, provider: &dyn SchemaProvider) -> RelExpr {
                 .unwrap_or_else(|_| decorr_common::Schema::empty())
         })
         .fold(decorr_common::Schema::empty(), |acc, s| acc.join(&s));
-    map_own_exprs(&node, &mut |e| {
-        decorr_algebra::visit::transform_expr_up(e, &mut |inner| match &inner {
+    plan.for_each_expr_mut(&mut |e| {
+        *e = decorr_algebra::visit::transform_expr_up(e, &mut |inner| match &inner {
             ScalarExpr::Column(c) if c.qualifier.is_none() => match visible.find(None, &c.name) {
                 Some(idx) => match &visible.column(idx).qualifier {
                     Some(q) => ScalarExpr::qualified_column(q.clone(), c.name.clone()),
@@ -660,7 +652,7 @@ fn qualify_plan(plan: &RelExpr, provider: &dyn SchemaProvider) -> RelExpr {
             },
             _ => inner,
         })
-    })
+    });
 }
 
 fn normalize_ref(

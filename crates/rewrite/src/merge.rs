@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use decorr_algebra::expr::ChildMut;
 use decorr_algebra::plan::ParamBinding;
 use decorr_algebra::visit::transform_plan_deep;
 use decorr_algebra::{ApplyKind, ProjectItem, RelExpr, ScalarExpr};
@@ -34,7 +35,8 @@ pub fn merge_udf_calls(plan: &RelExpr, registry: &FunctionRegistry) -> Result<Me
         merged: vec![],
         skipped: vec![],
     };
-    let plan = merge_in_plan(plan, &mut state)?;
+    let mut plan = plan.clone();
+    merge_in_plan(&mut plan, &mut state)?;
     Ok(MergeOutcome {
         plan,
         merged: state.merged,
@@ -48,171 +50,99 @@ struct MergeState<'a> {
     skipped: Vec<(String, String)>,
 }
 
-fn merge_in_plan(plan: &RelExpr, state: &mut MergeState) -> Result<RelExpr> {
-    // Recurse into children first.
-    let children: Vec<RelExpr> = plan
-        .children()
-        .into_iter()
-        .map(|c| merge_in_plan(c, state))
-        .collect::<Result<Vec<_>>>()?;
-    let node = if children.is_empty() {
-        plan.clone()
-    } else {
-        plan.with_new_children(children)
-    };
-    match node {
-        RelExpr::Project {
-            input,
-            items,
-            distinct,
-        } => {
-            let mut new_input = *input;
-            let new_items = items
-                .iter()
-                .map(|item| {
-                    let expr = replace_udf_calls(&item.expr, &mut new_input, state)?;
-                    Ok(ProjectItem {
-                        expr,
-                        alias: item.alias.clone(),
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Ok(RelExpr::Project {
-                input: Box::new(new_input),
-                items: new_items,
-                distinct,
-            })
+fn merge_in_plan(plan: &mut RelExpr, state: &mut MergeState) -> Result<()> {
+    // Children first.
+    let mut merged = Ok(());
+    plan.for_each_child_mut(&mut |c| {
+        if merged.is_ok() {
+            merged = merge_in_plan(c, state);
         }
-        RelExpr::Select { input, predicate } => {
-            let mut new_input = *input;
-            let new_predicate = replace_udf_calls(&predicate, &mut new_input, state)?;
-            Ok(RelExpr::Select {
-                input: Box::new(new_input),
-                predicate: new_predicate,
-            })
-        }
-        other => Ok(other),
+    });
+    merged?;
+    match plan {
+        RelExpr::Project { input, items, .. } => items
+            .iter_mut()
+            .try_for_each(|item| replace_udf_calls(&mut item.expr, input, state)),
+        RelExpr::Select { input, predicate } => replace_udf_calls(predicate, input, state),
+        _ => Ok(()),
     }
 }
 
 /// Replaces UDF invocations inside `expr`, wrapping `input` with one Apply (bind) per
 /// replaced call. Nested calls are replaced innermost-first, so an outer call's argument
-/// list can reference the inner call's output column.
+/// list can reference the inner call's output column. Subqueries are left alone, and so
+/// is the probe of an `IN (select …)`.
 fn replace_udf_calls(
-    expr: &ScalarExpr,
+    expr: &mut ScalarExpr,
     input: &mut RelExpr,
     state: &mut MergeState,
-) -> Result<ScalarExpr> {
-    let rewritten = match expr {
-        ScalarExpr::UdfCall { name, args } => {
-            // Arguments first (innermost calls first).
-            let new_args: Vec<ScalarExpr> = args
-                .iter()
-                .map(|a| replace_udf_calls(a, input, state))
-                .collect::<Result<Vec<_>>>()?;
-            let (Ok(udf), Some(record)) = (state.registry.udf(name), state.registry.record(name))
-            else {
-                return Ok(ScalarExpr::UdfCall {
-                    name: name.clone(),
-                    args: new_args,
-                });
-            };
-            if udf.is_table_valued() {
-                state.skipped.push((
-                    name.clone(),
-                    "table-valued function used in a scalar context".into(),
-                ));
-                return Ok(ScalarExpr::UdfCall {
-                    name: name.clone(),
-                    args: new_args,
-                });
-            }
-            if udf.params.len() != new_args.len() {
-                return Err(Error::Binding(format!(
-                    "function '{name}' expects {} arguments, got {}",
-                    udf.params.len(),
-                    new_args.len()
-                )));
-            }
-            match &record.form {
-                Ok(form) => {
-                    let ordinal = state.merged.len();
-                    state.merged.push(udf.name.clone());
-                    let alias = format!("__udf{ordinal}");
-                    let body = uniquify_body_qualifiers(form, ordinal);
-                    // Π_{retval as __udfN}(E_udf): keeps each invocation's output name
-                    // unique when a query invokes several UDFs.
-                    let right = RelExpr::Project {
-                        input: Box::new(body),
-                        items: vec![ProjectItem::aliased(
-                            ScalarExpr::column("retval"),
-                            alias.clone(),
-                        )],
-                        distinct: false,
-                    };
-                    let bindings = udf
-                        .params
-                        .iter()
-                        .zip(new_args.iter())
-                        .map(|(p, a)| ParamBinding::new(p.name.clone(), a.clone()))
-                        .collect();
-                    let previous = std::mem::replace(input, RelExpr::Single);
-                    *input = RelExpr::Apply {
-                        left: Box::new(previous),
-                        right: Box::new(right),
-                        kind: ApplyKind::Cross,
-                        bindings,
-                    };
-                    ScalarExpr::column(alias)
-                }
-                Err(reason) => {
-                    state.skipped.push((name.clone(), reason.to_string()));
-                    ScalarExpr::UdfCall {
-                        name: name.clone(),
-                        args: new_args,
-                    }
-                }
-            }
+) -> Result<()> {
+    if matches!(expr, ScalarExpr::InSubquery { .. }) {
+        return Ok(());
+    }
+    let mut replaced = Ok(());
+    expr.for_each_child_mut(&mut |child| {
+        if let (Ok(()), ChildMut::Expr(e)) = (&replaced, child) {
+            replaced = replace_udf_calls(e, input, state);
         }
-        ScalarExpr::Binary { op, left, right } => ScalarExpr::Binary {
-            op: *op,
-            left: Box::new(replace_udf_calls(left, input, state)?),
-            right: Box::new(replace_udf_calls(right, input, state)?),
-        },
-        ScalarExpr::Unary { op, expr } => ScalarExpr::Unary {
-            op: *op,
-            expr: Box::new(replace_udf_calls(expr, input, state)?),
-        },
-        ScalarExpr::Case {
-            branches,
-            else_expr,
-        } => ScalarExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(p, e)| {
-                    Ok((
-                        replace_udf_calls(p, input, state)?,
-                        replace_udf_calls(e, input, state)?,
-                    ))
-                })
-                .collect::<Result<Vec<_>>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(replace_udf_calls(e, input, state)?)),
-                None => None,
-            },
-        },
-        ScalarExpr::Coalesce(args) => ScalarExpr::Coalesce(
-            args.iter()
-                .map(|a| replace_udf_calls(a, input, state))
-                .collect::<Result<Vec<_>>>()?,
-        ),
-        ScalarExpr::Cast { expr, data_type } => ScalarExpr::Cast {
-            expr: Box::new(replace_udf_calls(expr, input, state)?),
-            data_type: *data_type,
-        },
-        other => other.clone(),
+    });
+    replaced?;
+    let ScalarExpr::UdfCall { name, args } = expr else {
+        return Ok(());
     };
-    Ok(rewritten)
+    let (Ok(udf), Some(record)) = (state.registry.udf(name), state.registry.record(name)) else {
+        return Ok(());
+    };
+    if udf.is_table_valued() {
+        state.skipped.push((
+            name.clone(),
+            "table-valued function used in a scalar context".into(),
+        ));
+        return Ok(());
+    }
+    if udf.params.len() != args.len() {
+        return Err(Error::Binding(format!(
+            "function '{name}' expects {} arguments, got {}",
+            udf.params.len(),
+            args.len()
+        )));
+    }
+    let form = match &record.form {
+        Ok(form) => form,
+        Err(reason) => {
+            state.skipped.push((name.clone(), reason.to_string()));
+            return Ok(());
+        }
+    };
+    let ordinal = state.merged.len();
+    state.merged.push(udf.name.clone());
+    let alias = format!("__udf{ordinal}");
+    let body = uniquify_body_qualifiers(form, ordinal);
+    // Π_{retval as __udfN}(E_udf): keeps each invocation's output name unique when a
+    // query invokes several UDFs.
+    let right = RelExpr::Project {
+        input: Box::new(body),
+        items: vec![ProjectItem::aliased(
+            ScalarExpr::column("retval"),
+            alias.clone(),
+        )],
+        distinct: false,
+    };
+    let bindings = udf
+        .params
+        .iter()
+        .zip(args.iter())
+        .map(|(p, a)| ParamBinding::new(p.name.clone(), a.clone()))
+        .collect();
+    let previous = std::mem::replace(input, RelExpr::Single);
+    *input = RelExpr::Apply {
+        left: Box::new(previous),
+        right: Box::new(right),
+        kind: ApplyKind::Cross,
+        bindings,
+    };
+    *expr = ScalarExpr::column(alias);
+    Ok(())
 }
 
 /// Re-qualifies every relation introduced inside an inlined UDF body (base-table scans
@@ -341,6 +271,22 @@ mod tests {
         assert_eq!(outcome.skipped.len(), 1);
         assert!(outcome.skipped[0].1.contains("WHILE"));
         assert!(outcome.plan.contains_udf_call());
+    }
+
+    #[test]
+    fn calls_inside_subqueries_and_in_probes_stay_iterative() {
+        let registry = registry_with_discount();
+        for sql in [
+            "select orderkey from orders \
+             where discount(totalprice) in (select totalprice from orders)",
+            "select orderkey from orders \
+             where exists (select orderkey from orders where discount(totalprice) > 1)",
+        ] {
+            let plan = parse_and_plan(sql).unwrap();
+            let outcome = merge_udf_calls(&plan, &registry).unwrap();
+            assert!(outcome.merged.is_empty(), "{sql}");
+            assert_eq!(outcome.plan, plan, "{sql}");
+        }
     }
 
     #[test]

@@ -1342,13 +1342,15 @@ fn extract_correlated_equalities(
             distinct: false,
         } => {
             let inner = extract_correlated_equalities(base, outer_schema, provider)?;
-            // Keep the key columns visible through the projection.
+            // Keep the key columns visible through the projection: an item that reads
+            // the key but renames it (a cursor fetching its correlated column,
+            // `t.c0 as @v`) does not output it.
             let mut items = items.clone();
             for key in &inner.inner_keys {
-                let already = items.iter().enumerate().any(|(i, it)| {
-                    it.output_name(i) == key.name
-                        || matches!(&it.expr, ScalarExpr::Column(c) if c.name == key.name)
-                });
+                let already = items
+                    .iter()
+                    .enumerate()
+                    .any(|(i, it)| it.output_name(i) == key.name);
                 if !already {
                     let expr = match &key.qualifier {
                         Some(q) => ScalarExpr::qualified_column(q.clone(), key.name.clone()),

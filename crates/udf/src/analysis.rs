@@ -1,11 +1,15 @@
-//! Read/write-set analysis and the data dependence graph (DDG) of Section VII-A.
+//! UDF body analysis: the read/write sets of statements and the data dependence graph
+//! (DDG) of Section VII-A, and the transitive facts registration derives from a body
+//! ([`analyze_body`]: the tables it reads, the volatile functions it reaches).
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 use decorr_algebra::visit::free_params;
-use decorr_algebra::ScalarExpr;
+use decorr_algebra::{RelExpr, ScalarExpr};
+use decorr_common::normalize_ident;
 
-use crate::ast::Statement;
+use crate::ast::{Statement, UdfDefinition};
+use crate::registry::FunctionRegistry;
 
 /// Collects the names of variables *read* by an expression, restricted to `known_vars`.
 ///
@@ -60,57 +64,19 @@ pub fn statement_reads(stmt: &Statement, known_vars: &HashSet<String>) -> HashSe
 }
 
 fn collect_reads(stmt: &Statement, known_vars: &HashSet<String>, out: &mut HashSet<String>) {
-    match stmt {
-        Statement::Declare { init, .. } => {
-            if let Some(e) = init {
-                expr_reads(e, known_vars, out);
-            }
-        }
-        Statement::Assign { expr, .. } => expr_reads(expr, known_vars, out),
-        Statement::SelectInto { query, .. } => {
-            for p in free_params(query) {
-                if known_vars.contains(&p) {
-                    out.insert(p);
-                }
-            }
-        }
-        Statement::If {
-            condition,
-            then_branch,
-            else_branch,
-        } => {
-            expr_reads(condition, known_vars, out);
-            for s in then_branch.iter().chain(else_branch) {
-                collect_reads(s, known_vars, out);
-            }
-        }
-        Statement::CursorLoop { query, body, .. } => {
-            for p in free_params(query) {
-                if known_vars.contains(&p) {
-                    out.insert(p);
-                }
-            }
-            for s in body {
-                collect_reads(s, known_vars, out);
-            }
-        }
-        Statement::While { condition, body } => {
-            expr_reads(condition, known_vars, out);
-            for s in body {
-                collect_reads(s, known_vars, out);
-            }
-        }
-        Statement::InsertIntoResult { values } => {
-            for v in values {
-                expr_reads(v, known_vars, out);
-            }
-        }
-        Statement::Return { expr } => {
-            if let Some(e) = expr {
-                expr_reads(e, known_vars, out);
-            }
-        }
+    if let Some(query) = stmt.query() {
+        out.extend(
+            free_params(query)
+                .into_iter()
+                .filter(|p| known_vars.contains(p)),
+        );
     }
+    stmt.for_each_expr(&mut |e| expr_reads(e, known_vars, out));
+    stmt.for_each_block(&mut |block| {
+        for s in block {
+            collect_reads(s, known_vars, out);
+        }
+    });
 }
 
 /// Variables written by a statement (recursively through nested blocks).
@@ -125,32 +91,106 @@ fn collect_writes(stmt: &Statement, out: &mut HashSet<String>) {
         Statement::Declare { name, .. } | Statement::Assign { name, .. } => {
             out.insert(name.clone());
         }
-        Statement::SelectInto { targets, .. } => {
-            out.extend(targets.iter().cloned());
-        }
-        Statement::If {
-            then_branch,
-            else_branch,
+        Statement::SelectInto { targets, .. }
+        | Statement::CursorLoop {
+            fetch_vars: targets,
             ..
-        } => {
-            for s in then_branch.iter().chain(else_branch) {
-                collect_writes(s, out);
-            }
+        } => out.extend(targets.iter().cloned()),
+        _ => {}
+    }
+    stmt.for_each_block(&mut |block| {
+        for s in block {
+            collect_writes(s, out);
         }
-        Statement::CursorLoop {
-            fetch_vars, body, ..
-        } => {
-            out.extend(fetch_vars.iter().cloned());
-            for s in body {
-                collect_writes(s, out);
-            }
+    });
+}
+
+/// Facts inferred from a UDF body, transitively through the UDFs it calls.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BodyFacts {
+    /// Every table the body can read, directly or through any reachable callee's body,
+    /// sorted. `None` is an open set: some reachable callee is not registered, so its
+    /// reads are unknown.
+    pub reads: Option<Vec<String>>,
+    /// Reachable callees registered as volatile, in discovery order: the body is
+    /// volatile exactly when this is non-empty.
+    pub volatile_calls: Vec<String>,
+}
+
+/// Analyzes a UDF body over the *transitive closure* of the UDFs it calls, resolved in
+/// `registry` with a visited set so mutually recursive definitions terminate.
+///
+/// The definition itself need not be registered, and its own declared volatility is
+/// ignored: the result describes what the body *does*. Registration consumes it twice:
+/// [`FunctionRegistry::register_udf`] keeps every record's read set (the memo epoch's
+/// table set) current with it, and the engine refuses a body declared `DETERMINISTIC`
+/// that reaches a volatile callee.
+pub fn analyze_body(udf: &UdfDefinition, registry: &FunctionRegistry) -> BodyFacts {
+    let mut direct = Direct::default();
+    direct.block(&udf.body);
+    let mut reads_exact = true;
+    let mut volatile_calls = vec![];
+    // Worklist over callees: cycles (f calls g calls f) terminate because each name is
+    // expanded at most once.
+    let mut visited = BTreeSet::new();
+    while let Some(name) = direct.calls.pop_front() {
+        if !visited.insert(name.clone()) {
+            continue;
         }
-        Statement::While { body, .. } => {
-            for s in body {
-                collect_writes(s, out);
+        match registry.udf(&name) {
+            Ok(callee) => {
+                if !callee.pure {
+                    volatile_calls.push(name);
+                }
+                direct.block(&callee.body);
             }
+            // An unregistered callee may read anything.
+            Err(_) => reads_exact = false,
         }
-        Statement::InsertIntoResult { .. } | Statement::Return { .. } => {}
+    }
+    BodyFacts {
+        reads: reads_exact.then(|| direct.tables.into_iter().collect()),
+        volatile_calls,
+    }
+}
+
+/// The tables statement lists scan and the UDFs they call, not transitively.
+#[derive(Default)]
+struct Direct {
+    tables: BTreeSet<String>,
+    calls: VecDeque<String>,
+}
+
+impl Direct {
+    fn block(&mut self, stmts: &[Statement]) {
+        for stmt in stmts {
+            if let Some(query) = stmt.query() {
+                self.plan(query);
+            }
+            stmt.for_each_expr(&mut |e| self.expr(e));
+            stmt.for_each_block(&mut |b| self.block(b));
+        }
+    }
+
+    fn plan(&mut self, plan: &RelExpr) {
+        if let RelExpr::Scan { table, .. } = plan {
+            self.tables.insert(normalize_ident(table));
+        }
+        plan.for_each_expr(&mut |e| self.expr(e));
+        plan.for_each_child(&mut |c| self.plan(c));
+    }
+
+    fn expr(&mut self, expr: &ScalarExpr) {
+        if let ScalarExpr::UdfCall { name, .. } = expr {
+            self.calls.push_back(normalize_ident(name));
+        }
+        expr.for_each_child(&mut |c| self.expr(c));
+        if let ScalarExpr::ScalarSubquery(q)
+        | ScalarExpr::Exists(q)
+        | ScalarExpr::InSubquery { subquery: q, .. } = expr
+        {
+            self.plan(q);
+        }
     }
 }
 
@@ -333,5 +373,98 @@ mod tests {
         let reads = statement_reads(&stmt, &known);
         assert!(reads.contains("cur"));
         assert_eq!(statement_writes(&stmt), vars(&["total"]));
+    }
+
+    fn udf(name: &str, body: Vec<Statement>) -> UdfDefinition {
+        UdfDefinition::new(
+            name,
+            vec![crate::UdfParameter::new("x", decorr_common::DataType::Int)],
+            decorr_common::DataType::Int,
+            body,
+        )
+    }
+
+    fn returning(expr: ScalarExpr) -> Vec<Statement> {
+        vec![Statement::Return { expr: Some(expr) }]
+    }
+
+    fn select_into(table: &str) -> Statement {
+        Statement::SelectInto {
+            query: RelExpr::scan(table),
+            targets: vec!["v".into()],
+        }
+    }
+
+    fn tables(names: &[&str]) -> Option<Vec<String>> {
+        Some(names.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn a_body_reads_what_it_and_its_callees_scan() {
+        let f = udf("f", returning(E::param("x")));
+        let facts = analyze_body(&f, &FunctionRegistry::new());
+        assert_eq!(facts.reads, tables(&[]));
+        assert!(facts.volatile_calls.is_empty());
+        // f reads orders and calls g; g reads lineitem.
+        let mut registry = FunctionRegistry::new();
+        registry.register_udf(udf("g", vec![select_into("lineitem")]));
+        let f = udf(
+            "f",
+            vec![
+                select_into("orders"),
+                Statement::Return {
+                    expr: Some(E::udf("g", vec![E::param("x")])),
+                },
+            ],
+        );
+        assert_eq!(
+            analyze_body(&f, &registry).reads,
+            tables(&["lineitem", "orders"])
+        );
+        // A subquery inside an expression reads too.
+        let probe = udf(
+            "p",
+            returning(E::ScalarSubquery(Box::new(RelExpr::scan("probes")))),
+        );
+        assert_eq!(analyze_body(&probe, &registry).reads, tables(&["probes"]));
+    }
+
+    #[test]
+    fn a_volatile_callee_two_calls_away_is_the_witness() {
+        let mut registry = FunctionRegistry::new();
+        let mut v = udf("v", returning(E::param("x")));
+        v.pure = false;
+        registry.register_udf(v);
+        registry.register_udf(udf("g", returning(E::udf("v", vec![E::param("x")]))));
+        let f = udf("f", returning(E::udf("g", vec![E::param("x")])));
+        let facts = analyze_body(&f, &registry);
+        assert_eq!(facts.volatile_calls, ["v"]);
+        assert_eq!(facts.reads, tables(&[]));
+    }
+
+    #[test]
+    fn an_unknown_callee_opens_the_read_set() {
+        let f = udf("f", returning(E::udf("mystery", vec![E::param("x")])));
+        let facts = analyze_body(&f, &FunctionRegistry::new());
+        assert_eq!(facts.reads, None);
+        assert!(facts.volatile_calls.is_empty());
+    }
+
+    #[test]
+    fn mutual_recursion_terminates() {
+        let mut registry = FunctionRegistry::new();
+        registry.register_udf(udf("a", returning(E::udf("b", vec![E::param("x")]))));
+        registry.register_udf(udf(
+            "b",
+            vec![
+                select_into("orders"),
+                Statement::Return {
+                    expr: Some(E::udf("a", vec![E::param("x")])),
+                },
+            ],
+        ));
+        let a = registry.udf("a").unwrap().clone();
+        assert_eq!(analyze_body(&a, &registry).reads, tables(&["orders"]));
+        assert_eq!(registry.record("a").unwrap().reads, tables(&["orders"]));
     }
 }

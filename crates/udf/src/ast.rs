@@ -89,49 +89,84 @@ impl Statement {
         }
     }
 
-    /// True if the statement (recursively) contains a loop.
-    pub fn contains_loop(&self) -> bool {
+    /// Calls `f` on each nested statement block, in order: an `if`'s then and else
+    /// branches, a loop's body. With [`Statement::for_each_block_mut`], the only
+    /// enumeration of a statement's blocks.
+    pub fn for_each_block<'a>(&'a self, f: &mut impl FnMut(&'a [Statement])) {
         match self {
-            Statement::CursorLoop { .. } | Statement::While { .. } => true,
             Statement::If {
                 then_branch,
                 else_branch,
                 ..
-            } => then_branch
-                .iter()
-                .chain(else_branch)
-                .any(|s| s.contains_loop()),
-            _ => false,
+            } => {
+                f(then_branch);
+                f(else_branch);
+            }
+            Statement::CursorLoop { body, .. } | Statement::While { body, .. } => f(body),
+            _ => {}
         }
+    }
+
+    /// [`Statement::for_each_block`], handing each block out mutably.
+    pub fn for_each_block_mut(&mut self, f: &mut impl FnMut(&mut [Statement])) {
+        match self {
+            Statement::If {
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                f(then_branch);
+                f(else_branch);
+            }
+            Statement::CursorLoop { body, .. } | Statement::While { body, .. } => f(body),
+            _ => {}
+        }
+    }
+
+    /// Calls `f` on each scalar expression the statement owns directly (not those of its
+    /// blocks), in order: a declaration's initializer, an assigned value, an `if`'s or
+    /// `while`'s condition, the inserted values, the returned value.
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a ScalarExpr)) {
+        match self {
+            Statement::Declare { init: expr, .. } | Statement::Return { expr } => {
+                expr.iter().for_each(f)
+            }
+            Statement::Assign { expr, .. }
+            | Statement::If {
+                condition: expr, ..
+            }
+            | Statement::While {
+                condition: expr, ..
+            } => f(expr),
+            Statement::InsertIntoResult { values } => values.iter().for_each(f),
+            Statement::SelectInto { .. } | Statement::CursorLoop { .. } => {}
+        }
+    }
+
+    /// The query a `SELECT … INTO` or a cursor loop runs.
+    pub fn query(&self) -> Option<&RelExpr> {
+        match self {
+            Statement::SelectInto { query, .. } | Statement::CursorLoop { query, .. } => {
+                Some(query)
+            }
+            _ => None,
+        }
+    }
+
+    /// True if the statement (recursively) contains a loop.
+    pub fn contains_loop(&self) -> bool {
+        let mut found = matches!(self, Statement::CursorLoop { .. } | Statement::While { .. });
+        self.for_each_block(&mut |b| found |= b.iter().any(Statement::contains_loop));
+        found
     }
 
     /// True if the statement (recursively) executes a SQL query (scalar subquery,
     /// `SELECT INTO`, or a cursor query).
     pub fn contains_query(&self) -> bool {
-        fn expr_has_query(e: &ScalarExpr) -> bool {
-            e.contains_subquery()
-        }
-        match self {
-            Statement::SelectInto { .. } | Statement::CursorLoop { .. } => true,
-            Statement::Declare { init, .. } => init.as_ref().map(expr_has_query).unwrap_or(false),
-            Statement::Assign { expr, .. } => expr_has_query(expr),
-            Statement::If {
-                condition,
-                then_branch,
-                else_branch,
-            } => {
-                expr_has_query(condition)
-                    || then_branch
-                        .iter()
-                        .chain(else_branch)
-                        .any(|s| s.contains_query())
-            }
-            Statement::While { condition, body } => {
-                expr_has_query(condition) || body.iter().any(|s| s.contains_query())
-            }
-            Statement::InsertIntoResult { values } => values.iter().any(expr_has_query),
-            Statement::Return { expr } => expr.as_ref().map(expr_has_query).unwrap_or(false),
-        }
+        let mut found = self.query().is_some();
+        self.for_each_expr(&mut |e| found |= e.contains_subquery());
+        self.for_each_block(&mut |b| found |= b.iter().any(Statement::contains_query));
+        found
     }
 }
 
@@ -181,7 +216,7 @@ pub struct UdfDefinition {
     /// Original source text, if the UDF came from the parser (used when printing the
     /// "original query + UDF definition" side of the experiments).
     pub source: Option<String>,
-    /// Purity contract, declared at registration time: a pure UDF returns the same
+    /// The purity contract, declared at registration time: a pure UDF returns the same
     /// result for the same arguments as long as the registry and catalog are
     /// unchanged, so the executor may deduplicate and memoize its invocations. Every
     /// construct the interpreter offers (arithmetic, control flow, embedded queries
@@ -227,25 +262,15 @@ impl UdfDefinition {
     pub fn declared_variables(&self) -> Vec<(String, DataType)> {
         fn walk(stmts: &[Statement], out: &mut Vec<(String, DataType)>) {
             for s in stmts {
-                match s {
-                    Statement::Declare {
-                        name, data_type, ..
-                    } if !out.iter().any(|(n, _)| n == name) => {
+                if let Statement::Declare {
+                    name, data_type, ..
+                } = s
+                {
+                    if !out.iter().any(|(n, _)| n == name) {
                         out.push((name.clone(), *data_type));
                     }
-                    Statement::If {
-                        then_branch,
-                        else_branch,
-                        ..
-                    } => {
-                        walk(then_branch, out);
-                        walk(else_branch, out);
-                    }
-                    Statement::CursorLoop { body, .. } | Statement::While { body, .. } => {
-                        walk(body, out)
-                    }
-                    _ => {}
                 }
+                s.for_each_block(&mut |b| walk(b, out));
             }
         }
         let mut out = vec![];
@@ -274,12 +299,6 @@ pub struct AggregateDefinition {
     /// Result expression over the final state.
     pub terminate: ScalarExpr,
     pub return_type: DataType,
-}
-
-impl AggregateDefinition {
-    pub fn param_names(&self) -> Vec<String> {
-        self.params.iter().map(|p| p.name.clone()).collect()
-    }
 }
 
 impl fmt::Display for AggregateDefinition {
@@ -415,5 +434,263 @@ mod tests {
             expr: Some(E::param("level")),
         };
         assert_eq!(r.to_string(), "return :level;");
+    }
+
+    /// Every `RelExpr` and `Statement` variant, its children (blocks) numbered `c0…` and
+    /// its expressions `:e0…` in the documented order: the borrowing and `_mut`
+    /// traversals visit each slot once, in that order, and the `_mut` ones reach the
+    /// slots themselves.
+    #[test]
+    fn traversals_visit_every_slot_once_in_order() {
+        use decorr_algebra::plan::{MergeAssignment, ParamBinding, ProjectItem, SortKey};
+        use decorr_algebra::{AggCall, AggFunc, ApplyKind, JoinKind};
+        let c = |i: usize| Box::new(RelExpr::scan(format!("c{i}")));
+        let e = |i: usize| E::param(format!("e{i}"));
+        let item = |i: usize| ProjectItem::new(e(i));
+        let key = |i: usize| SortKey {
+            expr: e(i),
+            ascending: true,
+        };
+        let plans = vec![
+            (RelExpr::Single, 0, 0),
+            (RelExpr::scan("t"), 0, 0),
+            (
+                RelExpr::Values {
+                    schema: Schema::empty(),
+                    rows: vec![vec![]],
+                },
+                0,
+                0,
+            ),
+            (
+                RelExpr::Select {
+                    input: c(0),
+                    predicate: e(0),
+                },
+                1,
+                1,
+            ),
+            (
+                RelExpr::Project {
+                    input: c(0),
+                    items: vec![item(0), item(1)],
+                    distinct: false,
+                },
+                1,
+                2,
+            ),
+            (
+                RelExpr::Aggregate {
+                    input: c(0),
+                    group_by: vec![e(0), e(1)],
+                    aggregates: vec![
+                        AggCall::new(AggFunc::Sum, vec![e(2), e(3)], "a"),
+                        AggCall::new(AggFunc::CountStar, vec![], "n"),
+                        AggCall::new(AggFunc::Max, vec![e(4)], "m"),
+                    ],
+                },
+                1,
+                5,
+            ),
+            (
+                RelExpr::Join {
+                    left: c(0),
+                    right: c(1),
+                    kind: JoinKind::Inner,
+                    condition: Some(e(0)),
+                },
+                2,
+                1,
+            ),
+            (
+                RelExpr::Union {
+                    left: c(0),
+                    right: c(1),
+                    all: true,
+                },
+                2,
+                0,
+            ),
+            (
+                RelExpr::Sort {
+                    input: c(0),
+                    keys: vec![key(0), key(1)],
+                },
+                1,
+                2,
+            ),
+            (
+                RelExpr::Limit {
+                    input: c(0),
+                    limit: 1,
+                },
+                1,
+                0,
+            ),
+            (
+                RelExpr::Rename {
+                    input: c(0),
+                    alias: "r".into(),
+                },
+                1,
+                0,
+            ),
+            (
+                RelExpr::Apply {
+                    left: c(0),
+                    right: c(1),
+                    kind: ApplyKind::Cross,
+                    bindings: vec![ParamBinding::new("p", e(0)), ParamBinding::new("q", e(1))],
+                },
+                2,
+                2,
+            ),
+            (
+                RelExpr::ApplyMerge {
+                    left: c(0),
+                    right: c(1),
+                    assignments: vec![MergeAssignment::new("a", "b")],
+                },
+                2,
+                0,
+            ),
+            (
+                RelExpr::ConditionalApplyMerge {
+                    left: c(0),
+                    predicate: e(0),
+                    then_branch: c(1),
+                    else_branch: c(2),
+                    assignments: vec![],
+                },
+                3,
+                1,
+            ),
+        ];
+        assert_eq!(plans.len(), 14);
+        fn numbered(prefix: &str, n: usize) -> Vec<String> {
+            (0..n).map(|i| format!("{prefix}{i}")).collect()
+        }
+        let name = |plan: &RelExpr| match plan {
+            RelExpr::Scan { table, .. } => table.clone(),
+            other => panic!("unexpected child {}", other.name()),
+        };
+        for (mut plan, children, exprs) in plans {
+            let expected = numbered("c", children);
+            let mut seen = vec![];
+            plan.for_each_child(&mut |c| seen.push(name(c)));
+            assert_eq!(seen, expected, "{}", plan.name());
+            let mut seen = vec![];
+            plan.for_each_child_mut(&mut |c| {
+                seen.push(name(c));
+                *c = RelExpr::scan(format!("{}x", name(c)));
+            });
+            assert_eq!(seen, expected, "{}", plan.name());
+            let renamed: Vec<String> = plan.children().into_iter().map(name).collect();
+            assert_eq!(
+                renamed,
+                numbered("c", children)
+                    .into_iter()
+                    .map(|c| c + "x")
+                    .collect::<Vec<_>>()
+            );
+            assert_eq!(plan.first_child().map(name), renamed.first().cloned());
+
+            let expected = numbered(":e", exprs);
+            let mut seen = vec![];
+            plan.for_each_expr(&mut |e| seen.push(e.to_string()));
+            assert_eq!(seen, expected, "{}", plan.name());
+            let mut seen = vec![];
+            plan.for_each_expr_mut(&mut |e| {
+                seen.push(e.to_string());
+                *e = E::literal(0);
+            });
+            assert_eq!(seen, expected, "{}", plan.name());
+            assert!(plan.expressions().iter().all(|e| **e == E::literal(0)));
+            assert_eq!(plan.expressions().len(), exprs);
+        }
+
+        let block = |i: usize| vec![Statement::Return { expr: Some(e(i)) }];
+        let query = RelExpr::scan("q");
+        let statements = vec![
+            (
+                Statement::Declare {
+                    name: "v".into(),
+                    data_type: DataType::Int,
+                    init: Some(e(0)),
+                },
+                0,
+                1,
+            ),
+            (
+                Statement::Assign {
+                    name: "v".into(),
+                    expr: e(0),
+                },
+                0,
+                1,
+            ),
+            (
+                Statement::SelectInto {
+                    query: query.clone(),
+                    targets: vec!["v".into()],
+                },
+                0,
+                0,
+            ),
+            (
+                Statement::If {
+                    condition: e(0),
+                    then_branch: block(10),
+                    else_branch: block(11),
+                },
+                2,
+                1,
+            ),
+            (
+                Statement::CursorLoop {
+                    query: query.clone(),
+                    fetch_vars: vec!["v".into()],
+                    body: block(10),
+                },
+                1,
+                0,
+            ),
+            (
+                Statement::While {
+                    condition: e(0),
+                    body: block(10),
+                },
+                1,
+                1,
+            ),
+            (
+                Statement::InsertIntoResult {
+                    values: vec![e(0), e(1)],
+                },
+                0,
+                2,
+            ),
+            (Statement::Return { expr: Some(e(0)) }, 0, 1),
+        ];
+        assert_eq!(statements.len(), 8);
+        for (mut stmt, blocks, exprs) in statements {
+            let expected: Vec<String> = (0..blocks).map(|i| format!("return :e1{i};")).collect();
+            let mut seen = vec![];
+            stmt.for_each_block(&mut |b| seen.extend(b.iter().map(ToString::to_string)));
+            assert_eq!(seen, expected, "{}", stmt.kind());
+            let mut seen = vec![];
+            stmt.for_each_block_mut(&mut |b| {
+                seen.extend(b.iter().map(ToString::to_string));
+                b[0] = Statement::Return { expr: None };
+            });
+            assert_eq!(seen, expected, "{}", stmt.kind());
+            stmt.for_each_block(&mut |b| assert_eq!(b, [Statement::Return { expr: None }]));
+
+            let mut seen = vec![];
+            stmt.for_each_expr(&mut |e| seen.push(e.to_string()));
+            assert_eq!(seen, numbered(":e", exprs), "{}", stmt.kind());
+            let has_query = matches!(stmt.kind(), "select-into" | "cursor-loop");
+            assert_eq!(stmt.query(), has_query.then_some(&query), "{}", stmt.kind());
+        }
     }
 }

@@ -9,8 +9,10 @@
 //!   each with the record registration derives from its body (algebraic form or decline
 //!   reason, auxiliary aggregates, read set), and user-defined aggregates (both
 //!   user-written and the auxiliary aggregates synthesised by the rewrite of Section VII).
-//! * [`analysis`] — read/write sets of statements and the data-dependence graph (DDG) of
-//!   Section VII-A, with cycle detection to find loop-carried dependences.
+//! * [`analysis`] — the one analysis of UDF bodies: read/write sets of statements and
+//!   the data-dependence graph (DDG) of Section VII-A, with cycle detection to find
+//!   loop-carried dependences, and the facts a body has through the UDFs it calls (the
+//!   tables it reads, the volatile functions it reaches).
 //! * [`aux_agg`] — synthesis of the auxiliary user-defined aggregate (the paper's
 //!   Example 6) from the cyclic part of a cursor-loop body.
 

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use decorr_algebra::RelExpr;
 use decorr_common::{normalize_ident, DataType, Error, Result};
 
+use crate::analysis::analyze_body;
 use crate::ast::{AggregateDefinition, UdfDefinition};
 
 /// Holds every registered user-defined function and aggregate.
@@ -51,8 +52,9 @@ impl FunctionRegistry {
     /// Registers a UDF, replacing any previous definition with the same name
     /// (`CREATE OR REPLACE` semantics) together with its record and auxiliary
     /// aggregates. Bumps the registry generation so cached plans derived from a previous
-    /// definition become unreachable. The new record declines, with an open read set,
-    /// until [`set_form`](FunctionRegistry::set_form) stores a form.
+    /// definition become unreachable. The new record declines until
+    /// [`set_form`](FunctionRegistry::set_form) stores a form. Every record's read set is
+    /// derived again, since a callee's reads are its callers' too.
     pub fn register_udf(&mut self, udf: UdfDefinition) {
         self.generation += 1;
         let record = UdfRecord {
@@ -64,6 +66,12 @@ impl FunctionRegistry {
         if let Some((_, replaced)) = self.udfs.insert(name, (Arc::new(udf), Arc::new(record))) {
             for aux in &replaced.aux_aggregates {
                 self.aggregates.remove(aux);
+            }
+        }
+        let reads: Vec<_> = self.udfs().map(|u| analyze_body(u, self).reads).collect();
+        for ((_, record), reads) in self.udfs.values_mut().zip(reads) {
+            if record.reads != reads {
+                Arc::make_mut(record).reads = reads;
             }
         }
     }
@@ -105,14 +113,6 @@ impl FunctionRegistry {
         self.aggregates
             .extend(aux_aggregates.into_iter().map(|a| (a.name.clone(), a)));
         self.udfs.insert(key, (udf, Arc::new(record)));
-    }
-
-    /// Stores a registered UDF's transitive read set (see [`UdfRecord::reads`]).
-    pub fn set_reads(&mut self, name: &str, reads: Option<Vec<String>>) {
-        match self.udfs.get_mut(&normalize_ident(name)) {
-            Some((_, record)) if record.reads != reads => Arc::make_mut(record).reads = reads,
-            _ => {}
-        }
     }
 
     /// Monotonic mutation counter: incremented by every [`register_udf`] and
@@ -219,12 +219,12 @@ mod tests {
             reg.udfs().map(|u| u.name.as_str()).collect::<Vec<_>>(),
             ["identity"]
         );
-        // A UDF has a record from registration on: a decline with an open read set
-        // until a form is stored.
+        // A UDF has a record from registration on: its read set, and a decline until a
+        // form is stored.
         let pending = reg.record("identity").unwrap();
-        assert!(pending.form.is_err() && pending.reads.is_none());
+        assert!(pending.form.is_err());
+        assert_eq!(pending.reads, Some(vec![]));
         reg.set_form("Identity", Ok((RelExpr::Single, vec![])));
-        reg.set_reads("identity", Some(vec![]));
         let record = reg.record("IDENTITY").unwrap();
         assert_eq!(record.form, Ok(RelExpr::Single));
         assert_eq!(record.reads, Some(vec![]));
@@ -271,6 +271,36 @@ mod tests {
     }
 
     #[test]
+    fn registering_a_callee_updates_its_callers_read_sets() {
+        let mut reg = FunctionRegistry::new();
+        let calls_g = |name: &str| {
+            let mut udf = sample_udf(name);
+            udf.body = vec![Statement::Return {
+                expr: Some(E::udf("g", vec![E::param("x")])),
+            }];
+            udf
+        };
+        reg.register_udf(calls_g("f"));
+        assert_eq!(reg.record("f").unwrap().reads, None, "g is unknown");
+        let mut g = sample_udf("g");
+        g.body.insert(
+            0,
+            Statement::SelectInto {
+                query: RelExpr::scan("T"),
+                targets: vec!["x".into()],
+            },
+        );
+        reg.register_udf(g);
+        let reads = Some(vec!["t".to_string()]);
+        assert_eq!(reg.record("f").unwrap().reads, reads);
+        // A record whose read set does not move is shared with the previous registry.
+        let before = reg.clone();
+        reg.register_udf(calls_g("h"));
+        assert!(Arc::ptr_eq(&before.udfs["f"].1, &reg.udfs["f"].1));
+        assert_eq!(reg.record("h").unwrap().reads, reads);
+    }
+
+    #[test]
     fn re_registration_replaces() {
         let mut reg = FunctionRegistry::new();
         reg.register_udf(sample_udf("f"));
@@ -293,7 +323,6 @@ mod tests {
         assert_eq!(reg.generation(), 3);
         // Derived records are not definitions.
         reg.set_form("f", Ok((RelExpr::Single, vec![])));
-        reg.set_reads("f", Some(vec![]));
         assert_eq!(reg.generation(), 3);
         // Clones carry the generation so cached plans stay valid across clones.
         assert_eq!(reg.clone().generation(), 3);

@@ -8,6 +8,11 @@
 //! these tests drive a small deterministic case generator seeded per property: every run
 //! explores the same cases, and a failing case prints its seed for replay.
 
+use std::collections::HashMap;
+
+use udf_decorrelation::algebra::visit::{
+    map_plan_exprs, substitute_params_in_plan, transform_plan_up,
+};
 use udf_decorrelation::algebra::{
     display::explain, AggCall, AggFunc, ApplyKind, PlanBuilder, RelExpr, ScalarExpr as E,
 };
@@ -120,35 +125,38 @@ fn assert_rules_preserve_results(catalog: &Catalog, plan: &RelExpr) {
 #[test]
 fn declaration_and_assignment_chain_is_preserved() {
     check_property("declaration_and_assignment_chain_is_preserved", |rng| {
-        let init = rng.gen_range_i64(-1000, 1000);
-        let addend = rng.gen_range_i64(-1000, 1000);
+        let plan = declaration_chain_plan(rng);
         let rows = arb_rows(rng, 0, 20);
-        let catalog = catalog_with_accounts(&rows);
-        // S A× Π_{init as x}(S)  AM  Π_{x + addend as x}(S)   — then joined against the
-        // table so the result depends on the data too.
-        let ctx = PlanBuilder::single()
-            .apply(
-                PlanBuilder::single().project(vec![(E::literal(init), Some("x"))]),
-                ApplyKind::Cross,
-                vec![],
-            )
-            .apply_merge(
-                PlanBuilder::single().project(vec![(
-                    E::binary(
-                        udf_decorrelation::algebra::BinaryOp::Add,
-                        E::column("x"),
-                        E::literal(addend),
-                    ),
-                    Some("x"),
-                )]),
-                vec![],
-            );
-        let plan = PlanBuilder::scan("accounts")
-            .apply(ctx, ApplyKind::Cross, vec![])
-            .project(vec![(E::column("id"), None), (E::column("x"), None)])
-            .build();
-        assert_rules_preserve_results(&catalog, &plan);
+        assert_rules_preserve_results(&catalog_with_accounts(&rows), &plan);
     });
+}
+
+/// `S A× Π_{init as x}(S)  AM  Π_{x + addend as x}(S)` for random `init` and `addend`,
+/// joined against `accounts` so the result depends on the data too.
+fn declaration_chain_plan(rng: &mut SmallRng) -> RelExpr {
+    let init = rng.gen_range_i64(-1000, 1000);
+    let addend = rng.gen_range_i64(-1000, 1000);
+    let ctx = PlanBuilder::single()
+        .apply(
+            PlanBuilder::single().project(vec![(E::literal(init), Some("x"))]),
+            ApplyKind::Cross,
+            vec![],
+        )
+        .apply_merge(
+            PlanBuilder::single().project(vec![(
+                E::binary(
+                    udf_decorrelation::algebra::BinaryOp::Add,
+                    E::column("x"),
+                    E::literal(addend),
+                ),
+                Some("x"),
+            )]),
+            vec![],
+        );
+    PlanBuilder::scan("accounts")
+        .apply(ctx, ApplyKind::Cross, vec![])
+        .project(vec![(E::column("id"), None), (E::column("x"), None)])
+        .build()
 }
 
 /// An if-then-else assignment over `accounts`: `label` starts as 'unset' and becomes
@@ -323,56 +331,100 @@ fn scalar_aggregate_decorrelation_is_exact() {
             let n = rng.gen_range_usize(1, 8);
             (0..n).map(|_| rng.gen_range_i64(0, 6)).collect()
         };
-        let mut catalog = catalog_with_accounts(&rows);
-        catalog
-            .create_table("groups", Schema::new(vec![Column::new("g", DataType::Int)]))
-            .unwrap();
-        catalog
-            .insert_rows(
-                "groups",
-                groups
-                    .iter()
-                    .map(|g| Row::new(vec![Value::Int(*g)]))
-                    .collect(),
-            )
-            .unwrap();
-        // groups A× (G_sum(amount)(σ_{grp = g}(accounts)))
-        let inner = PlanBuilder::scan("accounts")
-            .select(E::eq(E::column("grp"), E::qualified_column("groups", "g")))
-            .aggregate(
-                vec![],
-                vec![AggCall::new(
-                    AggFunc::Sum,
-                    vec![E::column("amount")],
-                    "total",
-                )],
-            );
-        let plan = PlanBuilder::scan("groups")
-            .apply(inner, ApplyKind::Cross, vec![])
-            .project(vec![
-                (E::qualified_column("groups", "g"), None),
-                (E::column("total"), None),
-            ])
-            .build();
-        assert_rules_preserve_results(&catalog, &plan);
+        assert_rules_preserve_results(&catalog_with_groups(&rows, &groups), &scalar_sum_plan());
     });
+}
+
+/// [`catalog_with_accounts`] plus a `groups(g)` table holding `groups`.
+fn catalog_with_groups(rows: &[(i64, i64, f64)], groups: &[i64]) -> Catalog {
+    let mut catalog = catalog_with_accounts(rows);
+    catalog
+        .create_table("groups", Schema::new(vec![Column::new("g", DataType::Int)]))
+        .unwrap();
+    catalog
+        .insert_rows(
+            "groups",
+            groups
+                .iter()
+                .map(|g| Row::new(vec![Value::Int(*g)]))
+                .collect(),
+        )
+        .unwrap();
+    catalog
+}
+
+/// `groups A× (G_sum(amount)(σ_{grp = g}(accounts)))`, projected on `g` and the total.
+fn scalar_sum_plan() -> RelExpr {
+    let inner = PlanBuilder::scan("accounts")
+        .select(E::eq(E::column("grp"), E::qualified_column("groups", "g")))
+        .aggregate(
+            vec![],
+            vec![AggCall::new(
+                AggFunc::Sum,
+                vec![E::column("amount")],
+                "total",
+            )],
+        );
+    PlanBuilder::scan("groups")
+        .apply(inner, ApplyKind::Cross, vec![])
+        .project(vec![
+            (E::qualified_column("groups", "g"), None),
+            (E::column("total"), None),
+        ])
+        .build()
 }
 
 /// K1/K2: an uncorrelated Apply is exactly a join.
 #[test]
 fn uncorrelated_apply_equals_join() {
     check_property("uncorrelated_apply_equals_join", |rng| {
-        let limit = rng.gen_range_f64(-50.0, 50.0);
+        let plan = uncorrelated_semi_apply_plan(rng.gen_range_f64(-50.0, 50.0));
         let rows = arb_rows(rng, 0, 20);
-        let catalog = catalog_with_accounts(&rows);
-        let inner = PlanBuilder::scan_as("accounts", "b")
-            .select(E::gt(E::qualified_column("b", "amount"), E::literal(limit)));
-        let plan = PlanBuilder::scan_as("accounts", "a")
-            .apply(inner, ApplyKind::LeftSemi, vec![])
-            .project(vec![(E::qualified_column("a", "id"), None)])
-            .build();
-        assert_rules_preserve_results(&catalog, &plan);
+        assert_rules_preserve_results(&catalog_with_accounts(&rows), &plan);
     });
+}
+
+/// `accounts a A⋉ σ_{b.amount > limit}(accounts b)`, projected on `a.id`.
+fn uncorrelated_semi_apply_plan(limit: f64) -> RelExpr {
+    let inner = PlanBuilder::scan_as("accounts", "b")
+        .select(E::gt(E::qualified_column("b", "amount"), E::literal(limit)));
+    PlanBuilder::scan_as("accounts", "a")
+        .apply(inner, ApplyKind::LeftSemi, vec![])
+        .project(vec![(E::qualified_column("a", "id"), None)])
+        .build()
+}
+
+/// The plan walkers rebuild nothing they are not asked to: on every plan the properties
+/// above generate, before and after the rule set, an identity rewrite and a parameter
+/// substitution that matches no parameter return the plan unchanged.
+#[test]
+fn identity_rewrites_return_every_generated_plan_unchanged() {
+    check_property(
+        "identity_rewrites_return_every_generated_plan_unchanged",
+        |rng| {
+            let catalog = catalog_with_groups(&arb_rows(rng, 0, 10), &[1, 2]);
+            let registry = FunctionRegistry::new();
+            let provider = CatalogProvider::new(&catalog, &registry);
+            let unbound = HashMap::from([("no_such_param".to_string(), E::literal(0))]);
+            let generated = [
+                declaration_chain_plan(rng),
+                conditional_label_plan(rng.gen_range_f64(-100.0, 100.0)),
+                scalar_sum_plan(),
+                uncorrelated_semi_apply_plan(rng.gen_range_f64(-50.0, 50.0)),
+            ];
+            for plan in generated {
+                let rewritten = FixpointEngine::with_max_iterations(50)
+                    .run(&plan, &RuleSet::default_pipeline(), &provider)
+                    .expect("fixpoint within budget")
+                    .plan;
+                for plan in [plan, rewritten] {
+                    assert_eq!(transform_plan_up(&plan, &mut |n| n), plan);
+                    assert_eq!(map_plan_exprs(&plan, &mut |e| e), plan);
+                    assert_eq!(substitute_params_in_plan(&plan, &unbound), plan);
+                }
+            }
+        },
+    );
 }
 
 /// Rule application always terminates and removes every Apply operator for the paper's

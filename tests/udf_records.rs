@@ -16,6 +16,7 @@
 //! * a table written through `Engine::mutate_catalog` re-derives the forms like DDL does.
 
 use udf_decorrelation::engine::{Engine, QueryOptions, Session};
+use udf_decorrelation::udf::Statement;
 
 /// An engine with `t(c0, c1)`, three rows.
 fn engine_with_t() -> (Engine, Session) {
@@ -392,6 +393,68 @@ fn auxiliary_aggregates_are_named_owned_and_never_shadowed() {
         Some(udf_decorrelation::common::DataType::Float)
     );
     assert_strategies_agree(&session, sql);
+}
+
+/// `int a = 1, b = 2;` declares two variables in the enclosing block — one `Declare` per
+/// variable — so both stay in scope for what follows it, in a body and in the
+/// statements before the cyclic part of a cursor loop alike.
+#[test]
+fn a_multi_variable_declaration_declares_each_variable_in_its_block() {
+    let (engine, session) = engine_with_t();
+    session
+        .execute(
+            "create function g(int k) returns int as \
+             begin int a = 1, b = 2; return a + b + k; end; \
+             create function h(int k) returns float as \
+             begin float s = 0; \
+               declare c cursor for select c1 from t where c0 = :k; \
+               open c; fetch next from c into @v; \
+               while @@fetch_status = 0 \
+               begin float p = @v, q = 2; s = s + p * q; fetch next from c into @v; end \
+               close c; deallocate c; return s; end",
+        )
+        .unwrap();
+    let registry = engine.registry();
+    let kinds = |stmts: &[Statement]| stmts.iter().map(Statement::kind).collect::<Vec<_>>();
+    assert_eq!(
+        kinds(&registry.udf("g").unwrap().body),
+        ["declare", "declare", "return"]
+    );
+    let Statement::CursorLoop { body, .. } = &registry.udf("h").unwrap().body[1] else {
+        panic!("expected the cursor loop second");
+    };
+    assert_eq!(kinds(body), ["declare", "declare", "assign"]);
+    assert_strategies_agree(&session, "select c0, g(c0) as v from t");
+    assert_strategies_agree(&session, "select c0, h(c0) as v from t");
+}
+
+/// A cursor that fetches the very column it is correlated on: the merged projections
+/// keep the inlined body's qualifier on that column, so the decorrelated plan binds and
+/// every intermediate plan validates.
+#[test]
+fn a_cursor_loop_fetching_its_correlated_column_decorrelates() {
+    let (_engine, session) = engine_with_t();
+    session
+        .execute(
+            "create function f(int k) returns int as \
+             begin int s = 0; \
+               declare c cursor for select c0 from t where c0 = :k; \
+               open c; fetch next from c into @v; \
+               while @@fetch_status = 0 \
+               begin s = s + @v; fetch next from c into @v; end \
+               close c; deallocate c; return s; end",
+        )
+        .unwrap();
+    let sql = "select c0, f(c0) as s from t";
+    assert_strategies_agree(&session, sql);
+    let validated = QueryOptions {
+        validate_plans: Some(true),
+        ..QueryOptions::default()
+    };
+    assert_eq!(
+        sorted_rows(&session, sql, &validated).unwrap(),
+        sorted_rows(&session, sql, &QueryOptions::iterative()).unwrap()
+    );
 }
 
 /// A table created or dropped through `Engine::mutate_catalog`, not the SQL front door,
