@@ -9,7 +9,7 @@ use decorr_common::{Error, Result, Row, Schema};
 use decorr_exec::{
     CatalogProvider, ExecConfig, UdfMemo, UdfMemoStats, WorkerPool, WorkerPoolStats,
 };
-use decorr_optimizer::{FeedbackConfig, FeedbackStats, FeedbackStore, PlanCache, PlanCacheStats};
+use decorr_optimizer::{FeedbackStats, FeedbackStore, PlanCache, PlanCacheStats};
 use decorr_persist::WalRecord;
 use decorr_storage::{AnalyzeConfig, Catalog};
 use decorr_udf::{FunctionRegistry, UdfDefinition};
@@ -122,8 +122,8 @@ impl Engine {
         Engine::builder().build()
     }
 
-    /// A builder for parallelism, cache capacities, the analyze/feedback configuration
-    /// and the `data_dir` — the only place an engine is configured.
+    /// A builder for parallelism, cache capacities, the analyze configuration and the
+    /// `data_dir` — the only place an engine is configured.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -144,7 +144,6 @@ impl Engine {
             .plan_cache_capacity(self.inner.plan_cache.capacity())
             .udf_memo_capacity(read(&self.inner.udf_memo).capacity())
             .analyze_config(self.analyze_config())
-            .feedback_config(self.inner.feedback.config().clone())
             .build();
         *write(&fork.inner.state) = read(&self.inner.state).clone();
         fork
@@ -314,11 +313,6 @@ impl Engine {
         self.mutate_catalog_wal(record, |c| c.insert_rows(table, rows))
     }
 
-    /// Bulk-loads rows built programmatically (used by the TPC-H style generator).
-    pub fn load_rows(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        self.insert_rows(table, rows)
-    }
-
     /// Creates a hash index on `table(column)` (WAL-logged on durable engines).
     pub fn create_index(&self, table: &str, column: &str) -> Result<()> {
         let record = self.persist_active().then(|| WalRecord::CreateIndex {
@@ -433,8 +427,6 @@ pub struct EngineBuilder {
     plan_cache_capacity: Option<usize>,
     udf_memo_capacity: Option<usize>,
     analyze_config: AnalyzeConfig,
-    feedback_config: FeedbackConfig,
-    data_dir: Option<PathBuf>,
 }
 
 impl EngineBuilder {
@@ -481,38 +473,19 @@ impl EngineBuilder {
         self
     }
 
-    /// The runtime-feedback configuration (q-error thresholds, trust floors).
-    pub fn feedback_config(mut self, config: FeedbackConfig) -> EngineBuilder {
-        self.feedback_config = config;
-        self
-    }
-
     /// Makes the engine durable: `dir` holds a checkpointed snapshot plus a
-    /// write-ahead log. Building loads the snapshot (if any), replays the WAL's
-    /// valid prefix, and logs every subsequent write; [`Engine::checkpoint`]
-    /// compacts the log into a fresh snapshot. Use [`EngineBuilder::try_build`] to
-    /// surface corruption as an error instead of a panic.
-    pub fn data_dir(mut self, dir: impl Into<PathBuf>) -> EngineBuilder {
-        self.data_dir = Some(dir.into());
-        self
+    /// write-ahead log. Opening the directory can fail, so the returned builder's only
+    /// terminal is [`DurableEngineBuilder::try_build`]; configure everything else
+    /// before this call.
+    pub fn data_dir(self, dir: impl Into<PathBuf>) -> DurableEngineBuilder {
+        DurableEngineBuilder {
+            builder: self,
+            dir: dir.into(),
+        }
     }
 
-    /// Builds the engine. Without a [`data_dir`](EngineBuilder::data_dir) this cannot
-    /// fail.
-    ///
-    /// # Panics
-    ///
-    /// Only when a `data_dir` is set and cannot be opened (I/O error, corrupt snapshot
-    /// or WAL header); use [`EngineBuilder::try_build`] to get that as an error.
+    /// Builds the in-memory engine.
     pub fn build(self) -> Engine {
-        self.try_build()
-            .expect("engine data_dir failed to open; use try_build() to handle corruption")
-    }
-
-    /// Builds the engine; a `data_dir` that cannot be read (I/O error, corrupt
-    /// snapshot) is returned as an error. Without a `data_dir` this never fails.
-    pub fn try_build(mut self) -> Result<Engine> {
-        let data_dir = self.data_dir.take();
         let exec_config = self.exec_config.normalized();
         let pool_size = if exec_config.parallelism > 1 {
             exec_config.parallelism
@@ -528,7 +501,7 @@ impl EngineBuilder {
             registry: Arc::new(self.registry),
         };
         state.derive_records(None);
-        let engine = Engine {
+        Engine {
             inner: Arc::new(EngineInner {
                 state: RwLock::new(state),
                 writer: Mutex::new(()),
@@ -536,14 +509,29 @@ impl EngineBuilder {
                 exec_config,
                 plan_cache: Arc::new(plan_cache),
                 worker_pool: Arc::new(WorkerPool::new(pool_size)),
-                feedback: Arc::new(FeedbackStore::with_config(self.feedback_config)),
+                feedback: Arc::new(FeedbackStore::new()),
                 analyze_config: self.analyze_config,
                 persist: Mutex::new(None),
             }),
-        };
-        if let Some(dir) = data_dir {
-            engine.open_data_dir(&dir)?;
         }
+    }
+}
+
+/// An [`EngineBuilder`] with a `data_dir` (see [`EngineBuilder::data_dir`]).
+#[derive(Debug)]
+pub struct DurableEngineBuilder {
+    builder: EngineBuilder,
+    dir: PathBuf,
+}
+
+impl DurableEngineBuilder {
+    /// Builds the engine on its `data_dir`: loads the snapshot (if any), replays the
+    /// WAL's valid prefix, and logs every subsequent write; [`Engine::checkpoint`]
+    /// compacts the log into a fresh snapshot. A directory that cannot be read (I/O
+    /// error, corrupt snapshot or WAL header) is returned as an error.
+    pub fn try_build(self) -> Result<Engine> {
+        let engine = self.builder.build();
+        engine.open_data_dir(&self.dir)?;
         Ok(engine)
     }
 }

@@ -36,7 +36,7 @@ mod pinned;
 mod session;
 mod shim;
 
-pub use engine::{Engine, EngineBuilder};
+pub use engine::{DurableEngineBuilder, Engine, EngineBuilder};
 pub use session::Session;
 #[doc(hidden)]
 pub use shim::Database;
@@ -119,8 +119,9 @@ pub struct QueryResult {
     pub estimated_rows: f64,
     /// q-error of the root cardinality estimate for this execution.
     pub cardinality_q_error: f64,
-    /// Measured wall-clock per invoked UDF (empty for set-oriented executions).
-    pub udf_timings: Vec<decorr_exec::UdfTiming>,
+    /// The runtime record of each invoked UDF — evaluations and their wall clock,
+    /// cache hits, filter outcomes — in name order (empty for set-oriented executions).
+    pub udf_timings: Vec<decorr_udf::UdfRuntime>,
     /// Actual output cardinality per executed plan node, keyed by structural
     /// fingerprint. Only populated when the query ran with
     /// `ExecConfig::collect_cardinalities` (e.g. under `EXPLAIN ANALYZE`).

@@ -6,13 +6,13 @@ use std::sync::Arc;
 
 use decorr_algebra::{RelExpr, ScalarExpr};
 use decorr_common::{Error, Result, Row, Value};
-use decorr_exec::{CatalogProvider, Env, ExecConfig, Executor, MemoEpoch, UdfMemo, UdfRuntimeHint};
+use decorr_exec::{CatalogProvider, Env, ExecConfig, Executor, MemoEpoch, UdfMemo};
 use decorr_optimizer::{
     estimate_with, estimated_udf_invocation_cost, plan_fingerprint, CostParams, OptimizeMode,
     OptimizeOutcome, PassManager,
 };
 use decorr_storage::Catalog;
-use decorr_udf::{FunctionRegistry, Statement, UdfDefinition};
+use decorr_udf::{FunctionRegistry, Statement, UdfDefinition, UdfRuntime};
 
 use crate::engine::{read, Engine, EngineInner};
 use crate::{ExecutionStrategy, QueryOptions, QueryResult};
@@ -206,23 +206,8 @@ impl Pinned {
             executor =
                 executor.with_udf_dedup(Arc::new(UdfMemo::with_capacity(UDF_DEDUP_CAPACITY)));
         }
-        // Learned per-UDF cost and pass-rate order the UDF conjuncts of filters.
-        let hints: BTreeMap<String, UdfRuntimeHint> = self
-            .shared
-            .feedback
-            .udf_runtime_profiles()
-            .into_iter()
-            .map(|(name, (mean_seconds, selectivity))| {
-                let hint = UdfRuntimeHint {
-                    mean_seconds,
-                    selectivity,
-                };
-                (name, hint)
-            })
-            .collect();
-        if !hints.is_empty() {
-            executor = executor.with_udf_hints(Arc::new(hints));
-        }
+        // Learned per-UDF cost and pass rate order the UDF conjuncts of filters.
+        let executor = executor.with_udf_hints(Arc::new(self.shared.feedback.learned()));
         let result_set = executor.execute(&outcome.plan)?;
         let (estimated_rows, cardinality_q_error, udf_timings) =
             self.fold_feedback(plan, &outcome, &result_set, &executor);
@@ -244,18 +229,18 @@ impl Pinned {
     }
 
     /// Folds one execution's ground truth into the shared feedback store: the
-    /// estimated vs actual root cardinality and the measured per-UDF invocation
-    /// wall-clocks. When the observed q-error (cardinality or UDF cost) first crosses
-    /// the configured threshold for this plan fingerprint, the stale cost-based
-    /// plan-cache entries are invalidated so the next optimize — from *any* session —
-    /// re-decides with the calibrated numbers.
+    /// estimated vs actual root cardinality and each invoked UDF's runtime record. When
+    /// the observed q-error (cardinality or UDF cost) first crosses the threshold for
+    /// this plan fingerprint, the stale cost-based plan-cache entries are invalidated
+    /// so the next optimize — from *any* session — re-decides with the calibrated
+    /// numbers.
     fn fold_feedback(
         &self,
         input_plan: &RelExpr,
         outcome: &OptimizeOutcome,
         result_set: &decorr_exec::ResultSet,
         executor: &Executor,
-    ) -> (f64, f64, Vec<decorr_exec::UdfTiming>) {
+    ) -> (f64, f64, Vec<UdfRuntime>) {
         let feedback = &self.shared.feedback;
         let params = CostParams::new(self.exec_config.parallelism);
         // The decision already carries both alternatives' estimates; recompute only
@@ -276,29 +261,15 @@ impl Pinned {
             .unwrap_or_else(|| plan_fingerprint(input_plan));
         let cardinality_q = feedback.record_query(fingerprint, estimated_rows, actual_rows);
         let mut worst_q = cardinality_q;
-        let udf_timings = executor.udf_timing_snapshot();
-        for timing in &udf_timings {
-            let static_units =
-                estimated_udf_invocation_cost(&timing.name, &self.catalog, &self.registry, &params);
-            // `timing.invocations` counts *evaluated* calls only — memo/dedup hits
-            // are recorded separately so learned per-call costs don't drift to zero
-            // as the caches warm up.
-            let cost_q = feedback.record_udf_timing(
-                &timing.name,
-                timing.invocations,
-                timing.total,
-                static_units,
-                params.row_op_seconds,
+        let udf_timings = executor.udf_runtime_snapshot();
+        for runtime in &udf_timings {
+            let static_units = estimated_udf_invocation_cost(
+                &runtime.name,
+                &self.catalog,
+                &self.registry,
+                &params,
             );
-            worst_q = worst_q.max(cost_q);
-            feedback.record_udf_dedup(&timing.name, timing.invocations, timing.hits);
-        }
-        for selectivity in executor.udf_selectivity_snapshot() {
-            feedback.record_udf_predicate(
-                &selectivity.name,
-                selectivity.evaluated,
-                selectivity.passed,
-            );
+            worst_q = worst_q.max(feedback.record_udf(runtime, static_units));
         }
         if feedback.flag_for_invalidation(fingerprint, worst_q) {
             self.shared.plan_cache.invalidate_fingerprint(fingerprint);

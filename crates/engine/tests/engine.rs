@@ -19,7 +19,7 @@ fn sample_db() -> Engine {
     let customers: Vec<Row> = (1..=20i64)
         .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("Customer#{i}"))]))
         .collect();
-    engine.load_rows("customer", customers).unwrap();
+    engine.insert_rows("customer", customers).unwrap();
     let mut orders = vec![];
     let mut ok = 0i64;
     for i in 1..=20i64 {
@@ -32,7 +32,7 @@ fn sample_db() -> Engine {
             ]));
         }
     }
-    engine.load_rows("orders", orders).unwrap();
+    engine.insert_rows("orders", orders).unwrap();
     engine
         .register_function(
             "create function service_level(int ckey) returns varchar(10) as \
@@ -169,8 +169,8 @@ fn session_parallelism_preserves_results_and_reports_a_trace() {
             Value::Float(500.0 * (i % 7) as f64),
         ]));
     }
-    engine.load_rows("customer", extra_customers).unwrap();
-    engine.load_rows("orders", extra_orders).unwrap();
+    engine.insert_rows("customer", extra_customers).unwrap();
+    engine.insert_rows("orders", extra_orders).unwrap();
     let sql = "select custkey, service_level(custkey) as level from customer";
     let serial = session.query(sql).unwrap();
     assert_eq!(engine.parallelism(), 1);
@@ -283,7 +283,7 @@ fn builder_configures_capacities_and_parallelism() {
 fn fork_is_independent_copy_on_write() {
     let engine = sample_db();
     let fork = engine.fork();
-    fork.load_rows(
+    fork.insert_rows(
         "customer",
         vec![Row::new(vec![Value::Int(999), Value::str("Forked")])],
     )
@@ -325,7 +325,7 @@ impl Drop for TempDir {
 fn writes_survive_reopen_via_wal_alone() {
     let dir = TempDir::new("wal_only");
     {
-        let engine = Engine::builder().data_dir(dir.path()).build();
+        let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
         let session = engine.session();
         session
             .execute(
@@ -340,7 +340,7 @@ fn writes_survive_reopen_via_wal_alone() {
         assert_eq!(stats.checkpoints, 0);
         // No checkpoint: the reopened engine must rebuild from the WAL alone.
     }
-    let engine = Engine::builder().data_dir(dir.path()).build();
+    let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
     let stats = engine.persist_stats();
     assert!(!stats.snapshot_loaded);
     assert_eq!(stats.wal_records_replayed, 3);
@@ -355,7 +355,7 @@ fn writes_survive_reopen_via_wal_alone() {
 fn checkpoint_truncates_wal_and_reopen_restores_functions_and_stats() {
     let dir = TempDir::new("checkpoint");
     {
-        let engine = Engine::builder().data_dir(dir.path()).build();
+        let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
         let session = engine.session();
         session
             .execute(
@@ -384,7 +384,7 @@ fn checkpoint_truncates_wal_and_reopen_restores_functions_and_stats() {
             .execute("insert into orders values (4, 2, 75.0)")
             .unwrap();
     }
-    let engine = Engine::builder().data_dir(dir.path()).build();
+    let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
     let stats = engine.persist_stats();
     assert!(stats.snapshot_loaded);
     assert_eq!(stats.wal_records_replayed, 1);

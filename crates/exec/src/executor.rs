@@ -16,7 +16,7 @@ use decorr_algebra::{
 };
 use decorr_common::{normalize_ident, value::GroupKey, Error, Result, Row, Schema, Value};
 use decorr_storage::{Catalog, RowStore, Table};
-use decorr_udf::FunctionRegistry;
+use decorr_udf::{FunctionRegistry, LearnedUdf, UdfRuntime};
 
 use crate::aggregate::BuiltinAccumulator;
 use crate::env::Env;
@@ -24,21 +24,20 @@ use crate::memo::{MemoEpoch, UdfCaches, UdfMemo};
 use crate::parallel::{label, MorselOutput, WorkerPool};
 use crate::stats::{
     AtomicExecStats, CardinalityCollector, ExecTrace, NodeCardinality, TraceCollector,
-    UdfSelectivity, UdfSelectivityCollector, UdfTiming, UdfTimingCollector,
+    UdfRuntimeCollector,
 };
 use crate::CatalogProvider;
 
 pub use crate::stats::ExecStats;
 
+/// Minimum combined input size (rows) before an equi-join is executed as a hash join
+/// instead of a nested-loop join. This mirrors the plan switches the paper observes
+/// between 1K and 10K invocations in Experiment 2.
+pub const HASH_JOIN_THRESHOLD: usize = 64;
+
 /// Execution-time configuration knobs.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
-    /// Minimum combined input size (rows) before an equi-join is executed as a hash join
-    /// instead of a nested-loop join. This mirrors the plan switches the paper observes
-    /// between 1K and 10K invocations in Experiment 2.
-    pub hash_join_threshold: usize,
-    /// Safety bound on `WHILE` loop iterations inside UDFs.
-    pub max_loop_iterations: usize,
     /// Threads per operator for morsel-driven parallel execution. `1` (the default)
     /// keeps every operator inline on the calling thread; `n > 1` lets scans,
     /// filter/project chains, hash joins, hash aggregation and the Apply family fan
@@ -74,8 +73,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            hash_join_threshold: 64,
-            max_loop_iterations: 10_000_000,
             parallelism: 1,
             morsel_size: 1024,
             collect_cardinalities: false,
@@ -187,32 +184,19 @@ pub struct Executor {
     /// Per-node actual cardinalities (populated when
     /// `ExecConfig::collect_cardinalities` is on).
     pub(crate) cardinalities: Arc<CardinalityCollector>,
-    /// Measured wall-clock per UDF invocation (always on; the engine's feedback loop
-    /// reads this after every query).
-    pub(crate) udf_timings: Arc<UdfTimingCollector>,
-    /// Observed pass/fail outcomes of UDF-bearing conjuncts (populated by the
-    /// cost-ordered filter path; the engine folds it into the feedback store).
-    pub(crate) udf_selectivity: Arc<UdfSelectivityCollector>,
+    /// One runtime record per invoked UDF: evaluations and their wall clock, cache
+    /// hits, filter outcomes (always on; the engine's feedback loop reads it after every
+    /// query).
+    pub(crate) udf_runtime: Arc<UdfRuntimeCollector>,
     /// The result caches a pure-UDF call consults: the engine-owned cross-query memo
     /// with this query's per-UDF epochs, and the per-query dedup tier.
     pub(crate) udf_caches: UdfCaches,
-    /// Learned per-UDF runtime profile (mean evaluation cost, observed predicate
-    /// selectivity) used to order UDF conjuncts; from the engine's feedback store.
-    pub(crate) udf_hints: Arc<BTreeMap<String, UdfRuntimeHint>>,
+    /// What the engine's feedback store has learned per UDF; the mean evaluation cost
+    /// and the pass rate order the UDF conjuncts of filters.
+    pub(crate) udf_hints: Arc<BTreeMap<String, LearnedUdf>>,
     /// The helper-thread budget fanned-out operators lease from: the engine's, shared
     /// by every session's queries, when attached; otherwise this executor's own.
     pub(crate) pool: Arc<WorkerPool>,
-}
-
-/// Learned runtime profile of one UDF, fed from the engine's feedback store into the
-/// executor's cost-ordered predicate evaluation. A number not learned yet is `None`
-/// and ranks with the filter's default.
-#[derive(Debug, Clone, Copy)]
-pub struct UdfRuntimeHint {
-    /// Mean measured wall-clock of one *evaluated* invocation, in seconds.
-    pub mean_seconds: Option<f64>,
-    /// Observed fraction of rows passing the UDF-bearing conjunct (0.0–1.0).
-    pub selectivity: Option<f64>,
 }
 
 impl Executor {
@@ -232,8 +216,7 @@ impl Executor {
             stats: Arc::new(AtomicExecStats::default()),
             trace: Arc::new(TraceCollector::default()),
             cardinalities: Arc::new(CardinalityCollector::default()),
-            udf_timings: Arc::new(UdfTimingCollector::default()),
-            udf_selectivity: Arc::new(UdfSelectivityCollector::default()),
+            udf_runtime: Arc::default(),
             udf_caches: UdfCaches::default(),
             udf_hints: Arc::new(BTreeMap::new()),
             pool: Arc::default(),
@@ -272,9 +255,10 @@ impl Executor {
         self
     }
 
-    /// Attaches learned per-UDF runtime hints for cost-ordered predicate evaluation
-    /// (builder style).
-    pub fn with_udf_hints(mut self, hints: Arc<BTreeMap<String, UdfRuntimeHint>>) -> Executor {
+    /// Attaches what the feedback loop has learned per UDF, for cost-ordered predicate
+    /// evaluation (builder style). A number not learned yet ranks with the filter's
+    /// default.
+    pub fn with_udf_hints(mut self, hints: Arc<BTreeMap<String, LearnedUdf>>) -> Executor {
         self.udf_hints = hints;
         self
     }
@@ -293,8 +277,7 @@ impl Executor {
             stats: Arc::clone(&self.stats),
             trace: Arc::clone(&self.trace),
             cardinalities: Arc::clone(&self.cardinalities),
-            udf_timings: Arc::clone(&self.udf_timings),
-            udf_selectivity: Arc::clone(&self.udf_selectivity),
+            udf_runtime: Arc::clone(&self.udf_runtime),
             udf_caches: self.udf_caches.clone(),
             udf_hints: Arc::clone(&self.udf_hints),
             pool: Arc::clone(&self.pool),
@@ -323,16 +306,10 @@ impl Executor {
         self.cardinalities.snapshot()
     }
 
-    /// Measured wall-clock per UDF, accumulated over every invocation this executor
-    /// performed (empty for set-oriented executions, which invoke no UDFs).
-    pub fn udf_timing_snapshot(&self) -> Vec<UdfTiming> {
-        self.udf_timings.snapshot()
-    }
-
-    /// Observed pass/fail outcomes of UDF-bearing conjuncts (populated only by the
-    /// cost-ordered filter path; the engine folds it into the feedback store).
-    pub fn udf_selectivity_snapshot(&self) -> Vec<UdfSelectivity> {
-        self.udf_selectivity.snapshot()
+    /// The runtime record of every UDF this executor invoked, in name order (empty for
+    /// set-oriented executions, which invoke no UDFs).
+    pub fn udf_runtime_snapshot(&self) -> Vec<UdfRuntime> {
+        self.udf_runtime.snapshot()
     }
 
     /// Executes a plan with no outer context.
@@ -605,7 +582,7 @@ impl Executor {
                 .map(|n| {
                     self.udf_hints
                         .get(n)
-                        .and_then(|h| h.mean_seconds)
+                        .and_then(|l| l.mean_seconds)
                         .map_or(DEFAULT_COST, |seconds| seconds.max(1e-9))
                 })
                 .sum();
@@ -615,7 +592,7 @@ impl Executor {
             let selectivity = self
                 .udf_hints
                 .get(&names[0])
-                .and_then(|h| h.selectivity)
+                .and_then(|l| l.pass_rate)
                 .map_or(DEFAULT_SELECTIVITY, |s| s.clamp(0.0, 1.0));
             let rank = cost / (1.0 - selectivity).max(0.05);
             ranked.push((rank, idx, conjunct, Some(names[0].clone())));
@@ -970,7 +947,7 @@ impl Executor {
         let (equi_keys, residual) = condition
             .map(|c| split_equi_conjuncts(c, &left_schema, &right_schema))
             .unwrap_or((vec![], vec![]));
-        let big_enough = left_src.len() + right_src.len() >= self.config.hash_join_threshold;
+        let big_enough = left_src.len() + right_src.len() >= HASH_JOIN_THRESHOLD;
         let rows = if equi_keys.is_empty() || !big_enough {
             self.stats.add_nested_loop_joins(1);
             self.for_each_left_row(&left_src, "nested-loop-join probe", |view, lrow, rows| {
@@ -1568,13 +1545,16 @@ impl PreparedFilter<'_> {
         }
     }
 
-    /// Folds one evaluation batch's outcome counters into the executor's selectivity
-    /// collector (one lock acquisition per morsel, not per row).
+    /// Folds one evaluation batch's outcome counters into the UDFs' runtime records
+    /// (one lock acquisition per morsel, not per row).
     fn flush(&self, exec: &Executor, outcomes: &[(u64, u64)]) {
         if let PreparedFilter::Ordered(conjuncts) = self {
-            for ((_, name), (evaluated, passed)) in conjuncts.iter().zip(outcomes) {
-                if let Some(name) = name {
-                    exec.udf_selectivity.record(name, *evaluated, *passed);
+            for ((_, name), &(evaluated, passed)) in conjuncts.iter().zip(outcomes) {
+                if let (Some(name), true) = (name, evaluated > 0) {
+                    exec.udf_runtime.update(name, |r| {
+                        r.predicate_evaluated += evaluated;
+                        r.predicate_passed += passed;
+                    });
                 }
             }
         }

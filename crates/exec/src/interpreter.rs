@@ -19,6 +19,9 @@ use crate::env::Env;
 use crate::executor::{Executor, ResultSet};
 use crate::memo::{fingerprint_invocation, MemoValue, Reservation};
 
+/// Safety bound on `WHILE` loop iterations inside UDFs.
+const MAX_LOOP_ITERATIONS: usize = 10_000_000;
+
 /// A cache answered a scalar call with rows or a table call with a value: two
 /// executors with different registries share one memo without epochs.
 fn cached_kind_mismatch(name: &str) -> Error {
@@ -45,13 +48,17 @@ impl Executor {
     fn run_body<T>(&self, key: &str, counted: bool, body: impl FnOnce() -> Result<T>) -> Result<T> {
         if !counted {
             self.stats.add_udf_dedup_hits(1);
-            self.udf_timings.record_hit(key);
+            self.udf_runtime.update(key, |r| r.hits += 1);
             return body();
         }
         self.stats.add_udf_invocations(1);
         let started = std::time::Instant::now();
         let result = body();
-        self.udf_timings.record(key, started.elapsed());
+        let elapsed = started.elapsed();
+        self.udf_runtime.update(key, |r| {
+            r.invocations += 1;
+            r.total += elapsed;
+        });
         result
     }
 
@@ -71,7 +78,7 @@ impl Executor {
         let fingerprint = fingerprint_invocation(key, args);
         let reservation = match caches.lookup(key, fingerprint, args, &self.stats) {
             Reservation::Hit(value) => {
-                self.udf_timings.record_hit(key);
+                self.udf_runtime.update(key, |r| r.hits += 1);
                 return Ok(value);
             }
             Reservation::Reserved(guard) => Some(guard),
@@ -324,10 +331,9 @@ impl Executor {
                 let mut iterations = 0usize;
                 while self.eval_predicate(condition, env)? {
                     iterations += 1;
-                    if iterations > self.config.max_loop_iterations {
+                    if iterations > MAX_LOOP_ITERATIONS {
                         return Err(Error::Execution(format!(
-                            "WHILE loop exceeded {} iterations",
-                            self.config.max_loop_iterations
+                            "WHILE loop exceeded {MAX_LOOP_ITERATIONS} iterations"
                         )));
                     }
                     if let Flow::Return(v) = self.exec_statements(body, env, result_buffer)? {

@@ -29,10 +29,10 @@ pub mod parallel;
 pub mod stats;
 
 pub use env::Env;
-pub use executor::{ExecConfig, Executor, ResultSet, UdfRuntimeHint};
+pub use executor::{ExecConfig, Executor, ResultSet, HASH_JOIN_THRESHOLD};
 pub use memo::{fingerprint_invocation, MemoEpoch, MemoValue, UdfMemo, UdfMemoStats};
 pub use parallel::{morsel_ranges, MorselOutput, WorkerPool, WorkerPoolStats};
-pub use stats::{ExecStats, ExecTrace, NodeCardinality, OperatorTrace, UdfSelectivity, UdfTiming};
+pub use stats::{ExecStats, ExecTrace, NodeCardinality, OperatorTrace};
 
 use decorr_algebra::{ScalarExpr, SchemaProvider};
 use decorr_common::{DataType, Result, Schema, Value};

@@ -13,6 +13,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use decorr_algebra::RelExpr;
+use decorr_udf::UdfRuntime;
 
 /// Runtime counters, useful for tests, EXPLAIN ANALYZE-style reporting and the
 /// experiment harness (e.g. the number of UDF invocations actually performed).
@@ -283,131 +284,39 @@ impl CardinalityCollector {
     }
 }
 
-// ------------------------------------------------------------------- UDF wall clocks
+// --------------------------------------------------------------- UDF runtime records
 
-/// Measured wall-clock of one UDF across a query: evaluated-invocation count, total
-/// evaluation time, and how many calls the dedup/memo caches answered instead.
-///
-/// `invocations` counts *real* body evaluations only. Cache hits must stay out of it:
-/// folding them in would divide the measured total over calls that cost nothing,
-/// draining the feedback store's learned per-UDF cost toward zero as the memo warms —
-/// and a cost model that believes UDFs are free would stop decorrelating them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdfTiming {
-    pub name: String,
-    /// Calls whose body actually ran (and whose wall clock is in `total`).
-    pub invocations: u64,
-    pub total: Duration,
-    /// Calls answered by the memo or per-query dedup cache without evaluation.
-    pub hits: u64,
-}
-
-impl UdfTiming {
-    /// Mean wall-clock per *evaluated* invocation.
-    pub fn mean(&self) -> Duration {
-        if self.invocations == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.invocations as u32
-        }
-    }
-}
-
-/// The collectors' per-UDF slot. They are hit once per UDF call under their lock, so
-/// the key is allocated only the first time a name is seen.
-fn entry_for<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), V::default());
-    }
-    map.get_mut(name)
-        .expect("present: inserted above if absent")
-}
-
-/// Shared collector of per-UDF invocation wall-clocks. Always on: the lock is taken
-/// once per UDF *invocation*, whose body executes whole queries — the overhead is
-/// noise, and the engine's feedback loop needs measured costs from normal runs, not
-/// just diagnostic ones.
+/// Shared collector of the per-UDF runtime records: evaluations and their wall clock,
+/// cache hits, and the outcomes of filter conjuncts the UDF leads. Always on: the lock
+/// is taken once per UDF *invocation* (whose body executes whole queries) and once per
+/// filter morsel, and the engine's feedback loop needs these numbers from normal runs,
+/// not just diagnostic ones.
 #[derive(Debug, Default)]
-pub struct UdfTimingCollector {
-    /// name → (evaluated invocations, total evaluation time, cache hits).
-    timings: Mutex<BTreeMap<String, (u64, Duration, u64)>>,
+pub(crate) struct UdfRuntimeCollector {
+    /// One record per UDF, sorted by name.
+    records: Mutex<Vec<UdfRuntime>>,
 }
 
-impl UdfTimingCollector {
-    /// Records one *evaluated* invocation and its wall clock.
-    pub fn record(&self, name: &str, elapsed: Duration) {
-        let mut timings = self.timings.lock().expect("udf timing collector poisoned");
-        let entry = entry_for(&mut timings, name);
-        entry.0 += 1;
-        entry.1 += elapsed;
+impl UdfRuntimeCollector {
+    /// Applies `f` to the record of `name`, creating it the first time the name is seen.
+    pub(crate) fn update(&self, name: &str, f: impl FnOnce(&mut UdfRuntime)) {
+        let mut records = self.records.lock().expect("udf runtime collector poisoned");
+        let at = match records.binary_search_by(|r| r.name.as_str().cmp(name)) {
+            Ok(at) => at,
+            Err(at) => {
+                records.insert(at, UdfRuntime::new(name));
+                at
+            }
+        };
+        f(&mut records[at]);
     }
 
-    /// Records a call answered from a cache — kept separate so learned per-UDF costs
-    /// stay per-evaluation (see [`UdfTiming`]).
-    pub fn record_hit(&self, name: &str) {
-        let mut timings = self.timings.lock().expect("udf timing collector poisoned");
-        entry_for(&mut timings, name).2 += 1;
-    }
-
-    pub fn snapshot(&self) -> Vec<UdfTiming> {
-        self.timings
+    /// Every record so far, in name order.
+    pub(crate) fn snapshot(&self) -> Vec<UdfRuntime> {
+        self.records
             .lock()
-            .expect("udf timing collector poisoned")
-            .iter()
-            .map(|(name, (invocations, total, hits))| UdfTiming {
-                name: name.clone(),
-                invocations: *invocations,
-                total: *total,
-                hits: *hits,
-            })
-            .collect()
-    }
-}
-
-// -------------------------------------------------------------- predicate selectivity
-
-/// Observed outcome counts of one UDF-bearing conjunct in a cost-ordered filter:
-/// how many rows reached it and how many passed. `passed / evaluated` is the observed
-/// selectivity the feedback store aggregates for future predicate ordering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdfSelectivity {
-    pub name: String,
-    pub evaluated: u64,
-    pub passed: u64,
-}
-
-/// Shared collector of per-UDF predicate outcomes, populated by cost-ordered filter
-/// conjunctions (one locked batch update per morsel or inline pass, not per row).
-#[derive(Debug, Default)]
-pub struct UdfSelectivityCollector {
-    outcomes: Mutex<BTreeMap<String, (u64, u64)>>,
-}
-
-impl UdfSelectivityCollector {
-    pub fn record(&self, name: &str, evaluated: u64, passed: u64) {
-        if evaluated == 0 {
-            return;
-        }
-        let mut outcomes = self
-            .outcomes
-            .lock()
-            .expect("selectivity collector poisoned");
-        let entry = entry_for(&mut outcomes, name);
-        entry.0 += evaluated;
-        entry.1 += passed;
-    }
-
-    pub fn snapshot(&self) -> Vec<UdfSelectivity> {
-        self.outcomes
-            .lock()
-            .expect("selectivity collector poisoned")
-            .iter()
-            .map(|(name, (evaluated, passed))| UdfSelectivity {
-                name: name.clone(),
-                evaluated: *evaluated,
-                passed: *passed,
-            })
-            .collect()
+            .expect("udf runtime collector poisoned")
+            .clone()
     }
 }
 
@@ -478,49 +387,26 @@ mod tests {
     }
 
     #[test]
-    fn udf_timing_collector_accumulates() {
-        let collector = UdfTimingCollector::default();
-        collector.record("f", Duration::from_micros(100));
-        collector.record("f", Duration::from_micros(300));
-        collector.record("g", Duration::from_micros(5));
+    fn udf_runtime_collector_keeps_one_record_per_udf_in_name_order() {
+        let collector = UdfRuntimeCollector::default();
+        let evaluate = |r: &mut UdfRuntime, micros| {
+            r.invocations += 1;
+            r.total += Duration::from_micros(micros);
+        };
+        collector.update("g", |r| evaluate(r, 5));
+        collector.update("f", |r| evaluate(r, 100));
+        collector.update("f", |r| evaluate(r, 300));
+        collector.update("f", |r| r.hits += 1);
+        collector.update("f", |r| {
+            r.predicate_evaluated += 150;
+            r.predicate_passed += 15;
+        });
         let snapshot = collector.snapshot();
-        let f = snapshot.iter().find(|t| t.name == "f").unwrap();
-        assert_eq!(f.invocations, 2);
+        let names: Vec<&str> = snapshot.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["f", "g"]);
+        let f = &snapshot[0];
+        assert_eq!((f.invocations, f.hits), (2, 1), "hits are not invocations");
         assert_eq!(f.total, Duration::from_micros(400));
-        assert_eq!(f.mean(), Duration::from_micros(200));
-        assert_eq!(f.hits, 0);
-    }
-
-    #[test]
-    fn cache_hits_do_not_dilute_the_measured_mean() {
-        let collector = UdfTimingCollector::default();
-        collector.record("f", Duration::from_micros(400));
-        for _ in 0..3 {
-            collector.record_hit("f");
-        }
-        // A UDF first seen through hits only must still snapshot (hits-only entry).
-        collector.record_hit("warm_only");
-        let snapshot = collector.snapshot();
-        let f = snapshot.iter().find(|t| t.name == "f").unwrap();
-        assert_eq!(f.invocations, 1, "hits must not count as invocations");
-        assert_eq!(f.hits, 3);
-        // The mean stays the per-evaluation cost; 400/4 would be the drift bug.
-        assert_eq!(f.mean(), Duration::from_micros(400));
-        let warm = snapshot.iter().find(|t| t.name == "warm_only").unwrap();
-        assert_eq!((warm.invocations, warm.hits), (0, 1));
-        assert_eq!(warm.mean(), Duration::ZERO);
-    }
-
-    #[test]
-    fn selectivity_collector_accumulates_outcomes() {
-        let collector = UdfSelectivityCollector::default();
-        collector.record("f", 100, 10);
-        collector.record("f", 50, 5);
-        collector.record("g", 0, 0); // no-op
-        let snapshot = collector.snapshot();
-        assert_eq!(snapshot.len(), 1);
-        assert_eq!(snapshot[0].name, "f");
-        assert_eq!(snapshot[0].evaluated, 150);
-        assert_eq!(snapshot[0].passed, 15);
+        assert_eq!((f.predicate_evaluated, f.predicate_passed), (150, 15));
     }
 }

@@ -4,13 +4,19 @@
 use std::sync::Arc;
 
 use decorr_common::{Column, DataType, Row, Schema, Value};
-use decorr_exec::{ExecConfig, Executor, UdfMemo};
+use decorr_exec::{Executor, UdfMemo, HASH_JOIN_THRESHOLD};
 use decorr_parser::{parse_and_plan, parse_function};
 use decorr_storage::Catalog;
 use decorr_udf::FunctionRegistry;
 
 /// Builds a small TPC-H-flavoured catalog used throughout these tests.
 fn setup() -> (Arc<Catalog>, FunctionRegistry) {
+    setup_with(10)
+}
+
+/// The catalog of [`setup`] with customers `1..=customers`: customer `i` has `i` orders,
+/// so the first `n` customers and their orders are the same rows at any size ≥ `n`.
+fn setup_with(customers: i64) -> (Arc<Catalog>, FunctionRegistry) {
     let mut catalog = Catalog::new();
     catalog
         .create_table(
@@ -32,8 +38,8 @@ fn setup() -> (Arc<Catalog>, FunctionRegistry) {
             ]),
         )
         .unwrap();
-    // 10 customers; customer i has i orders each worth 100*i.
-    for i in 1..=10i64 {
+    // Customer i has i orders each worth 100*i.
+    for i in 1..=customers {
         catalog
             .insert_rows(
                 "customer",
@@ -46,7 +52,7 @@ fn setup() -> (Arc<Catalog>, FunctionRegistry) {
             .unwrap();
     }
     let mut orderkey = 0i64;
-    for i in 1..=10i64 {
+    for i in 1..=customers {
         for _ in 0..i {
             orderkey += 1;
             catalog
@@ -151,32 +157,34 @@ fn joins_inner_and_left_outer() {
 
 #[test]
 fn hash_join_and_nested_loop_agree() {
-    let (catalog, registry) = setup();
+    // The filter sits above the join, so the join reads whole tables: 10 + 55 rows, at
+    // or above the hash-join threshold, against 5 + 15 rows below it.
     let plan = parse_and_plan(
-        "select c.custkey, o.orderkey from customer c join orders o on c.custkey = o.custkey",
+        "select c.custkey, o.orderkey from customer c join orders o on c.custkey = o.custkey \
+         where c.custkey <= 5",
     )
     .unwrap();
-    let hash_exec = Executor::with_config(
-        Arc::clone(&catalog),
-        Arc::new(registry.clone()),
-        ExecConfig {
-            hash_join_threshold: 0,
-            ..ExecConfig::default()
-        },
+    let run = |customers| {
+        let (catalog, registry) = setup_with(customers);
+        let join_input = catalog.table("customer").unwrap().row_count()
+            + catalog.table("orders").unwrap().row_count();
+        let executor = Executor::new(catalog, Arc::new(registry));
+        let rows = executor.execute(&plan).unwrap().canonical();
+        (join_input, rows, executor.stats_snapshot())
+    };
+    let (hash_input, hashed, hash_stats) = run(10);
+    let (loop_input, looped, loop_stats) = run(5);
+    assert!(loop_input < HASH_JOIN_THRESHOLD && HASH_JOIN_THRESHOLD <= hash_input);
+    assert_eq!(hashed, looped);
+    assert_eq!(hashed.len(), 15);
+    assert_eq!(
+        (hash_stats.hash_joins, hash_stats.nested_loop_joins),
+        (1, 0)
     );
-    let nlj_exec = Executor::with_config(
-        Arc::clone(&catalog),
-        Arc::new(registry.clone()),
-        ExecConfig {
-            hash_join_threshold: usize::MAX,
-            ..ExecConfig::default()
-        },
+    assert_eq!(
+        (loop_stats.hash_joins, loop_stats.nested_loop_joins),
+        (0, 1)
     );
-    let a = hash_exec.execute(&plan).unwrap();
-    let b = nlj_exec.execute(&plan).unwrap();
-    assert_eq!(a.canonical(), b.canonical());
-    assert_eq!(hash_exec.stats_snapshot().hash_joins, 1);
-    assert_eq!(nlj_exec.stats_snapshot().nested_loop_joins, 1);
 }
 
 #[test]

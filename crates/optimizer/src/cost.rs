@@ -4,17 +4,45 @@
 //! [`TableStatistics`](decorr_storage::TableStatistics), cached per table by
 //! `decorr-storage`): equality predicates use MCV lists and distinct counts, range
 //! predicates (`<`, `>`, `BETWEEN`) use equi-depth histograms when a sampled `ANALYZE`
-//! has run, and grouped aggregates use group-column distinct counts. Every constant the seed model hard-coded is a [`CostParams`] field now, so
-//! benches and tests can sweep them — and the runtime feedback loop
-//! (`crate::feedback`) can replace the static per-UDF body estimate with *measured*
-//! invocation costs via [`CostParams::udf_cost_overrides`].
+//! has run, and grouped aggregates use group-column distinct counts. Where statistics
+//! do not resolve a term, the constants below stand in. The runtime feedback loop
+//! (`crate::feedback`) replaces the static per-UDF body estimate with *measured*
+//! invocation costs through [`CostParams::learned`].
 
 use std::collections::BTreeMap;
 
 use decorr_algebra::{BinaryOp, JoinKind, RelExpr, ScalarExpr};
 use decorr_common::{normalize_ident, Value};
 use decorr_storage::Catalog;
-use decorr_udf::{FunctionRegistry, Statement};
+use decorr_udf::{FunctionRegistry, LearnedUdf, Statement};
+
+/// Output fraction of a semi/anti join relative to its left input.
+const SEMI_JOIN_SELECTIVITY: f64 = 0.5;
+/// Output fraction of a non-equi join relative to the cross product.
+const NON_EQUI_JOIN_SELECTIVITY: f64 = 0.1;
+/// Group count as a fraction of the input when the group columns' distinct counts are
+/// unknown.
+const GROUP_COUNT_FRACTION: f64 = 0.5;
+/// Per-invocation discount of a correlated inner plan relative to a full evaluation
+/// (index-assisted execution).
+const CORRELATED_DISCOUNT: f64 = 0.01;
+/// Selectivity of an equality predicate when no statistics resolve it.
+const DEFAULT_EQUALITY_SELECTIVITY: f64 = 0.1;
+/// Selectivity of one comparison bound when no histogram resolves it.
+const DEFAULT_RANGE_SELECTIVITY: f64 = 0.3;
+/// Selectivity of an unclassifiable predicate conjunct.
+const DEFAULT_PREDICATE_SELECTIVITY: f64 = 0.5;
+
+/// Wall-clock seconds one abstract row operation is worth in this interpreted engine —
+/// the bridge between measured UDF wall-clock and the model's row-op units. Every other
+/// term of the model is in abstract units, so this constant alone places the
+/// iterative/decorrelated switch: whenever the executor gets faster, measured
+/// invocations shrink against the decorrelated plan's fixed estimate and the switch
+/// moves up. Calibrated on Experiment 2 (a `service_level` call measures ~4.8 µs, the
+/// decorrelated plan is priced at ~144 000 units) so the switch sits near 9 000
+/// invocations, between the measured crossover (~8 000) and well below the
+/// 12 000-invocation top point.
+pub(crate) const ROW_OP_SECONDS: f64 = 3.5e-7;
 
 /// The estimated cardinality and abstract cost (row operations) of a plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,69 +61,18 @@ impl CostEstimate {
 }
 
 /// Runtime parameters the cost model calibrates against: the executor's worker-pool
-/// size, the (previously hard-coded) selectivity and discount constants, and the
-/// learned per-UDF invocation costs fed back by the engine after execution.
+/// size and what the feedback loop has learned per UDF.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
     /// The executor's `ExecConfig::parallelism`. Data-parallel operators (scans,
     /// filters, projections, hash joins, hash aggregation and the morsel-parallel
     /// Apply loops) divide their incremental cost by the effective speedup.
     pub parallelism: usize,
-    /// Output fraction of a semi/anti join relative to its left input (seed model:
-    /// the hard-coded `/ 2.0`).
-    pub semi_join_selectivity: f64,
-    /// Output fraction of a non-equi join relative to the cross product (seed model:
-    /// the hard-coded `/ 10.0`).
-    pub non_equi_join_selectivity: f64,
-    /// Group count as a fraction of the input when the group columns' distinct counts
-    /// are unknown (seed model: the hard-coded `input / 2`).
-    pub group_count_fraction: f64,
-    /// Per-invocation discount of a correlated inner plan relative to a full
-    /// evaluation (index-assisted execution; seed model: `CORRELATED_DISCOUNT`).
-    pub correlated_discount: f64,
-    /// Selectivity of an equality predicate when no statistics resolve it.
-    pub default_equality_selectivity: f64,
-    /// Selectivity of one comparison bound when no histogram resolves it.
-    pub default_range_selectivity: f64,
-    /// Selectivity of an unclassifiable predicate conjunct.
-    pub default_predicate_selectivity: f64,
-    /// Wall-clock seconds one abstract row operation is worth in this interpreted
-    /// engine — the bridge between measured UDF wall-clock and the model's row-op
-    /// units. Every other term of the model is in abstract units, so this constant
-    /// alone places the iterative/decorrelated switch: whenever the executor gets
-    /// faster, measured invocations shrink against the decorrelated plan's fixed
-    /// estimate and the switch moves up. Calibrated on Experiment 2 (a
-    /// `service_level` call measures ~4.8 µs, the decorrelated plan is priced at
-    /// ~144 000 units) so the switch sits near 9 000 invocations, between the
-    /// measured crossover (~8 000) and well below the 12 000-invocation top point.
-    pub row_op_seconds: f64,
-    /// Learned per-invocation UDF costs (row-op units) keyed by normalized function
-    /// name; populated by the feedback store and consulted *instead of* the static
-    /// body estimate in [`estimate_with`].
-    pub udf_cost_overrides: BTreeMap<String, f64>,
-    /// Learned fraction of each UDF's calls that actually evaluate the body (the rest
-    /// are answered by the executor's dedup/memo caches). Multiplies the per-call cost
-    /// so strategy choice compares *effective* invocation counts, not raw ones;
-    /// normalized UDF name → fraction in `(0, 1]`, absent = 1.0 (no dedup observed).
-    pub udf_dedup_fractions: BTreeMap<String, f64>,
-}
-
-impl Default for CostParams {
-    fn default() -> Self {
-        CostParams {
-            parallelism: 1,
-            semi_join_selectivity: 0.5,
-            non_equi_join_selectivity: 0.1,
-            group_count_fraction: 0.5,
-            correlated_discount: 0.01,
-            default_equality_selectivity: 0.1,
-            default_range_selectivity: 0.3,
-            default_predicate_selectivity: 0.5,
-            row_op_seconds: 3.5e-7,
-            udf_cost_overrides: BTreeMap::new(),
-            udf_dedup_fractions: BTreeMap::new(),
-        }
-    }
+    /// What the feedback store has learned per UDF, keyed by normalized name: a learned
+    /// invocation cost replaces the static body estimate in [`estimate_with`], and a
+    /// learned dedup fraction scales the per-call cost so strategy choice compares
+    /// *effective* invocation counts, not raw ones.
+    pub learned: BTreeMap<String, LearnedUdf>,
 }
 
 /// Measured morsel-pool scaling is sub-linear (merge overheads and skew), so each
@@ -109,38 +86,20 @@ impl Default for CostParams {
 const PARALLEL_EFFICIENCY: f64 = 0.85;
 
 impl CostParams {
+    /// Parameters for `parallelism` threads per operator, with nothing learned yet.
     pub fn new(parallelism: usize) -> CostParams {
         CostParams {
             parallelism: parallelism.max(1),
-            ..CostParams::default()
+            learned: BTreeMap::new(),
         }
     }
 
-    /// Attaches learned per-UDF invocation costs (builder style).
-    pub fn with_udf_cost_overrides(mut self, overrides: BTreeMap<String, f64>) -> CostParams {
-        self.udf_cost_overrides = overrides;
-        self
-    }
-
-    /// The learned invocation cost of a UDF, if the feedback loop provided one.
-    pub fn udf_cost_override(&self, name: &str) -> Option<f64> {
-        self.udf_cost_overrides.get(&normalize_ident(name)).copied()
-    }
-
-    /// Attaches learned dedup fractions (builder style).
-    pub fn with_udf_dedup_fractions(mut self, fractions: BTreeMap<String, f64>) -> CostParams {
-        self.udf_dedup_fractions = fractions;
-        self
-    }
-
-    /// The fraction of this UDF's calls expected to actually run the body: `1.0`
-    /// unless the feedback loop has observed dedup/memo hits for it.
-    pub fn udf_dedup_fraction(&self, name: &str) -> f64 {
-        self.udf_dedup_fractions
+    /// What the feedback loop has learned about a UDF (nothing, if it has no entry).
+    fn learned_for(&self, name: &str) -> LearnedUdf {
+        self.learned
             .get(&normalize_ident(name))
             .copied()
-            .map(|f| f.clamp(0.0, 1.0))
-            .unwrap_or(1.0)
+            .unwrap_or_default()
     }
 
     /// The divisor applied to data-parallel operator costs: `1` when serial, and a
@@ -148,21 +107,6 @@ impl CostParams {
     pub fn effective_parallelism(&self) -> f64 {
         1.0 + PARALLEL_EFFICIENCY * (self.parallelism.max(1) - 1) as f64
     }
-}
-
-/// Estimated output cardinality of a plan.
-pub fn estimate_cardinality(plan: &RelExpr, catalog: &Catalog, registry: &FunctionRegistry) -> f64 {
-    estimate(plan, catalog, registry).cardinality
-}
-
-/// Estimated total cost of a plan (abstract row-operation units).
-pub fn estimate_cost(plan: &RelExpr, catalog: &Catalog, registry: &FunctionRegistry) -> f64 {
-    estimate(plan, catalog, registry).cost
-}
-
-/// Full estimate at serial (single-worker) execution with default parameters.
-pub fn estimate(plan: &RelExpr, catalog: &Catalog, registry: &FunctionRegistry) -> CostEstimate {
-    estimate_with(plan, catalog, registry, &CostParams::default())
 }
 
 /// The per-node estimate of one plan operator, keyed by the subtree's structural
@@ -246,7 +190,7 @@ pub fn estimate_with(
         }
         RelExpr::Select { input, predicate } => {
             let input_est = estimate_with(input, catalog, registry, params);
-            let selectivity = predicate_selectivity(predicate, input, catalog, params);
+            let selectivity = predicate_selectivity(predicate, input, catalog);
             CostEstimate::new(
                 input_est.cardinality * selectivity,
                 input_est.cost + input_est.cardinality / par,
@@ -274,7 +218,7 @@ pub fn estimate_with(
             let groups = if group_by.is_empty() {
                 1.0
             } else {
-                estimate_group_count(group_by, input, catalog, params, input_est.cardinality)
+                estimate_group_count(group_by, input, catalog, input_est.cardinality)
             };
             CostEstimate::new(groups, input_est.cost + input_est.cardinality / par)
         }
@@ -302,11 +246,9 @@ pub fn estimate_with(
                 .unwrap_or(false);
             let output = match kind {
                 JoinKind::Cross => l.cardinality * r.cardinality,
-                JoinKind::LeftSemi | JoinKind::LeftAnti => {
-                    l.cardinality * params.semi_join_selectivity
-                }
+                JoinKind::LeftSemi | JoinKind::LeftAnti => l.cardinality * SEMI_JOIN_SELECTIVITY,
                 _ if has_equi => (l.cardinality).max(r.cardinality),
-                _ => l.cardinality * r.cardinality * params.non_equi_join_selectivity,
+                _ => l.cardinality * r.cardinality * NON_EQUI_JOIN_SELECTIVITY,
             };
             // Hash join when an equality condition exists, nested loops otherwise.
             let join_cost = if has_equi {
@@ -340,7 +282,7 @@ pub fn estimate_with(
             let r = estimate_with(right, catalog, registry, params);
             CostEstimate::new(
                 l.cardinality * r.cardinality.max(1.0),
-                l.cost + l.cardinality * (r.cost * params.correlated_discount).max(1.0) / par,
+                l.cost + l.cardinality * (r.cost * CORRELATED_DISCOUNT).max(1.0) / par,
             )
         }
         RelExpr::ApplyMerge { left, right, .. }
@@ -353,7 +295,7 @@ pub fn estimate_with(
             let r = estimate_with(right, catalog, registry, params);
             CostEstimate::new(
                 l.cardinality,
-                l.cost + l.cardinality * (r.cost * params.correlated_discount).max(1.0) / par,
+                l.cost + l.cardinality * (r.cost * CORRELATED_DISCOUNT).max(1.0) / par,
             )
         }
     }
@@ -361,12 +303,11 @@ pub fn estimate_with(
 
 /// Group-count estimate: when every grouping expression is a column whose base-table
 /// distinct count is known, the group count is the product of the distinct counts
-/// (capped by the input cardinality); otherwise the configurable input fraction.
+/// (capped by the input cardinality); otherwise a fixed input fraction.
 fn estimate_group_count(
     group_by: &[ScalarExpr],
     input: &RelExpr,
     catalog: &Catalog,
-    params: &CostParams,
     input_cardinality: f64,
 ) -> f64 {
     let stats = base_table_of(input)
@@ -390,7 +331,7 @@ fn estimate_group_count(
             return ndv_product.clamp(1.0, input_cardinality.max(1.0));
         }
     }
-    (input_cardinality * params.group_count_fraction).max(1.0)
+    (input_cardinality * GROUP_COUNT_FRACTION).max(1.0)
 }
 
 /// One conjunct, classified for selectivity estimation.
@@ -469,12 +410,7 @@ fn classify_conjunct(conjunct: &ScalarExpr) -> ConjunctClass {
     }
 }
 
-fn predicate_selectivity(
-    predicate: &ScalarExpr,
-    input: &RelExpr,
-    catalog: &Catalog,
-    params: &CostParams,
-) -> f64 {
+fn predicate_selectivity(predicate: &ScalarExpr, input: &RelExpr, catalog: &Catalog) -> f64 {
     let stats = base_table_of(input)
         .and_then(|t| catalog.table(&t).ok())
         .map(|t| t.stats());
@@ -492,7 +428,7 @@ fn predicate_selectivity(
                         Some(value) => stats.equality_selectivity_value(&column, &value),
                         None => stats.equality_selectivity(&column),
                     },
-                    _ => params.default_equality_selectivity,
+                    _ => DEFAULT_EQUALITY_SELECTIVITY,
                 };
             }
             ConjunctClass::Bound { column, lo, hi } => {
@@ -515,8 +451,8 @@ fn predicate_selectivity(
                 }
                 entry.2 += 1;
             }
-            ConjunctClass::OpaqueComparison => selectivity *= params.default_range_selectivity,
-            ConjunctClass::Other => selectivity *= params.default_predicate_selectivity,
+            ConjunctClass::OpaqueComparison => selectivity *= DEFAULT_RANGE_SELECTIVITY,
+            ConjunctClass::Other => selectivity *= DEFAULT_PREDICATE_SELECTIVITY,
         }
     }
     for (column, (lo, hi, bounds)) in intervals {
@@ -526,7 +462,7 @@ fn predicate_selectivity(
         selectivity *= match from_histogram {
             Some(fraction) => fraction.max(0.0),
             // No histogram: the seed behaviour — one default factor per bound.
-            None => params.default_range_selectivity.powi(bounds as i32),
+            None => DEFAULT_RANGE_SELECTIVITY.powi(bounds as i32),
         };
     }
     selectivity.clamp(0.000_001, 1.0)
@@ -556,9 +492,10 @@ fn udf_cost_of_expr(
     if let ScalarExpr::UdfCall { name, .. } = expr {
         // Per-call cost (learned when available) scaled by the effective fraction of
         // calls the dedup/memo runtime actually evaluates.
-        let fraction = params.udf_dedup_fraction(name);
-        if let Some(learned) = params.udf_cost_override(name) {
-            total += learned * fraction;
+        let learned = params.learned_for(name);
+        let fraction = learned.dedup_fraction.map_or(1.0, |f| f.clamp(0.0, 1.0));
+        if let Some(units) = learned.units {
+            total += units * fraction;
         } else if let Ok(udf) = registry.udf(name) {
             total += udf_body_cost(&udf.body, catalog, registry, params) * fraction;
         }
@@ -579,12 +516,11 @@ fn udf_body_cost(
     for stmt in body {
         match stmt {
             Statement::SelectInto { query, .. } => {
-                total += estimate_with(query, catalog, registry, params).cost
-                    * params.correlated_discount;
+                total += estimate_with(query, catalog, registry, params).cost * CORRELATED_DISCOUNT;
             }
             Statement::CursorLoop { query, body, .. } => {
                 let inner = estimate_with(query, catalog, registry, params);
-                total += inner.cost * params.correlated_discount
+                total += inner.cost * CORRELATED_DISCOUNT
                     + inner.cardinality * udf_body_cost(body, catalog, registry, params);
             }
             Statement::While { body, .. } => {
@@ -609,8 +545,7 @@ fn udf_body_cost(
             | Statement::Return {
                 expr: Some(ScalarExpr::ScalarSubquery(q)),
             } => {
-                total +=
-                    estimate_with(q, catalog, registry, params).cost * params.correlated_discount;
+                total += estimate_with(q, catalog, registry, params).cost * CORRELATED_DISCOUNT;
             }
             _ => {}
         }
@@ -624,6 +559,11 @@ mod tests {
     use decorr_common::{Column, DataType, Row, Schema, Value};
     use decorr_parser::{parse_and_plan, parse_function};
     use decorr_storage::AnalyzeConfig;
+
+    /// The serial estimate with nothing learned.
+    fn estimate(plan: &RelExpr, catalog: &Catalog, registry: &FunctionRegistry) -> CostEstimate {
+        estimate_with(plan, catalog, registry, &CostParams::new(1))
+    }
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -664,9 +604,9 @@ mod tests {
         let catalog = catalog();
         let registry = FunctionRegistry::new();
         let scan = parse_and_plan("select * from orders").unwrap();
-        assert_eq!(estimate_cardinality(&scan, &catalog, &registry), 1000.0);
+        assert_eq!(estimate(&scan, &catalog, &registry).cardinality, 1000.0);
         let filtered = parse_and_plan("select * from orders where custkey = 7").unwrap();
-        let card = estimate_cardinality(&filtered, &catalog, &registry);
+        let card = estimate(&filtered, &catalog, &registry).cardinality;
         assert!((card - 20.0).abs() < 1.0, "expected ~20 rows, got {card}");
     }
 
@@ -676,12 +616,12 @@ mod tests {
         let registry = FunctionRegistry::new();
         let narrow = parse_and_plan("select * from orders where orderkey <= 100").unwrap();
         // Unanalyzed: the default range constant wildly overestimates (0.3 × 1000).
-        let before = estimate_cardinality(&narrow, &catalog, &registry);
+        let before = estimate(&narrow, &catalog, &registry).cardinality;
         assert!((before - 300.0).abs() < 1.0, "default estimate {before}");
         catalog
             .analyze_table("orders", &AnalyzeConfig::default())
             .unwrap();
-        let after = estimate_cardinality(&narrow, &catalog, &registry);
+        let after = estimate(&narrow, &catalog, &registry).cardinality;
         assert!(
             (after - 101.0).abs() < 25.0,
             "histogram estimate {after} for ~101 actual rows"
@@ -690,7 +630,7 @@ mod tests {
         let between =
             parse_and_plan("select * from orders where orderkey >= 200 and orderkey <= 399")
                 .unwrap();
-        let est = estimate_cardinality(&between, &catalog, &registry);
+        let est = estimate(&between, &catalog, &registry).cardinality;
         assert!((est - 200.0).abs() < 50.0, "between estimate {est}");
     }
 
@@ -700,7 +640,7 @@ mod tests {
         let registry = FunctionRegistry::new();
         let grouped =
             parse_and_plan("select custkey, sum(totalprice) from orders group by custkey").unwrap();
-        let groups = estimate_cardinality(&grouped, &catalog, &registry);
+        let groups = estimate(&grouped, &catalog, &registry).cardinality;
         // Seed model said input/2 = 500; the statistics know there are 50 custkeys.
         assert!((groups - 50.0).abs() < 1.0, "group estimate {groups}");
     }
@@ -719,8 +659,8 @@ mod tests {
         let small =
             parse_and_plan("select custkey, tb(custkey) from customer where custkey = 3").unwrap();
         let large = parse_and_plan("select custkey, tb(custkey) from customer").unwrap();
-        let small_cost = estimate_cost(&small, &catalog, &registry);
-        let large_cost = estimate_cost(&large, &catalog, &registry);
+        let small_cost = estimate(&small, &catalog, &registry).cost;
+        let large_cost = estimate(&large, &catalog, &registry).cost;
         assert!(
             large_cost > small_cost,
             "iterative cost must grow with the number of invocations ({small_cost} vs {large_cost})"
@@ -739,22 +679,29 @@ mod tests {
             .unwrap(),
         );
         let plan = parse_and_plan("select custkey, tb(custkey) from customer").unwrap();
-        let static_params = CostParams::default();
+        let static_params = CostParams::new(1);
         let static_cost = estimate_with(&plan, &catalog, &registry, &static_params).cost;
         let static_per_invocation =
             estimated_udf_invocation_cost("tb", &catalog, &registry, &static_params)
                 .expect("tb is registered");
         assert!(static_per_invocation > 1.0);
         // Feedback learned the UDF is 100x more expensive than modelled.
-        let learned = static_params.clone().with_udf_cost_overrides(
-            [("tb".to_string(), static_per_invocation * 100.0)]
-                .into_iter()
-                .collect(),
-        );
+        let units = Some(static_per_invocation * 100.0);
+        let learned = CostParams {
+            learned: [(
+                "tb".to_string(),
+                LearnedUdf {
+                    units,
+                    ..LearnedUdf::default()
+                },
+            )]
+            .into(),
+            ..static_params
+        };
         assert_eq!(
-            learned.udf_cost_override("TB"),
-            Some(static_per_invocation * 100.0),
-            "override lookup is case-normalized"
+            learned.learned_for("TB").units,
+            units,
+            "the lookup is case-normalized"
         );
         let learned_cost = estimate_with(&plan, &catalog, &registry, &learned).cost;
         assert!(
@@ -764,40 +711,16 @@ mod tests {
     }
 
     #[test]
-    fn promoted_constants_are_sweepable() {
-        let catalog = catalog();
-        let registry = FunctionRegistry::new();
-        let semi = decorr_algebra::RelExpr::Join {
-            left: Box::new(decorr_algebra::RelExpr::scan("orders")),
-            right: Box::new(decorr_algebra::RelExpr::scan("customer")),
-            kind: JoinKind::LeftSemi,
-            condition: None,
-        };
-        let default = estimate_with(&semi, &catalog, &registry, &CostParams::default());
-        let tight = estimate_with(
-            &semi,
-            &catalog,
-            &registry,
-            &CostParams {
-                semi_join_selectivity: 0.01,
-                ..CostParams::default()
-            },
-        );
-        assert!((default.cardinality - 500.0).abs() < 1.0);
-        assert!((tight.cardinality - 10.0).abs() < 1.0);
-    }
-
-    #[test]
     fn per_node_estimates_cover_the_whole_tree() {
         let catalog = catalog();
         let registry = FunctionRegistry::new();
         let plan = parse_and_plan("select custkey from orders where custkey = 7").unwrap();
-        let nodes = estimate_per_node(&plan, &catalog, &registry, &CostParams::default());
+        let nodes = estimate_per_node(&plan, &catalog, &registry, &CostParams::new(1));
         assert_eq!(nodes.len(), plan.node_count());
         assert_eq!(nodes[0].fingerprint, plan.fingerprint());
         assert!(nodes.iter().any(|n| n.operator == "Scan"));
         // The root's estimate matches the plain estimator.
-        let root = estimate_cardinality(&plan, &catalog, &registry);
+        let root = estimate(&plan, &catalog, &registry).cardinality;
         assert_eq!(nodes[0].cardinality, root);
     }
 
@@ -811,8 +734,17 @@ mod tests {
         .unwrap();
         let cross = parse_and_plan("select o.orderkey from customer c, orders o").unwrap();
         assert!(
-            estimate_cost(&join, &catalog, &registry) < estimate_cost(&cross, &catalog, &registry)
+            estimate(&join, &catalog, &registry).cost < estimate(&cross, &catalog, &registry).cost
         );
+        // A semi join keeps half its left input.
+        let semi = RelExpr::Join {
+            left: Box::new(RelExpr::scan("orders")),
+            right: Box::new(RelExpr::scan("customer")),
+            kind: JoinKind::LeftSemi,
+            condition: None,
+        };
+        let semi = estimate(&semi, &catalog, &registry).cardinality;
+        assert!((semi - 500.0).abs() < 1.0, "semi join estimate {semi}");
     }
 
     #[test]
@@ -830,8 +762,8 @@ mod tests {
         let flat =
             parse_and_plan("select custkey, sum(totalprice) from orders group by custkey").unwrap();
         assert!(
-            estimate_cost(&correlated, &catalog, &registry)
-                > estimate_cost(&flat, &catalog, &registry)
+            estimate(&correlated, &catalog, &registry).cost
+                > estimate(&flat, &catalog, &registry).cost
         );
     }
 }

@@ -5,21 +5,21 @@
 //!
 //! * **cardinality feedback** — the executed plan's estimated root cardinality vs the
 //!   actual row count, per plan fingerprint, summarized as a [`q_error`];
-//! * **UDF cost feedback** — the measured wall-clock per invocation of every UDF the
-//!   query executed iteratively, vs the static body-cost estimate the model used.
+//! * **UDF feedback** — the runtime record ([`UdfRuntime`]) of every UDF the query
+//!   executed iteratively: evaluations and their wall clock, cache hits and filter
+//!   outcomes, summed per UDF and compared with the static body-cost estimate.
 //!
 //! The strategy-choice pass consults the learned UDF costs (converted to row-op units
-//! through [`CostParams::row_op_seconds`]) *instead of* the static estimate, so the
+//! through `cost::ROW_OP_SECONDS`) *instead of* the static estimate, so the
 //! iterative-vs-decorrelated decision is made with measured numbers once a workload
-//! has run. When the recorded q-error of a fingerprint first exceeds the configured
-//! threshold, the store flags it for plan-cache invalidation and bumps its
+//! has run. When the recorded q-error of a fingerprint first exceeds the threshold
+//! (4), the store flags it for plan-cache invalidation and bumps its
 //! [`generation`](FeedbackStore::generation) — the plan cache folds that generation
 //! into its key for cost-based pipelines, so *every* stale cost-based entry is
 //! re-decided with the calibrated numbers, while pipelines that ignore the cost model
 //! (forced iterative/decorrelated) keep their entries.
 //!
 //! [`q_error`]: decorr_stats::q_error
-//! [`CostParams::row_op_seconds`]: crate::cost::CostParams::row_op_seconds
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,30 +28,20 @@ use std::time::Duration;
 
 use decorr_common::normalize_ident;
 use decorr_stats::q_error;
+use decorr_udf::{LearnedUdf, UdfRuntime};
 
-/// Thresholds and calibration of the feedback loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeedbackConfig {
-    /// A fingerprint whose recorded q-error (cardinality or UDF cost) exceeds this is
-    /// flagged: its plan-cache entries are invalidated and the store generation moves
-    /// so cost-based decisions re-run with the learned numbers.
-    pub q_error_threshold: f64,
-    /// Minimum invocations before a UDF's measured cost is trusted (guards against
-    /// one-off timing noise on nearly-free functions).
-    pub min_udf_invocations: u64,
-    /// Minimum total measured wall-clock before a UDF's cost is trusted.
-    pub min_udf_total: Duration,
-}
+use crate::cost::ROW_OP_SECONDS;
 
-impl Default for FeedbackConfig {
-    fn default() -> Self {
-        FeedbackConfig {
-            q_error_threshold: 4.0,
-            min_udf_invocations: 8,
-            min_udf_total: Duration::from_millis(1),
-        }
-    }
-}
+/// A fingerprint whose recorded q-error (cardinality or UDF cost) exceeds this is
+/// flagged: its plan-cache entries are invalidated and the store generation moves so
+/// cost-based decisions re-run with the learned numbers.
+const Q_ERROR_THRESHOLD: f64 = 4.0;
+/// Observations a learned UDF number needs before it is trusted: evaluations for a
+/// cost, calls for a dedup fraction, evaluated rows for a pass rate (guards against
+/// one-off noise on nearly-free functions).
+const MIN_UDF_INVOCATIONS: u64 = 8;
+/// Measured wall-clock a UDF's cost needs before it is trusted.
+const MIN_UDF_TOTAL: Duration = Duration::from_millis(1);
 
 /// Recorded estimate-vs-actual state of one query fingerprint.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,23 +70,52 @@ pub struct FeedbackStats {
     pub generation: u64,
 }
 
-#[derive(Debug, Default)]
-struct UdfEntry {
-    invocations: u64,
-    total: Duration,
-    static_units: f64,
-    /// Whether this UDF's learned cost already contributed a generation bump.
-    flagged: bool,
-    /// Memo/dedup cache hits observed for this UDF (calls answered without running
-    /// the body — *not* included in `invocations`).
-    cache_hits: u64,
-    /// Whether this UDF's learned dedup fraction already contributed a generation
-    /// bump (fired once, when the fraction first becomes trusted and significant).
-    dedup_flagged: bool,
-    /// Filter-predicate outcomes: rows this UDF's predicate was evaluated for, and
-    /// how many of those passed.
-    predicate_evaluated: u64,
-    predicate_passed: u64,
+/// Everything the store knows about one UDF: its runtime records summed, the static
+/// estimate they are compared with, and whether each learned number has already moved
+/// the generation. A snapshot persists exactly this, trust flags included, so a
+/// restored store neither re-bumps its generation for a flagged UDF nor forgets a flag.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UdfFeedback {
+    /// Counters summed over every recorded query, under the normalized UDF name.
+    pub runtime: UdfRuntime,
+    /// Static per-invocation estimate (row-op units) last reported with an evaluation.
+    pub static_units: f64,
+    /// Whether the learned cost already contributed a generation bump.
+    pub cost_flagged: bool,
+    /// Whether the learned dedup fraction already contributed a generation bump.
+    pub dedup_flagged: bool,
+}
+
+impl UdfFeedback {
+    fn new(name: &str) -> UdfFeedback {
+        UdfFeedback {
+            runtime: UdfRuntime::new(name),
+            static_units: 0.0,
+            cost_flagged: false,
+            dedup_flagged: false,
+        }
+    }
+
+    /// What this entry teaches: the cost, dedup fraction and pass rate once past their
+    /// trust floors, and the mean cost as soon as one evaluation was measured (a rough
+    /// early number already orders predicates better than none).
+    fn learned(&self) -> LearnedUdf {
+        let r = &self.runtime;
+        let calls = r.invocations + r.hits;
+        let mean_seconds =
+            (r.invocations > 0).then(|| r.total.as_secs_f64() / r.invocations as f64);
+        let cost_trusted = r.invocations >= MIN_UDF_INVOCATIONS && r.total >= MIN_UDF_TOTAL;
+        LearnedUdf {
+            units: mean_seconds
+                .filter(|_| cost_trusted)
+                .map(|seconds| (seconds / ROW_OP_SECONDS).max(1.0)),
+            dedup_fraction: (calls >= MIN_UDF_INVOCATIONS)
+                .then(|| r.invocations as f64 / calls as f64),
+            mean_seconds,
+            pass_rate: (r.predicate_evaluated >= MIN_UDF_INVOCATIONS)
+                .then(|| r.predicate_passed as f64 / r.predicate_evaluated as f64),
+        }
+    }
 }
 
 /// The concurrency-safe feedback store, owned by the engine (one per database) and
@@ -105,9 +124,8 @@ struct UdfEntry {
 /// [`PassManager`]: crate::pass::PassManager
 #[derive(Debug)]
 pub struct FeedbackStore {
-    config: FeedbackConfig,
     queries: RwLock<HashMap<u64, QueryFeedback>>,
-    udfs: RwLock<BTreeMap<String, UdfEntry>>,
+    udfs: RwLock<BTreeMap<String, UdfFeedback>>,
     /// Bumped whenever learned state changes in a way that can change a cost-based
     /// decision. Starts at 1 — the plan cache uses the generation only for
     /// feedback-sensitive pipelines.
@@ -124,22 +142,13 @@ impl Default for FeedbackStore {
 
 impl FeedbackStore {
     pub fn new() -> FeedbackStore {
-        FeedbackStore::with_config(FeedbackConfig::default())
-    }
-
-    pub fn with_config(config: FeedbackConfig) -> FeedbackStore {
         FeedbackStore {
-            config,
             queries: RwLock::new(HashMap::new()),
             udfs: RwLock::new(BTreeMap::new()),
             generation: AtomicU64::new(1),
             queries_recorded: AtomicU64::new(0),
             invalidations_flagged: AtomicU64::new(0),
         }
-    }
-
-    pub fn config(&self) -> &FeedbackConfig {
-        &self.config
     }
 
     /// Current feedback generation (part of the plan-cache key for cost-based
@@ -171,117 +180,58 @@ impl FeedbackStore {
         q
     }
 
-    /// Records measured wall-clock for `invocations` executions of a UDF, together
-    /// with the static per-invocation estimate the cost model would use, and returns
-    /// the cost q-error (1.0 while below the trust floors).
+    /// Folds one query's runtime record of a UDF into the UDF's entry, together with
+    /// the static per-invocation estimate the cost model would use, and returns the cost
+    /// q-error (1.0 while below the trust floors).
     ///
-    /// When a trusted measurement first crosses the q-error threshold, the store
-    /// generation is bumped: cost-based plan-cache entries decided with the old
-    /// numbers become unreachable and are re-decided on their next lookup.
-    pub fn record_udf_timing(
-        &self,
-        name: &str,
-        invocations: u64,
-        total: Duration,
-        static_units: Option<f64>,
-        row_op_seconds: f64,
-    ) -> f64 {
-        if invocations == 0 {
+    /// The store generation is bumped — cost-based plan-cache entries decided with the
+    /// old numbers become unreachable and are re-decided on their next lookup — the
+    /// first time a trusted learned cost crosses the q-error threshold, and the first
+    /// time a trusted dedup fraction falls below 0.5 (the caches answer at least half
+    /// the calls, so effective invocation counts matter).
+    pub fn record_udf(&self, runtime: &UdfRuntime, static_units: Option<f64>) -> f64 {
+        let calls = runtime.invocations + runtime.hits;
+        if calls + runtime.predicate_evaluated == 0 {
             return 1.0;
         }
-        let key = normalize_ident(name);
         let mut udfs = self.udfs.write().expect("feedback store poisoned");
-        let entry = udfs.entry(key).or_default();
-        entry.invocations += invocations;
-        entry.total += total;
-        if let Some(static_units) = static_units {
-            entry.static_units = static_units;
+        let entry = udfs
+            .entry(normalize_ident(&runtime.name))
+            .or_insert_with_key(|name| UdfFeedback::new(name));
+        let sum = &mut entry.runtime;
+        sum.invocations += runtime.invocations;
+        sum.total += runtime.total;
+        sum.hits += runtime.hits;
+        sum.predicate_evaluated += runtime.predicate_evaluated;
+        sum.predicate_passed += runtime.predicate_passed.min(runtime.predicate_evaluated);
+        let learned = entry.learned();
+        let mut q = 1.0;
+        if runtime.invocations > 0 {
+            if let Some(static_units) = static_units {
+                entry.static_units = static_units;
+            }
+            if let (Some(units), true) = (learned.units, entry.static_units > 0.0) {
+                q = q_error(entry.static_units, units);
+                if q > Q_ERROR_THRESHOLD && !entry.cost_flagged {
+                    entry.cost_flagged = true;
+                    self.generation.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
-        if entry.invocations < self.config.min_udf_invocations
-            || entry.total < self.config.min_udf_total
-            || entry.static_units <= 0.0
-        {
-            return 1.0;
-        }
-        let learned_units = learned_units(entry, row_op_seconds);
-        let q = q_error(entry.static_units, learned_units);
-        if q > self.config.q_error_threshold && !entry.flagged {
-            entry.flagged = true;
+        if calls > 0 && !entry.dedup_flagged && learned.dedup_fraction.is_some_and(|f| f < 0.5) {
+            entry.dedup_flagged = true;
             self.generation.fetch_add(1, Ordering::Relaxed);
         }
         q
     }
 
-    /// Records one query's dedup outcome for a UDF: `evaluated` calls actually ran
-    /// the body (already counted by [`record_udf_timing`](Self::record_udf_timing))
-    /// while `hits` were answered from the memo/dedup caches. When the learned dedup
-    /// fraction first becomes trusted *and* meaningful (< 0.5 — the caches answer at
-    /// least half the calls), the store generation is bumped once so cost-based
-    /// plan-cache entries re-decide with effective invocation counts.
-    pub fn record_udf_dedup(&self, name: &str, evaluated: u64, hits: u64) {
-        if evaluated + hits == 0 {
-            return;
-        }
-        let key = normalize_ident(name);
-        let mut udfs = self.udfs.write().expect("feedback store poisoned");
-        let entry = udfs.entry(key).or_default();
-        entry.cache_hits += hits;
-        let calls = entry.invocations + entry.cache_hits;
-        if calls < self.config.min_udf_invocations || entry.dedup_flagged {
-            return;
-        }
-        let fraction = entry.invocations as f64 / calls as f64;
-        if fraction < 0.5 {
-            entry.dedup_flagged = true;
-            self.generation.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The learned fraction of a UDF's calls that actually evaluate the body (the
-    /// rest are dedup/memo hits), for
-    /// [`CostParams::udf_dedup_fractions`](crate::cost::CostParams::with_udf_dedup_fractions).
-    /// Only UDFs with a trusted number of observed calls are reported.
-    pub fn udf_dedup_fractions(&self) -> BTreeMap<String, f64> {
+    /// What the store has learned about every UDF it tracks, keyed by normalized name:
+    /// the one read both consumers share. The cost model takes `units` and
+    /// `dedup_fraction`, the executor's filter ordering `mean_seconds` and `pass_rate`.
+    pub fn learned(&self) -> BTreeMap<String, LearnedUdf> {
         let udfs = self.udfs.read().expect("feedback store poisoned");
         udfs.iter()
-            .filter(|(_, e)| e.invocations + e.cache_hits >= self.config.min_udf_invocations)
-            .map(|(name, e)| {
-                let calls = (e.invocations + e.cache_hits) as f64;
-                (name.clone(), e.invocations as f64 / calls)
-            })
-            .collect()
-    }
-
-    /// Records filter-predicate outcomes for a UDF-bearing conjunct: how many rows it
-    /// was evaluated for and how many passed. Feeds the executor's cost-ordered
-    /// predicate evaluation on later queries.
-    pub fn record_udf_predicate(&self, name: &str, evaluated: u64, passed: u64) {
-        if evaluated == 0 {
-            return;
-        }
-        let key = normalize_ident(name);
-        let mut udfs = self.udfs.write().expect("feedback store poisoned");
-        let entry = udfs.entry(key).or_default();
-        entry.predicate_evaluated += evaluated;
-        entry.predicate_passed += passed.min(evaluated);
-    }
-
-    /// What the executor's cost-ordered filter evaluation learns per UDF, as
-    /// `(mean seconds, pass-rate)`: the measured mean wall-clock per *evaluated*
-    /// invocation (no trust floor — a rough early number already orders predicates
-    /// better than no number) and the observed pass-rate of its predicate (only with a
-    /// trusted number of evaluations). UDFs with neither are left out.
-    pub fn udf_runtime_profiles(&self) -> BTreeMap<String, (Option<f64>, Option<f64>)> {
-        let udfs = self.udfs.read().expect("feedback store poisoned");
-        udfs.iter()
-            .map(|(name, e)| {
-                let mean_seconds =
-                    (e.invocations > 0).then(|| e.total.as_secs_f64() / e.invocations as f64);
-                let selectivity = (e.predicate_evaluated >= self.config.min_udf_invocations)
-                    .then(|| e.predicate_passed as f64 / e.predicate_evaluated as f64);
-                (name.clone(), (mean_seconds, selectivity))
-            })
-            .filter(|(_, profile)| *profile != (None, None))
+            .map(|(name, entry)| (name.clone(), entry.learned()))
             .collect()
     }
 
@@ -291,11 +241,11 @@ impl FeedbackStore {
     /// cache by invalidating itself on every execution.
     ///
     /// Flagging does *not* move the store generation: the generation tracks changes
-    /// to the learned state (see [`record_udf_timing`](Self::record_udf_timing)),
+    /// to the learned state (see [`record_udf`](Self::record_udf)),
     /// while a flag only evicts the flagged shape's own cost-based entry so its next
     /// optimize re-reads whatever has been learned.
     pub fn flag_for_invalidation(&self, fingerprint: u64, observed_q_error: f64) -> bool {
-        if observed_q_error <= self.config.q_error_threshold {
+        if observed_q_error <= Q_ERROR_THRESHOLD {
             return false;
         }
         let mut queries = self.queries.write().expect("feedback store poisoned");
@@ -315,19 +265,6 @@ impl FeedbackStore {
         entry.invalidated = true;
         self.invalidations_flagged.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// The learned per-invocation costs (row-op units) of every trusted UDF, for
-    /// [`CostParams::udf_cost_overrides`](crate::cost::CostParams::udf_cost_overrides).
-    pub fn udf_cost_overrides(&self, row_op_seconds: f64) -> BTreeMap<String, f64> {
-        let udfs = self.udfs.read().expect("feedback store poisoned");
-        udfs.iter()
-            .filter(|(_, e)| {
-                e.invocations >= self.config.min_udf_invocations
-                    && e.total >= self.config.min_udf_total
-            })
-            .map(|(name, e)| (name.clone(), learned_units(e, row_op_seconds)))
-            .collect()
     }
 
     /// Recorded state of one query fingerprint.
@@ -350,32 +287,6 @@ impl FeedbackStore {
     }
 }
 
-/// Serializable learned state of one UDF — the persisted form of the store's
-/// private per-UDF entry (all counters, trust flags included, so a restored store
-/// neither re-bumps its generation for already-flagged UDFs nor forgets a flag).
-#[derive(Debug, Clone, PartialEq)]
-pub struct UdfFeedbackState {
-    /// Normalized UDF name.
-    pub name: String,
-    /// Body evaluations measured so far.
-    pub invocations: u64,
-    /// Total measured wall-clock, in nanoseconds (`Duration` is not portably
-    /// serializable; nanos round-trip exactly for any realistic total).
-    pub total_nanos: u64,
-    /// Static per-invocation estimate (row-op units) last reported to the store.
-    pub static_units: f64,
-    /// Whether the learned cost already contributed a generation bump.
-    pub flagged: bool,
-    /// Memo/dedup cache hits observed.
-    pub cache_hits: u64,
-    /// Whether the learned dedup fraction already contributed a generation bump.
-    pub dedup_flagged: bool,
-    /// Rows this UDF's predicate was evaluated for.
-    pub predicate_evaluated: u64,
-    /// How many of those evaluations passed.
-    pub predicate_passed: u64,
-}
-
 /// The full serializable state of a [`FeedbackStore`] — what a snapshot persists so
 /// learned UDF costs, dedup fractions and predicate selectivities (and the strategy
 /// flips they cause) survive a restart without re-execution.
@@ -390,8 +301,8 @@ pub struct FeedbackState {
     /// Per-fingerprint cardinality feedback, sorted by fingerprint for a
     /// deterministic encoding.
     pub queries: Vec<QueryFeedback>,
-    /// Per-UDF learned state, sorted by name.
-    pub udfs: Vec<UdfFeedbackState>,
+    /// Per-UDF entries, sorted by name.
+    pub udfs: Vec<UdfFeedback>,
 }
 
 impl FeedbackStore {
@@ -401,23 +312,8 @@ impl FeedbackStore {
         let mut queries: Vec<QueryFeedback> = queries_map.values().cloned().collect();
         queries.sort_by_key(|q| q.fingerprint);
         drop(queries_map);
-        let udfs = self
-            .udfs
-            .read()
-            .expect("feedback store poisoned")
-            .iter()
-            .map(|(name, e)| UdfFeedbackState {
-                name: name.clone(),
-                invocations: e.invocations,
-                total_nanos: e.total.as_nanos().min(u64::MAX as u128) as u64,
-                static_units: e.static_units,
-                flagged: e.flagged,
-                cache_hits: e.cache_hits,
-                dedup_flagged: e.dedup_flagged,
-                predicate_evaluated: e.predicate_evaluated,
-                predicate_passed: e.predicate_passed,
-            })
-            .collect();
+        let udfs = self.udfs.read().expect("feedback store poisoned");
+        let udfs = udfs.values().cloned().collect();
         FeedbackState {
             generation: self.generation(),
             queries_recorded: self.queries_recorded.load(Ordering::Relaxed),
@@ -439,20 +335,9 @@ impl FeedbackStore {
         drop(queries);
         let mut udfs = self.udfs.write().expect("feedback store poisoned");
         udfs.clear();
-        for u in state.udfs {
-            udfs.insert(
-                normalize_ident(&u.name),
-                UdfEntry {
-                    invocations: u.invocations,
-                    total: Duration::from_nanos(u.total_nanos),
-                    static_units: u.static_units,
-                    flagged: u.flagged,
-                    cache_hits: u.cache_hits,
-                    dedup_flagged: u.dedup_flagged,
-                    predicate_evaluated: u.predicate_evaluated,
-                    predicate_passed: u.predicate_passed,
-                },
-            );
+        for mut entry in state.udfs {
+            entry.runtime.name = normalize_ident(&entry.runtime.name);
+            udfs.insert(entry.runtime.name.clone(), entry);
         }
         drop(udfs);
         self.generation
@@ -464,15 +349,22 @@ impl FeedbackStore {
     }
 }
 
-/// Measured mean wall-clock per invocation converted to abstract row-op units.
-fn learned_units(entry: &UdfEntry, row_op_seconds: f64) -> f64 {
-    let mean_seconds = entry.total.as_secs_f64() / entry.invocations.max(1) as f64;
-    (mean_seconds / row_op_seconds.max(1e-12)).max(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A runtime record of `invocations` evaluations taking `total` together.
+    fn evaluated(name: &str, invocations: u64, total: Duration) -> UdfRuntime {
+        UdfRuntime {
+            invocations,
+            total,
+            ..UdfRuntime::new(name)
+        }
+    }
+
+    fn learned(store: &FeedbackStore, name: &str) -> LearnedUdf {
+        store.learned()[name]
+    }
 
     #[test]
     fn query_feedback_accumulates_and_reports_q_errors() {
@@ -511,101 +403,107 @@ mod tests {
     }
 
     #[test]
-    fn udf_timings_learn_costs_once_past_the_trust_floors() {
+    fn udf_costs_are_learned_once_past_the_trust_floors() {
         let store = FeedbackStore::new();
-        let row_op = 1e-6;
-        // Below both floors: not trusted, no override.
-        store.record_udf_timing("cheap", 2, Duration::from_micros(10), Some(5.0), row_op);
-        assert!(store.udf_cost_overrides(row_op).is_empty());
-        // Past the floors: 10 ms over 10 invocations → 1 ms ≈ 1000 units vs 5 static.
-        let q = store.record_udf_timing(
-            "Expensive",
-            10,
-            Duration::from_millis(10),
-            Some(5.0),
-            row_op,
-        );
+        // Below both floors: not trusted, no cost.
+        store.record_udf(&evaluated("cheap", 2, Duration::from_micros(10)), Some(5.0));
+        assert_eq!(learned(&store, "cheap").units, None);
+        // Past the floors: 10 ms over 10 invocations → 1 ms ≈ 2857 units vs 5 static.
+        let expensive = evaluated("Expensive", 10, Duration::from_millis(10));
+        let q = store.record_udf(&expensive, Some(5.0));
         assert!(q > 100.0, "cost q-error {q}");
-        let overrides = store.udf_cost_overrides(row_op);
+        let units = learned(&store, "expensive")
+            .units
+            .expect("names are normalized");
         assert!(
-            (overrides["expensive"] - 1000.0).abs() < 1.0,
-            "learned {overrides:?} (names normalized)"
+            (units - 1e-3 / ROW_OP_SECONDS).abs() < 1.0,
+            "learned {units}"
         );
         assert!(store.generation() > 1, "mispriced UDF bumps the generation");
         let generation = store.generation();
         // More of the same measurements do not keep bumping.
-        store.record_udf_timing(
-            "expensive",
-            10,
-            Duration::from_millis(10),
-            Some(5.0),
-            row_op,
-        );
+        store.record_udf(&expensive, Some(5.0));
         assert_eq!(store.generation(), generation);
     }
 
     #[test]
     fn dedup_feedback_learns_effective_fractions_and_bumps_once() {
         let store = FeedbackStore::new();
-        let row_op = 1e-6;
-        // 4 evaluated + 2 hits: below the trust floor, nothing reported.
-        store.record_udf_timing("f", 4, Duration::from_millis(4), Some(1000.0), row_op);
-        store.record_udf_dedup("f", 4, 2);
-        assert!(store.udf_dedup_fractions().is_empty());
+        let calls = |evaluations, hits| UdfRuntime {
+            hits,
+            ..evaluated("f", evaluations, Duration::from_millis(evaluations))
+        };
+        // 4 evaluated + 2 hits: below the trust floor, nothing learned.
+        store.record_udf(&calls(4, 2), Some(1000.0));
+        assert_eq!(learned(&store, "f").dedup_fraction, None);
         let before = store.generation();
         // 4 more evaluated + 12 hits: 8 evaluated of 22 calls ≈ 0.36 < 0.5 → one bump.
-        store.record_udf_timing("f", 4, Duration::from_millis(4), Some(1000.0), row_op);
-        store.record_udf_dedup("F", 4, 12);
-        let fractions = store.udf_dedup_fractions();
-        assert!((fractions["f"] - 8.0 / 22.0).abs() < 1e-9, "{fractions:?}");
+        store.record_udf(
+            &UdfRuntime {
+                name: "F".into(),
+                ..calls(4, 12)
+            },
+            Some(1000.0),
+        );
+        let fraction = learned(&store, "f").dedup_fraction.unwrap();
+        assert!((fraction - 8.0 / 22.0).abs() < 1e-9, "{fraction}");
         assert_eq!(store.generation(), before + 1);
         // Further hits refine the fraction without re-bumping.
-        store.record_udf_dedup("f", 0, 10);
+        store.record_udf(&calls(0, 10), None);
         assert_eq!(store.generation(), before + 1);
-        assert!(fractions["f"] > store.udf_dedup_fractions()["f"]);
+        assert!(fraction > learned(&store, "f").dedup_fraction.unwrap());
     }
 
     #[test]
     fn predicate_feedback_reports_trusted_pass_rates() {
         let store = FeedbackStore::new();
-        store.record_udf_predicate("p", 4, 1);
-        assert!(
-            store.udf_runtime_profiles().is_empty(),
+        let outcomes = |name: &str, evaluated, passed| UdfRuntime {
+            predicate_evaluated: evaluated,
+            predicate_passed: passed,
+            ..UdfRuntime::new(name)
+        };
+        store.record_udf(&outcomes("p", 4, 1), None);
+        assert_eq!(
+            learned(&store, "p").pass_rate,
+            None,
             "below the trust floor"
         );
-        store.record_udf_predicate("P", 12, 3);
-        let pass_rate = |store: &FeedbackStore| store.udf_runtime_profiles()["p"].1.unwrap();
-        assert!((pass_rate(&store) - 0.25).abs() < 1e-9);
-        // Zero evaluations are a no-op; passed is clamped to evaluated.
-        store.record_udf_predicate("p", 0, 99);
-        assert!((pass_rate(&store) - 0.25).abs() < 1e-9);
+        store.record_udf(&outcomes("P", 12, 3), None);
+        assert_eq!(learned(&store, "p").pass_rate, Some(0.25));
+        // An empty record is a no-op; passed is clamped to evaluated.
+        store.record_udf(&outcomes("q", 0, 99), None);
+        store.record_udf(&outcomes("p", 4, 99), None);
+        assert_eq!(store.stats().udfs_tracked, 1);
+        assert_eq!(learned(&store, "p").pass_rate, Some(0.4));
     }
 
     #[test]
     fn mean_seconds_require_no_trust_floor() {
         let store = FeedbackStore::new();
-        store.record_udf_timing("g", 2, Duration::from_millis(8), None, 1e-6);
-        let (mean_seconds, selectivity) = store.udf_runtime_profiles()["g"];
-        assert!((mean_seconds.unwrap() - 4e-3).abs() < 1e-9);
-        assert_eq!(selectivity, None, "no predicate outcome was recorded");
+        store.record_udf(&evaluated("g", 2, Duration::from_millis(8)), None);
+        let g = learned(&store, "g");
+        assert!((g.mean_seconds.unwrap() - 4e-3).abs() < 1e-9);
+        assert_eq!(g.pass_rate, None, "no predicate outcome was recorded");
+        assert_eq!(g.units, None, "two evaluations are below the cost floor");
     }
 
     #[test]
     fn exported_state_round_trips_into_a_fresh_store() {
         let store = FeedbackStore::new();
-        let row_op = 1e-6;
         store.record_query(42, 1000.0, 10);
         store.record_query(7, 10.0, 9);
         assert!(store.flag_for_invalidation(42, 100.0));
-        store.record_udf_timing(
-            "expensive",
-            10,
-            Duration::from_millis(10),
-            Some(5.0),
-            row_op,
+        let expensive = evaluated("expensive", 10, Duration::from_millis(10));
+        store.record_udf(&expensive, Some(5.0));
+        store.record_udf(
+            &UdfRuntime {
+                hits: 90,
+                predicate_evaluated: 100,
+                predicate_passed: 25,
+                ..UdfRuntime::new("expensive")
+            },
+            None,
         );
-        store.record_udf_dedup("expensive", 0, 90);
-        store.record_udf_predicate("expensive", 100, 25);
         let state = store.export_state();
         assert!(state.generation > 1);
         assert_eq!(state.queries.len(), 2);
@@ -619,14 +517,9 @@ mod tests {
         assert_eq!(restored.generation(), store.generation());
         assert_eq!(restored.stats(), store.stats());
         assert_eq!(
-            restored.udf_cost_overrides(row_op),
-            store.udf_cost_overrides(row_op),
-            "learned costs survive without re-execution"
-        );
-        assert_eq!(restored.udf_dedup_fractions(), store.udf_dedup_fractions());
-        assert_eq!(
-            restored.udf_runtime_profiles(),
-            store.udf_runtime_profiles()
+            restored.learned(),
+            store.learned(),
+            "learned numbers survive without re-execution"
         );
         assert_eq!(restored.query_feedback(42), store.query_feedback(42));
         // Export is deterministic: re-exporting unchanged state is identical.
@@ -634,13 +527,7 @@ mod tests {
         // Trust flags survive: re-recording the same mispriced measurements must not
         // re-bump the restored generation.
         let generation = restored.generation();
-        restored.record_udf_timing(
-            "expensive",
-            10,
-            Duration::from_millis(10),
-            Some(5.0),
-            row_op,
-        );
+        restored.record_udf(&expensive, Some(5.0));
         assert_eq!(restored.generation(), generation);
         // An empty/default state clamps the generation to the live floor.
         let blank = FeedbackStore::new();
@@ -651,16 +538,14 @@ mod tests {
     #[test]
     fn accurate_udf_costs_never_bump_the_generation() {
         let store = FeedbackStore::new();
-        let row_op = 1e-6;
         // Measured ≈ static: q ≈ 1, below the threshold (and past both trust floors).
-        store.record_udf_timing(
-            "fair",
-            400,
-            Duration::from_micros(400 * 5),
-            Some(5.0),
-            row_op,
+        let static_units = 5.0;
+        let per_call = Duration::from_secs_f64(static_units * ROW_OP_SECONDS);
+        store.record_udf(
+            &evaluated("fair", 4000, per_call * 4000),
+            Some(static_units),
         );
         assert_eq!(store.generation(), 1);
-        assert_eq!(store.udf_cost_overrides(row_op).len(), 1);
+        assert!(learned(&store, "fair").units.is_some());
     }
 }

@@ -39,16 +39,16 @@ pub use cache::{
     DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use cost::{
-    estimate_cardinality, estimate_cost, estimate_per_node, estimate_with,
-    estimated_udf_invocation_cost, CostEstimate, CostParams, NodeEstimate,
+    estimate_per_node, estimate_with, estimated_udf_invocation_cost, CostEstimate, CostParams,
+    NodeEstimate,
 };
-pub use feedback::{
-    FeedbackConfig, FeedbackState, FeedbackStats, FeedbackStore, QueryFeedback, UdfFeedbackState,
-};
+/// The per-UDF runtime record a [`UdfFeedback`] entry sums.
+pub use decorr_udf::UdfRuntime;
+pub use feedback::{FeedbackState, FeedbackStats, FeedbackStore, QueryFeedback, UdfFeedback};
 pub use pass::{
     OptimizeMode, OptimizeOutcome, OptimizerPass, PassContext, PassEffect, PassManager,
     PassManagerOptions, PassTrace, PipelineReport,
 };
-pub use strategy::{choose_strategy, choose_strategy_with, StrategyChoice, StrategyDecision};
+pub use strategy::{choose_strategy_with, StrategyChoice, StrategyDecision};
 
 pub use decorr_analysis::{validate_plan, ValidationReport, Violation};

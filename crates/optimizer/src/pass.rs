@@ -545,28 +545,24 @@ impl OptimizerPass for StrategyChoicePass {
                 let mut params = CostParams::new(ctx.options.parallelism);
                 // Learned UDF invocation costs (runtime feedback) replace the static
                 // body estimates — this is where a mispriced iterative plan gets
-                // re-decided with measured numbers.
+                // re-decided with measured numbers. Learned dedup fractions give
+                // effective invocation counts: calls the dedup/memo runtime answers from
+                // cache cost nothing, so an iterative plan over repetitive arguments is
+                // cheaper than its raw call count says.
                 let mut learned_note = None;
                 if let Some(feedback) = ctx.feedback {
-                    let overrides = feedback.udf_cost_overrides(params.row_op_seconds);
-                    if !overrides.is_empty() {
+                    params.learned = feedback.learned();
+                    let costs: Vec<String> = params
+                        .learned
+                        .iter()
+                        .filter_map(|(name, l)| l.units.map(|units| format!("{name}≈{units:.0}")))
+                        .collect();
+                    if !costs.is_empty() {
                         learned_note = Some(format!(
                             "{} learned UDF cost(s) applied: {}",
-                            overrides.len(),
-                            overrides
-                                .iter()
-                                .map(|(name, units)| format!("{name}≈{units:.0}"))
-                                .collect::<Vec<_>>()
-                                .join(", ")
+                            costs.len(),
+                            costs.join(", ")
                         ));
-                        params = params.with_udf_cost_overrides(overrides);
-                    }
-                    // Effective invocation counts: calls the dedup/memo runtime
-                    // answers from cache cost nothing, so an iterative plan over
-                    // repetitive arguments is cheaper than its raw call count says.
-                    let fractions = feedback.udf_dedup_fractions();
-                    if !fractions.is_empty() {
-                        params = params.with_udf_dedup_fractions(fractions);
                     }
                 }
                 let decision =

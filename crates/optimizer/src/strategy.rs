@@ -37,22 +37,8 @@ impl StrategyDecision {
 /// (decorrelated) plan and picks the cheaper one. This is the paper's point about using
 /// the rules inside a cost-based optimizer: for small invocation counts the iterative
 /// plan can win (Experiment 3), and it remains available as an alternative.
-pub fn choose_strategy(
-    original: &RelExpr,
-    rewritten: &RelExpr,
-    catalog: &Catalog,
-    registry: &FunctionRegistry,
-) -> StrategyDecision {
-    choose_strategy_with(
-        original,
-        rewritten,
-        catalog,
-        registry,
-        &CostParams::default(),
-    )
-}
-
-/// [`choose_strategy`] calibrated for the executor's runtime parameters: with a worker
+///
+/// The estimates are calibrated for the executor's runtime parameters: with a worker
 /// pool attached, the scan-heavy decorrelated plan gets cheaper faster than the
 /// index-probe-bound iterative plan, shifting the crossover point the paper observes in
 /// Experiment 3 toward smaller invocation counts.
@@ -144,7 +130,13 @@ mod tests {
         let (catalog, registry) = setup(20_000);
         let original = parse_and_plan("select custkey, tb(custkey) from customer").unwrap();
         let rewritten = rewritten_for(&original, &catalog, &registry);
-        let decision = choose_strategy(&original, &rewritten, &catalog, &registry);
+        let decision = choose_strategy_with(
+            &original,
+            &rewritten,
+            &catalog,
+            &registry,
+            &CostParams::new(1),
+        );
         assert_eq!(decision.choice, StrategyChoice::Decorrelated);
         assert!(decision.summary().contains("Decorrelated"));
     }
@@ -157,7 +149,13 @@ mod tests {
         let original =
             parse_and_plan("select custkey, tb(custkey) from customer where custkey = 0").unwrap();
         let rewritten = rewritten_for(&original, &catalog, &registry);
-        let decision = choose_strategy(&original, &rewritten, &catalog, &registry);
+        let decision = choose_strategy_with(
+            &original,
+            &rewritten,
+            &catalog,
+            &registry,
+            &CostParams::new(1),
+        );
         assert_eq!(decision.choice, StrategyChoice::Iterative);
     }
 }

@@ -15,9 +15,10 @@
 
 use std::fs;
 use std::path::Path;
+use std::time::Duration;
 
 use decorr_common::{DataType, Error, FnvHasher, Result, Row};
-use decorr_optimizer::{FeedbackState, QueryFeedback, UdfFeedbackState};
+use decorr_optimizer::{FeedbackState, QueryFeedback, UdfFeedback, UdfRuntime};
 use decorr_stats::{AnalyzeConfig, ColumnStatistics, Histogram, TableStatistics};
 
 use crate::encode::{ByteReader, ByteWriter};
@@ -394,15 +395,17 @@ fn put_feedback(w: &mut ByteWriter, f: &FeedbackState) {
     }
     w.put_u32(f.udfs.len() as u32);
     for u in &f.udfs {
-        w.put_str(&u.name);
-        w.put_u64(u.invocations);
-        w.put_u64(u.total_nanos);
+        let r = &u.runtime;
+        w.put_str(&r.name);
+        w.put_u64(r.invocations);
+        // Nanoseconds round-trip exactly for any realistic total.
+        w.put_u64(r.total.as_nanos().min(u64::MAX as u128) as u64);
         w.put_f64(u.static_units);
-        w.put_bool(u.flagged);
-        w.put_u64(u.cache_hits);
+        w.put_bool(u.cost_flagged);
+        w.put_u64(r.hits);
         w.put_bool(u.dedup_flagged);
-        w.put_u64(u.predicate_evaluated);
-        w.put_u64(u.predicate_passed);
+        w.put_u64(r.predicate_evaluated);
+        w.put_u64(r.predicate_passed);
     }
 }
 
@@ -426,16 +429,26 @@ fn get_feedback(r: &mut ByteReader<'_>) -> Result<FeedbackState> {
     let udf_count = r.get_u32()? as usize;
     let mut udfs = Vec::with_capacity(udf_count.min(r.remaining()));
     for _ in 0..udf_count {
-        udfs.push(UdfFeedbackState {
-            name: r.get_str()?,
-            invocations: r.get_u64()?,
-            total_nanos: r.get_u64()?,
-            static_units: r.get_f64()?,
-            flagged: r.get_bool()?,
-            cache_hits: r.get_u64()?,
-            dedup_flagged: r.get_bool()?,
-            predicate_evaluated: r.get_u64()?,
-            predicate_passed: r.get_u64()?,
+        // Wire order: the runtime record's counters interleave with the entry's fields.
+        let name = r.get_str()?;
+        let invocations = r.get_u64()?;
+        let total = Duration::from_nanos(r.get_u64()?);
+        let static_units = r.get_f64()?;
+        let cost_flagged = r.get_bool()?;
+        let hits = r.get_u64()?;
+        let dedup_flagged = r.get_bool()?;
+        udfs.push(UdfFeedback {
+            runtime: UdfRuntime {
+                name,
+                invocations,
+                total,
+                hits,
+                predicate_evaluated: r.get_u64()?,
+                predicate_passed: r.get_u64()?,
+            },
+            static_units,
+            cost_flagged,
+            dedup_flagged,
         });
     }
     Ok(FeedbackState {
@@ -508,16 +521,18 @@ mod tests {
                     executions: 2,
                     invalidated: true,
                 }],
-                udfs: vec![UdfFeedbackState {
-                    name: "f".into(),
-                    invocations: 20,
-                    total_nanos: 1_000_000,
+                udfs: vec![UdfFeedback {
+                    runtime: UdfRuntime {
+                        name: "f".into(),
+                        invocations: 20,
+                        total: Duration::from_nanos(1_000_000),
+                        hits: 80,
+                        predicate_evaluated: 100,
+                        predicate_passed: 25,
+                    },
                     static_units: 5.0,
-                    flagged: true,
-                    cache_hits: 80,
+                    cost_flagged: true,
                     dedup_flagged: true,
-                    predicate_evaluated: 100,
-                    predicate_passed: 25,
                 }],
             },
         }
@@ -534,6 +549,18 @@ mod tests {
         // The empty snapshot round-trips too.
         let empty = Snapshot::default();
         assert_eq!(Snapshot::decode(&empty.encode()).unwrap(), empty);
+    }
+
+    /// The feedback section's bytes for a hand-built state hash to the value recorded
+    /// at commit cb750d5, before the per-UDF entry and its persisted copy became one
+    /// type: snapshots written then still decode to the same learned state.
+    #[test]
+    fn feedback_bytes_match_the_recorded_hash() {
+        let mut w = ByteWriter::new();
+        put_feedback(&mut w, &sample_snapshot().feedback);
+        let mut hasher = FnvHasher::new();
+        hasher.write_bytes(&w.into_bytes());
+        assert_eq!(hasher.finish(), 0x1ff2_5a1d_2da0_b48a);
     }
 
     #[test]

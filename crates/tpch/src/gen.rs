@@ -109,11 +109,11 @@ pub fn load(config: &TpchConfig) -> Result<Engine> {
             ])
         })
         .collect();
-    engine.load_rows("customer", customers)?;
+    engine.insert_rows("customer", customers)?;
     let discounts: Vec<Row> = (0..config.customer_categories as i64)
         .map(|c| Row::new(vec![Value::Int(c), Value::Float(0.01 * (c % 20) as f64)]))
         .collect();
-    engine.load_rows("categorydiscount", discounts)?;
+    engine.insert_rows("categorydiscount", discounts)?;
 
     // orders / lineitem / partsupp
     let mut orders = vec![];
@@ -144,8 +144,8 @@ pub fn load(config: &TpchConfig) -> Result<Engine> {
             }
         }
     }
-    engine.load_rows("orders", orders)?;
-    engine.load_rows("lineitem", lineitems)?;
+    engine.insert_rows("orders", orders)?;
+    engine.insert_rows("lineitem", lineitems)?;
     let partsupp: Vec<Row> = (1..=config.parts as i64)
         .flat_map(|p| {
             let mut rows = vec![];
@@ -159,7 +159,7 @@ pub fn load(config: &TpchConfig) -> Result<Engine> {
             rows
         })
         .collect();
-    engine.load_rows("partsupp", partsupp)?;
+    engine.insert_rows("partsupp", partsupp)?;
 
     // parts / categories / ancestors (Experiment 3): a two-level category hierarchy in
     // which every non-root category has a parent among the first 10% of categories.
@@ -178,7 +178,7 @@ pub fn load(config: &TpchConfig) -> Result<Engine> {
             ])
         })
         .collect();
-    engine.load_rows("categories", categories)?;
+    engine.insert_rows("categories", categories)?;
     // category_ancestors: the reflexive-transitive closure of the parent relation
     // (materialised, as applications commonly do for hierarchy queries).
     let mut ancestors = vec![];
@@ -188,7 +188,7 @@ pub fn load(config: &TpchConfig) -> Result<Engine> {
             ancestors.push(Row::new(vec![Value::Int(c), Value::Int(c % roots)]));
         }
     }
-    engine.load_rows("category_ancestors", ancestors)?;
+    engine.insert_rows("category_ancestors", ancestors)?;
     let parts: Vec<Row> = (1..=config.parts as i64)
         .map(|p| {
             Row::new(vec![
@@ -198,7 +198,7 @@ pub fn load(config: &TpchConfig) -> Result<Engine> {
             ])
         })
         .collect();
-    engine.load_rows("parts", parts)?;
+    engine.insert_rows("parts", parts)?;
 
     // The paper's "default indices on primary and foreign keys".
     for (table, column) in [

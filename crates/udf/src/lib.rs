@@ -15,12 +15,16 @@
 //!   tables it reads, the volatile functions it reaches).
 //! * [`aux_agg`] — synthesis of the auxiliary user-defined aggregate (the paper's
 //!   Example 6) from the cyclic part of a cursor-loop body.
+//! * [`runtime`] — the per-UDF runtime record the executor fills, the feedback store
+//!   sums and a snapshot persists, and what the feedback loop learns from it.
 
 pub mod analysis;
 pub mod ast;
 pub mod aux_agg;
 pub mod registry;
+pub mod runtime;
 
 pub use ast::{AggregateDefinition, Statement, UdfDefinition, UdfParameter};
 pub use aux_agg::{aux_aggregate_name, is_aux_aggregate_name, synthesize_aux_aggregate};
 pub use registry::{FunctionRegistry, UdfRecord};
+pub use runtime::{LearnedUdf, UdfRuntime};

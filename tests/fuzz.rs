@@ -271,7 +271,8 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
         let serial = Engine::builder()
             .parallelism(1)
             .data_dir(dir.path())
-            .build();
+            .try_build()
+            .unwrap();
         let parallel = Engine::builder().parallelism(4).build();
         let serial_session = serial.session();
         let parallel_session = parallel.session();
@@ -309,7 +310,8 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
         let restored = Engine::builder()
             .parallelism(1)
             .data_dir(dir.path())
-            .build();
+            .try_build()
+            .unwrap();
         let restored_session = restored.session();
         for ((sql, _), want) in queries.iter().zip(&expected) {
             let got = run(&restored_session, sql);
@@ -332,7 +334,7 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
 fn hostile_bytes_never_panic_the_durability_front_door() {
     let dir = TempDir::new("hostile");
     {
-        let engine = Engine::builder().data_dir(dir.path()).build();
+        let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
         engine
             .session()
             .execute(

@@ -790,7 +790,7 @@ fn battery_engine(parallelism: usize) -> Engine {
     let customers: Vec<Row> = (1..=BATTERY_CUSTOMERS)
         .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("Customer#{i}"))]))
         .collect();
-    engine.load_rows("customer", customers).unwrap();
+    engine.insert_rows("customer", customers).unwrap();
     let orders: Vec<Row> = (0..BATTERY_CUSTOMERS * BATTERY_ORDERS_PER_CUSTOMER)
         .map(|n| {
             let (i, j) = (
@@ -804,7 +804,7 @@ fn battery_engine(parallelism: usize) -> Engine {
             ])
         })
         .collect();
-    engine.load_rows("orders", orders).unwrap();
+    engine.insert_rows("orders", orders).unwrap();
     admin
         .register_function(
             "create function service_level(int ckey) returns varchar(10) as \

@@ -10,7 +10,6 @@ use std::path::{Path, PathBuf};
 
 use udf_decorrelation::common::{FnvHasher, Row, Value};
 use udf_decorrelation::engine::{Engine, QueryOptions, Session};
-use udf_decorrelation::optimizer::CostParams;
 use udf_decorrelation::parser::parse_function;
 use udf_decorrelation::persist::encode::ByteWriter;
 use udf_decorrelation::persist::{SNAPSHOT_FILE, WAL_FILE};
@@ -78,7 +77,7 @@ fn populate(engine: &Engine) {
     let customers: Vec<Row> = (1..=30i64)
         .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("Customer#{i}"))]))
         .collect();
-    engine.load_rows("customer", customers).unwrap();
+    engine.insert_rows("customer", customers).unwrap();
     let mut orders = vec![];
     let mut orderkey = 0i64;
     for i in 1..=30i64 {
@@ -91,7 +90,7 @@ fn populate(engine: &Engine) {
             ]));
         }
     }
-    engine.load_rows("orders", orders).unwrap();
+    engine.insert_rows("orders", orders).unwrap();
     admin.register_function(SERVICE_LEVEL_SQL).unwrap();
     admin.execute("analyze").unwrap();
     // A few single-row writes after the bulk load: what gets persisted then has a
@@ -184,9 +183,10 @@ fn results_are_byte_identical_after_checkpoint_and_reopen() {
             let dir = TempDir::new(&format!("roundtrip_{parallelism}_{checkpoint}"));
             let open = || {
                 Engine::builder()
-                    .data_dir(dir.path())
                     .parallelism(parallelism)
-                    .build()
+                    .data_dir(dir.path())
+                    .try_build()
+                    .unwrap()
             };
             let (before, state_before, records_before) = {
                 let engine = open();
@@ -236,7 +236,7 @@ fn a_builder_registry_is_rebound_to_the_restored_tables() {
     let dir = TempDir::new("builder_registry");
     let create_m = "create table m(k int not null, x float)";
     {
-        let engine = Engine::builder().data_dir(dir.path()).build();
+        let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
         let session = engine.session();
         session.execute(create_m).unwrap();
         session
@@ -255,7 +255,8 @@ fn a_builder_registry_is_rebound_to_the_restored_tables() {
     let restored = Engine::builder()
         .registry(registry.clone())
         .data_dir(dir.path())
-        .build();
+        .try_build()
+        .unwrap();
     let unbound = Engine::builder().registry(registry).build();
     let record = |engine: &Engine| engine.registry().record("tot").cloned().unwrap();
     let before_ddl = record(&unbound);
@@ -283,7 +284,7 @@ fn learned_strategy_flip_survives_restart_without_reexecution() {
     let dir = TempDir::new("feedback_flip");
     let sql = "select custkey, total_business(custkey) as total from customer";
     let learned_before = {
-        let engine = Engine::builder().data_dir(dir.path()).build();
+        let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
         let session = engine.session();
         session
             .execute(
@@ -311,7 +312,7 @@ fn learned_strategy_flip_survives_restart_without_reexecution() {
                 format!("Clerk#{}", i % 100).into(),
             ]));
         }
-        engine.load_rows("orders", orders).unwrap();
+        engine.insert_rows("orders", orders).unwrap();
         session
             .register_function(
                 "create function total_business(int ckey) returns float as \
@@ -329,19 +330,13 @@ fn learned_strategy_flip_survives_restart_without_reexecution() {
             "premise: feedback must flip the strategy before the restart"
         );
         engine.checkpoint().unwrap();
-        engine
-            .feedback()
-            .udf_cost_overrides(CostParams::default().row_op_seconds)
-            .get("total_business")
-            .copied()
+        engine.feedback().learned()["total_business"]
+            .units
             .expect("learned cost present before restart")
     };
-    let engine = Engine::builder().data_dir(dir.path()).build();
-    let learned_after = engine
-        .feedback()
-        .udf_cost_overrides(CostParams::default().row_op_seconds)
-        .get("total_business")
-        .copied()
+    let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
+    let learned_after = engine.feedback().learned()["total_business"]
+        .units
         .expect("learned UDF cost must survive the restart");
     assert_eq!(
         learned_after.to_bits(),
@@ -366,7 +361,7 @@ fn learned_strategy_flip_survives_restart_without_reexecution() {
 fn torn_wal_tail_replays_valid_prefix_and_keeps_serving() {
     let dir = TempDir::new("torn_tail");
     {
-        let engine = Engine::builder().data_dir(dir.path()).build();
+        let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
         let session = engine.session();
         session.execute("create table t(x int)").unwrap();
         for i in 0..5 {
@@ -384,7 +379,7 @@ fn torn_wal_tail_replays_valid_prefix_and_keeps_serving() {
         .unwrap()
         .set_len(len - 3)
         .unwrap();
-    let engine = Engine::builder().data_dir(dir.path()).build();
+    let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
     let stats = engine.persist_stats();
     assert_eq!(
         stats.wal_records_replayed, 5,
@@ -398,7 +393,7 @@ fn torn_wal_tail_replays_valid_prefix_and_keeps_serving() {
         .execute("insert into t values (99)")
         .unwrap();
     drop(engine);
-    let reopened = Engine::builder().data_dir(dir.path()).build();
+    let reopened = Engine::builder().data_dir(dir.path()).try_build().unwrap();
     let result = reopened.session().query("select x from t").unwrap();
     assert_eq!(result.rows.len(), 5);
 }
@@ -409,7 +404,7 @@ fn torn_wal_tail_replays_valid_prefix_and_keeps_serving() {
 fn corrupt_snapshots_are_rejected_with_named_errors() {
     let dir = TempDir::new("corrupt_snapshot");
     {
-        let engine = Engine::builder().data_dir(dir.path()).build();
+        let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
         let session = engine.session();
         session
             .execute("create table t(x int); insert into t values (1), (2), (3)")
@@ -484,7 +479,7 @@ fn a_version_1_snapshot_is_refused_by_name() {
 fn an_undecodable_but_verified_wal_frame_fails_the_open_and_truncates_nothing() {
     let dir = TempDir::new("wal_unknown_tag");
     {
-        let engine = Engine::builder().data_dir(dir.path()).build();
+        let engine = Engine::builder().data_dir(dir.path()).try_build().unwrap();
         engine.session().execute("create table t(x int)").unwrap();
     }
     let wal_path = dir.path().join(WAL_FILE);

@@ -45,7 +45,7 @@ fn build_engine(parallelism: usize) -> Engine {
     let customers: Vec<Row> = (1..=30i64)
         .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("Customer#{i}"))]))
         .collect();
-    engine.load_rows("customer", customers).unwrap();
+    engine.insert_rows("customer", customers).unwrap();
     let mut orders = vec![];
     let mut orderkey = 0i64;
     for i in 1..=30i64 {
@@ -58,7 +58,7 @@ fn build_engine(parallelism: usize) -> Engine {
             ]));
         }
     }
-    engine.load_rows("orders", orders).unwrap();
+    engine.insert_rows("orders", orders).unwrap();
     for t in 0..SESSIONS {
         admin
             .execute(&format!(

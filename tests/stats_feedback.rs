@@ -240,7 +240,7 @@ fn analyzed_estimates_stay_within_bounded_q_error_across_scales() {
                 .optimize(&plan, &registry, &provider, Some(catalog.as_ref()))
                 .unwrap()
                 .plan;
-            let params = CostParams::default();
+            let params = CostParams::new(1);
             let estimates = estimate_per_node(&normalized, &catalog, &registry, &params);
             let mut checked = 0;
             for estimate in &estimates {
@@ -310,14 +310,9 @@ fn analyze_improves_root_cardinality_q_error() {
 
 // ------------------------------------------------------------- feedback flips plans
 
-/// The headline feedback regression. The UDF's correlated query scans an unindexed
-/// table, but the static cost model prices correlated execution with the
-/// index-assisted discount — so for a small outer table it wrongly picks the
-/// iterative plan. Executing it once measures the true per-invocation cost; the
-/// feedback loop learns it, invalidates the stale cache entry, and the next
-/// optimize flips to the decorrelated plan.
-#[test]
-fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
+/// An engine whose UDF `total_business` scans an unindexed 8000-row table per call, and
+/// the query that invokes it once per customer (40 customers).
+fn mispriced_udf_engine() -> (Engine, &'static str) {
     let engine = Engine::new();
     let session = engine.session();
     // Wide rows (strings) make per-row interpretation measurably expensive, which
@@ -347,14 +342,29 @@ fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
             format!("Clerk#{}", i % 100).into(),
         ]));
     }
-    engine.load_rows("orders", orders).unwrap();
+    engine.insert_rows("orders", orders).unwrap();
     engine
         .register_function(
             "create function total_business(int ckey) returns float as \
          begin return select sum(totalprice) from orders where custkey = :ckey; end",
         )
         .unwrap();
-    let sql = "select custkey, total_business(custkey) as total from customer";
+    (
+        engine,
+        "select custkey, total_business(custkey) as total from customer",
+    )
+}
+
+/// The headline feedback regression. The UDF's correlated query scans an unindexed
+/// table, but the static cost model prices correlated execution with the
+/// index-assisted discount — so for a small outer table it wrongly picks the
+/// iterative plan. Executing it once measures the true per-invocation cost; the
+/// feedback loop learns it, invalidates the stale cache entry, and the next
+/// optimize flips to the decorrelated plan.
+#[test]
+fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
+    let (engine, sql) = mispriced_udf_engine();
+    let session = engine.session();
 
     // 1. The static model picks the iterative plan (its correlated discount assumes
     //    an index that does not exist).
@@ -370,12 +380,8 @@ fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
 
     // 2. The execution measured the true invocation cost; the feedback loop must
     //    have learned it and flagged the shape.
-    let overrides = engine
-        .feedback()
-        .udf_cost_overrides(CostParams::default().row_op_seconds);
-    let learned = overrides
-        .get("total_business")
-        .copied()
+    let learned = engine.feedback().learned()["total_business"]
+        .units
         .expect("feedback must learn the UDF cost after 40 invocations");
     assert!(
         learned > 1_000.0,
@@ -412,6 +418,87 @@ fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
         first.canonical_projection(&["custkey", "total"]).unwrap(),
         second.canonical_projection(&["custkey", "total"]).unwrap()
     );
+}
+
+/// The learning loop end to end, pinned: the headline flip plus a filter UDF called
+/// with repeated arguments, run in one engine. What each query used, what each UDF's
+/// feedback entry counted and the store's counters equal the constants recorded at
+/// commit cb750d5, before the executor, the feedback store and the snapshot shared one
+/// per-UDF record. Only counts are pinned; wall clocks are not.
+#[test]
+fn learning_loop_counts_match_the_recorded_constants() {
+    let (engine, flip_sql) = mispriced_udf_engine();
+    let session = engine.session();
+    session.execute("create table t(x int, grp int)").unwrap();
+    let rows: Vec<String> = (0..100).map(|i| format!("({i}, {})", i % 5)).collect();
+    session
+        .execute(&format!("insert into t values {}", rows.join(", ")))
+        .unwrap();
+    engine
+        .register_function("create function parity(int v) returns int as begin return v % 2; end")
+        .unwrap();
+    // Five distinct arguments over 100 rows: the per-query dedup tier and then the
+    // cross-query memo answer all but the first five calls, and five evaluations stay
+    // below the cost trust floor, so only the dedup fraction is learned.
+    let filter_sql = "select x from t where x >= 0 and parity(grp) = 1";
+
+    let mut used = vec![];
+    let mut timings = vec![];
+    for (sql, options) in [
+        (flip_sql, QueryOptions::default()),
+        (flip_sql, QueryOptions::default()),
+        (filter_sql, QueryOptions::iterative()),
+        (filter_sql, QueryOptions::iterative()),
+    ] {
+        let result = session.query_with(sql, &options).unwrap();
+        used.push(result.used_decorrelated_plan);
+        for t in &result.udf_timings {
+            timings.push((t.name.clone(), t.invocations, t.hits));
+        }
+    }
+    assert_eq!(used, [false, true, false, false]);
+    let timing = |name: &str, invocations, hits| (name.to_string(), invocations, hits);
+    assert_eq!(
+        timings,
+        [
+            timing("total_business", 40, 0),
+            timing("parity", 5, 95),
+            timing("parity", 0, 100),
+        ]
+    );
+
+    let entries: Vec<(String, u64, u64, u64, u64)> = engine
+        .feedback()
+        .export_state()
+        .udfs
+        .into_iter()
+        .map(|u| {
+            let r = u.runtime;
+            (
+                r.name,
+                r.invocations,
+                r.hits,
+                r.predicate_evaluated,
+                r.predicate_passed,
+            )
+        })
+        .collect();
+    assert_eq!(
+        entries,
+        [
+            ("parity".to_string(), 5, 195, 200, 80),
+            ("total_business".to_string(), 40, 0, 0, 0),
+        ]
+    );
+    let stats = engine.feedback_stats();
+    assert_eq!(stats.queries_recorded, 4);
+    assert_eq!(stats.udfs_tracked, 2);
+    // One bump for the mispriced cost, one for parity's dedup fraction (5 of 100
+    // calls evaluated).
+    assert_eq!(stats.generation, 3);
+    // The flip query's first run (its UDF cost q-error) and the filter query's first
+    // run (3 rows estimated, 40 returned): each shape is flagged once.
+    assert_eq!(stats.invalidations_flagged, 2);
 }
 
 /// Feedback state is engine-local: a forked engine starts with a fresh store.
@@ -451,11 +538,9 @@ fn cheap_udfs_below_the_trust_floor_learn_nothing() {
         )
         .unwrap();
     assert_eq!(result.exec_stats.udf_invocations, 3);
-    assert!(
-        engine
-            .feedback()
-            .udf_cost_overrides(CostParams::default().row_op_seconds)
-            .is_empty(),
+    assert_eq!(
+        engine.feedback().learned()["tiny"].units,
+        None,
         "3 sub-microsecond invocations are below both trust floors"
     );
     assert_eq!(engine.feedback_stats().generation, 1);

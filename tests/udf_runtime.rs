@@ -40,7 +40,7 @@ fn scored_db(rows: usize, distinct_groups: i64, seed: u64) -> Engine {
             ])
         })
         .collect();
-    engine.load_rows("items", items).unwrap();
+    engine.insert_rows("items", items).unwrap();
     let probes: Vec<Row> = (0..rows)
         .map(|i| {
             Row::new(vec![
@@ -49,7 +49,7 @@ fn scored_db(rows: usize, distinct_groups: i64, seed: u64) -> Engine {
             ])
         })
         .collect();
-    engine.load_rows("probes", probes).unwrap();
+    engine.insert_rows("probes", probes).unwrap();
     engine
         .register_function(
             "create function group_score(int g) returns float as \
@@ -139,7 +139,7 @@ fn redefining_a_udf_never_serves_stale_results() {
     let session = engine.session();
     session.execute("create table t(x int)").unwrap();
     engine
-        .load_rows(
+        .insert_rows(
             "t",
             (1..=10i64).map(|i| Row::new(vec![Value::Int(i)])).collect(),
         )
@@ -263,7 +263,7 @@ fn volatile_udfs_are_never_cached() {
     let session = engine.session();
     session.execute("create table t(x int)").unwrap();
     engine
-        .load_rows("t", vec![Row::new(vec![Value::Int(1)]); 10])
+        .insert_rows("t", vec![Row::new(vec![Value::Int(1)]); 10])
         .unwrap();
     engine
         .register_function("create function v(int x) returns int volatile as begin return x; end")
@@ -294,10 +294,9 @@ fn filter_selectivity_feedback_is_recorded() {
             )
             .unwrap();
         assert_eq!(result.exec_stats.parallel_operators > 0, parallelism > 1);
-        let profiles = engine.feedback().udf_runtime_profiles();
-        let observed = profiles
-            .get("group_score")
-            .and_then(|(_mean_seconds, pass_rate)| *pass_rate)
+        let learned = engine.feedback().learned()["group_score"];
+        let observed = learned
+            .pass_rate
             .expect("the UDF conjunct's pass-rate should be recorded");
         assert!(
             (0.0..=1.0).contains(&observed),
@@ -306,10 +305,8 @@ fn filter_selectivity_feedback_is_recorded() {
         pass_rates.push(observed);
         // Dedup feedback: repeated groups mean most calls were cache hits, so the
         // learned effective-invocation fraction is well below 1.
-        let fractions = engine.feedback().udf_dedup_fractions();
-        let fraction = fractions
-            .get("group_score")
-            .copied()
+        let fraction = learned
+            .dedup_fraction
             .expect("dedup fraction should be trusted after 200 calls");
         assert!(fraction < 0.5, "12 groups over 200 rows: {fraction}");
     }
@@ -332,7 +329,7 @@ fn two_table_udf_memo_survives_inserts_into_unrelated_table() {
         )
         .unwrap();
     engine
-        .load_rows(
+        .insert_rows(
             "items",
             (0..30)
                 .map(|i| Row::new(vec![Value::Int(i % 3), Value::Float(10.0 + i as f64)]))
@@ -340,7 +337,7 @@ fn two_table_udf_memo_survives_inserts_into_unrelated_table() {
         )
         .unwrap();
     engine
-        .load_rows(
+        .insert_rows(
             "rates",
             (0..3)
                 .map(|g| Row::new(vec![Value::Int(g), Value::Float(1.0 + g as f64)]))
@@ -348,7 +345,7 @@ fn two_table_udf_memo_survives_inserts_into_unrelated_table() {
         )
         .unwrap();
     engine
-        .load_rows(
+        .insert_rows(
             "probes",
             (0..20)
                 .map(|i| Row::new(vec![Value::Int(i), Value::Int(i % 3)]))
