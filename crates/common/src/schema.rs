@@ -113,41 +113,43 @@ impl Schema {
         self.columns.is_empty()
     }
 
-    /// Finds the index of the column matching a (possibly qualified) reference.
-    ///
-    /// Returns an error if the reference is ambiguous (matches more than one column) or
-    /// unknown.
-    pub fn index_of(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
-        let name = normalize_ident(name);
-        let qualifier = qualifier.map(normalize_ident);
-        let matches: Vec<usize> = self
+    /// Finds the index of the column matching a (possibly qualified) reference:
+    /// `Ok(None)` when no column matches, a binding error when more than one does.
+    pub fn lookup(&self, qualifier: Option<&str>, name: &str) -> Result<Option<usize>> {
+        let mut matches = self
             .columns
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.matches(qualifier.as_deref(), &name))
-            .map(|(i, _)| i)
-            .collect();
-        match matches.len() {
-            1 => Ok(matches[0]),
-            0 => Err(Error::Binding(format!(
-                "column '{}' not found in schema [{}]",
-                match &qualifier {
-                    Some(q) => format!("{q}.{name}"),
-                    None => name.clone(),
-                },
-                self
-            ))),
-            _ => Err(Error::Binding(format!(
-                "column reference '{name}' is ambiguous in schema [{self}]"
-            ))),
+            .filter(|(_, c)| c.matches(qualifier, name))
+            .map(|(i, _)| i);
+        let first = matches.next();
+        if first.is_some() && matches.next().is_some() {
+            return Err(Error::Binding(format!(
+                "column reference '{}' is ambiguous in schema [{self}]",
+                normalize_ident(name)
+            )));
         }
+        Ok(first)
     }
 
-    /// Like [`Schema::index_of`] but returns `None` instead of an error when the column
-    /// is missing (still errs on ambiguity... no: ambiguity also yields `None` here;
-    /// callers that care about ambiguity use `index_of`).
+    /// Like [`Schema::lookup`], but a reference no column matches is an error too.
+    pub fn index_of(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+        self.lookup(qualifier, name)?.ok_or_else(|| {
+            let name = normalize_ident(name);
+            Error::Binding(format!(
+                "column '{}' not found in schema [{self}]",
+                match qualifier {
+                    Some(q) => format!("{}.{name}", normalize_ident(q)),
+                    None => name,
+                },
+            ))
+        })
+    }
+
+    /// Like [`Schema::lookup`], but `None` both when no column matches and when the
+    /// reference is ambiguous.
     pub fn find(&self, qualifier: Option<&str>, name: &str) -> Option<usize> {
-        self.index_of(qualifier, name).ok()
+        self.lookup(qualifier, name).ok().flatten()
     }
 
     /// Returns the column at `idx`.

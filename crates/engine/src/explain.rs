@@ -5,7 +5,7 @@ use decorr_algebra::display::explain;
 use decorr_common::Result;
 use decorr_optimizer::{estimate_per_node, CostParams};
 use decorr_parser::plan_select;
-use decorr_stats::q_error;
+use decorr_storage::stats::q_error;
 
 use crate::{ExecutionStrategy, QueryOptions, Session};
 

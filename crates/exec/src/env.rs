@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use decorr_common::{normalize_ident, Row, Schema, Value};
+use decorr_common::{normalize_ident, Result, Row, Schema, Value};
 
 /// An evaluation environment.
 ///
@@ -69,14 +69,18 @@ impl Env {
         self.outer.as_ref().and_then(|o| o.param(name))
     }
 
-    /// Looks up a column reference, walking outward through enclosing scopes.
-    /// Ambiguous references within one scope resolve to an error at schema level, so this
-    /// only returns the first scope that can resolve the name unambiguously.
-    pub fn column(&self, qualifier: Option<&str>, name: &str) -> Option<Value> {
-        if let Ok(idx) = self.schema.index_of(qualifier, name) {
-            return Some(self.row.get(idx).clone());
+    /// Looks up a column reference, walking outward through enclosing scopes. The first
+    /// scope with a matching column decides: `Ok(None)` when no scope has one, a binding
+    /// error when that scope has several — an ambiguous reference never falls through
+    /// to an enclosing query.
+    pub fn column(&self, qualifier: Option<&str>, name: &str) -> Result<Option<Value>> {
+        match self.schema.lookup(qualifier, name)? {
+            Some(idx) => Ok(Some(self.row.get(idx).clone())),
+            None => match &self.outer {
+                Some(outer) => outer.column(qualifier, name),
+                None => Ok(None),
+            },
         }
-        self.outer.as_ref().and_then(|o| o.column(qualifier, name))
     }
 }
 
@@ -107,9 +111,32 @@ mod tests {
             Row::new(vec![Value::Int(1)]),
         )
         .nested_in(&outer);
-        assert_eq!(inner.column(None, "orderkey"), Some(Value::Int(1)));
-        assert_eq!(inner.column(Some("c"), "custkey"), Some(Value::Int(42)));
-        assert_eq!(inner.column(None, "custkey"), Some(Value::Int(42)));
-        assert_eq!(inner.column(None, "nosuch"), None);
+        assert_eq!(inner.column(None, "orderkey").unwrap(), Some(Value::Int(1)));
+        assert_eq!(
+            inner.column(Some("c"), "custkey").unwrap(),
+            Some(Value::Int(42))
+        );
+        assert_eq!(inner.column(None, "custkey").unwrap(), Some(Value::Int(42)));
+        assert_eq!(inner.column(None, "nosuch").unwrap(), None);
+    }
+
+    #[test]
+    fn an_ambiguous_column_is_an_error_not_an_outer_reference() {
+        let outer = Env::with_row(
+            Schema::new(vec![Column::qualified("o", "k", DataType::Int)]),
+            Row::new(vec![Value::Int(1)]),
+        );
+        let inner = Env::with_row(
+            Schema::new(vec![
+                Column::qualified("a", "k", DataType::Int),
+                Column::qualified("b", "k", DataType::Int),
+            ]),
+            Row::new(vec![Value::Int(3), Value::Int(3)]),
+        )
+        .nested_in(&outer);
+        let err = inner.column(None, "k").unwrap_err();
+        assert_eq!(err.kind(), "binding");
+        assert!(err.to_string().contains("ambiguous"), "{err}");
+        assert_eq!(inner.column(Some("o"), "k").unwrap(), Some(Value::Int(1)));
     }
 }

@@ -16,14 +16,18 @@ impl Executor {
     pub fn eval_expr(&self, expr: &ScalarExpr, env: &Env) -> Result<Value> {
         match expr {
             ScalarExpr::Literal(v) => Ok(v.clone()),
-            ScalarExpr::Column(c) => env
-                .column(c.qualifier.as_deref(), &c.name)
-                .or_else(|| env.param(&c.name))
-                .ok_or_else(|| Error::Binding(format!("cannot resolve column reference '{c}'"))),
-            ScalarExpr::Param(p) => env
-                .param(p)
-                .or_else(|| env.column(None, p))
-                .ok_or_else(|| Error::Binding(format!("unbound parameter ':{p}'"))),
+            ScalarExpr::Column(c) => match env.column(c.qualifier.as_deref(), &c.name)? {
+                Some(v) => Ok(v),
+                None => env.param(&c.name).ok_or_else(|| {
+                    Error::Binding(format!("cannot resolve column reference '{c}'"))
+                }),
+            },
+            ScalarExpr::Param(p) => match env.param(p) {
+                Some(v) => Ok(v),
+                None => env
+                    .column(None, p)?
+                    .ok_or_else(|| Error::Binding(format!("unbound parameter ':{p}'"))),
+            },
             ScalarExpr::Binary { op, left, right } => self.eval_binary(*op, left, right, env),
             ScalarExpr::Unary { op, expr } => {
                 let v = self.eval_expr(expr, env)?;

@@ -19,9 +19,10 @@
 //!    the old definition;
 //! 3. the catalog DDL generation — bumped by `CREATE/DROP TABLE` and `CREATE INDEX`,
 //!    so plans bound against a changed schema become unreachable;
-//! 4. the pipeline fingerprint — pass names plus the [`PassManagerOptions`] knobs, so
-//!    e.g. an `EXPLAIN` (snapshots on) never serves a snapshot-less hot-path entry and
-//!    a forced-decorrelated pipeline never serves a cost-based one.
+//! 4. the pipeline fingerprint — which of the three pipelines (cleanup, rewrite,
+//!    decorrelation) plus every [`PassManagerOptions`] field, so e.g. an `EXPLAIN`
+//!    (snapshots on) never serves a snapshot-less hot-path entry and a
+//!    forced-decorrelated pipeline never serves a cost-based one.
 //!
 //! Row inserts deliberately do **not** invalidate: they can only make a cached
 //! cost-based strategy choice suboptimal, never incorrect (the cache stores plans, not

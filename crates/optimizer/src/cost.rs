@@ -1,8 +1,7 @@
 //! Cardinality estimation and a cost model over logical plans.
 //!
-//! The estimator consumes the statistics subsystem (`decorr-stats`'s
-//! [`TableStatistics`](decorr_storage::TableStatistics), cached per table by
-//! `decorr-storage`): equality predicates use MCV lists and distinct counts, range
+//! The estimator consumes the statistics subsystem (`storage::stats`'s
+//! [`TableStatistics`](decorr_storage::TableStatistics), cached per table): equality predicates use MCV lists and distinct counts, range
 //! predicates (`<`, `>`, `BETWEEN`) use equi-depth histograms when a sampled `ANALYZE`
 //! has run, and grouped aggregates use group-column distinct counts. Where statistics
 //! do not resolve a term, the constants below stand in. The runtime feedback loop

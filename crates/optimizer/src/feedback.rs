@@ -19,7 +19,7 @@
 //! re-decided with the calibrated numbers, while pipelines that ignore the cost model
 //! (forced iterative/decorrelated) keep their entries.
 //!
-//! [`q_error`]: decorr_stats::q_error
+//! [`q_error`]: decorr_storage::stats::q_error
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +27,7 @@ use std::sync::RwLock;
 use std::time::Duration;
 
 use decorr_common::normalize_ident;
-use decorr_stats::q_error;
+use decorr_storage::stats::q_error;
 use decorr_udf::{LearnedUdf, UdfRuntime};
 
 use crate::cost::ROW_OP_SECONDS;

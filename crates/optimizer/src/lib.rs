@@ -6,9 +6,10 @@
 //! better choice. This crate provides that layer for the engine:
 //!
 //! * [`pass`] — the [`PassManager`]: the single, observable pipeline every query goes
-//!   through (normalize → algebraize & merge → Apply removal → cleanup → strategy
-//!   choice), with per-pass timings, per-rule fire counts, fixpoint iteration counts,
-//!   before/after plan snapshots and a rule-firing budget guard;
+//!   through, one function running the stages of Figure 9 in order (normalize →
+//!   algebraize & merge → Apply removal → cleanup → strategy choice), with per-stage
+//!   timings, per-rule fire counts, fixpoint iteration counts, before/after plan
+//!   snapshots and a rule-firing budget guard;
 //! * [`cache`] — the [`PlanCache`]: a concurrency-safe LRU memo from a structural plan
 //!   fingerprint (plus registry/DDL generations and pipeline options) to a full
 //!   [`OptimizeOutcome`], so repeated queries skip the pipeline entirely;
@@ -21,18 +22,19 @@
 //!   the strategy choice (learned UDF costs) and plan-cache invalidation (q-error
 //!   threshold);
 //! * [`strategy`] — the cost-based choice between the original (iterative) plan and the
-//!   decorrelated plan produced by `decorr-rewrite`.
-//!
-//! Behind [`PassManagerOptions::validate_plans`] (default on in debug builds, opt-in
-//! via `DECORR_VALIDATE_PLANS=1` in release) the pipeline re-validates the plan with
-//! `decorr_analysis` after every pass, so a buggy rewrite rule fails loudly with a
-//! named-pass, named-violation error instead of producing a malformed plan.
+//!   decorrelated plan produced by `decorr-rewrite`;
+//! * [`validate`] — the structural plan validator. Behind
+//!   [`PassManagerOptions::validate_plans`] (default on in debug builds, opt-in via
+//!   `DECORR_VALIDATE_PLANS=1` in release) the pipeline re-validates the plan after
+//!   every stage, so a buggy rewrite rule fails loudly with a named-stage,
+//!   named-violation error instead of producing a malformed plan.
 
 pub mod cache;
 pub mod cost;
 pub mod feedback;
 pub mod pass;
 pub mod strategy;
+pub mod validate;
 
 pub use cache::{
     plan_fingerprint, CacheActivity, CacheContext, PlanCache, PlanCacheStats,
@@ -46,9 +48,7 @@ pub use cost::{
 pub use decorr_udf::UdfRuntime;
 pub use feedback::{FeedbackState, FeedbackStats, FeedbackStore, QueryFeedback, UdfFeedback};
 pub use pass::{
-    OptimizeMode, OptimizeOutcome, OptimizerPass, PassContext, PassEffect, PassManager,
-    PassManagerOptions, PassTrace, PipelineReport,
+    OptimizeMode, OptimizeOutcome, PassManager, PassManagerOptions, PassTrace, PipelineReport,
 };
 pub use strategy::{choose_strategy_with, StrategyChoice, StrategyDecision};
-
-pub use decorr_analysis::{validate_plan, ValidationReport, Violation};
+pub use validate::{validate_plan, ValidationReport, Violation};

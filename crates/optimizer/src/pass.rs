@@ -1,12 +1,12 @@
-//! The instrumented optimization pipeline: a [`PassManager`] owning an ordered list of
-//! named passes behind the common [`OptimizerPass`] trait.
+//! The instrumented optimization pipeline: [`PassManager::optimize`] drives a plan
+//! through the fixed stage sequence of Figure 9, written as one function.
 //!
-//! This is the single entry point through which every query is optimized. The pipeline
-//! mirrors Figure 9 of the paper — normalize, algebraize & merge UDF invocations
+//! This is the single entry point through which every query is optimized. The stages
+//! mirror Figure 9 of the paper — normalize, algebraize & merge UDF invocations
 //! (Sections IV, V, VII), remove Apply operators with the transformation rules
 //! (Section VI), clean up, and make the cost-based choice between the iterative and the
-//! decorrelated alternative (Section IX) — but unlike the paper's prose, every step here
-//! is observable: per-pass wall-clock timings, per-rule fire counts, fixpoint iteration
+//! decorrelated alternative (Section IX) — but unlike the paper's prose, every stage here
+//! is observable: per-stage wall-clock timings, per-rule fire counts, fixpoint iteration
 //! counts, before/after plan snapshots, and a shared rule-firing budget that turns a
 //! cyclic rule set into an error instead of an unbounded loop.
 
@@ -18,7 +18,7 @@ use decorr_algebra::display::explain;
 use decorr_algebra::{RelExpr, SchemaProvider};
 use decorr_common::{Error, Result};
 use decorr_rewrite::merge::merge_udf_calls;
-use decorr_rewrite::rules::{FixpointEngine, RuleSet};
+use decorr_rewrite::rules::{FixpointEngine, FixpointOutcome, RuleSet};
 use decorr_storage::Catalog;
 use decorr_udf::{AggregateDefinition, FunctionRegistry};
 
@@ -26,11 +26,19 @@ use crate::cache::{plan_fingerprint, CacheActivity, CacheContext, PlanCache};
 use crate::cost::CostParams;
 use crate::feedback::FeedbackStore;
 use crate::strategy::{choose_strategy_with, StrategyChoice, StrategyDecision};
+use crate::validate::{check_decorrelated, validate_plan};
 use decorr_common::FnvHasher;
 
 // ---------------------------------------------------------------------------- options
 
-/// How the strategy-choice pass resolves the iterative/decorrelated alternative.
+/// Maximum number of full bottom-up passes per rule fixpoint.
+const MAX_FIXPOINT_ITERATIONS: usize = 50;
+
+/// Total rule firings shared by all stages of one `optimize` call. Exhausting it aborts
+/// optimization with an error — the guard against cyclic rule sets.
+const RULE_FIRE_BUDGET: u64 = 100_000;
+
+/// How the strategy-choice stage resolves the iterative/decorrelated alternative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptimizeMode {
     /// Compare estimated costs and pick the cheaper plan (the paper's deployment).
@@ -41,31 +49,26 @@ pub enum OptimizeMode {
     ForceDecorrelated,
 }
 
-/// Knobs shared by every pass in a pipeline.
+/// Knobs shared by every stage of a pipeline.
 #[derive(Debug, Clone)]
 pub struct PassManagerOptions {
-    /// Maximum number of full bottom-up passes per rule-fixpoint pass.
-    pub max_fixpoint_iterations: usize,
-    /// Total rule-firing budget shared by all passes of one `optimize` call. Exhausting
-    /// it aborts optimization with an error — the guard against cyclic rule sets.
-    pub rule_fire_budget: u64,
     /// Strategy resolution mode.
     pub mode: OptimizeMode,
-    /// Capture EXPLAIN-style before/after snapshots per pass. Off by default: snapshot
-    /// rendering costs string work per pass on every optimize call, so only diagnostic
+    /// Capture EXPLAIN-style before/after snapshots per stage. Off by default: snapshot
+    /// rendering costs string work per stage on every optimize call, so only diagnostic
     /// entry points (`EXPLAIN`, debugging sessions) should enable it.
     pub capture_snapshots: bool,
     /// The executor's worker-pool size, fed into the cost model so the strategy choice
     /// accounts for morsel-parallel scans/joins/aggregates. Part of the pipeline
     /// fingerprint: a cached decision made for one pool size must not serve another.
     pub parallelism: usize,
-    /// Re-validate the plan with `decorr_analysis::validate_plan` after **every**
-    /// pass: any structural violation (dangling column reference, unconsumed Apply
-    /// binding, unknown function, …) fails the pipeline with a named-pass,
-    /// named-violation error instead of letting a buggy rule produce a silently
-    /// wrong plan. Defaults to on in debug builds (so every test run self-checks)
-    /// and off in release; the `DECORR_VALIDATE_PLANS` environment variable
-    /// (`1`/`true`/`on` vs `0`/`false`/`off`) overrides the default either way.
+    /// Re-validate the plan with [`validate_plan`] after **every** stage: any
+    /// structural violation (dangling column reference, unconsumed Apply binding,
+    /// unknown function, …) fails the pipeline with a named-stage, named-violation
+    /// error instead of letting a buggy rule produce a silently wrong plan. Defaults
+    /// to on in debug builds (so every test run self-checks) and off in release; the
+    /// `DECORR_VALIDATE_PLANS` environment variable (`1`/`true`/`on` vs
+    /// `0`/`false`/`off`) overrides the default either way.
     pub validate_plans: bool,
 }
 
@@ -84,8 +87,6 @@ fn default_validate_plans() -> bool {
 impl Default for PassManagerOptions {
     fn default() -> Self {
         PassManagerOptions {
-            max_fixpoint_iterations: 50,
-            rule_fire_budget: 100_000,
             mode: OptimizeMode::CostBased,
             capture_snapshots: false,
             parallelism: 1,
@@ -94,150 +95,26 @@ impl Default for PassManagerOptions {
     }
 }
 
-// ---------------------------------------------------------------------------- context
-
-/// Mutable state threaded through the passes of one `optimize` call.
-pub struct PassContext<'a> {
-    pub registry: &'a FunctionRegistry,
-    pub provider: &'a dyn SchemaProvider,
-    /// Storage statistics for the cost model; `None` outside an engine (e.g. when the
-    /// pipeline runs as a standalone rewrite tool over a schema-only provider).
-    pub catalog: Option<&'a Catalog>,
-    /// Runtime feedback (learned UDF invocation costs); consulted by the
-    /// strategy-choice pass when attached. `None` outside an engine.
-    pub feedback: Option<&'a FeedbackStore>,
-    pub options: PassManagerOptions,
-    /// The normalized original plan — the iterative alternative the strategy pass can
-    /// fall back to. Set by [`AlgebraizeMergePass`] before it merges UDF bodies.
-    pub baseline_plan: Option<RelExpr>,
-    /// The fully decorrelated plan, when the rewrite succeeded (kept even when the
-    /// cost-based choice later reverts to the iterative plan).
-    pub rewritten_plan: Option<RelExpr>,
-    /// The UDF of each invocation replaced by its algebraic form, in merge order.
-    pub merged: Vec<String>,
-    /// True if every merged UDF invocation was decorrelated (no Apply remains).
-    pub decorrelated: bool,
-    /// True if the plan the pipeline returns is the decorrelated one.
-    pub used_decorrelated_plan: bool,
-    /// The cost-based decision, when one was made.
-    pub decision: Option<StrategyDecision>,
-    /// Remaining shared rule-firing budget.
-    rule_budget_left: u64,
-}
-
-impl<'a> PassContext<'a> {
-    fn new(
-        registry: &'a FunctionRegistry,
-        provider: &'a dyn SchemaProvider,
-        catalog: Option<&'a Catalog>,
-        feedback: Option<&'a FeedbackStore>,
-        options: PassManagerOptions,
-    ) -> PassContext<'a> {
-        let budget = options.rule_fire_budget;
-        PassContext {
-            registry,
-            provider,
-            catalog,
-            feedback,
-            options,
-            baseline_plan: None,
-            rewritten_plan: None,
-            merged: vec![],
-            decorrelated: false,
-            used_decorrelated_plan: false,
-            decision: None,
-            rule_budget_left: budget,
-        }
-    }
-
-    /// The auxiliary aggregates the merged forms call, one per call, as their UDFs'
-    /// registry records list them.
-    fn merged_aux_aggregates(&self) -> impl Iterator<Item = &AggregateDefinition> {
-        self.merged
-            .iter()
-            .filter_map(|udf| self.registry.record(udf))
-            .flat_map(|record| &record.aux_aggregates)
-            .filter_map(|name| self.registry.aggregate(name).ok())
-    }
-
-    /// A [`FixpointEngine`] configured with this pipeline's iteration limit and the
-    /// *remaining* shared firing budget.
-    pub fn fixpoint_engine(&self) -> FixpointEngine {
-        FixpointEngine::with_max_iterations(self.options.max_fixpoint_iterations)
-            .with_rule_budget(self.rule_budget_left)
-    }
-
-    /// Deducts rule firings from the shared budget.
-    pub fn charge_rule_firings(&mut self, fires: u64) {
-        self.rule_budget_left = self.rule_budget_left.saturating_sub(fires);
-    }
-}
-
-// ---------------------------------------------------------------------------- effects
-
-/// What one pass did to the plan, as reported back to the [`PassManager`].
-#[derive(Debug, Clone)]
-pub struct PassEffect {
-    pub plan: RelExpr,
-    /// Rules that fired inside this pass, in order.
-    pub fired: Vec<String>,
-    /// Fire counts per rule.
-    pub rule_fires: BTreeMap<String, u64>,
-    /// Full fixpoint passes performed, for rule-fixpoint passes.
-    pub fixpoint_iterations: Option<usize>,
-    /// Whether the fixpoint genuinely converged (vs. hitting the iteration limit).
-    pub reached_fixpoint: Option<bool>,
-    /// Human-readable remarks (skipped UDFs, reverts, decisions).
-    pub notes: Vec<String>,
-}
-
-impl PassEffect {
-    /// A pass that left the plan untouched.
-    pub fn unchanged(plan: RelExpr) -> PassEffect {
-        PassEffect {
-            plan,
-            fired: vec![],
-            rule_fires: BTreeMap::new(),
-            fixpoint_iterations: None,
-            reached_fixpoint: None,
-            notes: vec![],
-        }
-    }
-
-    fn with_note(mut self, note: impl Into<String>) -> PassEffect {
-        self.notes.push(note.into());
-        self
-    }
-}
-
-/// A named, instrumented optimization pass.
-pub trait OptimizerPass {
-    /// Stable pass name, shown in traces and EXPLAIN output.
-    fn name(&self) -> &'static str;
-    /// Transforms the plan, reporting instrumentation through the returned effect.
-    fn run(&self, plan: &RelExpr, ctx: &mut PassContext) -> Result<PassEffect>;
-}
-
 // ----------------------------------------------------------------------------- traces
 
-/// Everything the manager recorded about one executed pass.
+/// Everything the manager recorded about one executed stage.
 #[derive(Debug, Clone)]
 pub struct PassTrace {
     pub name: String,
     pub duration: Duration,
-    /// True if the pass changed the plan.
+    /// True if the stage changed the plan.
     pub changed: bool,
     pub rule_fires: BTreeMap<String, u64>,
     pub fired: Vec<String>,
     pub fixpoint_iterations: Option<usize>,
     pub reached_fixpoint: Option<bool>,
-    /// EXPLAIN snapshot before/after the pass (when snapshot capture is enabled).
+    /// EXPLAIN snapshot before/after the stage (when snapshot capture is enabled).
     pub plan_before: Option<String>,
     pub plan_after: Option<String>,
     pub notes: Vec<String>,
-    /// Number of structural-invariant checks the per-pass plan validator performed
-    /// on this pass's output plan (`None` when validation was off). A recorded pass
-    /// always validated clean — violations abort the pipeline instead.
+    /// Number of structural-invariant checks the plan validator performed on this
+    /// stage's output plan (`None` when validation was off). A recorded stage always
+    /// validated clean — violations abort the pipeline instead.
     pub validation_checks: Option<u64>,
 }
 
@@ -349,7 +226,7 @@ impl PipelineReport {
 /// The result of running a [`PassManager`] pipeline over a query plan.
 #[derive(Debug, Clone)]
 pub struct OptimizeOutcome {
-    /// The plan to execute (the strategy pass's choice; the rewritten plan when the
+    /// The plan to execute (the strategy choice's pick; the rewritten plan when the
     /// rewrite succeeded and was selected, otherwise the normalized original).
     pub plan: RelExpr,
     /// The normalized original plan — the iterative alternative.
@@ -366,7 +243,7 @@ pub struct OptimizeOutcome {
     /// The auxiliary aggregates `rewritten_plan` calls, one per merged call, derived from
     /// the merged UDFs' registry records. Executing needs nothing from here (they are
     /// registered with their UDFs): it is kept for `Session::rewrite_sql` and the
-    /// `benchmark/` package, and ROADMAP item 10 (`[benchmark]` housekeeping) may drop it.
+    /// `benchmark/` package, and ROADMAP item 12 (`[benchmark]` housekeeping) may drop it.
     pub aux_aggregates: Vec<AggregateDefinition>,
     /// Names of the transformation rules that fired, in order, across all passes.
     pub applied_rules: Vec<String>,
@@ -378,241 +255,228 @@ pub struct OptimizeOutcome {
     pub report: PipelineReport,
 }
 
-// ----------------------------------------------------------------------------- passes
+// ----------------------------------------------------------------------------- stages
 
-/// Plan normalisation: predicate pushdown, selection/projection merging. Runs first so
-/// that even the iterative baseline executes reasonable plans (comma-syntax joins become
-/// hash-joinable inner joins), exactly like the commercial systems the paper measures.
-pub struct NormalizePass;
+/// What one stage's body produced, handed back to [`Stages::run`].
+struct Stage {
+    plan: RelExpr,
+    /// Rules that fired inside the stage, in order, and how often each did.
+    fired: Vec<String>,
+    rule_fires: BTreeMap<String, u64>,
+    /// Iterations and convergence of the stage's rule fixpoint, if it ran one.
+    fixpoint: Option<(usize, bool)>,
+    /// Human-readable remarks (skipped UDFs, reverts, decisions).
+    notes: Vec<String>,
+}
 
-impl OptimizerPass for NormalizePass {
-    fn name(&self) -> &'static str {
-        "normalize"
+impl Stage {
+    /// A stage that produced `plan` without running rules.
+    fn plan(plan: RelExpr) -> Stage {
+        Stage {
+            plan,
+            fired: vec![],
+            rule_fires: BTreeMap::new(),
+            fixpoint: None,
+            notes: vec![],
+        }
     }
 
-    fn run(&self, plan: &RelExpr, ctx: &mut PassContext) -> Result<PassEffect> {
-        let outcome = ctx
-            .fixpoint_engine()
-            .run(plan, &RuleSet::cleanup_only(), ctx.provider)?;
-        ctx.charge_rule_firings(outcome.total_fires());
-        Ok(PassEffect {
+    /// A stage that drove one rule set to fixpoint.
+    fn rules(outcome: FixpointOutcome) -> Stage {
+        Stage {
             plan: outcome.plan,
             fired: outcome.fired,
             rule_fires: outcome.fire_counts,
-            fixpoint_iterations: Some(outcome.iterations),
-            reached_fixpoint: Some(outcome.reached_fixpoint),
+            fixpoint: Some((outcome.iterations, outcome.reached_fixpoint)),
             notes: vec![],
-        })
+        }
+    }
+
+    fn note(mut self, note: impl Into<String>) -> Stage {
+        self.notes.push(note.into());
+        self
     }
 }
 
-/// Algebraization and merging (Sections IV, V, VII): merges the parameterized algebraic
-/// expression of every UDF invoked by the query — derived when the UDF was registered —
-/// into the calling block with the Apply (bind) operator. Also snapshots the incoming
-/// plan as the iterative baseline the later passes can revert to.
-pub struct AlgebraizeMergePass;
-
-impl OptimizerPass for AlgebraizeMergePass {
-    fn name(&self) -> &'static str {
-        "algebraize-merge"
-    }
-
-    fn run(&self, plan: &RelExpr, ctx: &mut PassContext) -> Result<PassEffect> {
-        ctx.baseline_plan = Some(plan.clone());
-        if !plan.contains_udf_call() {
-            return Ok(PassEffect::unchanged(plan.clone())
-                .with_note("query invokes no user-defined functions"));
-        }
-        let merged = merge_udf_calls(plan, ctx.registry)?;
-        let mut effect = PassEffect::unchanged(merged.plan);
-        for (name, reason) in &merged.skipped {
-            effect.notes.push(format!(
-                "UDF '{name}' kept as an iterative invocation: {reason}"
-            ));
-        }
-        ctx.merged = merged.merged;
-        if !ctx.merged.is_empty() {
-            effect.notes.push(format!(
-                "merged {} UDF invocation(s), {} auxiliary aggregate(s)",
-                ctx.merged.len(),
-                ctx.merged_aux_aggregates().count()
-            ));
-        }
-        Ok(effect)
-    }
+/// What one pipeline run threads through its stages: the shared rule budget, whether
+/// the validator is still armed, and the trace so far.
+///
+/// The validator guards against *rule* bugs: plans that were well-formed becoming
+/// malformed mid-pipeline. A plan that arrives already dirty (an unknown table, an
+/// unresolvable column) is a user error, so a violation first validates the input
+/// plan, and one the input already had disarms validation for the rest of the run:
+/// the binder/executor then surfaces its properly-kinded error. Deciding this only on
+/// the error path keeps the happy path from validating the input twice.
+struct Stages<'a> {
+    input: &'a RelExpr,
+    provider: &'a dyn SchemaProvider,
+    registry: &'a FunctionRegistry,
+    capture_snapshots: bool,
+    rule_budget_left: u64,
+    validate: bool,
+    /// Check count of the last validated plan; `None` until the first validation.
+    last_checks: Option<u64>,
+    report: PipelineReport,
+    applied_rules: Vec<String>,
+    notes: Vec<String>,
 }
 
-/// Apply removal (Section VI): drives the K1–K6/R1–R9 rule set to fixpoint. If some
-/// Apply operator survives and full decorrelation is required, reverts to the baseline
-/// plan — iterative invocation remains the execution strategy, like the paper's tool.
-pub struct ApplyRemovalPass;
-
-impl OptimizerPass for ApplyRemovalPass {
-    fn name(&self) -> &'static str {
-        "apply-removal"
-    }
-
-    fn run(&self, plan: &RelExpr, ctx: &mut PassContext) -> Result<PassEffect> {
-        if ctx.merged.is_empty() {
-            return Ok(PassEffect::unchanged(plan.clone()).with_note("no merged UDF invocations"));
-        }
-        let outcome =
-            ctx.fixpoint_engine()
-                .run(plan, &RuleSet::default_pipeline(), ctx.provider)?;
-        ctx.charge_rule_firings(outcome.total_fires());
-        let mut effect = PassEffect {
-            plan: outcome.plan,
-            fired: outcome.fired,
-            rule_fires: outcome.fire_counts,
-            fixpoint_iterations: Some(outcome.iterations),
-            reached_fixpoint: Some(outcome.reached_fixpoint),
+impl<'a> Stages<'a> {
+    fn new(
+        input: &'a RelExpr,
+        provider: &'a dyn SchemaProvider,
+        registry: &'a FunctionRegistry,
+        options: &PassManagerOptions,
+    ) -> Stages<'a> {
+        Stages {
+            input,
+            provider,
+            registry,
+            capture_snapshots: options.capture_snapshots,
+            rule_budget_left: RULE_FIRE_BUDGET,
+            validate: options.validate_plans,
+            last_checks: None,
+            report: PipelineReport::default(),
+            applied_rules: vec![],
             notes: vec![],
-        };
-        ctx.decorrelated = !effect.plan.contains_apply();
-        // Matching the paper's tool: a query some Apply operator cannot be removed from
-        // reverts to its normalized original form.
-        if !ctx.decorrelated {
-            effect.plan = ctx
-                .baseline_plan
-                .clone()
-                .expect("algebraize-merge runs before apply-removal");
-            effect.notes.push(
-                "some Apply operators could not be removed; the query was left untransformed \
-                 (iterative invocation remains the execution strategy)"
-                    .into(),
-            );
         }
-        Ok(effect)
-    }
-}
-
-/// Final cleanup after Apply removal: re-runs the normalisation rules so the flattened
-/// plan exposes pushdown-ready predicates and merged projections to the executor.
-pub struct CleanupPass;
-
-impl OptimizerPass for CleanupPass {
-    fn name(&self) -> &'static str {
-        "cleanup"
     }
 
-    fn run(&self, plan: &RelExpr, ctx: &mut PassContext) -> Result<PassEffect> {
-        let outcome = ctx
-            .fixpoint_engine()
-            .run(plan, &RuleSet::cleanup_only(), ctx.provider)?;
-        ctx.charge_rule_firings(outcome.total_fires());
-        if ctx.decorrelated {
-            ctx.rewritten_plan = Some(outcome.plan.clone());
+    /// Runs one stage: `body` turns `plan` into the stage's output, given a fixpoint
+    /// engine holding the remaining shared rule budget. The stage is timed, charged
+    /// against the budget, validated, snapshotted and traced under `name`.
+    fn run(
+        &mut self,
+        name: &'static str,
+        plan: &RelExpr,
+        body: impl FnOnce(FixpointEngine) -> Result<Stage>,
+    ) -> Result<RelExpr> {
+        let plan_before = self.capture_snapshots.then(|| explain(plan));
+        let start = Instant::now();
+        let engine = FixpointEngine::with_max_iterations(MAX_FIXPOINT_ITERATIONS)
+            .with_rule_budget(self.rule_budget_left);
+        let stage = body(engine)
+            .map_err(|e| Error::Rewrite(format!("optimizer pass '{name}' failed: {e}")))?;
+        let duration = start.elapsed();
+        let fires: u64 = stage.rule_fires.values().sum();
+        self.rule_budget_left = self.rule_budget_left.saturating_sub(fires);
+        let changed = stage.plan != *plan;
+        let validation_checks = self.validate(name, &stage, changed)?;
+        let plan_after = (self.capture_snapshots && changed).then(|| explain(&stage.plan));
+        self.applied_rules.extend(stage.fired.iter().cloned());
+        self.notes.extend(stage.notes.iter().cloned());
+        let (fixpoint_iterations, reached_fixpoint) = stage.fixpoint.unzip();
+        self.report.passes.push(PassTrace {
+            name: name.to_string(),
+            duration,
+            changed,
+            rule_fires: stage.rule_fires,
+            fired: stage.fired,
+            fixpoint_iterations,
+            reached_fixpoint,
+            plan_before,
+            plan_after,
+            notes: stage.notes,
+            validation_checks,
+        });
+        Ok(stage.plan)
+    }
+
+    /// The validator's check count for a stage's output (`None` when validation is
+    /// off), or the error naming the stage and the violation it introduced.
+    fn validate(&mut self, name: &str, stage: &Stage, changed: bool) -> Result<Option<u64>> {
+        if !self.validate {
+            return Ok(None);
         }
-        Ok(PassEffect {
-            plan: outcome.plan,
-            fired: outcome.fired,
-            rule_fires: outcome.fire_counts,
-            fixpoint_iterations: Some(outcome.iterations),
-            reached_fixpoint: Some(outcome.reached_fixpoint),
-            notes: vec![],
-        })
-    }
-}
-
-/// The cost-based choice between the iterative and the decorrelated plan (Section IX):
-/// the paper's point about registering the transformation rules inside a cost-based
-/// optimizer, so that iterative invocation remains an alternative (Experiment 3 shows a
-/// regime where it wins).
-pub struct StrategyChoicePass;
-
-impl OptimizerPass for StrategyChoicePass {
-    fn name(&self) -> &'static str {
-        "strategy-choice"
-    }
-
-    fn run(&self, plan: &RelExpr, ctx: &mut PassContext) -> Result<PassEffect> {
-        if !ctx.decorrelated {
-            ctx.used_decorrelated_plan = false;
-            return Ok(PassEffect::unchanged(plan.clone())
-                .with_note("no decorrelated alternative; executing the iterative plan"));
+        // An unchanged stage cannot have introduced a violation: the plan is identical
+        // to the last validated one, so its check count carries over.
+        if let (Some(checks), false) = (self.last_checks, changed) {
+            return Ok(Some(checks));
         }
-        let baseline = ctx
-            .baseline_plan
-            .clone()
-            .expect("algebraize-merge runs before strategy-choice");
-        match (ctx.options.mode, ctx.catalog) {
-            (OptimizeMode::ForceDecorrelated, _) => {
-                ctx.used_decorrelated_plan = true;
-                Ok(PassEffect::unchanged(plan.clone())
-                    .with_note("decorrelated plan forced by options"))
+        let validation = validate_plan(&stage.plan, self.provider, self.registry);
+        match validation.violations.first() {
+            None => {
+                self.last_checks = Some(validation.checks);
+                Ok(Some(validation.checks))
             }
-            (OptimizeMode::CostBased, Some(catalog)) => {
-                let mut params = CostParams::new(ctx.options.parallelism);
-                // Learned UDF invocation costs (runtime feedback) replace the static
-                // body estimates — this is where a mispriced iterative plan gets
-                // re-decided with measured numbers. Learned dedup fractions give
-                // effective invocation counts: calls the dedup/memo runtime answers from
-                // cache cost nothing, so an iterative plan over repetitive arguments is
-                // cheaper than its raw call count says.
-                let mut learned_note = None;
-                if let Some(feedback) = ctx.feedback {
-                    params.learned = feedback.learned();
-                    let costs: Vec<String> = params
-                        .learned
-                        .iter()
-                        .filter_map(|(name, l)| l.units.map(|units| format!("{name}≈{units:.0}")))
-                        .collect();
-                    if !costs.is_empty() {
-                        learned_note = Some(format!(
-                            "{} learned UDF cost(s) applied: {}",
-                            costs.len(),
-                            costs.join(", ")
-                        ));
-                    }
-                }
-                let decision =
-                    choose_strategy_with(&baseline, plan, catalog, ctx.registry, &params);
-                let summary = decision.summary();
-                let chosen = match decision.choice {
-                    StrategyChoice::Decorrelated => {
-                        ctx.used_decorrelated_plan = true;
-                        plan.clone()
-                    }
-                    StrategyChoice::Iterative => {
-                        ctx.used_decorrelated_plan = false;
-                        baseline
-                    }
-                };
-                ctx.decision = Some(decision);
-                let mut effect = PassEffect::unchanged(chosen).with_note(summary);
-                if let Some(note) = learned_note {
-                    effect = effect.with_note(note);
-                }
-                Ok(effect)
+            Some(violation)
+                if validate_plan(self.input, self.provider, self.registry).is_clean() =>
+            {
+                let rule = stage
+                    .fired
+                    .last()
+                    .map(|r| format!(" (last rule fired: '{r}')"))
+                    .unwrap_or_default();
+                Err(Error::Rewrite(format!(
+                    "plan validation failed after pass '{name}'{rule}: [{}] {violation}",
+                    violation.name(),
+                )))
             }
-            (OptimizeMode::CostBased, None) => {
-                ctx.used_decorrelated_plan = true;
-                Ok(PassEffect::unchanged(plan.clone()).with_note(
-                    "no catalog statistics available; defaulting to the decorrelated plan",
-                ))
+            Some(_) => {
+                self.validate = false;
+                Ok(None)
             }
         }
     }
+
+    /// The outcome of a run that ends on `plan` without a decorrelated alternative.
+    fn into_outcome(self, plan: RelExpr, iterative_plan: RelExpr) -> OptimizeOutcome {
+        OptimizeOutcome {
+            plan,
+            iterative_plan,
+            rewritten_plan: None,
+            decorrelated: false,
+            used_decorrelated_plan: false,
+            merged_calls: 0,
+            aux_aggregates: vec![],
+            applied_rules: self.applied_rules,
+            notes: self.notes,
+            decision: None,
+            report: self.report,
+        }
+    }
+}
+
+/// The auxiliary aggregates the merged forms call, one per call, as their UDFs'
+/// registry records list them.
+fn merged_aux_aggregates<'r>(
+    registry: &'r FunctionRegistry,
+    merged: &'r [String],
+) -> impl Iterator<Item = &'r AggregateDefinition> {
+    merged
+        .iter()
+        .filter_map(|udf| registry.record(udf))
+        .flat_map(|record| &record.aux_aggregates)
+        .filter_map(|name| registry.aggregate(name).ok())
 }
 
 // ----------------------------------------------------------------------- pass manager
 
-/// Owns an ordered list of named passes and drives a plan through them, recording a
-/// [`PassTrace`] per pass. With a [`PlanCache`] attached (see
-/// [`with_plan_cache`](PassManager::with_plan_cache)), `optimize` first probes the
-/// cache and skips the pipeline entirely on a hit.
+/// Which stages a [`PassManager`] runs; each pipeline extends the one before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pipeline {
+    /// `normalize` only.
+    Cleanup,
+    /// `normalize`, `algebraize-merge`, `apply-removal`, `cleanup`.
+    Rewrite,
+    /// The rewrite stages, then `strategy-choice`.
+    Decorrelation,
+}
+
+/// Drives a plan through one of three pipelines, recording a [`PassTrace`] per stage.
+/// With a [`PlanCache`] attached (see [`with_plan_cache`](PassManager::with_plan_cache)),
+/// `optimize` first probes the cache and skips the pipeline entirely on a hit.
 pub struct PassManager {
-    passes: Vec<Box<dyn OptimizerPass>>,
+    pipeline: Pipeline,
     options: PassManagerOptions,
     cache: Option<Arc<PlanCache>>,
     feedback: Option<Arc<FeedbackStore>>,
 }
 
 impl PassManager {
-    /// An empty pipeline with default options; push passes with [`PassManager::push`].
-    pub fn new() -> PassManager {
+    fn of(pipeline: Pipeline) -> PassManager {
         PassManager {
-            passes: vec![],
+            pipeline,
             options: PassManagerOptions::default(),
             cache: None,
             feedback: None,
@@ -622,7 +486,7 @@ impl PassManager {
     /// Normalisation only — what every query (and every query inside a UDF body) goes
     /// through before iterative execution.
     pub fn cleanup_pipeline() -> PassManager {
-        PassManager::new().with_pass(NormalizePass)
+        PassManager::of(Pipeline::Cleanup)
     }
 
     /// The full Figure-9 rewrite pipeline *without* the strategy choice: normalize,
@@ -630,23 +494,13 @@ impl PassManager {
     /// rewrite tool; the outcome's plan is the rewritten form whenever decorrelation
     /// succeeded.
     pub fn rewrite_pipeline() -> PassManager {
-        PassManager::new()
-            .with_pass(NormalizePass)
-            .with_pass(AlgebraizeMergePass)
-            .with_pass(ApplyRemovalPass)
-            .with_pass(CleanupPass)
+        PassManager::of(Pipeline::Rewrite)
     }
 
     /// The deployed pipeline: the rewrite pipeline followed by the cost-based strategy
     /// choice.
     pub fn decorrelation_pipeline() -> PassManager {
-        PassManager::rewrite_pipeline().with_pass(StrategyChoicePass)
-    }
-
-    /// Replaces the pipeline options.
-    pub fn with_options(mut self, options: PassManagerOptions) -> PassManager {
-        self.options = options;
-        self
+        PassManager::of(Pipeline::Decorrelation)
     }
 
     /// Sets the strategy-resolution mode.
@@ -655,7 +509,7 @@ impl PassManager {
         self
     }
 
-    /// Enables or disables per-pass before/after plan snapshots. Snapshot rendering is
+    /// Enables or disables per-stage before/after plan snapshots. Snapshot rendering is
     /// pure string work but it is paid on every `optimize` call, so the engine keeps it
     /// off on the query hot path and turns it on for diagnostics (`EXPLAIN`).
     pub fn with_snapshots(mut self, capture_snapshots: bool) -> PassManager {
@@ -670,7 +524,7 @@ impl PassManager {
         self
     }
 
-    /// Forces per-pass plan validation on or off, overriding the build-profile
+    /// Forces per-stage plan validation on or off, overriding the build-profile
     /// default and the `DECORR_VALIDATE_PLANS` environment variable (see
     /// [`PassManagerOptions::validate_plans`]).
     pub fn with_validation(mut self, validate_plans: bool) -> PassManager {
@@ -678,7 +532,7 @@ impl PassManager {
         self
     }
 
-    /// Attaches a shared [`PlanCache`]: `optimize` probes it before running any pass
+    /// Attaches a shared [`PlanCache`]: `optimize` probes it before running any stage
     /// and stores the outcome on a miss. The cache key folds in the registry and
     /// catalog-DDL generations plus this pipeline's
     /// [fingerprint](PassManager::pipeline_fingerprint), so distinct pipelines sharing
@@ -688,10 +542,10 @@ impl PassManager {
         self
     }
 
-    /// Attaches a runtime [`FeedbackStore`]: the strategy-choice pass consults its
-    /// learned UDF invocation costs, and (for cost-based pipelines) the store's
-    /// generation becomes part of the plan-cache key, so newly learned costs make
-    /// stale cost-based decisions unreachable.
+    /// Attaches a runtime [`FeedbackStore`]: the strategy choice consults its learned
+    /// UDF invocation costs, and (for cost-based pipelines) the store's generation
+    /// becomes part of the plan-cache key, so newly learned costs make stale
+    /// cost-based decisions unreachable.
     pub fn with_feedback(mut self, feedback: Arc<FeedbackStore>) -> PassManager {
         self.feedback = Some(feedback);
         self
@@ -699,44 +553,22 @@ impl PassManager {
 
     /// True when this pipeline's outcome can depend on the feedback store: a
     /// cost-based strategy choice with a store attached. Feedback-blind pipelines
-    /// (normalisation only, forced decorrelation) keep `None` in their cache context,
-    /// so feedback-generation moves never invalidate their entries.
+    /// (normalisation only, rewrite only, forced decorrelation) keep `None` in their
+    /// cache context, so feedback-generation moves never invalidate their entries.
     fn consults_feedback(&self) -> bool {
         self.feedback.is_some()
             && self.options.mode == OptimizeMode::CostBased
-            && self.passes.iter().any(|p| p.name() == "strategy-choice")
+            && self.pipeline == Pipeline::Decorrelation
     }
 
-    /// Appends a pass (builder style).
-    pub fn with_pass(mut self, pass: impl OptimizerPass + 'static) -> PassManager {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Appends a pass.
-    pub fn push(&mut self, pass: impl OptimizerPass + 'static) {
-        self.passes.push(Box::new(pass));
-    }
-
-    pub fn options(&self) -> &PassManagerOptions {
-        &self.options
-    }
-
-    /// Fingerprint of the pipeline shape and its options: pass names in order plus
-    /// every [`PassManagerOptions`] knob. Part of the plan-cache key, so two pipelines
-    /// that could produce different outcomes for the same plan never share an entry.
+    /// Fingerprint of the pipeline and its options: which of the three pipelines this
+    /// is plus every [`PassManagerOptions`] field. Part of the plan-cache key, so two
+    /// pipelines that could produce different outcomes for the same plan never share an
+    /// entry.
     pub fn pipeline_fingerprint(&self) -> u64 {
         let mut hasher = FnvHasher::new();
-        for pass in &self.passes {
-            let _ = std::fmt::Write::write_str(&mut hasher, pass.name());
-            let _ = std::fmt::Write::write_str(&mut hasher, ";");
-        }
-        hasher.write_u64(self.options.max_fixpoint_iterations as u64);
-        hasher.write_u64(self.options.rule_fire_budget);
-        hasher.write_u64(match self.options.mode {
-            OptimizeMode::CostBased => 0,
-            OptimizeMode::ForceDecorrelated => 1,
-        });
+        hasher.write_u64(self.pipeline as u64);
+        hasher.write_u64(self.options.mode as u64);
         hasher.write_u64(u64::from(self.options.capture_snapshots));
         hasher.write_u64(self.options.parallelism as u64);
         hasher.write_u64(u64::from(self.options.validate_plans));
@@ -805,7 +637,7 @@ impl PassManager {
         }
         let mut outcome = self.run_pipeline(plan, registry, provider, catalog)?;
         // The hit path replaces the report with a synthetic plan-cache trace, so do not
-        // store the cold run's report (for EXPLAIN pipelines it holds per-pass plan
+        // store the cold run's report (for EXPLAIN pipelines it holds per-stage plan
         // snapshots — dead weight every hit would pay to clone).
         let mut cached = outcome.clone();
         cached.report = PipelineReport::default();
@@ -819,7 +651,8 @@ impl PassManager {
         Ok(outcome)
     }
 
-    /// The uncached pipeline: drives `plan` through every pass in order.
+    /// The uncached pipeline: the stages of Figure 9 in order, as far as this
+    /// manager's pipeline goes.
     fn run_pipeline(
         &self,
         plan: &RelExpr,
@@ -827,140 +660,185 @@ impl PassManager {
         provider: &dyn SchemaProvider,
         catalog: Option<&Catalog>,
     ) -> Result<OptimizeOutcome> {
-        let mut ctx = PassContext::new(
-            registry,
-            provider,
-            catalog,
-            self.feedback.as_deref(),
-            self.options.clone(),
-        );
-        let mut current = plan.clone();
-        let mut report = PipelineReport::default();
-        let mut applied_rules: Vec<String> = vec![];
-        let mut notes: Vec<String> = vec![];
-        // The validator guards against *rule* bugs: plans that were well-formed
-        // becoming malformed mid-pipeline. A plan that arrives already dirty (an
-        // unknown table, an unresolvable column) is a user error — whether the input
-        // was dirty is only decided lazily, on the error path, so the happy path
-        // never pays for validating the input twice.
-        let mut validate_plans = self.options.validate_plans;
-        // Check count of the last validated plan; `None` until the first validation.
-        let mut last_checks: Option<u64> = None;
-        for pass in &self.passes {
-            let plan_before = self.options.capture_snapshots.then(|| explain(&current));
-            let start = Instant::now();
-            let effect = pass.run(&current, &mut ctx).map_err(|e| {
-                Error::Rewrite(format!("optimizer pass '{}' failed: {e}", pass.name()))
-            })?;
-            let duration = start.elapsed();
-            let changed = effect.plan != current;
-            // An unchanged pass cannot have introduced a violation: the plan is
-            // byte-identical to the last validated one, so its check count is
-            // carried over instead of re-walking the tree.
-            let validation_checks = match (validate_plans, last_checks) {
-                (true, Some(checks)) if !changed => Some(checks),
-                (true, _) => {
-                    let validation =
-                        decorr_analysis::validate_plan(&effect.plan, provider, registry);
-                    match validation.violations.first() {
-                        Some(violation)
-                            if decorr_analysis::validate_plan(plan, provider, registry)
-                                .is_clean() =>
-                        {
-                            let rule = effect
-                                .fired
-                                .last()
-                                .map(|r| format!(" (last rule fired: '{r}')"))
-                                .unwrap_or_default();
-                            return Err(Error::Rewrite(format!(
-                                "plan validation failed after pass '{}'{rule}: [{}] {violation}",
-                                pass.name(),
-                                violation.name(),
-                            )));
-                        }
-                        Some(_) => {
-                            // The violation was already present in the input plan: a
-                            // user error, not a rule bug. Disarm validation so the
-                            // binder/executor surfaces its properly-kinded error.
-                            validate_plans = false;
-                            None
-                        }
-                        None => {
-                            last_checks = Some(validation.checks);
-                            Some(validation.checks)
-                        }
-                    }
-                }
-                (false, _) => None,
-            };
-            let plan_after =
-                (self.options.capture_snapshots && changed).then(|| explain(&effect.plan));
-            applied_rules.extend(effect.fired.iter().cloned());
-            notes.extend(effect.notes.iter().cloned());
-            report.passes.push(PassTrace {
-                name: pass.name().to_string(),
-                duration,
-                changed,
-                rule_fires: effect.rule_fires,
-                fired: effect.fired,
-                fixpoint_iterations: effect.fixpoint_iterations,
-                reached_fixpoint: effect.reached_fixpoint,
-                plan_before,
-                plan_after,
-                notes: effect.notes,
-                validation_checks,
-            });
-            current = effect.plan;
+        let mut stages = Stages::new(plan, provider, registry, &self.options);
+
+        // Normalisation: predicate pushdown, selection/projection merging. It runs first
+        // so that even the iterative baseline executes reasonable plans (comma-syntax
+        // joins become hash-joinable inner joins), like the systems the paper measures.
+        let normalized = stages.run("normalize", plan, |fixpoint| {
+            Ok(Stage::rules(fixpoint.run(
+                plan,
+                &RuleSet::cleanup_only(),
+                provider,
+            )?))
+        })?;
+        if self.pipeline == Pipeline::Cleanup {
+            return Ok(stages.into_outcome(normalized.clone(), normalized));
         }
-        if validate_plans && ctx.decorrelated {
-            // The pipeline claims full decorrelation: the rewritten plan (and the
-            // final plan when it *is* the rewritten one) must carry no residual
-            // Apply-family operator — guards a later pass reintroducing one.
-            let candidate = ctx.rewritten_plan.as_ref().unwrap_or(&current);
-            if let Some(violation) = decorr_analysis::check_decorrelated(candidate).first() {
+
+        // Algebraization and merging (Sections IV, V, VII): every UDF invocation whose
+        // registry record holds an algebraic form is merged into the calling block with
+        // the Apply (bind) operator. `normalized` stays the iterative baseline.
+        let mut merged = vec![];
+        let merged_plan = stages.run("algebraize-merge", &normalized, |_| {
+            if !normalized.contains_udf_call() {
+                return Ok(
+                    Stage::plan(normalized.clone()).note("query invokes no user-defined functions")
+                );
+            }
+            let outcome = merge_udf_calls(&normalized, registry)?;
+            let mut stage = Stage::plan(outcome.plan);
+            for (name, reason) in &outcome.skipped {
+                stage = stage.note(format!(
+                    "UDF '{name}' kept as an iterative invocation: {reason}"
+                ));
+            }
+            merged = outcome.merged;
+            if !merged.is_empty() {
+                stage = stage.note(format!(
+                    "merged {} UDF invocation(s), {} auxiliary aggregate(s)",
+                    merged.len(),
+                    merged_aux_aggregates(registry, &merged).count()
+                ));
+            }
+            Ok(stage)
+        })?;
+
+        // Apply removal (Section VI): the K1–K6/R1–R9 rule set to fixpoint. Like the
+        // paper's tool, a query some Apply operator cannot be removed from reverts to its
+        // normalized original form, and iterative invocation remains its strategy.
+        let mut decorrelated = false;
+        let removed = stages.run("apply-removal", &merged_plan, |fixpoint| {
+            if merged.is_empty() {
+                return Ok(Stage::plan(merged_plan.clone()).note("no merged UDF invocations"));
+            }
+            let outcome = fixpoint.run(&merged_plan, &RuleSet::default_pipeline(), provider)?;
+            let mut stage = Stage::rules(outcome);
+            decorrelated = !stage.plan.contains_apply();
+            if !decorrelated {
+                stage.plan = normalized.clone();
+                stage = stage.note(
+                    "some Apply operators could not be removed; the query was left \
+                     untransformed (iterative invocation remains the execution strategy)",
+                );
+            }
+            Ok(stage)
+        })?;
+
+        // Cleanup: the normalisation rules again, so the flattened plan exposes
+        // pushdown-ready predicates and merged projections to the executor.
+        let cleaned = stages.run("cleanup", &removed, |fixpoint| {
+            Ok(Stage::rules(fixpoint.run(
+                &removed,
+                &RuleSet::cleanup_only(),
+                provider,
+            )?))
+        })?;
+        if stages.validate && decorrelated {
+            // The pipeline claims full decorrelation: the rewritten plan must carry no
+            // residual Apply-family operator.
+            if let Some(violation) = check_decorrelated(&cleaned).first() {
                 return Err(Error::Rewrite(format!(
                     "plan validation failed after pipeline: [{}] {violation}",
                     violation.name(),
                 )));
             }
         }
-        let iterative_plan = ctx.baseline_plan.clone().unwrap_or_else(|| current.clone());
-        let rewritten_plan = ctx.rewritten_plan.clone().or_else(|| {
-            // Pipelines without a strategy pass end on the rewritten form itself.
-            ctx.decorrelated.then(|| current.clone())
-        });
-        // In a strategy-less pipeline the returned plan is the rewritten one whenever
-        // the rewrite succeeded.
-        let used_decorrelated_plan = ctx.used_decorrelated_plan
-            || (ctx.decorrelated
-                && rewritten_plan
-                    .as_ref()
-                    .map(|r| r == &current)
-                    .unwrap_or(false));
-        let aux_aggregates = if ctx.decorrelated {
-            ctx.merged_aux_aggregates().cloned().collect()
+        let rewritten_plan = decorrelated.then(|| cleaned.clone());
+
+        // The strategy choice (Section IX). Without it, the rewrite tool returns the
+        // rewritten form whenever decorrelation succeeded.
+        let mut used_decorrelated_plan = decorrelated;
+        let mut decision = None;
+        let chosen = if self.pipeline == Pipeline::Decorrelation {
+            stages.run("strategy-choice", &cleaned, |_| {
+                let (stage, used, made) =
+                    self.choose_strategy(&normalized, &cleaned, decorrelated, registry, catalog);
+                used_decorrelated_plan = used;
+                decision = made;
+                Ok(stage)
+            })?
+        } else {
+            cleaned
+        };
+
+        let aux_aggregates = if decorrelated {
+            merged_aux_aggregates(registry, &merged).cloned().collect()
         } else {
             vec![]
         };
         Ok(OptimizeOutcome {
-            plan: current,
-            iterative_plan,
             rewritten_plan,
-            decorrelated: ctx.decorrelated,
+            decorrelated,
             used_decorrelated_plan,
-            merged_calls: ctx.merged.len(),
+            merged_calls: merged.len(),
             aux_aggregates,
-            applied_rules,
-            notes,
-            decision: ctx.decision,
-            report,
+            decision,
+            ..stages.into_outcome(chosen, normalized)
         })
     }
-}
 
-impl Default for PassManager {
-    fn default() -> Self {
-        PassManager::decorrelation_pipeline()
+    /// The cost-based choice between the iterative `baseline` and the `cleaned`
+    /// rewrite (Section IX): the paper's point about registering the transformation
+    /// rules inside a cost-based optimizer, so that iterative invocation remains an
+    /// alternative (Experiment 3 shows a regime where it wins). Returns the stage,
+    /// whether its plan is the decorrelated one, and the decision when one was made.
+    fn choose_strategy(
+        &self,
+        baseline: &RelExpr,
+        cleaned: &RelExpr,
+        decorrelated: bool,
+        registry: &FunctionRegistry,
+        catalog: Option<&Catalog>,
+    ) -> (Stage, bool, Option<StrategyDecision>) {
+        if !decorrelated {
+            let stage = Stage::plan(cleaned.clone())
+                .note("no decorrelated alternative; executing the iterative plan");
+            return (stage, false, None);
+        }
+        let catalog = match (self.options.mode, catalog) {
+            (OptimizeMode::ForceDecorrelated, _) => {
+                let stage =
+                    Stage::plan(cleaned.clone()).note("decorrelated plan forced by options");
+                return (stage, true, None);
+            }
+            (OptimizeMode::CostBased, None) => {
+                let stage = Stage::plan(cleaned.clone())
+                    .note("no catalog statistics available; defaulting to the decorrelated plan");
+                return (stage, true, None);
+            }
+            (OptimizeMode::CostBased, Some(catalog)) => catalog,
+        };
+        let mut params = CostParams::new(self.options.parallelism);
+        // Learned UDF invocation costs (runtime feedback) replace the static body
+        // estimates — this is where a mispriced iterative plan gets re-decided with
+        // measured numbers. Learned dedup fractions give effective invocation counts:
+        // calls the dedup/memo runtime answers from cache cost nothing, so an iterative
+        // plan over repetitive arguments is cheaper than its raw call count says.
+        let mut learned_note = None;
+        if let Some(feedback) = &self.feedback {
+            params.learned = feedback.learned();
+            let costs: Vec<String> = params
+                .learned
+                .iter()
+                .filter_map(|(name, l)| l.units.map(|units| format!("{name}≈{units:.0}")))
+                .collect();
+            if !costs.is_empty() {
+                learned_note = Some(format!(
+                    "{} learned UDF cost(s) applied: {}",
+                    costs.len(),
+                    costs.join(", ")
+                ));
+            }
+        }
+        let decision = choose_strategy_with(baseline, cleaned, catalog, registry, &params);
+        let used = decision.choice == StrategyChoice::Decorrelated;
+        let plan = if used { cleaned } else { baseline };
+        let mut stage = Stage::plan(plan.clone()).note(decision.summary());
+        if let Some(note) = learned_note {
+            stage = stage.note(note);
+        }
+        (stage, used, Some(decision))
     }
 }
 
@@ -969,6 +847,7 @@ mod tests {
     use super::*;
     use decorr_algebra::display::explain;
     use decorr_algebra::schema::MapProvider;
+    use decorr_algebra::{ProjectItem, ScalarExpr};
     use decorr_common::{Column, DataType, Schema};
     use decorr_parser::{parse_and_plan, parse_function};
 
@@ -1130,5 +1009,57 @@ mod tests {
                 "strategy-choice"
             ]
         );
+    }
+
+    /// `plan` under a projection of a column no input produces — the malformed output
+    /// a botched rule would emit.
+    fn dangling(plan: &RelExpr) -> RelExpr {
+        RelExpr::Project {
+            input: Box::new(plan.clone()),
+            items: vec![ProjectItem {
+                expr: ScalarExpr::column("no_such_column"),
+                alias: Some("boom".into()),
+            }],
+            distinct: false,
+        }
+    }
+
+    #[test]
+    fn a_stage_that_breaks_a_clean_plan_fails_with_a_named_violation() {
+        let registry = FunctionRegistry::new();
+        let provider = provider();
+        let options = PassManagerOptions {
+            validate_plans: true,
+            ..PassManagerOptions::default()
+        };
+        let clean = parse_and_plan("select custkey from customer").unwrap();
+        let mut stages = Stages::new(&clean, &provider, &registry, &options);
+        let err = stages
+            .run("broken-for-test", &clean, |_| {
+                Ok(Stage::plan(dangling(&clean)))
+            })
+            .expect_err("the validator must reject the dangling projection");
+        assert_eq!(err.kind(), "rewrite");
+        let message = err.to_string();
+        assert!(
+            message.contains("broken-for-test"),
+            "error must name the offending stage: {message}"
+        );
+        assert!(
+            message.contains("[unresolved-column]") && message.contains("no_such_column"),
+            "error must name the violation: {message}"
+        );
+
+        // The same stage over an input that already had the violation is a user error,
+        // not a rule bug: validation disarms and the stage is traced unvalidated.
+        let dirty = dangling(&clean);
+        let mut stages = Stages::new(&dirty, &provider, &registry, &options);
+        stages
+            .run("broken-for-test", &dirty, |_| {
+                Ok(Stage::plan(dangling(&dirty)))
+            })
+            .expect("a dirty input disarms validation");
+        assert!(!stages.validate);
+        assert_eq!(stages.report.passes[0].validation_checks, None);
     }
 }

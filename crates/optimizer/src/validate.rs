@@ -1,4 +1,6 @@
-//! Structural plan validation.
+//! Structural plan validation, run by the [`PassManager`](crate::PassManager) after
+//! every stage (behind `PassManagerOptions::validate_plans`) so that a buggy rewrite
+//! rule becomes a named-violation pipeline error instead of a silent wrong answer.
 //!
 //! [`validate_plan`] walks a logical plan bottom-up, threading the *outer scopes*
 //! visible to correlated subtrees (Apply right sides, `ApplyMerge` right sides,
@@ -8,7 +10,7 @@
 //!
 //! * every [`Scan`](RelExpr::Scan) names a table the provider knows;
 //! * every column reference resolves against the operator's input schema or an
-//!   enclosing scope;
+//!   enclosing scope, and unambiguously in the innermost scope that has it;
 //! * `Union` sides agree on arity and column types (up to numeric widening);
 //! * `Values` rows match their declared schema's arity;
 //! * every Apply correlation binding is consumed by the right subtree;
@@ -17,6 +19,8 @@
 //! Free [`Param`](decorr_algebra::ScalarExpr::Param)s are deliberately *not*
 //! violations: UDF body fragments and mid-rewrite plans legitimately contain
 //! parameters bound by an enclosing Apply-bind or by the interpreter.
+//! [`check_decorrelated`] is the separate check that a plan claimed fully decorrelated
+//! holds no Apply-family operator.
 
 use std::fmt;
 use std::rc::Rc;
@@ -38,6 +42,13 @@ pub enum Violation {
     /// any enclosing scope.
     UnresolvedColumn {
         /// The unresolvable (possibly qualified) column reference.
+        column: String,
+        /// Name of the operator whose expression holds the reference.
+        operator: &'static str,
+    },
+    /// A column reference matches several columns of the innermost scope that has it.
+    AmbiguousColumn {
+        /// The ambiguous (possibly qualified) column reference.
         column: String,
         /// Name of the operator whose expression holds the reference.
         operator: &'static str,
@@ -100,6 +111,7 @@ impl Violation {
         match self {
             Violation::UnknownTable { .. } => "unknown-table",
             Violation::UnresolvedColumn { .. } => "unresolved-column",
+            Violation::AmbiguousColumn { .. } => "ambiguous-column",
             Violation::UnknownFunction { .. } => "unknown-function",
             Violation::UnknownAggregate { .. } => "unknown-aggregate",
             Violation::UnionArityMismatch { .. } => "union-arity-mismatch",
@@ -119,6 +131,11 @@ impl fmt::Display for Violation {
                 f,
                 "column '{column}' in operator '{operator}' resolves against neither its \
                  input schema nor any enclosing scope"
+            ),
+            Violation::AmbiguousColumn { column, operator } => write!(
+                f,
+                "column '{column}' in operator '{operator}' is ambiguous: it matches several \
+                 columns of the innermost scope that has it"
             ),
             Violation::UnknownFunction { name } => {
                 write!(f, "call of unknown function '{name}'")
@@ -372,12 +389,27 @@ impl Validator<'_> {
         }
     }
 
-    fn resolves(&self, c: &ColumnRef, visible: &Schema, outer: &[Rc<Schema>]) -> bool {
-        visible.find(c.qualifier.as_deref(), &c.name).is_some()
-            || outer
-                .iter()
-                .rev()
-                .any(|s| s.find(c.qualifier.as_deref(), &c.name).is_some())
+    /// The violation a column reference makes, if any. Like the executor's binding, the
+    /// innermost scope with a matching column decides; several matches there are
+    /// ambiguous, never a reference to an enclosing scope.
+    fn binding_violation(
+        c: &ColumnRef,
+        visible: &Schema,
+        outer: &[Rc<Schema>],
+        operator: &'static str,
+    ) -> Option<Violation> {
+        for scope in std::iter::once(visible).chain(outer.iter().rev().map(|s| s.as_ref())) {
+            match scope.lookup(c.qualifier.as_deref(), &c.name) {
+                Ok(Some(_)) => return None,
+                Ok(None) => {}
+                Err(_) => {
+                    let column = c.to_string();
+                    return Some(Violation::AmbiguousColumn { column, operator });
+                }
+            }
+        }
+        let column = c.to_string();
+        Some(Violation::UnresolvedColumn { column, operator })
     }
 
     fn check_expr(
@@ -391,12 +423,8 @@ impl Validator<'_> {
             ScalarExpr::Column(c) => {
                 if let Some(vis) = visible {
                     self.report.checks += 1;
-                    if !self.resolves(c, vis, outer) {
-                        self.report.violations.push(Violation::UnresolvedColumn {
-                            column: c.to_string(),
-                            operator,
-                        });
-                    }
+                    let violation = Self::binding_violation(c, vis, outer, operator);
+                    self.report.violations.extend(violation);
                 }
             }
             ScalarExpr::UdfCall { name, args } => {
@@ -519,6 +547,32 @@ mod tests {
             predicate: E::Exists(Box::new(subquery)),
         };
         assert!(run(&plan).is_clean());
+    }
+
+    #[test]
+    fn ambiguous_column_is_flagged_instead_of_binding_outward() {
+        // select * from customer where exists(select * from orders a join orders b
+        //                                     on a.orderkey = b.orderkey where custkey = 1)
+        let join = RelExpr::Join {
+            left: Box::new(RelExpr::scan_as("orders", "a")),
+            right: Box::new(RelExpr::scan_as("orders", "b")),
+            kind: JoinKind::Inner,
+            condition: Some(E::eq(
+                E::qualified_column("a", "orderkey"),
+                E::qualified_column("b", "orderkey"),
+            )),
+        };
+        let subquery = RelExpr::Select {
+            input: Box::new(join),
+            predicate: E::eq(E::column("custkey"), E::literal(1)),
+        };
+        let plan = RelExpr::Select {
+            input: Box::new(RelExpr::scan("customer")),
+            predicate: E::Exists(Box::new(subquery)),
+        };
+        let report = run(&plan);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].name(), "ambiguous-column");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use decorr_common::{DataType, Error, FnvHasher, Result, Row};
 use decorr_optimizer::{FeedbackState, QueryFeedback, UdfFeedback, UdfRuntime};
-use decorr_stats::{AnalyzeConfig, ColumnStatistics, Histogram, TableStatistics};
+use decorr_storage::{AnalyzeConfig, ColumnStatistics, Histogram, TableStatistics};
 
 use crate::encode::{ByteReader, ByteWriter};
 

@@ -19,7 +19,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use decorr_common::{Error, FnvHasher, Result, Row};
-use decorr_stats::AnalyzeConfig;
+use decorr_storage::AnalyzeConfig;
 
 use crate::encode::{ByteReader, ByteWriter};
 use crate::snapshot::ColumnDef;

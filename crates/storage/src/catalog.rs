@@ -167,7 +167,7 @@ impl Catalog {
     pub fn analyze_table(
         &mut self,
         name: &str,
-        config: &decorr_stats::AnalyzeConfig,
+        config: &crate::stats::AnalyzeConfig,
     ) -> Result<()> {
         self.table_mut(name)?.analyze(config.clone());
         self.ddl_generation += 1;
@@ -175,7 +175,7 @@ impl Catalog {
     }
 
     /// Runs a sampled `ANALYZE` over every table; returns the analyzed table names.
-    pub fn analyze_all(&mut self, config: &decorr_stats::AnalyzeConfig) -> Vec<String> {
+    pub fn analyze_all(&mut self, config: &crate::stats::AnalyzeConfig) -> Vec<String> {
         let names = self.table_names();
         for name in &names {
             if let Some(table) = self.tables.get_mut(name) {
@@ -272,7 +272,7 @@ mod tests {
         c.insert_rows("t", vec![Row::new(vec![1.into(), "a".into()])])
             .unwrap();
         c.create_index("t", "k").unwrap();
-        c.analyze_all(&decorr_stats::AnalyzeConfig::default());
+        c.analyze_all(&crate::stats::AnalyzeConfig::default());
         assert!(c.same_schemas(&before));
         c.drop_table("t").unwrap();
         assert!(!c.same_schemas(&before));

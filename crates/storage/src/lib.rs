@@ -5,7 +5,8 @@
 //! in-memory row store (one chunked, copy-on-write [`RowStore`] per table) with hash
 //! indexes that the executor uses both for the iterative baseline (the per-invocation
 //! lookups inside UDF bodies) and for index-nested-loop joins, plus lazily computed,
-//! cached per-table statistics for the cost model.
+//! cached per-table [statistics](stats) for the cost model: exact basic counts, and
+//! the histograms and MCV lists of a sampled `ANALYZE`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -13,10 +14,11 @@
 pub mod catalog;
 pub mod index;
 pub mod rows;
+pub mod stats;
 pub mod table;
 
 pub use catalog::Catalog;
-pub use decorr_stats::{AnalyzeConfig, ColumnStatistics, Histogram, TableStatistics};
 pub use index::{HashIndex, RowLocator};
 pub use rows::RowStore;
+pub use stats::{AnalyzeConfig, ColumnStatistics, Histogram, TableStatistics};
 pub use table::Table;

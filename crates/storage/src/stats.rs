@@ -4,22 +4,19 @@
 //!
 //! * **basic statistics** — row count, exact per-column distinct counts and null
 //!   fractions, computed in one pass over the table. This is what the engine maintains
-//!   automatically (and caches — see `decorr-storage`);
+//!   automatically (and caches per table — see [`Table::stats`](crate::Table::stats));
 //! * **analyzed statistics** — everything a sampled `ANALYZE` adds: per-column
 //!   [equi-depth histograms](Histogram), most-common-value (MCV) lists and min/max,
 //!   built from a reservoir sample drawn with the workspace's deterministic
 //!   [`SmallRng`] (the build environment has no `rand` crate).
 //!
-//! The optimizer reads them off `decorr-storage`'s per-table cache (`Table::stats`): with
-//! histograms available, range predicates (`<`, `>`, `BETWEEN`) and skew-aware equality
-//! predicates get measured selectivities instead of the magic constants the seed cost
-//! model used. The [`q_error`] metric quantifies how much that helps: it is the factor
-//! by which an estimate misses the observed actual, the standard cardinality-accuracy
-//! measure (Moerkotte et al., "Preventing bad plans by bounding the impact of
-//! cardinality estimation errors").
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+//! The optimizer reads them off that per-table cache: with histograms available, range
+//! predicates (`<`, `>`, `BETWEEN`) and skew-aware equality predicates get measured
+//! selectivities instead of the magic constants the seed cost model used. The
+//! [`q_error`] metric quantifies how much that helps: it is the factor by which an
+//! estimate misses the observed actual, the standard cardinality-accuracy measure
+//! (Moerkotte et al., "Preventing bad plans by bounding the impact of cardinality
+//! estimation errors").
 
 pub mod histogram;
 

@@ -8,7 +8,7 @@ use decorr_common::{normalize_ident, Error, Result, Row, Schema, Value};
 
 use crate::index::HashIndex;
 use crate::rows::RowStore;
-use decorr_stats::{AnalyzeConfig, TableStatistics};
+use crate::stats::{AnalyzeConfig, TableStatistics};
 
 /// An in-memory table: a schema, one chunked [`RowStore`], and hash indexes keyed by
 /// column name.

@@ -5,6 +5,7 @@
 # Two columns: all those lines, then the code among them — without blank lines and
 # without `//`, `///` and `//!` comment lines, so deleting comments moves the first
 # column but not the second.
+# The total line also gives the number of workspace crates (directories crates/*).
 # Integration tests, examples and benchmark/ are not counted. Run from anywhere:
 #   scripts/loc.sh            # the working tree
 #   scripts/loc.sh <dir>      # another checkout, e.g. a clone of the parent commit
@@ -22,13 +23,14 @@ count() {
 
 total=0
 total_code=0
+crates=0
 printf '%-18s %6s %6s\n' crate lines code
 for dir in crates/*/src src; do
     name=${dir%/src}
-    [ "$name" = src ] && name="(root)"
+    if [ "$name" = src ]; then name="(root)"; else crates=$((crates + 1)); fi
     set -- $(count "$dir")
     total=$((total + $1))
     total_code=$((total_code + $2))
     printf '%-18s %6d %6d\n' "$name" "$1" "$2"
 done
-printf '%-18s %6d %6d\n' total "$total" "$total_code"
+printf '%-18s %6d %6d  %d crates\n' total "$total" "$total_code" "$crates"

@@ -50,16 +50,16 @@
 //! ```
 
 pub use decorr_algebra as algebra;
-pub use decorr_analysis as analysis;
 pub use decorr_common as common;
 pub use decorr_engine as engine;
 pub use decorr_exec as exec;
 pub use decorr_optimizer as optimizer;
+pub use decorr_optimizer::validate as analysis;
 pub use decorr_parser as parser;
 pub use decorr_persist as persist;
 pub use decorr_rewrite as rewrite;
-pub use decorr_stats as stats;
 pub use decorr_storage as storage;
+pub use decorr_storage::stats;
 pub use decorr_tpch as tpch;
 pub use decorr_udf as udf;
 

@@ -12,7 +12,8 @@
 //!     the same queries byte-identically;
 //!  4. every UDF query returns the same rows, sorted, iteratively and decorrelated, on
 //!     the live and on the restored engine — in half the iterations each
-//!     `create function` runs before the `create table` its body reads.
+//!     `create function` runs before the `create table` its body reads. The UDF is
+//!     one of three [`UdfShape`]s, and every shape must occur in the run.
 
 use std::path::{Path, PathBuf};
 
@@ -52,13 +53,68 @@ impl Drop for TempDir {
     }
 }
 
+/// The bodies a generated UDF keyed on `c0` can have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum UdfShape {
+    /// `return select sum(<float col>) from tN where c0 = :k`.
+    AggregateLookup,
+    /// Experiment 2: `select sum(<float col>) into :s …`, then an IF/ELSE over `s`.
+    ConditionalAggregate,
+    /// Experiment 3: a cursor loop counting the rows of `select <col> from tN where
+    /// c0 = :k` into one live-out `int`.
+    CursorCount,
+}
+
+const SHAPES: [UdfShape; 3] = [
+    UdfShape::AggregateLookup,
+    UdfShape::ConditionalAggregate,
+    UdfShape::CursorCount,
+];
+
+/// The `returns … as begin … end` part of a `shape` UDF `(int k)` over `table`. The
+/// aggregate shapes need a float column; without one the UDF counts with a cursor.
+fn gen_udf_body(rng: &mut SmallRng, table: &FuzzTable, shape: UdfShape) -> (UdfShape, String) {
+    let name = &table.name;
+    let fcol = table.columns_of(DataType::Float).first().copied();
+    match (shape, fcol) {
+        (UdfShape::AggregateLookup, Some(fcol)) => (
+            shape,
+            format!(
+                "returns float as begin return select sum({fcol}) from {name} where c0 = :k; end"
+            ),
+        ),
+        (UdfShape::ConditionalAggregate, Some(fcol)) => (
+            shape,
+            format!(
+                "returns float as begin float s; \
+                 select sum({fcol}) into :s from {name} where c0 = :k; \
+                 if (s > {}) s = s * 2; else s = 0; return s; end",
+                gen_literal(rng, DataType::Float)
+            ),
+        ),
+        _ => {
+            let (col, _) = &table.columns[rng.gen_range_usize(0, table.columns.len())];
+            (
+                UdfShape::CursorCount,
+                format!(
+                    "returns int as begin int n = 0; \
+                     declare c cursor for select {col} from {name} where c0 = :k; \
+                     open c; fetch next from c into @x; \
+                     while @@fetch_status = 0 n = n + 1; fetch next from c into @x; \
+                     close c; deallocate c; return n; end"
+                ),
+            )
+        }
+    }
+}
+
 /// The generated schema the query grammar draws from.
 struct FuzzTable {
     name: String,
     /// (column name, type); `c0` is always a non-null int.
     columns: Vec<(String, DataType)>,
-    /// Name of a registered UDF keyed on `c0`, if one was generated.
-    udf: Option<String>,
+    /// Name and shape of a registered UDF keyed on `c0`, if one was generated.
+    udf: Option<(String, UdfShape)>,
 }
 
 impl FuzzTable {
@@ -132,23 +188,18 @@ fn gen_statements(rng: &mut SmallRng, udf_first: bool) -> (Vec<FuzzTable>, Vec<S
             columns,
             udf: None,
         };
-        // A correlated-aggregate UDF over this table, when it has a float column.
-        if let Some(fcol) = table.columns_of(DataType::Float).first() {
-            if rng.gen_bool() {
-                let fname = format!("f{t}");
-                let create = format!(
-                    "create function {fname}(int k) returns float as \
-                     begin return select sum({fcol}) from {} where c0 = :k; end",
-                    table.name,
-                );
-                let at = if udf_first {
-                    create_at
-                } else {
-                    statements.len()
-                };
-                statements.insert(at, create);
-                table.udf = Some(fname);
-            }
+        // A UDF correlated with this table's key.
+        if rng.gen_bool() {
+            let fname = format!("f{t}");
+            let wanted = SHAPES[rng.gen_range_usize(0, SHAPES.len())];
+            let (shape, body) = gen_udf_body(rng, &table, wanted);
+            let at = if udf_first {
+                create_at
+            } else {
+                statements.len()
+            };
+            statements.insert(at, format!("create function {fname}(int k) {body}"));
+            table.udf = Some((fname, shape));
         }
         tables.push(table);
     }
@@ -158,13 +209,13 @@ fn gen_statements(rng: &mut SmallRng, udf_first: bool) -> (Vec<FuzzTable>, Vec<S
     (tables, statements)
 }
 
-/// Generates the query battery for one iteration: each query, and whether it invokes a
-/// UDF.
-fn gen_queries(rng: &mut SmallRng, tables: &[FuzzTable]) -> Vec<(String, bool)> {
+/// Generates the query battery for one iteration: each query, and the shape of the UDF
+/// it invokes, if it invokes one.
+fn gen_queries(rng: &mut SmallRng, tables: &[FuzzTable]) -> Vec<(String, Option<UdfShape>)> {
     let mut queries = vec![];
     for _ in 0..rng.gen_range_usize(4, 9) {
         let table = &tables[rng.gen_range_usize(0, tables.len())];
-        let mut invokes_udf = false;
+        let mut invokes_udf = None;
         let sql = match rng.gen_range_usize(0, 5) {
             // Projection, optionally filtered.
             0 => {
@@ -208,8 +259,8 @@ fn gen_queries(rng: &mut SmallRng, tables: &[FuzzTable]) -> Vec<(String, bool)> 
             }
             // UDF invocation when one exists — the decorrelation front door.
             _ => match &table.udf {
-                Some(f) => {
-                    invokes_udf = true;
+                Some((f, shape)) => {
+                    invokes_udf = Some(*shape);
                     format!("select c0, {f}(c0) as v from {}", table.name)
                 }
                 None => format!("select c0 from {}", table.name),
@@ -261,7 +312,8 @@ fn assert_decorrelation_agrees(session: &Session, sql: &str, context: &str) {
 #[test]
 fn generated_workloads_agree_serial_parallel_and_restored() {
     let iters = fuzz_iters();
-    let mut udf_queries_checked = 0;
+    // UDF queries checked, per shape.
+    let mut udf_queries_checked = [0usize; SHAPES.len()];
     for i in 0..iters {
         let mut rng = SmallRng::seed_from_u64(0xF0CC_5EED ^ (i.wrapping_mul(0x9E37_79B9)));
         let (tables, statements) = gen_statements(&mut rng, i % 2 == 1);
@@ -300,10 +352,12 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
         }
         // After the battery and the checkpoint, so the extra runs' feedback cannot move
         // a cost-based choice the byte-identity checks compare.
-        let udf_queries = queries.iter().filter(|(_, invokes_udf)| *invokes_udf);
-        for (sql, _) in udf_queries.clone() {
+        let udf_queries = queries
+            .iter()
+            .filter_map(|(sql, shape)| Some((sql, (*shape)?)));
+        for (sql, shape) in udf_queries.clone() {
             assert_decorrelation_agrees(&serial_session, sql, &format!("iter {i}"));
-            udf_queries_checked += 1;
+            udf_queries_checked[shape as usize] += 1;
         }
         drop(serial);
 
@@ -321,10 +375,10 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
             assert_decorrelation_agrees(&restored_session, sql, &format!("iter {i} restored"));
         }
     }
-    assert!(
-        udf_queries_checked > 0,
-        "no iteration generated a UDF query"
-    );
+    for (shape, checked) in SHAPES.iter().zip(udf_queries_checked) {
+        eprintln!("{shape:?}: {checked} UDF queries checked");
+        assert!(checked > 0, "no iteration generated a {shape:?} UDF query");
+    }
 }
 
 /// The front-door property: hostile bytes — random mutations and truncations of a

@@ -3,12 +3,11 @@
 //! budget guard that turns a cyclic rule set into an error instead of a hang.
 
 use udf_decorrelation::algebra::{RelExpr, SchemaProvider};
-use udf_decorrelation::common::{Result, SmallRng};
+use udf_decorrelation::common::SmallRng;
 use udf_decorrelation::engine::QueryOptions;
-use udf_decorrelation::optimizer::{
-    OptimizerPass, PassContext, PassEffect, PassManager, PassManagerOptions,
-};
-use udf_decorrelation::rewrite::rules::{Rule, RuleSet};
+use udf_decorrelation::optimizer::PassManager;
+use udf_decorrelation::rewrite::merge::merge_udf_calls;
+use udf_decorrelation::rewrite::rules::{FixpointEngine, Rule, RuleSet};
 use udf_decorrelation::tpch::{experiment2, experiment3, load, TpchConfig};
 
 // ----------------------------------------------------------- instrumentation coverage
@@ -188,29 +187,11 @@ fn cyclic_ruleset() -> RuleSet {
     }
 }
 
-/// A pass driving the cyclic rule set through the context's budgeted fixpoint engine —
-/// exactly how the real passes consume their budget.
-struct CyclicPass;
-
-impl OptimizerPass for CyclicPass {
-    fn name(&self) -> &'static str {
-        "cyclic-for-test"
-    }
-
-    fn run(&self, plan: &RelExpr, ctx: &mut PassContext) -> Result<PassEffect> {
-        let outcome = ctx
-            .fixpoint_engine()
-            .run(plan, &cyclic_ruleset(), ctx.provider)?;
-        ctx.charge_rule_firings(outcome.total_fires());
-        Ok(PassEffect::unchanged(outcome.plan))
-    }
-}
-
 /// Property: whatever the (deterministic pseudo-random) plan shape and budget, the
-/// PassManager aborts a cyclic rule set with a budget error instead of looping forever.
+/// fixpoint engine every pipeline stage runs its rules through aborts a cyclic rule set
+/// with a budget error instead of looping forever.
 #[test]
 fn budget_guard_fires_on_cyclic_ruleset() {
-    let registry = udf_decorrelation::udf::FunctionRegistry::new();
     let provider = udf_decorrelation::algebra::EmptyProvider;
     for case in 0..32u64 {
         let mut rng = SmallRng::seed_from_u64(0xB0D6E7 + case);
@@ -227,20 +208,14 @@ fn budget_guard_fires_on_cyclic_ruleset() {
             };
         }
         let budget = rng.gen_range_i64(10, 500) as u64;
-        let manager = PassManager::new()
-            .with_pass(CyclicPass)
-            .with_options(PassManagerOptions {
-                // Without the firing budget this would spin for a very long time.
-                max_fixpoint_iterations: usize::MAX,
-                rule_fire_budget: budget,
-                ..PassManagerOptions::default()
-            });
-        let err = manager
-            .optimize(&plan, &registry, &provider, None)
+        // Without the firing budget this would spin for a very long time.
+        let engine = FixpointEngine::with_max_iterations(usize::MAX).with_rule_budget(budget);
+        let err = engine
+            .run(&plan, &cyclic_ruleset(), &provider)
             .expect_err("cyclic rule set must exhaust the budget");
         let message = err.to_string();
         assert!(
-            message.contains("budget exhausted") && message.contains("cyclic-for-test"),
+            message.contains("budget exhausted") && message.contains("cyclic-swap"),
             "unexpected error for case {case} (budget {budget}): {message}"
         );
     }
@@ -262,17 +237,20 @@ fn real_pipeline_respects_budget() {
         .unwrap();
     assert!(ok.rewrite_report.total_rule_fires() < 1_000);
 
-    // Pathological budget: the pipeline errors out instead of silently degrading.
+    // Pathological budget: Apply removal over the merged plan errors out instead of
+    // silently degrading.
     let plan = udf_decorrelation::parser::parse_and_plan(&sql).unwrap();
     let catalog = engine.catalog();
     let registry = engine.registry();
     let provider = udf_decorrelation::exec::CatalogProvider::new(&catalog, &registry);
-    let tiny = PassManager::rewrite_pipeline().with_options(PassManagerOptions {
-        rule_fire_budget: 2,
-        ..PassManagerOptions::default()
-    });
-    let err = tiny
-        .optimize(&plan, &registry, &provider, Some(catalog.as_ref()))
+    let merged = merge_udf_calls(&plan, &registry).unwrap();
+    assert!(
+        !merged.merged.is_empty(),
+        "the service-level call must merge"
+    );
+    let err = FixpointEngine::new()
+        .with_rule_budget(2)
+        .run(&merged.plan, &RuleSet::default_pipeline(), &provider)
         .expect_err("a 2-firing budget cannot fit the service-level rewrite");
     assert!(err.to_string().contains("budget exhausted"), "{err}");
 }

@@ -1,43 +1,23 @@
-//! Static plan validation wired through the optimizer: a buggy rewrite pass fails
-//! loudly with a named-pass, named-violation error; the real pipeline's intermediate
-//! plans validate clean on every experiment-style workload; and the UDF body analyzer
-//! rejects registrations whose declared determinism contradicts the body.
+//! Static plan validation wired through the optimizer: every stage of the real
+//! pipeline records its validation checks, its intermediate plans validate clean on
+//! every experiment-style workload, a malformed input keeps its user-error kind, and
+//! the UDF body analyzer rejects registrations whose declared determinism contradicts
+//! the body.
 
-use udf_decorrelation::algebra::{ProjectItem, RelExpr, ScalarExpr};
-use udf_decorrelation::common::{Result, SmallRng};
+use udf_decorrelation::common::SmallRng;
 use udf_decorrelation::engine::Engine;
 use udf_decorrelation::exec::CatalogProvider;
-use udf_decorrelation::optimizer::{OptimizerPass, PassContext, PassEffect, PassManager};
+use udf_decorrelation::optimizer::PassManager;
 use udf_decorrelation::tpch::{experiment1, experiment2, experiment3, load, TpchConfig};
 
 // ----------------------------------------------------------- broken-rule detection
 
-/// A deliberately buggy "rewrite": wraps the plan in a projection of a column no
-/// input produces — the kind of malformed output a botched rule would emit.
-struct DanglingProjectPass;
-
-impl OptimizerPass for DanglingProjectPass {
-    fn name(&self) -> &'static str {
-        "broken-for-test"
-    }
-
-    fn run(&self, plan: &RelExpr, _ctx: &mut PassContext) -> Result<PassEffect> {
-        let broken = RelExpr::Project {
-            input: Box::new(plan.clone()),
-            items: vec![ProjectItem {
-                expr: ScalarExpr::column("no_such_column"),
-                alias: Some("boom".into()),
-            }],
-            distinct: false,
-        };
-        Ok(PassEffect::unchanged(broken))
-    }
-}
-
-/// Acceptance: a broken rewrite rule appended to the real pipeline is caught by the
-/// per-pass validator, and the error names both the offending pass and the violation.
+/// The real rewrite pipeline validates clean on a real workload, and every executed
+/// stage records its validation checks. (A stage whose output breaks a clean plan fails
+/// with a named-stage, named-violation error: that is a unit test of the stage helper in
+/// `optimizer::pass`.)
 #[test]
-fn broken_rewrite_pass_fails_with_named_violation() {
+fn real_rewrite_pipeline_validates_every_stage_clean() {
     let workload = experiment2();
     let engine = load(&TpchConfig::tiny()).unwrap();
     workload.install(&engine).unwrap();
@@ -46,25 +26,6 @@ fn broken_rewrite_pass_fails_with_named_violation() {
     let registry = engine.registry();
     let provider = CatalogProvider::new(&catalog, &registry);
 
-    let manager = PassManager::rewrite_pipeline()
-        .with_pass(DanglingProjectPass)
-        .with_validation(true);
-    let err = manager
-        .optimize(&plan, &registry, &provider, Some(catalog.as_ref()))
-        .expect_err("the validator must reject the dangling projection");
-    assert_eq!(err.kind(), "rewrite");
-    let message = err.to_string();
-    assert!(
-        message.contains("broken-for-test"),
-        "error must name the offending pass: {message}"
-    );
-    assert!(
-        message.contains("[unresolved-column]") && message.contains("no_such_column"),
-        "error must name the violation: {message}"
-    );
-
-    // The same pipeline without the broken pass optimizes the plan cleanly, and every
-    // executed pass records its validation checks.
     let clean = PassManager::rewrite_pipeline()
         .with_validation(true)
         .optimize(&plan, &registry, &provider, Some(catalog.as_ref()))
@@ -91,6 +52,34 @@ fn user_errors_keep_their_kind_with_validation_on() {
     let session = engine.session();
     let err = session.query("select * from missing").unwrap_err();
     assert_eq!(err.kind(), "catalog", "{err}");
+}
+
+/// An unqualified column that matches several columns of the innermost scope with a
+/// match is ambiguous: a binding error that says so, never a silent reference to a
+/// same-named column of an enclosing query — neither in a scalar subquery, nor under
+/// EXISTS, nor at the top level.
+#[test]
+fn an_ambiguous_column_is_a_binding_error_not_an_outer_reference() {
+    let engine = Engine::new();
+    let session = engine.session();
+    session
+        .execute(
+            "create table o(k int, v int); insert into o values (1, 10), (2, 20); \
+             create table t(k int, w int); insert into t values (1, 100), (2, 200), (3, 300)",
+        )
+        .unwrap();
+    for sql in [
+        "select o.v, (select count(*) from t a join t b on a.k = b.k where k = 3) as n from o",
+        "select o.v from o where exists (select 1 from t a join t b on a.k = b.k where k = 3)",
+        "select k from t a join t b on a.k = b.k",
+    ] {
+        let err = match session.query(sql) {
+            Ok(result) => panic!("`{sql}` must fail, returned {:?}", result.rows),
+            Err(err) => err,
+        };
+        assert_eq!(err.kind(), "binding", "`{sql}`: {err}");
+        assert!(err.to_string().contains("ambiguous"), "`{sql}`: {err}");
+    }
 }
 
 // ----------------------------------------------------------- pipeline-wide property
