@@ -9,15 +9,17 @@
 //!    be checked for correlation;
 //! 3. *free (outer) column references* — rules K1/K2 require that the inner expression
 //!    "uses no parameters from r", i.e. references no attribute produced by the outer
-//!    expression and no bind parameter.
+//!    expression and no bind parameter. Where a column binds is decided by one walk,
+//!    [`walk_scopes`], which the plan validator visits too.
 
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use decorr_common::{Schema, Value};
 
 use crate::expr::{ChildMut, ColumnRef, ScalarExpr};
 use crate::plan::RelExpr;
-use crate::schema::{infer_schema, SchemaProvider};
+use crate::schema::{SchemaMemo, SchemaProvider};
 
 /// Applies `f` bottom-up to every operator in the plan (children first, then the parent
 /// holding the rewritten children).
@@ -200,124 +202,168 @@ fn collect_expr_free_params(expr: &ScalarExpr, bound: &HashSet<String>, out: &mu
     }
 }
 
+/// Where a column reference binds under the static scope model of [`walk_scopes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Binding {
+    /// The innermost scope with the name, inside the plan, has exactly one match.
+    Bound,
+    /// No scope inside the plan has the name: it refers to an outer query block.
+    Free,
+    /// The innermost scope with the name has it more than once.
+    Ambiguous,
+    /// The schema the operator's expressions see could not be inferred (e.g. a scan of
+    /// an unknown table below it).
+    Unknown,
+}
+
+/// What a [`walk_scopes`] caller does with the plan it walks. The walk is pre-order: an
+/// operator, then its own expressions (each subquery where it occurs), then its
+/// children.
+pub trait ScopeVisitor {
+    /// An operator, before its expressions and children; `schemas` is the walk's memo.
+    fn operator(&mut self, _plan: &RelExpr, _schemas: &mut SchemaMemo) {}
+    /// An expression node, before its children.
+    fn expr(&mut self, _expr: &ScalarExpr) {}
+    /// A column reference in an expression `operator` owns, and where it binds.
+    fn column(&mut self, column: &ColumnRef, operator: &'static str, binding: Binding);
+}
+
+/// Walks `plan` under the one static scope model, the one both the plan validator and
+/// the rules' correlation test ([`free_column_refs`]) read:
+///
+/// * an operator's own expressions see its input: both inputs of a join, union, Apply or
+///   Apply-Merge, the left input of a conditional Apply-Merge, the only input otherwise;
+/// * an Apply or Apply-Merge right side, and a conditional Apply-Merge's branches, also
+///   see the left input;
+/// * a subquery also sees the scope of the expression holding it;
+/// * the innermost scope with the name decides.
+///
+/// Each node's schema is inferred once, through one [`SchemaMemo`].
+pub fn walk_scopes(plan: &RelExpr, provider: &dyn SchemaProvider, visitor: &mut dyn ScopeVisitor) {
+    let mut walk = ScopeWalk {
+        provider,
+        schemas: SchemaMemo::new(),
+        outer: vec![],
+        visitor,
+    };
+    walk.plan(plan);
+}
+
+struct ScopeWalk<'a> {
+    provider: &'a dyn SchemaProvider,
+    schemas: SchemaMemo,
+    /// The enclosing scopes, innermost last. A scope whose schema is unknown sees
+    /// nothing, so it is not pushed.
+    outer: Vec<Rc<Schema>>,
+    visitor: &'a mut dyn ScopeVisitor,
+}
+
+impl ScopeWalk<'_> {
+    fn schema(&mut self, plan: &RelExpr) -> Option<Rc<Schema>> {
+        self.schemas.infer(plan, self.provider).ok()
+    }
+
+    /// The schema the operator's own expressions see, `None` if a child's is unknown.
+    fn visible(&mut self, plan: &RelExpr) -> Option<Rc<Schema>> {
+        match plan {
+            RelExpr::Join { left, right, .. }
+            | RelExpr::Union { left, right, .. }
+            | RelExpr::Apply { left, right, .. }
+            | RelExpr::ApplyMerge { left, right, .. } => {
+                let (l, r) = (self.schema(left)?, self.schema(right)?);
+                Some(Rc::new(l.join(&r)))
+            }
+            RelExpr::ConditionalApplyMerge { left, .. } => self.schema(left),
+            other => match other.first_child() {
+                Some(c) => self.schema(c),
+                None => Some(Rc::new(Schema::empty())),
+            },
+        }
+    }
+
+    /// Runs `f` with `scope` (if known) as the innermost enclosing scope.
+    fn within(&mut self, scope: Option<Rc<Schema>>, f: impl FnOnce(&mut Self)) {
+        let pushed = scope.map(|s| self.outer.push(s)).is_some();
+        f(self);
+        if pushed {
+            self.outer.pop();
+        }
+    }
+
+    fn plan(&mut self, plan: &RelExpr) {
+        self.visitor.operator(plan, &mut self.schemas);
+        let visible = self.visible(plan);
+        plan.for_each_expr(&mut |e| self.expr(e, visible.as_ref(), plan.name()));
+        match plan {
+            RelExpr::Apply { left, right, .. } | RelExpr::ApplyMerge { left, right, .. } => {
+                self.plan(left);
+                let scope = self.schema(left);
+                self.within(scope, |w| w.plan(right));
+            }
+            RelExpr::ConditionalApplyMerge {
+                left,
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                self.plan(left);
+                let scope = self.schema(left);
+                self.within(scope, |w| {
+                    w.plan(then_branch);
+                    w.plan(else_branch);
+                });
+            }
+            other => other.for_each_child(&mut |c| self.plan(c)),
+        }
+    }
+
+    fn expr(&mut self, expr: &ScalarExpr, visible: Option<&Rc<Schema>>, operator: &'static str) {
+        self.visitor.expr(expr);
+        match expr {
+            ScalarExpr::Column(c) => {
+                let binding = visible.map_or(Binding::Unknown, |v| self.bind(c, v));
+                self.visitor.column(c, operator, binding);
+            }
+            ScalarExpr::ScalarSubquery(q) | ScalarExpr::Exists(q) => {
+                self.within(visible.cloned(), |w| w.plan(q))
+            }
+            ScalarExpr::InSubquery { expr, subquery, .. } => {
+                self.expr(expr, visible, operator);
+                self.within(visible.cloned(), |w| w.plan(subquery));
+            }
+            other => other.for_each_child(&mut |c| self.expr(c, visible, operator)),
+        }
+    }
+
+    fn bind(&self, c: &ColumnRef, visible: &Schema) -> Binding {
+        let scopes = std::iter::once(visible).chain(self.outer.iter().rev().map(|s| &**s));
+        for scope in scopes {
+            match scope.lookup(c.qualifier.as_deref(), &c.name) {
+                Ok(Some(_)) => return Binding::Bound,
+                Ok(None) => {}
+                Err(_) => return Binding::Ambiguous,
+            }
+        }
+        Binding::Free
+    }
+}
+
 /// Collects the free column references of a plan: references used anywhere in the tree
-/// that are not produced by the plan's own inputs (they must therefore refer to an outer
-/// query block — the correlation the decorrelation rules try to remove).
+/// that the plan's own scopes do not bind (they must therefore refer to an outer query
+/// block — the correlation the decorrelation rules try to remove). An ambiguous
+/// reference, or one whose operator's input schema is unknown, counts as free.
 pub fn free_column_refs(plan: &RelExpr, provider: &dyn SchemaProvider) -> Vec<ColumnRef> {
-    let mut out = vec![];
-    collect_free_columns(plan, provider, &mut out);
-    out
-}
-
-fn schema_or_empty(plan: &RelExpr, provider: &dyn SchemaProvider) -> Schema {
-    infer_schema(plan, provider).unwrap_or_else(|_| Schema::empty())
-}
-
-fn collect_free_columns(plan: &RelExpr, provider: &dyn SchemaProvider, out: &mut Vec<ColumnRef>) {
-    // Which relations are visible to this node's own expressions?
-    let visible: Schema = match plan {
-        RelExpr::Join { left, right, .. }
-        | RelExpr::Union { left, right, .. }
-        | RelExpr::Apply { left, right, .. }
-        | RelExpr::ApplyMerge { left, right, .. } => {
-            schema_or_empty(left, provider).join(&schema_or_empty(right, provider))
-        }
-        RelExpr::ConditionalApplyMerge { left, .. } => schema_or_empty(left, provider),
-        other => other
-            .first_child()
-            .map(|c| schema_or_empty(c, provider))
-            .unwrap_or_else(Schema::empty),
-    };
-    let push_if_free = |c: &ColumnRef, visible: &Schema, out: &mut Vec<ColumnRef>| {
-        if visible.find(c.qualifier.as_deref(), &c.name).is_none() && !out.contains(c) {
-            out.push(c.clone());
-        }
-    };
-    for e in plan.expressions() {
-        let mut subquery_free = vec![];
-        collect_expr_free_columns(e, provider, &mut subquery_free);
-        for c in &subquery_free {
-            push_if_free(c, &visible, out);
-        }
-    }
-    // Children: a child's free columns stay free unless this node is an Apply-family
-    // operator and the left child's schema resolves them (correlation bound here).
-    match plan {
-        RelExpr::Apply { left, right, .. } | RelExpr::ApplyMerge { left, right, .. } => {
-            collect_free_columns(left, provider, out);
-            let mut right_free = vec![];
-            collect_free_columns(right, provider, &mut right_free);
-            let left_schema = schema_or_empty(left, provider);
-            for c in right_free {
-                if left_schema.find(c.qualifier.as_deref(), &c.name).is_none() && !out.contains(&c)
-                {
-                    out.push(c);
-                }
-            }
-        }
-        RelExpr::ConditionalApplyMerge {
-            left,
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            collect_free_columns(left, provider, out);
-            let left_schema = schema_or_empty(left, provider);
-            for branch in [then_branch, else_branch] {
-                let mut branch_free = vec![];
-                collect_free_columns(branch, provider, &mut branch_free);
-                for c in branch_free {
-                    if left_schema.find(c.qualifier.as_deref(), &c.name).is_none()
-                        && !out.contains(&c)
-                    {
-                        out.push(c);
-                    }
-                }
-            }
-        }
-        other => {
-            for c in other.children() {
-                collect_free_columns(c, provider, out);
+    struct Free(Vec<ColumnRef>);
+    impl ScopeVisitor for Free {
+        fn column(&mut self, c: &ColumnRef, _: &'static str, binding: Binding) {
+            if binding != Binding::Bound && !self.0.contains(c) {
+                self.0.push(c.clone());
             }
         }
     }
-}
-
-fn collect_expr_free_columns(
-    expr: &ScalarExpr,
-    provider: &dyn SchemaProvider,
-    out: &mut Vec<ColumnRef>,
-) {
-    match expr {
-        ScalarExpr::Column(c) => {
-            if !out.contains(c) {
-                out.push(c.clone());
-            }
-        }
-        ScalarExpr::ScalarSubquery(q) | ScalarExpr::Exists(q) => {
-            // Free columns of the nested subquery are free here too.
-            let nested = free_column_refs(q, provider);
-            for c in nested {
-                if !out.contains(&c) {
-                    out.push(c);
-                }
-            }
-        }
-        ScalarExpr::InSubquery { expr, subquery, .. } => {
-            collect_expr_free_columns(expr, provider, out);
-            let nested = free_column_refs(subquery, provider);
-            for c in nested {
-                if !out.contains(&c) {
-                    out.push(c);
-                }
-            }
-        }
-        other => {
-            for c in other.children() {
-                collect_expr_free_columns(c, provider, out);
-            }
-        }
-    }
+    let mut free = Free(vec![]);
+    walk_scopes(plan, provider, &mut free);
+    free.0
 }
 
 /// True if the inner (right) expression of an Apply is *uncorrelated* with respect to the
@@ -344,7 +390,7 @@ pub fn is_uncorrelated(
 mod tests {
     use super::*;
     use crate::expr::ScalarExpr as E;
-    use crate::plan::{ApplyKind, ParamBinding, ProjectItem};
+    use crate::plan::{ApplyKind, JoinKind, ParamBinding, ProjectItem};
     use crate::schema::MapProvider;
     use decorr_common::{Column, DataType};
 
@@ -435,6 +481,88 @@ mod tests {
             &[],
             &provider()
         ));
+    }
+
+    /// Each column reference of `plan` with where it binds, in walk order.
+    fn bindings(plan: &RelExpr) -> Vec<(String, Binding)> {
+        struct Seen(Vec<(String, Binding)>);
+        impl ScopeVisitor for Seen {
+            fn column(&mut self, c: &ColumnRef, _: &'static str, binding: Binding) {
+                self.0.push((c.to_string(), binding));
+            }
+        }
+        let mut seen = Seen(vec![]);
+        walk_scopes(plan, &provider(), &mut seen);
+        seen.0
+    }
+
+    #[test]
+    fn walk_scopes_reports_where_each_column_binds() {
+        let select = |input: RelExpr, predicate| RelExpr::Select {
+            input: Box::new(input),
+            predicate,
+        };
+        // An Apply's right side sees its left input; `x.y` binds nowhere.
+        let correlated = select(
+            RelExpr::scan("orders"),
+            E::and(
+                E::eq(E::column("orderkey"), E::qualified_column("c", "custkey")),
+                E::gt(E::column("totalprice"), E::qualified_column("x", "y")),
+            ),
+        );
+        let apply = RelExpr::Apply {
+            left: Box::new(RelExpr::scan_as("customer", "c")),
+            right: Box::new(correlated.clone()),
+            kind: ApplyKind::Cross,
+            bindings: vec![],
+        };
+        // A subquery sees the scope of the expression holding it.
+        let subquery = RelExpr::Project {
+            input: Box::new(RelExpr::scan_as("customer", "c")),
+            items: vec![ProjectItem::aliased(
+                ScalarExpr::ScalarSubquery(Box::new(correlated)),
+                "s",
+            )],
+            distinct: false,
+        };
+        let bound_free = [
+            ("orderkey".to_string(), Binding::Bound),
+            ("c.custkey".to_string(), Binding::Bound),
+            ("totalprice".to_string(), Binding::Bound),
+            ("x.y".to_string(), Binding::Free),
+        ];
+        assert_eq!(bindings(&apply), bound_free);
+        assert_eq!(bindings(&subquery), bound_free);
+        assert_eq!(
+            free_column_refs(&apply, &provider()),
+            [ColumnRef::qualified("x", "y")]
+        );
+        // Two inputs with `custkey`: the first scope with the name decides, ambiguously.
+        let self_join = RelExpr::Join {
+            left: Box::new(RelExpr::scan("orders")),
+            right: Box::new(RelExpr::scan_as("orders", "o2")),
+            kind: JoinKind::Inner,
+            condition: None,
+        };
+        let ambiguous = select(self_join, E::eq(E::column("custkey"), E::literal(1)));
+        assert_eq!(
+            bindings(&ambiguous),
+            [("custkey".to_string(), Binding::Ambiguous)]
+        );
+        // No schema below an unknown table; both count as free.
+        let unknown = select(
+            RelExpr::scan("nosuch"),
+            E::eq(E::column("k"), E::literal(1)),
+        );
+        assert_eq!(bindings(&unknown), [("k".to_string(), Binding::Unknown)]);
+        assert_eq!(
+            free_column_refs(&ambiguous, &provider()),
+            [ColumnRef::new("custkey")]
+        );
+        assert_eq!(
+            free_column_refs(&unknown, &provider()),
+            [ColumnRef::new("k")]
+        );
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl Engine {
                 columns: column_defs(table.schema()),
                 rows: table.scan().collect_rows(),
                 indexes: table.indexed_columns(),
-                analyze_config: table.analyze_config().cloned(),
+                analyzed: table.is_analyzed(),
                 // Persisting the statistics makes the restored table's first
                 // optimize as informed as the live one's — no cold-open rescan.
                 stats: Some((*table.stats()).clone()),
@@ -200,7 +200,7 @@ impl Engine {
                     schema_of(&t.columns),
                     t.rows,
                     &t.indexes,
-                    t.analyze_config,
+                    t.analyzed,
                     t.stats,
                     t.data_version,
                 )?;
@@ -227,7 +227,7 @@ impl Engine {
             WalRecord::DropTable { name } => self.drop_table(&name),
             WalRecord::Insert { table, rows } => self.insert_rows(&table, rows).map(|_| ()),
             WalRecord::CreateIndex { table, column } => self.create_index(&table, &column),
-            WalRecord::Analyze { table, config } => self.analyze_with(table, config).map(|_| ()),
+            WalRecord::Analyze { table } => self.analyze_with(table).map(|_| ()),
             WalRecord::CreateFunction { source } => self.register_function(&source),
         }
     }

@@ -11,7 +11,7 @@ use decorr_exec::{
 };
 use decorr_optimizer::{FeedbackStats, FeedbackStore, PlanCache, PlanCacheStats};
 use decorr_persist::WalRecord;
-use decorr_storage::{AnalyzeConfig, Catalog};
+use decorr_storage::Catalog;
 use decorr_udf::{FunctionRegistry, UdfDefinition};
 
 use crate::durability::{column_defs, PersistHandle};
@@ -75,7 +75,6 @@ pub(crate) struct EngineInner {
     pub(crate) plan_cache: Arc<PlanCache>,
     pub(crate) worker_pool: Arc<WorkerPool>,
     pub(crate) feedback: Arc<FeedbackStore>,
-    pub(crate) analyze_config: AnalyzeConfig,
     /// Durability handle: `Some` when the engine was opened with a `data_dir`. Held
     /// briefly by the writer path (to append WAL records) and by
     /// [`Engine::checkpoint`]; always acquired *after* `writer` when both are taken,
@@ -122,8 +121,8 @@ impl Engine {
         Engine::builder().build()
     }
 
-    /// A builder for parallelism, cache capacities, the analyze configuration and the
-    /// `data_dir` — the only place an engine is configured.
+    /// A builder for parallelism, cache capacities and the `data_dir` — the only place
+    /// an engine is configured.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -143,7 +142,6 @@ impl Engine {
             .exec_config(self.exec_config())
             .plan_cache_capacity(self.inner.plan_cache.capacity())
             .udf_memo_capacity(read(&self.inner.udf_memo).capacity())
-            .analyze_config(self.analyze_config())
             .build();
         *write(&fork.inner.state) = read(&self.inner.state).clone();
         fork
@@ -327,30 +325,23 @@ impl Engine {
     /// generation, so cached plans re-optimize against the fresh statistics. Returns
     /// the analyzed table names.
     pub fn analyze(&self) -> Vec<String> {
-        self.analyze_with(None, self.analyze_config())
-            .expect("analyze_all is infallible")
+        self.analyze_with(None).expect("analyze_all is infallible")
     }
 
     /// Runs a sampled `ANALYZE` over one table (see [`Engine::analyze`]).
     pub fn analyze_table(&self, name: &str) -> Result<()> {
-        self.analyze_with(Some(name.to_string()), self.analyze_config())
-            .map(|_| ())
+        self.analyze_with(Some(name.to_string())).map(|_| ())
     }
 
-    /// `ANALYZE` of one table or all of them with an explicit configuration (WAL
-    /// replay passes the one the record carries). Returns the analyzed table names.
-    pub(crate) fn analyze_with(
-        &self,
-        table: Option<String>,
-        config: AnalyzeConfig,
-    ) -> Result<Vec<String>> {
+    /// `ANALYZE` of one table or all of them (the path WAL replay takes too). Returns
+    /// the analyzed table names.
+    pub(crate) fn analyze_with(&self, table: Option<String>) -> Result<Vec<String>> {
         let record = self.persist_active().then(|| WalRecord::Analyze {
             table: table.clone(),
-            config: config.clone(),
         });
         self.mutate_catalog_wal(record, |c| match &table {
-            Some(name) => c.analyze_table(name, &config).map(|()| vec![name.clone()]),
-            None => Ok(c.analyze_all(&config)),
+            Some(name) => c.analyze_table(name).map(|()| vec![name.clone()]),
+            None => Ok(c.analyze_all()),
         })
     }
 
@@ -411,11 +402,6 @@ impl Engine {
     pub fn set_udf_memo_capacity(&self, capacity: usize) {
         *write(&self.inner.udf_memo) = Arc::new(UdfMemo::with_capacity(capacity));
     }
-
-    /// The configuration `ANALYZE` runs with.
-    pub fn analyze_config(&self) -> AnalyzeConfig {
-        self.inner.analyze_config.clone()
-    }
 }
 
 /// Configures and builds an [`Engine`].
@@ -426,7 +412,6 @@ pub struct EngineBuilder {
     exec_config: ExecConfig,
     plan_cache_capacity: Option<usize>,
     udf_memo_capacity: Option<usize>,
-    analyze_config: AnalyzeConfig,
 }
 
 impl EngineBuilder {
@@ -467,12 +452,6 @@ impl EngineBuilder {
         self
     }
 
-    /// The configuration `ANALYZE` runs with (sample size, buckets, MCVs, seed).
-    pub fn analyze_config(mut self, config: AnalyzeConfig) -> EngineBuilder {
-        self.analyze_config = config;
-        self
-    }
-
     /// Makes the engine durable: `dir` holds a checkpointed snapshot plus a
     /// write-ahead log. Opening the directory can fail, so the returned builder's only
     /// terminal is [`DurableEngineBuilder::try_build`]; configure everything else
@@ -510,7 +489,6 @@ impl EngineBuilder {
                 plan_cache: Arc::new(plan_cache),
                 worker_pool: Arc::new(WorkerPool::new(pool_size)),
                 feedback: Arc::new(FeedbackStore::new()),
-                analyze_config: self.analyze_config,
                 persist: Mutex::new(None),
             }),
         }

@@ -751,7 +751,7 @@ impl Executor {
                 let v = match acc {
                     AccState::Builtin(b) => b.finalize(),
                     AccState::User { name, state } => {
-                        self.terminate_user_aggregate(&name, &state)?
+                        self.terminate_user_aggregate(&name, state)?
                     }
                 };
                 values.push(v);

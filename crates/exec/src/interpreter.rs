@@ -193,28 +193,27 @@ impl Executor {
                 args.len()
             )));
         }
-        let mut env = Env::with_params(state.clone());
+        // The state map moves into the environment and back out: no per-row copy.
+        let mut env = Env::with_params(std::mem::take(state));
         for (p, v) in def.params.iter().zip(args.iter()) {
             env.set_param(&p.name, v.clone());
         }
-        self.exec_statements(&def.accumulate, &mut env, &mut None)?;
-        // Copy the (possibly updated) state variables back out.
-        for (var, _, _) in &def.state {
-            if let Some(v) = env.param(var) {
-                state.insert(var.clone(), v);
-            }
-        }
-        Ok(())
+        let flow = self.exec_statements(&def.accumulate, &mut env, &mut None);
+        *state = env.params;
+        // Only the state variables carry over to the next row, not the arguments or
+        // the locals the accumulate method declared.
+        state.retain(|k, _| def.state.iter().any(|(var, _, _)| var == k));
+        flow.map(|_| ())
     }
 
     /// Produces the final value of a user-defined aggregate from its state.
     pub fn terminate_user_aggregate(
         &self,
         name: &str,
-        state: &HashMap<String, Value>,
+        state: HashMap<String, Value>,
     ) -> Result<Value> {
         let def = self.registry.aggregate(name)?;
-        let env = Env::with_params(state.clone());
+        let env = Env::with_params(state);
         self.eval_expr(&def.terminate, &env)
     }
 

@@ -557,7 +557,6 @@ mod tests {
     use super::*;
     use decorr_common::{Column, DataType, Row, Schema, Value};
     use decorr_parser::{parse_and_plan, parse_function};
-    use decorr_storage::AnalyzeConfig;
 
     /// The serial estimate with nothing learned.
     fn estimate(plan: &RelExpr, catalog: &Catalog, registry: &FunctionRegistry) -> CostEstimate {
@@ -617,9 +616,7 @@ mod tests {
         // Unanalyzed: the default range constant wildly overestimates (0.3 × 1000).
         let before = estimate(&narrow, &catalog, &registry).cardinality;
         assert!((before - 300.0).abs() < 1.0, "default estimate {before}");
-        catalog
-            .analyze_table("orders", &AnalyzeConfig::default())
-            .unwrap();
+        catalog.analyze_table("orders").unwrap();
         let after = estimate(&narrow, &catalog, &registry).cardinality;
         assert!(
             (after - 101.0).abs() < 25.0,

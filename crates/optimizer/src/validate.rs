@@ -2,11 +2,9 @@
 //! every stage (behind `PassManagerOptions::validate_plans`) so that a buggy rewrite
 //! rule becomes a named-violation pipeline error instead of a silent wrong answer.
 //!
-//! [`validate_plan`] walks a logical plan bottom-up, threading the *outer scopes*
-//! visible to correlated subtrees (Apply right sides, `ApplyMerge` right sides,
-//! `ConditionalApplyMerge` branches and scalar subqueries all see the schemas of
-//! their enclosing operators), and checks the invariants every rewrite rule must
-//! preserve:
+//! [`validate_plan`] is a visitor of [`walk_scopes`], the one static scope model the
+//! rewrite rules' correlation test reads too, and checks the invariants every rewrite
+//! rule must preserve:
 //!
 //! * every [`Scan`](RelExpr::Scan) names a table the provider knows;
 //! * every column reference resolves against the operator's input schema or an
@@ -23,11 +21,10 @@
 //! holds no Apply-family operator.
 
 use std::fmt;
-use std::rc::Rc;
 
-use decorr_algebra::visit::free_params;
+use decorr_algebra::visit::{free_params, walk_scopes, Binding, ScopeVisitor};
 use decorr_algebra::{AggFunc, ColumnRef, RelExpr, ScalarExpr, SchemaMemo, SchemaProvider};
-use decorr_common::{DataType, Schema};
+use decorr_common::DataType;
 use decorr_udf::FunctionRegistry;
 
 /// One violated structural invariant, located by operator name.
@@ -203,9 +200,8 @@ pub fn validate_plan(
         provider,
         registry,
         report: ValidationReport::default(),
-        schemas: SchemaMemo::new(),
     };
-    v.check_plan(plan, &[]);
+    walk_scopes(plan, provider, &mut v);
     v.report
 }
 
@@ -248,39 +244,10 @@ struct Validator<'a> {
     provider: &'a dyn SchemaProvider,
     registry: &'a FunctionRegistry,
     report: ValidationReport,
-    /// Pointer-keyed inference memo: the validator asks for schemas at every level of
-    /// the walk, which is quadratic without one. Valid because the plan tree is
-    /// borrowed (immutable and alive) for the whole validation.
-    schemas: SchemaMemo,
 }
 
-impl Validator<'_> {
-    fn schema_of(&mut self, plan: &RelExpr) -> Option<Rc<Schema>> {
-        self.schemas.infer(plan, self.provider).ok()
-    }
-
-    /// The schema this operator's own expressions are evaluated against, mirroring
-    /// the scope model of `decorr_algebra::visit::free_column_refs`. `None` means a
-    /// child schema could not be computed (e.g. an unknown table below) — expression
-    /// checks are skipped so the root cause is reported exactly once, at its node.
-    fn visible_schema(&mut self, plan: &RelExpr) -> Option<Rc<Schema>> {
-        match plan {
-            RelExpr::Join { left, right, .. }
-            | RelExpr::Union { left, right, .. }
-            | RelExpr::Apply { left, right, .. }
-            | RelExpr::ApplyMerge { left, right, .. } => {
-                let (l, r) = (self.schema_of(left)?, self.schema_of(right)?);
-                Some(Rc::new(l.join(&r)))
-            }
-            RelExpr::ConditionalApplyMerge { left, .. } => self.schema_of(left),
-            other => match other.first_child() {
-                Some(c) => self.schema_of(c),
-                None => Some(Rc::new(Schema::empty())),
-            },
-        }
-    }
-
-    fn check_plan(&mut self, plan: &RelExpr, outer: &[Rc<Schema>]) {
+impl ScopeVisitor for Validator<'_> {
+    fn operator(&mut self, plan: &RelExpr, schemas: &mut SchemaMemo) {
         match plan {
             RelExpr::Scan { table, .. } => {
                 self.report.checks += 1;
@@ -303,7 +270,11 @@ impl Validator<'_> {
                 }
             }
             RelExpr::Union { left, right, .. } => {
-                if let (Some(l), Some(r)) = (self.schema_of(left), self.schema_of(right)) {
+                let (l, r) = (
+                    schemas.infer(left, self.provider),
+                    schemas.infer(right, self.provider),
+                );
+                if let (Ok(l), Ok(r)) = (l, r) {
                     self.report.checks += 1;
                     if l.len() != r.len() {
                         self.report.violations.push(Violation::UnionArityMismatch {
@@ -353,109 +324,37 @@ impl Validator<'_> {
             }
             _ => {}
         }
+    }
 
-        let visible = self.visible_schema(plan);
-        plan.for_each_expr(&mut |e| self.check_expr(e, visible.as_ref(), outer, plan.name()));
-
-        // Recurse, threading the left schema as an outer scope into correlated
-        // subtrees: Apply-family right sides and conditional branches may reference
-        // the outer relation's columns directly.
-        match plan {
-            RelExpr::Apply { left, right, .. } | RelExpr::ApplyMerge { left, right, .. } => {
-                self.check_plan(left, outer);
-                let mut inner = outer.to_vec();
-                if let Some(l) = self.schema_of(left) {
-                    inner.push(l);
-                }
-                self.check_plan(right, &inner);
-            }
-            RelExpr::ConditionalApplyMerge {
-                left,
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                self.check_plan(left, outer);
-                let mut inner = outer.to_vec();
-                if let Some(l) = self.schema_of(left) {
-                    inner.push(l);
-                }
-                self.check_plan(then_branch, &inner);
-                self.check_plan(else_branch, &inner);
-            }
-            other => {
-                other.for_each_child(&mut |c| self.check_plan(c, outer));
+    fn expr(&mut self, expr: &ScalarExpr) {
+        if let ScalarExpr::UdfCall { name, .. } = expr {
+            self.report.checks += 1;
+            if !self.registry.has_udf(name) && self.provider.udf_return_type(name).is_none() {
+                self.report
+                    .violations
+                    .push(Violation::UnknownFunction { name: name.clone() });
             }
         }
     }
 
-    /// The violation a column reference makes, if any. Like the executor's binding, the
-    /// innermost scope with a matching column decides; several matches there are
-    /// ambiguous, never a reference to an enclosing scope.
-    fn binding_violation(
-        c: &ColumnRef,
-        visible: &Schema,
-        outer: &[Rc<Schema>],
-        operator: &'static str,
-    ) -> Option<Violation> {
-        for scope in std::iter::once(visible).chain(outer.iter().rev().map(|s| s.as_ref())) {
-            match scope.lookup(c.qualifier.as_deref(), &c.name) {
-                Ok(Some(_)) => return None,
-                Ok(None) => {}
-                Err(_) => {
-                    let column = c.to_string();
-                    return Some(Violation::AmbiguousColumn { column, operator });
-                }
-            }
+    /// A reference under an operator whose input schema is unknown is not checked: the
+    /// unknown table below is reported once, at its scan.
+    fn column(&mut self, c: &ColumnRef, operator: &'static str, binding: Binding) {
+        if binding == Binding::Unknown {
+            return;
         }
-        let column = c.to_string();
-        Some(Violation::UnresolvedColumn { column, operator })
-    }
-
-    fn check_expr(
-        &mut self,
-        expr: &ScalarExpr,
-        visible: Option<&Rc<Schema>>,
-        outer: &[Rc<Schema>],
-        operator: &'static str,
-    ) {
-        match expr {
-            ScalarExpr::Column(c) => {
-                if let Some(vis) = visible {
-                    self.report.checks += 1;
-                    let violation = Self::binding_violation(c, vis, outer, operator);
-                    self.report.violations.extend(violation);
-                }
-            }
-            ScalarExpr::UdfCall { name, args } => {
-                self.report.checks += 1;
-                if !self.registry.has_udf(name) && self.provider.udf_return_type(name).is_none() {
-                    self.report
-                        .violations
-                        .push(Violation::UnknownFunction { name: name.clone() });
-                }
-                for a in args {
-                    self.check_expr(a, visible, outer, operator);
-                }
-            }
-            ScalarExpr::ScalarSubquery(q) | ScalarExpr::Exists(q) => {
-                let mut inner = outer.to_vec();
-                if let Some(vis) = visible {
-                    inner.push(Rc::clone(vis));
-                }
-                self.check_plan(q, &inner);
-            }
-            ScalarExpr::InSubquery { expr, subquery, .. } => {
-                self.check_expr(expr, visible, outer, operator);
-                let mut inner = outer.to_vec();
-                if let Some(vis) = visible {
-                    inner.push(Rc::clone(vis));
-                }
-                self.check_plan(subquery, &inner);
-            }
-            other => {
-                other.for_each_child(&mut |c| self.check_expr(c, visible, outer, operator));
-            }
+        self.report.checks += 1;
+        let column = || c.to_string();
+        match binding {
+            Binding::Ambiguous => self.report.violations.push(Violation::AmbiguousColumn {
+                column: column(),
+                operator,
+            }),
+            Binding::Free => self.report.violations.push(Violation::UnresolvedColumn {
+                column: column(),
+                operator,
+            }),
+            Binding::Bound | Binding::Unknown => {}
         }
     }
 }
@@ -466,7 +365,7 @@ mod tests {
     use decorr_algebra::{
         AggCall, ApplyKind, JoinKind, MapProvider, ParamBinding, ProjectItem, ScalarExpr as E,
     };
-    use decorr_common::{Column, Value};
+    use decorr_common::{Column, Schema, Value};
 
     fn provider() -> MapProvider {
         MapProvider::new()

@@ -63,7 +63,8 @@ impl fmt::Display for Token {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
             Token::Int(i) => write!(f, "{i}"),
-            Token::Float(x) => write!(f, "{x}"),
+            // `{:?}` keeps `2.0` a float literal when the text is lexed again.
+            Token::Float(x) => write!(f, "{x:?}"),
             Token::Str(s) => write!(f, "'{s}'"),
             Token::NamedParam(s) => write!(f, ":{s}"),
             Token::AtVariable(s) => write!(f, "{s}"),
@@ -340,6 +341,14 @@ mod tests {
         assert_eq!(tokens[2], Token::Float(1000.0));
         assert_eq!(tokens[3], Token::Str("Platinum".into()));
         assert_eq!(tokens[4], Token::Str("O'Brien".into()));
+    }
+
+    #[test]
+    fn a_rendered_float_lexes_as_the_same_float() {
+        for x in [0.0, 2.0, 0.15, 1e100, 1e-7] {
+            let text = Token::Float(x).to_string();
+            assert_eq!(tokenize(&text).unwrap()[0], Token::Float(x), "{text}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use decorr_common::{DataType, Error, FnvHasher, Result, Row};
 use decorr_optimizer::{FeedbackState, QueryFeedback, UdfFeedback, UdfRuntime};
-use decorr_storage::{AnalyzeConfig, ColumnStatistics, Histogram, TableStatistics};
+use decorr_storage::{ColumnStatistics, Histogram, TableStatistics};
 
 use crate::encode::{ByteReader, ByteWriter};
 
@@ -29,10 +29,11 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.bin.tmp";
 /// Magic prefix identifying a snapshot file.
 const MAGIC: &[u8; 8] = b"DCRSNAP1";
-/// Current format version. Bump on any incompatible layout change. Version 1 stored
-/// each table's rows as several partitions plus a fanout and a placement policy;
-/// there is no reader for it.
-pub const VERSION: u32 = 2;
+/// Current format version. Bump on any incompatible layout change. There is no reader
+/// for an older one: version 1 stored each table's rows as several partitions plus a
+/// fanout and a placement policy, version 2 each analyzed table's sampling
+/// configuration.
+pub const VERSION: u32 = 3;
 
 /// One column of a persisted table schema (unqualified — the restore path
 /// re-qualifies columns with the table name, exactly like `CREATE TABLE`).
@@ -57,8 +58,8 @@ pub struct TableSnapshot {
     pub rows: Vec<Row>,
     /// Indexed column names (indexes rebuild from rows on restore).
     pub indexes: Vec<String>,
-    /// Remembered `ANALYZE` configuration, when the table was analyzed.
-    pub analyze_config: Option<AnalyzeConfig>,
+    /// Whether an `ANALYZE` ran over the table.
+    pub analyzed: bool,
     /// Table statistics at checkpoint time, when warm — re-seeds the
     /// statistics cache so a cold open serves the first optimize without a rescan.
     pub stats: Option<TableStatistics>,
@@ -220,7 +221,7 @@ fn put_table(w: &mut ByteWriter, t: &TableSnapshot) {
     for col in &t.indexes {
         w.put_str(col);
     }
-    w.put_option(t.analyze_config.as_ref(), put_analyze_config);
+    w.put_bool(t.analyzed);
     w.put_option(t.stats.as_ref(), put_table_statistics);
     w.put_u64(t.data_version);
 }
@@ -246,7 +247,7 @@ fn get_table(r: &mut ByteReader<'_>) -> Result<TableSnapshot> {
     for _ in 0..index_count {
         indexes.push(r.get_str()?);
     }
-    let analyze_config = r.get_option(get_analyze_config)?;
+    let analyzed = r.get_bool()?;
     let stats = r.get_option(get_table_statistics)?;
     let data_version = r.get_u64()?;
     Ok(TableSnapshot {
@@ -254,25 +255,9 @@ fn get_table(r: &mut ByteReader<'_>) -> Result<TableSnapshot> {
         columns,
         rows,
         indexes,
-        analyze_config,
+        analyzed,
         stats,
         data_version,
-    })
-}
-
-fn put_analyze_config(w: &mut ByteWriter, c: &AnalyzeConfig) {
-    w.put_usize(c.sample_size);
-    w.put_usize(c.histogram_buckets);
-    w.put_usize(c.mcv_count);
-    w.put_u64(c.seed);
-}
-
-fn get_analyze_config(r: &mut ByteReader<'_>) -> Result<AnalyzeConfig> {
-    Ok(AnalyzeConfig {
-        sample_size: r.get_usize()?,
-        histogram_buckets: r.get_usize()?,
-        mcv_count: r.get_usize()?,
-        seed: r.get_u64()?,
     })
 }
 
@@ -490,7 +475,7 @@ mod tests {
                     Row::new(vec![Value::Int(3), Value::Float(-0.0)]),
                 ],
                 indexes: vec!["orderkey".into()],
-                analyze_config: Some(AnalyzeConfig::default()),
+                analyzed: true,
                 stats: Some(TableStatistics {
                     row_count: 3,
                     columns: vec![ColumnStatistics {

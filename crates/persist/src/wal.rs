@@ -19,7 +19,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use decorr_common::{Error, FnvHasher, Result, Row};
-use decorr_storage::AnalyzeConfig;
 
 use crate::encode::{ByteReader, ByteWriter};
 use crate::snapshot::ColumnDef;
@@ -61,12 +60,10 @@ pub enum WalRecord {
         /// Indexed column.
         column: String,
     },
-    /// `ANALYZE [table]` with the engine's analyze configuration at the time.
+    /// `ANALYZE [table]`.
     Analyze {
         /// The analyzed table, or `None` for all tables.
         table: Option<String>,
-        /// Sampling configuration the run used.
-        config: AnalyzeConfig,
     },
     /// `CREATE FUNCTION …` — the full source text, replayed through the parser.
     CreateFunction {
@@ -106,13 +103,9 @@ impl WalRecord {
                 w.put_str(table);
                 w.put_str(column);
             }
-            WalRecord::Analyze { table, config } => {
-                w.put_u8(4);
+            WalRecord::Analyze { table } => {
+                w.put_u8(7);
                 w.put_option(table.as_ref(), |w, t: &String| w.put_str(t));
-                w.put_usize(config.sample_size);
-                w.put_usize(config.histogram_buckets);
-                w.put_usize(config.mcv_count);
-                w.put_u64(config.seed);
             }
             WalRecord::CreateFunction { source } => {
                 w.put_u8(5);
@@ -152,21 +145,15 @@ impl WalRecord {
                 table: r.get_str()?,
                 column: r.get_str()?,
             },
-            4 => {
-                let table = r.get_option(|r| r.get_str())?;
-                let config = AnalyzeConfig {
-                    sample_size: r.get_usize()?,
-                    histogram_buckets: r.get_usize()?,
-                    mcv_count: r.get_usize()?,
-                    seed: r.get_u64()?,
-                };
-                WalRecord::Analyze { table, config }
-            }
             5 => WalRecord::CreateFunction {
                 source: r.get_str()?,
             },
-            // Tag 6 was `SetPlacement` (retired with table placement policies); it
-            // stays reserved so an old log is refused by name, never misread.
+            7 => WalRecord::Analyze {
+                table: r.get_option(|r| r.get_str())?,
+            },
+            // Retired tags stay reserved so an old log is refused by name, never
+            // misread: 4 was `Analyze` with the sampling configuration ANALYZE no
+            // longer has, 6 was `SetPlacement` (table placement policies).
             tag => return Err(Error::Persist(format!("invalid WAL record tag {tag}"))),
         };
         if !r.is_empty() {
@@ -345,17 +332,34 @@ mod tests {
             },
             WalRecord::Analyze {
                 table: Some("t".into()),
-                config: AnalyzeConfig::default(),
             },
             WalRecord::CreateFunction {
                 source: "create function f(x int) returns int as x".into(),
             },
             WalRecord::DropTable { name: "t".into() },
-            WalRecord::Analyze {
-                table: None,
-                config: AnalyzeConfig::default(),
-            },
+            WalRecord::Analyze { table: None },
         ]
+    }
+
+    #[test]
+    fn retired_tags_are_refused_by_name() {
+        // Tag 4: the old `Analyze` (all tables; sample size, buckets, MCVs, seed).
+        let mut analyze = ByteWriter::new();
+        analyze.put_u8(4);
+        analyze.put_option(None, |w, t: &String| w.put_str(t));
+        for field in [8_192, 32, 8, 0x5EED_57A7] {
+            analyze.put_u64(field);
+        }
+        // Tag 6: the old `SetPlacement` (table name, placement bit).
+        let mut placement = ByteWriter::new();
+        placement.put_u8(6);
+        placement.put_str("t");
+        placement.put_bool(true);
+        for (tag, bytes) in [(4, analyze), (6, placement)] {
+            let err = WalRecord::decode(&bytes.into_bytes()).unwrap_err();
+            let expected = format!("persistence error: invalid WAL record tag {tag}");
+            assert_eq!(err.to_string(), expected);
+        }
     }
 
     #[test]

@@ -151,55 +151,92 @@ fn replace_udf_calls(
 /// calling query emits colliding qualifiers: after Apply-bind removal substitutes the
 /// outer argument, the correlation predicate `t.k = :k` degenerates into the tautology
 /// `t.k = t.k` and the correlation is silently lost.
+///
+/// From the second invocation on, the body's aggregate output names (`agg0`,
+/// `__loop_<var>`) get the same prefix, and with them every projection alias, merge
+/// assignment and unqualified reference spelling one of those names: two decorrelated
+/// calls put both grouped sides in one scope, where equal unqualified names would be
+/// ambiguous. The first invocation keeps its names, so a single-call plan reads as it
+/// always has.
 fn uniquify_body_qualifiers(body: &RelExpr, invocation: usize) -> RelExpr {
+    let fresh = |name: &str| format!("__udf{invocation}_{name}");
     let mut renames: HashMap<String, String> = HashMap::new();
+    let mut names: HashMap<String, String> = HashMap::new();
     transform_plan_deep(
         body,
         &mut |node| {
-            let qualifier = match &node {
+            match &node {
                 RelExpr::Scan { table, alias } => {
-                    Some(alias.clone().unwrap_or_else(|| table.clone()))
+                    let q = alias.as_ref().unwrap_or(table);
+                    renames.entry(q.clone()).or_insert_with(|| fresh(q));
                 }
-                RelExpr::Rename { alias, .. } => Some(alias.clone()),
-                _ => None,
-            };
-            if let Some(q) = qualifier {
-                renames
-                    .entry(q.clone())
-                    .or_insert_with(|| format!("__udf{invocation}_{q}"));
+                RelExpr::Rename { alias, .. } => {
+                    renames.entry(alias.clone()).or_insert_with(|| fresh(alias));
+                }
+                RelExpr::Aggregate { aggregates, .. } if invocation > 0 => {
+                    for a in aggregates {
+                        names
+                            .entry(a.alias.clone())
+                            .or_insert_with(|| fresh(&a.alias));
+                    }
+                }
+                _ => {}
             }
             node
         },
         &mut |e| e,
     );
-    if renames.is_empty() {
+    if renames.is_empty() && names.is_empty() {
         return body.clone();
     }
+    let rename = |name: &mut String| {
+        if let Some(new) = names.get(name.as_str()) {
+            name.clone_from(new);
+        }
+    };
     transform_plan_deep(
         body,
-        &mut |node| match node {
-            RelExpr::Scan { table, alias } => {
-                let q = alias.as_deref().unwrap_or(&table);
-                let fresh = renames.get(q).cloned().or(alias);
-                RelExpr::Scan {
-                    table,
-                    alias: fresh,
+        &mut |mut node| {
+            match &mut node {
+                RelExpr::Scan { table, alias } => {
+                    let q = alias.as_deref().unwrap_or(table);
+                    *alias = renames.get(q).cloned().or(alias.take());
                 }
-            }
-            RelExpr::Rename { input, alias } => {
-                let fresh = renames.get(&alias).cloned().unwrap_or(alias);
-                RelExpr::Rename {
-                    input,
-                    alias: fresh,
+                RelExpr::Rename { alias, .. } => {
+                    if let Some(new) = renames.get(alias.as_str()) {
+                        alias.clone_from(new);
+                    }
                 }
+                RelExpr::Project { items, .. } => items
+                    .iter_mut()
+                    .filter_map(|i| i.alias.as_mut())
+                    .for_each(rename),
+                RelExpr::Aggregate { aggregates, .. } => {
+                    aggregates.iter_mut().for_each(|a| rename(&mut a.alias))
+                }
+                RelExpr::ApplyMerge { assignments, .. }
+                | RelExpr::ConditionalApplyMerge { assignments, .. } => {
+                    for a in assignments {
+                        rename(&mut a.target);
+                        rename(&mut a.source);
+                    }
+                }
+                _ => {}
             }
-            other => other,
+            node
         },
         &mut |e| match e {
-            ScalarExpr::Column(c) => match c.qualifier.as_ref().and_then(|q| renames.get(q)) {
-                Some(fresh) => ScalarExpr::qualified_column(fresh.clone(), c.name.clone()),
-                None => ScalarExpr::Column(c),
-            },
+            ScalarExpr::Column(mut c) => {
+                match &c.qualifier {
+                    Some(q) => {
+                        if let Some(new) = renames.get(q) {
+                            c.qualifier = Some(new.clone());
+                        }
+                    }
+                    None => rename(&mut c.name),
+                }
+                ScalarExpr::Column(c)
+            }
             other => other,
         },
     )

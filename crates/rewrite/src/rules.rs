@@ -1664,7 +1664,16 @@ pub fn rule_r3_merge_projections(
     let mut new_items: Vec<ProjectItem> = vec![];
     for (i, item) in items.iter().enumerate() {
         let expr = substitute_projection(&item.expr, &outputs, false)?;
-        new_items.push(ProjectItem::aliased(expr, item.output_name(i)));
+        // An explicitly qualified `q.c` that stays `q.c` keeps its qualifier: an alias
+        // would drop it from the output, and a reference above may still name it.
+        let keeps_qualifier = item.alias.is_none()
+            && matches!(&item.expr, ScalarExpr::Column(c) if c.qualifier.is_some())
+            && expr == item.expr;
+        new_items.push(if keeps_qualifier {
+            ProjectItem::new(expr)
+        } else {
+            ProjectItem::aliased(expr, item.output_name(i))
+        });
     }
     Some(RelExpr::Project {
         input: inner_input.clone(),

@@ -164,22 +164,18 @@ impl Catalog {
     /// [`Table::analyze`](crate::table::Table::analyze)). Bumps the DDL generation:
     /// fresh histograms change cost-based decisions, so cached plans must be
     /// re-optimized against the new statistics.
-    pub fn analyze_table(
-        &mut self,
-        name: &str,
-        config: &crate::stats::AnalyzeConfig,
-    ) -> Result<()> {
-        self.table_mut(name)?.analyze(config.clone());
+    pub fn analyze_table(&mut self, name: &str) -> Result<()> {
+        self.table_mut(name)?.analyze();
         self.ddl_generation += 1;
         Ok(())
     }
 
     /// Runs a sampled `ANALYZE` over every table; returns the analyzed table names.
-    pub fn analyze_all(&mut self, config: &crate::stats::AnalyzeConfig) -> Vec<String> {
+    pub fn analyze_all(&mut self) -> Vec<String> {
         let names = self.table_names();
         for name in &names {
             if let Some(table) = self.tables.get_mut(name) {
-                Arc::make_mut(table).analyze(config.clone());
+                Arc::make_mut(table).analyze();
             }
         }
         self.ddl_generation += 1;
@@ -272,7 +268,7 @@ mod tests {
         c.insert_rows("t", vec![Row::new(vec![1.into(), "a".into()])])
             .unwrap();
         c.create_index("t", "k").unwrap();
-        c.analyze_all(&crate::stats::AnalyzeConfig::default());
+        c.analyze_all();
         assert!(c.same_schemas(&before));
         c.drop_table("t").unwrap();
         assert!(!c.same_schemas(&before));

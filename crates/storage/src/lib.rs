@@ -20,5 +20,5 @@ pub mod table;
 pub use catalog::Catalog;
 pub use index::{HashIndex, RowLocator};
 pub use rows::RowStore;
-pub use stats::{AnalyzeConfig, ColumnStatistics, Histogram, TableStatistics};
+pub use stats::{ColumnStatistics, Histogram, TableStatistics};
 pub use table::Table;

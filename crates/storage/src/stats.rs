@@ -43,29 +43,14 @@ pub fn q_error(estimate: f64, actual: f64) -> f64 {
     (est / act).max(act / est)
 }
 
-/// Knobs of a sampled `ANALYZE` run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzeConfig {
-    /// Reservoir size: at most this many rows are sampled per table.
-    pub sample_size: usize,
-    /// Upper bound on equi-depth histogram buckets per numeric column.
-    pub histogram_buckets: usize,
-    /// Most-common-value list length per column.
-    pub mcv_count: usize,
-    /// Seed of the deterministic sampling RNG (stable plans across runs).
-    pub seed: u64,
-}
-
-impl Default for AnalyzeConfig {
-    fn default() -> Self {
-        AnalyzeConfig {
-            sample_size: 8_192,
-            histogram_buckets: 32,
-            mcv_count: 8,
-            seed: 0x5EED_57A7,
-        }
-    }
-}
+/// Reservoir size of a sampled `ANALYZE`: at most this many rows are sampled per table.
+const SAMPLE_SIZE: usize = 8_192;
+/// Upper bound on equi-depth histogram buckets per numeric column.
+const HISTOGRAM_BUCKETS: usize = 32;
+/// Most-common-value list length per column.
+const MCV_COUNT: usize = 8;
+/// Seed of the deterministic sampling RNG (stable plans across runs).
+const SAMPLE_SEED: u64 = 0x5EED_57A7;
 
 /// Statistics for one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,19 +179,24 @@ impl TableStatistics {
     }
 
     /// Analyzed statistics: [`basic`](TableStatistics::basic) plus per-column
-    /// histograms, MCV lists and min/max built from a reservoir sample of
-    /// `config.sample_size` rows (algorithm R over the deterministic [`SmallRng`]).
-    pub fn analyzed(schema: &Schema, runs: &[&[Row]], config: &AnalyzeConfig) -> TableStatistics {
+    /// histograms, MCV lists and min/max built from a reservoir sample of at most 8 192
+    /// rows (algorithm R over the deterministic [`SmallRng`]).
+    pub fn analyzed(schema: &Schema, runs: &[&[Row]]) -> TableStatistics {
+        TableStatistics::sampled(schema, runs, SAMPLE_SIZE)
+    }
+
+    /// [`analyzed`](TableStatistics::analyzed) over a reservoir of `sample_size` rows.
+    fn sampled(schema: &Schema, runs: &[&[Row]], sample_size: usize) -> TableStatistics {
         let mut stats = TableStatistics::basic(schema, runs);
         let rows = runs.iter().copied().flatten();
-        let sample = reservoir_sample(rows, config.sample_size.max(1), config.seed);
+        let sample = reservoir_sample(rows, sample_size, SAMPLE_SEED);
         stats.analyzed = true;
         stats.sampled_rows = sample.len();
         if sample.is_empty() {
             return stats;
         }
         for (i, col) in stats.columns.iter_mut().enumerate() {
-            fill_sampled_column(col, &sample, i, config);
+            fill_sampled_column(col, &sample, i);
         }
         stats
     }
@@ -257,12 +247,7 @@ impl TableStatistics {
 
 /// Builds the sampled portion of one [`ColumnStatistics`] (MCVs, min/max, histogram)
 /// from `sample`.
-fn fill_sampled_column(
-    col: &mut ColumnStatistics,
-    sample: &[Row],
-    i: usize,
-    config: &AnalyzeConfig,
-) {
+fn fill_sampled_column(col: &mut ColumnStatistics, sample: &[Row], i: usize) {
     // MCVs: count sampled occurrences per value (any type).
     let mut counts: HashMap<GroupKey, (Value, u64)> = HashMap::new();
     let mut numeric = Vec::with_capacity(sample.len());
@@ -284,14 +269,14 @@ fn fill_sampled_column(
     by_count.sort_by(|(va, ca), (vb, cb)| cb.cmp(ca).then_with(|| va.total_cmp(vb)));
     col.mcvs = by_count
         .iter()
-        .take(config.mcv_count)
+        .take(MCV_COUNT)
         .filter(|(_, c)| *c >= 2) // singleton "common values" are noise
         .map(|(v, c)| (v.clone(), *c as f64 / sample.len() as f64))
         .collect();
     if !numeric.is_empty() {
         col.min = numeric.iter().copied().reduce(f64::min);
         col.max = numeric.iter().copied().reduce(f64::max);
-        col.histogram = Histogram::equi_depth(numeric, config.histogram_buckets);
+        col.histogram = Histogram::equi_depth(numeric, HISTOGRAM_BUCKETS);
     }
 }
 
@@ -369,7 +354,7 @@ mod tests {
     #[test]
     fn analyzed_statistics_add_histograms_and_mcvs() {
         let rows = rows(1000);
-        let stats = TableStatistics::analyzed(&schema(), &[&rows], &AnalyzeConfig::default());
+        let stats = TableStatistics::analyzed(&schema(), &[&rows]);
         assert!(stats.analyzed);
         assert_eq!(stats.sampled_rows, 1000, "small tables sample everything");
         let k = stats.column("k").unwrap();
@@ -405,7 +390,7 @@ mod tests {
         let schema = Schema::new(vec![Column::new("v", DataType::Int)]);
         let mut data: Vec<Row> = vec![Row::new(vec![Value::Int(7)]); 500];
         data.extend((0..500).map(|i| Row::new(vec![Value::Int(1000 + i)])));
-        let stats = TableStatistics::analyzed(&schema, &[&data], &AnalyzeConfig::default());
+        let stats = TableStatistics::analyzed(&schema, &[&data]);
         let v = stats.column("v").unwrap();
         let heavy = v.equality_selectivity(&Value::Int(7)).unwrap();
         assert!((heavy - 0.5).abs() < 0.05, "heavy {heavy}");
@@ -422,7 +407,7 @@ mod tests {
         let schema = Schema::new(vec![Column::new("v", DataType::Int)]);
         let mut data: Vec<Row> = (0..500).map(|i| Row::new(vec![Value::Int(i)])).collect();
         data.extend((0..500).map(|_| Row::new(vec![Value::Null])));
-        let stats = TableStatistics::analyzed(&schema, &[&data], &AnalyzeConfig::default());
+        let stats = TableStatistics::analyzed(&schema, &[&data]);
         let v = stats.column("v").unwrap();
         assert!((v.null_fraction - 0.5).abs() < 1e-9);
         assert_eq!(
@@ -450,7 +435,7 @@ mod tests {
 
     #[test]
     fn empty_table_statistics_are_sane() {
-        let stats = TableStatistics::analyzed(&schema(), &[], &AnalyzeConfig::default());
+        let stats = TableStatistics::analyzed(&schema(), &[]);
         assert_eq!(stats.row_count, 0);
         assert_eq!(stats.distinct_count("k"), 1);
         assert!(stats.column("k").unwrap().histogram.is_none());
@@ -469,19 +454,18 @@ mod tests {
         );
         // Under the reservoir cap (every row sampled) and over it (the sampler's draws
         // follow the row sequence, not the runs).
-        for sample_size in [8_192, 100] {
-            let config = AnalyzeConfig {
-                sample_size,
-                ..AnalyzeConfig::default()
-            };
-            let direct = TableStatistics::analyzed(&schema, &whole, &config);
+        for sample_size in [SAMPLE_SIZE, 100] {
+            let direct = TableStatistics::sampled(&schema, &whole, sample_size);
             assert_eq!(direct.sampled_rows, sample_size.min(1000));
             assert_eq!(
                 direct.distinct_count("k"),
                 1000,
                 "distinct counts are exact"
             );
-            assert_eq!(TableStatistics::analyzed(&schema, &split, &config), direct);
+            assert_eq!(
+                TableStatistics::sampled(&schema, &split, sample_size),
+                direct
+            );
         }
     }
 }

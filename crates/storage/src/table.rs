@@ -8,7 +8,7 @@ use decorr_common::{normalize_ident, Error, Result, Row, Schema, Value};
 
 use crate::index::HashIndex;
 use crate::rows::RowStore;
-use crate::stats::{AnalyzeConfig, TableStatistics};
+use crate::stats::TableStatistics;
 
 /// An in-memory table: a schema, one chunked [`RowStore`], and hash indexes keyed by
 /// column name.
@@ -27,8 +27,8 @@ pub struct Table {
     /// Cached statistics; `None` marks them dirty. Interior mutability so `stats()`
     /// works through the shared references the executor and optimizer hold.
     cached_stats: RwLock<Option<Arc<TableStatistics>>>,
-    /// Remembered `ANALYZE` configuration; `None` until the first ANALYZE.
-    analyze_config: Option<AnalyzeConfig>,
+    /// Whether an `ANALYZE` ran: the statistics cache then re-analyzes itself.
+    analyzed: bool,
     /// How many times statistics were (re)computed — the regression metric: repeated
     /// optimizes against an unchanged table must not rescan it.
     stats_recomputes: AtomicU64,
@@ -57,7 +57,7 @@ impl Clone for Table {
                     .expect("stats cache poisoned")
                     .clone(),
             ),
-            analyze_config: self.analyze_config.clone(),
+            analyzed: self.analyzed,
             stats_recomputes: AtomicU64::new(self.stats_recomputes.load(Ordering::Relaxed)),
             index_rebuilds: AtomicU64::new(self.index_rebuilds.load(Ordering::Relaxed)),
             data_version: self.data_version,
@@ -77,7 +77,7 @@ impl Table {
             rows: Arc::default(),
             indexes: HashMap::new(),
             cached_stats: RwLock::new(None),
-            analyze_config: None,
+            analyzed: false,
             stats_recomputes: AtomicU64::new(0),
             index_rebuilds: AtomicU64::new(0),
             data_version: 0,
@@ -94,11 +94,6 @@ impl Table {
         &self.schema
     }
 
-    /// The remembered `ANALYZE` configuration (`None` until the first ANALYZE).
-    pub fn analyze_config(&self) -> Option<&AnalyzeConfig> {
-        self.analyze_config.as_ref()
-    }
-
     /// Rebuilds a table from its persisted parts — the snapshot-restore constructor.
     /// `rows` are the table's rows in scan order, `indexed_columns` are rebuilt from
     /// them, and `stats`, when present, re-seeds the statistics cache so the first
@@ -109,7 +104,7 @@ impl Table {
         schema: Schema,
         rows: Vec<Row>,
         indexed_columns: &[String],
-        analyze_config: Option<AnalyzeConfig>,
+        analyzed: bool,
         stats: Option<TableStatistics>,
         data_version: u64,
     ) -> Result<Table> {
@@ -125,7 +120,7 @@ impl Table {
         }
         table.rows = Arc::new(RowStore::from_rows(rows));
         table.cached_stats = RwLock::new(stats.map(Arc::new));
-        table.analyze_config = analyze_config;
+        table.analyzed = analyzed;
         table.data_version = data_version;
         for column in indexed_columns {
             table.create_index(column)?;
@@ -239,8 +234,7 @@ impl Table {
     /// until the next data change. Unanalyzed tables get basic statistics (row count,
     /// exact distinct counts, null fractions); tables a sampled
     /// [`analyze`](Table::analyze) ran over additionally carry histograms and MCV
-    /// lists, and *re-analyze themselves* with the remembered configuration when the
-    /// cache is invalidated by new data.
+    /// lists, and *re-analyze themselves* when the cache is invalidated by new data.
     pub fn stats(&self) -> Arc<TableStatistics> {
         if let Some(cached) = self
             .cached_stats
@@ -258,9 +252,10 @@ impl Table {
             return Arc::clone(cached);
         }
         let runs: Vec<&[Row]> = self.rows.runs(0..self.rows.len()).collect();
-        let computed = Arc::new(match &self.analyze_config {
-            Some(config) => TableStatistics::analyzed(&self.schema, &runs, config),
-            None => TableStatistics::basic(&self.schema, &runs),
+        let computed = Arc::new(if self.analyzed {
+            TableStatistics::analyzed(&self.schema, &runs)
+        } else {
+            TableStatistics::basic(&self.schema, &runs)
         });
         self.stats_recomputes.fetch_add(1, Ordering::Relaxed);
         *slot = Some(Arc::clone(&computed));
@@ -268,17 +263,17 @@ impl Table {
     }
 
     /// Runs a sampled `ANALYZE` over the table: builds histogram/MCV statistics from a
-    /// reservoir sample and remembers `config` so later invalidations re-analyze
+    /// reservoir sample and remembers that it ran, so later invalidations re-analyze
     /// automatically. Returns the fresh statistics.
-    pub fn analyze(&mut self, config: AnalyzeConfig) -> Arc<TableStatistics> {
-        self.analyze_config = Some(config);
+    pub fn analyze(&mut self) -> Arc<TableStatistics> {
+        self.analyzed = true;
         self.mark_stats_dirty();
         self.stats()
     }
 
     /// True when the table carries `ANALYZE`-built histogram statistics.
     pub fn is_analyzed(&self) -> bool {
-        self.analyze_config.is_some()
+        self.analyzed
     }
 
     /// Lifetime count of statistics passes — the regression metric proving that
@@ -307,7 +302,7 @@ impl Table {
         *cached = None;
     }
 
-    /// Removes all rows (keeps schema, index definitions and the ANALYZE config).
+    /// Removes all rows (keeps schema, index definitions and whether it was analyzed).
     pub fn truncate(&mut self) {
         self.rows = Arc::default();
         for index in self.indexes.values_mut() {
@@ -742,7 +737,7 @@ mod tests {
                 .unwrap();
         }
         assert!(!t.is_analyzed());
-        let analyzed = t.analyze(AnalyzeConfig::default());
+        let analyzed = t.analyze();
         assert!(analyzed.analyzed);
         assert!(analyzed
             .range_selectivity("orderkey", None, Some((99.0, true)))
@@ -751,7 +746,7 @@ mod tests {
         t.insert(Row::new(vec![200.into(), 3.into(), 1.0.into()]))
             .unwrap();
         let refreshed = t.stats();
-        assert!(refreshed.analyzed, "re-analyze with remembered config");
+        assert!(refreshed.analyzed, "an analyzed table re-analyzes");
         assert_eq!(refreshed.row_count, 201);
     }
 
@@ -779,7 +774,7 @@ mod tests {
         let mut original = orders_table();
         original.insert_all(order_rows(1000)).unwrap();
         original.create_index("custkey").unwrap();
-        let analyzed = original.analyze(AnalyzeConfig::default());
+        let analyzed = original.analyze();
         let restored = Table::restore(
             "orders",
             Schema::new(vec![
@@ -789,7 +784,7 @@ mod tests {
             ]),
             original.scan().collect_rows(),
             &original.indexed_columns(),
-            original.analyze_config().cloned(),
+            original.is_analyzed(),
             Some(analyzed.as_ref().clone()),
             original.data_version(),
         )
@@ -821,7 +816,7 @@ mod tests {
             Schema::new(vec![Column::new("k", DataType::Int)]),
             vec![Row::new(vec![1.into(), 2.into()])],
             &[],
-            None,
+            false,
             None,
             0,
         )

@@ -12,8 +12,10 @@
 //!     the same queries byte-identically;
 //!  4. every UDF query returns the same rows, sorted, iteratively and decorrelated, on
 //!     the live and on the restored engine — in half the iterations each
-//!     `create function` runs before the `create table` its body reads. The UDF is
-//!     one of three [`UdfShape`]s, and every shape must occur in the run.
+//!     `create function` runs before the `create table` its body reads. A table has up
+//!     to two UDFs, each one of four [`UdfShape`]s (the fourth calls the first UDF), and
+//!     a query calls them in one of four [`Placement`]s; every shape and every placement
+//!     must occur in the run.
 
 use std::path::{Path, PathBuf};
 
@@ -63,19 +65,58 @@ enum UdfShape {
     /// Experiment 3: a cursor loop counting the rows of `select <col> from tN where
     /// c0 = :k` into one live-out `int`.
     CursorCount,
+    /// A body that calls the table's first UDF and adds a constant (the benchmark's
+    /// `cc_nested` shape).
+    Nested,
 }
 
-const SHAPES: [UdfShape; 3] = [
+const SHAPES: [UdfShape; 4] = [
     UdfShape::AggregateLookup,
     UdfShape::ConditionalAggregate,
     UdfShape::CursorCount,
+    UdfShape::Nested,
+];
+
+/// Where a UDF query calls its table's UDFs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Placement {
+    /// `select c0, fA(c0) as v from tN`.
+    Select,
+    /// `select c0, fA(c0) + fB(c0) as v from tN`.
+    Sum,
+    /// `select c0, fA(c0) as a, fB(c0) as b from tN`.
+    TwoColumns,
+    /// `select c0 from tN where fA(c0) > <lit>`.
+    Where,
+}
+
+const PLACEMENTS: [Placement; 4] = [
+    Placement::Select,
+    Placement::Sum,
+    Placement::TwoColumns,
+    Placement::Where,
 ];
 
 /// The `returns … as begin … end` part of a `shape` UDF `(int k)` over `table`. The
-/// aggregate shapes need a float column; without one the UDF counts with a cursor.
-fn gen_udf_body(rng: &mut SmallRng, table: &FuzzTable, shape: UdfShape) -> (UdfShape, String) {
+/// aggregate shapes need a float column; without one the UDF counts with a cursor, as
+/// does a nested body with no `callee`.
+fn gen_udf_body(
+    rng: &mut SmallRng,
+    table: &FuzzTable,
+    shape: UdfShape,
+    callee: Option<&str>,
+) -> (UdfShape, String) {
     let name = &table.name;
     let fcol = table.columns_of(DataType::Float).first().copied();
+    if let (UdfShape::Nested, Some(callee)) = (shape, callee) {
+        return (
+            shape,
+            format!(
+                "returns float as begin float v; v = {callee}(k); v = v + {}; return v; end",
+                gen_literal(rng, DataType::Float)
+            ),
+        );
+    }
     match (shape, fcol) {
         (UdfShape::AggregateLookup, Some(fcol)) => (
             shape,
@@ -113,8 +154,8 @@ struct FuzzTable {
     name: String,
     /// (column name, type); `c0` is always a non-null int.
     columns: Vec<(String, DataType)>,
-    /// Name and shape of a registered UDF keyed on `c0`, if one was generated.
-    udf: Option<(String, UdfShape)>,
+    /// Name and shape of each registered UDF keyed on `c0`: none, one or two.
+    udfs: Vec<(String, UdfShape)>,
 }
 
 impl FuzzTable {
@@ -186,20 +227,23 @@ fn gen_statements(rng: &mut SmallRng, udf_first: bool) -> (Vec<FuzzTable>, Vec<S
         let mut table = FuzzTable {
             name,
             columns,
-            udf: None,
+            udfs: vec![],
         };
-        // A UDF correlated with this table's key.
-        if rng.gen_bool() {
-            let fname = format!("f{t}");
+        // Up to two UDFs correlated with this table's key, `f{t}` then `g{t}`; a nested
+        // `g{t}` calls `f{t}`, which is created before it either way.
+        let at = if udf_first {
+            create_at
+        } else {
+            statements.len()
+        };
+        for fname in ["f", "g"].iter().take(rng.gen_range_usize(0, 3)) {
+            let fname = format!("{fname}{t}");
             let wanted = SHAPES[rng.gen_range_usize(0, SHAPES.len())];
-            let (shape, body) = gen_udf_body(rng, &table, wanted);
-            let at = if udf_first {
-                create_at
-            } else {
-                statements.len()
-            };
-            statements.insert(at, format!("create function {fname}(int k) {body}"));
-            table.udf = Some((fname, shape));
+            let callee = table.udfs.first().map(|(f, _)| f.as_str());
+            let (shape, body) = gen_udf_body(rng, &table, wanted, callee);
+            let create = format!("create function {fname}(int k) {body}");
+            statements.insert(at + table.udfs.len(), create);
+            table.udfs.push((fname, shape));
         }
         tables.push(table);
     }
@@ -209,9 +253,12 @@ fn gen_statements(rng: &mut SmallRng, udf_first: bool) -> (Vec<FuzzTable>, Vec<S
     (tables, statements)
 }
 
-/// Generates the query battery for one iteration: each query, and the shape of the UDF
-/// it invokes, if it invokes one.
-fn gen_queries(rng: &mut SmallRng, tables: &[FuzzTable]) -> Vec<(String, Option<UdfShape>)> {
+/// The UDFs a query calls, by shape, and where it calls them.
+type UdfCalls = (Vec<UdfShape>, Placement);
+
+/// Generates the query battery for one iteration: each query, and the UDFs it calls, if
+/// it calls any.
+fn gen_queries(rng: &mut SmallRng, tables: &[FuzzTable]) -> Vec<(String, Option<UdfCalls>)> {
     let mut queries = vec![];
     for _ in 0..rng.gen_range_usize(4, 9) {
         let table = &tables[rng.gen_range_usize(0, tables.len())];
@@ -257,14 +304,37 @@ fn gen_queries(rng: &mut SmallRng, tables: &[FuzzTable]) -> Vec<(String, Option<
                     table.name, right.name,
                 )
             }
-            // UDF invocation when one exists — the decorrelation front door.
-            _ => match &table.udf {
-                Some((f, shape)) => {
-                    invokes_udf = Some(*shape);
-                    format!("select c0, {f}(c0) as v from {}", table.name)
-                }
-                None => format!("select c0 from {}", table.name),
-            },
+            // UDF invocation when one exists — the decorrelation front door. The two-call
+            // placements call two of the table's UDFs, or its one UDF twice.
+            _ if table.udfs.is_empty() => format!("select c0 from {}", table.name),
+            _ => {
+                let mut pick = || &table.udfs[rng.gen_range_usize(0, table.udfs.len())];
+                let ((fa, sa), (fb, sb)) = (pick(), pick());
+                let placement = PLACEMENTS[rng.gen_range_usize(0, PLACEMENTS.len())];
+                let name = &table.name;
+                let (sql, shapes) = match placement {
+                    Placement::Select => {
+                        (format!("select c0, {fa}(c0) as v from {name}"), vec![*sa])
+                    }
+                    Placement::Sum => (
+                        format!("select c0, {fa}(c0) + {fb}(c0) as v from {name}"),
+                        vec![*sa, *sb],
+                    ),
+                    Placement::TwoColumns => (
+                        format!("select c0, {fa}(c0) as a, {fb}(c0) as b from {name}"),
+                        vec![*sa, *sb],
+                    ),
+                    Placement::Where => (
+                        format!(
+                            "select c0 from {name} where {fa}(c0) > {}",
+                            gen_literal(rng, DataType::Float)
+                        ),
+                        vec![*sa],
+                    ),
+                };
+                invokes_udf = Some((shapes, placement));
+                sql
+            }
         };
         queries.push((sql, invokes_udf));
     }
@@ -312,8 +382,9 @@ fn assert_decorrelation_agrees(session: &Session, sql: &str, context: &str) {
 #[test]
 fn generated_workloads_agree_serial_parallel_and_restored() {
     let iters = fuzz_iters();
-    // UDF queries checked, per shape.
-    let mut udf_queries_checked = [0usize; SHAPES.len()];
+    // UDF queries checked, per shape called and per placement.
+    let mut shapes_checked = [0usize; SHAPES.len()];
+    let mut placements_checked = [0usize; PLACEMENTS.len()];
     for i in 0..iters {
         let mut rng = SmallRng::seed_from_u64(0xF0CC_5EED ^ (i.wrapping_mul(0x9E37_79B9)));
         let (tables, statements) = gen_statements(&mut rng, i % 2 == 1);
@@ -354,10 +425,13 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
         // a cost-based choice the byte-identity checks compare.
         let udf_queries = queries
             .iter()
-            .filter_map(|(sql, shape)| Some((sql, (*shape)?)));
-        for (sql, shape) in udf_queries.clone() {
+            .filter_map(|(sql, calls)| Some((sql, calls.as_ref()?)));
+        for (sql, (shapes, placement)) in udf_queries.clone() {
             assert_decorrelation_agrees(&serial_session, sql, &format!("iter {i}"));
-            udf_queries_checked[shape as usize] += 1;
+            for shape in shapes {
+                shapes_checked[*shape as usize] += 1;
+            }
+            placements_checked[*placement as usize] += 1;
         }
         drop(serial);
 
@@ -369,15 +443,27 @@ fn generated_workloads_agree_serial_parallel_and_restored() {
         let restored_session = restored.session();
         for ((sql, _), want) in queries.iter().zip(&expected) {
             let got = run(&restored_session, sql);
-            assert_eq!(&got, want, "iter {i}: restored engine diverged for `{sql}`");
+            assert_eq!(
+                &got,
+                want,
+                "iter {i}: restored engine diverged for `{sql}`\nworkload:\n  {}",
+                statements.join(";\n  ")
+            );
         }
         for (sql, _) in udf_queries {
             assert_decorrelation_agrees(&restored_session, sql, &format!("iter {i} restored"));
         }
     }
-    for (shape, checked) in SHAPES.iter().zip(udf_queries_checked) {
-        eprintln!("{shape:?}: {checked} UDF queries checked");
-        assert!(checked > 0, "no iteration generated a {shape:?} UDF query");
+    for (shape, checked) in SHAPES.iter().zip(shapes_checked) {
+        eprintln!("{shape:?}: {checked} calls checked");
+        assert!(checked > 0, "no iteration generated a {shape:?} UDF call");
+    }
+    for (placement, checked) in PLACEMENTS.iter().zip(placements_checked) {
+        eprintln!("{placement:?}: {checked} UDF queries checked");
+        assert!(
+            checked > 0,
+            "no iteration generated a {placement:?} UDF query"
+        );
     }
 }
 

@@ -440,15 +440,14 @@ fn corrupt_snapshots_are_rejected_with_named_errors() {
     assert_eq!(result.rows.len(), 3);
 }
 
-/// A snapshot written in format version 1 (partitioned rows, placement policies) is
-/// refused by name: no reader exists for it, and nothing of it is loaded.
-#[test]
-fn a_version_1_snapshot_is_refused_by_name() {
-    let dir = TempDir::new("snapshot_v1");
+/// A snapshot written in an older format `version` is refused by name: no reader
+/// exists for it, and nothing of it is loaded.
+fn assert_snapshot_version_is_refused(version: u32) {
+    let dir = TempDir::new(&format!("snapshot_v{version}"));
     std::fs::create_dir_all(dir.path()).unwrap();
-    // Magic, version 1, an empty payload, and the checksum that makes it verify.
+    // Magic, the version, an empty payload, and the checksum that makes it verify.
     let mut image = b"DCRSNAP1".to_vec();
-    image.extend_from_slice(&1u32.to_le_bytes());
+    image.extend_from_slice(&version.to_le_bytes());
     image.extend_from_slice(&0u64.to_le_bytes());
     let mut hasher = FnvHasher::new();
     hasher.write_bytes(&image);
@@ -459,16 +458,25 @@ fn a_version_1_snapshot_is_refused_by_name() {
         .try_build()
         .unwrap_err();
     assert_eq!(err.kind(), "persist");
-    assert!(
-        err.to_string()
-            .contains("snapshot format version 1 is not supported (expected 2)"),
-        "{err}"
-    );
+    let expected = format!("snapshot format version {version} is not supported (expected 3)");
+    assert!(err.to_string().contains(&expected), "{err}");
     assert_eq!(
         std::fs::read(dir.path().join(SNAPSHOT_FILE)).unwrap(),
         image,
         "the refused image is left in place"
     );
+}
+
+/// Version 1 stored partitioned rows and placement policies.
+#[test]
+fn a_version_1_snapshot_is_refused_by_name() {
+    assert_snapshot_version_is_refused(1);
+}
+
+/// Version 2 stored each analyzed table's sampling configuration.
+#[test]
+fn a_version_2_snapshot_is_refused_by_name() {
+    assert_snapshot_version_is_refused(2);
 }
 
 /// A WAL frame whose sequence number and checksum verify was fully written. If its

@@ -493,3 +493,84 @@ fn a_table_created_through_mutate_catalog_rebinds_the_forms() {
     engine.mutate_catalog(|c| c.drop_table("m")).unwrap();
     assert_eq!(engine.registry().record("tot").unwrap().form, unbound.form);
 }
+
+/// The functions of the two-call queries: `f0`/`f1` aggregate `t0` by key, `h1` counts
+/// `t1` rows by key in a cursor loop, `p0` reads no table.
+const TWO_CALL_UDFS: &str = "\
+    create function f0(int k) returns float as \
+    begin return select sum(c1) from t0 where c0 = :k; end; \
+    create function f1(int k) returns float as \
+    begin return select max(c1) from t0 where c0 = :k; end; \
+    create function h1(int k) returns int as \
+    begin int n = 0; \
+      declare c cursor for select c1 from t1 where c0 = :k; \
+      open c; fetch next from c into @x; \
+      while @@fetch_status = 0 begin n = n + 1; fetch next from c into @x; end \
+      close c; deallocate c; return n; end; \
+    create function p0(int k) returns int as begin return k + 1; end";
+
+/// Queries with two merged UDF calls, in one expression, in two columns, and in a
+/// conjunctive `WHERE`.
+const TWO_CALL_QUERIES: [&str; 5] = [
+    "select c0, f0(c0) + f1(c0) as v from t1",
+    "select c0, h1(c0) as a, h1(c0) as b from t1",
+    "select c0, h1(c0) + p0(c0) as v from t1",
+    "select c0, p0(c0) + h1(c0) as v from t1",
+    "select c0 from t0 where f0(c0) > 1.0 and h1(c0) > 0",
+];
+
+/// Two merged calls in one query: each inlined body's grouped side gets its own name,
+/// so the decorrelated plan binds every column, and all three strategies agree, with
+/// every intermediate plan validated.
+#[test]
+fn a_query_with_two_merged_calls_decorrelates() {
+    let session = Engine::new().session();
+    session
+        .execute(
+            "create table t0(c0 int not null, c1 float, c2 int); \
+             insert into t0 values (1, 1.5, 3), (1, 2.5, 4), (2, -3.0, 5), (3, null, 6), \
+             (4, 0.0, null); \
+             create table t1(c0 int not null, c1 int); \
+             insert into t1 values (1, 10), (2, 20), (2, 30), (5, 50)",
+        )
+        .unwrap();
+    session.execute(TWO_CALL_UDFS).unwrap();
+    let validated = |strategy: QueryOptions| QueryOptions {
+        validate_plans: Some(true),
+        ..strategy
+    };
+    for sql in TWO_CALL_QUERIES {
+        assert_strategies_agree(&session, sql);
+        let iterative = sorted_rows(&session, sql, &QueryOptions::iterative()).unwrap();
+        for options in [QueryOptions::decorrelated(), QueryOptions::default()] {
+            assert_eq!(
+                sorted_rows(&session, sql, &validated(options)).unwrap(),
+                iterative,
+                "{sql}"
+            );
+        }
+    }
+
+    // At scale, with an index and statistics, the cost-based choice runs the
+    // decorrelated plan of the two aggregate calls.
+    let session = Engine::new().session();
+    let rows = |f: &dyn Fn(i64) -> String| (0..3000).map(f).collect::<Vec<_>>().join(", ");
+    session
+        .execute(&format!(
+            "create table t0(c0 int not null, c1 float, c2 int); \
+             insert into t0 values {}; \
+             create table t1(c0 int not null, c1 int); \
+             insert into t1 values {}; \
+             create index on t0(c0); analyze",
+            rows(&|i| format!("({}, {}.5, {i})", i % 1000, i % 7)),
+            rows(&|i| format!("({}, {})", i % 1500, i % 11)),
+        ))
+        .unwrap();
+    session.execute(TWO_CALL_UDFS).unwrap();
+    for sql in [
+        TWO_CALL_QUERIES[0],
+        "select c0, f0(c0) as a, f1(c0) as b from t1",
+    ] {
+        assert_strategies_agree(&session, sql);
+    }
+}
