@@ -39,6 +39,13 @@ impl Env {
         }
     }
 
+    /// An operator's evaluation frame: a scope of `schema` inside `outer` whose row slot
+    /// starts empty. The operator moves each of its rows into `row` in turn, so it pays
+    /// for the schema and the outer scope once, not once per row.
+    pub(crate) fn frame(schema: Schema, outer: &Env) -> Env {
+        Env::with_row(schema, Row::empty()).nested_in(outer)
+    }
+
     /// An environment holding only named variables.
     pub fn with_params(params: HashMap<String, Value>) -> Env {
         Env {

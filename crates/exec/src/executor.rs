@@ -384,18 +384,18 @@ impl Executor {
                 })
             }
             RelExpr::Sort { input, keys } => {
-                let input_rs = self.execute_with_env(input, outer)?;
-                let mut keyed: Vec<(Vec<Value>, Row)> = input_rs
-                    .rows
-                    .into_iter()
-                    .map(|row| {
-                        let env =
-                            Env::with_row(input_rs.schema.clone(), row.clone()).nested_in(outer);
-                        let key_values: Result<Vec<Value>> =
-                            keys.iter().map(|k| self.eval_expr(&k.expr, &env)).collect();
-                        key_values.map(|kv| (kv, row))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
+                let ResultSet { schema, rows } = self.execute_with_env(input, outer)?;
+                // Each row moves into the frame for its keys and back out beside them.
+                let mut frame = Env::frame(schema, outer);
+                let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
+                for row in rows {
+                    frame.row = row;
+                    let key_values: Result<Vec<Value>> = keys
+                        .iter()
+                        .map(|k| self.eval_expr(&k.expr, &frame))
+                        .collect();
+                    keyed.push((key_values?, std::mem::take(&mut frame.row)));
+                }
                 keyed.sort_by(|(ka, _), (kb, _)| {
                     for (i, key) in keys.iter().enumerate() {
                         let ord = ka[i].total_cmp(&kb[i]);
@@ -407,7 +407,7 @@ impl Executor {
                     std::cmp::Ordering::Equal
                 });
                 Ok(ResultSet {
-                    schema: input_rs.schema,
+                    schema: frame.schema,
                     rows: keyed.into_iter().map(|(_, r)| r).collect(),
                 })
             }
@@ -774,11 +774,12 @@ impl Executor {
             return self.execute_aggregate_parallel(input_rs, group_by, aggregates, outer, schema);
         }
 
-        // Group rows.
+        // Group rows, each moved into one evaluation frame in turn.
         let mut groups: Vec<(Vec<Value>, Vec<AccState>)> = vec![];
         let mut group_index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-        for row in &input_rs.rows {
-            let env = Env::with_row(input_rs.schema.clone(), row.clone()).nested_in(outer);
+        let mut env = Env::frame(input_rs.schema, outer);
+        for row in input_rs.rows {
+            env.row = row;
             let group_values: Result<Vec<Value>> =
                 group_by.iter().map(|g| self.eval_expr(g, &env)).collect();
             let group_values = group_values?;
@@ -828,8 +829,10 @@ impl Executor {
         let evaluated: Vec<EvaluatedRow> =
             self.run_morsels(label("aggregate eval"), 0, source.len(), |view, range| {
                 let mut out = Vec::with_capacity(range.len());
+                // One frame per morsel; each row is copied into its reused slot.
+                let mut env = Env::frame(input_schema.clone(), outer);
                 for row in &source[range] {
-                    let env = Env::with_row(input_schema.clone(), row.clone()).nested_in(outer);
+                    env.row.clone_from(row);
                     let group_values: Result<Vec<Value>> =
                         group_by.iter().map(|g| view.eval_expr(g, &env)).collect();
                     let group_values = group_values?;
@@ -909,39 +912,6 @@ impl Executor {
         };
         let combined_schema = left_schema.join(&right_schema);
         let right_width = right_schema.len();
-        // Emits one left row's matches among `candidates` — the body both join
-        // algorithms share — then its left-only / null-extended row for outer, semi and
-        // anti joins.
-        let probe = |view: &Executor,
-                     lrow: &Row,
-                     candidates: &mut dyn Iterator<Item = &Row>,
-                     predicate: Option<&ScalarExpr>,
-                     rows: &mut Vec<Row>|
-         -> Result<()> {
-            let mut matched = false;
-            for rrow in candidates {
-                let combined = lrow.concat(rrow);
-                let env = Env::with_row(combined_schema.clone(), combined.clone()).nested_in(outer);
-                let pass = match predicate {
-                    Some(p) => view.eval_predicate(p, &env)?,
-                    None => true,
-                };
-                if pass {
-                    matched = true;
-                    match kind {
-                        JoinKind::LeftSemi | JoinKind::LeftAnti => break,
-                        _ => rows.push(combined),
-                    }
-                }
-            }
-            match kind {
-                JoinKind::LeftOuter if !matched => rows.push(lrow.concat(&Row::nulls(right_width))),
-                JoinKind::LeftSemi if matched => rows.push(lrow.clone()),
-                JoinKind::LeftAnti if !matched => rows.push(lrow.clone()),
-                _ => {}
-            }
-            Ok(())
-        };
 
         // Try to extract hash-join keys from the condition.
         let (equi_keys, residual) = condition
@@ -950,16 +920,23 @@ impl Executor {
         let big_enough = left_src.len() + right_src.len() >= HASH_JOIN_THRESHOLD;
         let rows = if equi_keys.is_empty() || !big_enough {
             self.stats.add_nested_loop_joins(1);
-            self.for_each_left_row(&left_src, "nested-loop-join probe", |view, lrow, rows| {
-                probe(view, lrow, &mut right_src.iter(), condition, rows)
-            })?
+            let residual = condition.filter(|c| !c.is_true_literal());
+            self.probe_join(
+                &left_src,
+                "nested-loop-join probe",
+                kind,
+                residual.map(|r| (r, &combined_schema)),
+                right_width,
+                outer,
+                |_, _| Ok(right_src.iter()),
+            )?
         } else {
             // A partitioned build over the right input, then a probe over the left.
             // Bucket entries hold ascending right row indexes — the serial build order —
             // and probe morsels reassemble in morsel order, so the output row order
             // does not depend on the partition count or the route.
             self.stats.add_hash_joins(1);
-            let residual = ScalarExpr::conjunction(residual);
+            let residual = (!residual.is_empty()).then(|| ScalarExpr::conjunction(residual));
             let fan_out =
                 self.should_parallelize(right_src.len()) || self.should_parallelize(left_src.len());
             let nparts = if fan_out { self.config.parallelism } else { 1 };
@@ -998,21 +975,80 @@ impl Executor {
                     Ok(vec![table])
                 },
             )?;
-            self.for_each_left_row(&left_src, "hash-join probe", |view, lrow, rows| {
-                let keys = equi_keys.iter().map(|(lk, _)| lk);
-                let matches: &[usize] = match &view.join_key(lrow, &left_schema, keys, outer)? {
-                    None => &[],
-                    Some(key) => tables[partition_of(key, nparts)]
-                        .get(key.as_slice())
-                        .map_or(&[], Vec::as_slice),
-                };
-                let mut candidates = matches.iter().map(|&ri| right_src.get(ri));
-                probe(view, lrow, &mut candidates, Some(&residual), rows)
-            })?
+            self.probe_join(
+                &left_src,
+                "hash-join probe",
+                kind,
+                residual.as_ref().map(|r| (r, &combined_schema)),
+                right_width,
+                outer,
+                |view, lrow| {
+                    let keys = equi_keys.iter().map(|(lk, _)| lk);
+                    let matches: &[usize] = match &view.join_key(lrow, &left_schema, keys, outer)? {
+                        None => &[],
+                        Some(key) => tables[partition_of(key, nparts)]
+                            .get(key.as_slice())
+                            .map_or(&[], Vec::as_slice),
+                    };
+                    Ok(matches.iter().map(|&ri| right_src.get(ri)))
+                },
+            )?
         };
         Ok(ResultSet {
             schema: out_schema,
             rows,
+        })
+    }
+
+    /// The probe loop both join algorithms share. Every left row is joined to each
+    /// right row `candidates` yields for it that passes the residual predicate, if any;
+    /// then it gets its NULL-extended row (outer join) or is kept or dropped whole (semi,
+    /// anti join). A match is built once, straight into the output; a residual, with
+    /// the joined schema it is evaluated against, sees it through one evaluation frame
+    /// per morsel, which the row moves into and back out of.
+    fn probe_join<'r, I>(
+        &self,
+        left: &RowSource<'_>,
+        operator: &'static str,
+        kind: JoinKind,
+        residual: Option<(&ScalarExpr, &Schema)>,
+        right_width: usize,
+        outer: &Env,
+        candidates: impl Fn(&Executor, &Row) -> Result<I> + Sync,
+    ) -> Result<Vec<Row>>
+    where
+        I: Iterator<Item = &'r Row>,
+    {
+        self.run_morsels(label(operator), 0, left.len(), |view, range| {
+            let mut residual =
+                residual.map(|(predicate, schema)| (predicate, Env::frame(schema.clone(), outer)));
+            let mut rows = vec![];
+            for lrow in left.iter_range(range) {
+                let mut matched = false;
+                for rrow in candidates(view, lrow)? {
+                    if let Some((predicate, frame)) = &mut residual {
+                        frame.row = joined_row(lrow, Some(rrow), right_width);
+                        if !view.eval_predicate(predicate, frame)? {
+                            continue;
+                        }
+                    }
+                    matched = true;
+                    match (kind, &mut residual) {
+                        (JoinKind::LeftSemi | JoinKind::LeftAnti, _) => break,
+                        (_, Some((_, frame))) => rows.push(std::mem::take(&mut frame.row)),
+                        (_, None) => rows.push(joined_row(lrow, Some(rrow), right_width)),
+                    }
+                }
+                match kind {
+                    JoinKind::LeftOuter if !matched => {
+                        rows.push(joined_row(lrow, None, right_width));
+                    }
+                    JoinKind::LeftSemi if matched => rows.push(lrow.clone()),
+                    JoinKind::LeftAnti if !matched => rows.push(lrow.clone()),
+                    _ => {}
+                }
+            }
+            Ok(rows)
         })
     }
 
@@ -1039,8 +1075,8 @@ impl Executor {
 
     // -------------------------------------------------------------------- Apply family
 
-    /// Runs `f` for every left row — the row loop of the join probes and of the Apply
-    /// family — and returns the per-row outputs concatenated in left-row order.
+    /// Runs `f` for every left row — the row loop of the Apply family — and returns the
+    /// per-row outputs concatenated in left-row order.
     fn for_each_left_row<F>(
         &self,
         left: &RowSource<'_>,
@@ -1475,6 +1511,18 @@ impl RowSource<'_> {
             RowSource::Table(store) => store.collect_range(range),
         }
     }
+}
+
+/// One join output row, in one allocation: `left`'s values, then `right`'s, or
+/// `right_width` NULLs without a right row (the outer join's NULL extension).
+fn joined_row(left: &Row, right: Option<&Row>, right_width: usize) -> Row {
+    let mut values = Vec::with_capacity(left.len() + right_width);
+    values.extend_from_slice(&left.values);
+    match right {
+        Some(right) => values.extend_from_slice(&right.values),
+        None => values.resize(left.len() + right_width, Value::Null),
+    }
+    Row::new(values)
 }
 
 /// The rows of one morsel of a materialized input its operator consumes. The single

@@ -7,9 +7,9 @@
 //!
 //! * [`pass`] — the [`PassManager`]: the single, observable pipeline every query goes
 //!   through, one function running the stages of Figure 9 in order (normalize →
-//!   algebraize & merge → Apply removal → cleanup → strategy choice), with per-stage
-//!   timings, per-rule fire counts, fixpoint iteration counts, before/after plan
-//!   snapshots and a rule-firing budget guard;
+//!   algebraize & merge → Apply removal → cleanup (pushdown, projection merging, dead
+//!   columns) → strategy choice), with per-stage timings, per-rule fire counts, fixpoint
+//!   iteration counts, before/after plan snapshots and a rule-firing budget guard;
 //! * [`cache`] — the [`PlanCache`]: a concurrency-safe LRU memo from a structural plan
 //!   fingerprint (plus registry/DDL generations and pipeline options) to a full
 //!   [`OptimizeOutcome`], so repeated queries skip the pipeline entirely;
@@ -33,6 +33,7 @@ pub mod cache;
 pub mod cost;
 pub mod feedback;
 pub mod pass;
+mod prune;
 pub mod strategy;
 pub mod validate;
 

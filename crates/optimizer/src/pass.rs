@@ -25,6 +25,7 @@ use decorr_udf::{AggregateDefinition, FunctionRegistry};
 use crate::cache::{plan_fingerprint, CacheActivity, CacheContext, PlanCache};
 use crate::cost::CostParams;
 use crate::feedback::FeedbackStore;
+use crate::prune::prune_dead_columns;
 use crate::strategy::{choose_strategy_with, StrategyChoice, StrategyDecision};
 use crate::validate::{check_decorrelated, validate_plan};
 use decorr_common::FnvHasher;
@@ -267,6 +268,9 @@ struct Stage {
     fixpoint: Option<(usize, bool)>,
     /// Human-readable remarks (skipped UDFs, reverts, decisions).
     notes: Vec<String>,
+    /// Remarks for the stage's own line of the pass table only, not the outcome's
+    /// notes.
+    trace_notes: Vec<String>,
 }
 
 impl Stage {
@@ -278,6 +282,7 @@ impl Stage {
             rule_fires: BTreeMap::new(),
             fixpoint: None,
             notes: vec![],
+            trace_notes: vec![],
         }
     }
 
@@ -289,11 +294,17 @@ impl Stage {
             rule_fires: outcome.fire_counts,
             fixpoint: Some((outcome.iterations, outcome.reached_fixpoint)),
             notes: vec![],
+            trace_notes: vec![],
         }
     }
 
     fn note(mut self, note: impl Into<String>) -> Stage {
         self.notes.push(note.into());
+        self
+    }
+
+    fn trace_note(mut self, note: impl Into<String>) -> Stage {
+        self.trace_notes.push(note.into());
         self
     }
 }
@@ -366,6 +377,8 @@ impl<'a> Stages<'a> {
         self.applied_rules.extend(stage.fired.iter().cloned());
         self.notes.extend(stage.notes.iter().cloned());
         let (fixpoint_iterations, reached_fixpoint) = stage.fixpoint.unzip();
+        let mut notes = stage.notes;
+        notes.extend(stage.trace_notes);
         self.report.passes.push(PassTrace {
             name: name.to_string(),
             duration,
@@ -376,7 +389,7 @@ impl<'a> Stages<'a> {
             reached_fixpoint,
             plan_before,
             plan_after,
-            notes: stage.notes,
+            notes,
             validation_checks,
         });
         Ok(stage.plan)
@@ -726,13 +739,19 @@ impl PassManager {
         })?;
 
         // Cleanup: the normalisation rules again, so the flattened plan exposes
-        // pushdown-ready predicates and merged projections to the executor.
+        // pushdown-ready predicates and merged projections to the executor, then the
+        // dead columns of a flattened plan go: the merged bodies' placeholders for their
+        // locals and the columns of the tables they read that nothing above names.
         let cleaned = stages.run("cleanup", &removed, |fixpoint| {
-            Ok(Stage::rules(fixpoint.run(
-                &removed,
-                &RuleSet::cleanup_only(),
-                provider,
-            )?))
+            let mut stage =
+                Stage::rules(fixpoint.run(&removed, &RuleSet::cleanup_only(), provider)?);
+            if decorrelated {
+                let pruned = prune_dead_columns(&mut stage.plan);
+                if pruned > 0 {
+                    stage = stage.trace_note(format!("pruned {pruned} dead column(s)"));
+                }
+            }
+            Ok(stage)
         })?;
         if stages.validate && decorrelated {
             // The pipeline claims full decorrelation: the rewritten plan must carry no
@@ -818,9 +837,13 @@ impl PassManager {
         let mut learned_note = None;
         if let Some(feedback) = &self.feedback {
             params.learned = feedback.learned();
+            // The note cites only what applies: the learned costs of the UDFs the
+            // iterative plan invokes, not every entry in the store.
+            let called = decorr_udf::analysis::plan_calls(baseline);
             let costs: Vec<String> = params
                 .learned
                 .iter()
+                .filter(|(name, _)| called.contains(*name))
                 .filter_map(|(name, l)| l.units.map(|units| format!("{name}≈{units:.0}")))
                 .collect();
             if !costs.is_empty() {

@@ -154,6 +154,14 @@ pub fn analyze_body(udf: &UdfDefinition, registry: &FunctionRegistry) -> BodyFac
     }
 }
 
+/// The normalized names of the UDFs `plan` invokes directly, in its subqueries too
+/// (not transitively through their bodies).
+pub fn plan_calls(plan: &RelExpr) -> BTreeSet<String> {
+    let mut direct = Direct::default();
+    direct.plan(plan);
+    direct.calls.into_iter().collect()
+}
+
 /// The tables statement lists scan and the UDFs they call, not transitively.
 #[derive(Default)]
 struct Direct {

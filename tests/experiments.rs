@@ -191,10 +191,12 @@ const BODY_KINDS: [(&str, &str); 6] = [
 ];
 
 /// `Session::rewrite_sql`'s report for each query above, recorded before algebraic forms
-/// moved from the per-query pipeline into the registry.
+/// moved from the per-query pipeline into the registry. The `sql:` lines of entries 0,
+/// 2, 3 and 8 were re-recorded when the cleanup stage began dropping dead columns: the
+/// placeholders for the bodies' locals and the body tables' unread columns are gone.
 const GOLDEN: [&str; 9] = [
     r#"decorrelated: true
-sql: select orders.orderkey as orderkey, (__udf0_categorydiscount.frac_discount * orders.totalprice) as totaldiscount from (select orders.orderkey, orders.custkey, orders.totalprice, orders.orderyear, NULL as custcat, NULL as catdisct, NULL as totaldiscount, __udf0_customer.custkey, __udf0_customer.name, __udf0_customer.nationkey, __udf0_customer.acctbal, __udf0_customer.category from (select * from orders where (orderkey <= 100)) d2 join customer __udf0_customer on (__udf0_customer.custkey = orders.custkey)) d1 join categorydiscount __udf0_categorydiscount on (__udf0_categorydiscount.category = __udf0_customer.category)
+sql: select orders.orderkey as orderkey, (__udf0_categorydiscount.frac_discount * orders.totalprice) as totaldiscount from (select orders.orderkey, orders.totalprice, __udf0_customer.category from (select * from orders where (orderkey <= 100)) d2 join customer __udf0_customer on (__udf0_customer.custkey = orders.custkey)) d1 join categorydiscount __udf0_categorydiscount on (__udf0_categorydiscount.category = __udf0_customer.category)
 aux: 
 rules: R1-apply-single, K4-pull-project-above-apply, K4-pull-project-above-apply, R4-apply-merge-removal, R4-apply-merge-removal, R2-merge-projection-on-single, K4-pull-project-above-apply, merge-projections, merge-projections, R9-apply-bind-removal, R1-apply-single, merge-projections, R1-apply-single, merge-projections, merge-projections, K4-pull-project-above-apply, merge-projections, merge-projections, K4-pull-project-above-apply, merge-projections, R1-apply-single, merge-projections, K4-pull-project-above-apply, merge-projections, K3-pull-select-above-apply, K3-pull-select-above-apply, K4-pull-project-above-apply, merge-projections, R5-pull-left-project-above-apply, R5-pull-left-project-above-apply, push-select-below-project, K4-pull-project-above-apply, merge-projections, R1-apply-single, K1-apply-to-join, push-select-into-join, push-apply-below-join, K3-pull-select-above-apply, K4-pull-project-above-apply, push-select-below-project, K1-apply-to-join, push-select-into-join
 notes: merged 1 UDF invocation(s), 0 auxiliary aggregate(s)"#,
@@ -204,7 +206,7 @@ aux:
 rules: R1-apply-single, K4-pull-project-above-apply, R4-apply-merge-removal, R2-merge-projection-on-single, R2-merge-projection-on-single, R2-merge-projection-on-single, R8-conditional-merge-to-case, R8-conditional-merge-to-case, K4-pull-project-above-apply, merge-projections, merge-projections, R9-apply-bind-removal, R1-apply-single, merge-projections, merge-projections, K4-pull-project-above-apply, merge-projections, merge-projections, R1-apply-single, merge-projections, K4-pull-project-above-apply, merge-projections, R5-pull-left-project-above-apply, K4-pull-project-above-apply, merge-projections, R1-apply-single, decorrelate-scalar-aggregate, merge-projections
 notes: merged 1 UDF invocation(s), 0 auxiliary aggregate(s)"#,
     r#"decorrelated: true
-sql: select categories.categorykey as categorykey, coalesce(__loop_total, 0) as nparts from (select * from categories where (categorykey < 100)) d1 left outer join (select __udf0_a.category, aux_agg_category_part_count() as __loop_total from (select __udf0_p.partkey as @pk, __udf0_a.category from parts __udf0_p join category_ancestors __udf0_a on (__udf0_p.category = __udf0_a.ancestor)) d2 group by __udf0_a.category) __grp___loop_total on (__grp___loop_total.category = categories.categorykey)
+sql: select categories.categorykey as categorykey, coalesce(__loop_total, 0) as nparts from (select * from categories where (categorykey < 100)) d1 left outer join (select __udf0_a.category, aux_agg_category_part_count() as __loop_total from (select __udf0_a.category from parts __udf0_p join category_ancestors __udf0_a on (__udf0_p.category = __udf0_a.ancestor)) d2 group by __udf0_a.category) __grp___loop_total on (__grp___loop_total.category = categories.categorykey)
 aux: aggregate aux_agg_category_part_count(
 )
 state:
@@ -215,7 +217,7 @@ terminate: return :total;
 rules: R1-apply-single, R4-apply-merge-removal, K4-pull-project-above-apply, merge-projections, merge-projections, R9-apply-bind-removal, K4-pull-project-above-apply, merge-projections, R1-apply-single, merge-projections, K4-pull-project-above-apply, merge-projections, R5-pull-left-project-above-apply, K4-pull-project-above-apply, merge-projections, R1-apply-single, decorrelate-scalar-aggregate, merge-projections
 notes: merged 1 UDF invocation(s), 1 auxiliary aggregate(s)"#,
     r#"decorrelated: true
-sql: select orders.orderkey as orderkey, ((__udf0_categorydiscount.frac_discount * orders.totalprice) * 2.5) as v from (select orders.orderkey, orders.custkey, orders.totalprice, orders.orderyear, NULL as custcat, NULL as catdisct, NULL as scaled, __udf0_customer.custkey, __udf0_customer.name, __udf0_customer.nationkey, __udf0_customer.acctbal, __udf0_customer.category from (select * from orders where (orderkey <= 10)) d2 join customer __udf0_customer on (__udf0_customer.custkey = orders.custkey)) d1 join categorydiscount __udf0_categorydiscount on (__udf0_categorydiscount.category = __udf0_customer.category)
+sql: select orders.orderkey as orderkey, ((__udf0_categorydiscount.frac_discount * orders.totalprice) * 2.5) as v from (select orders.orderkey, orders.totalprice, __udf0_customer.category from (select * from orders where (orderkey <= 10)) d2 join customer __udf0_customer on (__udf0_customer.custkey = orders.custkey)) d1 join categorydiscount __udf0_categorydiscount on (__udf0_categorydiscount.category = __udf0_customer.category)
 aux: 
 rules: R1-apply-single, K4-pull-project-above-apply, K4-pull-project-above-apply, R4-apply-merge-removal, R4-apply-merge-removal, R2-merge-projection-on-single, K4-pull-project-above-apply, merge-projections, merge-projections, R9-apply-bind-removal, R1-apply-single, merge-projections, R1-apply-single, merge-projections, merge-projections, K4-pull-project-above-apply, merge-projections, merge-projections, K4-pull-project-above-apply, merge-projections, R1-apply-single, merge-projections, K4-pull-project-above-apply, merge-projections, K3-pull-select-above-apply, K3-pull-select-above-apply, K4-pull-project-above-apply, merge-projections, R5-pull-left-project-above-apply, R5-pull-left-project-above-apply, push-select-below-project, K4-pull-project-above-apply, merge-projections, R1-apply-single, K1-apply-to-join, push-select-into-join, push-apply-below-join, K3-pull-select-above-apply, K4-pull-project-above-apply, push-select-below-project, K1-apply-to-join, push-select-into-join
 notes: merged 1 UDF invocation(s), 0 auxiliary aggregate(s)"#,
@@ -240,7 +242,7 @@ aux:
 rules: 
 notes: UDF 'cc_while_0' kept as an iterative invocation: unsupported: UDF 'cc_while_0' contains an arbitrary WHILE loop (dynamic iteration space); it can be executed iteratively but not decorrelated | no merged UDF invocations"#,
     r#"decorrelated: true
-sql: select categories.categorykey as categorykey, coalesce(__loop_total, 0) as v from (select * from categories where (categorykey < 10)) d1 left outer join (select __udf0_a.category, aux_agg_cc_cursor_0() as __loop_total from (select __udf0_p.partkey as @pk, __udf0_a.category from parts __udf0_p join category_ancestors __udf0_a on (__udf0_p.category = __udf0_a.ancestor)) d2 group by __udf0_a.category) __grp___loop_total on (__grp___loop_total.category = categories.categorykey)
+sql: select categories.categorykey as categorykey, coalesce(__loop_total, 0) as v from (select * from categories where (categorykey < 10)) d1 left outer join (select __udf0_a.category, aux_agg_cc_cursor_0() as __loop_total from (select __udf0_a.category from parts __udf0_p join category_ancestors __udf0_a on (__udf0_p.category = __udf0_a.ancestor)) d2 group by __udf0_a.category) __grp___loop_total on (__grp___loop_total.category = categories.categorykey)
 aux: aggregate aux_agg_cc_cursor_0(
 )
 state:
@@ -266,8 +268,7 @@ fn render(report: &udf_decorrelation::engine::RewriteReport) -> String {
 
 /// The rewrite tool decorrelates the three experiments, and its full output for them and
 /// for every body kind — rewritten SQL, auxiliary aggregate definitions, rules, notes and
-/// the WHILE body's decline — is exactly what it was when every query algebraized its
-/// UDFs itself.
+/// the WHILE body's decline — is exactly the recorded report (`GOLDEN`).
 #[test]
 fn rewrite_tool_emits_sql_for_every_experiment() {
     let engine = load(&TpchConfig::tiny()).unwrap();

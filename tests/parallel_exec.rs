@@ -10,7 +10,7 @@
 //! writer).
 
 use udf_decorrelation::algebra::{
-    AggCall, AggFunc, ApplyKind, JoinKind, PlanBuilder, RelExpr, ScalarExpr as E,
+    AggCall, AggFunc, ApplyKind, BinaryOp, JoinKind, PlanBuilder, RelExpr, ScalarExpr as E,
 };
 use udf_decorrelation::common::{Column, DataType, Row, Schema, SmallRng, Value};
 use udf_decorrelation::engine::{Engine, QueryOptions};
@@ -889,5 +889,173 @@ fn results_are_byte_identical_across_parallelism_cold_warm_and_analyzed() {
             reference, warm,
             "analyzed warm run diverged at parallelism={parallelism}"
         );
+    }
+}
+
+// ------------------------------------------------------------- join kinds, by hand
+
+/// `l(a, k)` = (1, 1), (2, 2), (3, NULL), (4, 100); `r(k, v)` = (k, 10k) for k in
+/// 0..64, then a second k = 2 row (2, 21). Together 69 rows, past the hash-join
+/// threshold.
+fn join_kinds_catalog() -> Arc<Catalog> {
+    let mut catalog = Catalog::new();
+    let int = |name: &str| Column::new(name, DataType::Int);
+    catalog
+        .create_table("l", Schema::new(vec![int("a"), int("k")]))
+        .unwrap();
+    catalog
+        .create_table("r", Schema::new(vec![int("k"), int("v")]))
+        .unwrap();
+    let left = [(1, Some(1)), (2, Some(2)), (3, None), (4, Some(100))];
+    catalog
+        .insert_rows(
+            "l",
+            left.iter()
+                .map(|&(a, k)| Row::new(vec![Value::Int(a), k.map_or(Value::Null, Value::Int)]))
+                .collect(),
+        )
+        .unwrap();
+    let right = (0..64).map(|k| (k, 10 * k)).chain([(2, 21)]);
+    catalog
+        .insert_rows(
+            "r",
+            right
+                .map(|(k, v)| Row::new(vec![Value::Int(k), Value::Int(v)]))
+                .collect(),
+        )
+        .unwrap();
+    Arc::new(catalog)
+}
+
+/// Renders rows as `a,k|k,v` tuples, NULL as `-`, in result order.
+fn rendered(result: &ResultSet) -> Vec<String> {
+    result
+        .rows
+        .iter()
+        .map(|row| {
+            let values: Vec<String> = row
+                .values
+                .iter()
+                .map(|v| match v {
+                    Value::Null => "-".to_string(),
+                    v => v.to_string(),
+                })
+                .collect();
+            values.join(",")
+        })
+        .collect()
+}
+
+/// Every join kind on both join algorithms, with and without a residual predicate, at
+/// one and two threads, against rows worked out by hand: each match emitted once, in
+/// left-row then right-row order, an outer join's unmatched rows NULL-extended, a semi
+/// or anti join's left rows whole.
+#[test]
+fn every_join_kind_emits_the_hand_computed_rows() {
+    let catalog = join_kinds_catalog();
+    let lk = || E::qualified_column("l", "k");
+    let rk = || E::qualified_column("r", "k");
+    let equi = E::eq(lk(), rk());
+    // The same equality as two range conjuncts: no equi key, so a nested-loop join.
+    let ranged = E::and(
+        E::binary(BinaryOp::LtEq, lk(), rk()),
+        E::binary(BinaryOp::GtEq, lk(), rk()),
+    );
+    let residual = E::gt(E::qualified_column("r", "v"), E::literal(15));
+    let (m1, m2, m2b) = ("1,1,1,10", "2,2,2,20", "2,2,2,21");
+    let (n1, n3, n4) = ("1,1,-,-", "3,-,-,-", "4,100,-,-");
+    let plain: [(JoinKind, Vec<&str>); 4] = [
+        (JoinKind::Inner, vec![m1, m2, m2b]),
+        (JoinKind::LeftOuter, vec![m1, m2, m2b, n3, n4]),
+        (JoinKind::LeftSemi, vec!["1,1", "2,2"]),
+        (JoinKind::LeftAnti, vec!["3,-", "4,100"]),
+    ];
+    let filtered: [(JoinKind, Vec<&str>); 4] = [
+        (JoinKind::Inner, vec![m2, m2b]),
+        (JoinKind::LeftOuter, vec![n1, m2, m2b, n3, n4]),
+        (JoinKind::LeftSemi, vec!["2,2"]),
+        (JoinKind::LeftAnti, vec!["1,1", "3,-", "4,100"]),
+    ];
+    for parallelism in [1, 2] {
+        let config = ExecConfig {
+            parallelism,
+            morsel_size: 2,
+            ..ExecConfig::default()
+        };
+        let executor = Executor::with_config(
+            Arc::clone(&catalog),
+            Arc::new(FunctionRegistry::new()),
+            config,
+        );
+        for (hash, condition) in [(true, &equi), (false, &ranged)] {
+            for (with_residual, expected) in [(false, &plain), (true, &filtered)] {
+                let condition = if with_residual {
+                    E::and(condition.clone(), residual.clone())
+                } else {
+                    condition.clone()
+                };
+                for (kind, rows) in expected {
+                    let plan = RelExpr::Join {
+                        left: Box::new(RelExpr::scan("l")),
+                        right: Box::new(RelExpr::scan("r")),
+                        kind: *kind,
+                        condition: Some(condition.clone()),
+                    };
+                    let before = executor.stats_snapshot();
+                    let result = executor.execute(&plan).unwrap();
+                    let after = executor.stats_snapshot();
+                    let case = format!(
+                        "{kind} join, hash={hash}, residual={with_residual}, \
+                         parallelism={parallelism}"
+                    );
+                    assert_eq!(rendered(&result), *rows, "{case}");
+                    assert_eq!(after.hash_joins - before.hash_joins, hash as u64, "{case}");
+                    assert_eq!(
+                        result.schema.len(),
+                        if kind.left_only() { 2 } else { 4 },
+                        "{case}"
+                    );
+                }
+            }
+        }
+        // No condition at all: a nested-loop product with a two-row right side.
+        let pair = RelExpr::Values {
+            schema: Schema::new(vec![
+                Column::new("x", DataType::Int),
+                Column::new("y", DataType::Int),
+            ]),
+            rows: vec![
+                vec![Value::Int(7), Value::Int(70)],
+                vec![Value::Int(8), Value::Int(80)],
+            ],
+        };
+        let product = |kind| RelExpr::Join {
+            left: Box::new(RelExpr::scan("l")),
+            right: Box::new(pair.clone()),
+            kind,
+            condition: None,
+        };
+        let crossed = [
+            "1,1,7,70",
+            "1,1,8,80",
+            "2,2,7,70",
+            "2,2,8,80",
+            "3,-,7,70",
+            "3,-,8,80",
+            "4,100,7,70",
+            "4,100,8,80",
+        ];
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+            let result = executor.execute(&product(kind)).unwrap();
+            assert_eq!(
+                rendered(&result),
+                crossed,
+                "{kind}, parallelism={parallelism}"
+            );
+        }
+        let semi = executor.execute(&product(JoinKind::LeftSemi)).unwrap();
+        assert_eq!(rendered(&semi), ["1,1", "2,2", "3,-", "4,100"]);
+        let anti = executor.execute(&product(JoinKind::LeftAnti)).unwrap();
+        assert!(anti.rows.is_empty(), "parallelism={parallelism}");
     }
 }

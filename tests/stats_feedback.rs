@@ -420,6 +420,44 @@ fn feedback_flips_a_miscosted_strategy_to_decorrelated() {
     );
 }
 
+/// The strategy note cites the learned costs the decision used: with two UDFs learned
+/// and a query calling one, it names that one only.
+#[test]
+fn the_strategy_note_cites_only_the_learned_costs_of_called_udfs() {
+    let (engine, sql) = mispriced_udf_engine();
+    let session = engine.session();
+    engine
+        .register_function(
+            "create function order_count(int ckey) returns int as \
+         begin return select count(*) from orders where custkey = :ckey; end",
+        )
+        .unwrap();
+    // Iterative runs invoke each UDF once per customer, so both costs are learned.
+    for learned_sql in [
+        sql,
+        "select custkey, order_count(custkey) as n from customer",
+    ] {
+        session
+            .query_with(learned_sql, &QueryOptions::iterative())
+            .unwrap();
+    }
+    let learned = engine.feedback().learned();
+    for name in ["total_business", "order_count"] {
+        assert!(learned[name].units.is_some(), "{name} must be learned");
+    }
+    let result = session.query(sql).unwrap();
+    let note = result
+        .rewrite_notes
+        .iter()
+        .find(|n| n.contains("learned UDF cost"))
+        .unwrap_or_else(|| panic!("no learned-cost note: {:?}", result.rewrite_notes));
+    assert!(
+        note.starts_with("1 learned UDF cost(s) applied: total_business≈"),
+        "{note}"
+    );
+    assert!(!note.contains("order_count"), "{note}");
+}
+
 /// The learning loop end to end, pinned: the headline flip plus a filter UDF called
 /// with repeated arguments, run in one engine. What each query used, what each UDF's
 /// feedback entry counted and the store's counters equal the constants recorded at

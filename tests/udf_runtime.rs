@@ -647,3 +647,56 @@ fn serial_counters_match_the_recorded_constants() {
     ];
     assert_eq!(observed, expected);
 }
+
+/// An aggregate inside a UDF body sees the body's parameter through its outer scope:
+/// here both its argument and its group key name `:ckey`. Each invocation's aggregate
+/// binds its own call's argument, on the serial aggregate and, for a call made on the
+/// calling thread at two threads with one row per morsel, on the fanned-out one.
+#[test]
+fn an_aggregate_in_a_udf_body_binds_the_parameter_in_its_argument_and_group_key() {
+    let engine = Engine::new();
+    let session = engine.session();
+    session
+        .execute(
+            "create table t(k int, x int); create table q(k int); \
+             insert into t values (1, 10), (1, 20), (2, 5), (3, 7); \
+             insert into q values (1), (2), (4)",
+        )
+        .unwrap();
+    engine
+        .register_function(
+            "create function scaled(int ckey) returns int as \
+             begin return select sum(x * :ckey) from t where k = :ckey group by :ckey; end",
+        )
+        .unwrap();
+    for parallelism in [1, 2] {
+        let config = ExecConfig {
+            parallelism,
+            morsel_size: 1,
+            udf_batching: false,
+            udf_memoization: false,
+            ..ExecConfig::default()
+        };
+        let result = session
+            .query_with(
+                "select k, scaled(k) as s from q",
+                &iterative_with(config.clone()),
+            )
+            .unwrap();
+        assert_eq!(result.exec_stats.udf_invocations, 3);
+        assert_eq!(
+            result.canonical_projection(&["k", "s"]).unwrap(),
+            ["(1, 30)", "(2, 10)", "(4, NULL)"],
+            "parallelism={parallelism}"
+        );
+        // A call outside any row loop runs its body on the calling executor, so the
+        // two rows of `k = 1` fan out over the aggregate's morsels.
+        let single = session
+            .query_with("select scaled(1) as s", &iterative_with(config))
+            .unwrap();
+        assert_eq!(single.column("s").unwrap(), [Value::Int(30)]);
+        if parallelism > 1 {
+            assert!(single.exec_stats.morsels_dispatched > 0);
+        }
+    }
+}
