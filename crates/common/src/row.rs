@@ -38,20 +38,6 @@ impl Row {
         &self.values[idx]
     }
 
-    /// Concatenates two rows (join output).
-    pub fn concat(&self, other: &Row) -> Row {
-        let mut values = self.values.clone();
-        values.extend(other.values.iter().cloned());
-        Row { values }
-    }
-
-    /// A row of `n` NULLs — the null-extension used by outer joins.
-    pub fn nulls(n: usize) -> Row {
-        Row {
-            values: vec![Value::Null; n],
-        }
-    }
-
     /// Pretty-prints the row against a schema, `name=value` pairs.
     pub fn display_with(&self, schema: &Schema) -> String {
         self.values
@@ -87,16 +73,6 @@ impl From<Vec<Value>> for Row {
 mod tests {
     use super::*;
     use crate::{Column, DataType};
-
-    #[test]
-    fn concat_and_nulls() {
-        let a = Row::new(vec![Value::Int(1), Value::str("x")]);
-        let b = Row::nulls(2);
-        let c = a.concat(&b);
-        assert_eq!(c.len(), 4);
-        assert!(c.get(2).is_null());
-        assert_eq!(c.get(0), &Value::Int(1));
-    }
 
     #[test]
     fn empty_row() {

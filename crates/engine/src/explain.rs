@@ -69,7 +69,7 @@ impl Session {
         out.push_str(&format!(
             "rows={} parallelism={} · scanned={} index-lookups={} udf-invocations={} \
              udf-memo-hits={} udf-dedup-hits={} subqueries={} \
-             hash-joins={} nl-joins={} morsels={} pipelined-ops={}\n",
+             hash-joins={} index-joins={} nl-joins={} morsels={} pipelined-ops={}\n",
             result.rows.len(),
             pinned.exec_config.parallelism,
             result.exec_stats.rows_scanned,
@@ -79,6 +79,7 @@ impl Session {
             result.exec_stats.udf_dedup_hits,
             result.exec_stats.subqueries_executed,
             result.exec_stats.hash_joins,
+            result.exec_stats.index_joins,
             result.exec_stats.nested_loop_joins,
             result.exec_stats.morsels_dispatched,
             result.exec_stats.pipelined_operators,

@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use decorr_algebra::schema::{aggregate_schema, infer_schema, project_schema};
@@ -15,7 +16,7 @@ use decorr_algebra::{
     AggCall, AggFunc, ApplyKind, BinaryOp, ColumnRef, JoinKind, ProjectItem, RelExpr, ScalarExpr,
 };
 use decorr_common::{normalize_ident, value::GroupKey, Error, Result, Row, Schema, Value};
-use decorr_storage::{Catalog, RowStore, Table};
+use decorr_storage::{Catalog, HashIndex, RowStore, Table};
 use decorr_udf::{FunctionRegistry, LearnedUdf, UdfRuntime};
 
 use crate::aggregate::BuiltinAccumulator;
@@ -895,6 +896,19 @@ impl Executor {
 
     // -------------------------------------------------------------------------- joins
 
+    /// Executes a join with one of three algorithms, which all feed one probe loop
+    /// ([`Executor::probe_join`]), so every join kind and residual behaves alike:
+    /// * the **index nested-loop join** whenever [`index_join`] finds the right input a
+    ///   bare base-table `Scan` with a hash index on the right side of an equi-key:
+    ///   each left row looks its key up in that index, and the right table is neither
+    ///   scanned nor hashed;
+    /// * the **hash join** for any other join with an equi-key whose inputs hold at
+    ///   least [`HASH_JOIN_THRESHOLD`] rows together: a partitioned build over the
+    ///   right input, then a probe over the left;
+    /// * **nested loops** over the materialised right input otherwise.
+    ///
+    /// The choice is structural, and all three emit the same rows in the same order:
+    /// left-row order, then each left row's matching right rows in ascending position.
     fn execute_join(
         &self,
         left: &RelExpr,
@@ -903,13 +917,13 @@ impl Executor {
         condition: Option<&ScalarExpr>,
         outer: &Env,
     ) -> Result<ResultSet> {
+        let index = index_join(&self.catalog, right, condition);
         let (left_schema, left_src) = self.input_source(left, outer)?;
+        if let Some(join) = index {
+            return self.execute_index_join(&left_schema, &left_src, right, kind, join, outer);
+        }
         let (right_schema, right_src) = self.input_source(right, outer)?;
-        let out_schema = match kind {
-            JoinKind::LeftSemi | JoinKind::LeftAnti => left_schema.clone(),
-            JoinKind::LeftOuter => left_schema.join(&right_schema.as_nullable()),
-            _ => left_schema.join(&right_schema),
-        };
+        let out_schema = join_schema(kind, &left_schema, &right_schema);
         let combined_schema = left_schema.join(&right_schema);
         let right_width = right_schema.len();
 
@@ -928,7 +942,8 @@ impl Executor {
                 residual.map(|r| (r, &combined_schema)),
                 right_width,
                 outer,
-                |_, _| Ok(right_src.iter()),
+                || (),
+                |_, _, _| Ok(right_src.iter()),
             )?
         } else {
             // A partitioned build over the right input, then a probe over the left.
@@ -982,7 +997,8 @@ impl Executor {
                 residual.as_ref().map(|r| (r, &combined_schema)),
                 right_width,
                 outer,
-                |view, lrow| {
+                || (),
+                |view, _, lrow| {
                     let keys = equi_keys.iter().map(|(lk, _)| lk);
                     let matches: &[usize] = match &view.join_key(lrow, &left_schema, keys, outer)? {
                         None => &[],
@@ -1000,13 +1016,93 @@ impl Executor {
         })
     }
 
-    /// The probe loop both join algorithms share. Every left row is joined to each
+    /// The index nested-loop join `join` describes. Per left row, the probe key is read
+    /// by ordinal when it is a bare left column, otherwise evaluated in one frame per
+    /// morsel inside the outer scope, and looked up in the right table's index; the
+    /// hits go to the probe loop in position order (base-tier postings, then delta-tier
+    /// ones). A NULL key issues no probe and matches nothing. `rows_scanned` books no
+    /// right row, and the right scan's actual cardinality is the rows its lookups
+    /// returned.
+    fn execute_index_join(
+        &self,
+        left_schema: &Schema,
+        left_src: &RowSource<'_>,
+        right: &RelExpr,
+        kind: JoinKind,
+        join: IndexJoin<'_>,
+        outer: &Env,
+    ) -> Result<ResultSet> {
+        self.stats.add_index_joins(1);
+        let IndexJoin {
+            table,
+            schema: right_schema,
+            index,
+            probe,
+            residual,
+        } = join;
+        let combined_schema = left_schema.join(&right_schema);
+        let ordinal = match &probe {
+            ScalarExpr::Column(c) => left_schema.find(c.qualifier.as_deref(), &c.name),
+            _ => None,
+        };
+        let store = table.scan();
+        let hits = AtomicU64::new(0);
+        let rows = self.probe_join(
+            left_src,
+            "index-join probe",
+            kind,
+            residual.as_ref().map(|r| (r, &combined_schema)),
+            right_schema.len(),
+            outer,
+            || match ordinal {
+                Some(i) => ProbeKey::Ordinal(i),
+                None => ProbeKey::Frame(Env::frame(left_schema.clone(), outer)),
+            },
+            |view, key, lrow| {
+                let evaluated;
+                let key = match key {
+                    ProbeKey::Ordinal(i) => lrow.get(*i),
+                    ProbeKey::Frame(frame) => {
+                        frame.row.clone_from(lrow);
+                        evaluated = view.eval_expr(&probe, frame)?;
+                        &evaluated
+                    }
+                };
+                let postings = if key.is_null() {
+                    [&[][..]; 2]
+                } else {
+                    view.stats.add_index_lookups(1);
+                    index.lookup(key)
+                };
+                if view.config.collect_cardinalities {
+                    let found = postings.iter().map(|run| run.len() as u64).sum();
+                    hits.fetch_add(found, Ordering::Relaxed);
+                }
+                let [older, newer] = postings;
+                Ok(older.iter().chain(newer).map(|&position| {
+                    store
+                        .get(position)
+                        .expect("index postings point at stored rows")
+                }))
+            },
+        )?;
+        if self.config.collect_cardinalities {
+            self.cardinalities.record(right, hits.into_inner());
+        }
+        Ok(ResultSet {
+            schema: join_schema(kind, left_schema, &right_schema),
+            rows,
+        })
+    }
+
+    /// The probe loop all three join algorithms share. Every left row is joined to each
     /// right row `candidates` yields for it that passes the residual predicate, if any;
     /// then it gets its NULL-extended row (outer join) or is kept or dropped whole (semi,
-    /// anti join). A match is built once, straight into the output; a residual, with
-    /// the joined schema it is evaluated against, sees it through one evaluation frame
-    /// per morsel, which the row moves into and back out of.
-    fn probe_join<'r, I>(
+    /// anti join). `candidates` gets the per-morsel state `state` builds. A match is
+    /// built once, straight into the output; a residual, with the joined schema it is
+    /// evaluated against, sees it through one evaluation frame per morsel, which the
+    /// row moves into and back out of.
+    fn probe_join<'r, S, I>(
         &self,
         left: &RowSource<'_>,
         operator: &'static str,
@@ -1014,7 +1110,8 @@ impl Executor {
         residual: Option<(&ScalarExpr, &Schema)>,
         right_width: usize,
         outer: &Env,
-        candidates: impl Fn(&Executor, &Row) -> Result<I> + Sync,
+        state: impl Fn() -> S + Sync,
+        candidates: impl Fn(&Executor, &mut S, &Row) -> Result<I> + Sync,
     ) -> Result<Vec<Row>>
     where
         I: Iterator<Item = &'r Row>,
@@ -1022,10 +1119,11 @@ impl Executor {
         self.run_morsels(label(operator), 0, left.len(), |view, range| {
             let mut residual =
                 residual.map(|(predicate, schema)| (predicate, Env::frame(schema.clone(), outer)));
+            let mut state = state();
             let mut rows = vec![];
             for lrow in left.iter_range(range) {
                 let mut matched = false;
-                for rrow in candidates(view, lrow)? {
+                for rrow in candidates(view, &mut state, lrow)? {
                     if let Some((predicate, frame)) = &mut residual {
                         frame.row = joined_row(lrow, Some(rrow), right_width);
                         if !view.eval_predicate(predicate, frame)? {
@@ -1114,6 +1212,7 @@ impl Executor {
         // Correlated evaluation of the inner plan, once per outer row. Each outer row
         // is independent, so the Apply family is morsel-parallel over its left input —
         // this is what parallelises iterative (non-decorrelated) execution.
+        let right_width = right_schema.len();
         let rows = self.for_each_left_row(&left_src, "apply", |view, lrow, rows| {
             let mut env = Env::with_row(left_schema.clone(), lrow.clone()).nested_in(outer);
             for b in bindings {
@@ -1122,18 +1221,12 @@ impl Executor {
             }
             let inner = view.execute_with_env(right, &env)?;
             match kind {
-                ApplyKind::Cross => {
-                    for rrow in inner.rows {
-                        rows.push(lrow.concat(&rrow));
+                ApplyKind::Cross | ApplyKind::LeftOuter => {
+                    for rrow in &inner.rows {
+                        rows.push(joined_row(lrow, Some(rrow), right_width));
                     }
-                }
-                ApplyKind::LeftOuter => {
-                    if inner.rows.is_empty() {
-                        rows.push(lrow.concat(&Row::nulls(right_schema.len())));
-                    } else {
-                        for rrow in inner.rows {
-                            rows.push(lrow.concat(&rrow));
-                        }
+                    if kind == ApplyKind::LeftOuter && inner.rows.is_empty() {
+                        rows.push(joined_row(lrow, None, right_width));
                     }
                 }
                 ApplyKind::LeftSemi => {
@@ -1419,6 +1512,90 @@ fn split_equi_conjuncts(
     (keys, residual)
 }
 
+/// The access path of an index nested-loop join, as [`index_join`] found it.
+pub struct IndexJoin<'c> {
+    /// The right input's base table.
+    pub table: &'c Table,
+    /// That table's schema, qualified by the scan's alias.
+    pub schema: Schema,
+    /// The hash index on the probing equi-key's right column.
+    pub index: &'c HashIndex,
+    /// The probing equi-key's left side: the value each left row looks up.
+    pub probe: ScalarExpr,
+    /// Every other conjunct of the condition, further equi-keys included, checked on
+    /// the joined row.
+    pub residual: Option<ScalarExpr>,
+}
+
+/// Whether a join with `right` on `condition` runs as an index nested-loop join: the
+/// one eligibility test, which the executor and the cost model both call. It does when
+/// `right` is a bare base-table `Scan` and an equality conjunct of the condition has a
+/// column of that table with a hash index on one side, and on the other an expression
+/// the hash join would take as a left key: one that reads columns, none of them the
+/// right table's, and no parameter or subquery. The first such conjunct probes. A
+/// `Select` over the scan is not eligible, since its filter may have an index to use.
+pub fn index_join<'c>(
+    catalog: &'c Catalog,
+    right: &RelExpr,
+    condition: Option<&ScalarExpr>,
+) -> Option<IndexJoin<'c>> {
+    let (RelExpr::Scan { table, alias }, Some(condition)) = (right, condition) else {
+        return None;
+    };
+    let table = catalog.table(table).ok()?;
+    let schema = match alias {
+        Some(a) => table.schema().with_qualifier(a),
+        None => table.schema().clone(),
+    };
+    let mut conjuncts = condition.split_conjuncts();
+    let (at, probe, index) = conjuncts.iter().enumerate().find_map(|(i, conjunct)| {
+        let ScalarExpr::Binary {
+            op: BinaryOp::Eq,
+            left: a,
+            right: b,
+        } = conjunct
+        else {
+            return None;
+        };
+        [(a, b), (b, a)].into_iter().find_map(|(probe, column)| {
+            let ScalarExpr::Column(c) = column.as_ref() else {
+                return None;
+            };
+            let position = schema.find(c.qualifier.as_deref(), &c.name)?;
+            let index = table.index_on(&schema.column(position).name)?;
+            key_columns(probe)?
+                .iter()
+                .all(|c| schema.find(c.qualifier.as_deref(), &c.name).is_none())
+                .then(|| (i, probe.as_ref().clone(), index))
+        })
+    })?;
+    conjuncts.remove(at);
+    Some(IndexJoin {
+        table,
+        schema,
+        index,
+        probe,
+        residual: (!conjuncts.is_empty()).then(|| ScalarExpr::conjunction(conjuncts)),
+    })
+}
+
+/// The output schema of a `kind` join: the left's alone for a semi or anti join, else
+/// the left's then the right's, nullable under an outer join.
+fn join_schema(kind: JoinKind, left: &Schema, right: &Schema) -> Schema {
+    match kind {
+        JoinKind::LeftSemi | JoinKind::LeftAnti => left.clone(),
+        JoinKind::LeftOuter => left.join(&right.as_nullable()),
+        _ => left.join(right),
+    }
+}
+
+/// How one morsel of an index join reads a left row's probe value: straight from the
+/// row when the key is a bare left column, else through the morsel's evaluation frame.
+enum ProbeKey {
+    Ordinal(usize),
+    Frame(Env),
+}
+
 #[derive(PartialEq, Clone, Copy)]
 enum Side {
     Left,
@@ -1428,16 +1605,9 @@ enum Side {
 
 /// Which input's columns an expression references (exclusively).
 fn side_of(expr: &ScalarExpr, left: &Schema, right: &Schema) -> Side {
-    let mut cols: Vec<ColumnRef> = vec![];
-    expr.collect_columns(&mut cols);
-    if cols.is_empty() {
+    let Some(cols) = key_columns(expr) else {
         return Side::Neither;
-    }
-    let mut params = vec![];
-    expr.collect_params(&mut params);
-    if !params.is_empty() || expr.contains_subquery() {
-        return Side::Neither;
-    }
+    };
     let all_left = cols
         .iter()
         .all(|c| left.find(c.qualifier.as_deref(), &c.name).is_some());
@@ -1449,6 +1619,16 @@ fn side_of(expr: &ScalarExpr, left: &Schema, right: &Schema) -> Side {
         (false, true) => Side::Right,
         _ => Side::Neither,
     }
+}
+
+/// The columns a join key expression reads: `None` unless it reads at least one and
+/// no parameter or subquery.
+fn key_columns(expr: &ScalarExpr) -> Option<Vec<ColumnRef>> {
+    let mut cols: Vec<ColumnRef> = vec![];
+    expr.collect_columns(&mut cols);
+    let mut params = vec![];
+    expr.collect_params(&mut params);
+    (!cols.is_empty() && params.is_empty() && !expr.contains_subquery()).then_some(cols)
 }
 
 /// One build-side entry: its hash partition, the evaluated join key and the global

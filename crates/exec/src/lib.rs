@@ -11,13 +11,16 @@
 //!   commercial systems' "default indices"); correlated subqueries and the Apply-family
 //!   operators are likewise executed tuple-by-tuple;
 //! * **set-oriented execution** — flat plans produced by the decorrelation rewrite are
-//!   executed with hash joins, hash aggregation and hash-based duplicate elimination.
+//!   executed with index nested-loop joins (probing a base table's hash index once per
+//!   outer row, the access path iteration had), hash joins, hash aggregation and
+//!   hash-based duplicate elimination.
 //!
 //! The split between this crate and `decorr-optimizer` is deliberate: this crate makes
-//! only *local, mechanical* choices (use an index if one matches, use a hash join if the
-//! join has an equality condition and the inputs are large enough); the optimizer crate
-//! owns the cost model and the cost-based choice between the original and rewritten
-//! query forms.
+//! only *local, mechanical* choices (use an index if one matches, probe the right
+//! table's index when [`index_join`] finds one, else use a hash join if the join has an
+//! equality condition and the inputs are large enough); the optimizer crate owns the
+//! cost model, which prices joins through the same [`index_join`] test, and the
+//! cost-based choice between the original and rewritten query forms.
 
 pub mod aggregate;
 pub mod env;
@@ -29,7 +32,7 @@ pub mod parallel;
 pub mod stats;
 
 pub use env::Env;
-pub use executor::{ExecConfig, Executor, ResultSet, HASH_JOIN_THRESHOLD};
+pub use executor::{index_join, ExecConfig, Executor, IndexJoin, ResultSet, HASH_JOIN_THRESHOLD};
 pub use memo::{fingerprint_invocation, MemoEpoch, MemoValue, UdfMemo, UdfMemoStats};
 pub use parallel::{morsel_ranges, MorselOutput, WorkerPool, WorkerPoolStats};
 pub use stats::{ExecStats, ExecTrace, NodeCardinality, OperatorTrace};

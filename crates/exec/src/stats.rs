@@ -27,6 +27,8 @@ pub struct ExecStats {
     pub udf_invocations: u64,
     pub subqueries_executed: u64,
     pub hash_joins: u64,
+    /// Joins that probed the right table's hash index once per left row.
+    pub index_joins: u64,
     pub nested_loop_joins: u64,
     /// Morsels of fanned-out operators (0 for a fully serial execution).
     pub morsels_dispatched: u64,
@@ -53,6 +55,7 @@ pub struct AtomicExecStats {
     pub udf_invocations: AtomicU64,
     pub subqueries_executed: AtomicU64,
     pub hash_joins: AtomicU64,
+    pub index_joins: AtomicU64,
     pub nested_loop_joins: AtomicU64,
     pub morsels_dispatched: AtomicU64,
     pub parallel_operators: AtomicU64,
@@ -80,6 +83,10 @@ impl AtomicExecStats {
 
     pub fn add_hash_joins(&self, n: u64) {
         self.hash_joins.fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub fn add_index_joins(&self, n: u64) {
+        self.index_joins.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn add_nested_loop_joins(&self, n: u64) {
@@ -114,6 +121,7 @@ impl AtomicExecStats {
             udf_invocations: self.udf_invocations.load(Ordering::Relaxed),
             subqueries_executed: self.subqueries_executed.load(Ordering::Relaxed),
             hash_joins: self.hash_joins.load(Ordering::Relaxed),
+            index_joins: self.index_joins.load(Ordering::Relaxed),
             nested_loop_joins: self.nested_loop_joins.load(Ordering::Relaxed),
             morsels_dispatched: self.morsels_dispatched.load(Ordering::Relaxed),
             parallel_operators: self.parallel_operators.load(Ordering::Relaxed),

@@ -17,6 +17,11 @@ fn setup() -> (Arc<Catalog>, FunctionRegistry) {
 /// The catalog of [`setup`] with customers `1..=customers`: customer `i` has `i` orders,
 /// so the first `n` customers and their orders are the same rows at any size ≥ `n`.
 fn setup_with(customers: i64) -> (Arc<Catalog>, FunctionRegistry) {
+    setup_indexed(customers, true)
+}
+
+/// The catalog of [`setup_with`], with or without the hash index on `orders.custkey`.
+fn setup_indexed(customers: i64, index_orders: bool) -> (Arc<Catalog>, FunctionRegistry) {
     let mut catalog = Catalog::new();
     catalog
         .create_table(
@@ -67,7 +72,9 @@ fn setup_with(customers: i64) -> (Arc<Catalog>, FunctionRegistry) {
                 .unwrap();
         }
     }
-    catalog.create_index("orders", "custkey").unwrap();
+    if index_orders {
+        catalog.create_index("orders", "custkey").unwrap();
+    }
     catalog.create_index("customer", "custkey").unwrap();
     (Arc::new(catalog), FunctionRegistry::new())
 }
@@ -158,33 +165,44 @@ fn joins_inner_and_left_outer() {
 #[test]
 fn hash_join_and_nested_loop_agree() {
     // The filter sits above the join, so the join reads whole tables: 10 + 55 rows, at
-    // or above the hash-join threshold, against 5 + 15 rows below it.
+    // or above the hash-join threshold, against 5 + 15 rows below it. Unindexed, the
+    // right table is hashed or looped over; with its index on the join key, each
+    // customer probes it instead.
     let plan = parse_and_plan(
         "select c.custkey, o.orderkey from customer c join orders o on c.custkey = o.custkey \
          where c.custkey <= 5",
     )
     .unwrap();
-    let run = |customers| {
-        let (catalog, registry) = setup_with(customers);
+    let run = |customers, index_orders| {
+        let (catalog, registry) = setup_indexed(customers, index_orders);
         let join_input = catalog.table("customer").unwrap().row_count()
             + catalog.table("orders").unwrap().row_count();
         let executor = Executor::new(catalog, Arc::new(registry));
-        let rows = executor.execute(&plan).unwrap().canonical();
+        let result = executor.execute(&plan).unwrap();
+        let rows: Vec<String> = result.rows.iter().map(Row::to_string).collect();
         (join_input, rows, executor.stats_snapshot())
     };
-    let (hash_input, hashed, hash_stats) = run(10);
-    let (loop_input, looped, loop_stats) = run(5);
+    let (hash_input, hashed, hash_stats) = run(10, false);
+    let (loop_input, looped, loop_stats) = run(5, false);
+    let (_, indexed, index_stats) = run(10, true);
     assert!(loop_input < HASH_JOIN_THRESHOLD && HASH_JOIN_THRESHOLD <= hash_input);
     assert_eq!(hashed, looped);
     assert_eq!(hashed.len(), 15);
     assert_eq!(
-        (hash_stats.hash_joins, hash_stats.nested_loop_joins),
-        (1, 0)
+        indexed, hashed,
+        "the index route emits the same rows in the same order"
     );
+    let algorithms =
+        |s: &decorr_exec::ExecStats| (s.hash_joins, s.index_joins, s.nested_loop_joins);
+    assert_eq!(algorithms(&hash_stats), (1, 0, 0));
+    assert_eq!(algorithms(&loop_stats), (0, 0, 1));
+    assert_eq!(algorithms(&index_stats), (0, 1, 0));
+    // One probe per customer; only the customers are scanned.
     assert_eq!(
-        (loop_stats.hash_joins, loop_stats.nested_loop_joins),
-        (0, 1)
+        (index_stats.index_lookups, index_stats.rows_scanned),
+        (10, 10)
     );
+    assert_eq!((hash_stats.index_lookups, hash_stats.rows_scanned), (0, 65));
 }
 
 #[test]

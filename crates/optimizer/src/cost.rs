@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 
 use decorr_algebra::{BinaryOp, JoinKind, RelExpr, ScalarExpr};
 use decorr_common::{normalize_ident, Value};
+use decorr_exec::index_join;
 use decorr_storage::Catalog;
 use decorr_udf::{FunctionRegistry, LearnedUdf, Statement};
 
@@ -228,6 +229,21 @@ pub fn estimate_with(
             condition,
         } => {
             let l = estimate_with(left, catalog, registry, params);
+            if let Some(join) = index_join(catalog, right, condition.as_ref()) {
+                // An index nested-loop join: one probe per left row, each finding the
+                // index's mean rows per key. The right table is neither scanned nor
+                // built.
+                let per_probe =
+                    join.table.row_count() as f64 / join.index.distinct_keys().max(1) as f64;
+                let output = match kind {
+                    JoinKind::LeftSemi | JoinKind::LeftAnti => {
+                        l.cardinality * SEMI_JOIN_SELECTIVITY
+                    }
+                    JoinKind::LeftOuter => l.cardinality * per_probe.max(1.0),
+                    _ => l.cardinality * per_probe,
+                };
+                return CostEstimate::new(output, l.cost + l.cardinality / par);
+            }
             let r = estimate_with(right, catalog, registry, params);
             let has_equi = condition
                 .as_ref()

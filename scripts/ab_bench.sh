@@ -11,8 +11,12 @@
 # with run_seconds read from BENCHMARK.json and AB_TRACE 0 unless set (1 adds the
 # per-layer metrics). Prints, per metric, the
 # median, quartiles, min and max of each side and in how many pairs the change was
-# better, where BENCHMARK.json names the metric's direction. Exits 1 if any run fails
-# or reports `failed` > 0. Keep the host otherwise idle while it runs.
+# better, where BENCHMARK.json names the metric's direction. For an end-to-end metric
+# (one with a `bound` there) a verdict follows: `exceeds bound` when the change's
+# median is worse than the parent's by more than the bound (a fraction of the parent's
+# median), `unresolved` when the parent's own interquartile range is wider than the
+# bound, `ok` otherwise. Exits 1 if any run fails or reports `failed` > 0 (never
+# because of a verdict). Keep the host otherwise idle while it runs.
 set -euo pipefail
 
 if [ $# -ne 5 ]; then
@@ -67,30 +71,37 @@ for pair in $(seq 1 "$pairs"); do
     done
 done
 
-# "median q1..q3 [min..max]" of the values on stdin, one per line; a quartile is the
-# linear interpolation between the two nearest ranks.
-summary() {
+# Sorted values on stdin -> the awk program in $1, which sees them as v[1..NR] and a
+# quartile function q(p): the linear interpolation between the two nearest ranks.
+quartiles() {
     sort -g | awk '{ v[NR] = $1 }
         function q(p,   r, i) {
             r = 1 + p * (NR - 1); i = int(r)
             return i < NR ? v[i] + (r - i) * (v[i + 1] - v[i]) : v[NR]
         }
-        END {
-            if (NR == 0) { print "-"; exit }
-            printf "%.4g %.4g..%.4g [%.4g..%.4g]", q(0.5), q(0.25), q(0.75), v[1], v[NR]
-        }'
+        END { if (NR == 0) { print "-"; exit } '"$1"' }'
+}
+# "median q1..q3 [min..max]" of the values on stdin.
+summary() {
+    quartiles 'printf "%.4g %.4g..%.4g [%.4g..%.4g]", q(0.5), q(0.25), q(0.75), v[1], v[NR]'
+}
+# "median q1 q3" of the values on stdin, at full precision.
+spread() {
+    quartiles 'printf "%s %s %s", q(0.5), q(0.25), q(0.75)'
 }
 
-printf '%-30s %-6s %-40s %-40s %s\n' metric unit "parent median q1..q3 [min..max]" \
-    "change median q1..q3 [min..max]" "change better"
+printf '%-30s %-6s %-40s %-40s %-18s %s\n' metric unit "parent median q1..q3 [min..max]" \
+    "change median q1..q3 [min..max]" "change better" verdict
 cut -f1,3 "$work/parent.1" | while IFS=$'\t' read -r name unit; do
     values() {
         for p in $(seq 1 "$pairs"); do
             awk -F'\t' -v n="$name" '$1 == n { print $2 }' "$work/$1.$p"
         done
     }
-    better=$(grep -o "\"name\": \"$name\"[^}]*\"better\": \"[a-z]*\"" "$manifest" \
-        | grep -o '"better": "[a-z]*"' | grep -o '[a-z]*"$' | tr -d '"' || true)
+    entry=$(grep -o "\"name\": \"$name\"[^}]*" "$manifest" || true)
+    better=$(printf '%s' "$entry" | grep -o '"better": "[a-z]*"' | grep -o '[a-z]*"$' |
+        tr -d '"' || true)
+    bound=$(printf '%s' "$entry" | grep -o '"bound": *[0-9.]*' | grep -o '[0-9.]*$' || true)
     wins=-
     if [ -n "$better" ]; then
         wins=0
@@ -104,7 +115,21 @@ cut -f1,3 "$work/parent.1" | while IFS=$'\t' read -r name unit; do
         done
         wins="$wins/$pairs ($better)"
     fi
-    printf '%-30s %-6s %-40s %-40s %s\n' "$name" "$unit" "$(values parent | summary)" \
-        "$(values change | summary)" "$wins"
+    verdict=-
+    if [ -n "$better" ] && [ -n "$bound" ]; then
+        read -r parent_median q1 q3 <<<"$(values parent | spread)"
+        read -r change_median _ <<<"$(values change | spread)"
+        verdict=$(awk -v pm="$parent_median" -v q1="$q1" -v q3="$q3" -v cm="$change_median" \
+            -v bound="$bound" -v d="$better" 'BEGIN {
+                if (pm == "-" || cm == "-") { print "-"; exit }
+                if (pm == 0) { print (cm == 0 ? "ok" : "unresolved"); exit }
+                worse = (d == "lower" ? cm - pm : pm - cm) / (pm < 0 ? -pm : pm)
+                if (worse > bound) print "exceeds bound"
+                else if ((q3 - q1) / (pm < 0 ? -pm : pm) > bound) print "unresolved"
+                else print "ok"
+            }')
+    fi
+    printf '%-30s %-6s %-40s %-40s %-18s %s\n' "$name" "$unit" "$(values parent | summary)" \
+        "$(values change | summary)" "$wins" "$verdict"
 done
 exit $status

@@ -894,10 +894,10 @@ fn results_are_byte_identical_across_parallelism_cold_warm_and_analyzed() {
 
 // ------------------------------------------------------------- join kinds, by hand
 
-/// `l(a, k)` = (1, 1), (2, 2), (3, NULL), (4, 100); `r(k, v)` = (k, 10k) for k in
-/// 0..64, then a second k = 2 row (2, 21). Together 69 rows, past the hash-join
-/// threshold.
-fn join_kinds_catalog() -> Arc<Catalog> {
+/// `l(a, k)` = (1, 1), (2, 2), (3, NULL), (4, 1000); `r(k, v)` = (k, 10k) for k in
+/// 0..200, a second k = 2 row (2, 21), then (1, 11), (2, 22) and (NULL, 0): past the
+/// hash-join threshold, and with a hash index on `r.k` when `index_right` is set.
+fn join_kinds_catalog(index_right: bool) -> Arc<Catalog> {
     let mut catalog = Catalog::new();
     let int = |name: &str| Column::new(name, DataType::Int);
     catalog
@@ -906,7 +906,7 @@ fn join_kinds_catalog() -> Arc<Catalog> {
     catalog
         .create_table("r", Schema::new(vec![int("k"), int("v")]))
         .unwrap();
-    let left = [(1, Some(1)), (2, Some(2)), (3, None), (4, Some(100))];
+    let left = [(1, Some(1)), (2, Some(2)), (3, None), (4, Some(1000))];
     catalog
         .insert_rows(
             "l",
@@ -915,15 +915,23 @@ fn join_kinds_catalog() -> Arc<Catalog> {
                 .collect(),
         )
         .unwrap();
-    let right = (0..64).map(|k| (k, 10 * k)).chain([(2, 21)]);
+    let row =
+        |k: Option<i64>, v: i64| Row::new(vec![k.map_or(Value::Null, Value::Int), Value::Int(v)]);
+    let right = (0..200).map(|k| (k, 10 * k)).chain([(2, 21)]);
     catalog
-        .insert_rows(
-            "r",
-            right
-                .map(|(k, v)| Row::new(vec![Value::Int(k), Value::Int(v)]))
-                .collect(),
-        )
+        .insert_rows("r", right.map(|(k, v)| row(Some(k), v)).collect())
         .unwrap();
+    if index_right {
+        catalog.create_index("r", "k").unwrap();
+    }
+    // Rows inserted while a snapshot shares the index land in its delta tier (the 201
+    // base postings keep two delta postings from being folded), after every base
+    // posting of their key. A NULL right key is never indexed and never matches.
+    let snapshot = catalog.clone();
+    catalog
+        .insert_rows("r", vec![row(Some(1), 11), row(Some(2), 22), row(None, 0)])
+        .unwrap();
+    drop(snapshot);
     Arc::new(catalog)
 }
 
@@ -946,13 +954,15 @@ fn rendered(result: &ResultSet) -> Vec<String> {
         .collect()
 }
 
-/// Every join kind on both join algorithms, with and without a residual predicate, at
-/// one and two threads, against rows worked out by hand: each match emitted once, in
-/// left-row then right-row order, an outer join's unmatched rows NULL-extended, a semi
-/// or anti join's left rows whole.
+/// Every join kind on all three join algorithms, with and without a residual
+/// predicate, at one and two threads, against rows worked out by hand: each match
+/// emitted once, in left-row then right-row order (the index route's delta-tier rows
+/// after its base-tier ones), an outer join's unmatched rows NULL-extended, a semi or
+/// anti join's left rows whole, and a NULL key matching nothing.
 #[test]
 fn every_join_kind_emits_the_hand_computed_rows() {
-    let catalog = join_kinds_catalog();
+    let catalog = join_kinds_catalog(false);
+    let indexed = join_kinds_catalog(true);
     let lk = || E::qualified_column("l", "k");
     let rk = || E::qualified_column("r", "k");
     let equi = E::eq(lk(), rk());
@@ -962,19 +972,26 @@ fn every_join_kind_emits_the_hand_computed_rows() {
         E::binary(BinaryOp::GtEq, lk(), rk()),
     );
     let residual = E::gt(E::qualified_column("r", "v"), E::literal(15));
-    let (m1, m2, m2b) = ("1,1,1,10", "2,2,2,20", "2,2,2,21");
-    let (n1, n3, n4) = ("1,1,-,-", "3,-,-,-", "4,100,-,-");
+    let (m1, m1b) = ("1,1,1,10", "1,1,1,11");
+    let (m2, m2b, m2c) = ("2,2,2,20", "2,2,2,21", "2,2,2,22");
+    let (n1, n3, n4) = ("1,1,-,-", "3,-,-,-", "4,1000,-,-");
     let plain: [(JoinKind, Vec<&str>); 4] = [
-        (JoinKind::Inner, vec![m1, m2, m2b]),
-        (JoinKind::LeftOuter, vec![m1, m2, m2b, n3, n4]),
+        (JoinKind::Inner, vec![m1, m1b, m2, m2b, m2c]),
+        (JoinKind::LeftOuter, vec![m1, m1b, m2, m2b, m2c, n3, n4]),
         (JoinKind::LeftSemi, vec!["1,1", "2,2"]),
-        (JoinKind::LeftAnti, vec!["3,-", "4,100"]),
+        (JoinKind::LeftAnti, vec!["3,-", "4,1000"]),
     ];
     let filtered: [(JoinKind, Vec<&str>); 4] = [
-        (JoinKind::Inner, vec![m2, m2b]),
-        (JoinKind::LeftOuter, vec![n1, m2, m2b, n3, n4]),
+        (JoinKind::Inner, vec![m2, m2b, m2c]),
+        (JoinKind::LeftOuter, vec![n1, m2, m2b, m2c, n3, n4]),
         (JoinKind::LeftSemi, vec!["2,2"]),
-        (JoinKind::LeftAnti, vec!["1,1", "3,-", "4,100"]),
+        (JoinKind::LeftAnti, vec!["1,1", "3,-", "4,1000"]),
+    ];
+    // (algorithm, catalog, condition, expected (hash, index, nested-loop) joins)
+    let algorithms = [
+        ("hash", &catalog, &equi, (1, 0, 0)),
+        ("nested-loop", &catalog, &ranged, (0, 0, 1)),
+        ("index", &indexed, &equi, (0, 1, 0)),
     ];
     for parallelism in [1, 2] {
         let config = ExecConfig {
@@ -982,12 +999,15 @@ fn every_join_kind_emits_the_hand_computed_rows() {
             morsel_size: 2,
             ..ExecConfig::default()
         };
-        let executor = Executor::with_config(
-            Arc::clone(&catalog),
-            Arc::new(FunctionRegistry::new()),
-            config,
-        );
-        for (hash, condition) in [(true, &equi), (false, &ranged)] {
+        let executor_on = |catalog: &Arc<Catalog>| {
+            Executor::with_config(
+                Arc::clone(catalog),
+                Arc::new(FunctionRegistry::new()),
+                config.clone(),
+            )
+        };
+        for (algorithm, catalog, condition, joins) in algorithms {
+            let executor = executor_on(catalog);
             for (with_residual, expected) in [(false, &plain), (true, &filtered)] {
                 let condition = if with_residual {
                     E::and(condition.clone(), residual.clone())
@@ -1005,11 +1025,26 @@ fn every_join_kind_emits_the_hand_computed_rows() {
                     let result = executor.execute(&plan).unwrap();
                     let after = executor.stats_snapshot();
                     let case = format!(
-                        "{kind} join, hash={hash}, residual={with_residual}, \
+                        "{kind} join, {algorithm}, residual={with_residual}, \
                          parallelism={parallelism}"
                     );
                     assert_eq!(rendered(&result), *rows, "{case}");
-                    assert_eq!(after.hash_joins - before.hash_joins, hash as u64, "{case}");
+                    let counted = (
+                        after.hash_joins - before.hash_joins,
+                        after.index_joins - before.index_joins,
+                        after.nested_loop_joins - before.nested_loop_joins,
+                    );
+                    assert_eq!(counted, joins, "{case}");
+                    // The index route probes once per non-NULL left key and scans
+                    // only the left table.
+                    let probes = after.index_lookups - before.index_lookups;
+                    let scanned = after.rows_scanned - before.rows_scanned;
+                    let (want_probes, want_scanned) = if algorithm == "index" {
+                        (3, 4)
+                    } else {
+                        (0, 4 + 204)
+                    };
+                    assert_eq!((probes, scanned), (want_probes, want_scanned), "{case}");
                     assert_eq!(
                         result.schema.len(),
                         if kind.left_only() { 2 } else { 4 },
@@ -1018,6 +1053,31 @@ fn every_join_kind_emits_the_hand_computed_rows() {
                 }
             }
         }
+        // The index route books the right scan's actual as the rows its lookups
+        // returned: keys 1 and 2 find 2 and 3 rows.
+        let diagnostic = Executor::with_config(
+            Arc::clone(&indexed),
+            Arc::new(FunctionRegistry::new()),
+            ExecConfig {
+                collect_cardinalities: true,
+                ..config.clone()
+            },
+        );
+        let right = RelExpr::scan("r");
+        let plan = RelExpr::Join {
+            left: Box::new(RelExpr::scan("l")),
+            right: Box::new(right.clone()),
+            kind: JoinKind::Inner,
+            condition: Some(equi.clone()),
+        };
+        diagnostic.execute(&plan).unwrap();
+        let scan = diagnostic
+            .cardinality_snapshot()
+            .into_iter()
+            .find(|node| node.fingerprint == right.fingerprint())
+            .expect("the right scan records an actual");
+        assert_eq!((scan.executions, scan.rows_out), (1, 5));
+        let executor = executor_on(&catalog);
         // No condition at all: a nested-loop product with a two-row right side.
         let pair = RelExpr::Values {
             schema: Schema::new(vec![
@@ -1042,8 +1102,8 @@ fn every_join_kind_emits_the_hand_computed_rows() {
             "2,2,8,80",
             "3,-,7,70",
             "3,-,8,80",
-            "4,100,7,70",
-            "4,100,8,80",
+            "4,1000,7,70",
+            "4,1000,8,80",
         ];
         for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
             let result = executor.execute(&product(kind)).unwrap();
@@ -1054,7 +1114,7 @@ fn every_join_kind_emits_the_hand_computed_rows() {
             );
         }
         let semi = executor.execute(&product(JoinKind::LeftSemi)).unwrap();
-        assert_eq!(rendered(&semi), ["1,1", "2,2", "3,-", "4,100"]);
+        assert_eq!(rendered(&semi), ["1,1", "2,2", "3,-", "4,1000"]);
         let anti = executor.execute(&product(JoinKind::LeftAnti)).unwrap();
         assert!(anti.rows.is_empty(), "parallelism={parallelism}");
     }
